@@ -13,8 +13,10 @@ executor. This is what the examples and benchmarks use::
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.algebra.operators import LogicalOperator
 from repro.errors import (
@@ -106,158 +108,152 @@ class QueryResult:
         return self.to_table().pretty(limit)
 
 
-def _with_parallel_knobs(
-    options: PlannerOptions | None,
-    parallelism: int | None,
-    backend: str | None,
-) -> PlannerOptions | None:
-    """Fold the convenience parallel knobs into planner options.
+@dataclass(frozen=True)
+class _RunOptions:
+    """One run's keyword options, folded once by :func:`_resolve_options`.
 
-    A bare ``parallelism=N`` (N > 1) implies the process backend — the
-    only one that scales CPU-bound per-group plans on CPython.
+    The fields are the option keywords of :meth:`Database.sql`; every other
+    entry point accepts a subset (a signature test holds them to it), so a
+    new knob is added here or nowhere. After folding, ``planner_options``
+    is never ``None`` and carries the ``parallelism``/``backend``/``engine``
+    shorthands, ``explain`` is ``None``/``"plan"``/``"analyze"``, and
+    ``governor`` is the prebuilt one or one built from the budget knobs.
     """
-    if parallelism is None and backend is None:
-        return options
+
+    optimize: bool = True
+    planner_options: PlannerOptions | None = None
+    parallelism: int | None = None
+    backend: str | None = None
+    explain: bool | str | None = None
+    collect_metrics: bool = False
+    trace: bool = False
+    timeout: float | None = None
+    memory_budget: int | None = None
+    max_rows: int | None = None
+    governor: Governor | None = None
+    engine: str | None = None
+    use_plan_cache: bool | None = None
+
+
+@lru_cache(maxsize=None)
+def _accepted_options(entry: Callable[..., Any]) -> frozenset[str]:
+    """The run options a public entry point takes: the parameters of its
+    signature that are :class:`_RunOptions` fields."""
+    return frozenset(
+        inspect.signature(entry).parameters.keys()
+        & _RunOptions.__dataclass_fields__.keys()
+    )
+
+
+def _own_options(entry: Callable[..., Any], arguments: dict[str, Any]) -> _RunOptions:
+    """Resolve public method ``entry``'s own options out of its ``locals()``,
+    so its signature is the only place that spells them. Only signature
+    names are read: call it before reassigning a parameter, nothing more."""
+    own = {name: arguments[name] for name in _accepted_options(entry)}
+    return _resolve_options(entry.__qualname__, entry, **own)
+
+
+def _resolve_options(
+    caller: str, entry: Callable[..., Any], **raw: Any
+) -> _RunOptions:
+    """Validate and fold option keywords, once per call.
+
+    ``entry`` is the :class:`Database` method whose signature says which
+    options the call may carry; any other keyword — a typo, or another
+    entry point's option — is a ``TypeError`` naming ``caller``, raised
+    before any work (``Prepared.execute``, the service: before admission).
+    """
+    unknown = raw.keys() - _accepted_options(entry)
+    if unknown:
+        raise TypeError(
+            f"{caller}() got an unexpected keyword argument {min(unknown)!r}"
+        )
+    options = _RunOptions(**raw)
+    if options.explain not in (None, False, True, "plan", "analyze"):
+        raise PlanError(
+            "explain must be True, 'plan' or 'analyze', "
+            f"got {options.explain!r}"
+        )
+    if options.use_plan_cache and not options.optimize:
+        raise PlanError(
+            "use_plan_cache=True demands the plan cache, which holds "
+            "optimized plans only; it cannot be combined with optimize=False"
+        )
     # Validate here, not only in PGApply: a plan whose GApply the optimizer
     # rewrites away (e.g. to groupby) never builds the operator, and bad
     # knob values should not ride along silently in that case.
+    parallelism, backend = options.parallelism, options.backend
     if parallelism is not None and parallelism < 1:
         raise PlanError(f"parallelism must be >= 1, got {parallelism}")
     if backend is not None and backend not in BACKENDS:
         raise PlanError(
             f"unknown GApply backend {backend!r}; use one of {BACKENDS}"
         )
-    base = options or PlannerOptions()
     updates: dict[str, Any] = {}
     if parallelism is not None:
         updates["gapply_parallelism"] = parallelism
     if backend is not None:
         updates["gapply_backend"] = backend
     elif parallelism is not None and parallelism > 1:
+        # A bare parallelism=N implies the process backend — the only one
+        # that scales CPU-bound per-group plans on CPython.
         updates["gapply_backend"] = "process"
-    return replace(base, **updates)
-
-
-def _with_engine_knob(
-    options: PlannerOptions | None, engine: str | None
-) -> PlannerOptions | None:
-    """Fold the convenience ``engine`` knob into planner options."""
-    if engine is None:
-        return options
-    if engine not in ENGINES:
+    if options.engine is not None:
+        updates["engine"] = options.engine
+    planner_options = options.planner_options or PlannerOptions()
+    if updates:
+        planner_options = replace(planner_options, **updates)
+    if planner_options.engine not in ENGINES:
         raise PlanError(
-            f"unknown execution engine {engine!r}; use one of {ENGINES}"
+            f"unknown execution engine {planner_options.engine!r}; "
+            f"use one of {ENGINES}"
         )
-    return replace(options or PlannerOptions(), engine=engine)
-
-
-def _resolve_governor(
-    governor: Governor | None,
-    timeout: float | None,
-    memory_budget: int | None,
-    max_rows: int | None,
-    sql_text: str | None,
-) -> Governor | None:
-    """One governor per run: from the budget knobs, or prebuilt, not both."""
-    knobs = (
-        timeout is not None
-        or memory_budget is not None
-        or max_rows is not None
+    budget = Budget(
+        timeout=options.timeout,
+        memory_cells=options.memory_budget,
+        max_rows=options.max_rows,
     )
-    if governor is not None and knobs:
-        raise PlanError(
-            "pass either a prebuilt governor or budget knobs, not both"
-        )
-    if governor is None and knobs:
-        governor = Governor(
-            Budget(
-                timeout=timeout,
-                memory_cells=memory_budget,
-                max_rows=max_rows,
-            ),
-            sql=sql_text,
-        )
-    return governor
+    governor = options.governor
+    if not budget.unlimited:
+        if governor is not None:
+            raise PlanError(
+                "pass either a prebuilt governor or budget knobs, not both"
+            )
+        governor = Governor(budget)
+    return replace(
+        options,
+        planner_options=planner_options,
+        engine=planner_options.engine,
+        explain="plan" if options.explain is True else options.explain or None,
+        governor=governor,
+    )
 
 
-def _governed_rows(
-    row_source: Iterator[tuple],
-    governor: Governor | None,
-    sql_text: str | None,
-) -> Iterator[tuple]:
-    """The lazy row loop behind :meth:`Database.execute_stream`.
+@dataclass(frozen=True)
+class _Planned:
+    """A statement down to its logical plan, with where the plan came from."""
 
-    Mirrors the materializing loop in :meth:`Database.execute`: enforce
-    ``max_rows`` at the root and make sure every engine error leaves
-    carrying the SQL it happened in. The finally clause closes the
-    operator tree even when the consumer abandons the stream mid-flight
-    (GeneratorExit travels through ``yield``).
-    """
-    try:
-        if governor is None:
-            yield from row_source
-        else:
-            for row in row_source:
-                governor.tick_output(1)
-                yield row
-    except ReproError as error:
-        raise error.add_context(sql=sql_text)
-    finally:
-        close = getattr(row_source, "close", None)
-        if close is not None:
-            close()
+    logical: LogicalOperator
+    report: OptimizationReport | None = None
+    #: Plan-cache outcome (``QueryResult.plan_cache``); None on a bypass.
+    cache_info: dict[str, Any] | None = None
+    #: The serving cache entry and its parameter vector, for drain feedback.
+    entry: CachedPlan | None = None
+    values: tuple[Any, ...] = ()
 
 
-class RowStream:
-    """A lazily executed query result: plan now, rows on demand.
+@dataclass(frozen=True)
+class _Run:
+    """One prepared execution, complete: what :meth:`Database._prepare`
+    hands to the materializing and streaming tails."""
 
-    Built by :meth:`Database.execute_stream`. Planning (bind validation,
-    optimization, lowering, vector compilation) happens eagerly inside
-    ``execute_stream`` so plan-shape errors surface at call time; row
-    production is pulled through this iterator one row at a time — no
-    intermediate list anywhere, which is what lets the streaming XML
-    publisher hold documents larger than memory.
-
-    ``close()`` tears down the underlying operator tree (releasing
-    generator-held resources such as GApply spill files); it is idempotent
-    and also runs when the stream is used as a context manager or its
-    consumer abandons it.
-    """
-
-    def __init__(
-        self,
-        rows: Iterator[tuple],
-        schema: Schema,
-        logical_plan: LogicalOperator,
-        physical_plan: PhysicalOperator,
-        counters: Counters,
-        engine: str,
-        governor: Governor | None = None,
-    ):
-        self._rows = rows
-        self.schema = schema
-        self.logical_plan = logical_plan
-        self.physical_plan = physical_plan
-        self.counters = counters
-        self.engine = engine
-        self.governor = governor
-
-    def __iter__(self) -> "RowStream":
-        return self
-
-    def __next__(self) -> tuple:
-        return next(self._rows)
-
-    def close(self) -> None:
-        close = getattr(self._rows, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "RowStream":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    options: _RunOptions
+    sql_text: str | None
+    planned: _Planned
+    physical: PhysicalOperator
+    #: Opens the root row iterator on the engine that runs ``physical``.
+    execute: Callable[[ExecutionContext], Iterator[tuple]]
+    context: ExecutionContext
 
 
 class Transaction:
@@ -440,7 +436,6 @@ class Database:
         claiming the in-transaction version)."""
         if self.wal is None:
             return
-        from repro.errors import WalError
         from repro.storage import wal as walmod
 
         with self.catalog.mutation_lock:
@@ -587,153 +582,170 @@ class Database:
         :mod:`repro.optimizer.plancache`) keyed by normalized query
         shape; ``use_plan_cache=False`` opts a single call out, and
         ``use_plan_cache=True`` demands the cache (an error when this
-        database was built with ``plan_cache=None``).
+        database was built with ``plan_cache=None``, or when the call
+        also passes ``optimize=False`` — only optimized plans are cached).
         """
-        statement = parse_statement(text)
-        return self._run_statement(
-            statement, text, params=params, use_plan_cache=use_plan_cache,
-            optimize=optimize, planner_options=planner_options,
-            parallelism=parallelism, backend=backend, explain=explain,
-            collect_metrics=collect_metrics, trace=trace, timeout=timeout,
-            memory_budget=memory_budget, max_rows=max_rows,
-            governor=governor, engine=engine,
-        )
+        options = _own_options(Database.sql, locals())
+        return self._run_statement(text, params, options)
 
     def _run_statement(
         self,
-        statement: "AstQuery | AstExplain",
         text: str,
-        *,
         params: Sequence[Any] | None,
-        use_plan_cache: bool | None,
-        optimize: bool,
-        planner_options: PlannerOptions | None,
-        parallelism: int | None,
-        backend: str | None,
-        explain: bool | str | None,
-        collect_metrics: bool,
-        trace: bool,
-        timeout: float | None,
-        memory_budget: int | None,
-        max_rows: int | None,
-        governor: Governor | None,
-        engine: str | None,
+        options: _RunOptions,
+        statement: "AstQuery | AstExplain | None" = None,
     ) -> QueryResult | Explanation:
-        """Shared execution path behind :meth:`sql` and :class:`Prepared`."""
+        """Shared execution path behind :meth:`sql`, the service (which
+        resolves the options itself, before admission) and
+        :class:`Prepared` (which passes its pre-parsed ``statement``)."""
+        if statement is None:
+            statement = parse_statement(text)
         query = statement
         if isinstance(statement, AstExplain):
             query = statement.query
-            explain = "analyze" if statement.analyze else (explain or True)
+            explain = "analyze" if statement.analyze else options.explain or "plan"
+            options = replace(options, explain=explain)
+        return self._materialize(self._prepare(query, text, params, options))
+
+    # -- the request pipeline: prepare, then materialize or stream ---------
+
+    def _prepare(
+        self,
+        source: AstQuery | LogicalOperator | None,
+        sql_text: str | None,
+        params: Sequence[Any] | None,
+        options: _RunOptions,
+    ) -> _Run:
+        """Everything between resolved options and the first row.
+
+        A query — parsed already, or ``None`` to parse ``sql_text`` here —
+        goes through parameter handling and the plan cache (lookup,
+        miss-build, or bypass) to a logical plan; an already-bound plan
+        (:meth:`execute`) joins at the optimizer. Either way the plan is
+        then lowered and, for the vector engine, compiled. Every error
+        leaves carrying the SQL it happened in (first writer wins, so
+        deeper context is preserved).
+        """
         try:
-            marker_count = count_parameters(query)
+            if isinstance(source, LogicalOperator):
+                planned = _Planned(*self._optimized(source, options))
+            else:
+                planned = self._plan_query(
+                    parse(sql_text) if source is None else source,
+                    params, options,
+                )
+            planner_options = options.planner_options
+            if options.explain:
+                # Estimated cardinalities are the point of EXPLAIN output.
+                planner_options = replace(planner_options, collect_estimates=True)
+            physical = Planner(self.catalog, planner_options).plan(planned.logical)
+            execute = physical.execute
+            if options.engine == VECTOR_ENGINE and options.explain != "plan":
+                execute = compile_plan(
+                    physical, batch_size=planner_options.vector_batch_size
+                ).rows
         except ReproError as error:
-            raise error.add_context(sql=text)
-        values: tuple[Any, ...] = ()
-        param_query: AstQuery | None = None
-        if marker_count:
-            if params is None:
-                raise BindError(
-                    f"query has {marker_count} parameter marker(s); pass "
-                    "params=[...] or use Database.prepare()"
-                ).add_context(sql=text)
-            if len(params) != marker_count:
-                raise BindError(
-                    f"query has {marker_count} parameter marker(s) but "
-                    f"{len(params)} value(s) were bound"
-                ).add_context(sql=text)
-            values = tuple(params)
-            param_query = seed_parameters(query, values)
-        elif params is not None:
+            raise error.add_context(sql=sql_text)
+        analyze = options.explain == "analyze"
+        registry = tracer = None
+        if analyze or options.collect_metrics:
+            registry = MetricsRegistry()
+            registry.register_plan(physical)
+        if analyze or options.trace:
+            tracer = Tracer()
+        context = ExecutionContext(
+            metrics=registry, tracer=tracer, governor=options.governor
+        )
+        return _Run(options, sql_text, planned, physical, execute, context)
+
+    def _plan_query(
+        self,
+        query: AstQuery,
+        params: Sequence[Any] | None,
+        options: _RunOptions,
+    ) -> _Planned:
+        """Parameter handling and the plan cache: query AST to logical plan."""
+        marker_count = count_parameters(query)
+        if not marker_count and params is not None:
             raise BindError(
                 "params were given but the query has no $N parameter markers"
-            ).add_context(sql=text)
-
+            )
+        values = tuple(params or ())
+        if len(values) != marker_count:
+            raise BindError(
+                f"query has {marker_count} parameter marker(s) but "
+                f"{len(values)} value(s) were bound; pass params=[...]"
+            )
         cache = self.plan_cache
-        if use_plan_cache and cache is None:
+        if options.use_plan_cache and cache is None:
             raise PlanError(
                 "use_plan_cache=True but this Database was built with "
                 "plan_cache=None"
             )
-        cache_eligible = optimize and use_plan_cache is not False
-        if cache is None or not cache_eligible:
+        if cache is None or not options.optimize or options.use_plan_cache is False:
             if cache is not None:
                 cache.record_bypass()
             if marker_count:
                 query = bind_ast_parameters(query, values)
-            try:
-                logical = Binder(self.catalog).bind(query)
-            except ReproError as error:
-                raise error.add_context(sql=text)
-            return self.execute(
-                logical, optimize, planner_options, parallelism, backend,
-                explain, collect_metrics, trace, sql_text=text,
-                timeout=timeout, memory_budget=memory_budget,
-                max_rows=max_rows, governor=governor, engine=engine,
-            )
+            return _Planned(*self._planned(query, options))
 
-        if param_query is None:
+        if marker_count:
+            param_query = seed_parameters(query, values)
+        else:
             param_query, values = parameterize(query)
-        resolved = _with_engine_knob(
-            _with_parallel_knobs(planner_options, parallelism, backend),
-            engine,
-        )
         key = PlanKey(
             digest=text_digest(print_statement(param_query)),
             type_tags=type_signature(values),
             catalog_version=self.catalog.version,
-            options_tag=options_tag(resolved),
+            options_tag=options_tag(options.planner_options),
         )
         entry = cache.lookup(key)
         source = "hit"
         if entry is None:
             source = "miss"
-            entry = cache.store(
-                self._build_cache_entry(key, param_query, values, resolved, text)
-            )
-        info: dict[str, Any] = {
-            "source": source,
-            "params": len(values),
-            "key": key.digest[:12],
-        }
+            entry = cache.store(self._cache_entry(key, param_query, options))
         logical = substitute_parameters(entry.template, values)
-        # The report the caller sees describes *this* execution: same
-        # provenance (costs, rule trace — identical by seed-parity), but
-        # ``best`` is the substituted plan, not the marker template.
-        report = replace(entry.report, best=logical)
-        result = self.execute(
-            logical, False, planner_options, parallelism, backend,
-            explain, collect_metrics, trace, sql_text=text,
-            timeout=timeout, memory_budget=memory_budget, max_rows=max_rows,
-            governor=governor, engine=engine,
-            _cached_report=report, _plan_cache_info=info,
+        info = {"source": source, "params": len(values), "key": key.digest[:12]}
+        return _Planned(
+            logical,
+            # The report the caller sees describes *this* execution: same
+            # provenance (costs, rule trace — identical by seed-parity),
+            # but ``best`` is the substituted plan, not the marker template.
+            report=replace(entry.report, best=logical),
+            cache_info=info,
+            entry=entry,
+            values=values,
         )
-        rows = result.rows if isinstance(result, QueryResult) else (
-            result.rows if result.analyze else None
-        )
-        if rows is not None and cache.record_execution(entry, len(rows)):
-            if self._replan_entry(cache, entry, values, resolved, text):
-                info["replanned"] = True
-        return result
 
-    def _build_cache_entry(
-        self,
-        key: PlanKey,
-        param_query: AstQuery,
-        values: tuple[Any, ...],
-        resolved: PlannerOptions | None,
-        text: str,
+    def _planned(
+        self, query: AstQuery, options: _RunOptions
+    ) -> tuple[LogicalOperator, OptimizationReport | None]:
+        """The one bind for execution: cache misses, re-plans and
+        uncached runs all turn their AST into a plan here."""
+        return self._optimized(Binder(self.catalog).bind(query), options)
+
+    def _optimized(
+        self, logical: LogicalOperator, options: _RunOptions
+    ) -> tuple[LogicalOperator, OptimizationReport | None]:
+        """The one optimizer call, shared by everything :meth:`_planned`
+        serves plus :meth:`execute` and :meth:`explain`."""
+        if not options.optimize:
+            return logical, None
+        report = self._optimizer(options.planner_options).optimize(logical)
+        return report.best, report
+
+    def _cache_entry(
+        self, key: PlanKey, statement: AstQuery, options: _RunOptions
     ) -> CachedPlan:
-        try:
-            bound = Binder(self.catalog).bind(param_query)
-            report = self._optimizer(resolved).optimize(bound)
-        except ReproError as error:
-            raise error.add_context(sql=text)
+        """Plan a parameterized statement (its seeds are the values the
+        optimizer estimates with) into the cache entry for ``key``."""
+        template, report = self._planned(statement, options)
         return CachedPlan(
             key=key,
-            statement=param_query,
-            template=report.best,
+            statement=statement,
+            template=template,
             report=report,
-            param_count=len(values),
+            param_count=len(key.type_tags),
             est_rows=report.best_estimate.rows,
             # Seed from the shape's remembered backoff (if it ever
             # re-planned), not the default: catalog mutations rebuild
@@ -742,40 +754,93 @@ class Database:
             qerror_threshold=self.plan_cache.seed_threshold(key),
         )
 
-    def _replan_entry(
-        self,
-        cache: PlanCache,
-        entry: CachedPlan,
-        values: tuple[Any, ...],
-        resolved: PlannerOptions | None,
-        text: str,
-    ) -> bool:
-        """Re-optimize a drifted entry with current params as seeds.
+    def _rows(self, run: _Run) -> Iterator[tuple]:
+        """The governed root row loop, under every lazy or budgeted run.
 
-        Best-effort: the query that triggered the drift already returned
-        correct rows, so a failing re-plan is recorded and swallowed
-        rather than surfaced.
+        Enforces ``max_rows`` at the root — a typed error the moment the
+        budget is crossed — and makes sure every engine error leaves
+        carrying its SQL. The finally clause closes the operator tree even
+        when the consumer abandons the stream mid-flight (GeneratorExit
+        travels through ``yield``); only a run that *drains* reaches
+        :meth:`_drained`.
         """
-        reseeded = seed_parameters(entry.statement, values)
+        governor = run.options.governor
+        source = run.execute(run.context)
+        produced = 0
         try:
-            bound = Binder(self.catalog).bind(reseeded)
-            report = self._optimizer(resolved).optimize(bound)
+            for row in source:
+                if governor is not None:
+                    governor.tick_output(1)
+                produced += 1
+                yield row
+        except ReproError as error:
+            raise error.add_context(sql=run.sql_text)
+        finally:
+            source.close()
+        self._drained(run, produced)
+
+    def _drained(self, run: _Run, produced: int) -> None:
+        """Report a drained run's root cardinality to the plan cache; a
+        drift past the entry's q-error threshold re-optimizes the entry
+        with this run's parameters as seeds."""
+        planned, cache = run.planned, self.plan_cache
+        entry = planned.entry
+        if entry is None or not cache.record_execution(entry, produced):
+            return
+        # Best-effort: the run that exposed the drift already produced
+        # correct rows, so a failing re-plan is counted and swallowed.
+        try:
+            fresh = self._cache_entry(
+                entry.key, seed_parameters(entry.statement, planned.values),
+                run.options,
+            )
         except ReproError:
             cache.counters.inc("replan_failures")
-            return False
-        cache.replace(
-            entry,
-            CachedPlan(
-                key=entry.key,
-                statement=reseeded,
-                template=report.best,
-                report=report,
-                param_count=entry.param_count,
-                est_rows=report.best_estimate.rows,
-                qerror_threshold=cache.qerror_threshold,
-            ),
+            return
+        cache.replace(entry, fresh)
+        planned.cache_info["replanned"] = True
+
+    def _materialize(self, run: _Run) -> QueryResult | Explanation:
+        """The materializing tail: drain the run into a result object."""
+        options, planned, physical = run.options, run.planned, run.physical
+        if options.explain == "plan":
+            return Explanation(
+                sql=run.sql_text, analyze=False, physical_plan=physical,
+                report=planned.report, plan_cache=planned.cache_info,
+            )
+        context = run.context
+        tracer = context.tracer
+        span = None if tracer is None else tracer.begin("plan", physical.label())
+        if options.governor is None:
+            # Nothing to enforce per row: drain at C speed, no generator frame.
+            try:
+                rows = list(run.execute(run.context))
+            except ReproError as error:
+                raise error.add_context(sql=run.sql_text)
+            self._drained(run, len(rows))
+        else:
+            rows = list(self._rows(run))
+        if span is not None:
+            tracer.end(span, rows_out=len(rows))
+        if options.explain == "analyze":
+            return Explanation(
+                sql=run.sql_text, analyze=True, physical_plan=physical,
+                report=planned.report, registry=context.metrics, tracer=tracer,
+                rows=rows, schema=physical.schema, counters=context.counters,
+                plan_cache=planned.cache_info,
+            )
+        return QueryResult(
+            schema=physical.schema,
+            rows=rows,
+            counters=context.counters,
+            logical_plan=planned.logical,
+            physical_plan=physical,
+            optimization=planned.report,
+            metrics=context.metrics,
+            trace=tracer,
+            engine=options.engine,
+            plan_cache=planned.cache_info,
         )
-        return True
 
     def execute(
         self,
@@ -793,8 +858,6 @@ class Database:
         max_rows: int | None = None,
         governor: Governor | None = None,
         engine: str | None = None,
-        _cached_report: OptimizationReport | None = None,
-        _plan_cache_info: dict[str, Any] | None = None,
     ) -> QueryResult | Explanation:
         """Optimize (optionally), lower, and run a logical plan.
 
@@ -807,168 +870,8 @@ class Database:
         pass a prebuilt ``governor`` — e.g. to hold a cancellation handle
         across threads — which the budget knobs must not accompany.
         """
-        if explain not in (None, False, True, "plan", "analyze"):
-            raise PlanError(
-                f"explain must be True, 'plan' or 'analyze', got {explain!r}"
-            )
-        governor = _resolve_governor(
-            governor, timeout, memory_budget, max_rows, sql_text
-        )
-        planner_options = _with_engine_knob(
-            _with_parallel_knobs(planner_options, parallelism, backend),
-            engine,
-        )
-        chosen_engine = (
-            VOLCANO_ENGINE if planner_options is None else planner_options.engine
-        )
-        if chosen_engine not in ENGINES:
-            raise PlanError(
-                f"unknown execution engine {chosen_engine!r}; "
-                f"use one of {ENGINES}"
-            )
-        if explain:
-            # Estimated cardinalities are the point of EXPLAIN output.
-            planner_options = replace(
-                planner_options or PlannerOptions(), collect_estimates=True
-            )
-        report: OptimizationReport | None = _cached_report
-        chosen = logical
-        try:
-            if optimize:
-                report = self._optimizer(planner_options).optimize(logical)
-                chosen = report.best
-            physical = Planner(self.catalog, planner_options).plan(chosen)
-        except ReproError as error:
-            raise error.add_context(sql=sql_text)
-        if explain in (True, "plan"):
-            return Explanation(
-                sql=sql_text, analyze=False, physical_plan=physical,
-                report=report, plan_cache=_plan_cache_info,
-            )
-        analyze = explain == "analyze"
-        registry = tracer = None
-        if analyze or collect_metrics:
-            registry = MetricsRegistry()
-            registry.register_plan(physical)
-        if analyze or trace:
-            tracer = Tracer()
-        ctx = ExecutionContext(
-            metrics=registry, tracer=tracer, governor=governor
-        )
-        span = None if tracer is None else tracer.begin("plan", physical.label())
-        try:
-            if chosen_engine == VECTOR_ENGINE:
-                vector_plan = compile_plan(
-                    physical, batch_size=planner_options.vector_batch_size
-                )
-                row_source = vector_plan.rows(ctx)
-            else:
-                row_source = physical.execute(ctx)
-            if governor is None:
-                rows = list(row_source)
-            else:
-                # Enforce max_rows at the root: typed error the moment the
-                # budget is crossed, not after materializing everything.
-                rows = []
-                for row in row_source:
-                    governor.tick_output(1)
-                    rows.append(row)
-        except ReproError as error:
-            # Every engine error leaves carrying the SQL it happened in
-            # (first writer wins, so deeper context is preserved).
-            raise error.add_context(sql=sql_text)
-        if span is not None:
-            tracer.end(span, rows_out=len(rows))
-        if analyze:
-            return Explanation(
-                sql=sql_text, analyze=True, physical_plan=physical,
-                report=report, registry=registry, tracer=tracer,
-                rows=rows, schema=physical.schema, counters=ctx.counters,
-                plan_cache=_plan_cache_info,
-            )
-        return QueryResult(
-            schema=physical.schema,
-            rows=rows,
-            counters=ctx.counters,
-            logical_plan=chosen,
-            physical_plan=physical,
-            optimization=report,
-            metrics=registry,
-            trace=tracer,
-            engine=chosen_engine,
-            plan_cache=_plan_cache_info,
-        )
-
-    def execute_stream(
-        self,
-        logical: LogicalOperator,
-        optimize: bool = True,
-        planner_options: PlannerOptions | None = None,
-        parallelism: int | None = None,
-        backend: str | None = None,
-        sql_text: str | None = None,
-        timeout: float | None = None,
-        memory_budget: int | None = None,
-        max_rows: int | None = None,
-        governor: Governor | None = None,
-        engine: str | None = None,
-    ) -> RowStream:
-        """Optimize, lower, and run a logical plan *lazily*.
-
-        The streaming sibling of :meth:`execute`: identical knobs and
-        identical rows (both engines), but returns a :class:`RowStream`
-        that pulls rows from the operator tree on demand instead of
-        materializing a list. Planning is eager — plan-shape errors raise
-        here — while execution errors (budget violations, cancellation)
-        surface from the iterator, carrying the SQL text as context.
-
-        The ``max_rows`` budget is enforced at the root as rows flow, same
-        as :meth:`execute`.
-        """
-        governor = _resolve_governor(
-            governor, timeout, memory_budget, max_rows, sql_text
-        )
-        planner_options = _with_engine_knob(
-            _with_parallel_knobs(planner_options, parallelism, backend),
-            engine,
-        )
-        chosen_engine = (
-            VOLCANO_ENGINE if planner_options is None else planner_options.engine
-        )
-        if chosen_engine not in ENGINES:
-            raise PlanError(
-                f"unknown execution engine {chosen_engine!r}; "
-                f"use one of {ENGINES}"
-            )
-        report: OptimizationReport | None = None
-        chosen = logical
-        try:
-            if optimize:
-                report = self._optimizer(planner_options).optimize(logical)
-                chosen = report.best
-            physical = Planner(self.catalog, planner_options).plan(chosen)
-        except ReproError as error:
-            raise error.add_context(sql=sql_text)
-        ctx = ExecutionContext(governor=governor)
-        try:
-            if chosen_engine == VECTOR_ENGINE:
-                vector_plan = compile_plan(
-                    physical, batch_size=planner_options.vector_batch_size
-                )
-                row_source = vector_plan.rows(ctx)
-            else:
-                row_source = physical.execute(ctx)
-        except ReproError as error:
-            raise error.add_context(sql=sql_text)
-        return RowStream(
-            _governed_rows(row_source, governor, sql_text),
-            schema=physical.schema,
-            logical_plan=chosen,
-            physical_plan=physical,
-            counters=ctx.counters,
-            engine=chosen_engine,
-            governor=governor,
-        )
+        options = _own_options(Database.execute, locals())
+        return self._materialize(self._prepare(logical, sql_text, None, options))
 
     def publish(
         self,
@@ -992,54 +895,52 @@ class Database:
 
         The paper's full pipeline, constant-memory end to end: translate
         the FLWR ``query`` against ``view``
-        (:class:`~repro.xmlpub.translate.Translator`), execute the chosen
-        SQL ``formulation`` (``"gapply"``, the default, or ``"union"`` for
-        the sorted outer union) through :meth:`execute_stream`, and feed
-        the clustered rows to the constant-space tagger, yielding encoded
-        XML chunks of roughly ``chunk_bytes`` each.
+        (:class:`~repro.xmlpub.translate.Translator`), run the chosen SQL
+        ``formulation`` (``"gapply"``, the default, or ``"union"`` for the
+        sorted outer union) as a lazily executed statement — through the
+        plan cache like any :meth:`sql` call, so a repeated publish skips
+        bind + optimize — and feed the clustered rows to the
+        constant-space tagger, yielding encoded XML chunks of roughly
+        ``chunk_bytes`` each.
 
         One governor covers the whole publish: query execution *and* the
         XML chunk buffer draw on the same ``memory_budget``, emitted bytes
         are tallied on ``governor.emitted_bytes``, and cancelling it stops
-        the stream within one chunk. Note the constant-memory guarantee
-        under a tight budget holds for the ``"gapply"`` formulation (its
-        partition phase spills to disk); the ``"union"`` formulation's
-        ORDER BY buffers the full result and raises
-        :class:`~repro.errors.MemoryBudgetExceeded` when it does not fit.
+        the stream within one chunk. Under a tight budget both
+        formulations stay constant-memory: GApply's partition phase and
+        the sorted outer union's ORDER BY spill to disk.
 
         Returns an :class:`~repro.xmlpub.stream.XmlChunkStream` — iterate
         it, ``read_all()`` it, or ``close()`` it early; abandoning it
         mid-document releases operator state and spill files.
         """
+        options = _own_options(Database.publish, locals())
+        return self._publish(view, query, formulation, chunk_bytes, encoding, options)
+
+    def _publish(
+        self,
+        view: XmlView,
+        query: str,
+        formulation: str,
+        chunk_bytes: int,
+        encoding: str,
+        options: _RunOptions,
+    ) -> XmlChunkStream:
+        """:meth:`publish` behind option resolution: translate, prepare
+        the translated SQL like any statement, stream it into the tagger."""
         translated = Translator(view, self.catalog).translate(query)
         sql_text = translated.sql_for(formulation)
-        governor = _resolve_governor(
-            governor, timeout, memory_budget, max_rows, sql_text
-        )
-        try:
-            logical = Binder(self.catalog).bind(parse(sql_text))
-        except ReproError as error:
-            raise error.add_context(sql=sql_text)
-        rows = self.execute_stream(
-            logical,
-            optimize=optimize,
-            planner_options=planner_options,
-            parallelism=parallelism,
-            backend=backend,
-            sql_text=sql_text,
-            governor=governor,
-            engine=engine,
-        )
+        run = self._prepare(None, sql_text, None, options)
         return XmlChunkStream(
-            rows,
+            self._rows(run),
             translated.spec,
             chunk_bytes=chunk_bytes,
             encoding=encoding,
-            governor=governor,
+            governor=options.governor,
             sql=sql_text,
         )
 
-    def _optimizer(self, planner_options: PlannerOptions | None) -> Optimizer:
+    def _optimizer(self, planner_options: PlannerOptions) -> Optimizer:
         """Build the optimizer honoring the rule knobs on planner options.
 
         ``disabled_rules`` / ``optimizer_max_alternatives`` live on
@@ -1047,8 +948,6 @@ class Database:
         space; unknown rule names raise :class:`PlanError` here, before any
         partial execution happens.
         """
-        if planner_options is None:
-            return Optimizer(self.catalog)
         try:
             rules = planner_options.active_rules()
         except KeyError as error:
@@ -1060,16 +959,17 @@ class Database:
 
     def explain(self, sql: str, optimize: bool = True) -> str:
         """The logical plan (optimized by default) as indented text."""
-        logical = self.plan(sql)
-        if optimize:
-            report = Optimizer(self.catalog).optimize(logical)
-            header = (
-                f"-- cost: {report.best_estimate.cost:.0f} "
-                f"(unoptimized {report.original_estimate.cost:.0f}); "
-                f"rules: {', '.join(report.fired) or 'none'}\n"
-            )
-            return header + report.best.pretty()
-        return logical.pretty()
+        logical, report = self._optimized(
+            self.plan(sql), _own_options(Database.explain, locals())
+        )
+        if report is None:
+            return logical.pretty()
+        header = (
+            f"-- cost: {report.best_estimate.cost:.0f} "
+            f"(unoptimized {report.original_estimate.cost:.0f}); "
+            f"rules: {', '.join(report.fired) or 'none'}\n"
+        )
+        return header + logical.pretty()
 
 
 class Prepared:
@@ -1108,43 +1008,16 @@ class Prepared:
             self.parameter_count = len(values)
 
     def execute(
-        self, params: Sequence[Any] | None = None, **kwargs: Any
+        self, params: Sequence[Any] | None = None, **options: Any
     ) -> QueryResult | Explanation:
         """Run with ``params`` bound to the slots (see class docstring).
 
-        ``**kwargs`` pass through to :meth:`Database.sql` (``explain``,
-        ``engine``, budgets, ...).
+        ``**options`` are the option keywords of :meth:`Database.sql`
+        (``explain``, ``engine``, budgets, ...).
         """
-        if params is None:
-            if self._defaults is None and self.parameter_count:
-                raise BindError(
-                    f"prepared statement has {self.parameter_count} "
-                    "parameter marker(s); execute() requires params"
-                ).add_context(sql=self.text)
-            values = self._defaults or ()
-        else:
-            if len(params) != self.parameter_count:
-                raise BindError(
-                    f"prepared statement takes {self.parameter_count} "
-                    f"parameter(s), got {len(params)}"
-                ).add_context(sql=self.text)
-            values = tuple(params)
+        resolved = _resolve_options("Prepared.execute", Database.sql, **options)
+        values = self._defaults if params is None else tuple(params)
+        # The pipeline checks the vector against the statement's markers.
         return self.database._run_statement(
-            self._statement,
-            self.text,
-            params=values if self.parameter_count else None,
-            use_plan_cache=kwargs.pop("use_plan_cache", None),
-            optimize=kwargs.pop("optimize", True),
-            planner_options=kwargs.pop("planner_options", None),
-            parallelism=kwargs.pop("parallelism", None),
-            backend=kwargs.pop("backend", None),
-            explain=kwargs.pop("explain", None),
-            collect_metrics=kwargs.pop("collect_metrics", False),
-            trace=kwargs.pop("trace", False),
-            timeout=kwargs.pop("timeout", None),
-            memory_budget=kwargs.pop("memory_budget", None),
-            max_rows=kwargs.pop("max_rows", None),
-            governor=kwargs.pop("governor", None),
-            engine=kwargs.pop("engine", None),
-            **kwargs,
+            self.text, values or None, resolved, self._statement
         )

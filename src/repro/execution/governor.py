@@ -63,7 +63,7 @@ class Budget:
 
     def __post_init__(self) -> None:
         # PlanError to match how the other Database.sql knobs reject bad
-        # values (see api._with_parallel_knobs) — and never a bare
+        # values (see api._resolve_options) — and never a bare
         # ValueError, per the package-root-error contract.
         if self.timeout is not None and self.timeout <= 0:
             raise PlanError(f"timeout must be > 0, got {self.timeout}")

@@ -63,7 +63,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.api import Database, QueryResult, Transaction
+from repro.api import (
+    Database,
+    QueryResult,
+    Transaction,
+    _resolve_options,
+    _RunOptions,
+)
 from repro.errors import (
     QueryCancelled,
     ReproError,
@@ -503,25 +509,27 @@ class Service:
     # Reads (admitted, snapshot-isolated)
     # ------------------------------------------------------------------
 
-    def sql(
+    def _admit(
         self,
+        caller: str,
+        entry: Callable[..., Any],
         text: str,
-        *,
-        query_class: str | None = None,
-        priority: int | None = None,
-        timeout: float | None = None,
-        memory_budget: int | None = None,
-        max_rows: int | None = None,
-        client: str = "anonymous",
-        **kwargs: Any,
-    ) -> QueryResult | Any:
-        """Admit, snapshot, and execute one query.
+        submitted: str,
+        query_class: str | None,
+        priority: int | None,
+        timeout: float | None,
+        memory_budget: int | None,
+        max_rows: int | None,
+        raw_options: dict[str, Any],
+    ) -> tuple[Database, int, _RunOptions]:
+        """The prologue of every admitted read: class budget → governor →
+        run options → admission slot → pinned snapshot → registration.
 
-        The governor's clock starts *now*: time spent queued for
-        admission counts against ``timeout`` (explicit, or the query
-        class default). Extra keyword arguments pass through to
-        :meth:`Database.sql <repro.api.Database.sql>` (``parallelism=``,
-        ``backend=``, ``explain=``, ``planner_options=``, ...).
+        The run options (those ``Database`` method ``entry`` takes, no
+        others) are resolved *before* a slot is asked for, so a bad one
+        raises, naming ``caller``, without touching queue or counters.
+        Returns the snapshot reader, the query id to hand back to
+        :meth:`_release`, and the options.
         """
         qclass = self.config.query_class(query_class)
         budget = Budget(
@@ -535,13 +543,16 @@ class Service:
                 max_rows if max_rows is not None else qclass.budget.max_rows
             ),
         )
+        # The governor's clock starts now: queue wait counts against it.
         governor = Governor(budget, sql=text)
-        effective_priority = (
-            priority if priority is not None else qclass.priority
-        )
-        self.stats_counters.inc("submitted")
+        options = _resolve_options(caller, entry, governor=governor, **raw_options)
+        self.stats_counters.inc(submitted)
         try:
-            self.admission.acquire(effective_priority, governor, sql=text)
+            self.admission.acquire(
+                priority if priority is not None else qclass.priority,
+                governor,
+                sql=text,
+            )
         except ServiceOverloaded:
             self.stats_counters.inc("shed")
             raise
@@ -558,18 +569,51 @@ class Service:
         query_id = next(self._query_ids)
         with self._state_lock:
             self._active[query_id] = governor
+        return reader, query_id, options
+
+    def _release(self, query_id: int) -> None:
+        """Deregister an admitted read and give its slot back."""
+        with self._drained:
+            self._active.pop(query_id, None)
+            self._active_streams.pop(query_id, None)
+            self._drained.notify_all()
+        self.admission.release()
+
+    def sql(
+        self,
+        text: str,
+        *,
+        query_class: str | None = None,
+        priority: int | None = None,
+        timeout: float | None = None,
+        memory_budget: int | None = None,
+        max_rows: int | None = None,
+        client: str = "anonymous",
+        params: Sequence[Any] | None = None,
+        **kwargs: Any,
+    ) -> QueryResult | Any:
+        """Admit, snapshot, and execute one query.
+
+        The governor's clock starts *now*: time spent queued for
+        admission counts against ``timeout`` (explicit, or the query
+        class default). Extra keyword arguments are the options of
+        :meth:`Database.sql <repro.api.Database.sql>` (``parallelism=``,
+        ``backend=``, ``explain=``, ``planner_options=``, ...); an unknown
+        or invalid one raises before a slot is taken.
+        """
+        reader, query_id, options = self._admit(
+            "Service.sql", Database.sql, text, "submitted", query_class,
+            priority, timeout, memory_budget, max_rows, kwargs,
+        )
         try:
-            result = reader.sql(text, governor=governor, **kwargs)
+            result = reader._run_statement(text, params, options)
             self.stats_counters.inc("completed")
             return result
         except ReproError:
             self.stats_counters.inc("failed")
             raise
         finally:
-            with self._drained:
-                del self._active[query_id]
-                self._drained.notify_all()
-            self.admission.release()
+            self._release(query_id)
 
     def submit_publish(
         self,
@@ -583,6 +627,7 @@ class Service:
         memory_budget: int | None = None,
         max_rows: int | None = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+        encoding: str = "utf-8",
         client: str = "anonymous",
         **kwargs: Any,
     ) -> XmlChunkStream:
@@ -604,59 +649,24 @@ class Service:
         ``timeout``, and mid-stream :meth:`Governor.cancel
         <repro.execution.governor.Governor.cancel>` (or shutdown) stops
         the stream within one chunk with :class:`~repro.errors.
-        QueryCancelled`. Extra keyword arguments pass through to
+        QueryCancelled`. Extra keyword arguments are the options of
         :meth:`Database.publish <repro.api.Database.publish>`
-        (``engine=``, ``parallelism=``, ``encoding=``, ...).
+        (``engine=``, ``parallelism=``, ...); an unknown or invalid one
+        raises before a slot is taken.
         """
-        qclass = self.config.query_class(query_class)
-        budget = Budget(
-            timeout=timeout if timeout is not None else qclass.budget.timeout,
-            memory_cells=(
-                memory_budget
-                if memory_budget is not None
-                else qclass.budget.memory_cells
-            ),
-            max_rows=(
-                max_rows if max_rows is not None else qclass.budget.max_rows
-            ),
+        reader, query_id, options = self._admit(
+            "Service.submit_publish", Database.publish, query,
+            "publish_submitted", query_class, priority, timeout,
+            memory_budget, max_rows, kwargs,
         )
-        governor = Governor(budget, sql=query)
-        effective_priority = (
-            priority if priority is not None else qclass.priority
-        )
-        self.stats_counters.inc("publish_submitted")
         try:
-            self.admission.acquire(effective_priority, governor, sql=query)
-        except ServiceOverloaded:
-            self.stats_counters.inc("shed")
-            raise
-        except ServiceStopped:
-            self.stats_counters.inc("rejected_stopped")
-            raise
-        except ReproError:  # deadline/cancel tripped while queued
-            self.stats_counters.inc("expired_queued")
-            raise
-        governor.mark_admitted()
-        reader = self.database.snapshot()
-        query_id = next(self._query_ids)
-        with self._state_lock:
-            self._active[query_id] = governor
-        try:
-            stream = reader.publish(
-                view,
-                query,
-                formulation,
-                chunk_bytes=chunk_bytes,
-                governor=governor,
-                **kwargs,
+            stream = reader._publish(
+                view, query, formulation, chunk_bytes, encoding, options
             )
         except ReproError:
             # Translation/bind/plan failed before any stream existed.
             self.stats_counters.inc("publish_failed")
-            with self._drained:
-                del self._active[query_id]
-                self._drained.notify_all()
-            self.admission.release()
+            self._release(query_id)
             raise
         with self._state_lock:
             self._active_streams[query_id] = stream
@@ -669,11 +679,7 @@ class Service:
         """The close hook that gives a publish stream's slot back."""
 
         def hook(stream: XmlChunkStream, error: BaseException | None) -> None:
-            with self._drained:
-                self._active.pop(query_id, None)
-                self._active_streams.pop(query_id, None)
-                self._drained.notify_all()
-            self.admission.release()
+            self._release(query_id)
             stats = stream.stats
             self.stats_counters.add_many(
                 published_bytes=stats.bytes_emitted,

@@ -4,10 +4,10 @@ The tagger (:mod:`repro.xmlpub.tagger`) is already an O(depth) consumer of
 clustered rows — but every caller so far materialized the query result
 first, so the serve layer could not ship documents larger than memory.
 This module closes that gap: it couples the tagger to a *lazy* row source
-(:meth:`Database.execute_stream <repro.api.Database.execute_stream>`
-pulls rows straight out of the Volcano iterators or the vector engine's
-batch stream) and re-chunks the tagger's small text fragments into
-bounded byte buffers, so the whole pipeline holds:
+(:meth:`Database.publish <repro.api.Database.publish>` hands it the
+governed root row loop over the Volcano iterators or the vector
+engine's batch stream, undrained) and re-chunks the tagger's small text
+fragments into bounded byte buffers, so the whole pipeline holds:
 
 * the executor's working state (one group at a time for GApply, whose
   partition phase spills to disk under a memory budget);
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import XmlPublishError
+from repro.errors import ReproError, XmlPublishError
 from repro.execution.governor import Governor
 from repro.storage.table import Row
 from repro.xmlpub.tagger import ConstantSpaceTagger, TaggerSpec
@@ -86,7 +86,7 @@ def stream_document(
     """Yield one XML document as encoded chunks with bounded buffering.
 
     ``rows`` may be any iterable of clustered tagger-layout rows — in
-    production a lazy :meth:`Database.execute_stream` iterator; in tests
+    production :meth:`Database.publish`'s lazy row loop; in tests
     a plain list. The concatenation of the yielded chunks is
     byte-identical to ``ConstantSpaceTagger(spec).tag_to_string(rows)``
     encoded, for every ``chunk_bytes`` — chunking never moves document
@@ -214,6 +214,10 @@ class XmlChunkStream:
             self._finish(None)
             raise
         except BaseException as error:
+            if isinstance(error, ReproError):
+                # What the governor raises outside the row loop (the chunk
+                # buffer charge, the per-chunk check) names the SQL too.
+                error.add_context(sql=self.sql)
             self._finish(error)
             raise
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Database
+from repro.optimizer.engine import Optimizer
 from repro.storage import Catalog, DataType
 from repro.workloads.tpch import TpchConfig, load_tpch
 
@@ -22,6 +23,21 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_snapshots(request) -> bool:
     return request.config.getoption("--update-snapshots")
+
+
+@pytest.fixture
+def optimizer_runs(monkeypatch) -> list:
+    """Every plan handed to ``Optimizer.optimize`` from here on — tests
+    assert on its length to show a path skipped (or paid for) a search."""
+    runs: list = []
+    original = Optimizer.optimize
+
+    def counting(self, plan):
+        runs.append(plan)
+        return original(self, plan)
+
+    monkeypatch.setattr(Optimizer, "optimize", counting)
+    return runs
 
 
 @pytest.fixture

@@ -179,6 +179,15 @@ class TestGovernorThroughApi:
             db.execute(db.plan("select v from t order by v"),
                        governor=governor)
 
+    def test_prebuilt_governor_is_adopted_not_rewritten(self, db):
+        # A governor held across calls must not keep one statement's text.
+        governor = Governor(Budget(max_rows=3))
+        db.sql("select count(*) from t", governor=governor)
+        assert governor.sql is None
+        with pytest.raises(RowBudgetExceeded) as info:
+            db.sql("select v from t", governor=governor)
+        assert info.value.sql == "select v from t"
+
     def test_governor_and_knobs_are_mutually_exclusive(self, db):
         with pytest.raises(PlanError):
             db.execute(db.plan("select v from t"),

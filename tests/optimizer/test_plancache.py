@@ -205,6 +205,17 @@ class TestKeyingThroughDatabase:
         with pytest.raises(PlanError):
             db.sql("select id from t", use_plan_cache=True)
 
+    def test_use_plan_cache_refuses_an_unoptimized_run(self):
+        # True *demands* the cache, which only holds optimized plans; the
+        # pair used to be recorded as a bypass and run uncached.
+        db = small_db()
+        with pytest.raises(PlanError, match="optimize=False"):
+            db.sql("select id from t", use_plan_cache=True, optimize=False)
+        prepared = db.prepare("select id from t where v < 5.0")
+        with pytest.raises(PlanError, match="optimize=False"):
+            prepared.execute(use_plan_cache=True, optimize=False)
+        assert db.plan_cache.stats()["bypass"] == 0
+
     def test_catalog_mutation_invalidates(self):
         db = small_db()
         db.sql("select id from t where v < 5.0")

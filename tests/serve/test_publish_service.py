@@ -23,9 +23,9 @@ from repro.errors import (
 from repro.serve import Service, ServiceConfig
 from repro.storage.spill import live_spill_files
 from repro.storage.types import DataType
-from repro.xmlpub import tpch_supplier_view
+from repro.xmlpub import FORMULATIONS, tpch_supplier_view
 
-from tests.xmlpub.queries import Q1
+from tests.xmlpub.queries import Q1, Q2
 
 BAD_QUERY = "for $s in /doc(x)/wrong/path return $s"
 
@@ -117,6 +117,58 @@ class TestPublishRoundTrip:
             counters = session.queries.snapshot()
             assert counters["publishes"] == 1
             assert counters["errors"] == 1
+
+
+class TestPublishThroughPlanCache:
+    """Service publishes share the database's plan cache: the options are
+    resolved before admission, the plan is looked up after the snapshot
+    is pinned, so entries are keyed by the version the stream reads."""
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    @pytest.mark.parametrize("query", [Q1, Q2], ids=["q1", "q2"])
+    def test_repeated_publish_never_reoptimizes(
+        self, optimizer_runs, query, formulation
+    ):
+        db = xml_db()
+        uncached = Database(db.catalog, plan_cache=None)
+        expected = uncached.publish(
+            tpch_supplier_view(), query, formulation
+        ).read_all()
+        with Service(db) as service:
+            for engine in ("volcano", "vector", "volcano"):
+                stream = service.submit_publish(
+                    tpch_supplier_view(), query, formulation, engine=engine
+                )
+                assert stream.read_all() == expected
+            assert len(optimizer_runs) == 1 + 1  # + the uncached twin
+            cache = service.stats()["plan_cache"]
+            assert (cache["misses"], cache["hits"]) == (1, 2)
+
+    @pytest.mark.parametrize("query", [Q1, Q2], ids=["q1", "q2"])
+    def test_pinned_stream_keeps_its_own_versions_plan(
+        self, optimizer_runs, query
+    ):
+        db = xml_db()
+        view = tpch_supplier_view()
+        uncached = Database(db.catalog, plan_cache=None)
+        old_document = uncached.publish(view, query).read_all()
+        with Service(db) as service:
+            pinned = service.submit_publish(view, query, chunk_bytes=64)
+            head = next(pinned)
+            service.insert("part", [(13, "part13", 130.0)])
+            service.insert("partsupp", [(100, 13)])
+            new_document = uncached.publish(view, query).read_all()
+            assert new_document != old_document
+            # A writer landed: the next publish plans at the new version…
+            fresh = service.submit_publish(view, query).read_all()
+            assert fresh == new_document
+            # …while the stream admitted before it finishes the document
+            # of the version it pinned, on the plan built for that version.
+            assert head + pinned.read_all() == old_document
+            assert service.submit_publish(view, query).read_all() == fresh
+            cache = service.stats()["plan_cache"]
+            assert (cache["misses"], cache["hits"]) == (2, 1)
+        assert len(optimizer_runs) == 2 + 2  # + the uncached twin's two
 
 
 class TestSlotLifecycle:

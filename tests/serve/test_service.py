@@ -4,6 +4,7 @@ shutdown that drains then cancels."""
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -12,6 +13,7 @@ import pytest
 from repro.api import Database
 from repro.errors import (
     CatalogError,
+    PlanError,
     QueryCancelled,
     ServiceError,
     ServiceOverloaded,
@@ -27,6 +29,9 @@ from repro.serve import (
     ServiceConfig,
 )
 from repro.storage.types import DataType
+from repro.xmlpub import tpch_supplier_view
+
+from tests.xmlpub.queries import Q1
 
 
 def small_db() -> Database:
@@ -209,6 +214,57 @@ class TestServiceQueries:
         assert stats["failed"] == 1
         assert stats["slots_free"] == stats["slots"]
         assert service.sql("select count(*) from t").rows == [(30,)]
+
+    @pytest.mark.parametrize(
+        "bad_option, error, naming, publish_error",
+        [
+            ({"enigne": "vector"}, TypeError, "Service.sql() got an unexpected",
+             TypeError),
+            ({"engine": "warp"}, PlanError, "unknown execution engine", PlanError),
+            ({"backend": "gpu"}, PlanError, "unknown GApply backend", PlanError),
+            # Options of Database.sql that Database.publish does not take are
+            # typos to submit_publish, however valid their values.
+            ({"explain": "verbose"}, PlanError, "explain must be", TypeError),
+            ({"use_plan_cache": True, "optimize": False}, PlanError,
+             "use_plan_cache=True demands", TypeError),
+        ],
+    )
+    def test_bad_option_is_refused_before_admission(
+        self, bad_option, error, naming, publish_error
+    ):
+        # With the only slot held and no queue, anything that reaches the
+        # admission gate is shed — so a bad option surfacing as its own
+        # error proves it never asked for a slot.
+        service = Service(
+            small_db(),
+            config=ServiceConfig(max_concurrency=1, max_queue_depth=0),
+        )
+        done = occupy_slot(service.admission)
+        try:
+            with pytest.raises(error, match=re.escape(naming)):
+                service.sql("select a from t", **bad_option)
+            publish_naming = (
+                "Service.submit_publish() got an unexpected"
+                if publish_error is TypeError else naming
+            )
+            with pytest.raises(publish_error, match=re.escape(publish_naming)):
+                service.submit_publish(
+                    tpch_supplier_view(), Q1, **bad_option
+                )
+        finally:
+            done()
+        assert service.sql("select count(*) from t").rows == [(30,)]
+        stats = service.stats()
+        assert stats["slots_free"] == stats["slots"]
+        assert stats["submitted"] == 1
+        assert stats.get("publish_submitted", 0) == 0
+        assert stats["submitted"] == sum(
+            stats.get(outcome, 0)
+            for outcome in (
+                "completed", "failed", "shed", "rejected_stopped",
+                "expired_queued",
+            )
+        )
 
     def test_shed_when_slot_held_and_queue_full(self):
         service = Service(

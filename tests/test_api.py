@@ -1,8 +1,11 @@
 """Tests for the public Database facade."""
 
+import inspect
+
 import pytest
 
-from repro.api import QueryResult
+import repro
+from repro.api import Database, Prepared, QueryResult, _RunOptions
 from repro.errors import CatalogError
 from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
@@ -101,3 +104,34 @@ class TestQueryResultHelpers:
     def test_pretty_truncates(self, parts_db):
         result = parts_db.sql("select p_partkey from part")
         assert "more rows" in result.pretty(limit=2)
+
+
+class TestRunOptionsSpelledOnce:
+    """Guard against the option list re-growing per entry point: a knob is
+    a field of the private run-options value or it is not accepted."""
+
+    #: Per entry point, the parameters that are the request, not options.
+    REQUEST = {
+        Database.sql: {"self", "text", "params"},
+        Database.execute: {"self", "logical", "sql_text"},
+        Database.publish: {
+            "self", "view", "query", "formulation", "chunk_bytes", "encoding",
+        },
+        Prepared.execute: {"self", "params"},
+    }
+
+    def test_entry_point_options_are_run_option_fields(self, parts_db):
+        fields = set(_RunOptions.__dataclass_fields__)
+        for method, request in self.REQUEST.items():
+            parameters = inspect.signature(method).parameters.values()
+            named = {
+                p.name for p in parameters if p.kind is not p.VAR_KEYWORD
+            }
+            assert named - request <= fields, method.__qualname__
+        # ``**options`` entry points accept exactly the fields: anything
+        # else is refused by name, naming the public method.
+        prepared = parts_db.prepare("select count(*) from part")
+        with pytest.raises(TypeError, match=r"Prepared\.execute\(\) got"):
+            prepared.execute(no_such_option=1)
+        assert not hasattr(repro, "_RunOptions")
+        assert "_RunOptions" not in getattr(repro.api, "__all__", ())

@@ -5,7 +5,9 @@ governor charging, cleanup), :class:`repro.xmlpub.stream.XmlChunkStream`
 (lifecycle, close hooks, error capture), and the
 :func:`repro.xmlpub.tagger.escape_text` /
 :func:`~repro.xmlpub.tagger.sanitize_parsed_text` pair via a
-parse-round-trip property over adversarial values.
+parse-round-trip property over adversarial values; and
+:meth:`Database.publish <repro.api.Database.publish>` as a plan-cache
+client (repeat publishes are hits, documents match an uncached twin).
 """
 
 import random
@@ -13,21 +15,26 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from repro.api import Database
 from repro.errors import (
     MemoryBudgetExceeded,
     QueryCancelled,
     ReproError,
+    RowBudgetExceeded,
     XmlPublishError,
 )
 from repro.execution.governor import Budget, Governor
 from repro.fuzz.xmlpub import NASTY_VALUES
+from repro.optimizer.planner import ENGINES
 from repro.xmlpub import (
+    FORMULATIONS,
     PublishStats,
     XmlChunkStream,
     stream_document,
     sanitize_parsed_text,
+    tpch_supplier_view,
 )
-from repro.xmlpub.stream import STREAM_CELL_BYTES
+from repro.xmlpub.stream import DEFAULT_CHUNK_BYTES, STREAM_CELL_BYTES
 from repro.xmlpub.tagger import (
     ConstantSpaceTagger,
     KeyItem,
@@ -36,6 +43,8 @@ from repro.xmlpub.tagger import (
     TaggerSpec,
     escape_text,
 )
+
+from tests.xmlpub.queries import Q1, Q2
 
 SPEC = TaggerSpec(
     root_tag="doc",
@@ -257,3 +266,87 @@ class TestEscapeText:
         assert escape_text(12) == "12"
         assert escape_text(2.5) == "2.5"
         assert escape_text(55.0) == "55"  # integral floats print as ints
+
+
+PUBLISH_CASES = [
+    pytest.param(query, formulation, id=f"{name}-{formulation}")
+    for name, query in (("q1", Q1), ("q2", Q2))
+    for formulation in FORMULATIONS
+]
+
+
+class TestPublishThroughPlanCache:
+    """``Database.publish`` is a plan-cache client like ``Database.sql``."""
+
+    @pytest.mark.parametrize("query, formulation", PUBLISH_CASES)
+    def test_second_publish_is_a_hit_without_optimizing(
+        self, xml_db, optimizer_runs, query, formulation
+    ):
+        view = tpch_supplier_view()
+        first = xml_db.publish(view, query, formulation).read_all()
+        assert len(optimizer_runs) == 1
+        before = xml_db.plan_cache.stats()
+        second = xml_db.publish(view, query, formulation).read_all()
+        after = xml_db.plan_cache.stats()
+        assert len(optimizer_runs) == 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert second == first
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("query, formulation", PUBLISH_CASES)
+    def test_cached_documents_match_an_uncached_twin(
+        self, xml_db, query, formulation, engine
+    ):
+        view = tpch_supplier_view()
+        twin = Database(xml_db.catalog, plan_cache=None)
+        for chunk_bytes in (1, 64, DEFAULT_CHUNK_BYTES):
+            expected = twin.publish(
+                view, query, formulation, engine=engine
+            ).read_all()
+            for _ in range(2):  # a miss (first size only), then hits
+                cached = xml_db.publish(
+                    view, query, formulation,
+                    engine=engine, chunk_bytes=chunk_bytes,
+                )
+                assert cached.read_all() == expected
+        wide = xml_db.publish(view, query, formulation, encoding="utf-16")
+        assert wide.read_all().decode("utf-16") == expected.decode("utf-8")
+        # One entry served every chunk size, both encodings, this engine.
+        assert len(xml_db.plan_cache) == 1
+        assert xml_db.plan_cache.stats()["misses"] == 1
+
+    @pytest.mark.parametrize("query, formulation", PUBLISH_CASES)
+    def test_insert_between_publishes_is_a_miss_at_the_new_version(
+        self, xml_db, optimizer_runs, query, formulation
+    ):
+        view = tpch_supplier_view()
+        before = xml_db.publish(view, query, formulation).read_all()
+        xml_db.catalog.insert_rows("part", [(13, "part13", 130.0)])
+        xml_db.catalog.insert_rows("partsupp", [(100, 13)])
+        after = xml_db.publish(view, query, formulation).read_all()
+        assert len(optimizer_runs) == 2
+        assert xml_db.plan_cache.stats()["misses"] == 2
+        assert after != before
+        twin = Database(xml_db.catalog, plan_cache=None)
+        assert after == twin.publish(view, query, formulation).read_all()
+
+    @pytest.mark.parametrize("query, formulation", PUBLISH_CASES)
+    def test_only_a_drained_stream_feeds_qerror_feedback(
+        self, xml_db, query, formulation
+    ):
+        view = tpch_supplier_view()
+        drained = xml_db.publish(view, query, formulation)
+        drained.read_all()
+        (entry,) = xml_db.plan_cache.entries()
+        assert entry.executions == 1
+        assert entry.last_actual_rows == drained.stats.rows_in
+        with xml_db.publish(view, query, formulation, chunk_bytes=1) as stream:
+            next(stream)
+        assert not stream.exhausted
+        assert entry.executions == 1
+        failing = xml_db.publish(view, query, formulation, max_rows=1)
+        with pytest.raises(RowBudgetExceeded):
+            failing.read_all()
+        assert entry.executions == 1
+        assert entry.hits == 2

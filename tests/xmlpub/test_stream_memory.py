@@ -164,6 +164,8 @@ def test_genuinely_too_small_budget_raises_typed_error():
     with pytest.raises(MemoryBudgetExceeded):
         stream.read_all()
     assert isinstance(stream.error, MemoryBudgetExceeded)
+    # Raised by the chunk buffer, outside the row loop — still names the SQL.
+    assert stream.error.sql == stream.sql
     assert stream.governor.cells_in_use == 0
     assert live_spill_files() == frozenset()
 
