@@ -249,8 +249,6 @@ def _script_cases(scale: float, repetitions: int):
                     elapsed=best["elapsed"],
                     work=int(best["completed"]),
                     rows=rows,
-                    backend="service",
-                    parallelism=clients,
                     metrics={
                         "throughput_qps": round(best["throughput"], 2),
                         "p99_seconds": round(best["p99"], 6),
@@ -278,13 +276,11 @@ def _script_cases(scale: float, repetitions: int):
         overload.shutdown(drain_timeout=10.0)
     cases.append(
         (
-            f"{QUERY}-service-overload",
+            f"{QUERY}-service-overload-c8",
             Measurement(
                 elapsed=best["elapsed"],
                 work=int(best["completed"]),
                 rows=rows,
-                backend="service-overload",
-                parallelism=8,
                 metrics={
                     "throughput_qps": round(best["throughput"], 2),
                     "p99_seconds": round(best["p99"], 6),
@@ -331,8 +327,6 @@ def _script_cases(scale: float, repetitions: int):
                     elapsed=best["elapsed"],
                     work=int(best["completed"]),
                     rows=int(best["completed"]),
-                    backend=f"service-{label}",
-                    parallelism=1,
                     metrics=metrics,
                 ),
             )

@@ -78,12 +78,12 @@ def bench_main(
     print(f"{benchmark_name} [{mode}] scale={scale} repetitions={repetitions}")
     print(
         f"{'case':<{width}} {'elapsed':>10} {'work':>10} {'rows':>7}  "
-        "backend    engine"
+        "engine"
     )
     for name, m in named:
         print(
             f"{name:<{width}} {m.elapsed * 1e3:>8.2f}ms {m.work:>10} "
-            f"{m.rows:>7}  {m.backend}x{m.parallelism:<7} {m.engine}"
+            f"{m.rows:>7}  {m.engine}"
         )
     print(f"total wall time: {total:.2f}s")
 

@@ -28,7 +28,6 @@ from repro.errors import (
 )
 from repro.execution.base import PhysicalOperator
 from repro.execution.governor import Budget, Governor
-from repro.execution.parallel import BACKENDS
 from repro.execution.context import Counters, ExecutionContext
 from repro.observe.explain import Explanation
 from repro.observe.metrics import MetricsRegistry
@@ -115,15 +114,13 @@ class _RunOptions:
     The fields are the option keywords of :meth:`Database.sql`; every other
     entry point accepts a subset (a signature test holds them to it), so a
     new knob is added here or nowhere. After folding, ``planner_options``
-    is never ``None`` and carries the ``parallelism``/``backend``/``engine``
-    shorthands, ``explain`` is ``None``/``"plan"``/``"analyze"``, and
-    ``governor`` is the prebuilt one or one built from the budget knobs.
+    is never ``None`` and carries the ``engine`` shorthand, ``explain`` is
+    ``None``/``"plan"``/``"analyze"``, and ``governor`` is the prebuilt one
+    or one built from the budget knobs.
     """
 
     optimize: bool = True
     planner_options: PlannerOptions | None = None
-    parallelism: int | None = None
-    backend: str | None = None
     explain: bool | str | None = None
     collect_metrics: bool = False
     trace: bool = False
@@ -179,30 +176,9 @@ def _resolve_options(
             "use_plan_cache=True demands the plan cache, which holds "
             "optimized plans only; it cannot be combined with optimize=False"
         )
-    # Validate here, not only in PGApply: a plan whose GApply the optimizer
-    # rewrites away (e.g. to groupby) never builds the operator, and bad
-    # knob values should not ride along silently in that case.
-    parallelism, backend = options.parallelism, options.backend
-    if parallelism is not None and parallelism < 1:
-        raise PlanError(f"parallelism must be >= 1, got {parallelism}")
-    if backend is not None and backend not in BACKENDS:
-        raise PlanError(
-            f"unknown GApply backend {backend!r}; use one of {BACKENDS}"
-        )
-    updates: dict[str, Any] = {}
-    if parallelism is not None:
-        updates["gapply_parallelism"] = parallelism
-    if backend is not None:
-        updates["gapply_backend"] = backend
-    elif parallelism is not None and parallelism > 1:
-        # A bare parallelism=N implies the process backend — the only one
-        # that scales CPU-bound per-group plans on CPython.
-        updates["gapply_backend"] = "process"
-    if options.engine is not None:
-        updates["engine"] = options.engine
     planner_options = options.planner_options or PlannerOptions()
-    if updates:
-        planner_options = replace(planner_options, **updates)
+    if options.engine is not None:
+        planner_options = replace(planner_options, engine=options.engine)
     if planner_options.engine not in ENGINES:
         raise PlanError(
             f"unknown execution engine {planner_options.engine!r}; "
@@ -534,8 +510,6 @@ class Database:
         text: str,
         optimize: bool = True,
         planner_options: PlannerOptions | None = None,
-        parallelism: int | None = None,
-        backend: str | None = None,
         explain: bool | str | None = None,
         collect_metrics: bool = False,
         trace: bool = False,
@@ -549,11 +523,8 @@ class Database:
     ) -> QueryResult | Explanation:
         """Run SQL text end to end and materialize the result.
 
-        ``parallelism``/``backend`` are shorthand for the GApply
-        execution-phase knobs on :class:`PlannerOptions` (``backend`` in
-        ``{"serial", "thread", "process"}``); explicit ``planner_options``
-        fields are overridden only by the knobs actually passed.
-        ``engine`` likewise shorthands ``PlannerOptions.engine``:
+        ``engine`` is shorthand for ``PlannerOptions.engine`` (it overrides
+        that field of an explicit ``planner_options`` only when passed):
         ``"volcano"`` (default) or ``"vector"`` for the batch-at-a-time
         columnar engine (identical rows/counters/metrics; unsupported
         operators fall back to Volcano automatically).
@@ -847,8 +818,6 @@ class Database:
         logical: LogicalOperator,
         optimize: bool = True,
         planner_options: PlannerOptions | None = None,
-        parallelism: int | None = None,
-        backend: str | None = None,
         explain: bool | str | None = None,
         collect_metrics: bool = False,
         trace: bool = False,
@@ -883,8 +852,6 @@ class Database:
         encoding: str = "utf-8",
         optimize: bool = True,
         planner_options: PlannerOptions | None = None,
-        parallelism: int | None = None,
-        backend: str | None = None,
         engine: str | None = None,
         timeout: float | None = None,
         memory_budget: int | None = None,

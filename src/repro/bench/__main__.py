@@ -1,5 +1,4 @@
-"""Run the whole evaluation: Figure 8, Table 1, the E8 calibration, and
-the parallel-GApply scaling sweep.
+"""Run the whole evaluation: Figure 8, Table 1 and the E8 calibration.
 
 Usage::
 
@@ -15,7 +14,6 @@ import sys
 
 from repro.bench.client_sim import run_q4_calibration
 from repro.bench.fig8 import format_rows, run_figure8
-from repro.bench.parallel import format_sweep, run_parallel_sweep
 from repro.bench.table1 import format_summaries, run_table1
 
 
@@ -36,8 +34,6 @@ def main(argv: list[str] | None = None) -> None:
         f"{result.native.elapsed * 1e3:.1f} ms -> overhead "
         f"{result.overhead:.2f}x (paper: ~1.2x; both conservative)"
     )
-    print()
-    print(format_sweep(run_parallel_sweep(scale)))
 
 
 if __name__ == "__main__":

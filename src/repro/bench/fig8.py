@@ -54,37 +54,24 @@ def run_query(
     catalog: Catalog,
     query: PaperQuery,
     repetitions: int = 3,
-    backend: str = "serial",
-    parallelism: int = 1,
     engine: str = VOLCANO_ENGINE,
 ) -> Fig8Row:
-    """Measure one paper query; the GApply sides honour the execution-phase
-    ``backend``/``parallelism`` knobs so the figure can be regenerated with
-    a parallel execution phase (the baseline has no GApply to parallelize).
-    ``engine`` selects the Volcano iterators or the vector pipelines for
-    all three measurements."""
+    """Measure one paper query; ``engine`` selects the Volcano iterators or
+    the vector pipelines for all three measurements."""
     baseline = measure_sql(
         catalog, query.baseline_sql, repetitions=repetitions, engine=engine
     )
     gapply_hash = measure_sql(
         catalog,
         query.gapply_sql,
-        options=PlannerOptions(
-            gapply_partitioning=HASH_PARTITION,
-            gapply_backend=backend,
-            gapply_parallelism=parallelism,
-        ),
+        options=PlannerOptions(gapply_partitioning=HASH_PARTITION),
         repetitions=repetitions,
         engine=engine,
     )
     gapply_sort = measure_sql(
         catalog,
         query.gapply_sql,
-        options=PlannerOptions(
-            gapply_partitioning=SORT_PARTITION,
-            gapply_backend=backend,
-            gapply_parallelism=parallelism,
-        ),
+        options=PlannerOptions(gapply_partitioning=SORT_PARTITION),
         repetitions=repetitions,
         engine=engine,
     )
@@ -94,8 +81,6 @@ def run_query(
 def run_figure8(
     scale: float = DEFAULT_SCALE,
     repetitions: int = 3,
-    backend: str = "serial",
-    parallelism: int = 1,
     engine: str = VOLCANO_ENGINE,
     catalog: Catalog | None = None,
 ) -> list[Fig8Row]:
@@ -103,7 +88,7 @@ def run_figure8(
         catalog = Catalog()
         load_tpch(catalog, TpchConfig(scale=scale))
     return [
-        run_query(catalog, query, repetitions, backend, parallelism, engine)
+        run_query(catalog, query, repetitions, engine)
         for query in PAPER_QUERIES
     ]
 

@@ -41,13 +41,7 @@ DEFAULT_REPETITIONS = 3
 
 @dataclass(frozen=True)
 class Measurement:
-    """One measured plan execution.
-
-    ``backend``/``parallelism`` record which GApply execution-phase pool
-    produced the numbers, so result tables can tell a serial row from a
-    4-worker row (the merged ``work`` is identical by construction; only
-    ``elapsed`` should differ).
-    """
+    """One measured plan execution."""
 
     elapsed: float
     work: int
@@ -55,8 +49,6 @@ class Measurement:
     scan_rows: int = 0  # base-table rows read (redundant-join indicator)
     peak_rows: int = 0  # peak rows buffered by partitioning (memory proxy)
     cells: int = 0      # cells written to partition/sort/hash buffers
-    backend: str = "serial"
-    parallelism: int = 1
     #: Per-operator metrics snapshot of the best run (path -> counters),
     #: populated only when the measurement asked for metrics collection.
     metrics: dict | None = None
@@ -85,8 +77,6 @@ class Measurement:
             "scan_rows": self.scan_rows,
             "peak_rows": self.peak_rows,
             "cells": self.cells,
-            "backend": self.backend,
-            "parallelism": self.parallelism,
             "engine": self.engine,
         }
         if self.metrics is not None:
@@ -97,15 +87,10 @@ class Measurement:
 def measure_physical(
     plan: PhysicalOperator,
     repetitions: int = DEFAULT_REPETITIONS,
-    backend: str = "serial",
-    parallelism: int = 1,
     collect_metrics: bool = False,
     engine: str = VOLCANO_ENGINE,
 ) -> Measurement:
     """Best-of-N execution of a physical plan.
-
-    ``backend``/``parallelism`` are recorded into the measurement; the
-    plan itself already carries the knobs (set at lowering time).
 
     ``engine`` selects the driving loop: Volcano iterators or the
     batched vector pipelines. Vector compilation happens *outside* the
@@ -156,8 +141,6 @@ def measure_physical(
         counters.table_scan_rows,
         counters.peak_partition_rows,
         counters.buffered_cells,
-        backend,
-        parallelism,
         metrics_snapshot,
         engine,
     )
@@ -169,8 +152,8 @@ def measurements_to_json(
     """The benchmark JSON document: ``meta`` + one record per measurement.
 
     This is the interchange format every runnable benchmark emits (the
-    ``--smoke`` CI artifacts and ``python -m repro.bench.parallel --json``
-    both use it), so regression tooling reads one shape everywhere.
+    ``--smoke`` CI artifacts use it), so regression tooling reads one
+    shape everywhere.
     """
     return {
         "meta": dict(meta),
@@ -221,20 +204,15 @@ def measure_sql(
 ) -> Measurement:
     """Bind, (optionally) optimize, lower and measure one SQL query.
 
-    The GApply backend/parallelism from ``options`` are stamped onto the
-    measurement so downstream tables can label serial vs parallel runs.
     ``engine`` overrides the engine from ``options`` (default Volcano).
     """
     logical = bind(catalog, sql)
     if optimize:
         logical = optimize_with(catalog, logical)
-    backend = options.gapply_backend if options else "serial"
-    parallelism = options.gapply_parallelism if options else 1
     if engine is None:
         engine = options.engine if options else VOLCANO_ENGINE
     return measure_physical(
-        lower(catalog, logical, options), repetitions, backend, parallelism,
-        collect_metrics, engine,
+        lower(catalog, logical, options), repetitions, collect_metrics, engine,
     )
 
 

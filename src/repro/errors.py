@@ -173,20 +173,6 @@ class PointInTimeUnavailable(WalError):
     reconstructible. The message names the reachable range."""
 
 
-class WorkerCrashed(ExecutionError):
-    """A worker-pool backend lost workers and exhausted its retries.
-
-    Carries ``consumed_batches`` — how many dispatch batches were fully
-    merged before the crash — so the caller can resume the remaining work
-    on a lower rung of the degradation ladder without redoing (or worse,
-    double-counting) the completed prefix.
-    """
-
-    def __init__(self, message: str, consumed_batches: int = 0):
-        self.consumed_batches = consumed_batches
-        super().__init__(message)
-
-
 class ServiceError(ReproError):
     """A failure in the concurrent query service layer (:mod:`repro.serve`)."""
 

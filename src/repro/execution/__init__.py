@@ -22,28 +22,12 @@ from repro.execution.basic import (
 from repro.execution.context import Counters, ExecutionContext
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION, PGApply
 from repro.execution.joins import PHashJoin, PNestedLoopJoin
-from repro.execution.parallel import (
-    BACKENDS,
-    PROCESS_BACKEND,
-    SERIAL_BACKEND,
-    THREAD_BACKEND,
-    ParallelUnavailable,
-    WorkerPool,
-    default_parallelism,
-)
 from repro.execution.scans import PGroupScan, PTableScan
 
 __all__ = [
-    "BACKENDS",
     "Counters",
     "ExecutionContext",
     "HASH_PARTITION",
-    "PROCESS_BACKEND",
-    "ParallelUnavailable",
-    "SERIAL_BACKEND",
-    "THREAD_BACKEND",
-    "WorkerPool",
-    "default_parallelism",
     "PAlias",
     "PApply",
     "PDistinct",

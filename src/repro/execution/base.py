@@ -7,17 +7,10 @@ re-executed many times — GApply re-runs its per-group plan once per group,
 and Apply re-runs its inner plan once per outer row, so cheap re-execution
 is a load-bearing property here.
 
-Two further contracts that parallel GApply execution relies on
-(:mod:`repro.execution.parallel`):
-
-* **re-entrancy** — ``execute`` may be called concurrently on the same
-  operator instance with *distinct* contexts; all per-execution state must
-  live in the generator frame (or the context), never on ``self``. Every
-  operator in this package follows that rule, which is what lets the
-  thread backend evaluate one per-group plan over many groups at once.
-* **picklability** — a plan is shipped to process-pool workers by value
-  (via cloudpickle, which handles the compiled expression closures), so
-  operators must not hold OS resources (sockets, file handles) directly.
+What makes that safe: all per-execution state lives in the generator
+frame (or the context), never on ``self``, so a second ``execute`` on the
+same operator instance starts clean whether or not the first iterator was
+drained.
 """
 
 from __future__ import annotations

@@ -74,26 +74,6 @@ class Counters:
             )
         }
 
-    def merge(self, other: "Counters") -> None:
-        """Fold another counter set in: sums, except max for the peak.
-
-        Merging is commutative and associative, which is what lets GApply's
-        parallel execution phase count work locally in each worker and
-        still report totals identical to the serial run regardless of
-        completion order (results are merged in dispatch order anyway).
-        """
-        for name, value in other.snapshot().items():
-            if name == "peak_partition_rows":
-                self.peak_partition_rows = max(self.peak_partition_rows, value)
-            else:
-                setattr(self, name, getattr(self, name) + value)
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, int]) -> "Counters":
-        """Rebuild counters from a :meth:`snapshot` dict (how process
-        workers ship their work counts across the pickle boundary)."""
-        return cls(**snapshot)
-
     @property
     def total_work(self) -> int:
         """Single scalar summary used by benchmark tables."""

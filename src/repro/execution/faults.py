@@ -3,45 +3,36 @@
 A :class:`FaultPlan` names exactly where one run of the engine should
 misbehave, from a fixed menu of injection points:
 
-* ``kill worker`` — a *process*-pool worker calls ``os._exit`` at the
-  start of a chosen dispatch batch, simulating a segfaulting/OOM-killed
-  child. Only process workers die (a thread cannot be killed); the plan
-  ships to workers inside the pickled pool payload. ``kill_attempts``
-  bounds how many times the same batch dies, so tests can exercise both
-  "retry succeeds" (1) and "retries exhausted, degrade down the ladder"
-  (a large value).
-* ``delay batch`` — a worker sleeps before evaluating a chosen batch,
-  long enough for a wall-clock budget to expire mid-flight.
 * ``fail spill write`` — the Nth framed record written by
   :mod:`repro.storage.spill` (process-wide, counted from activation)
-  raises :class:`~repro.errors.SpillError`.
+  raises :class:`~repro.errors.SpillError`;
+* the durability crash points (:data:`DURABILITY_POINTS`) — a kill
+  before, a torn write during, or a failed fsync after a WAL append; a
+  kill after a group-commit fsync; a crash at one of three checkpoint
+  phases.
 
 Plans activate through the :func:`fault_injection` context manager,
 which installs the plan in a module global consulted at each injection
 point — zero overhead when no plan is active (one global read on the
 spill-write path, nothing anywhere else). The chaos suite and the
-fuzzer's ``--chaos`` mode build seeded plans with :meth:`FaultPlan.
-from_seed` and assert the engine's core promise under every one of
-them: **correct rows or a typed error — never a wrong answer, never a
-hang**.
+fuzzer's ``--chaos`` mode build seeded plans and assert the engine's
+core promise under every one of them: **correct rows or a typed error —
+never a wrong answer, never a hang**.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
-import time
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from repro.errors import SpillError
 
-#: Injection point names, for documentation and seeded plan choice.
-#: ``from_seed`` draws from exactly this tuple — extending it would
-#: reshuffle every pinned chaos seed, so the durability crash points
-#: below live in their own menu (``DURABILITY_POINTS`` /
-#: ``FaultPlan.for_durability``).
-INJECTION_POINTS = ("worker-kill", "batch-delay", "spill-write")
+#: Query-execution injection points (``FaultPlan.from_seed``). The
+#: durability crash points below live in their own menu
+#: (``DURABILITY_POINTS`` / ``FaultPlan.for_durability``).
+INJECTION_POINTS = ("spill-write",)
 
 #: Crash points for the durability chaos profile. ``none`` is a real
 #: member: clean runs keep the sweep honest about recovery from an
@@ -72,18 +63,11 @@ class SimulatedCrash(BaseException):
 class FaultPlan:
     """One seeded fault: at most one injection point armed per plan.
 
-    Frozen and built from plain ints/floats so it pickles into process
-    workers and serializes losslessly into chaos-failure artifacts.
+    Frozen and built from plain ints/strings so it serializes
+    losslessly into chaos-failure artifacts.
     """
 
     seed: int = 0
-    #: Dispatch-batch index whose worker dies (process backend only).
-    kill_batch: int | None = None
-    #: Die on the first N attempts of that batch; attempt N+1 survives.
-    kill_attempts: int = 1
-    #: Dispatch-batch index to delay, and for how long.
-    delay_batch: int | None = None
-    delay_seconds: float = 0.0
     #: Global index (from activation) of the spill record write to fail.
     fail_spill_at: int | None = None
     #: Crash (SimulatedCrash) immediately *before* the Nth WAL append —
@@ -109,29 +93,10 @@ class FaultPlan:
     checkpoint_crash_phase: str = "temp"
 
     @classmethod
-    def from_seed(
-        cls, seed: int, batches: int = 4, max_delay: float = 0.05
-    ) -> "FaultPlan":
-        """A reproducible plan: the seed picks the injection point and
-        its coordinates. ``batches`` bounds the batch index so the fault
-        usually lands on real work."""
-        rng = random.Random(seed)
-        point = rng.choice(INJECTION_POINTS)
-        if point == "worker-kill":
-            return cls(
-                seed=seed,
-                kill_batch=rng.randrange(max(1, batches)),
-                # Mostly recoverable kills; occasionally exhaust retries
-                # so the degradation ladder gets chaos coverage too.
-                kill_attempts=1 if rng.random() < 0.8 else 99,
-            )
-        if point == "batch-delay":
-            return cls(
-                seed=seed,
-                delay_batch=rng.randrange(max(1, batches)),
-                delay_seconds=rng.uniform(0.0, max_delay),
-            )
-        return cls(seed=seed, fail_spill_at=rng.randrange(32))
+    def from_seed(cls, seed: int) -> "FaultPlan":
+        """A reproducible spill-write fault: the seed picks which record
+        write fails."""
+        return cls(seed=seed, fail_spill_at=random.Random(seed).randrange(32))
 
     @classmethod
     def for_durability(
@@ -195,8 +160,7 @@ def active_plan() -> FaultPlan | None:
 
 
 def install_plan(plan: FaultPlan | None) -> None:
-    """Install ``plan`` process-wide (used directly by process-worker
-    initializers, where a context manager has no scope to live in)."""
+    """Install ``plan`` process-wide, resetting every point's counter."""
     global _active, _spill_writes, _wal_appends, _wal_fsyncs
     global _group_fsyncs, _checkpoints
     _active = plan
@@ -323,26 +287,3 @@ def check_checkpoint(phase: str) -> None:
             f"injected crash at checkpoint {index} phase {phase!r} "
             f"(fault seed {plan.seed})"
         )
-
-
-def on_worker_batch(batch_index: int, attempt: int) -> None:
-    """Called by workers at the start of each dispatched batch.
-
-    Ordering matters: the delay fires before the kill check so a plan
-    combining both (never produced by ``from_seed``, but legal) still
-    dies at a deterministic point.
-    """
-    plan = _active
-    if plan is None:
-        return
-    if plan.delay_batch == batch_index and plan.delay_seconds > 0:
-        time.sleep(plan.delay_seconds)
-    if plan.kill_batch == batch_index and attempt < plan.kill_attempts:
-        from repro.execution import parallel
-
-        if parallel._in_process_worker:
-            import os
-
-            # The whole point: die the way a segfault dies — no cleanup,
-            # no exception, the parent just sees a vanished child.
-            os._exit(3)

@@ -21,15 +21,6 @@ Both partitioning strategies are implemented:
 
 Rows with NULL grouping values form a single NULL group, matching GROUP BY.
 
-Beyond the paper's nested-loops execution phase, the operator can fan the
-independent groups out to a worker pool (``parallelism``/``backend`` knobs;
-see :mod:`repro.execution.parallel`): groups are batched in partition
-order, workers evaluate the per-group plan with local counters, and the
-parent merges results in dispatch order — output rows and merged work
-counters are identical to the serial run, which remains the guaranteed
-fallback (``backend="serial"``, or automatically when a pool cannot be
-brought up or we are already inside a worker).
-
 The partition phase **materializes** each buffered row (an O(width) copy)
 rather than retaining references into the input stream. A disk-based engine
 pays width-proportional I/O to write partitions (the paper's client-side
@@ -62,20 +53,11 @@ buffer*, exactly the quantity the paper's §4.2 rules compete to shrink.
 from __future__ import annotations
 
 import operator
-import warnings
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import MemoryBudgetExceeded, PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
-from repro.execution.parallel import (
-    BACKENDS,
-    SERIAL_BACKEND,
-    ParallelUnavailable,
-    WorkerPool,
-    parallel_worker_active,
-    run_groups_parallel,
-)
 from repro.storage.table import Row
 from repro.storage.types import grouping_key
 
@@ -100,10 +82,6 @@ class PGApply(PhysicalOperator):
     ``per_group`` is a physical plan whose GroupScan leaf reads the relation
     bound to ``group_variable``. Its output is crossed with the group's key
     values: output rows are ``key_values + pgq_row``.
-
-    ``parallelism``/``backend`` select the execution-phase worker pool
-    (serial nested loops by default); ``batch_size`` overrides how many
-    groups ride in one dispatch to a worker.
     """
 
     def __init__(
@@ -113,9 +91,6 @@ class PGApply(PhysicalOperator):
         per_group: PhysicalOperator,
         group_variable: str = "group",
         partitioning: str = HASH_PARTITION,
-        parallelism: int = 1,
-        backend: str = SERIAL_BACKEND,
-        batch_size: int | None = None,
         spill_threshold: int | None = None,
         spill_dir: str | None = None,
     ):
@@ -123,14 +98,6 @@ class PGApply(PhysicalOperator):
             raise PlanError(
                 f"unknown GApply partitioning {partitioning!r}; "
                 f"use {HASH_PARTITION!r} or {SORT_PARTITION!r}"
-            )
-        if backend not in BACKENDS:
-            raise PlanError(
-                f"unknown GApply backend {backend!r}; use one of {BACKENDS}"
-            )
-        if parallelism < 1:
-            raise PlanError(
-                f"GApply parallelism must be >= 1, got {parallelism}"
             )
         if spill_threshold is not None and spill_threshold < 1:
             raise PlanError(
@@ -143,9 +110,6 @@ class PGApply(PhysicalOperator):
         self.per_group = per_group
         self.group_variable = group_variable
         self.partitioning = partitioning
-        self.parallelism = parallelism
-        self.backend = backend
-        self.batch_size = batch_size
         self._key_positions = outer.schema.indices_of(grouping_columns)
         if len(self._key_positions) == 1:
             position = self._key_positions[0]
@@ -437,23 +401,6 @@ class PGApply(PhysicalOperator):
                 partitions = self._partition_sort(ctx)
             else:
                 partitions = self._partition_sort_spill(ctx, threshold)
-        if (
-            self.backend == SERIAL_BACKEND
-            or self.parallelism <= 1
-            or parallel_worker_active()
-        ):
-            # The reference path: the paper's nested-loops execution phase,
-            # streaming group by group. Also taken inside pool workers so a
-            # nested parallel GApply never spawns a pool of its own.
-            return self._execute_serial(ctx, partitions)
-        return self._execute_parallel(ctx, partitions)
-
-    def _execute_serial(
-        self,
-        ctx: ExecutionContext,
-        partitions: Iterable[tuple[tuple, list[Row]]],
-        pre_counted: bool = False,
-    ) -> Iterator[Row]:
         # One child context, rebound per group: each group's per-group plan
         # is fully drained before the next binding, so mutation is safe and
         # avoids a dict copy per group.
@@ -462,118 +409,46 @@ class PGApply(PhysicalOperator):
             ctx.counters, ctx.scalars, relations, ctx.metrics, ctx.tracer,
             ctx.governor,
         )
-        try:
-            yield from self._run_groups(
-                ctx, group_ctx, relations, partitions, pre_counted
-            )
-        finally:
-            # A mid-stream error (cancellation, budget) raised from a
-            # per-group plan leaves the suspended partition generator out
-            # of the unwinding call chain — pinned alive by the exception
-            # traceback, its finally (spill-file close, cell release)
-            # would never run. Close it explicitly on every exit path.
-            close = getattr(partitions, "close", None)
-            if close is not None:
-                close()
-
-    def _run_groups(
-        self,
-        ctx: ExecutionContext,
-        group_ctx: ExecutionContext,
-        relations: dict,
-        partitions: Iterable[tuple[tuple, list[Row]]],
-        pre_counted: bool,
-    ) -> Iterator[Row]:
         counters = ctx.counters
         per_group = self.per_group
         variable = self.group_variable
         record = None if ctx.metrics is None else ctx.metrics.record_for(self)
         tracer = ctx.tracer
-        for key_values, group_rows in partitions:
-            if not pre_counted:
-                counters.groups_partitioned += 1
-            counters.group_executions += 1
-            relations[variable] = group_rows
-            span = (
-                None
-                if tracer is None
-                else tracer.begin(
-                    "group", f"${variable}={key_values!r}",
-                    group_rows=len(group_rows),
-                )
-            )
-            emitted = 0
-            for pgq_row in per_group.execute(group_ctx):
-                counters.rows += 1
-                emitted += 1
-                yield key_values + pgq_row
-            if record is not None:
-                if not pre_counted:
-                    record.groups_formed += 1
-                if not emitted:
-                    record.empty_groups_skipped += 1
-            if span is not None:
-                tracer.end(span, rows_out=emitted)
-
-    def _execute_parallel(
-        self,
-        ctx: ExecutionContext,
-        partitions: Iterable[tuple[tuple, list[Row]]],
-    ) -> Iterator[Row]:
-        counters = ctx.counters
-        groups = list(partitions)
-        counters.groups_partitioned += len(groups)
-        metrics = ctx.metrics
-        metrics_prefix = ""
-        gapply_path = None
-        if metrics is not None:
-            # Groups are formed parent-side (the partition phase ran here);
-            # workers only see their own batches, so count them now. The
-            # serial fallback below passes pre_counted=True and skips its
-            # own groups_formed tick to avoid double counting.
-            record = metrics.record_for(self)
-            record.groups_formed += len(groups)
-            gapply_path = record.path
-            metrics_prefix = metrics.path_of(self.per_group)
-        rows = run_groups_parallel(
-            WorkerPool.create(self.backend, self.parallelism),
-            self.per_group,
-            self.group_variable,
-            ctx.scalars,
-            ctx.relations,
-            groups,
-            counters,
-            self.batch_size,
-            metrics,
-            metrics_prefix,
-            gapply_path,
-            governor=ctx.governor,
-        )
-        # Force pool bring-up now: if the backend cannot start here (plan
-        # not picklable, fork refused), fall back to the serial phase over
-        # the already-materialized groups — same rows, same counters.
         try:
-            head = next(rows)
-        except StopIteration:
-            return
-        except ParallelUnavailable as exc:
-            warnings.warn(
-                f"GApply {self.backend} backend unavailable, "
-                f"falling back to serial execution: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            yield from self._execute_serial(ctx, groups, pre_counted=True)
-            return
-        yield head
-        yield from rows
+            for key_values, group_rows in partitions:
+                counters.groups_partitioned += 1
+                counters.group_executions += 1
+                relations[variable] = group_rows
+                span = (
+                    None
+                    if tracer is None
+                    else tracer.begin(
+                        "group", f"${variable}={key_values!r}",
+                        group_rows=len(group_rows),
+                    )
+                )
+                emitted = 0
+                for pgq_row in per_group.execute(group_ctx):
+                    counters.rows += 1
+                    emitted += 1
+                    yield key_values + pgq_row
+                if record is not None:
+                    record.groups_formed += 1
+                    if not emitted:
+                        record.empty_groups_skipped += 1
+                if span is not None:
+                    tracer.end(span, rows_out=emitted)
+        finally:
+            # A mid-stream error (cancellation, budget) raised from a
+            # per-group plan leaves the suspended partition generator
+            # pinned alive by the exception traceback, so its finally
+            # (spill-file close, cell release) would never run. Close it
+            # explicitly on every exit path.
+            partitions.close()
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.outer, self.per_group)
 
     def label(self) -> str:
         keys = ", ".join(self.grouping_columns)
-        base = f"GApply:{self.partitioning}[{keys}; ${self.group_variable}]"
-        if self.backend != SERIAL_BACKEND and self.parallelism > 1:
-            return f"{base} ({self.backend} x{self.parallelism})"
-        return base
+        return f"GApply:{self.partitioning}[{keys}; ${self.group_variable}]"

@@ -23,11 +23,7 @@ pays nothing):
   :class:`~repro.errors.QueryCancelled`.
 
 All violations raise *typed* errors from :mod:`repro.errors`, never bare
-``RuntimeError``, and raise them identically on the serial, thread and
-process GApply backends: thread workers share the parent's governor
-object; process workers rebuild a local replica from the picklable
-:meth:`worker_limits` snapshot shipped with each dispatch (the replica's
-deadline is the parent's remaining time at dispatch).
+``RuntimeError``, and identically under both execution engines.
 
 The clock is injectable so tests can drive timeouts deterministically.
 """
@@ -37,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Callable
 
 from repro.errors import (
     MemoryBudgetExceeded,
@@ -89,7 +85,9 @@ class Governor:
     Thread-safe where it must be: :meth:`cancel` uses an event, and the
     stride counter is per-call-site harmless under races (a lost tick
     delays a check by at most one stride). Cell accounting is guarded by
-    a lock because thread-backend workers charge concurrently.
+    a lock because the governor is shared across threads: a
+    :class:`~repro.serve.Service` cancels, inspects and closes streams
+    from threads other than the one executing the query.
     """
 
     def __init__(
@@ -257,32 +255,3 @@ class Governor:
                 f"query produced more than max_rows={self.budget.max_rows} "
                 "output rows"
             ).add_context(sql=self.sql)
-
-    # ------------------------------------------------------------------
-    # The cross-process protocol
-    # ------------------------------------------------------------------
-
-    def worker_limits(self) -> dict[str, Any] | None:
-        """Picklable limits for a process worker, or None when nothing
-        needs enforcing worker-side. The wall-clock budget is rebased to
-        *remaining* seconds so the worker's replica expires in step with
-        the parent (modulo dispatch latency, which only ever makes the
-        worker stricter later, never laxer)."""
-        remaining = self.remaining_seconds()
-        if remaining is None and not self._cancelled.is_set():
-            return None
-        return {
-            "timeout": max(1e-9, remaining) if remaining is not None else None,
-            "cancelled": self._cancelled.is_set(),
-        }
-
-    @classmethod
-    def from_worker_limits(
-        cls, limits: Mapping[str, Any] | None
-    ) -> "Governor | None":
-        if limits is None:
-            return None
-        governor = cls(Budget(timeout=limits.get("timeout")))
-        if limits.get("cancelled"):
-            governor.cancel()
-        return governor

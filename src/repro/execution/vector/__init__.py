@@ -5,7 +5,7 @@ iterators in :mod:`repro.execution`: a plan compiler walks a *physical*
 plan produced by the ordinary planner, identifies straight-line operator
 chains between pipeline breakers, and fuses each chain into a single
 per-:class:`ColumnBatch` loop. Operators with no batched implementation
-(correlated Apply, nested-loop join, Exists, parallel/spilling GApply,
+(correlated Apply, nested-loop join, Exists, spilling GApply,
 stream aggregation) transparently fall back to their Volcano iterators —
 chunked into batches at the boundary — so *every* plan runs under either
 engine and the Volcano path stays the correctness oracle.

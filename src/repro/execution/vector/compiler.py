@@ -19,10 +19,10 @@ vectorized. Current fallbacks:
   ``PExists`` (early-termination semantics are pull-based);
 * ``PNestedLoopJoin`` and ``PStreamAggregate`` (row-ordered operators
   that the planner only picks for small/ordered inputs);
-* ``PGApply`` configured for a parallel backend or an explicit spill
-  threshold (worker protocol and spill bookkeeping live in the Volcano
-  operator; a governor-derived threshold is additionally checked at
-  runtime by the GApply breaker itself);
+* ``PGApply`` configured with an explicit spill threshold (spill
+  bookkeeping lives in the Volcano operator; a governor-derived
+  threshold is additionally checked at runtime by the GApply breaker
+  itself);
 * anything this compiler has never heard of — new operators are
   correct-by-default, fast once someone adds a batched form.
 """
@@ -50,7 +50,6 @@ from repro.execution.context import ExecutionContext
 from repro.execution.gapply import PGApply
 from repro.execution.indexscan import PIndexNestedLoopJoin, PIndexSeek
 from repro.execution.joins import PHashJoin, PNestedLoopJoin
-from repro.execution.parallel import SERIAL_BACKEND
 from repro.execution.scans import PGroupScan, PTableScan
 from repro.storage.table import Row
 
@@ -193,8 +192,6 @@ class _Compiler:
         if isinstance(op, PHashAggregate):
             return HashAggregateNode(op, self.compile(op.child), size)
         if isinstance(op, PGApply):
-            if op.backend != SERIAL_BACKEND and op.parallelism > 1:
-                return self.fallback(op, f"parallel backend {op.backend!r}")
             if op.spill_threshold is not None:
                 return self.fallback(op, "explicit spill threshold")
             return GApplyNode(

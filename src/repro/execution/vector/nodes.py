@@ -472,14 +472,13 @@ class HashAggregateNode(VectorNode):
 
 
 class GApplyNode(VectorNode):
-    """Serial in-memory GApply breaker: batched partition phase, vector
+    """In-memory GApply breaker: batched partition phase, vector
     per-group plans, counter-for-counter faithful to ``PGApply``.
 
-    Parallel backends and forced spill thresholds are routed to the
-    Volcano operator at compile time; a *governor-provided* spill
-    threshold is only known at runtime, so that check happens here (the
-    whole operator then delegates, keeping the spill bookkeeping in one
-    place).
+    Forced spill thresholds are routed to the Volcano operator at
+    compile time; a *governor-provided* spill threshold is only known at
+    runtime, so that check happens here (the whole operator then
+    delegates, keeping the spill bookkeeping in one place).
     """
 
     def __init__(self, op, outer: VectorNode, per_group: VectorNode, batch_size: int):

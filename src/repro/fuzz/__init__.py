@@ -8,13 +8,13 @@ The subsystem has four moving parts:
 * :mod:`repro.fuzz.oracle` — runs the same query on an in-memory SQLite
   mirror via :mod:`repro.sql.sqlite` and compares multisets;
 * :mod:`repro.fuzz.planspace` — runs the query under every planner
-  configuration (each rule disabled, all rules off, every backend) and
+  configuration (each rule disabled, all rules off, both engines) and
   demands identical results;
 * :mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus` — minimize failures
   and persist them as replayable JSON reproducers;
-* :mod:`repro.fuzz.chaos` — seeded fault injection (killed workers,
-  delayed batches, failing spill writes) plus adversarial budgets,
-  asserting correct rows or a typed error, never a wrong answer.
+* :mod:`repro.fuzz.chaos` — seeded fault injection (failing spill
+  writes) plus adversarial budgets, asserting correct rows or a typed
+  error, never a wrong answer.
 
 ``python -m repro.fuzz --seed 0 --n 500`` drives all of it; see
 :mod:`repro.fuzz.runner`.

@@ -65,9 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--chaos",
         action="store_true",
-        help="run chaos mode instead: seeded fault plans (worker kills, "
-        "delays, spill failures) and adversarial budgets, asserting "
-        "correct rows or a typed error",
+        help="run chaos mode instead: seeded spill-write faults and "
+        "adversarial budgets, asserting correct rows or a typed error",
     )
     parser.add_argument(
         "--durability",

@@ -2,28 +2,23 @@
 
 The differential fuzzer (:mod:`repro.fuzz.runner`) checks the engine
 against a SQLite oracle on *clean* runs. Chaos mode checks the other half
-of the robustness contract: under injected faults — killed process
-workers, delayed batches, failing spill writes — and under adversarial
-budgets, every query must end in one of exactly two ways:
+of the robustness contract: under injected faults — failing spill
+writes — and under adversarial budgets, every query must end in one of
+exactly two ways:
 
-* the **correct rows** (identical to an unfaulted serial run), or
+* the **correct rows** (identical to an unfaulted run), or
 * a **typed error** from :mod:`repro.errors` that the scenario allows.
 
-Never a wrong answer, never a hang, never a bare ``RuntimeError``, never
-an orphaned worker process. Each seed deterministically picks a scenario,
-a fault plan and budget knobs, so a failing seed replays exactly.
+Never a wrong answer, never a hang, never a bare ``RuntimeError``. Each
+seed deterministically picks a scenario, a fault plan and budget knobs,
+so a failing seed replays exactly.
 
 Scenarios (one per case, chosen by the seed):
 
 ==================  ======================================================
-``worker-kill``     a process worker dies once; crash recovery must retry
-                    and still produce correct rows
-``kill-exhaust``    the same batch dies on every attempt; retries exhaust
-                    and the degradation ladder (process -> thread) must
-                    still produce correct rows, with a ``RuntimeWarning``
-``delay-timeout``   a batch is delayed past a tiny wall-clock budget;
-                    either the query beats the clock (correct rows) or it
-                    raises ``TimeoutExceeded``
+``timeout``         a 5-50 ms wall-clock budget, no fault, either engine;
+                    the query beats the clock (correct rows) or raises
+                    ``TimeoutExceeded``/``QueryCancelled``
 ``spill-fail``      a memory budget forces the partition phase to spill
                     and the Nth spill write fails; correct rows (fault
                     landed past the last write) or ``SpillError``
@@ -38,7 +33,7 @@ Scenarios (one per case, chosen by the seed):
 
 The fixture is the tiny TPC-H instance the paper queries run on
 (SF=0.01), built once per process; expected rows come from a plain
-serial run of the same SQL.
+run of the same SQL.
 
 **Concurrent chaos** (:func:`run_concurrent_chaos`) extends the same
 invariant to the :mod:`repro.serve` service layer: per seed, a fresh
@@ -53,14 +48,13 @@ zero. The allowed outcomes are exactly correct-snapshot rows or a typed
 error appropriate to the scenario (``ServiceOverloaded`` when shedding,
 ``ServiceStopped``/``QueryCancelled`` around shutdown, ``SpillError``
 under spill faults, budget errors under budgets) — never a wrong answer,
-torn read, hang, leaked spill file, or lingering worker thread.
+torn read, hang, leaked spill file, or lingering client thread.
 """
 
 from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -74,29 +68,18 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.faults import FaultPlan, fault_injection
-from repro.execution.parallel import (
-    PROCESS_BACKEND,
-    SERIAL_BACKEND,
-    THREAD_BACKEND,
-)
 from repro.optimizer.planner import ENGINES, VOLCANO_ENGINE
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import TpchConfig, load_tpch
 
 #: Scenario names, in the order the seed's RNG draws from.
 SCENARIOS = (
-    "worker-kill",
-    "kill-exhaust",
-    "delay-timeout",
+    "timeout",
     "spill-fail",
     "memory-budget",
     "row-budget",
     "clean-spill",
 )
-
-#: Dispatch-batch count the fixture query produces at parallelism 2
-#: (one supplier group per batch); kill/delay batch indices draw from it.
-FIXTURE_BATCHES = 4
 
 
 @dataclass
@@ -140,8 +123,6 @@ class ChaosCase:
     sql: str
     expected: list[tuple]
     fault: FaultPlan | None = None
-    backend: str = SERIAL_BACKEND
-    parallelism: int = 1
     timeout: float | None = None
     memory_budget: int | None = None
     max_rows: int | None = None
@@ -157,8 +138,6 @@ class ChaosCase:
         return {
             "seed": self.seed,
             "scenario": self.scenario,
-            "backend": self.backend,
-            "parallelism": self.parallelism,
             "timeout": self.timeout,
             "memory_budget": self.memory_budget,
             "max_rows": self.max_rows,
@@ -177,32 +156,7 @@ def build_case(seed: int) -> ChaosCase:
     expected = fixture.gapply_rows
     case = ChaosCase(seed=seed, scenario=scenario, sql=sql, expected=expected)
 
-    if scenario == "worker-kill":
-        case.backend = PROCESS_BACKEND
-        case.parallelism = 2
-        case.fault = FaultPlan(
-            seed=seed,
-            kill_batch=rng.randrange(FIXTURE_BATCHES),
-            kill_attempts=1,
-        )
-    elif scenario == "kill-exhaust":
-        case.backend = PROCESS_BACKEND
-        case.parallelism = 2
-        case.fault = FaultPlan(
-            seed=seed,
-            kill_batch=rng.randrange(FIXTURE_BATCHES),
-            kill_attempts=99,
-        )
-    elif scenario == "delay-timeout":
-        case.backend = rng.choice(
-            (SERIAL_BACKEND, THREAD_BACKEND, PROCESS_BACKEND)
-        )
-        case.parallelism = 1 if case.backend == SERIAL_BACKEND else 2
-        case.fault = FaultPlan(
-            seed=seed,
-            delay_batch=rng.randrange(FIXTURE_BATCHES),
-            delay_seconds=rng.uniform(0.02, 0.08),
-        )
+    if scenario == "timeout":
         case.timeout = rng.uniform(0.005, 0.05)
         case.allowed_errors = (TimeoutExceeded, QueryCancelled)
         case.must_succeed = False
@@ -271,8 +225,6 @@ def run_chaos_case(case: ChaosCase) -> str | None:
     string describing how it broke."""
     fixture = chaos_fixture()
     kwargs: dict[str, Any] = {
-        "backend": case.backend,
-        "parallelism": case.parallelism,
         "timeout": case.timeout,
         "memory_budget": case.memory_budget,
         "max_rows": case.max_rows,
@@ -282,14 +234,11 @@ def run_chaos_case(case: ChaosCase) -> str | None:
         "optimize": False,
     }
     try:
-        with warnings.catch_warnings():
-            # Degradation-ladder warnings are expected chaos behavior.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            if case.fault is not None:
-                with fault_injection(case.fault):
-                    result = fixture.db.sql(case.sql, **kwargs)
-            else:
+        if case.fault is not None:
+            with fault_injection(case.fault):
                 result = fixture.db.sql(case.sql, **kwargs)
+        else:
+            result = fixture.db.sql(case.sql, **kwargs)
     except ReproError as error:
         if isinstance(error, case.allowed_errors):
             return None
@@ -512,13 +461,10 @@ def _run_concurrent_case(case: ConcurrentChaosCase) -> str | None:
                 "select gapply(select sum(l_amount) from g) as (total) "
                 "from ledger group by l_batch : g"
             )
-            # Exercise the parallel backends and, under spill pressure,
-            # the concurrent spill path; keep GApply un-rewritten so the
-            # budget actually reaches the partition phase.
+            # Under spill pressure, exercise the concurrent spill path;
+            # keep GApply un-rewritten so the budget actually reaches the
+            # partition phase.
             kwargs["optimize"] = False
-            if rng.random() < 0.5:
-                kwargs["backend"] = THREAD_BACKEND
-                kwargs["parallelism"] = 2
             if case.gapply_memory_budget is not None:
                 kwargs["memory_budget"] = case.gapply_memory_budget
         if rng.random() < 0.3:
@@ -585,20 +531,18 @@ def _run_concurrent_case(case: ConcurrentChaosCase) -> str | None:
     ]
 
     def drive() -> None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for worker in workers:
-                worker.start()
-            if case.shutdown_after is not None:
-                time.sleep(case.shutdown_after)
-                report = service.shutdown(drain_timeout=1.0)
-                if not report.clean:
-                    fail(f"shutdown leaked {report.leaked} queries")
-            for worker in workers:
-                worker.join(JOIN_TIMEOUT)
-                if worker.is_alive():
-                    fail(f"hang: {worker.name} still running")
-                    return
+        for worker in workers:
+            worker.start()
+        if case.shutdown_after is not None:
+            time.sleep(case.shutdown_after)
+            report = service.shutdown(drain_timeout=1.0)
+            if not report.clean:
+                fail(f"shutdown leaked {report.leaked} queries")
+        for worker in workers:
+            worker.join(JOIN_TIMEOUT)
+            if worker.is_alive():
+                fail(f"hang: {worker.name} still running")
+                return
 
     if case.fault is not None:
         with fault_injection(case.fault):

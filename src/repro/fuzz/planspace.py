@@ -4,15 +4,12 @@ The paper's claim is that every rewrite rule is semantics-preserving, so
 the strongest executable check is: run the same query under *every*
 planner configuration — each optimizer rule individually disabled, all
 rules off, no optimizer at all, both GApply partitioning strategies, no
-hash joins, no index access paths, and every execution backend — and
+hash joins, no index access paths, and both execution engines — and
 demand identical normalized result multisets.
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
 fuzzer; ``QUICK_PROFILE`` keeps tier-1 test time bounded while still
-covering the rule families with distinct failure modes. Process-backend
-configs carry ``sample_every`` because pool spawn cost dwarfs the tiny
-fuzz databases — sampling every Nth case still exercises pickling and
-cross-process merge on dozens of cases per run.
+covering the rule families with distinct failure modes.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ class PlanConfig:
     name: str
     options: PlannerOptions = field(default_factory=_options)
     optimize: bool = True
-    sample_every: int = 1  # run on every Nth case only
 
 
 def _rule_names() -> list[str]:
@@ -55,15 +51,6 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
         PlanConfig("sort-partitioning", _options(gapply_partitioning="sort")),
         PlanConfig("nested-loop-joins", _options(prefer_hash_join=False)),
         PlanConfig("no-indexes", _options(use_indexes=False)),
-        PlanConfig(
-            "thread-backend",
-            _options(gapply_backend="thread", gapply_parallelism=2),
-        ),
-        PlanConfig(
-            "process-backend",
-            _options(gapply_backend="process", gapply_parallelism=2),
-            sample_every=25,
-        ),
         PlanConfig("vector-engine", _options(engine=VECTOR_ENGINE)),
     ]
     if full:

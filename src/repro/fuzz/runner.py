@@ -75,7 +75,6 @@ class FuzzReport:
 def run_case(
     case: FuzzCase,
     configs: list[PlanConfig],
-    index: int = 0,
     report: FuzzReport | None = None,
 ) -> FuzzFailure | None:
     """Run every check on one case; first divergence wins."""
@@ -109,8 +108,6 @@ def run_case(
             return FuzzFailure("oracle", None, mismatch.describe(), case)
 
     for config in configs:
-        if config.sample_every > 1 and index % config.sample_every != 0:
-            continue
         try:
             rows = db.sql(
                 sql, optimize=config.optimize, planner_options=config.options
@@ -179,7 +176,7 @@ def run_fuzz(
     for index in range(n):
         case = generate_case(seed + index)
         report.cases += 1
-        failure = run_case(case, configs, index, report)
+        failure = run_case(case, configs, report)
         if failure is None:
             if progress is not None and (index + 1) % 50 == 0:
                 progress(f"{index + 1}/{n} cases, no divergence")
@@ -188,11 +185,11 @@ def run_fuzz(
             wanted = _signature(failure)
 
             def still_fails(candidate: FuzzCase) -> bool:
-                result = run_case(candidate, configs, index)
+                result = run_case(candidate, configs)
                 return result is not None and _signature(result) == wanted
 
             small = shrink_case(case, still_fails)
-            final = run_case(small, configs, index) or failure
+            final = run_case(small, configs) or failure
         else:
             final = failure
         report.failures.append(final)

@@ -22,8 +22,7 @@ Two layers of seeded random cases, both with a materialized reference:
   hostile table data, published end-to-end through
   :meth:`Database.publish <repro.api.Database.publish>`: streamed bytes
   must equal materializing the same SQL formulation and tagging it, for
-  both formulations × both engines × serial/thread (and sampled process)
-  GApply backends.
+  both formulations × both engines.
 
 Failures shrink greedily (drop groups, drop rows, simplify strings) while
 preserving the failing stage, and persist as typed-value JSON reproducers
@@ -432,25 +431,14 @@ def build_view_database(rng: random.Random) -> Database:
     return db
 
 
-def check_view_case(
-    seed: int, include_process: bool = False
-) -> XmlPubFailure | None:
-    """Streamed == materialized, end to end through ``Database.publish``.
-
-    Covers both formulations × both engines × the serial and thread
-    GApply backends (process too when ``include_process`` — it forks a
-    worker pool per query, so the sweep samples it sparsely).
-    """
+def check_view_case(seed: int) -> XmlPubFailure | None:
+    """Streamed == materialized, end to end through ``Database.publish``,
+    for both formulations × both engines."""
     rng = random.Random(seed ^ 0xD0C)
     db = build_view_database(rng)
     name, query = VIEW_XQUERIES[seed % len(VIEW_XQUERIES)]
     view = tpch_supplier_view()
     translated = translate_xquery(query, view, db.catalog)
-    backends: list[tuple[str | None, int | None]] = [
-        (None, None), ("thread", 2)
-    ]
-    if include_process:
-        backends.append(("process", 2))
     for formulation in FORMULATIONS:
         sql = translated.sql_for(formulation)
         for engine in ("volcano", "vector"):
@@ -459,34 +447,28 @@ def check_view_case(
                 .tag_to_string(db.sql(sql, engine=engine).rows)
                 .encode()
             )
-            for backend, parallelism in backends:
-                config = (
-                    f"{name}/{formulation}/{engine}/"
-                    f"{backend or 'serial'}"
+            config = f"{name}/{formulation}/{engine}"
+            try:
+                streamed = db.publish(
+                    view,
+                    query,
+                    formulation,
+                    engine=engine,
+                    chunk_bytes=rng.choice(CHUNK_SIZES),
+                ).read_all()
+            except ReproError as error:
+                return XmlPubFailure(
+                    seed,
+                    "view",
+                    f"{config}: {type(error).__name__}: {error}",
                 )
-                try:
-                    streamed = db.publish(
-                        view,
-                        query,
-                        formulation,
-                        engine=engine,
-                        backend=backend,
-                        parallelism=parallelism,
-                        chunk_bytes=rng.choice(CHUNK_SIZES),
-                    ).read_all()
-                except ReproError as error:
-                    return XmlPubFailure(
-                        seed,
-                        "view",
-                        f"{config}: {type(error).__name__}: {error}",
-                    )
-                if streamed != reference:
-                    return XmlPubFailure(
-                        seed,
-                        "view",
-                        f"{config}: streamed {len(streamed)}B != "
-                        f"materialized {len(reference)}B",
-                    )
+            if streamed != reference:
+                return XmlPubFailure(
+                    seed,
+                    "view",
+                    f"{config}: streamed {len(streamed)}B != "
+                    f"materialized {len(reference)}B",
+                )
     return None
 
 
@@ -695,7 +677,6 @@ def run_xmlpub_fuzz(
     shrink: bool = True,
     corpus_dir: Path | str | None = None,
     view_case_every: int = 5,
-    process_case_every: int = 25,
     progress: Callable[[str], None] | None = None,
 ) -> XmlPubReport:
     """Drive ``n`` tagger-level cases with end-to-end view cases mixed in."""
@@ -708,10 +689,7 @@ def run_xmlpub_fuzz(
             failure = check_case(case)
             if failure is None and offset % view_case_every == 0:
                 report.view_cases += 1
-                failure = check_view_case(
-                    case_seed,
-                    include_process=offset % process_case_every == 0,
-                )
+                failure = check_view_case(case_seed)
         except ReproError as error:
             failure = XmlPubFailure(
                 case_seed, "error", f"{type(error).__name__}: {error}"

@@ -5,19 +5,14 @@ A :class:`MetricsRegistry` maps every node of one physical plan to an
 for the root, ``"0"`` / ``"1"`` for its children, ``"1.0"`` for the first
 child of the second child, and so on. Paths are derived purely from the
 plan structure, so two walks over equal-shaped plans produce the same
-keys. That is the property the parallel GApply backends rely on: a
-process-pool worker re-registers its unpickled copy of the per-group plan,
-counts work into a fresh registry, and ships a snapshot home; the parent
-merges it under the per-group subtree's path prefix and ends up with
-metrics identical to a serial run (sums over plain ints, no ordering
-sensitivity).
+keys — which is what lets the equivalence tests compare snapshots of the
+same query run under the Volcano and vector engines.
 
 Timing uses an injectable monotonic clock (``perf_counter_ns`` by
 default); tests inject a fake clock to make ``elapsed_ns`` deterministic.
-Because wall-clock is noisy and worker clocks are not comparable across
-processes, :meth:`MetricsRegistry.snapshot` *excludes* elapsed time by
-default — equivalence tests compare the deterministic counters only, and
-the EXPLAIN ANALYZE renderer asks for time explicitly.
+Because wall-clock is noisy, :meth:`MetricsRegistry.snapshot` *excludes*
+elapsed time by default — equivalence tests compare the deterministic
+counters only, and the EXPLAIN ANALYZE renderer asks for time explicitly.
 
 Nothing in this module is imported on the executor's default path: the
 base :class:`~repro.execution.base.PhysicalOperator` only calls in here
@@ -26,26 +21,25 @@ when a registry is attached to the execution context.
 **Concurrency.** Registries and tracers are *per-query* objects — the
 :class:`~repro.api.Database` facade builds a fresh one per execution, so
 two threads sharing a Database never share a registry's hot path. The
-structural mutations that *can* race (ad-hoc self-registration via
-:meth:`MetricsRegistry.record_for`, worker-snapshot merging) are guarded
-by a lock; the per-``next()`` counter updates stay lock-free because only
-the single thread driving a plan touches them (parallel workers count
-into their own fresh registries and ship snapshots home). For state that
-genuinely is shared across queries — service health counters, test
-probes — use :class:`LockedCounters`.
+structural mutation that *can* race (ad-hoc self-registration via
+:meth:`MetricsRegistry.record_for`) is guarded by a lock; the
+per-``next()`` counter updates stay lock-free because only the single
+thread driving a plan touches them. For state that genuinely is shared
+across queries — service health counters, test probes — use
+:class:`LockedCounters`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.execution.base import PhysicalOperator
     from repro.execution.context import ExecutionContext
 
-#: Deterministic work counters carried by every record (merged by sum).
+#: Deterministic work counters carried by every record.
 COUNTER_FIELDS = (
     "executions",
     "rows_out",
@@ -58,11 +52,6 @@ COUNTER_FIELDS = (
     "spilled_rows",
     "spill_bytes",
 )
-
-#: The synthetic snapshot key a worker uses for counters that belong to the
-#: *enclosing* GApply operator (which lives in the parent's plan, not in the
-#: per-group plan the worker was shipped): empty-group accounting.
-ENCLOSING_GAPPLY = "@gapply"
 
 
 def join_path(prefix: str, relative: str) -> str:
@@ -99,15 +88,6 @@ class OperatorMetrics:
             data["elapsed_ns"] = self.elapsed_ns
         return data
 
-    def add(self, counters: Mapping[str, int]) -> None:
-        """Fold a counter mapping in (sums; unknown keys are rejected)."""
-        for name, value in counters.items():
-            if name == "op":
-                continue
-            if name not in self.__slots__ or name in ("path", "label"):
-                raise KeyError(f"unknown operator metric {name!r}")
-            setattr(self, name, getattr(self, name) + value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(
             f"{name}={getattr(self, name)}"
@@ -137,7 +117,7 @@ class MetricsRegistry:
         self._by_id: dict[int, OperatorMetrics] = {}
         self._by_path: dict[str, OperatorMetrics] = {}
         self._unregistered = 0
-        #: Guards structural mutation (registration, snapshot merging).
+        #: Guards structural mutation (registration).
         #: Counter increments on existing records are intentionally
         #: lock-free: one registry belongs to one query's driving thread.
         self._lock = threading.Lock()
@@ -176,9 +156,6 @@ class MetricsRegistry:
             self.register_plan(op, prefix)
             record = self._by_id[id(op)]
         return record
-
-    def path_of(self, op: "PhysicalOperator") -> str:
-        return self.record_for(op).path
 
     def records(self) -> list[OperatorMetrics]:
         return [self._by_path[path] for path in sorted(self._by_path)]
@@ -232,14 +209,14 @@ class MetricsRegistry:
                 tracer.end(span, rows_out=rows)
 
     # ------------------------------------------------------------------
-    # Snapshots and merging (the cross-worker protocol)
+    # Snapshots
     # ------------------------------------------------------------------
 
     def snapshot(self, include_time: bool = False) -> dict[str, dict]:
         """Plain-dict view, path-sorted: ``{path: {"op": label, ...}}``.
 
         Excludes ``elapsed_ns`` unless asked: the deterministic counters
-        are the equivalence contract across execution backends; time is
+        are the equivalence contract across execution engines; time is
         reporting-only.
         """
         return {
@@ -247,35 +224,6 @@ class MetricsRegistry:
                    **self._by_path[path].counters(include_time)}
             for path in sorted(self._by_path)
         }
-
-    def merge_snapshot(
-        self,
-        snapshot: Mapping[str, Mapping[str, int]],
-        prefix: str = "",
-        enclosing_gapply_path: str | None = None,
-    ) -> None:
-        """Fold a worker snapshot in under ``prefix``.
-
-        ``enclosing_gapply_path`` is where the worker's synthetic
-        :data:`ENCLOSING_GAPPLY` entry lands — the parent-side GApply
-        record that owns the worker's empty-group counts.
-        """
-        for relative, counters in snapshot.items():
-            if relative == ENCLOSING_GAPPLY:
-                if enclosing_gapply_path is None:
-                    raise KeyError(
-                        "snapshot has an enclosing-GApply entry but no "
-                        "target path was given"
-                    )
-                path = enclosing_gapply_path
-                label = self._by_path[path].label if path in self._by_path else "GApply"
-            else:
-                path = join_path(prefix, relative)
-                label = counters.get("op", "?")
-            record = self._by_path.get(path)
-            if record is None:
-                record = self._record_at(path, str(label))
-            record.add({k: v for k, v in counters.items() if k != "op"})
 
     def to_json(self) -> dict:
         """The JSON trace document: every record, with time included."""

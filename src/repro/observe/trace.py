@@ -10,13 +10,11 @@ emitted by the engine:
 * ``operator`` — one span per operator *execution* (a per-group plan's
   operators open one span per group), recorded by the metrics registry's
   instrumented driver;
-* ``group`` — one span per GApply group on the serial execution phase,
+* ``group`` — one span per GApply group in the execution phase,
   attributed with the grouping-key values and the rows emitted.
 
-Tracing shares the registry's injectable clock discipline. Spans recorded
-inside parallel pool workers are not shipped back (worker wall-clocks are
-not comparable across processes); the deterministic counters are — see
-:mod:`repro.observe.metrics`. A ``max_spans`` cap bounds memory on
+Tracing shares the registry's injectable clock discipline
+(:mod:`repro.observe.metrics`). A ``max_spans`` cap bounds memory on
 pathological plans; the ``dropped`` count reports what the cap cost.
 """
 
@@ -71,9 +69,8 @@ class Tracer:
 
     A tracer belongs to one query, but its span list and parent stack are
     mutated under a lock anyway: recording a span is already an
-    allocation, so the lock costs little, and it makes the tracer safe if
-    spans ever arrive from a helper thread (thread-backend GApply workers
-    share the parent's context objects).
+    allocation, so the lock costs little, and it keeps the tracer safe
+    when another thread reads or exports it while the query still runs.
     """
 
     def __init__(

@@ -25,7 +25,7 @@ Key design points:
   current parameter vector (markers become plain ``Literal`` nodes — a
   pure tree rewrite) and lowers the result with the per-call
   :class:`~repro.optimizer.planner.Planner`, so physical knobs (engine,
-  backends, batch sizes, index usage) stay per-execution and are *not*
+  batch sizes, index usage) stay per-execution and are *not*
   part of the key. Because ``BindParameter`` subclasses ``Literal``, the
   template optimization is bit-for-bit the optimization the literal query
   would get — cached and cold runs produce identical plans, rows,

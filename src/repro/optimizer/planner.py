@@ -60,7 +60,6 @@ from repro.execution.basic import (
     PUnionAll,
 )
 from repro.execution.gapply import HASH_PARTITION, PGApply
-from repro.execution.parallel import SERIAL_BACKEND
 from repro.execution.indexscan import PIndexNestedLoopJoin, PIndexSeek
 from repro.execution.joins import PHashJoin, PNestedLoopJoin
 from repro.execution.scans import PGroupScan, PTableScan
@@ -83,13 +82,6 @@ class PlannerOptions:
     (``"hash"`` or ``"sort"``); benchmarks sweep it as an ablation.
     ``prefer_hash_join`` can be disabled to force nested-loop joins, which
     tests use to check plan-independence of results.
-
-    ``gapply_backend`` / ``gapply_parallelism`` select GApply's
-    execution-phase worker pool (``"serial"``, ``"thread"`` or
-    ``"process"``; see :mod:`repro.execution.parallel`). The serial
-    default is the paper's nested-loops phase and the reference the
-    parallel backends must match row-for-row and counter-for-counter.
-    ``gapply_batch_size`` overrides the groups-per-dispatch heuristic.
 
     ``disabled_rules`` names optimizer rules (by their ``Rule.name``) that
     :class:`~repro.api.Database` must leave out of the transformation
@@ -117,9 +109,6 @@ class PlannerOptions:
     gapply_partitioning: str = HASH_PARTITION
     prefer_hash_join: bool = True
     use_indexes: bool = True
-    gapply_backend: str = SERIAL_BACKEND
-    gapply_parallelism: int = 1
-    gapply_batch_size: int | None = None
     #: Force the GApply partition phase to spill to disk once this many
     #: cells are resident (None = spill only under a governor's memory
     #: budget). ``gapply_spill_dir`` overrides where run files live —
@@ -361,9 +350,6 @@ class Planner:
             self.plan(node.per_group),
             node.group_variable,
             self.options.gapply_partitioning,
-            parallelism=self.options.gapply_parallelism,
-            backend=self.options.gapply_backend,
-            batch_size=self.options.gapply_batch_size,
             spill_threshold=self.options.gapply_spill_threshold,
             spill_dir=self.options.gapply_spill_dir,
         )

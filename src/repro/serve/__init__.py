@@ -2,11 +2,10 @@
 shedding, and graceful shutdown in front of a :class:`~repro.api.Database`.
 
 The engine below this module executes one query at a time correctly and —
-since the governor/fault-tolerance work — survives budget violations and
-worker crashes. This module makes the *system* robust when many clients
-hit one database at once, following the admission-control discipline of
-production federated engines (BigDAWG's shedding queues, Myria's service
-layering):
+since the governor work — survives budget violations with typed errors.
+This module makes the *system* robust when many clients hit one database
+at once, following the admission-control discipline of production
+federated engines (BigDAWG's shedding queues, Myria's service layering):
 
 * **Sessions** (:class:`Session`) — a client handle carrying its query
   class, priority, and per-session accounting; all reads and writes flow
@@ -597,9 +596,9 @@ class Service:
         The governor's clock starts *now*: time spent queued for
         admission counts against ``timeout`` (explicit, or the query
         class default). Extra keyword arguments are the options of
-        :meth:`Database.sql <repro.api.Database.sql>` (``parallelism=``,
-        ``backend=``, ``explain=``, ``planner_options=``, ...); an unknown
-        or invalid one raises before a slot is taken.
+        :meth:`Database.sql <repro.api.Database.sql>` (``engine=``,
+        ``explain=``, ``planner_options=``, ...); an unknown or invalid
+        one raises before a slot is taken.
         """
         reader, query_id, options = self._admit(
             "Service.sql", Database.sql, text, "submitted", query_class,
@@ -651,8 +650,8 @@ class Service:
         the stream within one chunk with :class:`~repro.errors.
         QueryCancelled`. Extra keyword arguments are the options of
         :meth:`Database.publish <repro.api.Database.publish>`
-        (``engine=``, ``parallelism=``, ...); an unknown or invalid one
-        raises before a slot is taken.
+        (``engine=``, ``planner_options=``, ...); an unknown or invalid
+        one raises before a slot is taken.
         """
         reader, query_id, options = self._admit(
             "Service.submit_publish", Database.publish, query,

@@ -45,8 +45,8 @@ system temp dir), unlinked on :meth:`close`; the partition generators
 close their spill state in ``finally`` blocks, so abandoning a query
 mid-stream still reclaims the disk. Every live spill path is tracked in
 a process-wide registry (:func:`live_spill_files`) so shutdown and chaos
-tests can assert that no code path — error, cancellation, worker crash —
-leaks a temp file.
+tests can assert that no code path — error or cancellation — leaks a
+temp file.
 """
 
 from __future__ import annotations

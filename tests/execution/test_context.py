@@ -21,14 +21,6 @@ class TestCounters:
         counters.buffered_cells = 40
         assert counters.total_work == 10 + 10
 
-    def test_merge_sums_and_maxes(self):
-        a = Counters(rows=5, peak_partition_rows=100)
-        b = Counters(rows=3, peak_partition_rows=50, join_probes=7)
-        a.merge(b)
-        assert a.rows == 8
-        assert a.join_probes == 7
-        assert a.peak_partition_rows == 100  # max, not sum
-
 
 class TestExecutionContext:
     def test_scalar_binding(self):

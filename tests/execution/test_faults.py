@@ -1,35 +1,24 @@
-"""Fault injection and worker-crash recovery.
+"""Fault injection.
 
-The contract: a killed process worker is retried with backoff; exhausted
-retries degrade ``process -> thread -> serial`` with a structured warning
-and still-correct results; pools are context managers that reap their
-children on every exit path; and all of it is deterministic under a
-seeded :class:`FaultPlan`."""
+The contract: an armed spill-write fault surfaces as a typed
+:class:`SpillError` (never a wrong answer), a fault that never fires
+changes nothing, and all of it is deterministic under a seeded
+:class:`FaultPlan`."""
 
 from __future__ import annotations
 
-import multiprocessing
 import random
-import time
 
 import pytest
 
 from repro.api import Database
-from repro.errors import SpillError, WorkerCrashed
-from repro.execution import parallel
+from repro.errors import SpillError
 from repro.execution.faults import (
     INJECTION_POINTS,
     FaultPlan,
     active_plan,
     fault_injection,
     install_plan,
-)
-from repro.execution.parallel import (
-    MAX_CRASH_RETRIES,
-    PROCESS_BACKEND,
-    ProcessWorkerPool,
-    ThreadWorkerPool,
-    WorkerPool,
 )
 from repro.storage.types import DataType
 
@@ -49,108 +38,30 @@ def db() -> Database:
     return db
 
 
-@pytest.fixture
-def fast_backoff(monkeypatch):
-    """Record crash backoffs instead of actually sleeping."""
-    sleeps: list[float] = []
-    monkeypatch.setattr(parallel, "_sleep", sleeps.append)
-    return sleeps
-
-
-def assert_no_orphans(deadline: float = 5.0) -> None:
-    """Every worker process is reaped shortly after the query ends."""
-    end = time.monotonic() + deadline
-    while multiprocessing.active_children():
-        if time.monotonic() > end:  # pragma: no cover - failure path
-            raise AssertionError(
-                f"orphaned workers: {multiprocessing.active_children()}"
-            )
-        time.sleep(0.05)
-
-
 class TestFaultPlan:
     def test_from_seed_is_deterministic(self):
         assert FaultPlan.from_seed(42) == FaultPlan.from_seed(42)
 
-    def test_from_seed_covers_every_injection_point(self):
-        planned = set()
-        for seed in range(60):
-            plan = FaultPlan.from_seed(seed)
-            if plan.kill_batch is not None:
-                planned.add("worker-kill")
-            elif plan.delay_batch is not None:
-                planned.add("batch-delay")
-            elif plan.fail_spill_at is not None:
-                planned.add("spill-write")
-        assert planned == set(INJECTION_POINTS)
+    def test_from_seed_arms_the_one_injection_point(self):
+        assert INJECTION_POINTS == ("spill-write",)
+        assert all(
+            FaultPlan.from_seed(seed).fail_spill_at is not None
+            for seed in range(60)
+        )
 
     def test_to_dict_round_trips(self):
         plan = FaultPlan.from_seed(7)
         assert FaultPlan(**plan.to_dict()) == plan
 
     def test_context_manager_restores_previous(self):
-        outer = FaultPlan(seed=1, delay_batch=0)
-        inner = FaultPlan(seed=2, delay_batch=1)
+        outer = FaultPlan(seed=1, fail_spill_at=0)
+        inner = FaultPlan(seed=2, fail_spill_at=1)
         install_plan(None)
         with fault_injection(outer):
             with fault_injection(inner):
                 assert active_plan() is inner
             assert active_plan() is outer
         assert active_plan() is None
-
-    def test_plans_are_picklable(self):
-        import pickle
-
-        plan = FaultPlan.from_seed(3)
-        assert pickle.loads(pickle.dumps(plan)) == plan
-
-
-class TestCrashRecovery:
-    def test_single_kill_is_retried_and_recovers(self, db, fast_backoff):
-        plain = db.sql(GAPPLY_SQL, optimize=False)
-        with fault_injection(FaultPlan(seed=1, kill_batch=1,
-                                       kill_attempts=1)):
-            result = db.sql(GAPPLY_SQL, optimize=False,
-                            backend=PROCESS_BACKEND, parallelism=2)
-        assert result.rows == plain.rows
-        assert result.counters.snapshot() == plain.counters.snapshot()
-        # The crash really happened: exactly one backoff, exponential base.
-        assert fast_backoff == [parallel.CRASH_BACKOFF_SECONDS]
-        assert_no_orphans()
-
-    def test_exhausted_retries_degrade_down_the_ladder(self, db, fast_backoff):
-        plain = db.sql(GAPPLY_SQL, optimize=False)
-        with fault_injection(FaultPlan(seed=2, kill_batch=0,
-                                       kill_attempts=99)):
-            with pytest.warns(RuntimeWarning, match="degrading to 'thread'"):
-                result = db.sql(GAPPLY_SQL, optimize=False,
-                                backend=PROCESS_BACKEND, parallelism=2)
-        assert result.rows == plain.rows
-        assert result.counters.snapshot() == plain.counters.snapshot()
-        # One backoff per rebuild, doubling each time.
-        assert fast_backoff == [
-            parallel.CRASH_BACKOFF_SECONDS * (2 ** i)
-            for i in range(MAX_CRASH_RETRIES)
-        ]
-        assert_no_orphans()
-
-    def test_mid_stream_crash_never_recounts_the_prefix(self, db,
-                                                        fast_backoff):
-        # Kill a *late* batch so earlier batches were already merged when
-        # the ladder takes over; counters must still match serial exactly
-        # (the completed prefix is not re-dispatched).
-        plain = db.sql(GAPPLY_SQL, optimize=False)
-        with fault_injection(FaultPlan(seed=3, kill_batch=3,
-                                       kill_attempts=99)):
-            with pytest.warns(RuntimeWarning, match="remaining"):
-                result = db.sql(GAPPLY_SQL, optimize=False,
-                                backend=PROCESS_BACKEND, parallelism=2)
-        assert result.rows == plain.rows
-        assert result.counters.snapshot() == plain.counters.snapshot()
-
-    def test_worker_crashed_carries_consumed_batches(self):
-        error = WorkerCrashed("died", consumed_batches=7)
-        assert error.consumed_batches == 7
 
 
 class TestSpillFaults:
@@ -166,53 +77,6 @@ class TestSpillFaults:
         assert result.rows == plain.rows
 
 
-class TestPoolLifecycle:
-    """WorkerPool context managers reap children on every exit path."""
-
-    def test_close_is_idempotent(self):
-        for pool in (WorkerPool(), ThreadWorkerPool(2), ProcessWorkerPool(2)):
-            with pool:
-                pass
-            pool.close()
-            pool.close()
-
-    @staticmethod
-    def _batches():
-        from repro.algebra.expressions import count_star
-        from repro.execution.aggregates import PHashAggregate
-        from repro.execution.scans import PGroupScan
-        from repro.storage.schema import Column, Schema
-
-        schema = Schema(
-            (Column("g", DataType.INTEGER, "t"),
-             Column("v", DataType.FLOAT, "t"))
-        )
-        pgq = PHashAggregate(
-            PGroupScan("grp", schema), (), (count_star("n"),)
-        )
-        groups = [
-            ((k,), [(k, float(i)) for i in range(30)]) for k in range(6)
-        ]
-        return pgq, [groups[:3], groups[3:]]
-
-    def test_exception_inside_with_block_reaps_processes(self):
-        pgq, batches = self._batches()
-        with pytest.raises(KeyboardInterrupt):
-            with ProcessWorkerPool(2) as pool:
-                results = pool.run(pgq, "grp", {}, {}, batches)
-                next(results)  # pool is live, children exist
-                raise KeyboardInterrupt
-        assert_no_orphans()
-
-    def test_abandoned_result_stream_reaps_processes(self):
-        pgq, batches = self._batches()
-        pool = ProcessWorkerPool(2)
-        results = pool.run(pgq, "grp", {}, {}, batches)
-        next(results)
-        results.close()  # generator-close protocol -> finally -> close()
-        assert_no_orphans()
-
-
 class TestChaosDeterminism:
     def test_same_seed_same_outcome(self, db):
         # The harness promise chaos mode relies on: a seed fully
@@ -220,7 +84,7 @@ class TestChaosDeterminism:
         seed = random.Random(0).randrange(1 << 30)
         outcomes = []
         for _ in range(2):
-            with fault_injection(FaultPlan.from_seed(seed, batches=4)):
+            with fault_injection(FaultPlan.from_seed(seed)):
                 try:
                     rows = db.sql(GAPPLY_SQL, optimize=False,
                                   memory_budget=128).rows

@@ -5,6 +5,8 @@ The key test checks PGApply against the paper's *formal definition*:
     U_{c in distinct(pi_C(R))} ({c} x PGQ(sigma_{C=c} R))
 """
 
+import random
+
 import pytest
 
 from repro.algebra.expressions import avg, col, count_star, gt, lit
@@ -32,6 +34,22 @@ ROWS = [
     (2, "x", 5.0),  # duplicate row: multiset semantics
     (None, "z", 1.0),
 ]
+
+
+def random_rows(seed: int, count: int = 120) -> list[tuple]:
+    """Random rows with NULL keys, exact duplicates and skewed group sizes."""
+    rng = random.Random(seed)
+    rows = [
+        (
+            rng.choice([None, 1, 1, 2, 3, 3, 3, 4, 5, 6, 7, 8]),
+            rng.choice(["x", "y", "z"]),
+            round(rng.uniform(0.0, 100.0), 2),
+        )
+        for _ in range(count)
+    ]
+    rows.extend(rows[:5])
+    rng.shuffle(rows)
+    return rows
 
 
 def source(rows=None):
@@ -64,9 +82,23 @@ def formal_definition(rows, key_positions, pgq_fn):
 
 class TestSemantics:
     @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
-    def test_count_per_group_matches_formal_definition(self, partitioning):
-        plan = PGApply(source(), ["g"], count_pgq(), "grp", partitioning)
-        expected = formal_definition(ROWS, [0], lambda grp: [(len(grp),)])
+    @pytest.mark.parametrize(
+        "rows, keys",
+        [
+            (ROWS, ["g"]),
+            (random_rows(1), ["g"]),
+            (random_rows(2), ["g", "h"]),
+            (random_rows(3), ["g", "h"]),
+        ],
+        ids=["handcrafted", "random-1", "random-2-multikey", "random-3-multikey"],
+    )
+    def test_count_per_group_matches_formal_definition(
+        self, partitioning, rows, keys
+    ):
+        plan = PGApply(source(rows), keys, count_pgq(), "grp", partitioning)
+        expected = formal_definition(
+            rows, list(range(len(keys))), lambda grp: [(len(grp),)]
+        )
         assert sorted(run_plan(plan), key=repr) == sorted(expected, key=repr)
 
     def test_null_keys_form_one_group(self):
@@ -119,6 +151,23 @@ class TestMechanics:
         assert ctx.counters.group_executions == 3
         assert ctx.counters.peak_partition_rows == 5
         assert ctx.counters.buffered_cells == 5 * 3
+
+    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
+    def test_empty_groups_are_counted(self, partitioning):
+        """A group whose per-group plan emits nothing still forms (and is
+        executed); the metrics record says how many came up empty."""
+        from repro.observe.metrics import MetricsRegistry
+
+        pgq = PFilter(PGroupScan("grp", SCHEMA), gt(col("v"), lit(7.0)))
+        plan = PGApply(source(), ["g"], pgq, "grp", partitioning)
+        registry = MetricsRegistry()
+        registry.register_plan(plan)
+        ctx = ExecutionContext(metrics=registry)
+        assert {row[0] for row in run_plan(plan, ctx)} == {1}
+        record = registry.record_for(plan)
+        assert record.groups_formed == 3
+        assert record.empty_groups_skipped == 2  # groups 2 and NULL
+        assert ctx.counters.group_executions == 3
 
     def test_group_rows_are_copies(self):
         """Partition buffering materializes rows (width-proportional copy)."""

@@ -1,6 +1,6 @@
-"""Resource governor tests: budgets, cancellation, and the cross-backend
+"""Resource governor tests: budgets, cancellation, and the cross-engine
 contract — the same violation raises the same typed error whether the
-GApply execution phase runs serial, threaded, or in processes."""
+plan runs on the Volcano or the vector engine."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.governor import CHECK_STRIDE, Budget, Governor
-from repro.execution.parallel import BACKENDS
+from repro.optimizer.planner import ENGINES
 from repro.storage.types import DataType
 
 GAPPLY_SQL = (
@@ -109,60 +109,25 @@ class TestGovernorUnit:
             assert issubclass(exc, BudgetExceeded)
 
 
-class TestWorkerLimitsProtocol:
-    """The picklable budget snapshot shipped to process workers."""
+@pytest.mark.parametrize("engine", ENGINES)
+class TestBudgetsAcrossEngines:
+    """Identical typed errors on the Volcano and vector engines."""
 
-    def test_none_when_nothing_to_enforce(self):
-        assert Governor(Budget(memory_cells=10)).worker_limits() is None
-        assert Governor.from_worker_limits(None) is None
-
-    def test_timeout_is_rebased_to_remaining(self):
-        clock = FakeClock()
-        governor = Governor(Budget(timeout=10.0), clock=clock)
-        clock.now = 4.0
-        limits = governor.worker_limits()
-        assert limits["timeout"] == pytest.approx(6.0)
-        replica = Governor.from_worker_limits(limits)
-        replica.check()  # fresh replica: clock starts now
-
-    def test_expired_parent_ships_positive_epsilon(self):
-        clock = FakeClock()
-        governor = Governor(Budget(timeout=1.0), clock=clock)
-        clock.now = 5.0
-        limits = governor.worker_limits()
-        assert limits["timeout"] > 0  # Budget forbids <= 0
-        replica = Governor.from_worker_limits(limits)
-        with pytest.raises(TimeoutExceeded):
-            replica.tick(CHECK_STRIDE)
-
-    def test_cancellation_ships(self):
-        governor = Governor()
-        governor.cancel()
-        replica = Governor.from_worker_limits(governor.worker_limits())
-        with pytest.raises(QueryCancelled):
-            replica.check()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestBudgetsAcrossBackends:
-    """Identical typed errors on serial, thread, and process backends."""
-
-    def test_max_rows_raises_row_budget(self, db, backend):
+    def test_max_rows_raises_row_budget(self, db, engine):
         with pytest.raises(RowBudgetExceeded) as info:
-            db.sql(GAPPLY_SQL, backend=backend, parallelism=2, max_rows=3)
+            db.sql(GAPPLY_SQL, engine=engine, max_rows=3)
         assert info.value.sql == GAPPLY_SQL
 
-    def test_expired_timeout_raises_typed_error(self, db, backend):
+    def test_expired_timeout_raises_typed_error(self, db, engine):
         with pytest.raises(TimeoutExceeded) as info:
-            db.sql(GAPPLY_SQL, backend=backend, parallelism=2, timeout=1e-9)
+            db.sql(GAPPLY_SQL, engine=engine, timeout=1e-9)
         assert info.value.sql == GAPPLY_SQL
 
-    def test_generous_budgets_change_nothing(self, db, backend):
-        plain = db.sql(GAPPLY_SQL, backend=backend, parallelism=2)
+    def test_generous_budgets_change_nothing(self, db, engine):
+        plain = db.sql(GAPPLY_SQL, engine=engine)
         budgeted = db.sql(
             GAPPLY_SQL,
-            backend=backend,
-            parallelism=2,
+            engine=engine,
             timeout=3600.0,
             memory_budget=1 << 30,
             max_rows=1 << 30,

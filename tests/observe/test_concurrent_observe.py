@@ -69,8 +69,6 @@ class TestSharedDatabaseMetrics:
                 sql,
                 optimize=False,
                 collect_metrics=True,
-                backend="thread",
-                parallelism=2,
             )
             if sorted(result.rows) != expected:
                 errors.append(f"thread {tid}: wrong rows")

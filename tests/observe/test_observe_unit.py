@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.observe import MetricsRegistry, OperatorMetrics, Tracer, join_path
-from repro.observe.metrics import ENCLOSING_GAPPLY
 from repro.sql.ast import AstExplain, AstQuery
 from repro.sql.parser import parse_statement
 from repro.sql.printer import print_statement
@@ -33,9 +32,9 @@ def test_registry_register_plan_and_totals(parts_db):
     plan = parts_db.sql("select p_name from part where p_size > 1").physical_plan
     registry = MetricsRegistry()
     registry.register_plan(plan)
-    assert registry.path_of(plan) == ""
+    assert registry.record_for(plan).path == ""
     child = plan.children()[0]
-    assert registry.path_of(child) == "0"
+    assert registry.record_for(child).path == "0"
     registry.record_for(plan).rows_out += 3
     registry.record_for(child).rows_out += 5
     assert registry.total("rows_out") == 8
@@ -72,43 +71,20 @@ def test_registry_injectable_clock_times_each_next():
     assert record.elapsed_ns == 30
 
 
-def test_merge_snapshot_prefixes_and_routes_gapply_counts():
-    registry = MetricsRegistry()
-    worker_snapshot = {
-        "": {"op": "Project", "rows_out": 4},
-        "0": {"op": "GroupScan", "rows_out": 9},
-        ENCLOSING_GAPPLY: {"empty_groups_skipped": 2},
-    }
-    registry.merge_snapshot(
-        worker_snapshot, prefix="0.1", enclosing_gapply_path="0"
-    )
-    merged = registry.snapshot()
-    assert merged["0.1"]["rows_out"] == 4
-    assert merged["0.1.0"]["rows_out"] == 9
-    assert ENCLOSING_GAPPLY not in merged
-    assert merged["0"]["empty_groups_skipped"] == 2
-
-
-def test_merge_snapshot_rejects_unrouted_gapply_entry():
-    registry = MetricsRegistry()
-    with pytest.raises(KeyError):
-        registry.merge_snapshot({ENCLOSING_GAPPLY: {"empty_groups_skipped": 1}})
-
-
 def test_snapshot_excludes_time_by_default():
+    from repro.execution.base import PMaterialized
+    from repro.storage.schema import Schema
+    from repro.storage.types import DataType
+
     registry = MetricsRegistry()
-    registry.merge_snapshot({"": {"op": "X", "rows_out": 1}})
+    registry.register_plan(
+        PMaterialized(Schema.of(("a", DataType.INTEGER)), [])
+    )
     record = registry.records()[0]
     record.elapsed_ns = 123
     assert "elapsed_ns" not in registry.snapshot()[""]
     assert registry.snapshot(include_time=True)[""]["elapsed_ns"] == 123
-    assert registry.to_json()["operators"][0]["op"] == "X"
-
-
-def test_operator_metrics_rejects_unknown_counter():
-    record = OperatorMetrics("", "X")
-    with pytest.raises(KeyError):
-        record.add({"no_such_counter": 1})
+    assert registry.to_json()["operators"][0]["op"] == "Materialized(0 rows)"
 
 
 # ----------------------------------------------------------------------

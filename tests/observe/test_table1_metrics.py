@@ -7,11 +7,6 @@ the chosen plan strictly reduces the rows entering GApply's partition
 phase (or the cells buffered by it, for the width-oriented rules) versus
 the same query planned with the rule disabled — and returns identical
 rows.
-
-Also here: the cross-backend metrics contract. Thread and process pools
-count per-operator work in the workers and ship snapshots home; the
-merged registry must equal the serial run's exactly (this was silently
-dropped before worker-side metrics merging existed).
 """
 
 from __future__ import annotations
@@ -91,94 +86,3 @@ def test_selection_rule_reduces_groups_payload_not_group_count(tpch_db):
         == without_rule.metrics.total("groups_formed")
     )
     assert partition_rows(with_rule) < partition_rows(without_rule)
-
-
-# ----------------------------------------------------------------------
-# Cross-backend metric equivalence (the PR's parallel-metrics fix)
-# ----------------------------------------------------------------------
-
-GAPPLY_SQL = """
-    select gapply(
-        select p_name, p_retailprice from g
-        where p_retailprice > (select avg(p_retailprice) from g)
-    ) as (name, price)
-    from partsupp, part
-    where ps_partkey = p_partkey
-    group by ps_suppkey : g
-"""
-
-#: Per-group query that leaves some groups empty, exercising the
-#: worker-side empty-group counts routed to the parent GApply record.
-EMPTY_GROUPS_SQL = """
-    select gapply(select p_name from g where p_retailprice > 115) as (name)
-    from partsupp, part
-    where ps_partkey = p_partkey
-    group by ps_suppkey : g
-"""
-
-
-def counters_only(registry) -> dict:
-    """Snapshot without operator labels: the GApply label embeds the
-    backend knobs, which are exactly what varies across these runs."""
-    return {
-        path: {k: v for k, v in record.items() if k != "op"}
-        for path, record in registry.snapshot().items()
-    }
-
-
-def run_backend(db, sql, backend, disabled=("gapply_to_groupby",)):
-    return db.sql(
-        sql,
-        collect_metrics=True,
-        planner_options=PlannerOptions(
-            gapply_backend=backend,
-            gapply_parallelism=2,
-            gapply_batch_size=1,
-            # Keep the GApply in the plan: these tests are about the
-            # execution phase, not about optimizing the operator away.
-            disabled_rules=tuple(disabled),
-        ),
-    )
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_backend_metrics_identical_to_serial(tpch_db, backend):
-    serial = run_backend(tpch_db, GAPPLY_SQL, "serial")
-    parallel = run_backend(tpch_db, GAPPLY_SQL, backend)
-    assert parallel.rows == serial.rows
-    assert counters_only(parallel.metrics) == counters_only(serial.metrics)
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_empty_group_metrics_identical_to_serial(parts_db, backend):
-    # Keep the filter *inside* the per-group plan (disable pushdown), so
-    # groups actually form and then come up empty in the workers.
-    disabled = ("gapply_to_groupby", "selection_before_gapply")
-    serial = run_backend(parts_db, EMPTY_GROUPS_SQL, "serial", disabled)
-    parallel = run_backend(parts_db, EMPTY_GROUPS_SQL, backend, disabled)
-    assert parallel.rows == serial.rows
-    assert serial.metrics.total("empty_groups_skipped") > 0
-    assert counters_only(parallel.metrics) == counters_only(serial.metrics)
-
-
-def test_worker_side_operator_metrics_are_not_dropped(tpch_db):
-    """The per-group subtree executes only inside workers on a parallel
-    run; its operators must still report the same work as a serial run
-    (before the cross-worker merge they reported zero)."""
-    serial = run_backend(tpch_db, GAPPLY_SQL, "serial")
-    threaded = run_backend(tpch_db, GAPPLY_SQL, "thread")
-    gapply_path = serial.metrics.by_label("GApply")[0].path
-    per_group_prefix = gapply_path + ".1" if gapply_path else "1"
-    serial_subtree = {
-        path: rec
-        for path, rec in counters_only(serial.metrics).items()
-        if path.startswith(per_group_prefix)
-    }
-    assert serial_subtree, "expected per-group operators under the GApply"
-    assert any(rec["rows_out"] for rec in serial_subtree.values())
-    threaded_subtree = {
-        path: rec
-        for path, rec in counters_only(threaded.metrics).items()
-        if path.startswith(per_group_prefix)
-    }
-    assert threaded_subtree == serial_subtree

@@ -20,7 +20,6 @@ from repro.errors import (
     ServiceStopped,
     TimeoutExceeded,
 )
-from repro.execution.faults import FaultPlan, fault_injection
 from repro.execution.governor import Budget, Governor
 from repro.serve import (
     AdmissionController,
@@ -221,7 +220,11 @@ class TestServiceQueries:
             ({"enigne": "vector"}, TypeError, "Service.sql() got an unexpected",
              TypeError),
             ({"engine": "warp"}, PlanError, "unknown execution engine", PlanError),
-            ({"backend": "gpu"}, PlanError, "unknown GApply backend", PlanError),
+            # The removed worker-pool knobs are unknown keywords like any other.
+            ({"backend": "thread"}, TypeError, "Service.sql() got an unexpected",
+             TypeError),
+            ({"parallelism": 2}, TypeError, "Service.sql() got an unexpected",
+             TypeError),
             # Options of Database.sql that Database.publish does not take are
             # typos to submit_publish, however valid their values.
             ({"explain": "verbose"}, PlanError, "explain must be", TypeError),
@@ -400,44 +403,33 @@ class TestShutdown:
         assert results == [[(30,)]]
 
     def test_cancels_stragglers_through_the_governor(self):
-        # A delayed thread-backend GApply keeps one query in flight well
-        # past the drain window; shutdown must cancel it (typed error on
-        # the client thread) and still report a clean exit.
+        # A five-way cross product (24M rows, tens of seconds) keeps one
+        # query in flight well past the drain window; shutdown must
+        # cancel it (typed error on the client thread) and still report
+        # a clean exit.
         service = Service(small_db())
-        running = threading.Event()
         outcome: list[object] = []
-        sql = (
-            "select gapply(select sum(a) from g) as (total) "
-            "from t group by b : g"
-        )
+        sql = "select count(*) from t v, t w, t x, t y, t z"
 
         def client():
             try:
-                with fault_injection(
-                    FaultPlan(seed=0, delay_batch=0, delay_seconds=1.5)
-                ):
-                    running.set()
-                    service.sql(
-                        sql, optimize=False, backend="thread", parallelism=2
-                    )
+                service.sql(sql, optimize=False)
                 outcome.append("completed")
             except QueryCancelled as error:
                 outcome.append(error)
 
         thread = threading.Thread(target=client)
         thread.start()
-        assert running.wait(5.0)
-        time.sleep(0.2)  # let the query get into the delayed batch
+        deadline = time.monotonic() + 5.0
+        while service.stats()["active"] != 1:
+            assert time.monotonic() < deadline, "query never started"
+            time.sleep(0.01)
         report = service.shutdown(drain_timeout=0.1, cancel_grace=30.0)
         thread.join(30.0)
         assert not thread.is_alive()
         assert report.leaked == 0
-        # Either the query slipped under the drain window or it was
-        # cancelled; both are clean exits, and the accounting must match.
-        if report.cancelled:
-            assert isinstance(outcome[0], QueryCancelled)
-        else:
-            assert outcome == ["completed"]
+        assert report.cancelled == 1
+        assert isinstance(outcome[0], QueryCancelled)
         assert service.stats()["active"] == 0
 
     def test_context_manager_shuts_down(self):

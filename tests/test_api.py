@@ -131,7 +131,12 @@ class TestRunOptionsSpelledOnce:
         # ``**options`` entry points accept exactly the fields: anything
         # else is refused by name, naming the public method.
         prepared = parts_db.prepare("select count(*) from part")
-        with pytest.raises(TypeError, match=r"Prepared\.execute\(\) got"):
-            prepared.execute(no_such_option=1)
+        for refused in (
+            {"no_such_option": 1}, {"parallelism": 2}, {"backend": "thread"},
+        ):
+            with pytest.raises(TypeError, match=r"Prepared\.execute\(\) got"):
+                prepared.execute(**refused)
+            with pytest.raises(TypeError, match=r"Database\.sql\(\) got"):
+                parts_db.sql("select count(*) from part", **refused)
         assert not hasattr(repro, "_RunOptions")
         assert "_RunOptions" not in getattr(repro.api, "__all__", ())

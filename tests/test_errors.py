@@ -78,7 +78,7 @@ class TestFailuresSurfaceAsReproErrors:
 
 
 class TestGovernanceErrors:
-    """The robustness additions: budget/cancel/spill/crash error types."""
+    """The robustness additions: budget/cancel/spill error types."""
 
     @pytest.mark.parametrize(
         "exc",
@@ -89,7 +89,6 @@ class TestGovernanceErrors:
             errors.MemoryBudgetExceeded,
             errors.RowBudgetExceeded,
             errors.SpillError,
-            errors.WorkerCrashed,
         ],
     )
     def test_derive_from_execution_error(self, exc):
@@ -106,9 +105,6 @@ class TestGovernanceErrors:
     )
     def test_budget_violations_share_a_catchall(self, exc):
         assert issubclass(exc, errors.BudgetExceeded)
-
-    def test_worker_crashed_carries_progress(self):
-        assert errors.WorkerCrashed("x", consumed_batches=3).consumed_batches == 3
 
 
 class TestErrorContext:
