@@ -1,6 +1,6 @@
 """Physical execution engine (Volcano iterator model)."""
 
-from repro.execution.aggregates import PHashAggregate, PStreamAggregate
+from repro.execution.aggregates import PHashAggregate
 from repro.execution.apply import PApply, PExists
 from repro.execution.base import (
     PhysicalOperator,
@@ -44,7 +44,6 @@ __all__ = [
     "PPrune",
     "PRemap",
     "PSort",
-    "PStreamAggregate",
     "PTableScan",
     "PUnionAll",
     "PhysicalOperator",

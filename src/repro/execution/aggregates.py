@@ -4,13 +4,6 @@
 lists, and degenerates to the scalar aggregate when the key list is empty
 (one output row, even on empty input — ``count(*)`` is then 0 and other
 aggregates NULL, the behaviour the paper's emptyOnEmpty analysis tracks).
-
-:class:`PStreamAggregate` assumes its input is clustered on the grouping
-columns and aggregates each run in constant memory. It exists because the
-paper contrasts *blocked* GApply/hash aggregation with *pipelined* per-group
-aggregation (Section 4.2's aggregate group-selection discussion): the
-aggregate-selection rewrite becomes attractive precisely because a stream
-aggregate over sorted input holds only a sum and a count per group.
 """
 
 from __future__ import annotations
@@ -18,7 +11,6 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.algebra.expressions import AggregateAccumulator, AggregateCall
-from repro.errors import PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
 from repro.storage.schema import Column, Schema
@@ -115,57 +107,3 @@ class PHashAggregate(PhysicalOperator):
         if not keys:
             return f"Aggregate[{aggs}]"
         return f"HashAggregate[{keys}][{aggs}]"
-
-
-class PStreamAggregate(PhysicalOperator):
-    """Aggregate over input clustered on the keys; constant memory per group.
-
-    The caller guarantees clustering (usually by placing a :class:`PSort`
-    underneath, or because the input is a single GApply group).
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        keys: Sequence[str],
-        aggregates: Sequence[AggregateCall],
-    ):
-        if not keys:
-            raise PlanError(
-                "PStreamAggregate requires keys; use PHashAggregate"
-            )
-        self.child = child
-        self.keys = tuple(keys)
-        self.aggregates = tuple(aggregates)
-        self.schema = _output_schema(child.schema, keys, aggregates)
-        self._key_positions = child.schema.indices_of(keys)
-        self._compiled = _CompiledAggregates(child.schema, aggregates)
-
-    def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        counters = ctx.counters
-        compiled = self._compiled
-        current_key: tuple | None = None
-        current_values: Row | None = None
-        accumulators: list[AggregateAccumulator] = []
-        for row in self.child.execute(ctx):
-            key_values = tuple(row[i] for i in self._key_positions)
-            key = grouping_key(key_values)
-            if key != current_key:
-                if current_key is not None:
-                    counters.rows += 1
-                    yield current_values + compiled.results(accumulators)
-                current_key = key
-                current_values = key_values
-                accumulators = compiled.new_accumulators()
-            compiled.feed(accumulators, row, ctx)
-        if current_key is not None:
-            counters.rows += 1
-            yield current_values + compiled.results(accumulators)
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        keys = ", ".join(self.keys)
-        aggs = ", ".join(str(a) for a in self.aggregates)
-        return f"StreamAggregate[{keys}][{aggs}]"

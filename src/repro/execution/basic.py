@@ -11,10 +11,11 @@ from typing import Iterator, Sequence
 import operator
 
 from repro.algebra.expressions import Expression
-from repro.errors import MemoryBudgetExceeded, PlanError
+from repro.errors import PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
 from repro.storage.schema import Column, Schema
+from repro.storage.spill import RunWriter
 from repro.storage.table import Row
 from repro.storage.types import grouping_key
 
@@ -140,7 +141,7 @@ class PDistinct(PhysicalOperator):
     switches to a two-phase external algorithm (sort-by-key dedup, then
     sort-by-arrival) that emits exactly the streaming path's rows in
     exactly its first-appearance order while holding only a bounded
-    buffer resident (DESIGN.md §14.5).
+    buffer resident (DESIGN.md §10.2).
     """
 
     def __init__(self, child: PhysicalOperator):
@@ -152,7 +153,7 @@ class PDistinct(PhysicalOperator):
         governor = ctx.governor
         threshold = None if governor is None else governor.spill_threshold()
         if threshold is not None:
-            yield from self._execute_spill(ctx, governor, threshold)
+            yield from self._execute_spill(ctx, threshold)
             return
         seen: set[tuple] = set()
         width = len(self.schema)
@@ -173,7 +174,7 @@ class PDistinct(PhysicalOperator):
                 governor.release_cells(len(seen) * width)
 
     def _execute_spill(
-        self, ctx: ExecutionContext, governor, threshold: int
+        self, ctx: ExecutionContext, threshold: int
     ) -> Iterator[Row]:
         """External distinct preserving first-appearance order.
 
@@ -186,92 +187,29 @@ class PDistinct(PhysicalOperator):
         the merge while phase 2 accumulates, so each phase flushes at
         half the threshold to stay inside the shared budget.
         """
-        import operator as _operator
-
-        from repro.storage.spill import SpillRun, merge_runs
-
         counters = ctx.counters
-        record = None if ctx.metrics is None else ctx.metrics.record_for(self)
         width = max(1, len(self.schema))
         half = max(width, threshold // 2)
         key_of = lambda item: grouping_key(item[1])  # noqa: E731
-        seq_of = _operator.itemgetter(0)
-        runs1: list = []
-        runs2: list = []
-        buf1: list = []
-        buf2: list = []
-        state = {"res1": 0, "res2": 0, "spilled_rows": 0, "spill_bytes": 0}
-
-        def flush(buf, runs, res, sort_key):
-            buf.sort(key=sort_key)
-            counters.comparisons += len(buf)
-            run = SpillRun(buf)
-            runs.append(run)
-            state["spilled_rows"] += run.records
-            state["spill_bytes"] += run.bytes_written
-            governor.release_cells(state[res])
-            state[res] = 0
-            buf.clear()
-
-        def charge(buf, runs, res, sort_key):
-            if state[res] and state[res] + width > half:
-                flush(buf, runs, res, sort_key)
-            try:
-                governor.charge_cells(width)
-            except MemoryBudgetExceeded:
-                if not state[res]:
-                    raise
-                flush(buf, runs, res, sort_key)
-                governor.charge_cells(width)
-            state[res] += width
-
-        try:
-            for seq, row in enumerate(self.child.execute(ctx)):
+        seq_of = operator.itemgetter(0)
+        with RunWriter(ctx, self, key_of, half) as by_key, RunWriter(
+            ctx, self, seq_of, half
+        ) as by_arrival:
+            for item in enumerate(self.child.execute(ctx)):
                 counters.hash_inserts += 1
-                counters.buffered_cells += width
-                charge(buf1, runs1, "res1", key_of)
-                buf1.append((seq, row))
-            buf1.sort(key=key_of)
-            counters.comparisons += len(buf1)
-            merged = (
-                merge_runs([*runs1, buf1], key=key_of) if runs1 else iter(buf1)
-            )
+                by_key.add(item, width)
             previous: object = object()  # never equals a grouping key
-            for item in merged:
+            for item in by_key.merged():
                 key = key_of(item)
                 if key == previous:
                     continue
                 previous = key
-                counters.buffered_cells += width
-                charge(buf2, runs2, "res2", seq_of)
-                buf2.append(item)
+                by_arrival.add(item, width)
             # Phase 1 is fully consumed: free its tail before emitting.
-            governor.release_cells(state["res1"])
-            state["res1"] = 0
-            for run in runs1:
-                run.close()
-            buf1.clear()
-            buf2.sort(key=seq_of)
-            counters.comparisons += len(buf2)
-            counters.spill_runs += len(runs1) + len(runs2)
-            counters.spilled_rows += state["spilled_rows"]
-            counters.spill_bytes += state["spill_bytes"]
-            if record is not None:
-                record.spill_runs += len(runs1) + len(runs2)
-                record.spilled_rows += state["spilled_rows"]
-                record.spill_bytes += state["spill_bytes"]
-            final = (
-                merge_runs([*runs2, buf2], key=seq_of) if runs2 else buf2
-            )
-            for _seq, row in final:
+            by_key.close()
+            for _seq, row in by_arrival.merged():
                 counters.rows += 1
                 yield row
-        finally:
-            governor.release_cells(state["res1"] + state["res2"])
-            for run in runs1:
-                run.close()
-            for run in runs2:
-                run.close()
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -281,12 +219,11 @@ class PSort(PhysicalOperator):
     """Sort; NULLS FIRST, stable, per-column asc/desc.
 
     Fully in-memory by default; under a governor memory budget it runs
-    an external merge sort over :class:`~repro.storage.spill.SpillRun`
-    files (DESIGN.md §14.5). The spilled output is byte-identical to the
+    the external merge sort, :class:`~repro.storage.spill.RunWriter`
+    (DESIGN.md §10.2). The spilled output is byte-identical to the
     in-memory path: the composite key below is the single-pass
     equivalent of the stable right-to-left multi-pass sort, and the
-    stable ``heapq.merge`` (runs in creation order, resident tail last)
-    reproduces arrival-order ties exactly.
+    writer's stable merge reproduces arrival-order ties exactly.
     """
 
     def __init__(
@@ -312,7 +249,7 @@ class PSort(PhysicalOperator):
         governor = ctx.governor
         threshold = None if governor is None else governor.spill_threshold()
         if threshold is not None:
-            yield from self._execute_spill(ctx, governor, threshold)
+            yield from self._execute_spill(ctx, threshold)
             return
         rows = list(self.child.execute(ctx))
         cells = len(rows) * len(self.schema)
@@ -335,71 +272,16 @@ class PSort(PhysicalOperator):
                 governor.release_cells(cells)
 
     def _execute_spill(
-        self, ctx: ExecutionContext, governor, threshold: int
+        self, ctx: ExecutionContext, threshold: int
     ) -> Iterator[Row]:
-        """External merge sort under a memory budget.
-
-        Mirrors GApply's ``_partition_sort_spill`` discipline: buffer up
-        to the threshold, sort + write a run, release the resident
-        cells; a rejected charge with something resident flushes and
-        retries (the budget is shared with other operators), with
-        nothing resident the budget is genuinely too small for one row
-        and the typed error propagates.
-        """
-        from repro.storage.spill import SpillRun, merge_runs
-
         counters = ctx.counters
-        record = None if ctx.metrics is None else ctx.metrics.record_for(self)
         width = max(1, len(self.schema))
-        sort_key = self._composite_key
-        runs: list = []
-        buffer: list = []
-        state = {"resident": 0, "spilled_rows": 0, "spill_bytes": 0}
-
-        def flush_run():
-            buffer.sort(key=sort_key)
-            counters.comparisons += len(buffer)
-            run = SpillRun(buffer)
-            runs.append(run)
-            state["spilled_rows"] += run.records
-            state["spill_bytes"] += run.bytes_written
-            governor.release_cells(state["resident"])
-            state["resident"] = 0
-            buffer.clear()
-
-        try:
+        with RunWriter(ctx, self, self._composite_key, threshold) as writer:
             for row in self.child.execute(ctx):
-                counters.buffered_cells += width
-                if state["resident"] and state["resident"] + width > threshold:
-                    flush_run()
-                try:
-                    governor.charge_cells(width)
-                except MemoryBudgetExceeded:
-                    if not state["resident"]:
-                        raise
-                    flush_run()
-                    governor.charge_cells(width)
-                buffer.append(row)
-                state["resident"] += width
-            buffer.sort(key=sort_key)
-            counters.comparisons += len(buffer)
-            counters.spill_runs += len(runs)
-            counters.spilled_rows += state["spilled_rows"]
-            counters.spill_bytes += state["spill_bytes"]
-            if record is not None:
-                record.spill_runs += len(runs)
-                record.spilled_rows += state["spilled_rows"]
-                record.spill_bytes += state["spill_bytes"]
-            merged = (
-                merge_runs([*runs, buffer], key=sort_key) if runs else buffer
-            )
-            for row in merged:
+                writer.add(row, width)
+            for row in writer.merged():
                 counters.rows += 1
                 yield row
-        finally:
-            governor.release_cells(state["resident"])
-            for run in runs:
-                run.close()
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)

@@ -38,7 +38,13 @@ Under a cell budget the partition phase **spills to disk**
   O(groups + rows) pointers but the O(rows x width) payload lives on
   disk;
 * *sort* partitioning becomes a textbook external merge sort: sorted runs
-  of at most the threshold, merged stably on re-read.
+  of at most the threshold, merged stably on re-read — the same
+  :class:`~repro.storage.spill.RunWriter` ORDER BY and DISTINCT use.
+
+The phase is :meth:`PGApply.partition`, a function of a row iterator:
+the Volcano operator passes ``outer.execute(ctx)``, the vector engine's
+``GApplyNode`` its batches flattened, so all four implementations (and
+their spill bookkeeping) exist once and serve both engines.
 
 Both paths reproduce the in-memory output byte for byte (group order,
 within-group order, and values — pickle round-trips exactly), and count
@@ -53,11 +59,12 @@ buffer*, exactly the quantity the paper's §4.2 rules compete to shrink.
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import MemoryBudgetExceeded, PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
+from repro.storage.spill import RunWriter, SpillFile
 from repro.storage.table import Row
 from repro.storage.types import grouping_key
 
@@ -92,7 +99,6 @@ class PGApply(PhysicalOperator):
         group_variable: str = "group",
         partitioning: str = HASH_PARTITION,
         spill_threshold: int | None = None,
-        spill_dir: str | None = None,
     ):
         if partitioning not in (HASH_PARTITION, SORT_PARTITION):
             raise PlanError(
@@ -104,7 +110,6 @@ class PGApply(PhysicalOperator):
                 f"GApply spill_threshold must be >= 1, got {spill_threshold}"
             )
         self.spill_threshold = spill_threshold
-        self.spill_dir = spill_dir
         self.outer = outer
         self.grouping_columns = tuple(grouping_columns)
         self.per_group = per_group
@@ -116,6 +121,8 @@ class PGApply(PhysicalOperator):
             self._key_getter = lambda row: (row[position],)
         else:
             self._key_getter = operator.itemgetter(*self._key_positions)
+        key_getter = self._key_getter
+        self._group_key = lambda row: grouping_key(key_getter(row))
         from repro.algebra.operators import gapply_output_schema
 
         self.schema = gapply_output_schema(
@@ -123,7 +130,9 @@ class PGApply(PhysicalOperator):
         )
 
     # ------------------------------------------------------------------
-    # Partitioning phase
+    # Partitioning phase: a function of a row iterator, so the Volcano
+    # operator (``outer.execute``) and the vector breaker (its batches,
+    # flattened) share all four implementations.
     # ------------------------------------------------------------------
 
     def _effective_spill_threshold(self, ctx: ExecutionContext) -> int | None:
@@ -136,47 +145,72 @@ class PGApply(PhysicalOperator):
             return ctx.governor.spill_threshold()
         return None
 
-    def _partition_hash(
-        self, ctx: ExecutionContext
+    def partition(
+        self,
+        rows: Iterable[Row],
+        ctx: ExecutionContext,
+        key_of: Callable[[Row], Hashable] | None = None,
     ) -> Iterator[tuple[tuple, list[Row]]]:
+        """Group ``rows`` into ``(key_values, group_rows)`` pairs.
+
+        ``key_of`` maps a row to its hash-partition dict key; the default
+        is the NULL-safe ``grouping_key`` of the grouping columns (the
+        vector engine passes the raw key tuple where that is equivalent).
+        The result is a generator; close it to reclaim spill state.
+        """
+        threshold = self._effective_spill_threshold(ctx)
+        if self.partitioning == HASH_PARTITION:
+            key_of = key_of or self._group_key
+            if threshold is None:
+                return self._partition_hash(rows, ctx, key_of)
+            return self._partition_hash_spill(rows, ctx, key_of, threshold)
+        if threshold is None:
+            return self._partition_sort(rows, ctx)
+        return self._partition_sort_spill(rows, ctx, threshold)
+
+    def _count_partition(
+        self, ctx: ExecutionContext, total: int, peak_rows: int
+    ) -> None:
         counters = ctx.counters
-        buckets: dict[tuple, tuple[tuple, list[Row]]] = {}
-        total = 0
-        key_getter = self._key_getter
-        for row in self.outer.execute(ctx):
-            key_values = key_getter(row)
-            key = grouping_key(key_values)
-            counters.hash_inserts += 1
-            counters.buffered_cells += len(row)
-            total += 1
-            buffered = _buffer_row(row)
-            entry = buckets.get(key)
-            if entry is None:
-                buckets[key] = (key_values, [buffered])
-            else:
-                entry[1].append(buffered)
-        counters.peak_partition_rows = max(counters.peak_partition_rows, total)
+        counters.peak_partition_rows = max(counters.peak_partition_rows, peak_rows)
         if ctx.metrics is not None:
             ctx.metrics.record_for(self).partition_rows += total
-        for key_values, rows in buckets.values():
-            yield key_values, rows
 
-    def _partition_sort(
-        self, ctx: ExecutionContext
-    ) -> Iterator[tuple[tuple, list[Row]]]:
-        counters = ctx.counters
+    def _partition_hash(self, rows, ctx, key_of):
         key_getter = self._key_getter
-        rows = [_buffer_row(row) for row in self.outer.execute(ctx)]
-        counters.buffered_cells += sum(len(row) for row in rows)
-        counters.peak_partition_rows = max(counters.peak_partition_rows, len(rows))
-        if ctx.metrics is not None:
-            ctx.metrics.record_for(self).partition_rows += len(rows)
-        rows.sort(key=lambda row: grouping_key(key_getter(row)))
-        counters.comparisons += len(rows)
+        buckets: dict[Hashable, tuple[tuple, list[Row]]] = {}
+        for row in rows:
+            key = key_of(row)
+            entry = buckets.get(key)
+            if entry is None:
+                buckets[key] = (key_getter(row), [_buffer_row(row)])
+            else:
+                entry[1].append(_buffer_row(row))
+        # Counted per group, not per row: this loop is on the hot path of
+        # every in-memory GApply under both engines.
+        total = sum(len(group) for _, group in buckets.values())
+        ctx.counters.hash_inserts += total
+        ctx.counters.buffered_cells += total * len(self.outer.schema)
+        self._count_partition(ctx, total, total)
+        yield from buckets.values()
+
+    def _partition_sort(self, rows, ctx):
+        buffered = [_buffer_row(row) for row in rows]
+        ctx.counters.buffered_cells += len(buffered) * len(self.outer.schema)
+        self._count_partition(ctx, len(buffered), len(buffered))
+        buffered.sort(key=self._group_key)
+        ctx.counters.comparisons += len(buffered)
+        yield from self._split_groups(buffered)
+
+    def _split_groups(
+        self, ordered: Iterable[Row]
+    ) -> Iterator[tuple[tuple, list[Row]]]:
+        """Cut key-ordered rows into one ``(key_values, rows)`` per key."""
+        key_getter = self._key_getter
         current_key: tuple | None = None
         current_values: tuple = ()
         bucket: list[Row] = []
-        for row in rows:
+        for row in ordered:
             key_values = key_getter(row)
             key = grouping_key(key_values)
             if key != current_key:
@@ -189,13 +223,7 @@ class PGApply(PhysicalOperator):
         if current_key is not None:
             yield current_values, bucket
 
-    # ------------------------------------------------------------------
-    # Partitioning phase, spilling variants (cell budget in force)
-    # ------------------------------------------------------------------
-
-    def _partition_hash_spill(
-        self, ctx: ExecutionContext, threshold: int
-    ) -> Iterator[tuple[tuple, list[Row]]]:
+    def _partition_hash_spill(self, rows, ctx, key_of, threshold: int):
         """Hybrid hash partitioning: in-memory directory, on-disk payload.
 
         The directory maps each key to its first-appearance slot (dict
@@ -207,37 +235,32 @@ class PGApply(PhysicalOperator):
         spilled offsets first, resident tail last — the exact arrival
         order — so output is byte-identical to the in-memory path.
         """
-        from repro.storage.spill import SpillFile
-
         counters = ctx.counters
         key_getter = self._key_getter
         governor = ctx.governor
         record = None if ctx.metrics is None else ctx.metrics.record_for(self)
         # key -> [key_values, spilled offsets, resident rows]
-        directory: dict[tuple, list] = {}
+        directory: dict[Hashable, list] = {}
         resident_cells = 0
         peak_resident_rows = resident_rows = 0
         total = 0
-        spill_runs = spilled_rows = 0
-        spill = SpillFile(self.spill_dir)
+        spill_runs = 0
+        spill = SpillFile()
 
         def flush_wave() -> None:
-            nonlocal resident_cells, resident_rows, spill_runs, spilled_rows
+            nonlocal resident_cells, resident_rows, spill_runs
             for entry in directory.values():
-                offsets, rows = entry[1], entry[2]
-                for resident in rows:
-                    offsets.append(spill.append(resident))
-                spilled_rows += len(rows)
-                rows.clear()
+                offsets, resident = entry[1], entry[2]
+                for row in resident:
+                    offsets.append(spill.append(row))
+                resident.clear()
             spill_runs += 1
             if governor is not None:
                 governor.release_cells(resident_cells)
             resident_cells = resident_rows = 0
 
         try:
-            for row in self.outer.execute(ctx):
-                key_values = key_getter(row)
-                key = grouping_key(key_values)
+            for row in rows:
                 counters.hash_inserts += 1
                 counters.buffered_cells += len(row)
                 total += 1
@@ -249,7 +272,7 @@ class PGApply(PhysicalOperator):
                     try:
                         governor.charge_cells(width)
                     except MemoryBudgetExceeded:
-                        # Same shared-budget retry as the sort path: a
+                        # Same shared-budget retry as RunWriter.add: a
                         # concurrent holder ate the headroom; free our
                         # resident rows before declaring the cap too
                         # small.
@@ -257,150 +280,53 @@ class PGApply(PhysicalOperator):
                             raise
                         flush_wave()
                         governor.charge_cells(width)
+                key = key_of(row)
                 entry = directory.get(key)
                 if entry is None:
-                    entry = [key_values, [], []]
+                    entry = [key_getter(row), [], []]
                     directory[key] = entry
                 entry[2].append(buffered)
                 resident_cells += width
                 resident_rows += 1
                 if resident_rows > peak_resident_rows:
                     peak_resident_rows = resident_rows
-            counters.peak_partition_rows = max(
-                counters.peak_partition_rows, peak_resident_rows
-            )
-            counters.spill_runs += spill_runs
-            counters.spilled_rows += spilled_rows
-            counters.spill_bytes += spill.bytes_written
-            if record is not None:
-                record.partition_rows += total
-                record.spill_runs += spill_runs
-                record.spilled_rows += spilled_rows
-                record.spill_bytes += spill.bytes_written
-            for key_values, offsets, rows in directory.values():
+            self._count_partition(ctx, total, peak_resident_rows)
+            for counts in (counters, record):
+                if counts is not None:
+                    counts.spill_runs += spill_runs
+                    counts.spilled_rows += spill.records
+                    counts.spill_bytes += spill.bytes_written
+            for key_values, offsets, resident in directory.values():
                 if offsets:
                     group = [spill.read_at(offset) for offset in offsets]
-                    group.extend(rows)
+                    group.extend(resident)
                 else:
-                    group = rows
+                    group = resident
                 yield key_values, group
         finally:
             spill.close()
             if governor is not None and resident_cells:
                 governor.release_cells(resident_cells)
 
-    def _partition_sort_spill(
-        self, ctx: ExecutionContext, threshold: int
-    ) -> Iterator[tuple[tuple, list[Row]]]:
-        """External merge sort: runs of at most ``threshold`` cells,
-        sorted in memory and written out; a stable k-way merge re-reads
-        them in key order (run order + resident tail last = arrival
-        order on ties, matching the in-memory stable sort exactly)."""
-        from repro.storage.spill import SpillRun, merge_runs
-
-        counters = ctx.counters
-        key_getter = self._key_getter
-        governor = ctx.governor
-        record = None if ctx.metrics is None else ctx.metrics.record_for(self)
-        sort_key = lambda row: grouping_key(key_getter(row))  # noqa: E731
-        runs: list[SpillRun] = []
-        buffer: list[Row] = []
-        resident_cells = 0
-        peak_resident_rows = 0
+    def _partition_sort_spill(self, rows, ctx, threshold: int):
+        """External merge sort (:class:`~repro.storage.spill.RunWriter`)
+        on the grouping key, then the in-memory path's group split."""
         total = 0
-        spilled_rows = spill_bytes = 0
-        def flush_run() -> None:
-            nonlocal buffer, resident_cells, spilled_rows, spill_bytes
-            buffer.sort(key=sort_key)
-            counters.comparisons += len(buffer)
-            run = SpillRun(buffer, self.spill_dir)
-            runs.append(run)
-            spilled_rows += run.records
-            spill_bytes += run.bytes_written
-            if governor is not None:
-                governor.release_cells(resident_cells)
-            buffer = []
-            resident_cells = 0
-
-        try:
-            for row in self.outer.execute(ctx):
+        with RunWriter(ctx, self, self._group_key, threshold) as writer:
+            for row in rows:
                 buffered = _buffer_row(row)
-                width = len(buffered)
-                counters.buffered_cells += width
+                writer.add(buffered, len(buffered))
                 total += 1
-                if resident_cells and resident_cells + width > threshold:
-                    flush_run()
-                if governor is not None:
-                    try:
-                        governor.charge_cells(width)
-                    except MemoryBudgetExceeded:
-                        # The budget is shared: concurrent holders (the
-                        # publisher's chunk buffer, sibling operators)
-                        # can consume the headroom the threshold assumed
-                        # was ours. Spill what we hold and retry; only a
-                        # retry failure means the cap is genuinely too
-                        # small.
-                        if not resident_cells:
-                            raise
-                        flush_run()
-                        governor.charge_cells(width)
-                buffer.append(buffered)
-                resident_cells += width
-                if len(buffer) > peak_resident_rows:
-                    peak_resident_rows = len(buffer)
-            counters.peak_partition_rows = max(
-                counters.peak_partition_rows, peak_resident_rows
-            )
-            counters.spill_runs += len(runs)
-            counters.spilled_rows += spilled_rows
-            counters.spill_bytes += spill_bytes
-            if record is not None:
-                record.partition_rows += total
-                record.spill_runs += len(runs)
-                record.spilled_rows += spilled_rows
-                record.spill_bytes += spill_bytes
-            buffer.sort(key=sort_key)
-            counters.comparisons += len(buffer)
-            merged = (
-                merge_runs([*runs, buffer], key=sort_key) if runs else buffer
-            )
-            current_key: tuple | None = None
-            current_values: tuple = ()
-            bucket: list[Row] = []
-            for row in merged:
-                key_values = key_getter(row)
-                key = grouping_key(key_values)
-                if key != current_key:
-                    if current_key is not None:
-                        yield current_values, bucket
-                    current_key = key
-                    current_values = key_values
-                    bucket = []
-                bucket.append(row)
-            if current_key is not None:
-                yield current_values, bucket
-        finally:
-            for run in runs:
-                run.close()
-            if governor is not None and resident_cells:
-                governor.release_cells(resident_cells)
+            ordered = writer.merged()
+            self._count_partition(ctx, total, writer.peak_rows)
+            yield from self._split_groups(ordered)
 
     # ------------------------------------------------------------------
     # Execution phase
     # ------------------------------------------------------------------
 
     def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        threshold = self._effective_spill_threshold(ctx)
-        if self.partitioning == HASH_PARTITION:
-            if threshold is None:
-                partitions = self._partition_hash(ctx)
-            else:
-                partitions = self._partition_hash_spill(ctx, threshold)
-        else:
-            if threshold is None:
-                partitions = self._partition_sort(ctx)
-            else:
-                partitions = self._partition_sort_spill(ctx, threshold)
+        partitions = self.partition(self.outer.execute(ctx), ctx)
         # One child context, rebound per group: each group's per-group plan
         # is fully drained before the next binding, so mutation is safe and
         # avoids a dict copy per group.

@@ -17,12 +17,8 @@ vectorized. Current fallbacks:
 
 * correlated ``PApply`` (per-row rebinding of scalar parameters) and
   ``PExists`` (early-termination semantics are pull-based);
-* ``PNestedLoopJoin`` and ``PStreamAggregate`` (row-ordered operators
-  that the planner only picks for small/ordered inputs);
-* ``PGApply`` configured with an explicit spill threshold (spill
-  bookkeeping lives in the Volcano operator; a governor-derived
-  threshold is additionally checked at runtime by the GApply breaker
-  itself);
+* ``PNestedLoopJoin`` (a row-ordered operator the planner only picks
+  for small inputs or when hash joins are disabled);
 * anything this compiler has never heard of — new operators are
   correct-by-default, fast once someone adds a batched form.
 """
@@ -32,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.execution.aggregates import PHashAggregate, PStreamAggregate
+from repro.execution.aggregates import PHashAggregate
 from repro.execution.apply import PApply, PExists
 from repro.execution.base import PhysicalOperator, PMaterialized
 from repro.execution.basic import (
@@ -192,8 +188,6 @@ class _Compiler:
         if isinstance(op, PHashAggregate):
             return HashAggregateNode(op, self.compile(op.child), size)
         if isinstance(op, PGApply):
-            if op.spill_threshold is not None:
-                return self.fallback(op, "explicit spill threshold")
             return GApplyNode(
                 op, self.compile(op.outer), self.compile(op.per_group), size
             )
@@ -202,6 +196,4 @@ class _Compiler:
             return self.fallback(op, "exists probe")
         if isinstance(op, PNestedLoopJoin):
             return self.fallback(op, "nested-loop join")
-        if isinstance(op, PStreamAggregate):
-            return self.fallback(op, "stream aggregate")
         return self.fallback(op, f"no batched implementation: {type(op).__name__}")

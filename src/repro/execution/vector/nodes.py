@@ -26,13 +26,12 @@ specific* counters there.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter as _itemgetter
 from typing import Iterator
 
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
-from repro.execution.gapply import _buffer_row
 from repro.storage.types import DataType, grouping_key
 
 from repro.execution.vector.aggregates import make_state
@@ -293,7 +292,7 @@ class SortNode(VectorNode):
     """Blocking sort breaker mirroring ``PSort``: full materialization,
     up-front cell charge, right-to-left stable per-key sorts. Under a
     governor memory budget the whole subtree delegates to the Volcano
-    operator's external merge sort (same pattern as ``GApplyNode``)."""
+    operator's external merge sort."""
 
     def __init__(self, op, child: VectorNode, batch_size: int):
         self.op = op
@@ -472,101 +471,35 @@ class HashAggregateNode(VectorNode):
 
 
 class GApplyNode(VectorNode):
-    """In-memory GApply breaker: batched partition phase, vector
-    per-group plans, counter-for-counter faithful to ``PGApply``.
-
-    Forced spill thresholds are routed to the Volcano operator at
-    compile time; a *governor-provided* spill threshold is only known at
-    runtime, so that check happens here (the whole operator then
-    delegates, keeping the spill bookkeeping in one place).
-    """
+    """GApply breaker: ``PGApply.partition`` over the outer batches'
+    rows (in memory or spilling, chosen there at run time), vector
+    per-group plans, counter-for-counter faithful to ``PGApply``."""
 
     def __init__(self, op, outer: VectorNode, per_group: VectorNode, batch_size: int):
         self.op = op
         self.outer = outer
         self.per_group = per_group
         self.batch_size = batch_size
-        self._raw_keys = raw_group_keys_ok(op.outer.schema, op._key_positions)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        if self.op._effective_spill_threshold(ctx) is not None:
-            yield from volcano_batches(self.op, ctx, self.batch_size)
-            return
-        yield from super().batches(ctx)
-
-    # -- partition phase -------------------------------------------------
-
-    def _partition_hash(self, ctx: ExecutionContext):
-        counters = ctx.counters
-        op = self.op
-        key_getter = op._key_getter
-        raw = self._raw_keys
-        buckets: dict = {}
-        total = 0
-        width = len(op.outer.schema)
-        for batch in self.outer.batches(ctx):
-            rows = batch.rows()
-            n = batch.length
-            counters.hash_inserts += n
-            counters.buffered_cells += n * width
-            total += n
-            for row in rows:
-                key_values = key_getter(row)
-                key = key_values if raw else grouping_key(key_values)
-                buffered = _buffer_row(row)
-                entry = buckets.get(key)
-                if entry is None:
-                    buckets[key] = (key_values, [buffered])
-                else:
-                    entry[1].append(buffered)
-        counters.peak_partition_rows = max(counters.peak_partition_rows, total)
-        if ctx.metrics is not None:
-            ctx.metrics.record_for(op).partition_rows += total
-        return buckets.values()
-
-    def _partition_sort(self, ctx: ExecutionContext):
-        counters = ctx.counters
-        op = self.op
-        key_getter = op._key_getter
-        width = len(op.outer.schema)
-        rows: list = []
-        for batch in self.outer.batches(ctx):
-            rows.extend(_buffer_row(row) for row in batch.rows())
-        counters.buffered_cells += len(rows) * width
-        counters.peak_partition_rows = max(counters.peak_partition_rows, len(rows))
-        if ctx.metrics is not None:
-            ctx.metrics.record_for(op).partition_rows += len(rows)
-        rows.sort(key=lambda row: grouping_key(key_getter(row)))
-        counters.comparisons += len(rows)
-        partitions = []
-        current_key = None
-        current_values: tuple = ()
-        bucket: list = []
-        for row in rows:
-            key_values = key_getter(row)
-            key = grouping_key(key_values)
-            if key != current_key:
-                if current_key is not None:
-                    partitions.append((current_values, bucket))
-                current_key = key
-                current_values = key_values
-                bucket = []
-            bucket.append(row)
-        if current_key is not None:
-            partitions.append((current_values, bucket))
-        return partitions
+        #: Hash-partition dict key: the raw key tuple where it is
+        #: equivalent to ``grouping_key`` (one call per row, not three).
+        self._key_of = (
+            op._key_getter
+            if raw_group_keys_ok(op.outer.schema, op._key_positions)
+            else None
+        )
 
     # -- execution phase -------------------------------------------------
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        from repro.execution.gapply import HASH_PARTITION
-
         op = self.op
         counters = ctx.counters
-        if op.partitioning == HASH_PARTITION:
-            partitions = self._partition_hash(ctx)
-        else:
-            partitions = self._partition_sort(ctx)
+        partitions = op.partition(
+            chain.from_iterable(
+                batch.rows() for batch in self.outer.batches(ctx)
+            ),
+            ctx,
+            self._key_of,
+        )
         variable = op.group_variable
         record = None if ctx.metrics is None else ctx.metrics.record_for(op)
         tracer = ctx.tracer
@@ -580,41 +513,47 @@ class GApplyNode(VectorNode):
         size = self.batch_size
         volcano_per_group = op.per_group
         pending: list = []
-        for key_values, group_rows in partitions:
-            counters.groups_partitioned += 1
-            counters.group_executions += 1
-            relations[variable] = group_rows
-            span = (
-                None
-                if tracer is None
-                else tracer.begin(
-                    "group", f"${variable}={key_values!r}",
-                    group_rows=len(group_rows),
+        try:
+            for key_values, group_rows in partitions:
+                counters.groups_partitioned += 1
+                counters.group_executions += 1
+                relations[variable] = group_rows
+                span = (
+                    None
+                    if tracer is None
+                    else tracer.begin(
+                        "group", f"${variable}={key_values!r}",
+                        group_rows=len(group_rows),
+                    )
                 )
-            )
-            emitted = 0
-            if len(group_rows) < VECTOR_GROUP_MIN_ROWS:
-                # Tiny group: the batch machinery's fixed per-execution
-                # cost exceeds its savings, and both engines count work
-                # identically by construction — run the row iterators.
-                for pgq_row in volcano_per_group.execute(group_ctx):
-                    emitted += 1
-                    counters.rows += 1
-                    pending.append(key_values + pgq_row)
-            else:
-                for batch in per_group.batches(group_ctx):
-                    pgq_rows = batch.rows()
-                    emitted += len(pgq_rows)
-                    counters.rows += len(pgq_rows)
-                    pending.extend(key_values + row for row in pgq_rows)
-            if record is not None:
-                record.groups_formed += 1
-                if not emitted:
-                    record.empty_groups_skipped += 1
-            if span is not None:
-                tracer.end(span, rows_out=emitted)
-            if len(pending) >= size:
+                emitted = 0
+                if len(group_rows) < VECTOR_GROUP_MIN_ROWS:
+                    # Tiny group: the batch machinery's fixed per-execution
+                    # cost exceeds its savings, and both engines count work
+                    # identically by construction — run the row iterators.
+                    for pgq_row in volcano_per_group.execute(group_ctx):
+                        emitted += 1
+                        counters.rows += 1
+                        pending.append(key_values + pgq_row)
+                else:
+                    for batch in per_group.batches(group_ctx):
+                        pgq_rows = batch.rows()
+                        emitted += len(pgq_rows)
+                        counters.rows += len(pgq_rows)
+                        pending.extend(key_values + row for row in pgq_rows)
+                if record is not None:
+                    record.groups_formed += 1
+                    if not emitted:
+                        record.empty_groups_skipped += 1
+                if span is not None:
+                    tracer.end(span, rows_out=emitted)
+                if len(pending) >= size:
+                    yield rows_batch(pending, width)
+                    pending = []
+            if pending:
                 yield rows_batch(pending, width)
-                pending = []
-        if pending:
-            yield rows_batch(pending, width)
+        finally:
+            # Same reason as ``PGApply._execute``: an error from a
+            # per-group plan pins the suspended partition generator, so
+            # its spill state must be reclaimed explicitly.
+            partitions.close()

@@ -3,13 +3,16 @@
 The paper's claim is that every rewrite rule is semantics-preserving, so
 the strongest executable check is: run the same query under *every*
 planner configuration — each optimizer rule individually disabled, all
-rules off, no optimizer at all, both GApply partitioning strategies, no
-hash joins, no index access paths, and both execution engines — and
-demand identical normalized result multisets.
+rules off, no optimizer at all, both GApply partitioning strategies, a
+partition phase forced to spill, no hash joins, no index access paths,
+and both execution engines — and demand identical normalized result
+multisets.
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
-fuzzer; ``QUICK_PROFILE`` keeps tier-1 test time bounded while still
-covering the rule families with distinct failure modes.
+fuzzer (7 fixed configurations + one per optimizer rule);
+``QUICK_PROFILE`` (7 + 5) keeps tier-1 test time bounded while still
+covering the rule families with distinct failure modes. The engine
+profile adds 9 vector-engine configurations, two of them forced-spill.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import PlanError
 from repro.optimizer.planner import VECTOR_ENGINE, PlannerOptions
+
+#: Cells resident before the forced-spill configurations flush: a few
+#: rows, so even the small fuzz tables write several runs/waves.
+FUZZ_SPILL_THRESHOLD = 8
 
 # Cap exploration per configuration: fuzz queries are small, and the full
 # alternative budget (128) just burns time re-deriving the same plans.
@@ -49,6 +56,10 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
         PlanConfig("unoptimized", optimize=False),
         PlanConfig("all-rules-off", _options(disabled_rules=tuple(rules))),
         PlanConfig("sort-partitioning", _options(gapply_partitioning="sort")),
+        PlanConfig(
+            "forced-spill",
+            _options(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
+        ),
         PlanConfig("nested-loop-joins", _options(prefer_hash_join=False)),
         PlanConfig("no-indexes", _options(use_indexes=False)),
         PlanConfig("vector-engine", _options(engine=VECTOR_ENGINE)),
@@ -75,7 +86,9 @@ def engine_configurations() -> list[PlanConfig]:
     against the vector engine across the knobs that change which batched
     operators and fast paths a plan exercises. Batch sizes 3 and 1 force
     cross-batch state (limit countdowns, distinct sets, hash-join builds
-    spanning batches) that the default 1024 hides on small fuzz data."""
+    spanning batches) that the default 1024 hides on small fuzz data; the
+    forced-spill pair runs the shared partition phase's disk paths under
+    vectorized outer and per-group plans."""
     return [
         PlanConfig("vector", _options(engine=VECTOR_ENGINE)),
         PlanConfig(
@@ -94,6 +107,21 @@ def engine_configurations() -> list[PlanConfig]:
         PlanConfig(
             "vector-sort-partitioning",
             _options(engine=VECTOR_ENGINE, gapply_partitioning="sort"),
+        ),
+        PlanConfig(
+            "vector-spill-hash",
+            _options(
+                engine=VECTOR_ENGINE,
+                gapply_spill_threshold=FUZZ_SPILL_THRESHOLD,
+            ),
+        ),
+        PlanConfig(
+            "vector-spill-sort",
+            _options(
+                engine=VECTOR_ENGINE,
+                gapply_partitioning="sort",
+                gapply_spill_threshold=FUZZ_SPILL_THRESHOLD,
+            ),
         ),
         PlanConfig(
             "vector-nested-loop-joins",

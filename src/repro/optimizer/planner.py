@@ -111,10 +111,8 @@ class PlannerOptions:
     use_indexes: bool = True
     #: Force the GApply partition phase to spill to disk once this many
     #: cells are resident (None = spill only under a governor's memory
-    #: budget). ``gapply_spill_dir`` overrides where run files live —
-    #: tests point it at a tmpdir to assert cleanup.
+    #: budget).
     gapply_spill_threshold: int | None = None
-    gapply_spill_dir: str | None = None
     disabled_rules: tuple[str, ...] = ()
     optimizer_max_alternatives: int | None = None
     collect_estimates: bool = False
@@ -351,7 +349,6 @@ class Planner:
             node.group_variable,
             self.options.gapply_partitioning,
             spill_threshold=self.options.gapply_spill_threshold,
-            spill_dir=self.options.gapply_spill_dir,
         )
 
 

@@ -30,23 +30,26 @@ Two access patterns, two classes:
   hash-partition directory keeps ``key -> [offset, ...]`` in memory and
   seeks per row on read-back);
 * :class:`SpillRun` + :func:`merge_runs` — sorted runs for the external
-  sort partition: each run is written pre-sorted and ``heapq.merge``
-  re-reads them in key order. ``heapq.merge`` is stable across inputs in
-  argument order, so passing runs in creation order (and the in-memory
-  tail last) reproduces Python's stable in-memory sort exactly.
+  sort: each run is written pre-sorted and ``heapq.merge`` re-reads them
+  in key order. ``heapq.merge`` is stable across inputs in argument
+  order, so passing runs in creation order (and the in-memory tail last)
+  reproduces Python's stable in-memory sort exactly.
+
+:class:`RunWriter` is the one budgeted external sort built on those two:
+GApply's sort partition, ORDER BY and both phases of DISTINCT feed it
+items and read them back in key order; nothing else constructs a run.
 
 Every write funnels through :func:`_write_record`, which consults the
 fault-injection registry (:mod:`repro.execution.faults`) so chaos tests
 can fail the Nth spill write and assert the typed
 :class:`~repro.errors.SpillError` surfaces instead of a wrong answer.
 
-Files are created with ``tempfile`` in ``spill_dir`` (default: the
-system temp dir), unlinked on :meth:`close`; the partition generators
-close their spill state in ``finally`` blocks, so abandoning a query
-mid-stream still reclaims the disk. Every live spill path is tracked in
-a process-wide registry (:func:`live_spill_files`) so shutdown and chaos
-tests can assert that no code path — error or cancellation — leaks a
-temp file.
+Files are created where ``tempfile`` puts them and unlinked on
+:meth:`close`; the operators close their spill state on every exit path,
+so abandoning a query mid-stream still reclaims the disk. Every live
+spill path is tracked in a process-wide registry
+(:func:`live_spill_files`) so shutdown and chaos tests can assert that
+no code path — error or cancellation — leaks a temp file.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import threading
 import zlib
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import SpillError
+from repro.errors import MemoryBudgetExceeded, SpillError
 
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
 PICKLE_PROTOCOL = 4
@@ -156,11 +159,9 @@ def _iter_records(handle) -> Iterator[Any]:
         yield _decode_payload(payload, checksum, "in sequential read")
 
 
-def _open_spill_handle(spill_dir: str | None):
+def _open_spill_handle():
     try:
-        fd, path = tempfile.mkstemp(
-            prefix="repro-spill-", suffix=".run", dir=spill_dir
-        )
+        fd, path = tempfile.mkstemp(prefix="repro-spill-", suffix=".run")
         handle = os.fdopen(fd, "w+b")
     except OSError as exc:
         raise SpillError(f"cannot create spill file: {exc}") from exc
@@ -176,8 +177,8 @@ class SpillFile:
     re-deriving them.
     """
 
-    def __init__(self, spill_dir: str | None = None):
-        self._handle, self.path = _open_spill_handle(spill_dir)
+    def __init__(self):
+        self._handle, self.path = _open_spill_handle()
         self.records = 0
         self.bytes_written = 0
         self._closed = False
@@ -221,8 +222,8 @@ class SpillFile:
 class SpillRun:
     """One sorted run of the external sort: written whole, read once."""
 
-    def __init__(self, rows: Sequence[Any], spill_dir: str | None = None):
-        self._handle, self.path = _open_spill_handle(spill_dir)
+    def __init__(self, rows: Sequence[Any]):
+        self._handle, self.path = _open_spill_handle()
         self.records = 0
         self.bytes_written = 0
         self._closed = False
@@ -267,3 +268,93 @@ def merge_runs(
     spilled sort partitioning byte-identical to the in-memory path.
     """
     return heapq.merge(*runs, key=key)
+
+
+class RunWriter:
+    """The budgeted external sort: feed items, read them back in key order.
+
+    :meth:`add` buffers items (each with its cell width) and, whenever
+    admitting one would push the resident buffer past ``threshold``
+    cells, sorts the buffer into a :class:`SpillRun` and releases its
+    cells. The governor's budget is shared with other holders (the
+    publisher's chunk buffer, sibling operators), so a rejected charge
+    with something resident flushes and retries once; with nothing
+    resident the cap is genuinely too small for one item and the typed
+    :class:`~repro.errors.MemoryBudgetExceeded` propagates.
+    :meth:`merged` sorts the resident tail and returns the stable merge
+    (runs in creation order, tail last: arrival order on ties, exactly
+    ``list.sort``). Work is counted on ``ctx.counters`` and on ``op``'s
+    metrics record. Use as a context manager: leaving it releases every
+    charged cell and unlinks every run, on every exit path.
+    """
+
+    def __init__(self, ctx, op, key: Callable[[Any], Any], threshold: int):
+        self._counters = ctx.counters
+        self._governor = ctx.governor
+        self._record = (
+            None if ctx.metrics is None else ctx.metrics.record_for(op)
+        )
+        self._key = key
+        self._threshold = threshold
+        self._runs: list[SpillRun] = []
+        self._buffer: list[Any] = []
+        self._resident = 0
+        #: Most items ever resident at once (``peak_partition_rows``).
+        self.peak_rows = 0
+
+    def _sort_resident(self) -> list[Any]:
+        buffer = self._buffer
+        buffer.sort(key=self._key)
+        self._counters.comparisons += len(buffer)
+        self.peak_rows = max(self.peak_rows, len(buffer))
+        return buffer
+
+    def _flush(self) -> None:
+        self._runs.append(SpillRun(self._sort_resident()))
+        self._release()
+        self._buffer = []
+
+    def _release(self) -> None:
+        if self._governor is not None and self._resident:
+            self._governor.release_cells(self._resident)
+        self._resident = 0
+
+    def add(self, item: Any, width: int) -> None:
+        self._counters.buffered_cells += width
+        if self._resident and self._resident + width > self._threshold:
+            self._flush()
+        if self._governor is not None:
+            try:
+                self._governor.charge_cells(width)
+            except MemoryBudgetExceeded:
+                if not self._resident:
+                    raise
+                self._flush()
+                self._governor.charge_cells(width)
+        self._buffer.append(item)
+        self._resident += width
+
+    def merged(self) -> Iterable[Any]:
+        """Every item fed so far, in key order; call once, after the
+        last :meth:`add`."""
+        runs = self._runs
+        spilled_rows = sum(run.records for run in runs)
+        spill_bytes = sum(run.bytes_written for run in runs)
+        for counts in (self._counters, self._record):
+            if counts is not None:
+                counts.spill_runs += len(runs)
+                counts.spilled_rows += spilled_rows
+                counts.spill_bytes += spill_bytes
+        tail = self._sort_resident()
+        return merge_runs([*runs, tail], key=self._key) if runs else tail
+
+    def close(self) -> None:
+        self._release()
+        for run in self._runs:
+            run.close()
+
+    def __enter__(self) -> "RunWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

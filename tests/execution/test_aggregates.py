@@ -1,12 +1,8 @@
 """Unit tests for aggregation operators."""
 
-import pytest
-
 from repro.algebra.expressions import avg, col, count, count_star, max_, min_, sum_
-from repro.errors import PlanError
-from repro.execution.aggregates import PHashAggregate, PStreamAggregate
+from repro.execution.aggregates import PHashAggregate
 from repro.execution.base import PMaterialized, run_plan
-from repro.execution.basic import PSort
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
 
@@ -56,23 +52,3 @@ class TestHashAggregate:
         assert plan.schema.names() == ["g", "m"]
         assert plan.schema[1].dtype is DataType.FLOAT
 
-
-class TestStreamAggregate:
-    def test_matches_hash_aggregate_on_sorted_input(self):
-        sorted_source = PSort(source(), (("g", True),))
-        stream = PStreamAggregate(sorted_source, ("g",), (count_star("n"), sum_(col("v"), "s")))
-        hashed = PHashAggregate(source(), ("g",), (count_star("n"), sum_(col("v"), "s")))
-        assert sorted(run_plan(stream), key=repr) == sorted(run_plan(hashed), key=repr)
-
-    def test_requires_keys(self):
-        with pytest.raises(PlanError):
-            PStreamAggregate(source(), (), (count_star("n"),))
-
-    def test_empty_input(self):
-        plan = PStreamAggregate(source([]), ("g",), (count_star("n"),))
-        assert run_plan(plan) == []
-
-    def test_single_group(self):
-        rows = [(7, 1.0), (7, 2.0)]
-        plan = PStreamAggregate(source(rows), ("g",), (avg(col("v"), "m"),))
-        assert run_plan(plan) == [(7, 1.5)]

@@ -173,7 +173,7 @@ class TestMechanics:
         """Partition buffering materializes rows (width-proportional copy)."""
         plan = PGApply(source(), ["g"], count_pgq(), "grp")
         ctx = ExecutionContext()
-        partitions = list(plan._partition_hash(ctx))
+        partitions = list(plan.partition(iter(ROWS), ctx))
         all_buffered = [row for _, rows in partitions for row in rows]
         for buffered in all_buffered:
             assert buffered in ROWS

@@ -159,7 +159,7 @@ class TestGovernorThroughApi:
                        governor=Governor(), max_rows=5)
 
     def test_sort_under_memory_budget_spills(self, db):
-        # PSort spills to sorted runs under a cell budget (DESIGN §14.5):
+        # PSort spills to sorted runs under a cell budget (DESIGN §10.2):
         # a budget far below the 400-row input must still produce exactly
         # the unbudgeted rows, with the spill visible in the counters.
         sql = "select v from t order by v"

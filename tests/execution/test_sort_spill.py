@@ -1,4 +1,4 @@
-"""External-merge spill for ORDER BY and DISTINCT (DESIGN.md §14.5).
+"""External-merge spill for ORDER BY and DISTINCT (DESIGN.md §10.2).
 
 The contract mirrors GApply's partition spill: under a governor cell
 budget, ``PSort`` and ``PDistinct`` spill sorted runs to disk and

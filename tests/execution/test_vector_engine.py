@@ -96,6 +96,21 @@ class TestPaperFormulations:
                 plan = compile_plan(_lower(tpch_db, sql))
                 assert plan.fully_vectorized, (query.name, plan.fallbacks)
 
+    @pytest.mark.parametrize("partitioning", ["hash", "sort"])
+    def test_spilling_gapply_vectorizes_and_agrees(self, tpch_db, partitioning):
+        # A spill threshold no longer routes GApply to Volcano: the outer
+        # and per-group plans compile to batch nodes and the partition
+        # phase (and its spill bookkeeping) is the one both engines share.
+        options = PlannerOptions(
+            gapply_partitioning=partitioning, gapply_spill_threshold=64
+        )
+        for query in PAPER_QUERIES:
+            plan = _lower(tpch_db, query.gapply_sql, options)
+            assert compile_plan(plan).fully_vectorized, query.name
+            volcano, vector = run_both(plan)
+            assert vector == volcano, query.name
+            assert volcano[1]["spill_runs"] > 0, query.name
+
     def test_naive_formulations_fall_back_but_agree(self, tpch_db):
         # Correlated subqueries lower to correlated Apply/Exists, which
         # the compiler routes through Volcano — noted, never wrong.

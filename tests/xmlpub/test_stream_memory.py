@@ -18,7 +18,7 @@ external-merge-sort partition strategy. The claims under test:
   (:func:`repro.storage.spill.live_spill_files`), on both engines.
 
 The sorted-outer-union formulation is covered too: its materializing
-ORDER BY now external-merge-sorts under the budget (DESIGN.md §14.5),
+ORDER BY now external-merge-sorts under the budget (DESIGN.md §10.2),
 so *both* publishing formulations stream constant-memory end to end.
 """
 
@@ -173,7 +173,7 @@ def test_genuinely_too_small_budget_raises_typed_error():
 def test_union_formulation_streams_under_budget():
     # The sorted outer union needs a materializing ORDER BY over the
     # whole outer-union relation; that sort now spills to disk under the
-    # budget (DESIGN §14.5), so the union formulation publishes the full
+    # budget (DESIGN §10.2), so the union formulation publishes the full
     # document constant-memory instead of raising MemoryBudgetExceeded.
     db = fig8_db(20_000)
     stream = db.publish(
