@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.algebra.operators import LogicalOperator
@@ -24,6 +25,7 @@ from repro.errors import (
     CatalogError,
     PlanError,
     ReproError,
+    RowBudgetExceeded,
     WalError,
 )
 from repro.execution.base import PhysicalOperator
@@ -33,6 +35,7 @@ from repro.observe.explain import Explanation
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import Tracer
 from repro.execution.vector.compiler import compile_plan
+from repro.execution.vector.nodes import VectorNode, VolcanoSource
 from repro.optimizer.engine import OptimizationReport, Optimizer
 from repro.optimizer.plancache import (
     CachedPlan,
@@ -43,9 +46,9 @@ from repro.optimizer.plancache import (
     text_digest,
 )
 from repro.optimizer.planner import (
+    DEFAULT_ENGINE,
     ENGINES,
     VECTOR_ENGINE,
-    VOLCANO_ENGINE,
     Planner,
     PlannerOptions,
 )
@@ -81,8 +84,8 @@ class QueryResult:
     optimization: OptimizationReport | None = None
     metrics: MetricsRegistry | None = None
     trace: Tracer | None = None
-    #: Which execution engine produced the rows ("volcano" or "vector").
-    engine: str = VOLCANO_ENGINE
+    #: Which execution engine produced the rows ("vector" or "volcano").
+    engine: str = DEFAULT_ENGINE
     #: Plan-cache outcome for this run (``source`` is "hit"/"miss", plus
     #: key digest and parameter count); None when the run bypassed the
     #: cache.
@@ -227,8 +230,10 @@ class _Run:
     sql_text: str | None
     planned: _Planned
     physical: PhysicalOperator
-    #: Opens the root row iterator on the engine that runs ``physical``.
-    execute: Callable[[ExecutionContext], Iterator[tuple]]
+    #: The root of the engine that runs ``physical``: the compiled vector
+    #: plan, or the Volcano iterators cut into batches. ``None`` when the
+    #: run only explains the plan.
+    root: VectorNode | None
     context: ExecutionContext
 
 
@@ -525,9 +530,11 @@ class Database:
 
         ``engine`` is shorthand for ``PlannerOptions.engine`` (it overrides
         that field of an explicit ``planner_options`` only when passed):
-        ``"volcano"`` (default) or ``"vector"`` for the batch-at-a-time
-        columnar engine (identical rows/counters/metrics; unsupported
-        operators fall back to Volcano automatically).
+        ``"vector"`` (default), the batch-at-a-time columnar engine
+        (unsupported operators fall back to the row iterators
+        automatically), or ``"volcano"``, the row-at-a-time iterators
+        alone, kept selectable as the reference (identical
+        rows/counters/metrics).
 
         ``timeout`` (wall-clock seconds), ``memory_budget`` (buffered
         cells — the unit of ``Counters.buffered_cells``) and ``max_rows``
@@ -610,11 +617,13 @@ class Database:
                 # Estimated cardinalities are the point of EXPLAIN output.
                 planner_options = replace(planner_options, collect_estimates=True)
             physical = Planner(self.catalog, planner_options).plan(planned.logical)
-            execute = physical.execute
-            if options.engine == VECTOR_ENGINE and options.explain != "plan":
-                execute = compile_plan(
-                    physical, batch_size=planner_options.vector_batch_size
-                ).rows
+            batch_size = planner_options.vector_batch_size
+            if options.explain == "plan":
+                root = None
+            elif options.engine == VECTOR_ENGINE:
+                root = compile_plan(physical, batch_size=batch_size).root
+            else:
+                root = VolcanoSource(physical, batch_size)
         except ReproError as error:
             raise error.add_context(sql=sql_text)
         analyze = options.explain == "analyze"
@@ -627,7 +636,7 @@ class Database:
         context = ExecutionContext(
             metrics=registry, tracer=tracer, governor=options.governor
         )
-        return _Run(options, sql_text, planned, physical, execute, context)
+        return _Run(options, sql_text, planned, physical, root, context)
 
     def _plan_query(
         self,
@@ -725,25 +734,34 @@ class Database:
             qerror_threshold=self.plan_cache.seed_threshold(key),
         )
 
-    def _rows(self, run: _Run) -> Iterator[tuple]:
-        """The governed root row loop, under every lazy or budgeted run.
+    def _rows(self, run: _Run) -> Iterator[list[tuple]]:
+        """The governed root loop under every run: the result, one root
+        batch of rows at a time.
 
-        Enforces ``max_rows`` at the root — a typed error the moment the
-        budget is crossed — and makes sure every engine error leaves
-        carrying its SQL. The finally clause closes the operator tree even
-        when the consumer abandons the stream mid-flight (GeneratorExit
-        travels through ``yield``); only a run that *drains* reaches
-        :meth:`_drained`.
+        Enforces ``max_rows`` at the root — the batch that crosses the
+        budget is cut there, so exactly the first ``max_rows`` rows are
+        handed on before the typed error — and makes sure every engine
+        error leaves carrying its SQL. The finally clause closes the
+        operator tree even when the consumer abandons the stream
+        mid-flight (GeneratorExit travels through ``yield``); only a run
+        that *drains* reaches :meth:`_drained`.
         """
         governor = run.options.governor
-        source = run.execute(run.context)
+        source = run.root.batches(run.context)
         produced = 0
         try:
-            for row in source:
+            for batch in source:
+                rows = batch.rows()
                 if governor is not None:
-                    governor.tick_output(1)
-                produced += 1
-                yield row
+                    try:
+                        governor.tick_output(len(rows))
+                    except RowBudgetExceeded:
+                        over = governor.output_rows - governor.budget.max_rows
+                        if over < len(rows):
+                            yield rows[: len(rows) - over]
+                        raise
+                produced += len(rows)
+                yield rows
         except ReproError as error:
             raise error.add_context(sql=run.sql_text)
         finally:
@@ -782,15 +800,7 @@ class Database:
         context = run.context
         tracer = context.tracer
         span = None if tracer is None else tracer.begin("plan", physical.label())
-        if options.governor is None:
-            # Nothing to enforce per row: drain at C speed, no generator frame.
-            try:
-                rows = list(run.execute(run.context))
-            except ReproError as error:
-                raise error.add_context(sql=run.sql_text)
-            self._drained(run, len(rows))
-        else:
-            rows = list(self._rows(run))
+        rows = list(chain.from_iterable(self._rows(run)))
         if span is not None:
             tracer.end(span, rows_out=len(rows))
         if options.explain == "analyze":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.bench.harness import Measurement, measure_sql
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
-from repro.optimizer.planner import VOLCANO_ENGINE, PlannerOptions
+from repro.optimizer.planner import DEFAULT_ENGINE, PlannerOptions
 from repro.storage.catalog import Catalog
 from repro.workloads.queries import PAPER_QUERIES, PaperQuery
 from repro.workloads.tpch import TpchConfig, load_tpch
@@ -54,10 +54,10 @@ def run_query(
     catalog: Catalog,
     query: PaperQuery,
     repetitions: int = 3,
-    engine: str = VOLCANO_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> Fig8Row:
-    """Measure one paper query; ``engine`` selects the Volcano iterators or
-    the vector pipelines for all three measurements."""
+    """Measure one paper query; ``engine`` selects the vector pipelines or
+    the Volcano iterators for all three measurements."""
     baseline = measure_sql(
         catalog, query.baseline_sql, repetitions=repetitions, engine=engine
     )
@@ -81,7 +81,7 @@ def run_query(
 def run_figure8(
     scale: float = DEFAULT_SCALE,
     repetitions: int = 3,
-    engine: str = VOLCANO_ENGINE,
+    engine: str = DEFAULT_ENGINE,
     catalog: Catalog | None = None,
 ) -> list[Fig8Row]:
     if catalog is None:
@@ -94,9 +94,11 @@ def run_figure8(
 
 
 def format_rows(rows: list[Fig8Row]) -> str:
+    engine = rows[0].baseline.engine if rows else DEFAULT_ENGINE
     lines = [
         "Figure 8 — speedup using GApply "
-        "(ratio of time without GApply to time with GApply)",
+        "(ratio of time without GApply to time with GApply; "
+        f"{engine} engine, execution only)",
         "",
         f"{'query':<6} {'baseline':>10} {'gapply':>10} {'speedup':>9} "
         f"{'(sort)':>8} {'work x':>8} {'paper ~':>8}",

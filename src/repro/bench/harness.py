@@ -25,9 +25,9 @@ from repro.execution.base import PhysicalOperator, run_plan
 from repro.execution.context import Counters, ExecutionContext
 from repro.optimizer.engine import Optimizer, apply_rule_once
 from repro.optimizer.planner import (
+    DEFAULT_ENGINE,
     ENGINES,
     VECTOR_ENGINE,
-    VOLCANO_ENGINE,
     Planner,
     PlannerOptions,
 )
@@ -52,10 +52,10 @@ class Measurement:
     #: Per-operator metrics snapshot of the best run (path -> counters),
     #: populated only when the measurement asked for metrics collection.
     metrics: dict | None = None
-    #: Which execution engine drove the plan: ``"volcano"`` (row-at-a-time
-    #: iterators) or ``"vector"`` (batched pipelines). Work counters are
-    #: engine-independent by the equivalence contract; only elapsed moves.
-    engine: str = VOLCANO_ENGINE
+    #: Which execution engine drove the plan: ``"vector"`` (batched
+    #: pipelines) or ``"volcano"`` (row-at-a-time iterators). Work counters
+    #: are engine-independent by the equivalence contract; only elapsed moves.
+    engine: str = DEFAULT_ENGINE
 
     def ratio_to(self, other: "Measurement") -> float:
         """self/other elapsed-time ratio (``other`` is the faster plan)."""
@@ -88,14 +88,15 @@ def measure_physical(
     plan: PhysicalOperator,
     repetitions: int = DEFAULT_REPETITIONS,
     collect_metrics: bool = False,
-    engine: str = VOLCANO_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> Measurement:
     """Best-of-N execution of a physical plan.
 
-    ``engine`` selects the driving loop: Volcano iterators or the
-    batched vector pipelines. Vector compilation happens *outside* the
-    timed region — like planning and lowering, it is a once-per-plan
-    cost, and ``elapsed`` measures execution alone in both engines.
+    ``engine`` selects the driving loop: the batched vector pipelines
+    (the default, as everywhere) or the Volcano iterators. Vector
+    compilation happens *outside* the timed region — like planning and
+    lowering, it is a once-per-plan cost, and ``elapsed`` measures
+    execution alone in both engines.
 
     ``collect_metrics`` attaches a fresh per-operator metrics registry to
     every repetition and stores the best run's snapshot (with timings) on
@@ -204,13 +205,14 @@ def measure_sql(
 ) -> Measurement:
     """Bind, (optionally) optimize, lower and measure one SQL query.
 
-    ``engine`` overrides the engine from ``options`` (default Volcano).
+    ``engine`` overrides the engine from ``options`` (whose default is
+    :data:`~repro.optimizer.planner.DEFAULT_ENGINE`).
     """
     logical = bind(catalog, sql)
     if optimize:
         logical = optimize_with(catalog, logical)
     if engine is None:
-        engine = options.engine if options else VOLCANO_ENGINE
+        engine = (options or PlannerOptions()).engine
     return measure_physical(
         lower(catalog, logical, options), repetitions, collect_metrics, engine,
     )

@@ -27,12 +27,18 @@ lists; it never mutates a shared list in place.)
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 #: Default number of rows per batch. Large enough that per-batch Python
 #: overhead (dispatch, counter updates, governor ticks) amortizes to
-#: noise; small enough that intermediate columns stay cache-resident.
-DEFAULT_BATCH_SIZE = 1024
+#: noise; small enough that a join stage's output for one input batch —
+#: every match concatenated, ~80 rows per probe row on the sorted-outer-
+#: union plans — stays near what the row iterators hold. Measured on Q4's
+#: baseline plan at scale 1.0 (DESIGN.md §12.1 has scale 0.5): traced
+#: allocation peak 6.2 MB at 1024, 2.5 MB at 256, 2.2 MB at 128 against
+#: Volcano's 2.3 MB, with run times equal within noise down to 64.
+DEFAULT_BATCH_SIZE = 128
 
 
 class ColumnBatch:
@@ -179,7 +185,14 @@ class ColumnBatch:
         return ColumnBatch(rows=rows, length=len(rows))
 
 
-def iter_chunks(rows: Sequence, batch_size: int) -> Iterable:
-    """Slice an in-memory sequence into ``batch_size`` pieces."""
-    for start in range(0, len(rows), batch_size):
-        yield rows[start : start + batch_size]
+def row_slices(rows: Iterable, size: int = DEFAULT_BATCH_SIZE) -> Iterator[list]:
+    """Cut a row stream into lists of at most ``size`` rows. Closing the
+    slices closes a ``rows`` that can be closed."""
+    iterator = iter(rows)
+    try:
+        while chunk := list(islice(iterator, size)):
+            yield chunk
+    finally:
+        close = getattr(iterator, "close", None)
+        if close is not None:
+            close()

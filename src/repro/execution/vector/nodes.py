@@ -26,7 +26,7 @@ specific* counters there.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter as _itemgetter
 from typing import Iterator
 
@@ -35,7 +35,7 @@ from repro.execution.context import ExecutionContext
 from repro.storage.types import DataType, grouping_key
 
 from repro.execution.vector.aggregates import make_state
-from repro.execution.vector.batch import ColumnBatch
+from repro.execution.vector.batch import ColumnBatch, row_slices
 from repro.execution.vector.exprs import compile_batch
 
 
@@ -83,11 +83,7 @@ def volcano_batches(
     path, so a fallback subtree behaves identically to the row engine.
     """
     width = len(op.schema)
-    iterator = op.execute(ctx)
-    while True:
-        chunk = list(islice(iterator, batch_size))
-        if not chunk:
-            return
+    for chunk in row_slices(op.execute(ctx), batch_size):
         yield rows_batch(chunk, width)
 
 

@@ -68,7 +68,7 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.faults import FaultPlan, fault_injection
-from repro.optimizer.planner import ENGINES, VOLCANO_ENGINE
+from repro.optimizer.planner import DEFAULT_ENGINE, ENGINES
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import TpchConfig, load_tpch
 
@@ -128,7 +128,7 @@ class ChaosCase:
     max_rows: int | None = None
     #: Which execution engine drives the query; every scenario's invariant
     #: (correct rows or an allowed typed error) is engine-independent.
-    engine: str = VOLCANO_ENGINE
+    engine: str = DEFAULT_ENGINE
     #: Error types that count as a correct outcome for this scenario.
     allowed_errors: tuple[type, ...] = ()
     #: Must the run end in correct rows (no error tolerated)?

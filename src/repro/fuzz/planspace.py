@@ -6,13 +6,16 @@ planner configuration — each optimizer rule individually disabled, all
 rules off, no optimizer at all, both GApply partitioning strategies, a
 partition phase forced to spill, no hash joins, no index access paths,
 and both execution engines — and demand identical normalized result
-multisets.
+multisets. The baseline every configuration is compared with runs on the
+Volcano iterators (:mod:`repro.fuzz.runner` names them); a configuration
+that does not name an engine runs the default one, the vector engine.
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
-fuzzer (7 fixed configurations + one per optimizer rule);
-``QUICK_PROFILE`` (7 + 5) keeps tier-1 test time bounded while still
-covering the rule families with distinct failure modes. The engine
-profile adds 9 vector-engine configurations, two of them forced-spill.
+fuzzer (7 fixed configurations — 6 on the default engine plus
+``volcano-engine`` — and one per optimizer rule); ``QUICK_PROFILE``
+(7 + 5) keeps tier-1 test time bounded while still covering the rule
+families with distinct failure modes. The engine profile runs 9
+configurations that name the vector engine, two of them forced-spill.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import PlanError
-from repro.optimizer.planner import VECTOR_ENGINE, PlannerOptions
+from repro.optimizer.planner import VECTOR_ENGINE, VOLCANO_ENGINE, PlannerOptions
 
 #: Cells resident before the forced-spill configurations flush: a few
 #: rows, so even the small fuzz tables write several runs/waves.
@@ -62,7 +65,7 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
         ),
         PlanConfig("nested-loop-joins", _options(prefer_hash_join=False)),
         PlanConfig("no-indexes", _options(use_indexes=False)),
-        PlanConfig("vector-engine", _options(engine=VECTOR_ENGINE)),
+        PlanConfig("volcano-engine", _options(engine=VOLCANO_ENGINE)),
     ]
     if full:
         disabled = rules
@@ -86,7 +89,7 @@ def engine_configurations() -> list[PlanConfig]:
     against the vector engine across the knobs that change which batched
     operators and fast paths a plan exercises. Batch sizes 3 and 1 force
     cross-batch state (limit countdowns, distinct sets, hash-join builds
-    spanning batches) that the default 1024 hides on small fuzz data; the
+    spanning batches) that the default 128 hides on small fuzz data; the
     forced-spill pair runs the shared partition phase's disk paths under
     vectorized outer and per-group plans."""
     return [

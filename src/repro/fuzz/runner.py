@@ -2,9 +2,10 @@
 
 For each seeded case this runs three checks:
 
-1. **engine sanity** — the query must execute at all (a crash on
-   generator-valid input is a bug, not a skip);
-2. **oracle agreement** — the engine's rows must equal SQLite's for the
+1. **engine sanity** — the query must execute at all, on the Volcano
+   iterators by name (a crash on generator-valid input is a bug, not a
+   skip);
+2. **oracle agreement** — those baseline rows must equal SQLite's for the
    lowered query, as NULL-aware normalized multisets;
 3. **plan-space equivalence** — every planner configuration from the
    profile must reproduce the baseline rows exactly.
@@ -26,6 +27,7 @@ from repro.fuzz.generator import FuzzCase, generate_case
 from repro.fuzz.oracle import compare_multisets, run_oracle, sqlite_mirror
 from repro.fuzz.planspace import PlanConfig, profile_configurations
 from repro.fuzz.shrink import shrink_case
+from repro.optimizer.planner import VOLCANO_ENGINE
 from repro.sql.sqlite import OracleUnsupportedError
 
 
@@ -81,7 +83,9 @@ def run_case(
     db = case.db.build()
     sql = case.sql
     try:
-        baseline = db.sql(sql).rows
+        # The reference run is the row iterators, by name: the SQLite
+        # oracle anchors it, and every configuration below is held to it.
+        baseline = db.sql(sql, engine=VOLCANO_ENGINE).rows
     except ReproError as error:
         return FuzzFailure(
             "engine-error", None, f"  {type(error).__name__}: {error}", case

@@ -10,7 +10,12 @@ Two layers of seeded random cases, both with a materialized reference:
 
   1. *chunk invariance* — ``stream_document`` output re-joined is
      byte-identical to ``tag_to_string`` for chunk sizes from 1 byte to
-     64 KiB; chunking must move framing, never bytes;
+     64 KiB; chunking must move framing, never bytes. Both sides run the
+     same tagging loop (``tag_to_string`` is that loop joined), so this
+     checks the stream's slicing and accounting only — check 2 is the one
+     that does not compare the tagger with itself (and
+     ``tests/properties/test_tagger_properties.py`` holds it to a
+     row-at-a-time reference implementation, fragment for fragment);
   2. *parse round-trip* — the document parses with a conforming XML
      parser (:mod:`xml.etree.ElementTree`) and the parsed element
      structure equals an **independent simulation** built straight from

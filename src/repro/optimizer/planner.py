@@ -72,6 +72,9 @@ from repro.storage.catalog import Catalog
 VOLCANO_ENGINE = "volcano"
 VECTOR_ENGINE = "vector"
 ENGINES = (VOLCANO_ENGINE, VECTOR_ENGINE)
+#: The engine every entry point runs unless told otherwise, and what a
+#: result or measurement reports when nobody named one.
+DEFAULT_ENGINE = VECTOR_ENGINE
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,16 @@ class PlannerOptions:
     space — every rule disabled one at a time, all rules off — and assert
     that results never change. Unknown rule names raise at use time.
 
-    ``engine`` selects how the lowered plan is *driven*: ``"volcano"``
-    (the default row-at-a-time iterators) or ``"vector"`` (the
-    batch-at-a-time columnar engine in :mod:`repro.execution.vector`,
-    which compiles the same physical plan into fused per-batch pipelines
-    and transparently falls back to Volcano for unsupported operators).
+    ``engine`` selects how the lowered plan is *driven*: ``"vector"``
+    (the default: the batch-at-a-time columnar engine in
+    :mod:`repro.execution.vector`, which compiles the physical plan into
+    fused per-batch pipelines and transparently falls back to the row
+    iterators for unsupported operators) or ``"volcano"`` (the
+    row-at-a-time iterators alone, kept selectable as the reference).
     Both engines produce identical rows, counters, and metrics for any
     plan — the fuzz driver's ``engine`` profile asserts exactly that.
-    ``vector_batch_size`` sets the rows-per-batch granularity.
+    ``vector_batch_size`` sets the rows-per-batch granularity (under
+    Volcano: of the root loop only).
 
     ``collect_estimates`` stamps every lowered physical node with the cost
     model's row estimate for its logical source (``est_rows``), which
@@ -116,7 +121,7 @@ class PlannerOptions:
     disabled_rules: tuple[str, ...] = ()
     optimizer_max_alternatives: int | None = None
     collect_estimates: bool = False
-    engine: str = VOLCANO_ENGINE
+    engine: str = DEFAULT_ENGINE
     vector_batch_size: int = DEFAULT_BATCH_SIZE
 
     def active_rules(self):

@@ -6,6 +6,7 @@ from repro.xmlpub.stream import (
     PublishStats,
     XmlChunkStream,
     stream_document,
+    stream_slices,
 )
 from repro.xmlpub.tagger import (
     ConstantSpaceTagger,
@@ -69,6 +70,7 @@ __all__ = [
     "parse_xquery",
     "sanitize_parsed_text",
     "stream_document",
+    "stream_slices",
     "tpch_supplier_view",
     "translate_xquery",
 ]

@@ -5,12 +5,13 @@ clustered rows — but every caller so far materialized the query result
 first, so the serve layer could not ship documents larger than memory.
 This module closes that gap: it couples the tagger to a *lazy* row source
 (:meth:`Database.publish <repro.api.Database.publish>` hands it the
-governed root row loop over the Volcano iterators or the vector
-engine's batch stream, undrained) and re-chunks the tagger's small text
-fragments into bounded byte buffers, so the whole pipeline holds:
+governed root loop, undrained: the executor's batches of rows, one list
+at a time) and re-chunks the tagger's small text fragments into bounded
+byte buffers, so the whole pipeline holds:
 
 * the executor's working state (one group at a time for GApply, whose
   partition phase spills to disk under a memory budget);
+* one batch of rows and the text fragments tagged from it;
 * at most ``chunk_bytes`` (+ one text fragment) of pending XML;
 
 and nothing proportional to the document.
@@ -36,11 +37,14 @@ the life of the stream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from itertools import accumulate
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ReproError, XmlPublishError
 from repro.execution.governor import Governor
+from repro.execution.vector.batch import row_slices
 from repro.storage.table import Row
 from repro.xmlpub.tagger import ConstantSpaceTagger, TaggerSpec
 
@@ -85,28 +89,64 @@ def stream_document(
 ) -> Iterator[bytes]:
     """Yield one XML document as encoded chunks with bounded buffering.
 
-    ``rows`` may be any iterable of clustered tagger-layout rows — in
-    production :meth:`Database.publish`'s lazy row loop; in tests
-    a plain list. The concatenation of the yielded chunks is
-    byte-identical to ``ConstantSpaceTagger(spec).tag_to_string(rows)``
-    encoded, for every ``chunk_bytes`` — chunking never moves document
-    bytes, only their framing.
+    ``rows`` may be any iterable of clustered tagger-layout rows — a plain
+    list in tests and benchmarks; :meth:`Database.publish` hands its row
+    batches to :func:`stream_slices` directly. The concatenation of the
+    yielded chunks is byte-identical to
+    ``ConstantSpaceTagger(spec).tag_to_string(rows)`` encoded, for every
+    ``chunk_bytes`` — chunking never moves document bytes, only their
+    framing.
+    """
+    return stream_slices(
+        row_slices(rows), spec, chunk_bytes=chunk_bytes, encoding=encoding,
+        governor=governor, stats=stats,
+    )
+
+
+def stream_slices(
+    slices: Iterable[Sequence[Row]],
+    spec: TaggerSpec,
+    *,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    encoding: str = "utf-8",
+    governor: Governor | None = None,
+    stats: PublishStats | None = None,
+) -> Iterator[bytes]:
+    """:func:`stream_document` over rows that already come in slices (the
+    executor's batches). One slice of rows and the fragments tagged from it
+    are in flight at a time, beside at most ``chunk_bytes`` (+ one
+    fragment) of pending text; the accounting below runs once per slice,
+    cutting the fragment list wherever the pending text reaches
+    ``chunk_bytes``, so chunks end where a fragment-at-a-time loop would
+    end them.
 
     Cleanup is guaranteed: on ``close()`` (GeneratorExit), an error, or
-    exhaustion, the row source is closed (releasing generator-held
-    resources such as spill files) and any governor cells charged for
-    the pending buffer are released.
+    exhaustion, ``slices`` is closed — releasing generator-held resources
+    such as spill files — and any governor cells charged for the pending
+    buffer are released.
     """
     if chunk_bytes < 1:
         raise XmlPublishError(
             f"chunk_bytes must be >= 1, got {chunk_bytes}"
         )
-    tagger = ConstantSpaceTagger(spec)
-    row_iter = iter(rows)
-    counted = row_iter if stats is None else _counted(row_iter, stats)
     pieces: list[str] = []
     pending = 0        # approximate pending size (str length)
     charged_cells = 0  # governor cells currently held for the buffer
+
+    def buffer(fragments: list[str], size: int) -> None:
+        nonlocal pending, charged_cells
+        pieces.extend(fragments)
+        pending += size
+        if stats is not None and pending > stats.peak_buffer_bytes:
+            stats.peak_buffer_bytes = pending
+        if governor is not None:
+            want = -(-pending // STREAM_CELL_BYTES)  # ceil division
+            if want > charged_cells:
+                # Charge before bumping the tally: a rejected charge is
+                # rolled back by the governor, so the finally below must
+                # not release cells we never held.
+                governor.charge_cells(want - charged_cells)
+                charged_cells = want
 
     def flush() -> bytes:
         nonlocal pending, charged_cells
@@ -123,42 +163,45 @@ def stream_document(
             stats.bytes_emitted += len(chunk)
         return chunk
 
+    def counted() -> Iterator[Sequence[Row]]:
+        for rows in slices:
+            stats.rows_in += len(rows)
+            yield rows
+
     try:
-        for piece in tagger.tag(counted):
-            pieces.append(piece)
-            pending += len(piece)
-            if stats is not None and pending > stats.peak_buffer_bytes:
-                stats.peak_buffer_bytes = pending
-            if governor is not None:
-                want = -(-pending // STREAM_CELL_BYTES)  # ceil division
-                if want > charged_cells:
-                    # Charge before bumping the tally: a rejected charge
-                    # is rolled back by the governor, so the finally
-                    # below must not release cells we never held.
-                    governor.charge_cells(want - charged_cells)
-                    charged_cells = want
-            if pending >= chunk_bytes:
+        tagger = ConstantSpaceTagger(spec)
+        for fragments in tagger.fragments(slices if stats is None else counted()):
+            # ends[i]: text length of fragments[:i]
+            ends = list(accumulate(map(len, fragments), initial=0))
+            start = 0
+            while True:
+                # the first fragment at which pending text reaches the bound
+                cut = bisect_left(
+                    ends, ends[start] + chunk_bytes - pending, start + 1
+                )
+                if cut == len(ends):
+                    break
+                buffer(fragments[start:cut], ends[cut] - ends[start])
                 yield flush()
+                start = cut
+            buffer(fragments[start:], ends[-1] - ends[start])
         if pieces:
             yield flush()
     finally:
         if governor is not None and charged_cells:
             governor.release_cells(charged_cells)
             charged_cells = 0
-        close = getattr(row_iter, "close", None)
+        close = getattr(slices, "close", None)
         if close is not None:
             close()
-
-
-def _counted(rows: Iterator[Row], stats: PublishStats) -> Iterator[Row]:
-    for row in rows:
-        stats.rows_in += 1
-        yield row
 
 
 class XmlChunkStream:
     """One in-flight published document: ``Iterator[bytes]`` + lifecycle.
 
+    ``slices`` is the row source as :func:`stream_slices` takes it: lists
+    of clustered rows (:func:`~repro.execution.vector.batch.row_slices`
+    cuts a plain row stream).
     Iterate (or call :meth:`read_all`) to drain the document; call
     :meth:`close` — or use it as a context manager — to abandon it early.
     Either way the underlying row source is torn down exactly once and
@@ -169,7 +212,7 @@ class XmlChunkStream:
 
     def __init__(
         self,
-        rows: Iterable[Row],
+        slices: Iterable[Sequence[Row]],
         spec: TaggerSpec,
         *,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
@@ -188,8 +231,8 @@ class XmlChunkStream:
         self._close_hooks: list[
             Callable[["XmlChunkStream", BaseException | None], None]
         ] = []
-        self._gen = stream_document(
-            rows,
+        self._gen = stream_slices(
+            slices,
             spec,
             chunk_bytes=chunk_bytes,
             encoding=encoding,

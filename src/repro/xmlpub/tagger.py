@@ -18,10 +18,15 @@ adds the matching ORDER BY / union order).
 
 from __future__ import annotations
 
+import datetime
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import XmlPublishError
+from repro.execution.vector.batch import row_slices
 from repro.storage.table import Row
 from repro.storage.types import format_value, grouping_key
 
@@ -44,6 +49,19 @@ _CONTROL_TRANSLATION = {
 }
 
 
+#: The same points without carriage return: what a parser hands back.
+_PARSED_CONTROL_TRANSLATION = {
+    point: text for point, text in _CONTROL_TRANSLATION.items() if point != 0x0D
+}
+
+#: One search decides whether a text needs any of the rewriting below.
+_needs_escaping = re.compile(r"[&<>\x00-\x08\x0b-\x1f]").search
+
+#: Values whose :func:`format_value` rendering is digits, letters, ``.``,
+#: ``-``, ``+`` and nothing else: safe in XML text by construction.
+_PLAIN_TYPES = frozenset({type(None), bool, int, float, datetime.date})
+
+
 def escape_text(value: object) -> str:
     """XML-escape a SQL value for text content.
 
@@ -54,9 +72,16 @@ def escape_text(value: object) -> str:
     ``]]>`` can never appear literally), ``\\r`` becomes ``&#13;`` to
     survive parser line-ending normalization, and XML-illegal control
     characters are replaced with U+FFFD (they cannot be represented in
-    XML 1.0 at all).
+    XML 1.0 at all). Most values need none of it: numbers, booleans,
+    dates and NULL return their rendering as is, and a string is
+    rewritten only when one search finds something to rewrite.
     """
-    text = format_value(value)
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return format_value(value)
+    text = value if kind is str else format_value(value)
+    if _needs_escaping(text) is None:
+        return text
     text = (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
@@ -71,14 +96,7 @@ def sanitize_parsed_text(value: object) -> str:
     decodes to ``\\r``, and XML-illegal control characters were replaced
     by U+FFFD before the document was written.
     """
-    text = format_value(value)
-    return text.translate(
-        {
-            point: "�"
-            for point in range(0x20)
-            if point not in (0x09, 0x0A, 0x0D)
-        }
-    )
+    return format_value(value).translate(_PARSED_CONTROL_TRANSLATION)
 
 
 @dataclass(frozen=True)
@@ -141,63 +159,119 @@ class TaggerSpec:
         raise XmlPublishError(f"row carries unknown branch id {branch_id!r}")
 
 
+def _element(tag: str, content: str = "%s") -> str:
+    """``<tag>content</tag>`` as a ``%``-template (``content`` is one)."""
+    tag = tag.replace("%", "%%")
+    return f"<{tag}>{content}</{tag}>"
+
+
+def _values_getter(positions: Sequence[int]):
+    """``row -> tuple`` of the values at ``positions``, at C speed."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+
+
 class ConstantSpaceTagger:
     """Streaming tagger; O(depth) state, rows in, XML text chunks out."""
 
     def __init__(self, spec: TaggerSpec, indent: bool = False):
         self.spec = spec
         self.indent = indent
+        self._key_templates = [
+            (_element(item.tag), item.key_index) for item in spec.key_items
+        ]
+        # branch id -> (container tag or None, row template, payload getter);
+        # a scalar branch is a one-field row outside any container.
+        payload = spec.branch_column + 1
+        self._branches = {}
+        for branch in spec.branches:
+            if isinstance(branch, ScalarBranch):
+                compiled = (
+                    None,
+                    _element(branch.tag),
+                    _values_getter([payload + branch.payload_index]),
+                )
+            else:
+                compiled = (
+                    branch.container_tag,
+                    _element(
+                        branch.row_tag,
+                        "".join(_element(tag) for tag, _ in branch.fields),
+                    ),
+                    _values_getter([payload + index for _, index in branch.fields]),
+                )
+            self._branches[branch.branch] = compiled
 
     # ------------------------------------------------------------------
 
     def tag(self, rows: Iterable[Row]) -> Iterator[str]:
         """Yield XML text chunks for a clustered row stream."""
+        return chain.from_iterable(self.fragments(row_slices(rows)))
+
+    def fragments(self, slices: Iterable[Sequence[Row]]) -> Iterator[list[str]]:
+        """The tagging loop, a slice of rows at a time: one list of text
+        fragments per slice (plus the root tags), in document order. A row
+        that cannot be tagged raises after the fragments before it."""
         spec = self.spec
-        yield f"<{spec.root_tag}>"
-        current_key: tuple | None = None
+        key_count = spec.key_count
+        key_templates = self._key_templates
+        branches = self._branches
+        group_open = f"<{spec.group_tag}>"
+        group_close = f"</{spec.group_tag}>"
+        escape = escape_text
+        last_values: tuple | None = None  # raw key columns of the open group
+        current_key: tuple | None = None  # their grouping_key, when needed
         open_container: str | None = None
-
-        def close_group() -> Iterator[str]:
-            nonlocal open_container
+        yield [f"<{spec.root_tag}>"]
+        for rows in slices:
+            out: list[str] = []
+            emit = out.append
+            for row in rows:
+                key_values = row[:key_count]
+                # Unequal raw values are unequal keys; equal ones are the
+                # same key unless a bool met a number (True == 1), which
+                # only a key holding 0 or 1 can — grouping_key decides.
+                if key_values != last_values or (
+                    current_key is not None
+                    and grouping_key(key_values) != current_key
+                ):
+                    if last_values is not None:
+                        if open_container is not None:
+                            emit(f"</{open_container}>")
+                            open_container = None
+                        emit(group_close)
+                    last_values = key_values
+                    current_key = (
+                        grouping_key(key_values)
+                        if any(value in (0, 1) for value in key_values)
+                        else None
+                    )
+                    emit(group_open)
+                    for template, index in key_templates:
+                        emit(template % escape(key_values[index]))
+                branch = branches.get(row[key_count])
+                if branch is None:
+                    yield out
+                    raise XmlPublishError(
+                        f"row carries unknown branch id {row[key_count]!r}"
+                    )
+                container, template, values_of = branch
+                if container != open_container:
+                    if open_container is not None:
+                        emit(f"</{open_container}>")
+                    open_container = container
+                    if container is not None:
+                        emit(f"<{container}>")
+                emit(template % tuple(map(escape, values_of(row))))
+            yield out
+        closing = []
+        if last_values is not None:
             if open_container is not None:
-                yield f"</{open_container}>"
-                open_container = None
-            yield f"</{spec.group_tag}>"
-
-        for row in rows:
-            key_values = row[: spec.key_count]
-            key = grouping_key(key_values)
-            if key != current_key:
-                if current_key is not None:
-                    yield from close_group()
-                current_key = key
-                yield f"<{spec.group_tag}>"
-                for item in spec.key_items:
-                    value = escape_text(key_values[item.key_index])
-                    yield f"<{item.tag}>{value}</{item.tag}>"
-            branch = spec.branch_by_id(row[spec.branch_column])
-            if isinstance(branch, ScalarBranch):
-                if open_container is not None:
-                    yield f"</{open_container}>"
-                    open_container = None
-                value = escape_text(row[spec.branch_column + 1 + branch.payload_index])
-                yield f"<{branch.tag}>{value}</{branch.tag}>"
-                continue
-            if branch.container_tag != open_container:
-                if open_container is not None:
-                    yield f"</{open_container}>"
-                open_container = branch.container_tag
-                if open_container is not None:
-                    yield f"<{open_container}>"
-            chunks = [f"<{branch.row_tag}>"]
-            for tag, payload_index in branch.fields:
-                value = escape_text(row[spec.branch_column + 1 + payload_index])
-                chunks.append(f"<{tag}>{value}</{tag}>")
-            chunks.append(f"</{branch.row_tag}>")
-            yield "".join(chunks)
-        if current_key is not None:
-            yield from close_group()
-        yield f"</{spec.root_tag}>"
+                closing.append(f"</{open_container}>")
+            closing.append(group_close)
+        closing.append(f"</{spec.root_tag}>")
+        yield closing
 
     def tag_to_string(self, rows: Iterable[Row]) -> str:
         """Materialize the whole document (tests and small examples)."""

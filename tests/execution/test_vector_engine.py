@@ -7,6 +7,8 @@ implementation detail, never a semantic one.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.api import Database
@@ -20,14 +22,18 @@ from repro.execution.context import Counters, ExecutionContext
 from repro.execution.governor import Budget, Governor
 from repro.execution.vector.compiler import compile_plan
 from repro.observe.metrics import MetricsRegistry
+from repro.execution.vector.nodes import VectorNode
 from repro.optimizer.planner import (
+    DEFAULT_ENGINE,
     ENGINES,
     VECTOR_ENGINE,
     VOLCANO_ENGINE,
     PlannerOptions,
 )
+from repro.storage.catalog import Catalog
 from repro.storage.types import DataType
 from repro.workloads.queries import PAPER_QUERIES
+from repro.workloads.tpch import TpchConfig, load_tpch
 
 #: Every paper-query formulation (4 baseline + 4 gapply + the naive
 #: correlated-subquery variants where the paper defines one).
@@ -125,19 +131,31 @@ class TestPaperFormulations:
 class TestEngineKnob:
     def test_sql_engine_kwarg(self, tpch_db):
         sql = PAPER_QUERIES[0].baseline_sql
-        volcano = tpch_db.sql(sql)
-        vector = tpch_db.sql(sql, engine=VECTOR_ENGINE)
+        default = tpch_db.sql(sql)
+        volcano = tpch_db.sql(sql, engine=VOLCANO_ENGINE)
+        assert default.engine == DEFAULT_ENGINE == VECTOR_ENGINE == "vector"
+        assert PlannerOptions().engine == DEFAULT_ENGINE
+        # "volcano" still selects the row iterators: no vector node runs.
         assert volcano.engine == VOLCANO_ENGINE
-        assert vector.engine == VECTOR_ENGINE
-        assert vector.rows == volcano.rows
-        assert vars(vector.counters) == vars(volcano.counters)
+        assert volcano.rows == default.rows
+        assert vars(volcano.counters) == vars(default.counters)
+
+    def test_volcano_engine_runs_no_batch_node(self, tpch_db, monkeypatch):
+        def no_batches(self, ctx):
+            raise AssertionError(f"{type(self).__name__} ran under volcano")
+
+        monkeypatch.setattr(VectorNode, "batches", no_batches)
+        sql = PAPER_QUERIES[0].gapply_sql
+        assert tpch_db.sql(sql, engine=VOLCANO_ENGINE).rows
+        with pytest.raises(AssertionError, match="ran under volcano"):
+            tpch_db.sql(sql)
 
     def test_planner_options_engine(self, tpch_db):
         sql = PAPER_QUERIES[0].gapply_sql
         result = tpch_db.sql(
-            sql, planner_options=PlannerOptions(engine=VECTOR_ENGINE)
+            sql, planner_options=PlannerOptions(engine=VOLCANO_ENGINE)
         )
-        assert result.engine == VECTOR_ENGINE
+        assert result.engine == VOLCANO_ENGINE
         assert result.rows == tpch_db.sql(sql).rows
 
     def test_unknown_engine_rejected(self, tpch_db):
@@ -161,7 +179,7 @@ class TestEngineKnob:
                 engine=VECTOR_ENGINE, vector_batch_size=2
             ),
         )
-        assert result.rows == tpch_db.sql(sql).rows
+        assert result.rows == tpch_db.sql(sql, engine=VOLCANO_ENGINE).rows
 
 
 class TestBudgetEquivalence:
@@ -209,10 +227,40 @@ class TestBudgetEquivalence:
 
     def test_max_rows_identical_through_api(self, tpch_db):
         sql = PAPER_QUERIES[0].baseline_sql
-        with pytest.raises(RowBudgetExceeded):
-            tpch_db.sql(sql, max_rows=2)
-        with pytest.raises(RowBudgetExceeded):
-            tpch_db.sql(sql, max_rows=2, engine=VECTOR_ENGINE)
+        for engine in ENGINES:
+            with pytest.raises(RowBudgetExceeded):
+                tpch_db.sql(sql, max_rows=2, engine=engine)
+            total = len(tpch_db.sql(sql, engine=engine).rows)
+            exact = tpch_db.sql(sql, max_rows=total, engine=engine)
+            assert len(exact.rows) == total
+            with pytest.raises(RowBudgetExceeded):
+                tpch_db.sql(sql, max_rows=total - 1, engine=engine)
+
+
+class TestBatchMemory:
+    """The default engine must not buy its speed with transient memory:
+    a join stage emits every match for an input batch at once, and the
+    sorted-outer-union plans fan out ~80 rows per probe row."""
+
+    def test_q4_baseline_peaks_near_volcano(self):
+        catalog = Catalog()
+        load_tpch(catalog, TpchConfig(scale=0.5))
+        db = Database(catalog, plan_cache=None)
+        sql = PAPER_QUERIES[3].baseline_sql
+
+        def traced_peak(engine: str | None) -> int:
+            db.sql(sql, engine=engine)  # statistics, imports, first-call costs
+            tracemalloc.start()
+            try:
+                db.sql(sql, engine=engine)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        volcano = traced_peak(VOLCANO_ENGINE)
+        default = traced_peak(None)
+        # 1.2x at the default batch size; 5.5x at 1024 rows per batch.
+        assert default < 2 * volcano, (default, volcano)
 
 
 def null_heavy_db() -> Database:

@@ -187,7 +187,7 @@ class TestKeyingThroughDatabase:
     def test_physical_knobs_share_the_key(self):
         db = small_db()
         db.sql("select id, v from t where v < 5.0")
-        hit = db.sql("select id, v from t where v < 5.0", engine="vector")
+        hit = db.sql("select id, v from t where v < 5.0", engine="volcano")
         assert hit.plan_cache["source"] == "hit"
         assert len(db.plan_cache) == 1
 

@@ -21,6 +21,7 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.governor import Budget, Governor
+from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
 from repro.serve import (
     AdmissionController,
     QueryClass,
@@ -181,6 +182,25 @@ class TestServiceQueries:
         assert stats["completed"] == 2
         assert stats["active"] == 0
         assert stats["slots_free"] == stats["slots"]
+
+    def test_root_loop_ticks_the_governor_per_batch(self, monkeypatch):
+        # Every service query runs under a governor; its output tally must
+        # be the row count, charged a root batch at a time, not a row.
+        ticks = []
+        tick_output = Governor.tick_output
+
+        def recording(self, n=1):
+            ticks.append((self, n))
+            tick_output(self, n)
+
+        monkeypatch.setattr(Governor, "tick_output", recording)
+        db = Database()
+        db.create_table("t", [("a", DataType.INTEGER)], [(i,) for i in range(1000)])
+        rows = Service(db).sql("select a from t where a >= 10").rows
+        assert len(rows) == 990
+        (governor,) = {governor for governor, _ in ticks}
+        assert governor.output_rows == 990 == sum(n for _, n in ticks)
+        assert len(ticks) == -(-1000 // DEFAULT_BATCH_SIZE)
 
     def test_unknown_query_class_is_typed(self):
         service = Service(small_db())

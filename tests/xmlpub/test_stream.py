@@ -24,8 +24,9 @@ from repro.errors import (
     XmlPublishError,
 )
 from repro.execution.governor import Budget, Governor
+from repro.execution.vector.batch import row_slices
 from repro.fuzz.xmlpub import NASTY_VALUES
-from repro.optimizer.planner import ENGINES
+from repro.optimizer.planner import ENGINES, PlannerOptions
 from repro.xmlpub import (
     FORMULATIONS,
     PublishStats,
@@ -121,6 +122,24 @@ class TestStreamDocument:
         assert closed == [True]
 
 
+    def test_source_error_mid_slice_closes_source_and_releases_cells(self):
+        closed = []
+
+        def source():
+            try:
+                yield from rows_for(100)  # two whole slices and a part
+                raise ReproError("row source failed")
+            finally:
+                closed.append(True)
+
+        governor = Governor(Budget())
+        gen = stream_document(source(), SPEC, chunk_bytes=1 << 20, governor=governor)
+        with pytest.raises(ReproError, match="row source failed"):
+            list(gen)
+        assert closed == [True]
+        assert governor.peak_cells > 0 and governor.cells_in_use == 0
+
+
 class TestGovernorIntegration:
     def test_emitted_bytes_charged(self):
         rows = rows_for(6)
@@ -173,7 +192,7 @@ class TestGovernorIntegration:
 
 class TestXmlChunkStream:
     def make(self, rows, **kwargs) -> XmlChunkStream:
-        return XmlChunkStream(rows, SPEC, **kwargs)
+        return XmlChunkStream(row_slices(rows), SPEC, **kwargs)
 
     def test_read_all_matches_materialized(self):
         rows = rows_for(3)
@@ -266,6 +285,46 @@ class TestEscapeText:
         assert escape_text(12) == "12"
         assert escape_text(2.5) == "2.5"
         assert escape_text(55.0) == "55"  # integral floats print as ints
+
+
+class TestRowBudgetAtTheRoot:
+    """``max_rows`` through the per-batch root loop: exactly the first
+    ``max_rows`` rows reach the tagger before the typed error."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("max_rows", [0, 1, 4, 5, 11])
+    def test_exactly_max_rows_reach_the_tagger(self, xml_db, engine, max_rows):
+        view = tpch_supplier_view()
+        # Batches of 4, so budgets fall before, on and between boundaries.
+        small = PlannerOptions(vector_batch_size=4)
+        whole = xml_db.publish(view, Q1, "union", planner_options=small)
+        whole.read_all()
+        assert whole.stats.rows_in > 11
+        governor = Governor(Budget(max_rows=max_rows))
+        ticks = []
+        tick_output = governor.tick_output
+        governor.tick_output = lambda n=1: (ticks.append(n), tick_output(n))
+        stream = xml_db.publish(
+            view, Q1, "union",
+            engine=engine, planner_options=small, governor=governor,
+        )
+        with pytest.raises(RowBudgetExceeded):
+            stream.read_all()
+        assert stream.stats.rows_in == max_rows
+        assert isinstance(stream.error, RowBudgetExceeded)
+        # One tick per root batch, the last of them the one that crossed.
+        assert ticks == [4] * (max_rows // 4 + 1)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_budget_equal_to_the_result_is_not_an_error(self, xml_db, engine):
+        view = tpch_supplier_view()
+        whole = xml_db.publish(view, Q1, "gapply", engine=engine)
+        document = whole.read_all()
+        exact = xml_db.publish(
+            view, Q1, "gapply", engine=engine, max_rows=whole.stats.rows_in
+        )
+        assert exact.read_all() == document
+        assert exact.governor.output_rows == whole.stats.rows_in
 
 
 PUBLISH_CASES = [

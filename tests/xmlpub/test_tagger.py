@@ -12,6 +12,8 @@ from repro.xmlpub.tagger import (
     escape_text,
 )
 
+from tests.xmlpub.reference_tagger import reference_tag
+
 
 def q1_spec() -> TaggerSpec:
     """Key + one rows branch (with container) + one scalar branch."""
@@ -79,6 +81,27 @@ class TestTagging:
     def test_unknown_branch_rejected(self):
         with pytest.raises(XmlPublishError):
             ConstantSpaceTagger(q1_spec()).tag_to_string([(1, 99, None, None, None)])
+
+    def test_unknown_branch_raises_after_the_fragments_before_it(self):
+        rows = Q1_ROWS[:2] + [(100, 99, None, None, None)] + Q1_ROWS[2:]
+
+        def until_error(fragments):
+            seen = []
+            with pytest.raises(XmlPublishError, match="unknown branch id 99"):
+                for fragment in fragments:
+                    seen.append(fragment)
+            return seen
+
+        seen = until_error(ConstantSpaceTagger(q1_spec()).tag(rows))
+        assert seen == until_error(reference_tag(q1_spec(), rows))
+        assert seen[-1] == "<part><p_name>nut</p_name><p_price>20</p_price></part>"
+
+    def test_bool_and_number_keys_are_different_groups(self):
+        rows = [(1, 1, None, None, 1.0), (True, 1, None, None, 2.0),
+                (None, 1, None, None, 3.0), (None, 1, None, None, 4.0)]
+        xml = ConstantSpaceTagger(q1_spec()).tag_to_string(rows)
+        assert xml.count("<ret>") == 3  # 1, TRUE, and one NULL group
+        assert xml == "".join(reference_tag(q1_spec(), rows))
 
     def test_null_key_is_a_group(self):
         rows = [(None, 1, None, None, 1.0)]
