@@ -48,27 +48,16 @@ def test_fig8_naive(benchmark, prepared, name):
 
 
 def _script_cases(scale: float, repetitions: int):
-    """Every Figure-8 case, measured under both execution engines over the
-    same loaded catalog (names are ``engine/query/formulation``). The CI
-    bench gate reads the resulting JSON and checks vector-over-Volcano
-    speedups against ``benchmarks/baselines.json``."""
+    """Every Figure-8 case (names are ``query/formulation``, the keys of
+    ``benchmarks/baselines.json``, whose per-case ``work`` a tier-1 test
+    asserts at smoke scale)."""
     from repro.bench.fig8 import run_figure8
-    from repro.optimizer.planner import ENGINES
-    from repro.storage.catalog import Catalog
-    from repro.workloads.tpch import TpchConfig, load_tpch
 
-    catalog = Catalog()
-    load_tpch(catalog, TpchConfig(scale=scale))
     named = []
-    for engine in ENGINES:
-        rows = run_figure8(
-            scale=scale, repetitions=repetitions, engine=engine,
-            catalog=catalog,
-        )
-        for row in rows:
-            named.append((f"{engine}/{row.query}/baseline", row.baseline))
-            named.append((f"{engine}/{row.query}/gapply_hash", row.gapply_hash))
-            named.append((f"{engine}/{row.query}/gapply_sort", row.gapply_sort))
+    for row in run_figure8(scale=scale, repetitions=repetitions):
+        named.append((f"{row.query}/baseline", row.baseline))
+        named.append((f"{row.query}/gapply_hash", row.gapply_hash))
+        named.append((f"{row.query}/gapply_sort", row.gapply_sort))
     return named
 
 

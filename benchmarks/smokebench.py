@@ -76,14 +76,11 @@ def bench_main(
     width = max((len(name) for name, _ in named), default=4)
     mode = "smoke" if args.smoke else "full"
     print(f"{benchmark_name} [{mode}] scale={scale} repetitions={repetitions}")
-    print(
-        f"{'case':<{width}} {'elapsed':>10} {'work':>10} {'rows':>7}  "
-        "engine"
-    )
+    print(f"{'case':<{width}} {'elapsed':>10} {'work':>10} {'rows':>7}")
     for name, m in named:
         print(
             f"{name:<{width}} {m.elapsed * 1e3:>8.2f}ms {m.work:>10} "
-            f"{m.rows:>7}  {m.engine}"
+            f"{m.rows:>7}"
         )
     print(f"total wall time: {total:.2f}s")
 

@@ -34,8 +34,7 @@ from repro.execution.context import Counters, ExecutionContext
 from repro.observe.explain import Explanation
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import Tracer
-from repro.execution.vector.compiler import compile_plan
-from repro.execution.vector.nodes import VectorNode, VolcanoSource
+from repro.execution.vector.compiler import VectorPlan, compile_plan
 from repro.optimizer.engine import OptimizationReport, Optimizer
 from repro.optimizer.plancache import (
     CachedPlan,
@@ -45,13 +44,7 @@ from repro.optimizer.plancache import (
     substitute_parameters,
     text_digest,
 )
-from repro.optimizer.planner import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    VECTOR_ENGINE,
-    Planner,
-    PlannerOptions,
-)
+from repro.optimizer.planner import Planner, PlannerOptions
 from repro.sql.ast import AstExplain, AstQuery
 from repro.sql.binder import Binder
 from repro.sql.normalize import (
@@ -84,8 +77,6 @@ class QueryResult:
     optimization: OptimizationReport | None = None
     metrics: MetricsRegistry | None = None
     trace: Tracer | None = None
-    #: Which execution engine produced the rows ("vector" or "volcano").
-    engine: str = DEFAULT_ENGINE
     #: Plan-cache outcome for this run (``source`` is "hit"/"miss", plus
     #: key digest and parameter count); None when the run bypassed the
     #: cache.
@@ -117,9 +108,8 @@ class _RunOptions:
     The fields are the option keywords of :meth:`Database.sql`; every other
     entry point accepts a subset (a signature test holds them to it), so a
     new knob is added here or nowhere. After folding, ``planner_options``
-    is never ``None`` and carries the ``engine`` shorthand, ``explain`` is
-    ``None``/``"plan"``/``"analyze"``, and ``governor`` is the prebuilt one
-    or one built from the budget knobs.
+    is never ``None``, ``explain`` is ``None``/``"plan"``/``"analyze"``,
+    and ``governor`` is the prebuilt one or one built from the budget knobs.
     """
 
     optimize: bool = True
@@ -131,7 +121,6 @@ class _RunOptions:
     memory_budget: int | None = None
     max_rows: int | None = None
     governor: Governor | None = None
-    engine: str | None = None
     use_plan_cache: bool | None = None
 
 
@@ -180,13 +169,6 @@ def _resolve_options(
             "optimized plans only; it cannot be combined with optimize=False"
         )
     planner_options = options.planner_options or PlannerOptions()
-    if options.engine is not None:
-        planner_options = replace(planner_options, engine=options.engine)
-    if planner_options.engine not in ENGINES:
-        raise PlanError(
-            f"unknown execution engine {planner_options.engine!r}; "
-            f"use one of {ENGINES}"
-        )
     budget = Budget(
         timeout=options.timeout,
         memory_cells=options.memory_budget,
@@ -202,7 +184,6 @@ def _resolve_options(
     return replace(
         options,
         planner_options=planner_options,
-        engine=planner_options.engine,
         explain="plan" if options.explain is True else options.explain or None,
         governor=governor,
     )
@@ -229,11 +210,9 @@ class _Run:
     options: _RunOptions
     sql_text: str | None
     planned: _Planned
-    physical: PhysicalOperator
-    #: The root of the engine that runs ``physical``: the compiled vector
-    #: plan, or the Volcano iterators cut into batches. ``None`` when the
-    #: run only explains the plan.
-    root: VectorNode | None
+    #: The lowered plan compiled to batch nodes, with the compiler's notes
+    #: on which subtrees stayed on the row iterators.
+    compiled: VectorPlan
     context: ExecutionContext
 
 
@@ -522,19 +501,10 @@ class Database:
         memory_budget: int | None = None,
         max_rows: int | None = None,
         governor: Governor | None = None,
-        engine: str | None = None,
         params: Sequence[Any] | None = None,
         use_plan_cache: bool | None = None,
     ) -> QueryResult | Explanation:
         """Run SQL text end to end and materialize the result.
-
-        ``engine`` is shorthand for ``PlannerOptions.engine`` (it overrides
-        that field of an explicit ``planner_options`` only when passed):
-        ``"vector"`` (default), the batch-at-a-time columnar engine
-        (unsupported operators fall back to the row iterators
-        automatically), or ``"volcano"``, the row-at-a-time iterators
-        alone, kept selectable as the reference (identical
-        rows/counters/metrics).
 
         ``timeout`` (wall-clock seconds), ``memory_budget`` (buffered
         cells — the unit of ``Counters.buffered_cells``) and ``max_rows``
@@ -600,9 +570,8 @@ class Database:
         goes through parameter handling and the plan cache (lookup,
         miss-build, or bypass) to a logical plan; an already-bound plan
         (:meth:`execute`) joins at the optimizer. Either way the plan is
-        then lowered and, for the vector engine, compiled. Every error
-        leaves carrying the SQL it happened in (first writer wins, so
-        deeper context is preserved).
+        then lowered and compiled. Every error leaves carrying the SQL it
+        happened in (first writer wins, so deeper context is preserved).
         """
         try:
             if isinstance(source, LogicalOperator):
@@ -617,13 +586,7 @@ class Database:
                 # Estimated cardinalities are the point of EXPLAIN output.
                 planner_options = replace(planner_options, collect_estimates=True)
             physical = Planner(self.catalog, planner_options).plan(planned.logical)
-            batch_size = planner_options.vector_batch_size
-            if options.explain == "plan":
-                root = None
-            elif options.engine == VECTOR_ENGINE:
-                root = compile_plan(physical, batch_size=batch_size).root
-            else:
-                root = VolcanoSource(physical, batch_size)
+            compiled = compile_plan(physical, planner_options.vector_batch_size)
         except ReproError as error:
             raise error.add_context(sql=sql_text)
         analyze = options.explain == "analyze"
@@ -636,7 +599,7 @@ class Database:
         context = ExecutionContext(
             metrics=registry, tracer=tracer, governor=options.governor
         )
-        return _Run(options, sql_text, planned, physical, root, context)
+        return _Run(options, sql_text, planned, compiled, context)
 
     def _plan_query(
         self,
@@ -747,7 +710,7 @@ class Database:
         that *drains* reaches :meth:`_drained`.
         """
         governor = run.options.governor
-        source = run.root.batches(run.context)
+        source = run.compiled.root.batches(run.context)
         produced = 0
         try:
             for batch in source:
@@ -791,11 +754,13 @@ class Database:
 
     def _materialize(self, run: _Run) -> QueryResult | Explanation:
         """The materializing tail: drain the run into a result object."""
-        options, planned, physical = run.options, run.planned, run.physical
+        options, planned = run.options, run.planned
+        physical, fallbacks = run.compiled.physical, run.compiled.fallbacks
         if options.explain == "plan":
             return Explanation(
                 sql=run.sql_text, analyze=False, physical_plan=physical,
                 report=planned.report, plan_cache=planned.cache_info,
+                fallbacks=fallbacks,
             )
         context = run.context
         tracer = context.tracer
@@ -808,7 +773,7 @@ class Database:
                 sql=run.sql_text, analyze=True, physical_plan=physical,
                 report=planned.report, registry=context.metrics, tracer=tracer,
                 rows=rows, schema=physical.schema, counters=context.counters,
-                plan_cache=planned.cache_info,
+                plan_cache=planned.cache_info, fallbacks=fallbacks,
             )
         return QueryResult(
             schema=physical.schema,
@@ -819,7 +784,6 @@ class Database:
             optimization=planned.report,
             metrics=context.metrics,
             trace=tracer,
-            engine=options.engine,
             plan_cache=planned.cache_info,
         )
 
@@ -836,7 +800,6 @@ class Database:
         memory_budget: int | None = None,
         max_rows: int | None = None,
         governor: Governor | None = None,
-        engine: str | None = None,
     ) -> QueryResult | Explanation:
         """Optimize (optionally), lower, and run a logical plan.
 
@@ -862,7 +825,6 @@ class Database:
         encoding: str = "utf-8",
         optimize: bool = True,
         planner_options: PlannerOptions | None = None,
-        engine: str | None = None,
         timeout: float | None = None,
         memory_budget: int | None = None,
         max_rows: int | None = None,
@@ -990,7 +952,7 @@ class Prepared:
         """Run with ``params`` bound to the slots (see class docstring).
 
         ``**options`` are the option keywords of :meth:`Database.sql`
-        (``explain``, ``engine``, budgets, ...).
+        (``explain``, ``planner_options``, budgets, ...).
         """
         resolved = _resolve_options("Prepared.execute", Database.sql, **options)
         values = self._defaults if params is None else tuple(params)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.bench.harness import Measurement, measure_sql
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
-from repro.optimizer.planner import DEFAULT_ENGINE, PlannerOptions
+from repro.optimizer.planner import PlannerOptions
 from repro.storage.catalog import Catalog
 from repro.workloads.queries import PAPER_QUERIES, PaperQuery
 from repro.workloads.tpch import TpchConfig, load_tpch
@@ -51,54 +51,39 @@ class Fig8Row:
 
 
 def run_query(
-    catalog: Catalog,
-    query: PaperQuery,
-    repetitions: int = 3,
-    engine: str = DEFAULT_ENGINE,
+    catalog: Catalog, query: PaperQuery, repetitions: int = 3
 ) -> Fig8Row:
-    """Measure one paper query; ``engine`` selects the vector pipelines or
-    the Volcano iterators for all three measurements."""
     baseline = measure_sql(
-        catalog, query.baseline_sql, repetitions=repetitions, engine=engine
+        catalog, query.baseline_sql, repetitions=repetitions
     )
     gapply_hash = measure_sql(
         catalog,
         query.gapply_sql,
         options=PlannerOptions(gapply_partitioning=HASH_PARTITION),
         repetitions=repetitions,
-        engine=engine,
     )
     gapply_sort = measure_sql(
         catalog,
         query.gapply_sql,
         options=PlannerOptions(gapply_partitioning=SORT_PARTITION),
         repetitions=repetitions,
-        engine=engine,
     )
     return Fig8Row(query.name, baseline, gapply_hash, gapply_sort)
 
 
 def run_figure8(
-    scale: float = DEFAULT_SCALE,
-    repetitions: int = 3,
-    engine: str = DEFAULT_ENGINE,
-    catalog: Catalog | None = None,
+    scale: float = DEFAULT_SCALE, repetitions: int = 3
 ) -> list[Fig8Row]:
-    if catalog is None:
-        catalog = Catalog()
-        load_tpch(catalog, TpchConfig(scale=scale))
-    return [
-        run_query(catalog, query, repetitions, engine)
-        for query in PAPER_QUERIES
-    ]
+    catalog = Catalog()
+    load_tpch(catalog, TpchConfig(scale=scale))
+    return [run_query(catalog, query, repetitions) for query in PAPER_QUERIES]
 
 
 def format_rows(rows: list[Fig8Row]) -> str:
-    engine = rows[0].baseline.engine if rows else DEFAULT_ENGINE
     lines = [
         "Figure 8 — speedup using GApply "
         "(ratio of time without GApply to time with GApply; "
-        f"{engine} engine, execution only)",
+        "execution only)",
         "",
         f"{'query':<6} {'baseline':>10} {'gapply':>10} {'speedup':>9} "
         f"{'(sort)':>8} {'work x':>8} {'paper ~':>8}",

@@ -21,16 +21,11 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.algebra.operators import LogicalOperator
-from repro.execution.base import PhysicalOperator, run_plan
+from repro.execution.base import PhysicalOperator
 from repro.execution.context import Counters, ExecutionContext
+from repro.execution.vector.compiler import compile_plan
 from repro.optimizer.engine import Optimizer, apply_rule_once
-from repro.optimizer.planner import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    VECTOR_ENGINE,
-    Planner,
-    PlannerOptions,
-)
+from repro.optimizer.planner import Planner, PlannerOptions
 from repro.optimizer.rules import DEFAULT_RULES, Rule
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
@@ -52,10 +47,6 @@ class Measurement:
     #: Per-operator metrics snapshot of the best run (path -> counters),
     #: populated only when the measurement asked for metrics collection.
     metrics: dict | None = None
-    #: Which execution engine drove the plan: ``"vector"`` (batched
-    #: pipelines) or ``"volcano"`` (row-at-a-time iterators). Work counters
-    #: are engine-independent by the equivalence contract; only elapsed moves.
-    engine: str = DEFAULT_ENGINE
 
     def ratio_to(self, other: "Measurement") -> float:
         """self/other elapsed-time ratio (``other`` is the faster plan)."""
@@ -77,7 +68,6 @@ class Measurement:
             "scan_rows": self.scan_rows,
             "peak_rows": self.peak_rows,
             "cells": self.cells,
-            "engine": self.engine,
         }
         if self.metrics is not None:
             record["metrics"] = self.metrics
@@ -88,15 +78,13 @@ def measure_physical(
     plan: PhysicalOperator,
     repetitions: int = DEFAULT_REPETITIONS,
     collect_metrics: bool = False,
-    engine: str = DEFAULT_ENGINE,
 ) -> Measurement:
-    """Best-of-N execution of a physical plan.
+    """Best-of-N execution of a physical plan, compiled as
+    :meth:`Database.sql <repro.api.Database.sql>` compiles it.
 
-    ``engine`` selects the driving loop: the batched vector pipelines
-    (the default, as everywhere) or the Volcano iterators. Vector
-    compilation happens *outside* the timed region — like planning and
+    Compilation happens *outside* the timed region — like planning and
     lowering, it is a once-per-plan cost, and ``elapsed`` measures
-    execution alone in both engines.
+    execution alone.
 
     ``collect_metrics`` attaches a fresh per-operator metrics registry to
     every repetition and stores the best run's snapshot (with timings) on
@@ -104,13 +92,7 @@ def measure_physical(
     per row, which would pollute ``elapsed`` for measurements that did
     not ask for it.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    vector_plan = None
-    if engine == VECTOR_ENGINE:
-        from repro.execution.vector.compiler import compile_plan
-
-        vector_plan = compile_plan(plan)
+    compiled = compile_plan(plan)
     best = float("inf")
     counters = Counters()
     rows = 0
@@ -124,10 +106,7 @@ def measure_physical(
             registry.register_plan(plan)
         ctx = ExecutionContext(metrics=registry)
         start = time.perf_counter()
-        if vector_plan is not None:
-            result = vector_plan.run(ctx)
-        else:
-            result = run_plan(plan, ctx)
+        result = compiled.run(ctx)
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
@@ -143,7 +122,6 @@ def measure_physical(
         counters.peak_partition_rows,
         counters.buffered_cells,
         metrics_snapshot,
-        engine,
     )
 
 
@@ -201,20 +179,13 @@ def measure_sql(
     options: PlannerOptions | None = None,
     repetitions: int = DEFAULT_REPETITIONS,
     collect_metrics: bool = False,
-    engine: str | None = None,
 ) -> Measurement:
-    """Bind, (optionally) optimize, lower and measure one SQL query.
-
-    ``engine`` overrides the engine from ``options`` (whose default is
-    :data:`~repro.optimizer.planner.DEFAULT_ENGINE`).
-    """
+    """Bind, (optionally) optimize, lower and measure one SQL query."""
     logical = bind(catalog, sql)
     if optimize:
         logical = optimize_with(catalog, logical)
-    if engine is None:
-        engine = (options or PlannerOptions()).engine
     return measure_physical(
-        lower(catalog, logical, options), repetitions, collect_metrics, engine,
+        lower(catalog, logical, options), repetitions, collect_metrics
     )
 
 

@@ -6,7 +6,7 @@ only runs the closures.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import operator
 
@@ -17,7 +17,16 @@ from repro.execution.context import ExecutionContext
 from repro.storage.schema import Column, Schema
 from repro.storage.spill import RunWriter
 from repro.storage.table import Row
-from repro.storage.types import grouping_key
+from repro.storage.types import DataType, grouping_key
+
+#: Column types whose raw values order exactly like their singleton
+#: ``grouping_key`` tuples (no NULL sentinel, no bool tagging needed).
+_SORT_RAW_TYPES = (
+    DataType.INTEGER,
+    DataType.FLOAT,
+    DataType.STRING,
+    DataType.DATE,
+)
 
 
 class _Descending:
@@ -153,7 +162,9 @@ class PDistinct(PhysicalOperator):
         governor = ctx.governor
         threshold = None if governor is None else governor.spill_threshold()
         if threshold is not None:
-            yield from self._execute_spill(ctx, threshold)
+            yield from self.external_distinct(
+                self.child.execute(ctx), ctx, threshold
+            )
             return
         seen: set[tuple] = set()
         width = len(self.schema)
@@ -173,10 +184,12 @@ class PDistinct(PhysicalOperator):
             if governor is not None:
                 governor.release_cells(len(seen) * width)
 
-    def _execute_spill(
-        self, ctx: ExecutionContext, threshold: int
+    def external_distinct(
+        self, rows: Iterable[Row], ctx: ExecutionContext, threshold: int
     ) -> Iterator[Row]:
-        """External distinct preserving first-appearance order.
+        """External distinct over ``rows``, preserving first-appearance
+        order; both engines' budgeted DISTINCT (the vector node passes its
+        child's batches flattened).
 
         Phase 1 buffers ``(seq, row)`` pairs and spills runs sorted by
         the row's grouping key; the stable merge makes the first item of
@@ -195,7 +208,7 @@ class PDistinct(PhysicalOperator):
         with RunWriter(ctx, self, key_of, half) as by_key, RunWriter(
             ctx, self, seq_of, half
         ) as by_arrival:
-            for item in enumerate(self.child.execute(ctx)):
+            for item in enumerate(rows):
                 counters.hash_inserts += 1
                 by_key.add(item, width)
             previous: object = object()  # never equals a grouping key
@@ -245,13 +258,25 @@ class PSort(PhysicalOperator):
         return tuple(parts)
 
     def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+        return self.sort(self.child.execute(ctx), ctx)
+
+    def sort(self, rows: Iterable[Row], ctx: ExecutionContext) -> Iterator[Row]:
+        """``rows`` in sort order: both engines' ORDER BY (the vector
+        breaker passes its child's batches flattened). In memory, or —
+        under a governor memory budget — the external merge sort."""
         counters = ctx.counters
         governor = ctx.governor
         threshold = None if governor is None else governor.spill_threshold()
         if threshold is not None:
-            yield from self._execute_spill(ctx, threshold)
+            width = max(1, len(self.schema))
+            with RunWriter(ctx, self, self._composite_key, threshold) as writer:
+                for row in rows:
+                    writer.add(row, width)
+                for row in writer.merged():
+                    counters.rows += 1
+                    yield row
             return
-        rows = list(self.child.execute(ctx))
+        rows = list(rows)
         cells = len(rows) * len(self.schema)
         counters.buffered_cells += cells
         try:
@@ -259,10 +284,15 @@ class PSort(PhysicalOperator):
                 governor.charge_cells(cells)
             # Stable multi-key sort: apply keys right-to-left.
             for position, ascending in reversed(self._positions):
-                rows.sort(
-                    key=lambda row: grouping_key((row[position],)),
-                    reverse=not ascending,
-                )
+                # A raw-orderable column with no NULLs sorts by its bare
+                # values exactly as by their singleton grouping_key tuples.
+                if self.schema[position].dtype in _SORT_RAW_TYPES and not any(
+                    row[position] is None for row in rows
+                ):
+                    key = operator.itemgetter(position)
+                else:
+                    key = lambda row: grouping_key((row[position],))  # noqa: E731
+                rows.sort(key=key, reverse=not ascending)
             counters.comparisons += len(rows)
             for row in rows:
                 counters.rows += 1
@@ -270,18 +300,6 @@ class PSort(PhysicalOperator):
         finally:
             if governor is not None:
                 governor.release_cells(cells)
-
-    def _execute_spill(
-        self, ctx: ExecutionContext, threshold: int
-    ) -> Iterator[Row]:
-        counters = ctx.counters
-        width = max(1, len(self.schema))
-        with RunWriter(ctx, self, self._composite_key, threshold) as writer:
-            for row in self.child.execute(ctx):
-                writer.add(row, width)
-            for row in writer.merged():
-                counters.rows += 1
-                yield row
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)

@@ -23,7 +23,7 @@ pays nothing):
   :class:`~repro.errors.QueryCancelled`.
 
 All violations raise *typed* errors from :mod:`repro.errors`, never bare
-``RuntimeError``, and identically under both execution engines.
+``RuntimeError``, and identically from batch nodes and row iterators.
 
 The clock is injectable so tests can drive timeouts deterministically.
 """

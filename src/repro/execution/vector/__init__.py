@@ -1,24 +1,19 @@
-"""Batch-at-a-time columnar execution (the "vector" engine).
+"""Batch-at-a-time columnar execution: how every plan runs.
 
-This subpackage is the alternative to the row-at-a-time Volcano
-iterators in :mod:`repro.execution`: a plan compiler walks a *physical*
-plan produced by the ordinary planner, identifies straight-line operator
-chains between pipeline breakers, and fuses each chain into a single
-per-:class:`ColumnBatch` loop. Operators with no batched implementation
-(correlated Apply, nested-loop join, Exists, spilling GApply,
-stream aggregation) transparently fall back to their Volcano iterators —
-chunked into batches at the boundary — so *every* plan runs under either
-engine and the Volcano path stays the correctness oracle.
+A plan compiler walks the *physical* plan the planner produced,
+identifies straight-line operator chains between pipeline breakers, and
+fuses each chain into a single per-:class:`ColumnBatch` loop. Operators
+with no batched implementation (correlated Apply, Exists, nested-loop
+join) stay on their row-at-a-time iterators in :mod:`repro.execution` —
+chunked into batches at the boundary — so every plan compiles, and those
+iterators remain the reference the compiled plan is tested against
+(``PhysicalOperator.execute`` on the same plan; the fuzz driver's
+``--profile engine`` sweeps the difference).
 
-The engine is wired through
-:class:`repro.optimizer.planner.PlannerOptions` (``engine="vector"``)
-and ``Database.sql(..., engine="vector")``; the fuzz plan-space driver
-runs both engines differentially (``--profile engine``).
-
-Design contract (see DESIGN.md §12): for any plan, the vector engine
-produces *identical rows in identical order*, *identical deterministic
+Design contract (see DESIGN.md §12): for any plan, the compiled nodes
+produce *identical rows in identical order*, *identical deterministic
 Counters*, *identical MetricsRegistry snapshots* (time excluded), and
-*identical typed budget errors* as the Volcano engine. Batching is an
+*identical typed budget errors* as the row iterators. Batching is an
 implementation detail, never a semantic one.
 """
 

@@ -7,13 +7,13 @@ pipeline breakers (sort, aggregate, GApply, union) become dedicated
 are themselves compiled nodes. Joins pipeline their *probe* side and
 compile the build side as a separate node drained when the stage binds.
 
-Fallback policy (see DESIGN.md §12): any operator without a batched
+Fallback policy (see DESIGN.md §12.3): any operator without a batched
 implementation roots its whole subtree in a
 :class:`~repro.execution.vector.nodes.VolcanoSource`, which runs the
 row-at-a-time iterators unchanged and re-batches at the boundary. The
-compiler records a :class:`FallbackNote` per fallback so callers (tests,
-EXPLAIN consumers, the fuzz driver) can see how much of a plan actually
-vectorized. Current fallbacks:
+compiler records a :class:`FallbackNote` per fallback, and EXPLAIN lists
+them, so callers can see how much of a plan actually vectorized. Every
+fallback is decided here, at compile time:
 
 * correlated ``PApply`` (per-row rebinding of scalar parameters) and
   ``PExists`` (early-termination semantics are pull-based);
@@ -21,6 +21,13 @@ vectorized. Current fallbacks:
   for small inputs or when hash joins are disabled);
 * anything this compiler has never heard of — new operators are
   correct-by-default, fast once someone adds a batched form.
+
+Nothing changes engines at run time. Three breakers hand their child's
+rows to a row-iterator *phase* the physical operator owns — ``PSort.sort``,
+``PDistinct.external_distinct`` (only under a memory budget) and
+``PGApply.partition`` — while the subtrees below them stay compiled; and a
+GApply group under ``VECTOR_GROUP_MIN_ROWS`` rows runs its per-group plan
+on the iterators (none of these is a fallback note).
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from repro.storage.table import Row
 
 from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
 from repro.execution.vector.nodes import (
+    DistinctNode,
     EmptyNode,
     GApplyNode,
     GroupScanSource,
@@ -58,7 +66,6 @@ from repro.execution.vector.nodes import (
     IndexSeekSource,
     MaterializedSource,
     SortNode,
-    SpillGateNode,
     TableScanSource,
     UnionAllNode,
     VectorNode,
@@ -67,7 +74,6 @@ from repro.execution.vector.nodes import (
 from repro.execution.vector.pipeline import (
     AliasStage,
     ApplyStage,
-    DistinctStage,
     FilterStage,
     HashJoinStage,
     IndexNLJoinStage,
@@ -158,12 +164,6 @@ class _Compiler:
                 # lazy Volcano cascade (child records stay all-zero).
                 return EmptyNode(op)
             return self.extend(self.compile(op.child), LimitStage(op))
-        if isinstance(op, PDistinct):
-            # The fused stage cannot block, so its external spill path
-            # lives in the Volcano operator; the gate checks the governor
-            # at runtime and delegates the subtree when a budget is set.
-            inner = self.extend(self.compile(op.child), DistinctStage(op))
-            return SpillGateNode(op, inner, size)
         if isinstance(op, PHashJoin):
             build_child = op.left if op.build_left else op.right
             probe_child = op.right if op.build_left else op.left
@@ -183,6 +183,8 @@ class _Compiler:
         # -- breakers --------------------------------------------------
         if isinstance(op, PSort):
             return SortNode(op, self.compile(op.child), size)
+        if isinstance(op, PDistinct):
+            return DistinctNode(op, self.compile(op.child), size)
         if isinstance(op, PUnionAll):
             return UnionAllNode(op, [self.compile(c) for c in op.inputs])
         if isinstance(op, PHashAggregate):

@@ -27,7 +27,6 @@ specific* counters there.
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter as _itemgetter
 from typing import Iterator
 
 from repro.execution.base import PhysicalOperator
@@ -44,17 +43,6 @@ from repro.execution.vector.exprs import compile_batch
 #: counter-identical by construction, and the batch machinery's fixed
 #: per-execution cost only pays for itself on groups with real volume.
 VECTOR_GROUP_MIN_ROWS = 16
-
-#: Column types whose raw values order exactly like their singleton
-#: ``grouping_key`` tuples (no NULL sentinel, no bool tagging needed):
-#: eligible for the bare-``itemgetter`` sort fast path when the key
-#: column has no NULLs.
-_SORT_RAW_TYPES = (
-    DataType.INTEGER,
-    DataType.FLOAT,
-    DataType.STRING,
-    DataType.DATE,
-)
 
 
 def rows_batch(rows: list, width: int) -> ColumnBatch:
@@ -74,16 +62,10 @@ def raw_group_keys_ok(schema, positions) -> bool:
     return all(schema[p].dtype is not DataType.ANY for p in positions)
 
 
-def volcano_batches(
-    op: PhysicalOperator, ctx: ExecutionContext, batch_size: int
-) -> Iterator[ColumnBatch]:
-    """Drive an operator's Volcano iterator and chunk it into batches.
-
-    All counting/governing flows through the operator's own ``execute``
-    path, so a fallback subtree behaves identically to the row engine.
-    """
-    width = len(op.schema)
-    for chunk in row_slices(op.execute(ctx), batch_size):
+def rebatch(rows, width: int, size: int) -> Iterator[ColumnBatch]:
+    """Cut a row stream into row-major batches of at most ``size`` rows
+    (closing the batches closes ``rows``)."""
+    for chunk in row_slices(rows, size):
         yield rows_batch(chunk, width)
 
 
@@ -144,7 +126,8 @@ class VolcanoSource(VectorNode):
     """Fallback leaf: an unsupported subtree running under the row engine.
 
     Overrides ``batches`` entirely — the wrapped operator does all of its
-    own counting, metrics, and governing through ``execute``.
+    own counting, metrics, and governing through ``execute``, so the
+    subtree behaves exactly as it does under ``run_plan``.
     """
 
     def __init__(self, op: PhysicalOperator, batch_size: int):
@@ -152,7 +135,8 @@ class VolcanoSource(VectorNode):
         self.batch_size = batch_size
 
     def batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        return volcano_batches(self.op, ctx, self.batch_size)
+        op = self.op
+        return rebatch(op.execute(ctx), len(op.schema), self.batch_size)
 
 
 class EmptyNode(VectorNode):
@@ -257,88 +241,76 @@ class IndexSeekSource(VectorNode):
             yield rows_batch(out, width)
 
 
-class SpillGateNode(VectorNode):
-    """Runtime spill gate around a fused stage with a Volcano spill path.
-
-    Whole-row DISTINCT fuses into its input pipeline as a streaming
-    stage, which has no way to block and re-emit — so under a governor
-    memory budget (known only at runtime) the gate delegates the whole
-    subtree to the Volcano operator, whose external two-phase path owns
-    the spill bookkeeping. Without a budget the inner pipeline runs
-    untouched; ``batches`` is overridden entirely so the gate adds no
-    metrics records or tracer spans of its own.
-    """
-
-    def __init__(
-        self, op: PhysicalOperator, inner: VectorNode, batch_size: int
-    ):
-        self.op = op
-        self.inner = inner
-        self.batch_size = batch_size
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        governor = ctx.governor
-        if governor is not None and governor.spill_threshold() is not None:
-            yield from volcano_batches(self.op, ctx, self.batch_size)
-            return
-        yield from self.inner.batches(ctx)
+def _flat_rows(node: VectorNode, ctx: ExecutionContext) -> Iterator:
+    """A node's batches as one row stream: what the breakers feed the
+    physical operator's own row-iterator phases (sort, external dedupe,
+    GApply's partition)."""
+    return chain.from_iterable(batch.rows() for batch in node.batches(ctx))
 
 
-class SortNode(VectorNode):
-    """Blocking sort breaker mirroring ``PSort``: full materialization,
-    up-front cell charge, right-to-left stable per-key sorts. Under a
-    governor memory budget the whole subtree delegates to the Volcano
-    operator's external merge sort."""
+class DistinctNode(VectorNode):
+    """Whole-row DISTINCT mirroring ``PDistinct``: a streaming hash
+    dedupe per batch, or — under a governor memory budget — the
+    operator's external two-phase dedupe over the child's rows."""
 
     def __init__(self, op, child: VectorNode, batch_size: int):
         self.op = op
         self.child = child
         self.batch_size = batch_size
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        governor = ctx.governor
-        if governor is not None and governor.spill_threshold() is not None:
-            yield from volcano_batches(self.op, ctx, self.batch_size)
-            return
-        yield from super().batches(ctx)
+        self._raw = raw_group_keys_ok(op.schema, range(len(op.schema)))
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         op = self.op
         counters = ctx.counters
         governor = ctx.governor
         width = len(op.schema)
-        rows: list = []
-        for batch in self.child.batches(ctx):
-            rows.extend(batch.rows())
-        cells = len(rows) * width
-        counters.buffered_cells += cells
+        threshold = None if governor is None else governor.spill_threshold()
+        if threshold is not None:
+            rows = op.external_distinct(
+                _flat_rows(self.child, ctx), ctx, threshold
+            )
+            yield from rebatch(rows, width, self.batch_size)
+            return
+        raw = self._raw
+        seen: set = set()
         try:
-            if governor is not None:
-                governor.charge_cells(cells)
-            for position, ascending in reversed(op._positions):
-                # For raw-orderable columns with no NULLs, the bare value
-                # sorts identically to its singleton grouping_key tuple —
-                # skip the per-comparison key lambda entirely.
-                if op.schema[position].dtype in _SORT_RAW_TYPES and not any(
-                    row[position] is None for row in rows
+            for batch in self.child.batches(ctx):
+                n = batch.length
+                counters.hash_inserts += n
+                rows = batch.rows()
+                keep = []
+                for i, key in enumerate(
+                    rows if raw else [grouping_key(row) for row in rows]
                 ):
-                    rows.sort(
-                        key=_itemgetter(position), reverse=not ascending
-                    )
-                else:
-                    rows.sort(
-                        key=lambda row: grouping_key((row[position],)),
-                        reverse=not ascending,
-                    )
-            counters.comparisons += len(rows)
-            size = self.batch_size
-            for start in range(0, len(rows), size):
-                chunk = rows[start : start + size]
-                counters.rows += len(chunk)
-                yield rows_batch(chunk, width)
+                    if key not in seen:
+                        seen.add(key)
+                        keep.append(i)
+                new = len(keep)
+                if not new:
+                    continue
+                counters.buffered_cells += new * width
+                if governor is not None:
+                    governor.charge_cells(new * width)
+                counters.rows += new
+                yield batch if new == n else batch.select(keep)
         finally:
             if governor is not None:
-                governor.release_cells(cells)
+                governor.release_cells(len(seen) * width)
+
+
+class SortNode(VectorNode):
+    """Blocking sort breaker: ``PSort.sort`` (in memory or external,
+    chosen there at run time) over the child's rows, re-batched."""
+
+    def __init__(self, op, child: VectorNode, batch_size: int):
+        self.op = op
+        self.child = child
+        self.batch_size = batch_size
+
+    def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        op = self.op
+        rows = op.sort(_flat_rows(self.child, ctx), ctx)
+        return rebatch(rows, len(op.schema), self.batch_size)
 
 
 class UnionAllNode(VectorNode):
@@ -490,11 +462,7 @@ class GApplyNode(VectorNode):
         op = self.op
         counters = ctx.counters
         partitions = op.partition(
-            chain.from_iterable(
-                batch.rows() for batch in self.outer.batches(ctx)
-            ),
-            ctx,
-            self._key_of,
+            _flat_rows(self.outer, ctx), ctx, self._key_of
         )
         variable = op.group_variable
         record = None if ctx.metrics is None else ctx.metrics.record_for(op)

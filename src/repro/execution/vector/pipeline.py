@@ -3,7 +3,7 @@
 A :class:`Pipeline` couples a source :class:`~repro.execution.vector.
 nodes.VectorNode` with a list of *stages* — the batched forms of the
 streaming operators (filter, project, prune, remap, alias, limit,
-distinct, hash-join probe, index-join probe, uncorrelated apply). Each
+hash-join probe, index-join probe, uncorrelated apply). Each
 input batch flows through every stage in one pass; batches that lose all
 their rows drop out early, and an exhausted stage (LIMIT satisfied)
 stops the whole pipeline after its final batch is flushed downstream.
@@ -22,7 +22,7 @@ Instrumentation mirrors the Volcano chain per operator:
 
 Stage *specs* hold everything derivable from the plan (compiled
 predicates, positions, build-side nodes); :meth:`Stage.bind` produces
-the per-execution state (seen-sets, hash tables, limit countdowns), so a
+the per-execution state (hash tables, limit countdowns), so a
 pipeline inside a GApply per-group plan re-binds cleanly for every
 group, just as Volcano re-instantiates its iterator chain.
 """
@@ -37,11 +37,7 @@ from repro.storage.types import DataType, grouping_key
 
 from repro.execution.vector.batch import ColumnBatch
 from repro.execution.vector.exprs import compile_batch
-from repro.execution.vector.nodes import (
-    VectorNode,
-    raw_group_keys_ok,
-    rows_batch,
-)
+from repro.execution.vector.nodes import VectorNode, rows_batch
 
 #: Join-key types where raw values hash/compare exactly like
 #: ``grouping_key`` output *across* columns: BOOLEAN is excluded because
@@ -252,63 +248,6 @@ class _BoundLimit:
 
     def finish(self, ctx):
         return None
-
-
-class DistinctStage(Stage):
-    __slots__ = ("_width", "_raw")
-
-    def __init__(self, op):
-        self.op = op
-        self._width = len(op.schema)
-        self._raw = raw_group_keys_ok(op.schema, range(self._width))
-
-    def bind(self, ctx):
-        return _BoundDistinct(self._width, self._raw)
-
-
-class _BoundDistinct:
-    __slots__ = ("seen", "width", "raw")
-
-    exhausted = False
-
-    def __init__(self, width: int, raw: bool):
-        self.seen: set = set()
-        self.width = width
-        self.raw = raw
-
-    def apply(self, batch, ctx):
-        counters = ctx.counters
-        n = batch.length
-        counters.hash_inserts += n
-        seen = self.seen
-        keep = []
-        append = keep.append
-        rows = batch.rows()
-        if self.raw:
-            for i, row in enumerate(rows):
-                if row not in seen:
-                    seen.add(row)
-                    append(i)
-        else:
-            for i, row in enumerate(rows):
-                key = grouping_key(row)
-                if key not in seen:
-                    seen.add(key)
-                    append(i)
-        new = len(keep)
-        if new == 0:
-            return None
-        counters.buffered_cells += new * self.width
-        if ctx.governor is not None:
-            ctx.governor.charge_cells(new * self.width)
-        counters.rows += new
-        if new == n:
-            return batch
-        return batch.select(keep)
-
-    def finish(self, ctx):
-        if ctx.governor is not None:
-            ctx.governor.release_cells(len(self.seen) * self.width)
 
 
 # ----------------------------------------------------------------------

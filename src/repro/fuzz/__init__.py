@@ -6,9 +6,10 @@ The subsystem has four moving parts:
   sizes, NULL-heavy columns, empty groups, FK chains) and random dialect
   queries as ASTs;
 * :mod:`repro.fuzz.oracle` — runs the same query on an in-memory SQLite
-  mirror via :mod:`repro.sql.sqlite` and compares multisets;
+  mirror via :mod:`repro.sql.sqlite` and compares multisets; also the
+  row-iterator reference (``reference_rows``) compiled plans are held to;
 * :mod:`repro.fuzz.planspace` — runs the query under every planner
-  configuration (each rule disabled, all rules off, both engines) and
+  configuration (each rule disabled, all rules off, spills, budgets) and
   demands identical results;
 * :mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus` — minimize failures
   and persist them as replayable JSON reproducers;
@@ -34,6 +35,7 @@ from repro.fuzz.oracle import (
     Mismatch,
     compare_multisets,
     normalize_row,
+    reference_rows,
     run_oracle,
     sqlite_mirror,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "normalize_row",
     "plan_configurations",
     "profile_configurations",
+    "reference_rows",
     "run_case",
     "run_chaos",
     "run_chaos_case",

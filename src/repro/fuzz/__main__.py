@@ -40,8 +40,8 @@ def main(argv: list[str] | None = None) -> int:
         ],
         default=FULL_PROFILE,
         help="planner-configuration coverage (default full); 'engine' runs "
-        "the Volcano-vs-vector differential across batch sizes and plan "
-        "shapes; 'plancache' runs every case cold, hot, and "
+        "the row-iterator-vs-compiled differential across batch sizes, plan "
+        "shapes and memory budgets; 'plancache' runs every case cold, hot, and "
         "re-parameterized through the plan cache against an uncached twin; "
         "'xmlpub' runs the streamed-vs-materialized XML publishing "
         "differential (random tagger specs plus end-to-end view cases)",

@@ -16,7 +16,7 @@ so a failing seed replays exactly.
 Scenarios (one per case, chosen by the seed):
 
 ==================  ======================================================
-``timeout``         a 5-50 ms wall-clock budget, no fault, either engine;
+``timeout``         a 5-50 ms wall-clock budget, no fault;
                     the query beats the clock (correct rows) or raises
                     ``TimeoutExceeded``/``QueryCancelled``
 ``spill-fail``      a memory budget forces the partition phase to spill
@@ -32,8 +32,8 @@ Scenarios (one per case, chosen by the seed):
 ==================  ======================================================
 
 The fixture is the tiny TPC-H instance the paper queries run on
-(SF=0.01), built once per process; expected rows come from a plain
-run of the same SQL.
+(SF=0.01), built once per process; expected rows come from the same SQL
+on the row iterators (:func:`repro.fuzz.oracle.reference_rows`).
 
 **Concurrent chaos** (:func:`run_concurrent_chaos`) extends the same
 invariant to the :mod:`repro.serve` service layer: per seed, a fresh
@@ -68,7 +68,7 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.faults import FaultPlan, fault_injection
-from repro.optimizer.planner import DEFAULT_ENGINE, ENGINES
+from repro.fuzz.oracle import reference_rows
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import TpchConfig, load_tpch
 
@@ -102,8 +102,8 @@ def chaos_fixture() -> ChaosFixture:
     if _fixture is None:
         db = Database()
         load_tpch(db.catalog, TpchConfig())
-        gapply_rows = list(db.sql(Q1.gapply_sql).rows)
-        baseline_rows = list(db.sql(Q1.baseline_sql).rows)
+        gapply_rows = list(reference_rows(db, Q1.gapply_sql))
+        baseline_rows = list(reference_rows(db, Q1.baseline_sql))
         _fixture = ChaosFixture(
             db=db,
             gapply_sql=Q1.gapply_sql,
@@ -126,9 +126,6 @@ class ChaosCase:
     timeout: float | None = None
     memory_budget: int | None = None
     max_rows: int | None = None
-    #: Which execution engine drives the query; every scenario's invariant
-    #: (correct rows or an allowed typed error) is engine-independent.
-    engine: str = DEFAULT_ENGINE
     #: Error types that count as a correct outcome for this scenario.
     allowed_errors: tuple[type, ...] = ()
     #: Must the run end in correct rows (no error tolerated)?
@@ -141,7 +138,6 @@ class ChaosCase:
             "timeout": self.timeout,
             "memory_budget": self.memory_budget,
             "max_rows": self.max_rows,
-            "engine": self.engine,
             "fault": None if self.fault is None else self.fault.to_dict(),
             "allowed_errors": [e.__name__ for e in self.allowed_errors],
         }
@@ -181,9 +177,6 @@ def build_case(seed: int) -> ChaosCase:
             case.must_succeed = False
     elif scenario == "clean-spill":
         case.memory_budget = rng.choice((64, 128, 512))
-    # Drawn LAST so the engine dimension extends the seed space without
-    # reshuffling which scenario/fault shape every existing seed produces.
-    case.engine = rng.choice(ENGINES)
     return case
 
 
@@ -228,7 +221,6 @@ def run_chaos_case(case: ChaosCase) -> str | None:
         "timeout": case.timeout,
         "memory_budget": case.memory_budget,
         "max_rows": case.max_rows,
-        "engine": case.engine,
         # GApply must survive to execution for faults/spill to bite; the
         # optimizer may otherwise rewrite it into a plain aggregate.
         "optimize": False,

@@ -1,6 +1,10 @@
-"""SQLite oracle execution and NULL-aware multiset comparison.
+"""The two oracles — SQLite and the row iterators — and NULL-aware
+multiset comparison.
 
-The differential fuzzer's ground truth: mirror the engine catalog into an
+:func:`reference_rows` runs a statement's lowered plan through
+``PhysicalOperator.execute`` alone: the reference every compiled plan is
+compared with, by the fuzz profiles and the tests alike. What anchors
+that reference is the differential fuzzer's ground truth: mirror the engine catalog into an
 in-memory ``sqlite3`` database, run the lowered query
 (:func:`repro.sql.sqlite.to_sqlite`) there, and compare its rows against
 the engine's as *multisets* — neither side guarantees an order, and both
@@ -24,12 +28,17 @@ from __future__ import annotations
 import datetime as _dt
 import sqlite3
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.execution.context import ExecutionContext
 from repro.sql import ast as A
 from repro.sql.parser import parse
 from repro.sql.sqlite import to_sqlite
 from repro.storage.catalog import Catalog
 from repro.storage.types import DataType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import Database
 
 _SQLITE_TYPES = {
     DataType.INTEGER: "INTEGER",
@@ -39,6 +48,31 @@ _SQLITE_TYPES = {
     DataType.DATE: "TEXT",
     DataType.ANY: "",
 }
+
+
+def reference_rows(
+    database: "Database",
+    text: str,
+    ctx: ExecutionContext | None = None,
+    **options: Any,
+) -> Iterator[tuple]:
+    """``text`` on the row iterators: the reference every compiled plan
+    is held to (the SQLite oracle anchors it in turn).
+
+    The statement is lowered exactly as ``database.sql(text, **options)``
+    lowers it — same option handling, same plan cache — and the physical
+    plan is then driven through ``PhysicalOperator.execute`` alone, so no
+    batch node runs. ``ctx`` carries what the caller wants observed or
+    enforced: counters, a metrics registry (the plan is registered on it
+    here), a governor. ``max_rows`` is a budget of ``Database``'s root
+    loop and has no reference.
+    """
+    physical = database.sql(text, explain="plan", **options).physical_plan
+    if ctx is None:
+        ctx = ExecutionContext()
+    if ctx.metrics is not None:
+        ctx.metrics.register_plan(physical)
+    return physical.execute(ctx)
 
 
 def _storage_value(value):

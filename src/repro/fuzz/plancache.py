@@ -15,9 +15,6 @@ database built from the same seeded data:
   counters and metrics must match too (they may legitimately differ
   when value-dependent costing picks another plan for the new values —
   that is the adaptive re-plan machinery's department, not a bug).
-
-Cases alternate execution engines (volcano/vector) so cached-plan replay
-is exercised through both lowering paths.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from repro.fuzz.generator import STRING_VOCAB, FuzzCase, generate_case
 from repro.sql import ast as A
 from repro.sql.normalize import _rewrite_statement
 from repro.sql.printer import print_query
-
-ENGINES_BY_PARITY = ("volcano", "vector")
 
 
 @dataclass
@@ -140,7 +135,7 @@ def _diff(kind: str, cached: QueryResult, reference: QueryResult) -> str | None:
     return None
 
 
-def check_case(case: FuzzCase, engine: str) -> PlanCacheFailure | None:
+def check_case(case: FuzzCase) -> PlanCacheFailure | None:
     """Run one case cold/hot/re-parameterized; None means all agreed."""
     sql = case.sql
     cached_db = case.db.build()  # default: plan cache on
@@ -148,7 +143,7 @@ def check_case(case: FuzzCase, engine: str) -> PlanCacheFailure | None:
     reference_db.plan_cache = None  # the uncached twin
 
     def run(db: Database, text: str) -> QueryResult:
-        return db.sql(text, collect_metrics=True, engine=engine)
+        return db.sql(text, collect_metrics=True)
 
     reference = run(reference_db, sql)
     cold = run(cached_db, sql)
@@ -204,13 +199,12 @@ def run_plancache_fuzz(
     for offset in range(n):
         case_seed = seed + offset
         case = generate_case(case_seed)
-        engine = ENGINES_BY_PARITY[offset % len(ENGINES_BY_PARITY)]
         report.cases += 1
         try:
-            failure = check_case(case, engine)
+            failure = check_case(case)
         except ReproError as error:
-            # The generator only emits queries both engines accept; an
-            # engine error on the cached path is a real failure.
+            # The generator only emits queries the engine accepts; an
+            # error on the cached path is a real failure.
             failure = PlanCacheFailure(
                 case_seed, "error", case.sql, f"{type(error).__name__}: {error}"
             )

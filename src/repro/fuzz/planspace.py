@@ -4,18 +4,18 @@ The paper's claim is that every rewrite rule is semantics-preserving, so
 the strongest executable check is: run the same query under *every*
 planner configuration — each optimizer rule individually disabled, all
 rules off, no optimizer at all, both GApply partitioning strategies, a
-partition phase forced to spill, no hash joins, no index access paths,
-and both execution engines — and demand identical normalized result
-multisets. The baseline every configuration is compared with runs on the
-Volcano iterators (:mod:`repro.fuzz.runner` names them); a configuration
-that does not name an engine runs the default one, the vector engine.
+partition phase forced to spill, no hash joins, no index access paths —
+and demand identical normalized result multisets. Every configuration
+runs through ``Database.sql`` (the compiled plan); the baseline it is
+compared with is the same query on the row iterators
+(:func:`repro.fuzz.oracle.reference_rows`).
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
-fuzzer (7 fixed configurations — 6 on the default engine plus
-``volcano-engine`` — and one per optimizer rule); ``QUICK_PROFILE``
-(7 + 5) keeps tier-1 test time bounded while still covering the rule
-families with distinct failure modes. The engine profile runs 9
-configurations that name the vector engine, two of them forced-spill.
+fuzzer (6 fixed configurations and one per optimizer rule);
+``QUICK_PROFILE`` (6 + 5) keeps tier-1 test time bounded while still
+covering the rule families with distinct failure modes. The engine
+profile runs 11 configurations that change which batch operators and
+fast paths a plan exercises, four of them spilling.
 """
 
 from __future__ import annotations
@@ -23,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import PlanError
-from repro.optimizer.planner import VECTOR_ENGINE, VOLCANO_ENGINE, PlannerOptions
+from repro.optimizer.planner import PlannerOptions
 
 #: Cells resident before the forced-spill configurations flush: a few
 #: rows, so even the small fuzz tables write several runs/waves.
 FUZZ_SPILL_THRESHOLD = 8
+
+#: Governor budget of the budgeted configurations: every ORDER BY,
+#: DISTINCT and GApply partition spills, yet the widest fuzz row (and the
+#: two half-threshold DISTINCT phases) still fits.
+FUZZ_MEMORY_BUDGET = 48
 
 # Cap exploration per configuration: fuzz queries are small, and the full
 # alternative budget (128) just burns time re-deriving the same plans.
@@ -45,6 +50,9 @@ class PlanConfig:
     name: str
     options: PlannerOptions = field(default_factory=_options)
     optimize: bool = True
+    #: Governor memory budget in cells (None = unbudgeted): ORDER BY and
+    #: DISTINCT sort externally under one.
+    memory_budget: int | None = None
 
 
 def _rule_names() -> list[str]:
@@ -65,7 +73,6 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
         ),
         PlanConfig("nested-loop-joins", _options(prefer_hash_join=False)),
         PlanConfig("no-indexes", _options(use_indexes=False)),
-        PlanConfig("volcano-engine", _options(engine=VOLCANO_ENGINE)),
     ]
     if full:
         disabled = rules
@@ -85,55 +92,43 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
 
 
 def engine_configurations() -> list[PlanConfig]:
-    """The engine-differential profile: every case's Volcano baseline rows
-    against the vector engine across the knobs that change which batched
-    operators and fast paths a plan exercises. Batch sizes 3 and 1 force
+    """The engine-differential profile: every case's row-iterator baseline
+    against the compiled plan across the knobs that change which batched
+    operators and fast paths it exercises. Batch sizes 3 and 1 force
     cross-batch state (limit countdowns, distinct sets, hash-join builds
     spanning batches) that the default 128 hides on small fuzz data; the
-    forced-spill pair runs the shared partition phase's disk paths under
-    vectorized outer and per-group plans."""
+    forced-spill pair runs the shared partition phase's disk paths, the
+    budgeted pair the shared external sort and dedupe, all under
+    vectorized inputs."""
     return [
-        PlanConfig("vector", _options(engine=VECTOR_ENGINE)),
+        PlanConfig("vector"),
+        PlanConfig("vector-batch-3", _options(vector_batch_size=3)),
+        PlanConfig("vector-batch-1", _options(vector_batch_size=1)),
+        PlanConfig("vector-unoptimized", optimize=False),
         PlanConfig(
-            "vector-batch-3",
-            _options(engine=VECTOR_ENGINE, vector_batch_size=3),
-        ),
-        PlanConfig(
-            "vector-batch-1",
-            _options(engine=VECTOR_ENGINE, vector_batch_size=1),
-        ),
-        PlanConfig(
-            "vector-unoptimized",
-            _options(engine=VECTOR_ENGINE),
-            optimize=False,
-        ),
-        PlanConfig(
-            "vector-sort-partitioning",
-            _options(engine=VECTOR_ENGINE, gapply_partitioning="sort"),
+            "vector-sort-partitioning", _options(gapply_partitioning="sort")
         ),
         PlanConfig(
             "vector-spill-hash",
-            _options(
-                engine=VECTOR_ENGINE,
-                gapply_spill_threshold=FUZZ_SPILL_THRESHOLD,
-            ),
+            _options(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
         ),
         PlanConfig(
             "vector-spill-sort",
             _options(
-                engine=VECTOR_ENGINE,
                 gapply_partitioning="sort",
                 gapply_spill_threshold=FUZZ_SPILL_THRESHOLD,
             ),
         ),
+        PlanConfig("vector-budget", memory_budget=FUZZ_MEMORY_BUDGET),
         PlanConfig(
-            "vector-nested-loop-joins",
-            _options(engine=VECTOR_ENGINE, prefer_hash_join=False),
+            "vector-budget-batch-3",
+            _options(vector_batch_size=3),
+            memory_budget=FUZZ_MEMORY_BUDGET,
         ),
         PlanConfig(
-            "vector-no-indexes",
-            _options(engine=VECTOR_ENGINE, use_indexes=False),
+            "vector-nested-loop-joins", _options(prefer_hash_join=False)
         ),
+        PlanConfig("vector-no-indexes", _options(use_indexes=False)),
     ]
 
 
@@ -141,7 +136,7 @@ def engine_configurations() -> list[PlanConfig]:
 FULL_PROFILE = "full"
 #: Bounded subset for tier-1 tests.
 QUICK_PROFILE = "quick"
-#: Volcano-vs-vector differential across batch sizes and plan shapes.
+#: Row-iterator-vs-compiled differential across batch sizes and plan shapes.
 ENGINE_PROFILE = "engine"
 #: Cold/hot/re-parameterized plan-cache differential (dispatched to
 #: :func:`repro.fuzz.plancache.run_plancache_fuzz`, not to plan configs).

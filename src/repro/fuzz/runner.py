@@ -2,9 +2,8 @@
 
 For each seeded case this runs three checks:
 
-1. **engine sanity** — the query must execute at all, on the Volcano
-   iterators by name (a crash on generator-valid input is a bug, not a
-   skip);
+1. **engine sanity** — the query must execute at all, on the row
+   iterators (a crash on generator-valid input is a bug, not a skip);
 2. **oracle agreement** — those baseline rows must equal SQLite's for the
    lowered query, as NULL-aware normalized multisets;
 3. **plan-space equivalence** — every planner configuration from the
@@ -21,13 +20,17 @@ import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import MemoryBudgetExceeded, ReproError
 from repro.fuzz.corpus import save_case
 from repro.fuzz.generator import FuzzCase, generate_case
-from repro.fuzz.oracle import compare_multisets, run_oracle, sqlite_mirror
+from repro.fuzz.oracle import (
+    compare_multisets,
+    reference_rows,
+    run_oracle,
+    sqlite_mirror,
+)
 from repro.fuzz.planspace import PlanConfig, profile_configurations
 from repro.fuzz.shrink import shrink_case
-from repro.optimizer.planner import VOLCANO_ENGINE
 from repro.sql.sqlite import OracleUnsupportedError
 
 
@@ -83,9 +86,9 @@ def run_case(
     db = case.db.build()
     sql = case.sql
     try:
-        # The reference run is the row iterators, by name: the SQLite
-        # oracle anchors it, and every configuration below is held to it.
-        baseline = db.sql(sql, engine=VOLCANO_ENGINE).rows
+        # The reference run is the row iterators: the SQLite oracle
+        # anchors it, and every configuration below is held to it.
+        baseline = list(reference_rows(db, sql))
     except ReproError as error:
         return FuzzFailure(
             "engine-error", None, f"  {type(error).__name__}: {error}", case
@@ -114,9 +117,19 @@ def run_case(
     for config in configs:
         try:
             rows = db.sql(
-                sql, optimize=config.optimize, planner_options=config.options
+                sql,
+                optimize=config.optimize,
+                planner_options=config.options,
+                memory_budget=config.memory_budget,
             ).rows
         except ReproError as error:
+            if config.memory_budget is not None and isinstance(
+                error, MemoryBudgetExceeded
+            ):
+                # Nested holders (a per-group DISTINCT under a resident
+                # partition) can genuinely exhaust a small budget: a typed
+                # refusal, not a divergence.
+                continue
             return FuzzFailure(
                 "planspace-error",
                 config.name,

@@ -26,8 +26,9 @@ Two layers of seeded random cases, both with a materialized reference:
 * **View-level** (sampled) — the standard supplier view over randomized
   hostile table data, published end-to-end through
   :meth:`Database.publish <repro.api.Database.publish>`: streamed bytes
-  must equal materializing the same SQL formulation and tagging it, for
-  both formulations × both engines.
+  must equal running the same SQL formulation on the row iterators
+  (:func:`repro.fuzz.oracle.reference_rows`) and tagging the result, for
+  both formulations.
 
 Failures shrink greedily (drop groups, drop rows, simplify strings) while
 preserving the failing stage, and persist as typed-value JSON reproducers
@@ -48,6 +49,7 @@ from typing import Any, Callable, Iterable
 
 from repro.api import Database
 from repro.errors import ReproError
+from repro.fuzz.oracle import reference_rows
 from repro.storage.types import DataType
 from repro.xmlpub.stream import PublishStats, stream_document
 from repro.xmlpub.tagger import (
@@ -438,7 +440,7 @@ def build_view_database(rng: random.Random) -> Database:
 
 def check_view_case(seed: int) -> XmlPubFailure | None:
     """Streamed == materialized, end to end through ``Database.publish``,
-    for both formulations × both engines."""
+    for both formulations."""
     rng = random.Random(seed ^ 0xD0C)
     db = build_view_database(rng)
     name, query = VIEW_XQUERIES[seed % len(VIEW_XQUERIES)]
@@ -446,34 +448,29 @@ def check_view_case(seed: int) -> XmlPubFailure | None:
     translated = translate_xquery(query, view, db.catalog)
     for formulation in FORMULATIONS:
         sql = translated.sql_for(formulation)
-        for engine in ("volcano", "vector"):
-            reference = (
-                ConstantSpaceTagger(translated.spec)
-                .tag_to_string(db.sql(sql, engine=engine).rows)
-                .encode()
+        reference = (
+            ConstantSpaceTagger(translated.spec)
+            .tag_to_string(reference_rows(db, sql))
+            .encode()
+        )
+        config = f"{name}/{formulation}"
+        try:
+            streamed = db.publish(
+                view, query, formulation, chunk_bytes=rng.choice(CHUNK_SIZES)
+            ).read_all()
+        except ReproError as error:
+            return XmlPubFailure(
+                seed,
+                "view",
+                f"{config}: {type(error).__name__}: {error}",
             )
-            config = f"{name}/{formulation}/{engine}"
-            try:
-                streamed = db.publish(
-                    view,
-                    query,
-                    formulation,
-                    engine=engine,
-                    chunk_bytes=rng.choice(CHUNK_SIZES),
-                ).read_all()
-            except ReproError as error:
-                return XmlPubFailure(
-                    seed,
-                    "view",
-                    f"{config}: {type(error).__name__}: {error}",
-                )
-            if streamed != reference:
-                return XmlPubFailure(
-                    seed,
-                    "view",
-                    f"{config}: streamed {len(streamed)}B != "
-                    f"materialized {len(reference)}B",
-                )
+        if streamed != reference:
+            return XmlPubFailure(
+                seed,
+                "view",
+                f"{config}: streamed {len(streamed)}B != "
+                f"materialized {len(reference)}B",
+            )
     return None
 
 

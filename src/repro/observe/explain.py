@@ -30,6 +30,7 @@ from repro.observe.metrics import MetricsRegistry, join_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import Counters
+    from repro.execution.vector.compiler import FallbackNote
     from repro.observe.trace import Tracer
     from repro.optimizer.engine import OptimizationReport
     from repro.storage.schema import Schema
@@ -66,6 +67,9 @@ class Explanation:
     #: Plan-cache outcome (source "hit"/"miss", key digest, param count)
     #: when the run went through the plan cache; None when it bypassed.
     plan_cache: dict[str, Any] | None = None
+    #: The compiler's notes (``label``, ``reason``) on the subtrees that
+    #: run on the row iterators inside the compiled plan.
+    fallbacks: "tuple[FallbackNote, ...]" = ()
 
     # ------------------------------------------------------------------
     # Text rendering
@@ -84,19 +88,24 @@ class Explanation:
         # The cache line only names source and parameter count — both
         # deterministic for a given query on a fresh database — so golden
         # snapshots stay byte-stable.
-        cache_lines = []
+        tail_lines = []
         if self.plan_cache is not None:
             count = self.plan_cache.get("params", 0)
-            cache_lines.append(
+            tail_lines.append(
                 "-- plan cache: {} ({} param{})".format(
                     self.plan_cache.get("source", "?"),
                     count,
                     "" if count == 1 else "s",
                 )
             )
+        if self.fallbacks:
+            tail_lines.append(
+                "-- row-iterator subtrees: "
+                + ", ".join(f"{n.label} ({n.reason})" for n in self.fallbacks)
+            )
         report = self.report
         if report is None:
-            return ["-- optimizer: off"] + cache_lines
+            return ["-- optimizer: off"] + tail_lines
         lines = [
             "-- cost: {:.0f} (unoptimized {:.0f}); explored {} plan{}{}".format(
                 report.best_estimate.cost,
@@ -116,7 +125,7 @@ class Explanation:
                     for f in active
                 )
             )
-        return lines + cache_lines
+        return lines + tail_lines
 
     def _metrics_by_path(self) -> dict[str, dict]:
         if self.registry is None:
@@ -179,6 +188,9 @@ class Explanation:
             }
         if self.plan_cache is not None:
             document["plan_cache"] = dict(self.plan_cache)
+        document["row_iterator_subtrees"] = [
+            {"op": note.label, "reason": note.reason} for note in self.fallbacks
+        ]
         if self.counters is not None:
             document["work"] = self.counters.snapshot()
         if self.tracer is not None:

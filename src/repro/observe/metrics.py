@@ -6,7 +6,7 @@ for the root, ``"0"`` / ``"1"`` for its children, ``"1.0"`` for the first
 child of the second child, and so on. Paths are derived purely from the
 plan structure, so two walks over equal-shaped plans produce the same
 keys — which is what lets the equivalence tests compare snapshots of the
-same query run under the Volcano and vector engines.
+same plan run as compiled batch nodes and as row iterators.
 
 Timing uses an injectable monotonic clock (``perf_counter_ns`` by
 default); tests inject a fake clock to make ``elapsed_ns`` deterministic.
@@ -216,8 +216,8 @@ class MetricsRegistry:
         """Plain-dict view, path-sorted: ``{path: {"op": label, ...}}``.
 
         Excludes ``elapsed_ns`` unless asked: the deterministic counters
-        are the equivalence contract across execution engines; time is
-        reporting-only.
+        are the equivalence contract between the compiled plan and the
+        row-iterator reference; time is reporting-only.
         """
         return {
             path: {"op": self._by_path[path].label,

@@ -24,8 +24,8 @@ Key design points:
   BindParameter` markers in literal positions. Execution substitutes the
   current parameter vector (markers become plain ``Literal`` nodes — a
   pure tree rewrite) and lowers the result with the per-call
-  :class:`~repro.optimizer.planner.Planner`, so physical knobs (engine,
-  batch sizes, index usage) stay per-execution and are *not*
+  :class:`~repro.optimizer.planner.Planner`, so physical knobs (batch
+  sizes, partitioning, index usage) stay per-execution and are *not*
   part of the key. Because ``BindParameter`` subclasses ``Literal``, the
   template optimization is bit-for-bit the optimization the literal query
   would get — cached and cold runs produce identical plans, rows,

@@ -67,15 +67,6 @@ from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
 from repro.optimizer.access_paths import choose_join_side, choose_seek
 from repro.storage.catalog import Catalog
 
-#: Execution engine names accepted by ``PlannerOptions.engine`` and the
-#: ``Database.sql(engine=...)`` convenience knob.
-VOLCANO_ENGINE = "volcano"
-VECTOR_ENGINE = "vector"
-ENGINES = (VOLCANO_ENGINE, VECTOR_ENGINE)
-#: The engine every entry point runs unless told otherwise, and what a
-#: result or measurement reports when nobody named one.
-DEFAULT_ENGINE = VECTOR_ENGINE
-
 
 @dataclass(frozen=True)
 class PlannerOptions:
@@ -93,16 +84,10 @@ class PlannerOptions:
     space — every rule disabled one at a time, all rules off — and assert
     that results never change. Unknown rule names raise at use time.
 
-    ``engine`` selects how the lowered plan is *driven*: ``"vector"``
-    (the default: the batch-at-a-time columnar engine in
-    :mod:`repro.execution.vector`, which compiles the physical plan into
-    fused per-batch pipelines and transparently falls back to the row
-    iterators for unsupported operators) or ``"volcano"`` (the
-    row-at-a-time iterators alone, kept selectable as the reference).
-    Both engines produce identical rows, counters, and metrics for any
-    plan — the fuzz driver's ``engine`` profile asserts exactly that.
-    ``vector_batch_size`` sets the rows-per-batch granularity (under
-    Volcano: of the root loop only).
+    Every lowered plan is compiled into batch-at-a-time pipelines
+    (:mod:`repro.execution.vector`; operators without a batched form run
+    as row-iterator subtrees inside the compiled plan), and
+    ``vector_batch_size`` (>= 1) sets the rows-per-batch granularity.
 
     ``collect_estimates`` stamps every lowered physical node with the cost
     model's row estimate for its logical source (``est_rows``), which
@@ -121,8 +106,14 @@ class PlannerOptions:
     disabled_rules: tuple[str, ...] = ()
     optimizer_max_alternatives: int | None = None
     collect_estimates: bool = False
-    engine: str = DEFAULT_ENGINE
     vector_batch_size: int = DEFAULT_BATCH_SIZE
+
+    def __post_init__(self) -> None:
+        # -1 would make every scan's ``range`` empty (zero rows, silently).
+        if self.vector_batch_size < 1:
+            raise PlanError(
+                f"vector_batch_size must be >= 1, got {self.vector_batch_size}"
+            )
 
     def active_rules(self):
         """The default optimizer rule set minus ``disabled_rules``.

@@ -596,8 +596,8 @@ class Service:
         The governor's clock starts *now*: time spent queued for
         admission counts against ``timeout`` (explicit, or the query
         class default). Extra keyword arguments are the options of
-        :meth:`Database.sql <repro.api.Database.sql>` (``engine=``,
-        ``explain=``, ``planner_options=``, ...); an unknown or invalid
+        :meth:`Database.sql <repro.api.Database.sql>` (``explain=``,
+        ``planner_options=``, ...); an unknown or invalid
         one raises before a slot is taken.
         """
         reader, query_id, options = self._admit(
@@ -650,7 +650,7 @@ class Service:
         the stream within one chunk with :class:`~repro.errors.
         QueryCancelled`. Extra keyword arguments are the options of
         :meth:`Database.publish <repro.api.Database.publish>`
-        (``engine=``, ``planner_options=``, ...); an unknown or invalid
+        (``planner_options=``, ``chunk_bytes=``, ...); an unknown or invalid
         one raises before a slot is taken.
         """
         reader, query_id, options = self._admit(

@@ -1,6 +1,6 @@
-"""Resource governor tests: budgets, cancellation, and the cross-engine
-contract — the same violation raises the same typed error whether the
-plan runs on the Volcano or the vector engine."""
+"""Resource governor tests: budgets, cancellation, and the contract that
+the same violation raises the same typed error whether the plan's root
+is a compiled batch node or a subtree left on the row iterators."""
 
 from __future__ import annotations
 
@@ -16,12 +16,21 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.governor import CHECK_STRIDE, Budget, Governor
-from repro.optimizer.planner import ENGINES
 from repro.storage.types import DataType
 
 GAPPLY_SQL = (
     "select gapply(select count(*) as n from g) from t group by g : g"
 )
+
+#: A plan per kind of root: ``vector`` compiles completely; ``volcano``
+#: is rooted in a nested-loop join, which the compiler leaves on the row
+#: iterators, so the root loop is fed by ``PhysicalOperator.execute``.
+ROOT_SQL = {
+    "vector": GAPPLY_SQL,
+    "volcano": (
+        "select * from t a, t b where a.v < b.v and a.g = 0 and b.g = 0"
+    ),
+}
 
 
 @pytest.fixture
@@ -109,25 +118,30 @@ class TestGovernorUnit:
             assert issubclass(exc, BudgetExceeded)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("root", ROOT_SQL)
 class TestBudgetsAcrossEngines:
-    """Identical typed errors on the Volcano and vector engines."""
+    """Identical typed errors from a compiled root and a row-iterator one."""
 
-    def test_max_rows_raises_row_budget(self, db, engine):
+    def test_roots_are_what_they_claim(self, db, root):
+        notes = db.sql(ROOT_SQL[root], explain="plan").fallbacks
+        assert [note.reason for note in notes] == (
+            ["nested-loop join"] if root == "volcano" else []
+        )
+
+    def test_max_rows_raises_row_budget(self, db, root):
         with pytest.raises(RowBudgetExceeded) as info:
-            db.sql(GAPPLY_SQL, engine=engine, max_rows=3)
-        assert info.value.sql == GAPPLY_SQL
+            db.sql(ROOT_SQL[root], max_rows=3)
+        assert info.value.sql == ROOT_SQL[root]
 
-    def test_expired_timeout_raises_typed_error(self, db, engine):
+    def test_expired_timeout_raises_typed_error(self, db, root):
         with pytest.raises(TimeoutExceeded) as info:
-            db.sql(GAPPLY_SQL, engine=engine, timeout=1e-9)
-        assert info.value.sql == GAPPLY_SQL
+            db.sql(ROOT_SQL[root], timeout=1e-9)
+        assert info.value.sql == ROOT_SQL[root]
 
-    def test_generous_budgets_change_nothing(self, db, engine):
-        plain = db.sql(GAPPLY_SQL, engine=engine)
+    def test_generous_budgets_change_nothing(self, db, root):
+        plain = db.sql(ROOT_SQL[root])
         budgeted = db.sql(
-            GAPPLY_SQL,
-            engine=engine,
+            ROOT_SQL[root],
             timeout=3600.0,
             memory_budget=1 << 30,
             max_rows=1 << 30,

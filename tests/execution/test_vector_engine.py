@@ -1,5 +1,6 @@
-"""Engine-differential tests: the vector engine must be indistinguishable
-from Volcano for any plan — identical rows in identical order, identical
+"""Engine-differential tests: a compiled plan must be indistinguishable
+from the same physical plan on the row iterators (``PhysicalOperator.
+execute``, the reference) — identical rows in identical order, identical
 deterministic counters, identical per-operator metrics snapshots (time
 excluded), and identical typed budget errors. Batching is an
 implementation detail, never a semantic one.
@@ -14,22 +15,16 @@ import pytest
 from repro.api import Database
 from repro.errors import (
     MemoryBudgetExceeded,
-    PlanError,
     RowBudgetExceeded,
     TimeoutExceeded,
 )
+from repro.execution.base import PhysicalOperator
 from repro.execution.context import Counters, ExecutionContext
 from repro.execution.governor import Budget, Governor
 from repro.execution.vector.compiler import compile_plan
+from repro.fuzz.oracle import reference_rows
 from repro.observe.metrics import MetricsRegistry
-from repro.execution.vector.nodes import VectorNode
-from repro.optimizer.planner import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    VECTOR_ENGINE,
-    VOLCANO_ENGINE,
-    PlannerOptions,
-)
+from repro.optimizer.planner import PlannerOptions
 from repro.storage.catalog import Catalog
 from repro.storage.types import DataType
 from repro.workloads.queries import PAPER_QUERIES
@@ -58,14 +53,20 @@ def _lower(db: Database, sql: str, options: PlannerOptions | None = None):
     return lower_plan(db.catalog, logical, options)
 
 
-def run_both(plan, batch_size: int = 1024):
+def run_both(plan, batch_size: int = 1024, memory_cells: int | None = None):
     """(volcano, vector) triples of (rows, counter dict, metrics snapshot)."""
     outcomes = []
     for vector in (False, True):
         counters = Counters()
         metrics = MetricsRegistry()
         metrics.register_plan(plan)
-        ctx = ExecutionContext(counters=counters, metrics=metrics)
+        governor = (
+            None if memory_cells is None
+            else Governor(Budget(memory_cells=memory_cells))
+        )
+        ctx = ExecutionContext(
+            counters=counters, metrics=metrics, governor=governor
+        )
         if vector:
             rows = compile_plan(plan, batch_size=batch_size).run(ctx)
         else:
@@ -117,6 +118,40 @@ class TestPaperFormulations:
             assert vector == volcano, query.name
             assert volcano[1]["spill_runs"] > 0, query.name
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select s_name, ps_supplycost from supplier, partsupp "
+            "where s_suppkey = ps_suppkey order by ps_supplycost desc, s_name",
+            "select distinct s_nationkey, ps_availqty from supplier, partsupp "
+            "where s_suppkey = ps_suppkey",
+        ],
+        ids=["order-by", "distinct"],
+    )
+    def test_budgeted_breaker_spills_over_a_compiled_join(
+        self, tpch_db, monkeypatch, sql
+    ):
+        # A memory budget selects the external sort / dedupe inside the
+        # breaker and nothing else: the join below it still runs as batch
+        # nodes, counter for counter what the row iterators do.
+        plan = _lower(tpch_db, sql)
+        assert compile_plan(plan).fully_vectorized
+        (rows, _, _), _ = run_both(plan)
+        volcano, vector = run_both(plan, memory_cells=64)
+        assert vector == volcano
+        assert vector[0] == rows
+        assert vector[1]["spill_runs"] > 0
+        below = {path: r for path, r in vector[2].items() if path}
+        assert any("Join" in r["op"] for r in below.values())
+        assert {r["executions"] for r in below.values()} == {1}
+
+        def no_row_iterators(self, ctx):
+            raise AssertionError(f"{self.label()} pulled through execute()")
+
+        monkeypatch.setattr(PhysicalOperator, "execute", no_row_iterators)
+        ctx = ExecutionContext(governor=Governor(Budget(memory_cells=64)))
+        assert compile_plan(plan).run(ctx) == rows
+
     def test_naive_formulations_fall_back_but_agree(self, tpch_db):
         # Correlated subqueries lower to correlated Apply/Exists, which
         # the compiler routes through Volcano — noted, never wrong.
@@ -129,57 +164,43 @@ class TestPaperFormulations:
 
 
 class TestEngineKnob:
+    """There is no engine to choose: every entry point compiles the plan,
+    and the row iterators are reachable only as the tests' reference."""
+
     def test_sql_engine_kwarg(self, tpch_db):
         sql = PAPER_QUERIES[0].baseline_sql
-        default = tpch_db.sql(sql)
-        volcano = tpch_db.sql(sql, engine=VOLCANO_ENGINE)
-        assert default.engine == DEFAULT_ENGINE == VECTOR_ENGINE == "vector"
-        assert PlannerOptions().engine == DEFAULT_ENGINE
-        # "volcano" still selects the row iterators: no vector node runs.
-        assert volcano.engine == VOLCANO_ENGINE
-        assert volcano.rows == default.rows
-        assert vars(volcano.counters) == vars(default.counters)
+        entry_points = {
+            "Database.sql": lambda: tpch_db.sql(sql, engine="volcano"),
+            "Database.execute": lambda: tpch_db.execute(
+                tpch_db.plan(sql), engine="volcano"
+            ),
+            "Prepared.execute": lambda: tpch_db.prepare(sql).execute(
+                engine="vector"
+            ),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(TypeError, match=rf"{name}\(\) got an unexpected"):
+                call()
+        assert not hasattr(tpch_db.sql(sql), "engine")
 
-    def test_volcano_engine_runs_no_batch_node(self, tpch_db, monkeypatch):
-        def no_batches(self, ctx):
-            raise AssertionError(f"{type(self).__name__} ran under volcano")
-
-        monkeypatch.setattr(VectorNode, "batches", no_batches)
-        sql = PAPER_QUERIES[0].gapply_sql
-        assert tpch_db.sql(sql, engine=VOLCANO_ENGINE).rows
-        with pytest.raises(AssertionError, match="ran under volcano"):
-            tpch_db.sql(sql)
-
-    def test_planner_options_engine(self, tpch_db):
-        sql = PAPER_QUERIES[0].gapply_sql
-        result = tpch_db.sql(
-            sql, planner_options=PlannerOptions(engine=VOLCANO_ENGINE)
-        )
-        assert result.engine == VOLCANO_ENGINE
-        assert result.rows == tpch_db.sql(sql).rows
+    def test_planner_options_engine(self):
+        with pytest.raises(TypeError):
+            PlannerOptions(engine="volcano")
+        assert len(PlannerOptions.__dataclass_fields__) == 8
 
     def test_unknown_engine_rejected(self, tpch_db):
-        with pytest.raises(PlanError):
+        # Rejected like any misspelled option, before any work.
+        before = tpch_db.plan_cache.stats()
+        with pytest.raises(TypeError):
             tpch_db.sql(PAPER_QUERIES[0].baseline_sql, engine="columnar")
-        with pytest.raises(PlanError):
-            tpch_db.sql(
-                PAPER_QUERIES[0].baseline_sql,
-                planner_options=PlannerOptions(engine="columnar"),
-            )
-
-    def test_engines_constant_lists_both(self):
-        assert VOLCANO_ENGINE in ENGINES
-        assert VECTOR_ENGINE in ENGINES
+        assert tpch_db.plan_cache.stats() == before
 
     def test_vector_batch_size_knob(self, tpch_db):
         sql = PAPER_QUERIES[2].baseline_sql
         result = tpch_db.sql(
-            sql,
-            planner_options=PlannerOptions(
-                engine=VECTOR_ENGINE, vector_batch_size=2
-            ),
+            sql, planner_options=PlannerOptions(vector_batch_size=2)
         )
-        assert result.rows == tpch_db.sql(sql, engine=VOLCANO_ENGINE).rows
+        assert result.rows == list(reference_rows(tpch_db, sql))
 
 
 class TestBudgetEquivalence:
@@ -227,18 +248,17 @@ class TestBudgetEquivalence:
 
     def test_max_rows_identical_through_api(self, tpch_db):
         sql = PAPER_QUERIES[0].baseline_sql
-        for engine in ENGINES:
-            with pytest.raises(RowBudgetExceeded):
-                tpch_db.sql(sql, max_rows=2, engine=engine)
-            total = len(tpch_db.sql(sql, engine=engine).rows)
-            exact = tpch_db.sql(sql, max_rows=total, engine=engine)
-            assert len(exact.rows) == total
-            with pytest.raises(RowBudgetExceeded):
-                tpch_db.sql(sql, max_rows=total - 1, engine=engine)
+        with pytest.raises(RowBudgetExceeded):
+            tpch_db.sql(sql, max_rows=2)
+        total = len(tpch_db.sql(sql).rows)
+        exact = tpch_db.sql(sql, max_rows=total)
+        assert len(exact.rows) == total
+        with pytest.raises(RowBudgetExceeded):
+            tpch_db.sql(sql, max_rows=total - 1)
 
 
 class TestBatchMemory:
-    """The default engine must not buy its speed with transient memory:
+    """The compiled plan must not buy its speed with transient memory:
     a join stage emits every match for an input batch at once, and the
     sorted-outer-union plans fan out ~80 rows per probe row."""
 
@@ -248,17 +268,17 @@ class TestBatchMemory:
         db = Database(catalog, plan_cache=None)
         sql = PAPER_QUERIES[3].baseline_sql
 
-        def traced_peak(engine: str | None) -> int:
-            db.sql(sql, engine=engine)  # statistics, imports, first-call costs
+        def traced_peak(run) -> int:
+            run()  # statistics, imports, first-call costs
             tracemalloc.start()
             try:
-                db.sql(sql, engine=engine)
+                run()
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        volcano = traced_peak(VOLCANO_ENGINE)
-        default = traced_peak(None)
+        volcano = traced_peak(lambda: list(reference_rows(db, sql)))
+        default = traced_peak(lambda: db.sql(sql))
         # 1.2x at the default batch size; 5.5x at 1024 rows per batch.
         assert default < 2 * volcano, (default, volcano)
 

@@ -5,7 +5,7 @@ this keeps a small always-on slice in tier-1 so a cache regression fails
 fast locally. Every case runs cold (must miss), hot (must hit with
 byte-identical rows/counters/metrics), and re-parameterized with fresh
 same-type literals (must hit, rows identical to an uncached run),
-alternating volcano/vector engines.
+through the compiled plan.
 """
 
 from repro.fuzz.plancache import run_plancache_fuzz

@@ -161,6 +161,30 @@ def test_sql_explain_statement_text_routes(parts_db):
     assert len(analyzed.rows) == 12
 
 
+@pytest.mark.parametrize("mode", ["plan", "analyze"])
+def test_explain_names_the_row_iterator_subtrees(parts_db, mode):
+    # A theta join has no batched form: its subtree stays on the row
+    # iterators, and EXPLAIN is where a caller can see that.
+    nested = parts_db.sql(
+        "select p_name from part, partsupp where p_partkey < ps_partkey",
+        explain=mode,
+    )
+    header = [
+        line for line in nested.render().splitlines()
+        if line.startswith("-- row-iterator subtrees: ")
+    ]
+    assert len(header) == 1
+    assert header[0].endswith("(nested-loop join)")
+    assert nested.to_json()["row_iterator_subtrees"] == [
+        {"op": note.label, "reason": "nested-loop join"}
+        for note in nested.fallbacks
+    ]
+    json.dumps(nested.to_json())
+    compiled = parts_db.sql("select p_name from part", explain=mode)
+    assert "row-iterator" not in compiled.render()
+    assert compiled.to_json()["row_iterator_subtrees"] == []
+
+
 def test_sql_explain_rejects_unknown_mode(parts_db):
     from repro.errors import PlanError
 

@@ -187,7 +187,12 @@ class TestKeyingThroughDatabase:
     def test_physical_knobs_share_the_key(self):
         db = small_db()
         db.sql("select id, v from t where v < 5.0")
-        hit = db.sql("select id, v from t where v < 5.0", engine="volcano")
+        hit = db.sql(
+            "select id, v from t where v < 5.0",
+            planner_options=PlannerOptions(
+                vector_batch_size=3, use_indexes=False, prefer_hash_join=False
+            ),
+        )
         assert hit.plan_cache["source"] == "hit"
         assert len(db.plan_cache) == 1
 

@@ -239,7 +239,9 @@ class TestServiceQueries:
         [
             ({"enigne": "vector"}, TypeError, "Service.sql() got an unexpected",
              TypeError),
-            ({"engine": "warp"}, PlanError, "unknown execution engine", PlanError),
+            # So is the removed engine choice.
+            ({"engine": "volcano"}, TypeError, "Service.sql() got an unexpected",
+             TypeError),
             # The removed worker-pool knobs are unknown keywords like any other.
             ({"backend": "thread"}, TypeError, "Service.sql() got an unexpected",
              TypeError),

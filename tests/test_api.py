@@ -1,12 +1,13 @@
 """Tests for the public Database facade."""
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro.api import Database, Prepared, QueryResult, _RunOptions
-from repro.errors import CatalogError
+from repro.errors import CatalogError, PlanError
 from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
 
@@ -122,6 +123,7 @@ class TestRunOptionsSpelledOnce:
 
     def test_entry_point_options_are_run_option_fields(self, parts_db):
         fields = set(_RunOptions.__dataclass_fields__)
+        assert len(fields) == 10
         for method, request in self.REQUEST.items():
             parameters = inspect.signature(method).parameters.values()
             named = {
@@ -133,6 +135,7 @@ class TestRunOptionsSpelledOnce:
         prepared = parts_db.prepare("select count(*) from part")
         for refused in (
             {"no_such_option": 1}, {"parallelism": 2}, {"backend": "thread"},
+            {"engine": "volcano"},
         ):
             with pytest.raises(TypeError, match=r"Prepared\.execute\(\) got"):
                 prepared.execute(**refused)
@@ -140,3 +143,13 @@ class TestRunOptionsSpelledOnce:
                 parts_db.sql("select count(*) from part", **refused)
         assert not hasattr(repro, "_RunOptions")
         assert "_RunOptions" not in getattr(repro.api, "__all__", ())
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused_before_any_work(self, batch_size):
+        # -1 used to return zero rows for any query (an empty ``range``),
+        # 0 a bare ValueError from inside the scan. The options object
+        # refuses the value, so no entry point ever sees it.
+        with pytest.raises(PlanError, match="vector_batch_size must be >= 1"):
+            PlannerOptions(vector_batch_size=batch_size)
+        with pytest.raises(PlanError):
+            replace(PlannerOptions(), vector_batch_size=batch_size)

@@ -5,6 +5,9 @@ These execute the same code paths as ``python -m repro.bench.fig8`` /
 verifying the harnesses end to end (not their absolute numbers).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.fig8 import format_rows, run_figure8
@@ -34,6 +37,23 @@ class TestFigure8Runner:
         assert "Figure 8" in text
         for name in ("Q1", "Q2", "Q3", "Q4"):
             assert name in text
+
+
+    def test_work_matches_checked_in_baselines(self):
+        """The deterministic half of the old CI bench gate: ``work`` is
+        exact for a given scale, so any drift means a paper query lowered
+        to a different plan or an operator counts differently."""
+        path = Path(__file__).parent.parent / "benchmarks" / "baselines.json"
+        baselines = json.loads(path.read_text())
+        measured = {}
+        for row in run_figure8(scale=baselines["scale"], repetitions=1):
+            measured[f"{row.query}/baseline"] = {"work": row.baseline.work}
+            measured[f"{row.query}/gapply_hash"] = {"work": row.gapply_hash.work}
+            measured[f"{row.query}/gapply_sort"] = {"work": row.gapply_sort.work}
+        assert measured == baselines["cases"], (
+            "Figure-8 work counters moved; if the plan change is intended, "
+            f"set the cases of {path.name} to:\n{json.dumps(measured, indent=2)}"
+        )
 
 
 class TestTable1Runner:

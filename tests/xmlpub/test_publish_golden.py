@@ -1,8 +1,9 @@
 """Golden-document conformance: byte-for-byte XML for every paper query.
 
 Each of the five supported XQueries is published under both SQL
-formulations (sorted outer union and GApply) and both execution engines,
-through the *streaming* path (:meth:`Database.publish`), and compared
+formulations (sorted outer union and GApply), through the *streaming*
+path (:meth:`Database.publish`, the compiled plan) and again from the
+rows the row-iterator reference yields for the same SQL, and compared
 byte-for-byte against
 
 * a checked-in golden snapshot under ``tests/snapshots/xml`` — so any
@@ -12,18 +13,20 @@ byte-for-byte against
 * the materialized reference (``db.sql`` + ``tag_to_string``) — so
   streaming is provably a pure re-framing of the same document.
 
-One snapshot per (query, formulation): the two engines must agree on the
-exact bytes, which is itself part of the conformance claim.
+One snapshot per (query, formulation): the compiled plan and the row
+iterators must agree on the exact bytes, which is itself part of the
+conformance claim.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.optimizer.planner import ENGINES
+from repro.fuzz.oracle import reference_rows
 from repro.xmlpub import (
     FORMULATIONS,
     ConstantSpaceTagger,
+    stream_document,
     tpch_supplier_view,
     translate_xquery,
 )
@@ -43,23 +46,33 @@ def _snapshot_path(name: str, formulation: str) -> Path:
     return SNAPSHOT_DIR / f"{name}-{formulation}.xml"
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+#: Where the document's rows come from: ``vector`` is ``Database.publish``
+#: end to end; ``volcano`` streams the row-iterator reference's rows.
+ROW_SOURCES = ("volcano", "vector")
+
+
+@pytest.mark.parametrize("rows_from", ROW_SOURCES)
 @pytest.mark.parametrize(
     "name, query, formulation",
     CASES,
     ids=[f"{name}-{formulation}" for name, _q, formulation in CASES],
 )
 def test_streamed_document_matches_golden(
-    xml_db, update_snapshots, engine, name, query, formulation
+    xml_db, update_snapshots, rows_from, name, query, formulation
 ):
     view = tpch_supplier_view()
-    with xml_db.publish(view, query, formulation, engine=engine) as stream:
-        streamed = stream.read_all()
-    assert stream.exhausted and stream.error is None
+    translated = translate_xquery(query, view, xml_db.catalog)
+    sql = translated.sql_for(formulation)
+    if rows_from == "vector":
+        with xml_db.publish(view, query, formulation) as stream:
+            streamed = stream.read_all()
+        assert stream.exhausted and stream.error is None
+        rows = xml_db.sql(sql).rows
+    else:
+        rows = list(reference_rows(xml_db, sql))
+        streamed = b"".join(stream_document(rows, translated.spec))
 
     # Streaming must be a pure re-framing of the materialized document.
-    translated = translate_xquery(query, view, xml_db.catalog)
-    rows = xml_db.sql(translated.sql_for(formulation), engine=engine).rows
     materialized = ConstantSpaceTagger(translated.spec).tag_to_string(rows)
     assert streamed == materialized.encode("utf-8")
 
@@ -74,7 +87,7 @@ def test_streamed_document_matches_golden(
     )
     assert streamed.decode("utf-8") == path.read_text(), (
         f"published XML diverged from {path.name} "
-        f"(engine={engine}); if the change is intentional, regenerate "
+        f"(rows from {rows_from}); if the change is intentional, regenerate "
         "with pytest --update-snapshots"
     )
 

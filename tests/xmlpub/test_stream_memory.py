@@ -15,7 +15,8 @@ external-merge-sort partition strategy. The claims under test:
   :class:`~repro.errors.MemoryBudgetExceeded`, not an OOM.
 * **Hygiene** — mid-stream cancellation or abandonment releases every
   governor cell and closes every spill file
-  (:func:`repro.storage.spill.live_spill_files`), on both engines.
+  (:func:`repro.storage.spill.live_spill_files`), whether the rows come
+  from the compiled plan or from the row-iterator reference.
 
 The sorted-outer-union formulation is covered too: its materializing
 ORDER BY now external-merge-sorts under the budget (DESIGN.md §10.2),
@@ -28,9 +29,14 @@ import pytest
 
 from repro.api import Database
 from repro.errors import MemoryBudgetExceeded, QueryCancelled
-from repro.optimizer.planner import ENGINES, PlannerOptions
+from repro.execution.context import ExecutionContext
+from repro.execution.governor import Budget, Governor
+from repro.execution.vector.batch import row_slices
+from repro.fuzz.oracle import reference_rows
+from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
 from repro.storage.spill import live_spill_files
+from repro.xmlpub import XmlChunkStream, translate_xquery
 from repro.xmlpub.view import XmlChildEdge, XmlField, XmlView, XmlViewNode
 
 N_GROUPS = 250
@@ -105,6 +111,27 @@ def publish_stream(db: Database, **kwargs):
     kwargs.setdefault("timeout", 300)
     kwargs.setdefault("planner_options", SORT_SPILL)
     return db.publish(fig8_view(), FIG8_QUERY, "gapply", **kwargs)
+
+
+#: Where a stream's rows come from: ``vector`` is ``Database.publish``;
+#: ``volcano`` feeds the same chunk stream from the row-iterator
+#: reference, whose spill state a closing stream must reclaim as well.
+ROW_SOURCES = ("volcano", "vector")
+
+
+def stream_from(db: Database, rows_from: str) -> XmlChunkStream:
+    if rows_from == "vector":
+        return publish_stream(db)
+    translated = translate_xquery(FIG8_QUERY, fig8_view(), db.catalog)
+    sql = translated.sql_for("gapply")
+    governor = Governor(Budget(timeout=300, memory_cells=BUDGET_CELLS))
+    rows = reference_rows(
+        db, sql, ExecutionContext(governor=governor),
+        planner_options=SORT_SPILL,
+    )
+    return XmlChunkStream(
+        row_slices(rows), translated.spec, governor=governor, sql=sql
+    )
 
 
 def traced_publish_peak(db: Database) -> tuple[int, int, int]:
@@ -263,10 +290,10 @@ def test_shared_budget_spills_instead_of_failing(partitioning):
     assert live_spill_files() == frozenset()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_midstream_cancel_releases_spill_files_and_cells(engine):
+@pytest.mark.parametrize("rows_from", ROW_SOURCES)
+def test_midstream_cancel_releases_spill_files_and_cells(rows_from):
     db = fig8_db(20_000)
-    stream = publish_stream(db, engine=engine)
+    stream = stream_from(db, rows_from)
     iterator = iter(stream)
     next(iterator)
     next(iterator)
@@ -283,10 +310,10 @@ def test_midstream_cancel_releases_spill_files_and_cells(engine):
     assert stream.governor.cells_in_use == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_abandoning_stream_releases_spill_files_and_cells(engine):
+@pytest.mark.parametrize("rows_from", ROW_SOURCES)
+def test_abandoning_stream_releases_spill_files_and_cells(rows_from):
     db = fig8_db(20_000)
-    with publish_stream(db, engine=engine) as stream:
+    with stream_from(db, rows_from) as stream:
         next(iter(stream))
         assert live_spill_files() != frozenset()
     assert stream.closed and stream.error is None
