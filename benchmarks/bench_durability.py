@@ -3,8 +3,8 @@
 The write-ahead log (``repro.storage.wal``) journals every catalog
 mutation before applying it, so durable commit latency is dominated by
 the fsync policy: ``always`` pays one ``fsync(2)`` per mutation,
-``batch`` amortizes one fsync over every N appends, ``never`` leaves
-durability to the OS page cache (commit = one unbuffered ``write(2)``).
+``never`` leaves durability to the OS page cache (commit = one
+unbuffered ``write(2)``).
 This suite measures that ladder, plus the other number a durable store
 owes its operators: how long ``Database.open`` takes to recover — as a
 function of log length, and after a checkpoint truncates the log down
@@ -31,13 +31,12 @@ from repro.api import Database
 from repro.storage.types import DataType
 from repro.storage.wal import (
     FSYNC_ALWAYS,
-    FSYNC_BATCH,
     FSYNC_GROUP,
     FSYNC_NEVER,
 )
 
 COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
-POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_NEVER)
+POLICIES = (FSYNC_ALWAYS, FSYNC_NEVER)
 
 #: Writer-count ladder for the group-commit throughput cases.
 WRITER_COUNTS = (1, 4, 16)
@@ -71,19 +70,13 @@ def _concurrent_commits(
 ) -> int:
     """``writers`` threads each durably commit ``per_writer`` rows
     through the shared service; returns the total commit count."""
-    from repro.serve import Service, ServiceConfig
+    from repro.serve import Service
 
     # Zero coalescing delay: batches form only from genuine overlap
     # (followers arriving while the leader's fsync is in flight), so the
     # ladder measures batching itself, not the latency cap.
     service = Service(
-        config=ServiceConfig(
-            durable=True,
-            data_dir=directory,
-            fsync=fsync,
-            group_commit_delay=0.0,
-            checkpoint_on_shutdown=False,
-        )
+        Database.open(directory, fsync=fsync, group_commit_delay=0.0)
     )
     service.create_table("t", COLUMNS, [])
 

@@ -56,6 +56,7 @@ from repro.sql.normalize import (
 )
 from repro.sql.parser import parse, parse_statement
 from repro.sql.printer import print_statement
+from repro.storage import wal as walmod
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 from repro.storage.table import Table, table_from_rows
@@ -317,11 +318,10 @@ class Database:
         cls,
         path: str,
         fsync: str = "always",
-        segment_bytes: int | None = None,
-        batch_every: int = 8,
-        group_commit_delay: float | None = None,
+        segment_bytes: int = walmod.DEFAULT_SEGMENT_BYTES,
+        group_commit_delay: float = walmod.DEFAULT_GROUP_COMMIT_DELAY,
         archive: bool = False,
-        full_checkpoint_every: int | None = None,
+        full_checkpoint_every: int = walmod.DEFAULT_FULL_CHECKPOINT_EVERY,
         recover_to: int | None = None,
         plan_cache: "PlanCache | None" = _DEFAULT_CACHE,
     ) -> "Database":
@@ -333,7 +333,7 @@ class Database:
         transaction; raising :class:`~repro.errors.WalCorruptionError`
         on mid-log damage), then attach a writer so every subsequent
         catalog mutation journals itself before applying. ``fsync`` is
-        one of ``"always"`` / ``"batch"`` / ``"group"`` / ``"never"``
+        one of ``"always"`` / ``"group"`` / ``"never"``
         (:data:`repro.storage.wal.FSYNC_POLICIES`);
         ``group_commit_delay`` caps how long a group-commit leader waits
         for followers. ``archive=True`` moves superseded segments and
@@ -349,24 +349,18 @@ class Database:
         :class:`~repro.errors.PointInTimeUnavailable` (typed) when the
         version is not a reachable committed state.
         """
-        from repro.storage import wal as walmod
-
         if recover_to is not None:
             catalog = walmod.recover_point_in_time(path, recover_to)
             return cls(catalog, plan_cache=plan_cache)
         catalog, replayed = walmod.recover(path)
-        kwargs: dict[str, Any] = {
-            "fsync": fsync,
-            "batch_every": batch_every,
-            "archive": archive,
-        }
-        if segment_bytes is not None:
-            kwargs["segment_bytes"] = segment_bytes
-        if group_commit_delay is not None:
-            kwargs["group_commit_delay"] = group_commit_delay
-        if full_checkpoint_every is not None:
-            kwargs["full_checkpoint_every"] = full_checkpoint_every
-        log = walmod.WriteAheadLog(path, **kwargs)
+        log = walmod.WriteAheadLog(
+            path,
+            fsync=fsync,
+            segment_bytes=segment_bytes,
+            group_commit_delay=group_commit_delay,
+            archive=archive,
+            full_checkpoint_every=full_checkpoint_every,
+        )
         log.recoveries = 1
         log.replayed_records = replayed
         catalog.attach_wal(log)
@@ -396,8 +390,6 @@ class Database:
         claiming the in-transaction version)."""
         if self.wal is None:
             return
-        from repro.storage import wal as walmod
-
         with self.catalog.mutation_lock:
             if self.catalog.in_transaction:
                 raise WalError(

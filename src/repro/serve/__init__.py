@@ -135,23 +135,11 @@ class ServiceConfig:
     #: fresh in-memory database; see :mod:`repro.storage.wal`.
     durable: bool = False
     data_dir: str | None = None
-    #: WAL fsync policy when durable: ``always`` / ``batch`` / ``group``
-    #: / ``never``. ``group`` is the concurrent-writer policy: commits
-    #: from different sessions batch into one fsync.
+    #: WAL fsync policy when durable: ``always`` / ``group`` / ``never``.
+    #: ``group`` is the concurrent-writer policy: commits from different
+    #: sessions batch into one fsync. Anything finer (segment size,
+    #: archive mode, ...) is ``Service(database=Database.open(...))``.
     fsync: str = "always"
-    #: How long a group-commit leader waits for followers to pile on
-    #: before paying for the fsync (``fsync="group"`` only).
-    group_commit_delay: float = 0.002
-    #: WAL segment rotation threshold; None = the WAL default.
-    wal_segment_bytes: int | None = None
-    #: Appends between fsyncs under the ``batch`` policy.
-    wal_batch_every: int = 8
-    #: Move superseded segments/checkpoints to ``data_dir/archive/``
-    #: instead of deleting them — retains full history for
-    #: point-in-time recovery (``Database.open(recover_to=...)``).
-    wal_archive: bool = False
-    #: Write a checkpoint (and truncate the log) during clean shutdown.
-    checkpoint_on_shutdown: bool = True
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
@@ -463,16 +451,16 @@ class Service:
         config: ServiceConfig | None = None,
     ):
         self.config = config or ServiceConfig()
-        if database is None and self.config.durable:
-            open_kwargs: dict[str, Any] = {
-                "fsync": self.config.fsync,
-                "batch_every": self.config.wal_batch_every,
-                "group_commit_delay": self.config.group_commit_delay,
-                "archive": self.config.wal_archive,
-            }
-            if self.config.wal_segment_bytes is not None:
-                open_kwargs["segment_bytes"] = self.config.wal_segment_bytes
-            database = Database.open(self.config.data_dir, **open_kwargs)
+        if self.config.durable:
+            if database is not None:
+                raise ServiceError(
+                    "database= and config=ServiceConfig(durable=True, ...) "
+                    "both name a store: pass the opened database alone, "
+                    "or let the durable config open data_dir"
+                )
+            database = Database.open(
+                self.config.data_dir, fsync=self.config.fsync
+            )
         self.database = database or Database()
         self.admission = AdmissionController(
             self.config.max_concurrency,
@@ -860,11 +848,10 @@ class Service:
             # Compact the log so the next open replays from a checkpoint;
             # recovery never *needs* this — a failed checkpoint just
             # leaves the longer (still complete) log behind.
-            if self.config.checkpoint_on_shutdown:
-                try:
-                    self.database.checkpoint()
-                except WalError:
-                    pass
+            try:
+                self.database.checkpoint()
+            except WalError:
+                pass
             self.database.close()
         with self._state_lock:
             self._shutdown_report = report

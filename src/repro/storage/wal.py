@@ -71,14 +71,13 @@ payload was already short is indistinguishable from a torn write.
 
 **Fsync policy.** ``"always"`` fsyncs at every commit point (one fsync
 per acknowledged commit; in-transaction records ride for free until the
-commit record), ``"batch"`` fsyncs every ``batch_every`` appends and on
-rotation/checkpoint/close, ``"group"`` runs *group commit* — concurrent
-committers elect a leader that waits up to ``group_commit_delay``
-seconds for followers and issues one fsync for the whole batch — and
-``"never"`` leaves flushing to the OS. Segment files are opened
-unbuffered (``buffering=0``) so every append reaches the OS immediately
-regardless of policy — the policies differ only in when the *disk* is
-forced.
+commit record), ``"group"`` runs *group commit* — concurrent committers
+elect a leader that waits up to ``group_commit_delay`` seconds for
+followers and issues one fsync for the whole batch — and ``"never"``
+leaves flushing to the OS. Segment files are opened unbuffered
+(``buffering=0``) so every append reaches the OS immediately regardless
+of policy — the policies differ only in when the *disk* is forced.
+:meth:`repro.api.Database.open` is the one place it is configured.
 
 ``python -m repro.storage.wal <dir>`` inspects a store: frame dump
 (version, kind, transaction id, CRC status), end-to-end chain
@@ -93,7 +92,7 @@ import pickle
 import threading
 import time
 import zlib
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import (
     PointInTimeUnavailable,
@@ -108,10 +107,9 @@ from repro.storage.types import DataType
 
 #: Fsync policies, in decreasing order of durability.
 FSYNC_ALWAYS = "always"
-FSYNC_BATCH = "batch"
 FSYNC_GROUP = "group"
 FSYNC_NEVER = "never"
-FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_GROUP, FSYNC_NEVER)
+FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_GROUP, FSYNC_NEVER)
 
 #: Record kinds that mutate the catalog — one per mutation path.
 MUTATION_KINDS = (
@@ -157,6 +155,41 @@ def _checkpoint_name(version: int) -> str:
 
 def _checkpoint_version(name: str) -> int:
     return int(name[len(_CHECKPOINT_PREFIX):-len(_CHECKPOINT_SUFFIX)])
+
+
+def _store_files(
+    directory: str, archive: bool = False
+) -> tuple[dict[int, str], list[str], list[str]]:
+    """The one directory scan: ``(checkpoints, segments, orphans)`` —
+    checkpoint paths by version, segment paths in version order (the
+    names encode it) and leftover ``.tmp`` paths of the live directory,
+    plus ``archive/`` on request. The live directory wins when both hold
+    a checkpoint of one version (identical content either way); equal
+    segment names sort archive first and replay idempotently.
+    """
+    checkpoints: dict[int, str] = {}
+    segments: list[tuple[str, int, str]] = []
+    orphans: list[str] = []
+    bases = [directory]
+    if archive:
+        bases.insert(0, os.path.join(directory, ARCHIVE_DIR))
+    for rank, base in enumerate(bases):
+        if not os.path.isdir(base):
+            continue
+        for name in sorted(os.listdir(base)):
+            path = os.path.join(base, name)
+            if name.startswith(_CHECKPOINT_PREFIX) and name.endswith(
+                _CHECKPOINT_SUFFIX
+            ):
+                checkpoints[_checkpoint_version(name)] = path
+            elif name.startswith(_SEGMENT_PREFIX) and name.endswith(
+                _SEGMENT_SUFFIX
+            ):
+                segments.append((name, rank, path))
+            elif name.endswith(_TMP_SUFFIX):
+                orphans.append(path)
+    segments.sort()
+    return checkpoints, [path for _, _, path in segments], orphans
 
 
 def _encode(record: dict) -> bytes:
@@ -244,8 +277,11 @@ def restore_catalog(state: dict) -> Catalog:
     return catalog
 
 
-def _apply_record(catalog: Catalog, kind: str, data: dict) -> None:
-    """Replay one WAL mutation record against ``catalog`` (no WAL attached)."""
+def _apply_record(
+    catalog: Catalog, kind: str, data: dict, version: int
+) -> None:
+    """Replay one WAL mutation record against ``catalog`` (no WAL
+    attached); it must leave the catalog at the record's ``version``."""
     if kind == "create_table":
         catalog.register(build_table(data["table"]), replace=data["replace"])
     elif kind == "drop_table":
@@ -267,6 +303,11 @@ def _apply_record(catalog: Catalog, kind: str, data: dict) -> None:
         )
     else:
         raise WalCorruptionError(f"unknown WAL record kind {kind!r}")
+    if catalog.version != version:
+        raise WalCorruptionError(
+            f"replaying {kind!r} @v{version} left the catalog at "
+            f"v{catalog.version}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +397,10 @@ class _GroupCommitter:
         from repro.execution.faults import check_group_fsync
 
         check_group_fsync()
-        self.wal.group_commits += 1
+        with self._cond:
+            # Same lock the followers count under: a leader and a
+            # follower finishing together must not lose an update.
+            wal.group_commits += 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +424,6 @@ class WriteAheadLog:
         directory: str,
         fsync: str = FSYNC_ALWAYS,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        batch_every: int = 8,
         group_commit_delay: float = DEFAULT_GROUP_COMMIT_DELAY,
         archive: bool = False,
         full_checkpoint_every: int = DEFAULT_FULL_CHECKPOINT_EVERY,
@@ -392,8 +435,6 @@ class WriteAheadLog:
             )
         if segment_bytes < 1:
             raise WalError(f"segment_bytes must be >= 1, got {segment_bytes}")
-        if batch_every < 1:
-            raise WalError(f"batch_every must be >= 1, got {batch_every}")
         if group_commit_delay < 0:
             raise WalError(
                 f"group_commit_delay must be >= 0, got {group_commit_delay}"
@@ -406,7 +447,6 @@ class WriteAheadLog:
         self.directory = directory
         self.fsync_policy = fsync
         self.segment_bytes = segment_bytes
-        self.batch_every = batch_every
         self.archive = archive
         self.full_checkpoint_every = full_checkpoint_every
         self._handle = None
@@ -427,11 +467,11 @@ class WriteAheadLog:
         # Incremental-checkpoint bookkeeping. The dirty sets only become
         # trustworthy after the first checkpoint this writer performs
         # (recovery replays records before the writer exists), so the
-        # first checkpoint after open is always a full image.
+        # first checkpoint after open — no anchor version yet — is
+        # always a full image.
         self._dirty_tables: set[str] = set()
         self._dirty_dropped: set[str] = set()
         self._dirty_fks = False
-        self._dirty_known = False
         self._last_checkpoint_version: int | None = None
         self._chain_length = 0
         # Observability counters, surfaced through Service.stats().
@@ -441,29 +481,14 @@ class WriteAheadLog:
         self.checkpoints = 0
         self.full_checkpoints = 0
         self.incremental_checkpoints = 0
+        #: Set by ``Database.open``, which recovers before it attaches.
         self.recoveries = 0
+        self.replayed_records = 0
         self.group_commits = 0
         self.group_batches = 0
         os.makedirs(directory, exist_ok=True)
 
     # -- low-level file plumbing ---------------------------------------
-
-    def _segments(self) -> list[str]:
-        """Segment file names in version order (live directory only)."""
-        return sorted(
-            name
-            for name in os.listdir(self.directory)
-            if name.startswith(_SEGMENT_PREFIX)
-            and name.endswith(_SEGMENT_SUFFIX)
-        )
-
-    def _checkpoints_on_disk(self) -> list[str]:
-        return sorted(
-            name
-            for name in os.listdir(self.directory)
-            if name.startswith(_CHECKPOINT_PREFIX)
-            and name.endswith(_CHECKPOINT_SUFFIX)
-        )
 
     def _open_segment(self, path: str) -> None:
         # buffering=0: every write() goes straight to the OS, so a
@@ -479,11 +504,9 @@ class WriteAheadLog:
 
     def _ensure_segment(self, next_version: int) -> None:
         if self._handle is None:
-            segments = self._segments()
+            _, segments, _ = _store_files(self.directory)
             if segments:
-                self._open_segment(
-                    os.path.join(self.directory, segments[-1])
-                )
+                self._open_segment(segments[-1])
             else:
                 self._rotate(next_version)
 
@@ -514,10 +537,13 @@ class WriteAheadLog:
 
     # -- poisoning -------------------------------------------------------
 
-    @property
-    def poisoned(self) -> str | None:
-        """Why this log stopped accepting appends, or ``None``."""
-        return self._poisoned
+    def _check_writable(self) -> None:
+        if self._closed:
+            raise WalError("write-ahead log is closed")
+        if self._poisoned is not None:
+            raise WalError(
+                f"write-ahead log is poisoned: {self._poisoned}"
+            )
 
     def poison(self, reason: str) -> None:
         """Refuse every future append/checkpoint with a typed error.
@@ -567,12 +593,7 @@ class WriteAheadLog:
         """
         from repro.execution.faults import check_wal_append
 
-        if self._closed:
-            raise WalError("write-ahead log is closed")
-        if self._poisoned is not None:
-            raise WalError(
-                f"write-ahead log is poisoned: {self._poisoned}"
-            )
+        self._check_writable()
         if kind not in RECORD_KINDS:
             raise WalError(f"unknown WAL record kind {kind!r}")
         try:
@@ -604,12 +625,8 @@ class WriteAheadLog:
             self._segment_size += len(frame)
             self._write_seq += 1
             self._unsynced_appends += 1
-            if self.fsync_policy == FSYNC_ALWAYS:
-                if commit_point:
-                    self._sync_handle()
-            elif self.fsync_policy == FSYNC_BATCH:
-                if self._unsynced_appends >= self.batch_every:
-                    self._sync_handle()
+            if self.fsync_policy == FSYNC_ALWAYS and commit_point:
+                self._sync_handle()
         except OSError as exc:
             # Roll the frame back so the unacknowledged record is not
             # durable: recovered state must equal the acked prefix.
@@ -679,22 +696,15 @@ class WriteAheadLog:
         """
         from repro.execution.faults import check_checkpoint
 
-        if self._closed:
-            raise WalError("write-ahead log is closed")
-        if self._poisoned is not None:
-            raise WalError(
-                f"write-ahead log is poisoned: {self._poisoned}"
-            )
+        self._check_writable()
         version = state["version"]
         as_delta = (
             not full
-            and self._dirty_known
             and self._last_checkpoint_version is not None
             and version > self._last_checkpoint_version
             and self._chain_length + 1 < self.full_checkpoint_every
         )
         if as_delta:
-            dirty = self._dirty_tables
             payload: dict[str, Any] = {
                 "format": "delta",
                 "version": version,
@@ -702,7 +712,7 @@ class WriteAheadLog:
                 "tables": [
                     t
                     for t in state["tables"]
-                    if t["name"].lower() in dirty
+                    if t["name"].lower() in self._dirty_tables
                 ],
                 "dropped": sorted(self._dirty_dropped),
                 "foreign_keys": (
@@ -737,24 +747,24 @@ class WriteAheadLog:
         self._dirty_tables.clear()
         self._dirty_dropped.clear()
         self._dirty_fks = False
-        self._dirty_known = True
         # Everything at or below `version` is now reachable through the
         # checkpoint chain: rotate so new appends land in a fresh
-        # segment, then retire the superseded segments and every
-        # checkpoint older than the chain's full anchor. The checkpoint
-        # itself is already durable; a failure in this cleanup only
-        # leaves stale files that replay idempotently.
+        # segment, then retire the superseded segments and, after a full
+        # image, every older checkpoint (a delta still references them
+        # back to its full anchor). The checkpoint itself is already
+        # durable; a failure in this cleanup only leaves stale files
+        # that replay idempotently.
         try:
             self._rotate(version + 1)
             check_checkpoint("truncate")
-            chain_floor = self._chain_anchor_version()
-            for name in self._segments():
-                path = os.path.join(self.directory, name)
+            checkpoints, segments, _ = _store_files(self.directory)
+            for path in segments:
                 if path != self._segment_path:
-                    self._retire(path, name)
-            for name in self._checkpoints_on_disk():
-                if _checkpoint_version(name) < chain_floor:
-                    self._retire(os.path.join(self.directory, name), name)
+                    self._retire(path)
+            if not as_delta:
+                for older, path in checkpoints.items():
+                    if older < version:
+                        self._retire(path)
             _fsync_dir(self.directory)
         except OSError as exc:
             raise WalError(
@@ -762,36 +772,14 @@ class WriteAheadLog:
             ) from exc
         return final_path
 
-    def _chain_anchor_version(self) -> int:
-        """Version of the full checkpoint anchoring the live chain."""
-        anchors = [
-            _checkpoint_version(name)
-            for name in self._checkpoints_on_disk()
-        ]
-        if not anchors or self._last_checkpoint_version is None:
-            return 0
-        # The newest checkpoint minus the delta chain behind it: every
-        # checkpoint the current chain still references must survive.
-        return min(
-            v
-            for v in anchors
-            if v >= self._last_checkpoint_version - self._chain_span()
-        )
-
-    def _chain_span(self) -> int:
-        # Conservative: keep everything back through the chain that the
-        # newest delta could reference. Chain links are identified by
-        # exact base versions at load time; keeping a superset is safe.
-        return (
-            self._last_checkpoint_version or 0
-        ) if self._chain_length else 0
-
-    def _retire(self, path: str, name: str) -> None:
+    def _retire(self, path: str) -> None:
         """Remove a superseded file — or move it to the archive."""
         if self.archive:
             archive_dir = os.path.join(self.directory, ARCHIVE_DIR)
             os.makedirs(archive_dir, exist_ok=True)
-            os.replace(path, os.path.join(archive_dir, name))
+            os.replace(
+                path, os.path.join(archive_dir, os.path.basename(path))
+            )
         else:
             os.unlink(path)
 
@@ -803,14 +791,12 @@ class WriteAheadLog:
             return
         self._closed = True
         with self._io_lock:
-            if self._handle is not None:
-                if self.fsync_policy != FSYNC_NEVER:
-                    try:
-                        self._sync_handle()
-                    except OSError:  # pragma: no cover - best effort
-                        pass
-                self._handle.close()
-                self._handle = None
+            if self.fsync_policy != FSYNC_NEVER:
+                try:
+                    self._sync_handle()
+                except OSError:  # pragma: no cover - best effort
+                    pass
+            self.abandon()
 
     def abandon(self) -> None:
         """Close the file handle without any flushing or fsync.
@@ -837,15 +823,10 @@ class WriteAheadLog:
             "full_checkpoints": self.full_checkpoints,
             "incremental_checkpoints": self.incremental_checkpoints,
             "recoveries": self.recoveries,
+            "replayed_records": self.replayed_records,
             "group_commits": self.group_commits,
             "group_batches": self.group_batches,
         }
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +834,7 @@ class WriteAheadLog:
 # ---------------------------------------------------------------------------
 
 
-def _contains_valid_frame(data: bytes) -> bool:
+def _contains_valid_frame(data: memoryview) -> bool:
     """Does any offset of ``data`` start a complete CRC-valid frame?
 
     Used on the claimed-payload bytes of an incomplete final frame: a
@@ -873,6 +854,61 @@ def _contains_valid_frame(data: bytes) -> bool:
     return False
 
 
+#: Verdicts of :func:`_frames`. Everything but ``_OK`` ends the walk.
+_OK = "ok"
+_BAD_CRC = "bad-crc"  # complete frame, checksum mismatch
+_TORN = "torn"  # the file ends inside the header or the payload
+#: Incomplete, yet not a torn write — the length field was flipped. The
+#: values finish the sentence "corrupt length field at <where>: ...".
+_LENGTH_MASKS = (
+    "the frame's payload is intact and checksums clean — refusing to "
+    "truncate an acknowledged record"
+)
+_LENGTH_SWALLOWS = (
+    "the claimed payload swallows a complete later frame — mid-log "
+    "damage, not a torn tail"
+)
+
+
+def _frames(path: str) -> Iterator[tuple[int, str, int | None, memoryview]]:
+    """The one frame walker: classify each frame of a segment or
+    checkpoint file as ``(offset, verdict, length, body)``.
+
+    ``length`` is the header's claimed payload length (``None`` when the
+    file ends inside the header) and ``body`` the payload bytes present.
+    An incomplete frame passes as ``_TORN`` only after two cross-checks:
+    bytes after the header that checksum clean as a whole mean a flipped
+    length over an intact final frame (``_LENGTH_MASKS``); an embedded
+    CRC-valid frame, one flipped into swallowing real records
+    (``_LENGTH_SWALLOWS``).
+    """
+    with open(path, "rb") as handle:
+        data = memoryview(handle.read())  # bodies are views, not copies
+    size = len(data)
+    offset = 0
+    while offset < size:
+        start = offset + _HEADER.size
+        if start > size:
+            yield offset, _TORN, None, data[offset:]
+            return
+        length, checksum = _HEADER.unpack_from(data, offset)
+        end = start + length
+        body = data[start:end]
+        if end > size:
+            verdict = _TORN
+            if body and zlib.crc32(body) == checksum:
+                verdict = _LENGTH_MASKS
+            elif body and _contains_valid_frame(body):
+                verdict = _LENGTH_SWALLOWS
+            yield offset, verdict, length, body
+            return
+        if zlib.crc32(body) != checksum:
+            yield offset, _BAD_CRC, length, body
+            return
+        yield offset, _OK, length, body
+        offset = end
+
+
 def _read_segment(
     path: str, is_last: bool, repair: bool = True
 ) -> Iterator[tuple[dict, int]]:
@@ -886,83 +922,54 @@ def _read_segment(
     * **incomplete frame** (the file ends inside the header or payload)
       in the *final* segment — a torn tail, physically truncated back to
       the last good frame when ``repair`` is true (read-only callers
-      pass ``repair=False`` and the iterator just stops). Before
-      truncating, two cross-checks refuse flipped-length masquerades:
-      if the remaining bytes checksum clean as a whole, or contain an
-      embedded CRC-valid frame, this is corruption, not a torn write;
+      pass ``repair=False`` and the iterator just stops), unless
+      :func:`_frames` unmasked it as a flipped length field, which is
+      corruption, not a torn write;
     * **anything bad in a non-final segment** — mid-log damage, raises.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    size = len(data)
-    offset = 0
-    while offset < size:
-        if size - offset < _HEADER.size:
-            bad = "truncated record header"
-            tail = b""
-            checksum = None
-        else:
-            length, checksum = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end <= size:
-                payload = data[start:end]
-                if zlib.crc32(payload) != checksum:
-                    raise WalCorruptionError(
-                        f"record checksum mismatch at {path}:{offset} on a "
-                        "complete frame — bit rot, not a torn write; "
-                        "refusing to drop acknowledged history"
-                    )
-                try:
-                    record = pickle.loads(payload)
-                except Exception as exc:
-                    raise WalCorruptionError(
-                        f"undecodable WAL record at {path}:{offset}: {exc}"
-                    ) from exc
-                yield record, offset
-                offset = end
-                continue
-            bad = "truncated record payload"
-            tail = data[start:]
-        if not is_last:
+    for offset, verdict, length, body in _frames(path):
+        if verdict == _OK:
+            try:
+                record = pickle.loads(body)
+            except Exception as exc:
+                raise WalCorruptionError(
+                    f"undecodable WAL record at {path}:{offset}: {exc}"
+                ) from exc
+            yield record, offset
+            continue
+        if verdict == _BAD_CRC:
             raise WalCorruptionError(
-                f"{bad} at {path}:{offset} with later log data following "
-                "— mid-log damage, not a torn tail"
+                f"record checksum mismatch at {path}:{offset} on a "
+                "complete frame — bit rot, not a torn write; "
+                "refusing to drop acknowledged history"
             )
-        if tail and checksum is not None:
-            if zlib.crc32(tail) == checksum:
-                raise WalCorruptionError(
-                    f"corrupt length field at {path}:{offset}: the frame's "
-                    "payload is intact and checksums clean — refusing to "
-                    "truncate an acknowledged record"
-                )
-            if _contains_valid_frame(tail):
-                raise WalCorruptionError(
-                    f"corrupt length field at {path}:{offset}: the claimed "
-                    "payload swallows a complete later frame — mid-log "
-                    "damage, not a torn tail"
-                )
+        if not is_last:
+            part = "header" if length is None else "payload"
+            raise WalCorruptionError(
+                f"truncated record {part} at {path}:{offset} with later "
+                "log data following — mid-log damage, not a torn tail"
+            )
+        if verdict != _TORN:
+            raise WalCorruptionError(
+                f"corrupt length field at {path}:{offset}: {verdict}"
+            )
         if repair:
             # Torn tail: physically truncate back to the last good frame
             # so the next writer appends after clean history.
             with open(path, "r+b") as trunc:
                 trunc.truncate(offset)
-        return
 
 
 def _load_checkpoint(path: str) -> dict:
-    with open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise WalCorruptionError(f"truncated checkpoint header: {path}")
-        length, checksum = _HEADER.unpack(header)
-        payload = handle.read(length)
-        if len(payload) < length or zlib.crc32(payload) != checksum:
-            raise WalCorruptionError(
-                f"checkpoint failed its CRC: {path} — acknowledged history "
-                "is unreadable"
-            )
-        return pickle.loads(payload)
+    _, verdict, length, body = next(_frames(path), (0, _TORN, None, b""))
+    if verdict != _OK:
+        raise WalCorruptionError(
+            f"truncated checkpoint header: {path}"
+            if length is None
+            else f"checkpoint failed its CRC: {path} — acknowledged "
+            "history is unreadable"
+        )
+    return pickle.loads(body)
 
 
 def _resolve_checkpoint_chain(
@@ -1039,7 +1046,7 @@ def _replay(
     segment_paths: list[str],
     repair: bool,
     stop_at: int | None = None,
-) -> tuple[int, _TxnBuffer | None, list[int], int]:
+) -> tuple[int, _TxnBuffer | None, list[int]]:
     """Replay committed history from ``segment_paths`` onto ``catalog``.
 
     Transactional records are buffered until their durable terminator:
@@ -1048,10 +1055,10 @@ def _replay(
     versions never rewind. With ``stop_at``, records beyond that
     version are tracked (for boundary reporting) but not applied.
 
-    Returns ``(replayed, pending, boundaries, max_seen)``: the count of
-    applied mutation records, the unterminated tail transaction (if
-    any), every committed-state boundary version observed (including
-    those beyond ``stop_at``), and the highest record version seen.
+    Returns ``(replayed, pending, boundaries)``: the count of applied
+    mutation records, the unterminated tail transaction (if any), and
+    every committed-state boundary version observed (including those
+    beyond ``stop_at``).
     """
     replayed = 0
     seen = catalog.version
@@ -1083,33 +1090,20 @@ def _replay(
                         "interleaved transactions are impossible"
                     )
                 pending = _TxnBuffer(txn, version, index, offset)
-            elif kind == "txn_commit":
+            elif kind in ("txn_commit", "txn_abort"):
                 if pending is None or txn != pending.txn_id:
                     raise WalCorruptionError(
-                        f"commit record for transaction {txn} at v{version} "
-                        "without a matching begin"
+                        f"{kind[4:]} record for transaction {txn} at "
+                        f"v{version} without a matching begin"
                     )
                 if applying:
-                    catalog._version = pending.begin_version
-                    for op_kind, op_data, op_version in pending.ops:
-                        _apply_record(catalog, op_kind, op_data)
-                        if catalog.version != op_version:
-                            raise WalCorruptionError(
-                                f"replaying {op_kind!r} @v{op_version} left "
-                                f"the catalog at v{catalog.version}"
-                            )
-                    catalog._version = version
-                    replayed += len(pending.ops)
-                boundaries.append(version)
-                pending = None
-            elif kind == "txn_abort":
-                if pending is None or txn != pending.txn_id:
-                    raise WalCorruptionError(
-                        f"abort record for transaction {txn} at v{version} "
-                        "without a matching begin"
-                    )
-                if applying:
-                    # The rollback consumed versions but no data.
+                    if kind == "txn_commit":
+                        catalog._version = pending.begin_version
+                        for op in pending.ops:
+                            _apply_record(catalog, *op)
+                        replayed += len(pending.ops)
+                    # The terminator's own bump — all a rollback leaves:
+                    # it consumed versions but no data.
                     catalog._version = version
                 boundaries.append(version)
                 pending = None
@@ -1128,15 +1122,10 @@ def _replay(
                             f"transaction {pending.txn_id}"
                         )
                     if applying:
-                        _apply_record(catalog, kind, record["data"])
-                        if catalog.version != version:
-                            raise WalCorruptionError(
-                                f"replaying {kind!r} @v{version} left the "
-                                f"catalog at v{catalog.version}"
-                            )
+                        _apply_record(catalog, kind, record["data"], version)
                         replayed += 1
                     boundaries.append(version)
-    return replayed, pending, boundaries, seen
+    return replayed, pending, boundaries
 
 
 def _rollback_tail_txn(
@@ -1155,11 +1144,7 @@ def _rollback_tail_txn(
     _fsync_dir(os.path.dirname(segment_paths[pending.segment_index]))
 
 
-def recover(
-    directory: str,
-    on_progress: Callable[[str], None] | None = None,
-    repair: bool = True,
-) -> tuple[Catalog, int]:
+def recover(directory: str, repair: bool = True) -> tuple[Catalog, int]:
     """Rebuild the catalog from ``directory``; returns (catalog, replayed).
 
     Protocol: remove temp-file orphans, load the newest checkpoint chain
@@ -1173,86 +1158,25 @@ def recover(
     the catalog rolls back to the last committed state. ``repair=False``
     (the inspection CLI) performs both analyses without touching disk.
     """
-    if not os.path.isdir(directory):
-        os.makedirs(directory, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
+    checkpoints, segment_paths, orphans = _store_files(directory)
     if repair:
-        for name in sorted(os.listdir(directory)):
-            if name.endswith(_TMP_SUFFIX):
-                os.unlink(os.path.join(directory, name))
-    checkpoints = sorted(
-        name
-        for name in os.listdir(directory)
-        if name.startswith(_CHECKPOINT_PREFIX)
-        and name.endswith(_CHECKPOINT_SUFFIX)
-    )
+        for path in orphans:
+            os.unlink(path)
+    catalog = Catalog()
     if checkpoints:
-        by_version = {
-            _checkpoint_version(name): os.path.join(directory, name)
-            for name in checkpoints
-        }
-        state = _resolve_checkpoint_chain(
-            by_version, _checkpoint_version(checkpoints[-1])
+        catalog = restore_catalog(
+            _resolve_checkpoint_chain(checkpoints, max(checkpoints))
         )
-        catalog = restore_catalog(state)
-        if on_progress is not None:
-            on_progress(f"checkpoint {checkpoints[-1]} @v{catalog.version}")
-    else:
-        catalog = Catalog()
-    segment_paths = [
-        os.path.join(directory, name)
-        for name in sorted(
-            name
-            for name in os.listdir(directory)
-            if name.startswith(_SEGMENT_PREFIX)
-            and name.endswith(_SEGMENT_SUFFIX)
-        )
-    ]
-    replayed, pending, _, _ = _replay(catalog, segment_paths, repair=repair)
+    replayed, pending, _ = _replay(catalog, segment_paths, repair=repair)
     if pending is not None and repair:
         _rollback_tail_txn(segment_paths, pending)
-        if on_progress is not None:
-            on_progress(
-                f"rolled back unterminated transaction {pending.txn_id} "
-                f"(begun @v{pending.begin_version})"
-            )
-    if on_progress is not None:
-        on_progress(f"replayed {replayed} records to v{catalog.version}")
     return catalog, replayed
 
 
 # ---------------------------------------------------------------------------
 # Point-in-time recovery over the archived chain
 # ---------------------------------------------------------------------------
-
-
-def _gather_history(
-    directory: str,
-) -> tuple[dict[int, str], list[str]]:
-    """Checkpoints (by version) and segment paths across live + archive.
-
-    The live directory wins when both hold a checkpoint of the same
-    version (identical content either way); segments sort by their
-    version-encoded names, archive before live for equal names, and
-    stale duplicates replay idempotently.
-    """
-    archive_dir = os.path.join(directory, ARCHIVE_DIR)
-    checkpoints: dict[int, str] = {}
-    segments: list[tuple[str, int, str]] = []
-    for rank, base in enumerate((archive_dir, directory)):
-        if not os.path.isdir(base):
-            continue
-        for name in sorted(os.listdir(base)):
-            path = os.path.join(base, name)
-            if name.startswith(_CHECKPOINT_PREFIX) and name.endswith(
-                _CHECKPOINT_SUFFIX
-            ):
-                checkpoints[_checkpoint_version(name)] = path
-            elif name.startswith(_SEGMENT_PREFIX) and name.endswith(
-                _SEGMENT_SUFFIX
-            ):
-                segments.append((name, rank, path))
-    segments.sort()
-    return checkpoints, [path for _, _, path in segments]
 
 
 def recover_point_in_time(directory: str, version: int) -> Catalog:
@@ -1270,18 +1194,15 @@ def recover_point_in_time(directory: str, version: int) -> Catalog:
         raise PointInTimeUnavailable(
             f"recover_to={version}: versions are non-negative"
         )
-    checkpoints, segment_paths = _gather_history(directory)
-    basis_version = 0
-    basis_state: dict | None = None
-    for candidate in sorted(checkpoints, reverse=True):
-        if candidate > version:
-            continue
-        basis_state = _resolve_checkpoint_chain(checkpoints, candidate)
-        basis_version = candidate
-        break
-    catalog = restore_catalog(basis_state) if basis_state else Catalog()
+    checkpoints, segment_paths, _ = _store_files(directory, archive=True)
+    basis_version = max((v for v in checkpoints if v <= version), default=0)
+    catalog = Catalog()
+    if basis_version in checkpoints:
+        catalog = restore_catalog(
+            _resolve_checkpoint_chain(checkpoints, basis_version)
+        )
     try:
-        _, _, boundaries, _ = _replay(
+        _, _, boundaries = _replay(
             catalog, segment_paths, repair=False, stop_at=version
         )
     except WalCorruptionError as exc:
@@ -1293,12 +1214,11 @@ def recover_point_in_time(directory: str, version: int) -> Catalog:
         ) from exc
     if catalog.version == version:
         return catalog
-    reachable = sorted(set(boundaries))
-    newest = reachable[-1] if reachable else 0
-    if version > newest:
+    reachable = sorted(set(boundaries))  # never empty: the basis is one
+    if version > reachable[-1]:
         raise PointInTimeUnavailable(
             f"recover_to={version} is beyond the newest committed version "
-            f"v{newest}"
+            f"v{reachable[-1]}"
         )
     if version < reachable[0]:
         raise PointInTimeUnavailable(
@@ -1325,21 +1245,19 @@ def recoverable_range(directory: str) -> tuple[int, int]:
     versions that fell between checkpoints whose segments were deleted
     are not). Raises :class:`WalCorruptionError` on unreadable history.
     """
-    checkpoints, segment_paths = _gather_history(directory)
+    checkpoints, segment_paths, _ = _store_files(directory, archive=True)
     try:
         # Full-history replay from the empty catalog: succeeds exactly
         # when no checkpoint ever discarded segments (or they were all
         # archived), in which case every version from 0 is reachable.
-        _, _, boundaries, _ = _replay(
-            Catalog(), segment_paths, repair=False
-        )
+        _, _, boundaries = _replay(Catalog(), segment_paths, repair=False)
         return 0, max(boundaries)
     except WalCorruptionError:
         if not checkpoints:
             raise
     basis = _resolve_checkpoint_chain(checkpoints, max(checkpoints))
     catalog = restore_catalog(basis)
-    _, _, boundaries, _ = _replay(catalog, segment_paths, repair=False)
+    _, _, boundaries = _replay(catalog, segment_paths, repair=False)
     return min(checkpoints), max(boundaries)
 
 
@@ -1348,40 +1266,27 @@ def recoverable_range(directory: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _dump_segment(path: str, label: str, out: Callable[[str], None]) -> None:
+def _dump_segment(path: str, label: str) -> None:
     """Print one line per frame, tolerating damage (marked, not raised)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    size = len(data)
-    offset = 0
-    while offset < size:
-        if size - offset < _HEADER.size:
-            out(f"  {label} @{offset}: TORN (truncated header, "
-                f"{size - offset} bytes)")
-            return
-        length, checksum = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > size:
-            out(f"  {label} @{offset}: TORN (payload {size - start}/"
-                f"{length} bytes)")
-            return
-        payload = data[start:end]
-        if zlib.crc32(payload) != checksum:
-            out(f"  {label} @{offset}: crc=BAD (complete frame, "
-                f"{length} bytes)")
-            return
-        try:
-            record = pickle.loads(payload)
-        except Exception:
-            out(f"  {label} @{offset}: crc=ok but payload undecodable")
-            return
-        txn = record.get("txn")
-        out(
-            f"  {label} @{offset}: v{record['version']} "
-            f"{record['kind']} txn={txn if txn is not None else '-'} crc=ok"
-        )
-        offset = end
+    for offset, verdict, length, body in _frames(path):
+        if length is None:
+            status = f"TORN (truncated header, {len(body)} bytes)"
+        elif verdict == _BAD_CRC:
+            status = f"crc=BAD (complete frame, {length} bytes)"
+        elif verdict != _OK:
+            status = f"TORN (payload {len(body)}/{length} bytes)"
+        else:
+            try:
+                record = pickle.loads(body)
+            except Exception:
+                print(f"  {label} @{offset}: crc=ok but payload undecodable")
+                return
+            txn = record.get("txn")
+            status = (
+                f"v{record['version']} {record['kind']} "
+                f"txn={txn if txn is not None else '-'} crc=ok"
+            )
+        print(f"  {label} @{offset}: {status}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1407,13 +1312,8 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.isdir(directory):
         print(f"error: {directory} is not a directory")
         return 2
-    checkpoints, segment_paths = _gather_history(directory)
-    root = os.path.abspath(directory)
-    live_segments = sum(
-        1
-        for p in segment_paths
-        if os.path.dirname(os.path.abspath(p)) == root
-    )
+    checkpoints, segment_paths, _ = _store_files(directory, archive=True)
+    live_segments = len(_store_files(directory)[1])
     archived = len(segment_paths) - live_segments
     print(
         f"{directory}: {live_segments} live segment(s), "
@@ -1423,7 +1323,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in segment_paths:
             rel = os.path.relpath(path, directory)
             print(f"segment {rel}:")
-            _dump_segment(path, rel, print)
+            _dump_segment(path, rel)
         for version in sorted(checkpoints):
             rel = os.path.relpath(checkpoints[version], directory)
             try:
@@ -1432,9 +1332,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"checkpoint {rel}: UNREADABLE ({exc})")
                 continue
             fmt = state.get("format", "full")
-            extra = (
-                f" base=v{state['base']}" if fmt == "delta" else ""
-            )
+            extra = f" base=v{state['base']}" if fmt == "delta" else ""
             print(
                 f"checkpoint {rel}: v{version} {fmt}{extra} "
                 f"({len(state['tables'])} table(s))"

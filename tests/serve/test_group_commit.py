@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import threading
 
-from repro.serve import Service, ServiceConfig
+from repro.api import Database
+from repro.serve import Service
 from repro.storage import DataType
 from repro.storage.wal import recover
 
@@ -17,12 +18,7 @@ COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
 
 def group_service(path, *, delay: float = 0.002) -> Service:
     return Service(
-        config=ServiceConfig(
-            durable=True,
-            data_dir=str(path),
-            fsync="group",
-            group_commit_delay=delay,
-        )
+        Database.open(str(path), fsync="group", group_commit_delay=delay)
     )
 
 

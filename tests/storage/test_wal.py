@@ -6,17 +6,19 @@ surfaces. Corruption handling has its own battery in
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
 
 import pytest
 
 from repro.api import Database
-from repro.errors import CatalogError, WalError
+from repro.errors import CatalogError, ServiceError, WalError
 from repro.storage import DataType
 from repro.storage.wal import (
     FSYNC_ALWAYS,
-    FSYNC_BATCH,
     FSYNC_NEVER,
+    FSYNC_POLICIES,
     WriteAheadLog,
     recover,
 )
@@ -104,13 +106,6 @@ class TestFsyncPolicies:
         seed_mutations(db)
         db.close()
         assert db.wal.fsyncs == 0
-
-    def test_batch_amortizes(self, tmp_path):
-        db = durable_db(tmp_path, fsync=FSYNC_BATCH, batch_every=2)
-        seed_mutations(db)  # 5 appends -> syncs after #2 and #4
-        assert db.wal.fsyncs == 2
-        db.close()  # close flushes the straggler
-        assert db.wal.fsyncs == 3
 
     def test_bad_policy_rejected(self, tmp_path):
         with pytest.raises(WalError):
@@ -246,8 +241,87 @@ class TestDurableService:
         revived.shutdown()
 
     def test_durable_requires_data_dir(self):
-        from repro.errors import ServiceError
         from repro.serve import ServiceConfig
 
         with pytest.raises(ServiceError):
             ServiceConfig(durable=True)
+
+    def test_database_and_durable_config_conflict(self, tmp_path):
+        # Used to open nothing and ignore the config without a word.
+        from repro.serve import Service, ServiceConfig
+
+        store = tmp_path / "store"
+        config = ServiceConfig(durable=True, data_dir=str(store))
+        with pytest.raises(ServiceError, match=r"database=.*config="):
+            Service(database=Database(), config=config)
+        assert not store.exists()  # refused before anything is opened
+
+    def test_stats_carry_the_recovery_counters(self, tmp_path):
+        from repro.serve import Service, ServiceConfig
+
+        bare = WriteAheadLog(str(tmp_path / "bare"))
+        assert bare.stats()["replayed_records"] == 0
+        config = ServiceConfig(durable=True, data_dir=str(tmp_path / "s"))
+        service = Service(config=config)
+        service.create_table("t", COLUMNS, [(1, "a")])
+        service.database.wal.abandon()  # no shutdown checkpoint
+        revived = Service(config=config)
+        stats = revived.stats()
+        assert stats["recoveries"] == 1
+        assert stats["replayed_records"] == 1
+        assert revived.database.wal.replayed_records == 1
+        revived.shutdown()
+
+
+class TestRemovedSurface:
+    """The ``batch`` policy and the pass-through WAL knobs are gone:
+    durability is configured in ``Database.open`` and nowhere else."""
+
+    def test_batch_policy_is_refused_listing_the_three(self, tmp_path):
+        with pytest.raises(WalError) as excinfo:
+            durable_db(tmp_path / "s", fsync="batch")
+        assert FSYNC_POLICIES == ("always", "group", "never")
+        assert str(FSYNC_POLICIES) in str(excinfo.value)
+
+    def test_batch_every_is_an_unknown_keyword(self, tmp_path):
+        with pytest.raises(TypeError, match="batch_every"):
+            durable_db(tmp_path, batch_every=2)
+        with pytest.raises(TypeError, match="batch_every"):
+            WriteAheadLog(str(tmp_path), batch_every=2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("wal_archive", True),
+            ("wal_batch_every", 2),
+            ("wal_segment_bytes", 4096),
+            ("group_commit_delay", 0.0),
+            ("checkpoint_on_shutdown", False),
+        ],
+    )
+    def test_service_config_pass_throughs_are_gone(self, field, value):
+        from repro.serve import ServiceConfig
+
+        with pytest.raises(TypeError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_option_counts(self):
+        from repro.serve import ServiceConfig
+
+        def options(function, skip):
+            return [
+                name
+                for name in inspect.signature(function).parameters
+                if name not in skip
+            ]
+
+        assert len(dataclasses.fields(ServiceConfig)) == 8
+        assert options(Database.open, {"path"}) == [
+            "fsync", "segment_bytes", "group_commit_delay", "archive",
+            "full_checkpoint_every", "recover_to", "plan_cache",
+        ]
+        assert options(WriteAheadLog.__init__, {"self", "directory"}) == [
+            "fsync", "segment_bytes", "group_commit_delay", "archive",
+            "full_checkpoint_every",
+        ]
+        assert len(FSYNC_POLICIES) == 3
