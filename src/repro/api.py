@@ -77,7 +77,6 @@ class QueryResult:
     physical_plan: PhysicalOperator
     optimization: OptimizationReport | None = None
     metrics: MetricsRegistry | None = None
-    trace: Tracer | None = None
     #: Plan-cache outcome for this run (``source`` is "hit"/"miss", plus
     #: key digest and parameter count); None when the run bypassed the
     #: cache.
@@ -117,7 +116,6 @@ class _RunOptions:
     planner_options: PlannerOptions | None = None
     explain: bool | str | None = None
     collect_metrics: bool = False
-    trace: bool = False
     timeout: float | None = None
     memory_budget: int | None = None
     max_rows: int | None = None
@@ -488,7 +486,6 @@ class Database:
         planner_options: PlannerOptions | None = None,
         explain: bool | str | None = None,
         collect_metrics: bool = False,
-        trace: bool = False,
         timeout: float | None = None,
         memory_budget: int | None = None,
         max_rows: int | None = None,
@@ -512,9 +509,8 @@ class Database:
         ``EXPLAIN [ANALYZE] <query>`` statements — or the equivalent
         ``explain=True`` / ``explain="analyze"`` keyword — return an
         :class:`Explanation` instead of a :class:`QueryResult`. Plain
-        queries with ``collect_metrics``/``trace`` return a
-        :class:`QueryResult` whose ``metrics``/``trace`` fields carry the
-        per-operator registry and the span tracer.
+        queries with ``collect_metrics`` return a :class:`QueryResult`
+        whose ``metrics`` field carries the per-operator registry.
 
         ``params`` binds the values for explicit ``$1``/``$2`` parameter
         markers in the text (positional, ``$1`` first). Optimized runs
@@ -574,20 +570,19 @@ class Database:
                     params, options,
                 )
             planner_options = options.planner_options
-            if options.explain:
-                # Estimated cardinalities are the point of EXPLAIN output.
-                planner_options = replace(planner_options, collect_estimates=True)
-            physical = Planner(self.catalog, planner_options).plan(planned.logical)
+            # Estimated cardinalities are the point of EXPLAIN output.
+            physical = Planner(
+                self.catalog, planner_options, for_explain=bool(options.explain)
+            ).plan(planned.logical)
             compiled = compile_plan(physical, planner_options.vector_batch_size)
         except ReproError as error:
             raise error.add_context(sql=sql_text)
         analyze = options.explain == "analyze"
-        registry = tracer = None
+        registry = None
         if analyze or options.collect_metrics:
             registry = MetricsRegistry()
             registry.register_plan(physical)
-        if analyze or options.trace:
-            tracer = Tracer()
+        tracer = Tracer() if analyze else None
         context = ExecutionContext(
             metrics=registry, tracer=tracer, governor=options.governor
         )
@@ -775,7 +770,6 @@ class Database:
             physical_plan=physical,
             optimization=planned.report,
             metrics=context.metrics,
-            trace=tracer,
             plan_cache=planned.cache_info,
         )
 
@@ -786,7 +780,6 @@ class Database:
         planner_options: PlannerOptions | None = None,
         explain: bool | str | None = None,
         collect_metrics: bool = False,
-        trace: bool = False,
         sql_text: str | None = None,
         timeout: float | None = None,
         memory_budget: int | None = None,
@@ -872,21 +865,14 @@ class Database:
         )
 
     def _optimizer(self, planner_options: PlannerOptions) -> Optimizer:
-        """Build the optimizer honoring the rule knobs on planner options.
-
-        ``disabled_rules`` / ``optimizer_max_alternatives`` live on
-        :class:`PlannerOptions` so one object configures the whole plan
-        space; unknown rule names raise :class:`PlanError` here, before any
-        partial execution happens.
-        """
+        """Build the optimizer without the ``disabled_rules`` on planner
+        options; unknown rule names raise :class:`PlanError` here, before
+        any partial execution happens."""
         try:
             rules = planner_options.active_rules()
         except KeyError as error:
             raise PlanError(str(error)) from error
-        kwargs: dict[str, Any] = {}
-        if planner_options.optimizer_max_alternatives is not None:
-            kwargs["max_alternatives"] = planner_options.optimizer_max_alternatives
-        return Optimizer(self.catalog, rules, **kwargs)
+        return Optimizer(self.catalog, rules)
 
     def explain(self, sql: str, optimize: bool = True) -> str:
         """The logical plan (optimized by default) as indented text."""

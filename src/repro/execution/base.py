@@ -35,8 +35,8 @@ class PhysicalOperator:
     schema: Schema
 
     #: Cost-model row estimate for the logical source of this node, stamped
-    #: by the planner when PlannerOptions.collect_estimates is on; rendered
-    #: by EXPLAIN against actual cardinalities. None = not estimated.
+    #: by the planner when it lowers for an EXPLAIN; rendered against
+    #: actual cardinalities under ANALYZE. None = not estimated.
     est_rows: float | None = None
 
     def execute(self, ctx: ExecutionContext) -> Iterator[Row]:

@@ -34,21 +34,13 @@ FUZZ_SPILL_THRESHOLD = 8
 #: two half-threshold DISTINCT phases) still fits.
 FUZZ_MEMORY_BUDGET = 48
 
-# Cap exploration per configuration: fuzz queries are small, and the full
-# alternative budget (128) just burns time re-deriving the same plans.
-FUZZ_MAX_ALTERNATIVES = 24
-
-
-def _options(**kwargs) -> PlannerOptions:
-    return PlannerOptions(optimizer_max_alternatives=FUZZ_MAX_ALTERNATIVES, **kwargs)
-
 
 @dataclass(frozen=True)
 class PlanConfig:
     """One point in the plan space to execute a query under."""
 
     name: str
-    options: PlannerOptions = field(default_factory=_options)
+    options: PlannerOptions = field(default_factory=PlannerOptions)
     optimize: bool = True
     #: Governor memory budget in cells (None = unbudgeted): ORDER BY and
     #: DISTINCT sort externally under one.
@@ -65,14 +57,14 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
     rules = _rule_names()
     configs = [
         PlanConfig("unoptimized", optimize=False),
-        PlanConfig("all-rules-off", _options(disabled_rules=tuple(rules))),
-        PlanConfig("sort-partitioning", _options(gapply_partitioning="sort")),
+        PlanConfig("all-rules-off", PlannerOptions(disabled_rules=tuple(rules))),
+        PlanConfig("sort-partitioning", PlannerOptions(gapply_partitioning="sort")),
         PlanConfig(
             "forced-spill",
-            _options(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
+            PlannerOptions(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
         ),
-        PlanConfig("nested-loop-joins", _options(prefer_hash_join=False)),
-        PlanConfig("no-indexes", _options(use_indexes=False)),
+        PlanConfig("nested-loop-joins", PlannerOptions(prefer_hash_join=False)),
+        PlanConfig("no-indexes", PlannerOptions(use_indexes=False)),
     ]
     if full:
         disabled = rules
@@ -87,7 +79,7 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
             "push_select_into_per_group",
         ]
     for name in disabled:
-        configs.append(PlanConfig(f"no-{name}", _options(disabled_rules=(name,))))
+        configs.append(PlanConfig(f"no-{name}", PlannerOptions(disabled_rules=(name,))))
     return configs
 
 
@@ -102,19 +94,19 @@ def engine_configurations() -> list[PlanConfig]:
     vectorized inputs."""
     return [
         PlanConfig("vector"),
-        PlanConfig("vector-batch-3", _options(vector_batch_size=3)),
-        PlanConfig("vector-batch-1", _options(vector_batch_size=1)),
+        PlanConfig("vector-batch-3", PlannerOptions(vector_batch_size=3)),
+        PlanConfig("vector-batch-1", PlannerOptions(vector_batch_size=1)),
         PlanConfig("vector-unoptimized", optimize=False),
         PlanConfig(
-            "vector-sort-partitioning", _options(gapply_partitioning="sort")
+            "vector-sort-partitioning", PlannerOptions(gapply_partitioning="sort")
         ),
         PlanConfig(
             "vector-spill-hash",
-            _options(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
+            PlannerOptions(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
         ),
         PlanConfig(
             "vector-spill-sort",
-            _options(
+            PlannerOptions(
                 gapply_partitioning="sort",
                 gapply_spill_threshold=FUZZ_SPILL_THRESHOLD,
             ),
@@ -122,13 +114,13 @@ def engine_configurations() -> list[PlanConfig]:
         PlanConfig("vector-budget", memory_budget=FUZZ_MEMORY_BUDGET),
         PlanConfig(
             "vector-budget-batch-3",
-            _options(vector_batch_size=3),
+            PlannerOptions(vector_batch_size=3),
             memory_budget=FUZZ_MEMORY_BUDGET,
         ),
         PlanConfig(
-            "vector-nested-loop-joins", _options(prefer_hash_join=False)
+            "vector-nested-loop-joins", PlannerOptions(prefer_hash_join=False)
         ),
-        PlanConfig("vector-no-indexes", _options(use_indexes=False)),
+        PlanConfig("vector-no-indexes", PlannerOptions(use_indexes=False)),
     ]
 
 

@@ -5,7 +5,6 @@ from repro.optimizer.engine import (
     OptimizationReport,
     Optimizer,
     apply_rule_once,
-    optimize,
     rewrite_everywhere,
 )
 from repro.optimizer.planner import Planner, PlannerOptions, plan_physical
@@ -33,7 +32,6 @@ __all__ = [
     "empty_on_empty",
     "gp_eval_columns",
     "invariant_grouping_node",
-    "optimize",
     "plan_physical",
     "referenced_columns",
     "rewrite_everywhere",

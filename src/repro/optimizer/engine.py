@@ -3,7 +3,9 @@
 Rules propose semantics-preserving alternatives for individual nodes; the
 engine splices them into the enclosing tree, explores the resulting space
 to a fixpoint (with a safety cap), costs every alternative with the
-Section-4.4 model, and returns the cheapest plan.
+Section-4.4 model, and returns the cheapest plan. The exploration records
+which tree and rule each alternative came from; the chosen plan's
+derivation (``fired``) is the walk back through those records.
 
 The paper observes that its rules "either push GApply down in the join
 tree, or altogether eliminate GApply, or add new selections and projections
@@ -64,10 +66,11 @@ class RuleFiring:
 class OptimizationReport:
     """Outcome of an optimization run: the chosen plan plus provenance.
 
-    ``fired`` is one reconstructed rule sequence leading to the chosen
-    plan; ``rule_trace`` is the full exploration ledger (every rule with
-    its proposed/kept counts), and ``truncated`` reports whether the
-    alternative cap cut the search short — both feed EXPLAIN output.
+    ``fired`` is the derivation the exploration recorded for the chosen
+    plan: the rule names along its first-discovery path from the input,
+    in firing order. ``rule_trace`` is the full exploration ledger (every
+    rule with its proposed/kept counts), and ``truncated`` reports whether
+    the alternative cap cut the search short — all three feed EXPLAIN.
     """
 
     best: LogicalOperator
@@ -98,50 +101,50 @@ class Optimizer:
 
     def explore(self, plan: LogicalOperator) -> list[LogicalOperator]:
         """Every distinct plan reachable by rule application (incl. input)."""
-        ordered, _, _ = self._explore_traced(plan)
-        return ordered
+        return self._explore_traced(plan)[0]
 
     def _explore_traced(
         self, plan: LogicalOperator
-    ) -> tuple[list[LogicalOperator], list[RuleFiring], bool]:
-        """Exploration plus the per-rule proposed/kept ledger and whether
-        the alternative cap truncated the search."""
+    ) -> tuple[list[LogicalOperator], list[tuple[int, str]], list[RuleFiring], bool]:
+        """Breadth-first exploration: the alternatives in discovery order,
+        each one's origin (index of the tree it was rewritten from, rule
+        name; unused for the input), the per-rule proposed/kept ledger, and
+        whether the alternative cap truncated the search."""
         context = RuleContext(self.catalog)
         seen: set[LogicalOperator] = {plan}
         ordered: list[LogicalOperator] = [plan]
-        frontier: list[LogicalOperator] = [plan]
+        origins: list[tuple[int, str]] = [(0, "")]
         stats = {rule.name: [0, 0] for rule in self.rules}
         truncated = len(ordered) >= self.max_alternatives
-        while frontier and not truncated:
-            tree = frontier.pop(0)
+        cursor = 0
+        while cursor < len(ordered) and not truncated:
             for rule in self.rules:
                 tally = stats[rule.name]
-                for alternative in rewrite_everywhere(tree, rule, context):
+                for alternative in rewrite_everywhere(ordered[cursor], rule, context):
                     tally[0] += 1
                     if alternative in seen:
                         continue
                     seen.add(alternative)
                     tally[1] += 1
                     ordered.append(alternative)
-                    frontier.append(alternative)
+                    origins.append((cursor, rule.name))
                     if len(ordered) >= self.max_alternatives:
                         truncated = True
+                        break
                 if truncated:
                     break
-        trace = [
-            RuleFiring(name, proposed, kept)
-            for name, (proposed, kept) in stats.items()
-        ]
-        return ordered, trace, truncated
+            cursor += 1
+        trace = [RuleFiring(name, *tally) for name, tally in stats.items()]
+        return ordered, origins, trace, truncated
 
     def optimize(self, plan: LogicalOperator) -> OptimizationReport:
         """Pick the cheapest alternative under the Section-4.4 cost model."""
         model = CostModel(self.catalog)
         original = model.estimate(plan)
-        alternatives, rule_trace, truncated = self._explore_traced(plan)
-        best = plan
+        alternatives, origins, rule_trace, truncated = self._explore_traced(plan)
+        best_index = 0
         best_estimate = original
-        for alternative in alternatives[1:]:
+        for index, alternative in enumerate(alternatives[1:], 1):
             if alternative.schema != plan.schema:
                 raise OptimizerError(
                     "rule produced a plan with a different output schema:\n"
@@ -150,11 +153,16 @@ class Optimizer:
                 )
             estimate = model.estimate(alternative)
             if estimate.cost < best_estimate.cost:
-                best = alternative
+                best_index = index
                 best_estimate = estimate
-        fired = _diff_rule_trace(plan, best, self.rules, self.catalog)
+        fired: list[str] = []
+        index = best_index
+        while index:
+            index, rule_name = origins[index]
+            fired.append(rule_name)
+        fired.reverse()
         return OptimizationReport(
-            best=best,
+            best=alternatives[best_index],
             best_estimate=best_estimate,
             original_estimate=original,
             explored=len(alternatives),
@@ -162,36 +170,6 @@ class Optimizer:
             rule_trace=rule_trace,
             truncated=truncated,
         )
-
-
-def _diff_rule_trace(
-    original: LogicalOperator,
-    best: LogicalOperator,
-    rules: list[Rule],
-    catalog: Catalog,
-) -> list[str]:
-    """Reconstruct one sequence of rule firings leading to ``best``.
-
-    Breadth-first over single firings, recording the rule names along the
-    found path; purely informational (explain output).
-    """
-    if best == original:
-        return []
-    context = RuleContext(catalog)
-    frontier: list[tuple[LogicalOperator, list[str]]] = [(original, [])]
-    seen = {original}
-    budget = 512
-    while frontier and budget > 0:
-        tree, path = frontier.pop(0)
-        for rule in rules:
-            for alternative in rewrite_everywhere(tree, rule, context):
-                budget -= 1
-                if alternative == best:
-                    return path + [rule.name]
-                if alternative not in seen and len(path) < 6:
-                    seen.add(alternative)
-                    frontier.append((alternative, path + [rule.name]))
-    return ["<trace unavailable>"]
 
 
 def apply_rule_once(
@@ -203,12 +181,3 @@ def apply_rule_once(
     rewrites = rewrite_everywhere(plan, rule, context)
     return rewrites[0] if rewrites else None
 
-
-def optimize(
-    plan: LogicalOperator,
-    catalog: Catalog,
-    rules: list[Rule] | None = None,
-    max_alternatives: int = DEFAULT_MAX_ALTERNATIVES,
-) -> OptimizationReport:
-    """Convenience wrapper around :class:`Optimizer`."""
-    return Optimizer(catalog, rules, max_alternatives).optimize(plan)

@@ -95,8 +95,8 @@ class PlanKey:
     arithmetic semantics, str vs int changes inferred schema types);
     ``catalog_version`` pins the entry to the catalog state it was
     planned against; ``options_tag`` fingerprints the planner-option
-    fields that change *logical* optimization (disabled rules and the
-    exploration cap) — physical knobs deliberately excluded.
+    fields that change *logical* optimization (the disabled rules) —
+    physical knobs deliberately excluded.
     """
 
     digest: str
@@ -111,14 +111,9 @@ def text_digest(canonical_sql: str) -> str:
 
 def options_tag(options: "PlannerOptions | None") -> str:
     """Fingerprint of the option fields that steer logical optimization."""
-    if options is None:
+    if options is None or not options.disabled_rules:
         return ""
-    parts = []
-    if options.disabled_rules:
-        parts.append("rules-off=" + ",".join(sorted(options.disabled_rules)))
-    if options.optimizer_max_alternatives is not None:
-        parts.append(f"max-alt={options.optimizer_max_alternatives}")
-    return ";".join(parts)
+    return "rules-off=" + ",".join(sorted(options.disabled_rules))
 
 
 @dataclass

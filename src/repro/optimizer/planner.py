@@ -65,6 +65,7 @@ from repro.execution.joins import PHashJoin, PNestedLoopJoin
 from repro.execution.scans import PGroupScan, PTableScan
 from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
 from repro.optimizer.access_paths import choose_join_side, choose_seek
+from repro.optimizer.cost import CostModel
 from repro.storage.catalog import Catalog
 
 
@@ -79,21 +80,15 @@ class PlannerOptions:
 
     ``disabled_rules`` names optimizer rules (by their ``Rule.name``) that
     :class:`~repro.api.Database` must leave out of the transformation
-    engine, and ``optimizer_max_alternatives`` caps its exploration; both
-    exist so the differential fuzzer (:mod:`repro.fuzz`) can walk the plan
-    space — every rule disabled one at a time, all rules off — and assert
-    that results never change. Unknown rule names raise at use time.
+    engine; it exists so the differential fuzzer (:mod:`repro.fuzz`) can
+    walk the plan space — every rule disabled one at a time, all rules
+    off — and assert that results never change. Unknown rule names raise
+    at use time.
 
     Every lowered plan is compiled into batch-at-a-time pipelines
     (:mod:`repro.execution.vector`; operators without a batched form run
     as row-iterator subtrees inside the compiled plan), and
     ``vector_batch_size`` (>= 1) sets the rows-per-batch granularity.
-
-    ``collect_estimates`` stamps every lowered physical node with the cost
-    model's row estimate for its logical source (``est_rows``), which
-    EXPLAIN ANALYZE renders against actual cardinalities. Off by default:
-    estimation walks the logical subtree per node, and plain execution
-    should not pay for it.
     """
 
     gapply_partitioning: str = HASH_PARTITION
@@ -104,8 +99,6 @@ class PlannerOptions:
     #: budget).
     gapply_spill_threshold: int | None = None
     disabled_rules: tuple[str, ...] = ()
-    optimizer_max_alternatives: int | None = None
-    collect_estimates: bool = False
     vector_batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
@@ -132,29 +125,37 @@ class PlannerOptions:
 
 
 class Planner:
-    """Stateless logical-to-physical compiler over a catalog."""
+    """Logical-to-physical compiler over a catalog.
 
-    def __init__(self, catalog: Catalog, options: PlannerOptions | None = None):
+    ``for_explain`` stamps every lowered node with the cost model's row
+    estimate for its logical source (``est_rows``), which EXPLAIN renders
+    (against actual cardinalities under ANALYZE). Estimation walks the
+    logical subtree per node, so a plain run does not pay for it.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        options: PlannerOptions | None = None,
+        for_explain: bool = False,
+    ):
         self.catalog = catalog
         self.options = options or PlannerOptions()
-        self._cost_model = None
+        self.for_explain = for_explain
+        self._cost_model = CostModel(catalog)
 
     def plan(self, node: LogicalOperator) -> PhysicalOperator:
         method = getattr(self, f"_plan_{type(node).__name__.lower()}", None)
         if method is None:
             raise PlanError(f"no physical lowering for {type(node).__name__}")
         physical = method(node)
-        if self.options.collect_estimates:
+        if self.for_explain:
             physical.est_rows = self._estimate_rows(node)
         return physical
 
     def _estimate_rows(self, node: LogicalOperator) -> float | None:
         """Cost-model row estimate for ``node``, or None if inestimable
         (e.g. a GroupScan outside any GApply binding)."""
-        if self._cost_model is None:
-            from repro.optimizer.cost import CostModel
-
-            self._cost_model = CostModel(self.catalog)
         try:
             return self._cost_model.estimate(node).rows
         except Exception:
@@ -240,20 +241,14 @@ class Planner:
         left_keys = [pair[0] for pair in pairs]
         right_keys = [pair[1] for pair in pairs]
         residual = self._residual_predicate(node, pairs)
-
-        from repro.optimizer.cost import CostModel
-
-        model = CostModel(self.catalog)
-        try:
-            left_rows = model.estimate(node.left).rows
-            right_rows = model.estimate(node.right).rows
-        except Exception:
-            left_rows = right_rows = None
+        left_rows = self._estimate_rows(node.left)
+        right_rows = self._estimate_rows(node.right)
+        estimated = left_rows is not None and right_rows is not None
 
         if (
             self.options.use_indexes
             and node.kind == JoinKind.INNER
-            and left_rows is not None
+            and estimated
         ):
             indexed = self._try_index_join(
                 node, left_keys, right_keys, residual, left_rows, right_rows
@@ -262,7 +257,7 @@ class Planner:
                 return indexed
 
         build_left = False
-        if node.kind == JoinKind.INNER and left_rows is not None:
+        if node.kind == JoinKind.INNER and estimated:
             # Build the hash table on the estimated-smaller input.
             build_left = left_rows < right_rows
         return PHashJoin(
@@ -274,8 +269,6 @@ class Planner:
     ):
         """Lower to an index nested-loop join when one side is an indexed
         base table and the driving side is substantially smaller."""
-        from repro.algebra.expressions import conjoin
-
         # Drive from the left, look up into the right.
         right_side = choose_join_side(node.right, right_keys, self.catalog)
         if right_side is not None:

@@ -186,7 +186,7 @@ class TestEngineKnob:
     def test_planner_options_engine(self):
         with pytest.raises(TypeError):
             PlannerOptions(engine="volcano")
-        assert len(PlannerOptions.__dataclass_fields__) == 8
+        assert len(PlannerOptions.__dataclass_fields__) == 6
 
     def test_unknown_engine_rejected(self, tpch_db):
         # Rejected like any misspelled option, before any work.

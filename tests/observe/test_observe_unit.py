@@ -209,7 +209,6 @@ def test_metrics_off_never_touches_metrics_machinery(parts_db, monkeypatch):
     )
     assert len(result.rows) == 3
     assert result.metrics is None
-    assert result.trace is None
 
 
 def test_metrics_on_populates_registry(parts_db):

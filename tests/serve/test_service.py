@@ -242,6 +242,8 @@ class TestServiceQueries:
             # So is the removed engine choice.
             ({"engine": "volcano"}, TypeError, "Service.sql() got an unexpected",
              TypeError),
+            ({"trace": True}, TypeError, "Service.sql() got an unexpected",
+             TypeError),
             # The removed worker-pool knobs are unknown keywords like any other.
             ({"backend": "thread"}, TypeError, "Service.sql() got an unexpected",
              TypeError),

@@ -1,13 +1,14 @@
 """Tests for the public Database facade."""
 
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import repro
 from repro.api import Database, Prepared, QueryResult, _RunOptions
 from repro.errors import CatalogError, PlanError
+from repro.optimizer.plancache import options_tag
 from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
 
@@ -122,27 +123,61 @@ class TestRunOptionsSpelledOnce:
     }
 
     def test_entry_point_options_are_run_option_fields(self, parts_db):
-        fields = set(_RunOptions.__dataclass_fields__)
-        assert len(fields) == 10
+        option_fields = set(_RunOptions.__dataclass_fields__)
+        assert len(option_fields) == 9
         for method, request in self.REQUEST.items():
             parameters = inspect.signature(method).parameters.values()
             named = {
                 p.name for p in parameters if p.kind is not p.VAR_KEYWORD
             }
-            assert named - request <= fields, method.__qualname__
+            assert named - request <= option_fields, method.__qualname__
         # ``**options`` entry points accept exactly the fields: anything
         # else is refused by name, naming the public method.
         prepared = parts_db.prepare("select count(*) from part")
         for refused in (
             {"no_such_option": 1}, {"parallelism": 2}, {"backend": "thread"},
-            {"engine": "volcano"},
+            {"engine": "volcano"}, {"trace": True},
         ):
             with pytest.raises(TypeError, match=r"Prepared\.execute\(\) got"):
                 prepared.execute(**refused)
             with pytest.raises(TypeError, match=r"Database\.sql\(\) got"):
                 parts_db.sql("select count(*) from part", **refused)
+        with pytest.raises(TypeError, match=r"Database\.execute\(\) got"):
+            parts_db.execute(parts_db.plan("select count(*) from part"), trace=True)
         assert not hasattr(repro, "_RunOptions")
         assert "_RunOptions" not in getattr(repro.api, "__all__", ())
+
+    def test_planner_options_hold_no_optimizer_or_explain_switch(self, parts_db):
+        assert len(fields(PlannerOptions)) == 6
+        with pytest.raises(TypeError):
+            PlannerOptions(optimizer_max_alternatives=8)
+        with pytest.raises(TypeError):
+            PlannerOptions(collect_estimates=True)
+        # Only the rule set steers logical optimization, so only it keys plans.
+        assert options_tag(PlannerOptions()) == ""
+        assert options_tag(
+            PlannerOptions(gapply_partitioning="sort", vector_batch_size=3)
+        ) == ""
+        assert options_tag(PlannerOptions(disabled_rules=("select_pushdown",)))
+
+    def test_estimates_are_stamped_for_explain_only(self, parts_db):
+        query = (
+            "select gapply(select count(*) from g) as (n) "
+            "from partsupp, part where ps_partkey = p_partkey "
+            "group by ps_suppkey : g"
+        )
+
+        def nodes(physical):
+            yield physical
+            for child in physical.children():
+                yield from nodes(child)
+
+        explained = parts_db.sql(query, explain="plan")
+        stamped = [n.est_rows for n in nodes(explained.physical_plan)]
+        assert None not in stamped
+        assert explained.render().count("est=") == len(stamped)
+        plain = parts_db.sql(query)
+        assert all(n.est_rows is None for n in nodes(plain.physical_plan))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_refused_before_any_work(self, batch_size):
