@@ -15,7 +15,7 @@ Plans activate through the :func:`fault_injection` context manager,
 which installs the plan in a module global consulted at each injection
 point — zero overhead when no plan is active (one global read on the
 spill-write path, nothing anywhere else). The chaos suite and the
-fuzzer's ``--chaos`` mode build seeded plans and assert the engine's
+fuzzer's ``chaos`` profile build seeded plans and assert the engine's
 core promise under every one of them: **correct rows or a typed error —
 never a wrong answer, never a hang**.
 """

@@ -1,103 +1,41 @@
-"""Differential testing: random queries, a SQLite oracle, plan-space checks.
+"""Differential testing: one fuzz driver, eight profiles.
 
-The subsystem has four moving parts:
+:func:`repro.fuzz.driver.sweep` owns the only seed loop — seed range →
+case → check → shrink → corpus → report — and a :class:`Profile` is a
+``generate``/``check`` pair registered in :data:`PROFILES` by the module
+that holds the pair:
 
-* :mod:`repro.fuzz.generator` — seeded random schemas, data (skewed group
-  sizes, NULL-heavy columns, empty groups, FK chains) and random dialect
-  queries as ASTs;
-* :mod:`repro.fuzz.oracle` — runs the same query on an in-memory SQLite
-  mirror via :mod:`repro.sql.sqlite` and compares multisets; also the
-  row-iterator reference (``reference_rows``) compiled plans are held to;
-* :mod:`repro.fuzz.planspace` — runs the query under every planner
-  configuration (each rule disabled, all rules off, spills, budgets) and
-  demands identical results;
-* :mod:`repro.fuzz.shrink` / :mod:`repro.fuzz.corpus` — minimize failures
-  and persist them as replayable JSON reproducers;
-* :mod:`repro.fuzz.chaos` — seeded fault injection (failing spill
-  writes) plus adversarial budgets, asserting correct rows or a typed
-  error, never a wrong answer.
+* ``quick`` / ``full`` / ``engine`` (:mod:`repro.fuzz.runner`) — random
+  schemas, data and dialect queries (:mod:`repro.fuzz.generator`) held to
+  a SQLite mirror (:mod:`repro.fuzz.oracle`, also home of the row-iterator
+  reference ``reference_rows``) and to every planner configuration of the
+  profile (:mod:`repro.fuzz.planspace`);
+* ``plancache`` (:mod:`repro.fuzz.plancache`) — the same cases cold, hot
+  and re-parameterized through the plan cache;
+* ``xmlpub`` (:mod:`repro.fuzz.xmlpub`) — streamed vs materialized XML;
+* ``chaos`` / ``serve-stress`` (:mod:`repro.fuzz.chaos`) and
+  ``durability`` (:mod:`repro.fuzz.durability`) — fault plans, asserting
+  correct rows or a typed error, and exact prefix recovery.
 
-``python -m repro.fuzz --seed 0 --n 500`` drives all of it; see
-:mod:`repro.fuzz.runner`.
+:mod:`repro.fuzz.shrink` minimizes failures and :mod:`repro.fuzz.corpus`
+persists them as replayable JSON reproducers.
+``python -m repro.fuzz --profile full --seed 0 --n 500`` drives all of it.
 """
 
-from repro.fuzz.chaos import (
-    ChaosCase,
-    ChaosFailure,
-    ChaosReport,
-    build_case,
-    run_chaos,
-    run_chaos_case,
-)
-from repro.fuzz.corpus import CorpusCase, load_corpus, save_case
-from repro.fuzz.generator import FuzzCase, FuzzDatabase, generate_case
-from repro.fuzz.oracle import (
-    Mismatch,
-    compare_multisets,
-    normalize_row,
-    reference_rows,
-    run_oracle,
-    sqlite_mirror,
-)
-from repro.fuzz.planspace import (
-    FULL_PROFILE,
-    QUICK_PROFILE,
-    XMLPUB_PROFILE,
-    plan_configurations,
-    profile_configurations,
-)
-from repro.fuzz.runner import FuzzFailure, FuzzReport, run_case, run_fuzz
-from repro.fuzz.shrink import shrink_case
-from repro.fuzz.xmlpub import (
-    XmlPubCase,
-    XmlPubFailure,
-    XmlPubReport,
-    check_view_case,
-    check_case as check_xmlpub_case,
-    generate_xmlpub_case,
-    load_xmlpub_corpus,
-    run_xmlpub_fuzz,
-    save_xmlpub_case,
-    shrink_xmlpub_case,
-)
+from repro.fuzz import chaos, durability, plancache, runner, xmlpub
+from repro.fuzz.driver import Failure, Profile, Report, sweep
 
-__all__ = [
-    "CorpusCase",
-    "ChaosCase",
-    "ChaosFailure",
-    "ChaosReport",
-    "FuzzCase",
-    "FuzzDatabase",
-    "FuzzFailure",
-    "FuzzReport",
-    "FULL_PROFILE",
-    "Mismatch",
-    "QUICK_PROFILE",
-    "build_case",
-    "compare_multisets",
-    "generate_case",
-    "load_corpus",
-    "normalize_row",
-    "plan_configurations",
-    "profile_configurations",
-    "reference_rows",
-    "run_case",
-    "run_chaos",
-    "run_chaos_case",
-    "run_fuzz",
-    "run_oracle",
-    "run_xmlpub_fuzz",
-    "save_case",
-    "save_xmlpub_case",
-    "shrink_case",
-    "shrink_xmlpub_case",
-    "sqlite_mirror",
-    "check_view_case",
-    "check_xmlpub_case",
-    "generate_xmlpub_case",
-    "load_xmlpub_corpus",
-    "XMLPUB_PROFILE",
-    "XmlPubCase",
-    "XmlPubFailure",
-    "XmlPubReport",
-]
+#: Every profile ``python -m repro.fuzz --profile`` accepts, by name.
+PROFILES: dict[str, Profile] = {
+    profile.name: profile
+    for profile in (
+        *runner.PROFILES,
+        plancache.PROFILE,
+        xmlpub.PROFILE,
+        chaos.PROFILE,
+        durability.PROFILE,
+        chaos.serve_stress_profile(),
+    )
+}
+
+__all__ = ["Failure", "PROFILES", "Profile", "Report", "sweep"]

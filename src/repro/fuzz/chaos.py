@@ -1,7 +1,8 @@
-"""Chaos mode: seeded fault plans against live GApply queries.
+"""The ``chaos`` and ``serve-stress`` profiles: seeded fault plans against
+live GApply queries.
 
-The differential fuzzer (:mod:`repro.fuzz.runner`) checks the engine
-against a SQLite oracle on *clean* runs. Chaos mode checks the other half
+The differential profiles (:mod:`repro.fuzz.runner`) check the engine
+against a SQLite oracle on *clean* runs. Chaos checks the other half
 of the robustness contract: under injected faults — failing spill
 writes — and under adversarial budgets, every query must end in one of
 exactly two ways:
@@ -35,9 +36,10 @@ The fixture is the tiny TPC-H instance the paper queries run on
 (SF=0.01), built once per process; expected rows come from the same SQL
 on the row iterators (:func:`repro.fuzz.oracle.reference_rows`).
 
-**Concurrent chaos** (:func:`run_concurrent_chaos`) extends the same
-invariant to the :mod:`repro.serve` service layer: per seed, a fresh
-service over a *ledger* table is hammered by many client threads issuing
+**Concurrent chaos** (:func:`serve_stress_profile`, what ``python -m
+repro.serve --stress`` sweeps) extends the same invariant to the
+:mod:`repro.serve` service layer: per seed, a fresh service over a
+*ledger* table is hammered by many client threads issuing
 a mix of reads, atomic write batches and DDL — sometimes under a fault
 plan, an admission queue sized to shed, or a shutdown racing the clients.
 Every ledger write is a zero-sum batch of :data:`LEDGER_BATCH` rows, so
@@ -55,7 +57,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.api import Database
@@ -68,6 +71,7 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.execution.faults import FaultPlan, fault_injection
+from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import TpchConfig, load_tpch
@@ -180,39 +184,6 @@ def build_case(seed: int) -> ChaosCase:
     return case
 
 
-@dataclass
-class ChaosFailure:
-    """One broken invariant, with everything needed to replay it.
-
-    ``case`` is a :class:`ChaosCase` or :class:`ConcurrentChaosCase`;
-    both expose ``describe()``.
-    """
-
-    case: Any
-    detail: str
-
-    def describe(self) -> dict[str, Any]:
-        return {**self.case.describe(), "detail": self.detail}
-
-
-@dataclass
-class ChaosReport:
-    cases: int = 0
-    outcomes: dict[str, int] = field(default_factory=dict)
-    failures: list[ChaosFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        mix = ", ".join(
-            f"{name}={count}" for name, count in sorted(self.outcomes.items())
-        )
-        status = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        return f"chaos: {self.cases} cases, {status} ({mix})"
-
-
 def run_chaos_case(case: ChaosCase) -> str | None:
     """Run one case; return None when the invariant held, else a detail
     string describing how it broke."""
@@ -248,31 +219,23 @@ def run_chaos_case(case: ChaosCase) -> str | None:
     return None
 
 
-def run_chaos(
-    seed: int = 0,
-    n: int = 50,
-    stop_after: int = 5,
-    progress: Callable[[str], None] | None = None,
-) -> ChaosReport:
-    """Sweep ``n`` seeded fault plans; see the module docstring for the
-    invariant each one asserts."""
-    report = ChaosReport()
-    for case_seed in range(seed, seed + n):
-        case = build_case(case_seed)
-        detail = run_chaos_case(case)
-        report.cases += 1
-        report.outcomes[case.scenario] = (
-            report.outcomes.get(case.scenario, 0) + 1
-        )
-        if detail is not None:
-            report.failures.append(ChaosFailure(case, detail))
-            if progress is not None:
-                progress(f"seed {case_seed} [{case.scenario}] FAILED: {detail}")
-            if len(report.failures) >= stop_after:
-                break
-        elif progress is not None and report.cases % 25 == 0:
-            progress(f"{report.cases}/{n} cases ok")
-    return report
+def scenario_check(
+    kind: str, run: Callable[[Any], str | None]
+) -> Callable[[Any, Counter], Failure | None]:
+    """A profile ``check`` from a ``run(case) -> detail | None`` invariant
+    runner; the tally is the scenario mix the summary prints."""
+
+    def check(case: Any, tally: Counter) -> Failure | None:
+        tally[case.scenario] += 1
+        detail = run(case)
+        if detail is None:
+            return None
+        return Failure(case.seed, kind, detail, case, config=case.scenario)
+
+    return check
+
+
+PROFILE = Profile("chaos", build_case, scenario_check("chaos", run_chaos_case))
 
 
 # ----------------------------------------------------------------------
@@ -572,35 +535,12 @@ def _run_concurrent_case(case: ConcurrentChaosCase) -> str | None:
     return None
 
 
-def run_concurrent_chaos(
-    seed: int = 0,
-    n: int = 20,
-    threads: int = 8,
-    ops_per_thread: int = 4,
-    stop_after: int = 5,
-    progress: Callable[[str], None] | None = None,
-) -> ChaosReport:
-    """Sweep ``n`` seeded concurrent workloads (module docstring has the
-    invariant). Each seed gets a fresh service; failures carry the full
-    case shape for replay."""
-    report = ChaosReport()
-    for case_seed in range(seed, seed + n):
-        case = build_concurrent_case(
-            case_seed, threads=threads, ops_per_thread=ops_per_thread
-        )
-        detail = _run_concurrent_case(case)
-        report.cases += 1
-        report.outcomes[case.scenario] = (
-            report.outcomes.get(case.scenario, 0) + 1
-        )
-        if detail is not None:
-            report.failures.append(ChaosFailure(case, detail))
-            if progress is not None:
-                progress(
-                    f"seed {case_seed} [{case.scenario}] FAILED: {detail}"
-                )
-            if len(report.failures) >= stop_after:
-                break
-        elif progress is not None and report.cases % 10 == 0:
-            progress(f"{report.cases}/{n} concurrent cases ok")
-    return report
+def serve_stress_profile(threads: int = 8, ops_per_thread: int = 4) -> Profile:
+    """The concurrent sweep (module docstring has the invariant): each
+    seed gets a fresh service and ``threads`` clients; failures carry the
+    full case shape for replay."""
+    return Profile(
+        "serve-stress",
+        lambda seed: build_concurrent_case(seed, threads, ops_per_thread),
+        scenario_check("serve-stress", _run_concurrent_case),
+    )

@@ -8,7 +8,10 @@ corpus doubles as a regression suite: every engine bug the fuzzer ever
 found stays fixed, or the replay test fails.
 
 Filenames are content-addressed (``fuzz-<kind>-<digest>.json``) so two
-shrinks of the same bug collide instead of accumulating.
+shrinks of the same bug collide instead of accumulating. Every profile's
+reproducers share that scheme (:func:`write_reproducer`) and a directory
+may hold them side by side: a loader reads the kinds it understands
+(:func:`read_reproducers`) and skips the rest.
 """
 
 from __future__ import annotations
@@ -17,10 +20,28 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterator
 
 from repro.fuzz.generator import FuzzCase, FuzzColumn, FuzzDatabase, FuzzTable
 from repro.sql.parser import parse
 from repro.storage.types import DataType
+
+if TYPE_CHECKING:
+    from repro.fuzz.driver import Failure
+
+#: Kinds whose payload is a SQL case (what :func:`save_case` is handed):
+#: the differential check's, the plan-cache check's, the driver's crash.
+SQL_KINDS = frozenset(
+    {
+        "engine-error",
+        "oracle",
+        "oracle-error",
+        "planspace",
+        "planspace-error",
+        "plancache",
+        "crash",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -71,58 +92,77 @@ def _database_from_payload(payload: dict) -> FuzzDatabase:
     return FuzzDatabase(tables, fks)
 
 
-def save_case(
-    case: FuzzCase,
-    kind: str,
-    detail: str,
-    directory: Path | str,
-    config: str | None = None,
-    metrics: dict | None = None,
-) -> Path:
-    """Write one reproducer; returns its (content-addressed) path.
+def save_case(failure: Failure, directory: Path | str) -> Path:
+    """Write a failing SQL case as one reproducer; returns its
+    (content-addressed) path. The typed writer of every profile whose
+    cases are :class:`FuzzCase`.
 
-    ``metrics`` is an optional per-operator metrics snapshot of the
-    failing execution (diagnostic context for whoever picks the case up).
-    It is excluded from the content digest: two shrinks of the same bug
-    must still collide even if instrumentation output changes between
-    engine versions.
+    A per-operator metrics snapshot of the case's default execution rides
+    along as diagnostic context for whoever picks the case up. It is
+    excluded from the content digest: two shrinks of the same bug must
+    still collide even if instrumentation output changes between engine
+    versions.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    case = failure.case
     payload = {
         "seed": case.seed,
-        "kind": kind,
-        "config": config,
-        "detail": detail,
+        "kind": failure.kind,
+        "config": failure.config,
+        "detail": failure.detail,
         "sql": case.sql,
         **_database_payload(case.db),
     }
+    try:
+        result = case.db.build().sql(case.sql, collect_metrics=True)
+        extra = {"metrics": result.metrics.snapshot()}
+    except Exception:
+        # Best-effort: error-kind failures cannot execute at all, and a
+        # metrics failure must never mask the bug being persisted.
+        extra = {}
+    return write_reproducer(directory, payload, extra)
+
+
+def write_reproducer(
+    directory: Path | str, payload: dict, extra: dict | None = None
+) -> Path:
+    """Write ``payload`` (and ``extra``, which stays out of the digest) as
+    ``fuzz-<kind>-<digest>.json``; returns the path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()[:12]
-    if metrics is not None:
-        payload["metrics"] = metrics
-    path = directory / f"fuzz-{kind}-{digest}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path = directory / f"fuzz-{payload['kind']}-{digest}.json"
+    path.write_text(json.dumps({**payload, **(extra or {})}, indent=2) + "\n")
     return path
 
 
-def load_corpus(directory: Path | str) -> list[CorpusCase]:
+def read_reproducers(
+    directory: Path | str, kinds: frozenset[str]
+) -> Iterator[tuple[Path, dict]]:
+    """(path, payload) of every reproducer under ``directory`` whose kind
+    is one of ``kinds``, in name order. Other profiles' reproducers and
+    files that are not reproducers at all (CI's old list-shaped failure
+    dumps) are skipped, so mixed directories load."""
     directory = Path(directory)
     if not directory.is_dir():
-        return []
-    cases = []
+        return
     for path in sorted(directory.glob("*.json")):
         payload = json.loads(path.read_text())
-        cases.append(
-            CorpusCase(
-                seed=payload["seed"],
-                kind=payload["kind"],
-                config=payload.get("config"),
-                detail=payload.get("detail", ""),
-                sql=payload["sql"],
-                db=_database_from_payload(payload),
-                path=path,
-            )
+        if isinstance(payload, dict) and payload.get("kind") in kinds:
+            yield path, payload
+
+
+def load_corpus(directory: Path | str) -> list[CorpusCase]:
+    return [
+        CorpusCase(
+            seed=payload["seed"],
+            kind=payload["kind"],
+            config=payload.get("config"),
+            detail=payload.get("detail", ""),
+            sql=payload["sql"],
+            db=_database_from_payload(payload),
+            path=path,
         )
-    return cases
+        for path, payload in read_reproducers(directory, SQL_KINDS)
+    ]

@@ -1,6 +1,7 @@
-"""Durability chaos: seeded crash points against a durable database.
+"""The ``durability`` profile: seeded crash points against a durable
+database.
 
-The regular chaos mode (:mod:`repro.fuzz.chaos`) asserts "correct rows
+The ``chaos`` profile (:mod:`repro.fuzz.chaos`) asserts "correct rows
 or a typed error" for queries under faults; this module asserts the
 storage half of the robustness contract — **exact transactional prefix
 durability**. Each seed deterministically derives a workload of catalog
@@ -47,8 +48,9 @@ import os
 import random
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.api import Database
 from repro.errors import (
@@ -61,7 +63,8 @@ from repro.execution.faults import (
     SimulatedCrash,
     fault_injection,
 )
-from repro.fuzz.chaos import ChaosFailure, ChaosReport
+from repro.fuzz.chaos import scenario_check
+from repro.fuzz.driver import Failure, Profile
 from repro.storage import DataType
 from repro.storage.wal import FSYNC_GROUP, FSYNC_POLICIES
 
@@ -553,31 +556,11 @@ def _diff_detail(
     return "; ".join(parts)
 
 
-def run_durability_chaos(
-    seed: int = 0,
-    n: int = 50,
-    stop_after: int = 5,
-    progress: Callable[[str], None] | None = None,
-) -> ChaosReport:
-    """Sweep ``n`` seeded crash-point cases; exact transactional prefix
-    durability (plus point-in-time spot checks) for every one of them."""
-    report = ChaosReport()
-    for case_seed in range(seed, seed + n):
-        case = build_durability_case(case_seed)
-        detail = run_durability_case(case)
-        report.cases += 1
-        # Both mixes land in the summary line, so a change in either
-        # draw shows up in the CI log.
-        for key in (case.scenario, f"fsync:{case.fsync}"):
-            report.outcomes[key] = report.outcomes.get(key, 0) + 1
-        if detail is not None:
-            report.failures.append(ChaosFailure(case, detail))
-            if progress is not None:
-                progress(
-                    f"seed {case_seed} [{case.scenario}] FAILED: {detail}"
-                )
-            if len(report.failures) >= stop_after:
-                break
-        elif progress is not None and report.cases % 25 == 0:
-            progress(f"{report.cases}/{n} cases ok")
-    return report
+def _check(case: DurabilityCase, tally: Counter) -> Failure | None:
+    # Both mixes land in the summary line, so a change in either draw
+    # shows up in the CI log.
+    tally[f"fsync:{case.fsync}"] += 1
+    return scenario_check("durability", run_durability_case)(case, tally)
+
+
+PROFILE = Profile("durability", build_durability_case, _check)

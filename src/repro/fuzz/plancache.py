@@ -15,54 +15,26 @@ database built from the same seeded data:
   counters and metrics must match too (they may legitimately differ
   when value-dependent costing picks another plan for the new values —
   that is the adaptive re-plan machinery's department, not a bug).
+
+The ``plancache`` profile of the one driver (:mod:`repro.fuzz.driver`): a
+failure has kind ``plancache`` and the stage that diverged as its
+configuration; its case is a SQL case, so it is minimized with the SQL
+candidates and saved as a replayable SQL-corpus reproducer.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections import Counter
 
 from repro.api import Database, QueryResult
-from repro.errors import ReproError
+from repro.fuzz.corpus import save_case
+from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.generator import STRING_VOCAB, FuzzCase, generate_case
+from repro.fuzz.shrink import sql_candidates
 from repro.sql import ast as A
 from repro.sql.normalize import _rewrite_statement
 from repro.sql.printer import print_query
-
-
-@dataclass
-class PlanCacheFailure:
-    seed: int
-    stage: str  # "cold" | "hot" | "reparam" | "error"
-    sql: str
-    detail: str
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "stage": self.stage,
-            "sql": self.sql,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class PlanCacheReport:
-    cases: int = 0
-    checked: int = 0  # cases that executed all three modes
-    failures: list[PlanCacheFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        return (
-            f"plan-cache fuzz: {self.cases} cases, {self.checked} checked "
-            f"cold/hot/re-parameterized — {status}"
-        )
 
 
 def fresh_literals(query: A.AstQuery, rng: random.Random) -> A.AstQuery:
@@ -135,7 +107,7 @@ def _diff(kind: str, cached: QueryResult, reference: QueryResult) -> str | None:
     return None
 
 
-def check_case(case: FuzzCase) -> PlanCacheFailure | None:
+def check_case(case: FuzzCase, tally: Counter) -> Failure | None:
     """Run one case cold/hot/re-parameterized; None means all agreed."""
     sql = case.sql
     cached_db = case.db.build()  # default: plan cache on
@@ -145,80 +117,60 @@ def check_case(case: FuzzCase) -> PlanCacheFailure | None:
     def run(db: Database, text: str) -> QueryResult:
         return db.sql(text, collect_metrics=True)
 
+    def failed(stage: str, text: str, detail: str) -> Failure:
+        return Failure(
+            case.seed, "plancache", f"{detail}\n  query: {text}", case, stage
+        )
+
     reference = run(reference_db, sql)
     cold = run(cached_db, sql)
     if cold.plan_cache is None or cold.plan_cache["source"] != "miss":
-        return PlanCacheFailure(
-            case.seed, "cold", sql,
-            f"expected a cache miss, got {cold.plan_cache!r}",
+        return failed(
+            "cold", sql, f"expected a cache miss, got {cold.plan_cache!r}"
         )
     problem = _diff("cold-vs-uncached", cold, reference)
     if problem:
-        return PlanCacheFailure(case.seed, "cold", sql, problem)
+        return failed("cold", sql, problem)
 
     hot = run(cached_db, sql)
     if hot.plan_cache is None or hot.plan_cache["source"] != "hit":
-        return PlanCacheFailure(
-            case.seed, "hot", sql,
-            f"expected a cache hit, got {hot.plan_cache!r}",
-        )
+        return failed("hot", sql, f"expected a cache hit, got {hot.plan_cache!r}")
     problem = _diff("hot-vs-cold", hot, cold)
     if problem:
-        return PlanCacheFailure(case.seed, "hot", sql, problem)
+        return failed("hot", sql, problem)
 
     mutation_rng = random.Random(case.seed ^ 0x5EED)
     new_sql = print_query(fresh_literals(case.query, mutation_rng))
     warm = run(cached_db, new_sql)
     if warm.plan_cache is None or warm.plan_cache["source"] != "hit":
-        return PlanCacheFailure(
-            case.seed, "reparam", new_sql,
+        return failed(
+            "reparam",
+            new_sql,
             f"expected a cache hit for the re-parameterized text, got "
             f"{warm.plan_cache!r}",
         )
     warm_reference = run(reference_db, new_sql)
     if _normalized(warm.rows) != _normalized(warm_reference.rows):
-        return PlanCacheFailure(
-            case.seed, "reparam", new_sql,
+        return failed(
+            "reparam",
+            new_sql,
             f"rows diverge (cached {len(warm.rows)}, reference "
             f"{len(warm_reference.rows)})",
         )
     if plan_signature(warm) == plan_signature(warm_reference):
         problem = _diff("reparam-vs-uncached", warm, warm_reference)
         if problem:
-            return PlanCacheFailure(case.seed, "reparam", new_sql, problem)
+            return failed("reparam", new_sql, problem)
+    tally["checked"] += 1  # executed all three modes and agreed
     return None
 
 
-def run_plancache_fuzz(
-    seed: int,
-    n: int,
-    stop_after: int = 5,
-    progress: Callable[[str], None] | None = None,
-) -> PlanCacheReport:
-    report = PlanCacheReport()
-    for offset in range(n):
-        case_seed = seed + offset
-        case = generate_case(case_seed)
-        report.cases += 1
-        try:
-            failure = check_case(case)
-        except ReproError as error:
-            # The generator only emits queries the engine accepts; an
-            # error on the cached path is a real failure.
-            failure = PlanCacheFailure(
-                case_seed, "error", case.sql, f"{type(error).__name__}: {error}"
-            )
-        if failure is None:
-            report.checked += 1
-        else:
-            report.failures.append(failure)
-            if progress is not None:
-                progress(
-                    f"[plancache] seed {case_seed} {failure.stage}: "
-                    f"{failure.detail.splitlines()[0]}"
-                )
-            if len(report.failures) >= stop_after:
-                break
-        if progress is not None and (offset + 1) % 100 == 0:
-            progress(f"[plancache] {offset + 1}/{n} cases checked")
-    return report
+#: The generator only emits queries the engine accepts, so an error on
+#: either path escapes ``check_case`` and the driver records the crash.
+PROFILE = Profile(
+    "plancache",
+    generate_case,
+    check_case,
+    candidates=sql_candidates,
+    save=save_case,
+)

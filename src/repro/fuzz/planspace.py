@@ -130,12 +130,6 @@ FULL_PROFILE = "full"
 QUICK_PROFILE = "quick"
 #: Row-iterator-vs-compiled differential across batch sizes and plan shapes.
 ENGINE_PROFILE = "engine"
-#: Cold/hot/re-parameterized plan-cache differential (dispatched to
-#: :func:`repro.fuzz.plancache.run_plancache_fuzz`, not to plan configs).
-PLANCACHE_PROFILE = "plancache"
-#: Streamed-vs-materialized XML publishing differential (dispatched to
-#: :func:`repro.fuzz.xmlpub.run_xmlpub_fuzz`, not to plan configs).
-XMLPUB_PROFILE = "xmlpub"
 
 
 def profile_configurations(profile: str) -> list[PlanConfig]:

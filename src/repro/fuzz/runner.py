@@ -1,6 +1,6 @@
-"""The differential fuzz loop: generate, execute, compare, shrink.
+"""The SQL differential check and its three profiles of the one driver.
 
-For each seeded case this runs three checks:
+For each seeded case :func:`run_case` runs three checks:
 
 1. **engine sanity** — the query must execute at all, on the row
    iterators (a crash on generator-valid input is a bug, not a skip);
@@ -9,19 +9,20 @@ For each seeded case this runs three checks:
 3. **plan-space equivalence** — every planner configuration from the
    profile must reproduce the baseline rows exactly.
 
-Failures are shrunk (:mod:`repro.fuzz.shrink`) against a predicate that
-re-runs the whole differential check and demands the *same failure kind*,
-then optionally persisted to the corpus.
+``quick``, ``full`` and ``engine`` differ only in the configurations of
+step 3; :func:`repro.fuzz.driver.sweep` does the rest (seed loop, crash
+handling, shrinking with :func:`~repro.fuzz.shrink.sql_candidates`,
+corpus files, report).
 """
 
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections import Counter
 
 from repro.errors import MemoryBudgetExceeded, ReproError
 from repro.fuzz.corpus import save_case
+from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.generator import FuzzCase, generate_case
 from repro.fuzz.oracle import (
     compare_multisets,
@@ -29,60 +30,31 @@ from repro.fuzz.oracle import (
     run_oracle,
     sqlite_mirror,
 )
-from repro.fuzz.planspace import PlanConfig, profile_configurations
-from repro.fuzz.shrink import shrink_case
+from repro.fuzz.planspace import (
+    ENGINE_PROFILE,
+    FULL_PROFILE,
+    QUICK_PROFILE,
+    PlanConfig,
+    profile_configurations,
+)
+from repro.fuzz.shrink import sql_candidates
 from repro.sql.sqlite import OracleUnsupportedError
-
-
-@dataclass(frozen=True)
-class FuzzFailure:
-    """One divergence, with everything needed to reproduce it."""
-
-    kind: str  # "engine-error" | "oracle" | "oracle-error" | "planspace" | ...
-    config: str | None
-    detail: str
-    case: FuzzCase
-
-    def describe(self) -> str:
-        where = f" [{self.config}]" if self.config else ""
-        return (
-            f"{self.kind}{where} (seed {self.case.seed})\n"
-            f"  query: {self.case.sql}\n{self.detail}"
-        )
-
-
-@dataclass
-class FuzzReport:
-    cases: int = 0
-    oracle_checked: int = 0
-    oracle_skipped: int = 0
-    config_runs: int = 0
-    failures: list[FuzzFailure] = field(default_factory=list)
-    corpus_paths: list[Path] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        lines = [
-            f"{self.cases} cases, {self.oracle_checked} oracle comparisons "
-            f"({self.oracle_skipped} skipped), {self.config_runs} plan-space runs, "
-            f"{len(self.failures)} failures"
-        ]
-        for failure in self.failures:
-            lines.append(failure.describe())
-        for path in self.corpus_paths:
-            lines.append(f"reproducer written: {path}")
-        return "\n".join(lines)
 
 
 def run_case(
     case: FuzzCase,
     configs: list[PlanConfig],
-    report: FuzzReport | None = None,
-) -> FuzzFailure | None:
+    tally: Counter | None = None,
+) -> Failure | None:
     """Run every check on one case; first divergence wins."""
+    if tally is None:
+        tally = Counter()
+
+    def failed(kind: str, detail: str, config: str | None = None) -> Failure:
+        return Failure(
+            case.seed, kind, f"{detail}\n  query: {case.sql}", case, config
+        )
+
     db = case.db.build()
     sql = case.sql
     try:
@@ -90,29 +62,23 @@ def run_case(
         # anchors it, and every configuration below is held to it.
         baseline = list(reference_rows(db, sql))
     except ReproError as error:
-        return FuzzFailure(
-            "engine-error", None, f"  {type(error).__name__}: {error}", case
-        )
+        return failed("engine-error", f"  {type(error).__name__}: {error}")
 
     connection = sqlite_mirror(db.catalog)
     try:
         oracle_rows = run_oracle(case.query, connection)
     except OracleUnsupportedError:
         oracle_rows = None
-        if report is not None:
-            report.oracle_skipped += 1
+        tally["oracle-skipped"] += 1
     except sqlite3.Error as error:
-        return FuzzFailure(
-            "oracle-error", None, f"  sqlite3: {error}", case
-        )
+        return failed("oracle-error", f"  sqlite3: {error}")
     finally:
         connection.close()
     if oracle_rows is not None:
-        if report is not None:
-            report.oracle_checked += 1
+        tally["oracle-checked"] += 1
         mismatch = compare_multisets(baseline, oracle_rows)
         if mismatch is not None:
-            return FuzzFailure("oracle", None, mismatch.describe(), case)
+            return failed("oracle", mismatch.describe())
 
     for config in configs:
         try:
@@ -130,97 +96,34 @@ def run_case(
                 # partition) can genuinely exhaust a small budget: a typed
                 # refusal, not a divergence.
                 continue
-            return FuzzFailure(
+            return failed(
                 "planspace-error",
-                config.name,
                 f"  {type(error).__name__}: {error}",
-                case,
+                config.name,
             )
-        if report is not None:
-            report.config_runs += 1
+        tally["plan-space-runs"] += 1
         mismatch = compare_multisets(baseline, rows)
         if mismatch is not None:
-            return FuzzFailure(
+            return failed(
                 "planspace",
-                config.name,
                 mismatch.describe("baseline", config.name),
-                case,
+                config.name,
             )
     return None
 
 
-def _case_metrics(failure: FuzzFailure) -> dict | None:
-    """Per-operator metrics snapshot of the minimized reproducer's default
-    execution — diagnostic context attached to the saved corpus case.
-
-    Best-effort: error-kind failures cannot execute at all, and a metrics
-    failure must never mask the bug being persisted.
-    """
-    try:
-        result = failure.case.db.build().sql(
-            failure.case.sql, collect_metrics=True
-        )
-        return result.metrics.snapshot()
-    except Exception:
-        return None
+def _sql_profile(name: str) -> Profile:
+    configs = profile_configurations(name)
+    return Profile(
+        name,
+        generate_case,
+        lambda case, tally: run_case(case, configs, tally),
+        candidates=sql_candidates,
+        save=save_case,
+    )
 
 
-def _signature(failure: FuzzFailure) -> tuple[str, str | None, str]:
-    """What shrinking must preserve: kind, config, and — for error kinds —
-    the error type, so minimization cannot morph one bug into another."""
-    error_type = ""
-    if failure.kind.endswith("error"):
-        error_type = failure.detail.strip().split(":")[0]
-    return (failure.kind, failure.config, error_type)
-
-
-def run_fuzz(
-    seed: int,
-    n: int,
-    profile: str = "quick",
-    shrink: bool = True,
-    corpus_dir: Path | str | None = None,
-    stop_after: int = 5,
-    progress=None,
-) -> FuzzReport:
-    """Fuzz ``n`` seeded cases starting at ``seed``.
-
-    Divergent cases are shrunk and (when ``corpus_dir`` is set) persisted;
-    fuzzing stops early after ``stop_after`` distinct failures.
-    """
-    configs = profile_configurations(profile)
-    report = FuzzReport()
-    for index in range(n):
-        case = generate_case(seed + index)
-        report.cases += 1
-        failure = run_case(case, configs, report)
-        if failure is None:
-            if progress is not None and (index + 1) % 50 == 0:
-                progress(f"{index + 1}/{n} cases, no divergence")
-            continue
-        if shrink:
-            wanted = _signature(failure)
-
-            def still_fails(candidate: FuzzCase) -> bool:
-                result = run_case(candidate, configs)
-                return result is not None and _signature(result) == wanted
-
-            small = shrink_case(case, still_fails)
-            final = run_case(small, configs) or failure
-        else:
-            final = failure
-        report.failures.append(final)
-        if corpus_dir is not None:
-            report.corpus_paths.append(
-                save_case(
-                    final.case,
-                    final.kind,
-                    final.detail,
-                    corpus_dir,
-                    config=final.config,
-                    metrics=_case_metrics(final),
-                )
-            )
-        if len(report.failures) >= stop_after:
-            break
-    return report
+#: The plan-space profiles: same cases and checks, different configurations.
+PROFILES = tuple(
+    _sql_profile(name) for name in (QUICK_PROFILE, FULL_PROFILE, ENGINE_PROFILE)
+)

@@ -1,9 +1,10 @@
 """Greedy minimization of failing fuzz cases.
 
-``shrink_case`` repeatedly proposes structurally smaller variants of a
-failing (database, query) pair and keeps any variant for which the
-caller's ``still_fails`` predicate holds, until a fixpoint or the
-evaluation budget runs out. The passes, in rough order of payoff:
+``shrink`` repeatedly asks a candidate generator for structurally smaller
+variants of a failing case and keeps any variant for which the caller's
+``still_fails`` predicate holds, until a fixpoint or the evaluation
+budget runs out. The SQL passes (:func:`sql_candidates`), in rough order
+of payoff:
 
 * drop whole tables (with their foreign keys);
 * delta-debug table rows (halves, then quarters, ... then single rows);
@@ -12,35 +13,43 @@ evaluation budget runs out. The passes, in rough order of payoff:
   gapply column-name list);
 * drop surplus grouping keys.
 
+The tagger-level passes (:func:`xmlpub_candidates`) delta-debug the row
+stream the same way, then simplify string values cell by cell.
+
 The result is what lands in ``tests/fuzz_corpus/`` — small enough to
-read, and each pass preserves query validity *by construction or by
-re-check* (an invalid variant simply fails ``still_fails`` and is
-discarded), so the shrinker never needs dialect-specific validation.
+read, and each pass preserves validity *by construction or by re-check*
+(an invalid variant simply fails ``still_fails`` and is discarded), so
+the shrinker never needs dialect-specific validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.fuzz.generator import FuzzCase, FuzzDatabase, FuzzTable
 from repro.sql import ast as A
 
+Case = TypeVar("Case")
 
-def shrink_case(
-    case: FuzzCase,
-    still_fails: Callable[[FuzzCase], bool],
-    budget: int = 400,
-) -> FuzzCase:
+#: ``still_fails`` evaluations one minimization may spend.
+SHRINK_BUDGET = 400
+
+
+def shrink(
+    case: Case,
+    candidates: Callable[[Case], Iterator[Case]],
+    still_fails: Callable[[Case], bool],
+) -> Case:
     """Smallest variant of ``case`` (greedy) that still fails."""
     evaluations = 0
     current = case
     improved = True
-    while improved and evaluations < budget:
+    while improved and evaluations < SHRINK_BUDGET:
         improved = False
-        for candidate in _candidates(current):
+        for candidate in candidates(current):
             evaluations += 1
-            if evaluations >= budget:
+            if evaluations >= SHRINK_BUDGET:
                 break
             try:
                 failing = still_fails(candidate)
@@ -53,10 +62,47 @@ def shrink_case(
     return current
 
 
-def _candidates(case: FuzzCase) -> Iterator[FuzzCase]:
+def sql_candidates(case: FuzzCase) -> Iterator[FuzzCase]:
     yield from _drop_tables(case)
     yield from _reduce_rows(case)
     yield from _reduce_query(case)
+
+
+def xmlpub_candidates(case: Any) -> Iterator[Any]:
+    """Variants of an :class:`~repro.fuzz.xmlpub.XmlPubCase`: fewer rows
+    (largest step first), then simpler strings cell by cell."""
+    for rows in _without_chunks(case.rows):
+        yield replace(case, rows=rows)
+    for row_index, row in enumerate(case.rows):
+        for cell_index, value in enumerate(row):
+            for simpler in _simplified_strings(value):
+                new_row = row[:cell_index] + (simpler,) + row[cell_index + 1:]
+                yield replace(
+                    case,
+                    rows=case.rows[:row_index]
+                    + [new_row]
+                    + case.rows[row_index + 1:],
+                )
+
+
+def _simplified_strings(value: Any) -> list[Any]:
+    if not isinstance(value, str) or not value:
+        return []
+    candidates = [""]
+    if len(value) > 1:
+        # Each single character on its own often preserves the bug.
+        candidates.extend(sorted(set(value), key=value.index)[:4])
+    return candidates
+
+
+def _without_chunks(rows: list[tuple]) -> Iterator[list[tuple]]:
+    """``rows`` with one chunk removed: halves, quarters, ... single rows."""
+    n = len(rows)
+    chunk = n // 2 or 1
+    while n and chunk:
+        for start in range(0, n, chunk):
+            yield rows[:start] + rows[start + chunk:]
+        chunk //= 2
 
 
 # ----------------------------------------------------------------------
@@ -79,19 +125,8 @@ def _drop_tables(case: FuzzCase) -> Iterator[FuzzCase]:
 
 def _reduce_rows(case: FuzzCase) -> Iterator[FuzzCase]:
     for index, table in enumerate(case.db.tables):
-        n = len(table.rows)
-        if n == 0:
-            continue
-        chunk = max(1, n // 2)
-        while chunk >= 1:
-            for start in range(0, n, chunk):
-                rows = table.rows[:start] + table.rows[start + chunk:]
-                if len(rows) == n:
-                    continue
-                yield _with_table(case, index, replace_rows(table, rows))
-            if chunk == 1:
-                break
-            chunk //= 2
+        for rows in _without_chunks(table.rows):
+            yield _with_table(case, index, replace_rows(table, rows))
 
 
 def replace_rows(table: FuzzTable, rows: list[tuple]) -> FuzzTable:

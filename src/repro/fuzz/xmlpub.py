@@ -30,26 +30,30 @@ Two layers of seeded random cases, both with a materialized reference:
   (:func:`repro.fuzz.oracle.reference_rows`) and tagging the result, for
   both formulations.
 
-Failures shrink greedily (drop groups, drop rows, simplify strings) while
-preserving the failing stage, and persist as typed-value JSON reproducers
-under ``tests/fuzz_corpus/xmlpub/`` — a separate directory from the SQL
-corpus because the payload shape differs. Tier-1 replays every file.
+The ``xmlpub`` profile of the one driver (:mod:`repro.fuzz.driver`): a
+failure has kind ``xmlpub`` and its stage (``chunking`` / ``parse`` /
+``view``) as configuration. Tagger-level failures shrink with
+:func:`repro.fuzz.shrink.xmlpub_candidates` (drop rows, simplify strings)
+and persist as typed-value JSON reproducers; the checked-in ones live
+under ``tests/fuzz_corpus/xmlpub/`` and tier-1 replays every file.
 """
 
 from __future__ import annotations
 
 import datetime
-import hashlib
-import json
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.api import Database
 from repro.errors import ReproError
+from repro.fuzz.corpus import read_reproducers, write_reproducer
+from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
+from repro.fuzz.shrink import xmlpub_candidates
 from repro.storage.types import DataType
 from repro.xmlpub.stream import PublishStats, stream_document
 from repro.xmlpub.tagger import (
@@ -62,6 +66,9 @@ from repro.xmlpub.tagger import (
 )
 from repro.xmlpub.translate import FORMULATIONS, translate_xquery
 from repro.xmlpub.view import tpch_supplier_view
+
+#: The profile's name, its failures' kind, and its reproducers' kind.
+XMLPUB = "xmlpub"
 
 #: Chunk sizes every tagger-level case is streamed at; 1 forces a flush
 #: per fragment, 64 KiB usually yields a single chunk.
@@ -110,36 +117,6 @@ class XmlPubCase:
     seed: int
     spec: TaggerSpec
     rows: list[tuple]
-
-
-@dataclass
-class XmlPubFailure:
-    seed: int
-    stage: str  # "chunking" | "parse" | "view" | "error"
-    detail: str
-    case: XmlPubCase | None = None
-
-    def describe(self) -> dict[str, Any]:
-        return {"seed": self.seed, "stage": self.stage, "detail": self.detail}
-
-
-@dataclass
-class XmlPubReport:
-    cases: int = 0
-    checked: int = 0
-    view_cases: int = 0
-    failures: list[XmlPubFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        return (
-            f"xmlpub fuzz: {self.cases} tagger cases "
-            f"({self.view_cases} end-to-end) — {status}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +292,12 @@ def parsed_structure(spec: TaggerSpec, document: bytes) -> list[list]:
 # ----------------------------------------------------------------------
 
 
-def check_case(case: XmlPubCase) -> XmlPubFailure | None:
+def check_case(case: XmlPubCase) -> Failure | None:
     """Run the chunk-invariance and parse oracles; None means clean."""
+
+    def failed(stage: str, detail: str) -> Failure:
+        return Failure(case.seed, XMLPUB, detail, case, stage)
+
     tagger = ConstantSpaceTagger(case.spec)
     reference = tagger.tag_to_string(case.rows).encode()
     for chunk_bytes in CHUNK_SIZES:
@@ -327,37 +308,29 @@ def check_case(case: XmlPubCase) -> XmlPubFailure | None:
             )
         )
         if streamed != reference:
-            return XmlPubFailure(
-                case.seed,
+            return failed(
                 "chunking",
                 f"chunk_bytes={chunk_bytes}: streamed {len(streamed)}B != "
                 f"materialized {len(reference)}B",
-                case,
             )
         if stats.bytes_emitted != len(reference):
-            return XmlPubFailure(
-                case.seed,
+            return failed(
                 "chunking",
                 f"chunk_bytes={chunk_bytes}: stats report "
                 f"{stats.bytes_emitted}B emitted, document is "
                 f"{len(reference)}B",
-                case,
             )
     try:
         parsed = parsed_structure(case.spec, reference)
     except (ET.ParseError, AssertionError) as error:
-        return XmlPubFailure(
-            case.seed, "parse", f"document does not parse: {error}", case
-        )
+        return failed("parse", f"document does not parse: {error}")
     expected = expected_structure(case.spec, case.rows)
     if parsed != expected:
-        return XmlPubFailure(
-            case.seed,
+        return failed(
             "parse",
             "parsed structure diverges from the spec/row simulation\n"
             f"expected: {expected!r}\n"
             f"parsed:   {parsed!r}",
-            case,
         )
     return None
 
@@ -438,9 +411,13 @@ def build_view_database(rng: random.Random) -> Database:
     return db
 
 
-def check_view_case(seed: int) -> XmlPubFailure | None:
+def check_view_case(seed: int) -> Failure | None:
     """Streamed == materialized, end to end through ``Database.publish``,
     for both formulations."""
+
+    def failed(detail: str) -> Failure:
+        return Failure(seed, XMLPUB, detail, config="view")
+
     rng = random.Random(seed ^ 0xD0C)
     db = build_view_database(rng)
     name, query = VIEW_XQUERIES[seed % len(VIEW_XQUERIES)]
@@ -459,82 +436,13 @@ def check_view_case(seed: int) -> XmlPubFailure | None:
                 view, query, formulation, chunk_bytes=rng.choice(CHUNK_SIZES)
             ).read_all()
         except ReproError as error:
-            return XmlPubFailure(
-                seed,
-                "view",
-                f"{config}: {type(error).__name__}: {error}",
-            )
+            return failed(f"{config}: {type(error).__name__}: {error}")
         if streamed != reference:
-            return XmlPubFailure(
-                seed,
-                "view",
+            return failed(
                 f"{config}: streamed {len(streamed)}B != "
-                f"materialized {len(reference)}B",
+                f"materialized {len(reference)}B"
             )
     return None
-
-
-# ----------------------------------------------------------------------
-# Shrinking
-# ----------------------------------------------------------------------
-
-
-def _simplified_strings(value: Any) -> list[Any]:
-    if not isinstance(value, str) or not value:
-        return []
-    candidates = [""]
-    if len(value) > 1:
-        # Each single character on its own often preserves the bug.
-        candidates.extend(sorted(set(value), key=value.index)[:4])
-    return candidates
-
-
-def shrink_xmlpub_case(
-    case: XmlPubCase, failure: XmlPubFailure
-) -> XmlPubCase:
-    """Greedy minimization preserving the failing stage."""
-
-    def still_fails(candidate: XmlPubCase) -> bool:
-        found = check_case(candidate)
-        return found is not None and found.stage == failure.stage
-
-    current = case
-    # Pass 1: drop rows (largest step first).
-    changed = True
-    while changed:
-        changed = False
-        step = max(1, len(current.rows) // 2)
-        while step >= 1:
-            index = 0
-            while index < len(current.rows):
-                candidate = XmlPubCase(
-                    current.seed,
-                    current.spec,
-                    current.rows[:index] + current.rows[index + step:],
-                )
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                else:
-                    index += step
-            step //= 2
-    # Pass 2: simplify string values cell by cell.
-    for row_index, row in enumerate(list(current.rows)):
-        for cell_index, value in enumerate(row):
-            for simpler in _simplified_strings(value):
-                new_row = row[:cell_index] + (simpler,) + row[cell_index + 1:]
-                candidate = XmlPubCase(
-                    current.seed,
-                    current.spec,
-                    current.rows[:row_index]
-                    + [new_row]
-                    + current.rows[row_index + 1:],
-                )
-                if still_fails(candidate):
-                    current = candidate
-                    row = new_row
-                    break
-    return current
 
 
 # ----------------------------------------------------------------------
@@ -626,95 +534,52 @@ def _spec_from_payload(payload: dict) -> TaggerSpec:
     )
 
 
-def save_xmlpub_case(
-    case: XmlPubCase, detail: str, directory: Path | str
-) -> Path:
+def save_xmlpub_case(failure: Failure, directory: Path | str) -> Path:
     """Write one reproducer; content-addressed like the SQL corpus."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "seed": case.seed,
-        "kind": "xmlpub",
-        "detail": detail,
-        "spec": _spec_payload(case.spec),
-        "rows": [[_encode_value(v) for v in row] for row in case.rows],
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:12]
-    path = directory / f"fuzz-xmlpub-{digest}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    case = failure.case
+    return write_reproducer(
+        directory,
+        {
+            "seed": case.seed,
+            "kind": XMLPUB,
+            "detail": failure.detail,
+            "spec": _spec_payload(case.spec),
+            "rows": [[_encode_value(v) for v in row] for row in case.rows],
+        },
+    )
 
 
 def load_xmlpub_corpus(directory: Path | str) -> list[XmlPubCase]:
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    cases = []
-    for path in sorted(directory.glob("fuzz-xmlpub-*.json")):
-        payload = json.loads(path.read_text())
-        cases.append(
-            XmlPubCase(
-                seed=payload["seed"],
-                spec=_spec_from_payload(payload["spec"]),
-                rows=[
-                    tuple(_decode_value(v) for v in row)
-                    for row in payload["rows"]
-                ],
-            )
+    return [
+        XmlPubCase(
+            seed=payload["seed"],
+            spec=_spec_from_payload(payload["spec"]),
+            rows=[tuple(_decode_value(v) for v in row) for row in payload["rows"]],
         )
-    return cases
+        for _, payload in read_reproducers(directory, frozenset({XMLPUB}))
+    ]
 
 
 # ----------------------------------------------------------------------
-# The sweep
+# The profile
 # ----------------------------------------------------------------------
 
+#: One seed in this many also runs an end-to-end view case.
+VIEW_CASE_EVERY = 5
 
-def run_xmlpub_fuzz(
-    seed: int,
-    n: int,
-    stop_after: int = 5,
-    shrink: bool = True,
-    corpus_dir: Path | str | None = None,
-    view_case_every: int = 5,
-    progress: Callable[[str], None] | None = None,
-) -> XmlPubReport:
-    """Drive ``n`` tagger-level cases with end-to-end view cases mixed in."""
-    report = XmlPubReport()
-    for offset in range(n):
-        case_seed = seed + offset
-        report.cases += 1
-        try:
-            case = generate_xmlpub_case(case_seed)
-            failure = check_case(case)
-            if failure is None and offset % view_case_every == 0:
-                report.view_cases += 1
-                failure = check_view_case(case_seed)
-        except ReproError as error:
-            failure = XmlPubFailure(
-                case_seed, "error", f"{type(error).__name__}: {error}"
-            )
-        if failure is None:
-            report.checked += 1
-        else:
-            if failure.case is not None and shrink:
-                failure.case = shrink_xmlpub_case(failure.case, failure)
-            if failure.case is not None and corpus_dir is not None:
-                path = save_xmlpub_case(
-                    failure.case, failure.detail, corpus_dir
-                )
-                if progress is not None:
-                    progress(f"[xmlpub] reproducer saved to {path}")
-            report.failures.append(failure)
-            if progress is not None:
-                progress(
-                    f"[xmlpub] seed {case_seed} {failure.stage}: "
-                    f"{failure.detail.splitlines()[0]}"
-                )
-            if len(report.failures) >= stop_after:
-                break
-        if progress is not None and (offset + 1) % 100 == 0:
-            progress(f"[xmlpub] {offset + 1}/{n} cases checked")
-    return report
+
+def _check(case: XmlPubCase, tally: Counter) -> Failure | None:
+    failure = check_case(case)
+    if failure is None and case.seed % VIEW_CASE_EVERY == 0:
+        tally["view-cases"] += 1
+        failure = check_view_case(case.seed)
+    return failure
+
+
+PROFILE = Profile(
+    XMLPUB,
+    generate_xmlpub_case,
+    _check,
+    candidates=xmlpub_candidates,
+    save=save_xmlpub_case,
+)

@@ -1,14 +1,14 @@
 """CLI driver: ``python -m repro.serve --stress``.
 
-``--stress`` runs the seeded multi-client concurrent chaos workload
-(:func:`repro.fuzz.chaos.run_concurrent_chaos`): per seed, a fresh
+``--stress`` sweeps the seeded multi-client concurrent chaos profile
+(:func:`repro.fuzz.chaos.serve_stress_profile`): per seed, a fresh
 service over a ledger table is hammered by ``--threads`` client threads
 mixing snapshot reads, atomic write batches, DDL, fault plans, load
 shedding and mid-run shutdowns. Exit status 0 means every seed upheld
 the invariant (snapshot-consistent rows or a typed error — never a wrong
 answer, torn read, hang, or leaked spill file); 1 means at least one
-failure (written as JSON to ``--artifacts-dir`` when given, which is how
-CI surfaces them).
+failure (one JSON file each in ``--artifacts-dir`` when given, which is
+how CI surfaces them).
 
 ``faulthandler`` is armed with a watchdog timeout so a genuine deadlock
 dumps every thread's stack instead of hanging the CI job silently.
@@ -22,46 +22,28 @@ from __future__ import annotations
 
 import argparse
 import faulthandler
-import json
 import sys
-import time
-from pathlib import Path
 
 
 def _stress_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.chaos import run_concurrent_chaos
+    from repro.fuzz.chaos import serve_stress_profile
+    from repro.fuzz.driver import cli_sweep
 
     # A hung run dumps all thread stacks and aborts rather than eating
     # the whole CI job timeout in silence.
     faulthandler.enable()
     if args.watchdog > 0:
         faulthandler.dump_traceback_later(args.watchdog, exit=True)
-    start = time.perf_counter()
-    report = run_concurrent_chaos(
-        seed=args.seed,
-        n=args.seeds,
-        threads=args.threads,
-        ops_per_thread=args.ops,
-        stop_after=args.stop_after,
-        progress=lambda message: print(message, flush=True),
-    )
-    elapsed = time.perf_counter() - start
-    if args.watchdog > 0:
-        faulthandler.cancel_dump_traceback_later()
-    if report.failures and args.artifacts_dir:
-        directory = Path(args.artifacts_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / "serve-stress-failures.json"
-        path.write_text(
-            json.dumps(
-                [failure.describe() for failure in report.failures],
-                indent=2,
-            )
+    try:
+        return cli_sweep(
+            serve_stress_profile(args.threads, args.ops),
+            seed=args.seed,
+            n=args.seeds,
+            stop_after=args.stop_after,
+            corpus_dir=args.artifacts_dir,
         )
-        print(f"failing cases written to {path}")
-    print(report.summary().replace("chaos:", "serve-stress:"))
-    print(f"elapsed: {elapsed:.1f}s")
-    return 0 if report.ok else 1
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def _demo_main() -> int:

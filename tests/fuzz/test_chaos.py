@@ -3,7 +3,8 @@ error invariant, and cases are fully determined by their seed."""
 
 from __future__ import annotations
 
-from repro.fuzz.chaos import SCENARIOS, build_case, run_chaos
+from repro.fuzz import PROFILES, sweep
+from repro.fuzz.chaos import SCENARIOS, build_case
 
 
 class TestCaseConstruction:
@@ -26,10 +27,10 @@ class TestSweep:
     def test_small_sweep_holds_the_invariant(self):
         # A bounded slice of what the CI chaos job runs at scale; any
         # failure here is a real engine bug (replay with the seed).
-        report = run_chaos(seed=0, n=15)
+        report = sweep(PROFILES["chaos"], seed=0, n=15)
         assert report.cases == 15
         assert report.ok, [f.describe() for f in report.failures]
 
     def test_summary_mentions_scenarios(self):
-        report = run_chaos(seed=100, n=5)
+        report = sweep(PROFILES["chaos"], seed=100, n=5)
         assert "5 cases" in report.summary()

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import json
 
+from repro.fuzz import Failure, sweep
 from repro.fuzz.chaos import (
     CONCURRENT_SCENARIOS,
     build_concurrent_case,
-    run_concurrent_chaos,
+    serve_stress_profile,
 )
 
 
@@ -39,24 +40,22 @@ class TestConcurrentSweep:
         # One seed per scenario, modest thread count: the bounded tier-1
         # slice of the CI job's 100-seed, 16-thread sweep. Any failure
         # here is a real concurrency bug (replay with the seed).
-        report = run_concurrent_chaos(seed=0, n=5, threads=6, ops_per_thread=4)
+        report = sweep(serve_stress_profile(threads=6, ops_per_thread=4), seed=0, n=5)
         assert report.cases == 5
         assert report.ok, [f.describe() for f in report.failures]
-        assert set(report.outcomes) == set(CONCURRENT_SCENARIOS)
+        assert set(report.tally) == set(CONCURRENT_SCENARIOS)
 
     def test_higher_seeds_also_hold(self):
-        report = run_concurrent_chaos(
-            seed=40, n=5, threads=4, ops_per_thread=3
+        report = sweep(
+            serve_stress_profile(threads=4, ops_per_thread=3), seed=40, n=5
         )
         assert report.ok, [f.describe() for f in report.failures]
 
     def test_failures_would_carry_the_case_shape(self):
         # The report plumbing: a (synthetic) failure serializes with the
         # full case for replay.
-        from repro.fuzz.chaos import ChaosFailure
-
         case = build_concurrent_case(3)
-        failure = ChaosFailure(case, "synthetic")
+        failure = Failure(case.seed, "serve-stress", "synthetic", case)
         described = failure.describe()
         assert described["detail"] == "synthetic"
         assert described["scenario"] == case.scenario

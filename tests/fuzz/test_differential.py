@@ -13,26 +13,23 @@ from pathlib import Path
 import pytest
 
 from repro.errors import PlanError
-from repro.fuzz import (
-    generate_case,
-    load_corpus,
-    plan_configurations,
-    profile_configurations,
-    run_case,
-    run_fuzz,
-)
+from repro.fuzz import PROFILES, sweep
+from repro.fuzz.corpus import load_corpus
+from repro.fuzz.generator import generate_case
+from repro.fuzz.planspace import plan_configurations, profile_configurations
+from repro.fuzz.runner import run_case
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus"
 
 
 class TestSeededSweep:
     def test_200_cases_no_divergence(self):
-        report = run_fuzz(seed=0, n=200, profile="quick", shrink=False)
+        report = sweep(PROFILES["quick"], seed=0, n=200, shrink=False)
         assert report.ok, report.summary()
         assert report.cases == 200
         # The oracle must actually engage: skips should be the exception.
-        assert report.oracle_checked >= 190
-        assert report.config_runs > 0
+        assert report.tally["oracle-checked"] >= 190
+        assert report.tally["plan-space-runs"] > 0
 
     def test_generation_is_deterministic(self):
         first = generate_case(1234)
@@ -63,7 +60,7 @@ class TestCorpusReplay:
     def test_reproducer_stays_clean(self, name):
         case = next(c for c in self._cases() if c.path.name == name)
         failure = run_case(case.to_fuzz_case(), plan_configurations(full=True))
-        assert failure is None, failure.describe()
+        assert failure is None, str(failure)
 
 
 class TestProfiles:

@@ -1,20 +1,17 @@
 """Durability chaos slice: seeded crash points must recover the exact
 acknowledged-commit prefix. The CI job runs a wider sweep through
-``python -m repro.fuzz --durability``; this battery keeps a
+``python -m repro.fuzz --profile durability``; this battery keeps a
 representative slice in tier-1 and pins the harness determinism."""
 
 from __future__ import annotations
 
 from repro.execution.faults import DURABILITY_POINTS, FaultPlan
-from repro.fuzz.durability import (
-    build_durability_case,
-    run_durability_case,
-    run_durability_chaos,
-)
+from repro.fuzz import PROFILES, sweep
+from repro.fuzz.durability import build_durability_case, run_durability_case
 
 
 def test_sweep_slice_is_green():
-    report = run_durability_chaos(seed=0, n=40, stop_after=3)
+    report = sweep(PROFILES["durability"], seed=0, n=40, stop_after=3)
     assert report.ok, report.summary()
     assert report.cases == 40
 
@@ -50,10 +47,3 @@ def test_for_durability_plans_are_process_stable():
     ]
     assert armed  # the menu really arms crash points over a small range
 
-
-def test_cli_durability_mode(capsys):
-    from repro.fuzz.__main__ import main
-
-    assert main(["--durability", "--seed", "0", "--n", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "chaos: 8 cases, ok" in out

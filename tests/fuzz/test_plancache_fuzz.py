@@ -8,17 +8,13 @@ same-type literals (must hit, rows identical to an uncached run),
 through the compiled plan.
 """
 
-from repro.fuzz.plancache import run_plancache_fuzz
+from repro.fuzz import PROFILES, sweep
 
 SEED = 40000  # same range CI sweeps, so local failures replay in CI
 CASES = 30
 
 
 def test_plancache_fuzz_slice():
-    report = run_plancache_fuzz(seed=SEED, n=CASES)
-    details = "\n\n".join(
-        f"seed {f.seed} [{f.stage}]\n{f.sql}\n{f.detail}"
-        for f in report.failures
-    )
-    assert report.ok, f"{report.summary()}\n{details}"
-    assert report.checked == CASES
+    report = sweep(PROFILES["plancache"], seed=SEED, n=CASES)
+    assert report.ok, report.summary()
+    assert report.tally["checked"] == CASES

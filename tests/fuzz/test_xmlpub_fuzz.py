@@ -17,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import (
+from repro.fuzz import PROFILES, sweep
+from repro.fuzz.xmlpub import check_case as check_xmlpub_case
+from repro.fuzz.xmlpub import (
     check_view_case,
-    check_xmlpub_case,
     generate_xmlpub_case,
     load_xmlpub_corpus,
-    run_xmlpub_fuzz,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus" / "xmlpub"
@@ -30,10 +30,10 @@ CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus" / "xmlpub"
 
 class TestSweep:
     def test_seeded_sweep_is_clean(self):
-        report = run_xmlpub_fuzz(seed=0, n=40, view_case_every=10)
+        report = sweep(PROFILES["xmlpub"], seed=0, n=40)
         assert report.ok, report.summary()
-        assert report.checked == 40
-        assert report.view_cases == 4
+        assert report.cases == 40
+        assert report.tally["view-cases"] == 8  # the seeds divisible by 5
 
     def test_single_case_oracle_is_clean(self):
         case = generate_xmlpub_case(7)
@@ -56,7 +56,7 @@ class TestCorpusReplay:
         link.write_text(path.read_text())
         (case,) = load_xmlpub_corpus(tmp_path)
         failure = check_xmlpub_case(case)
-        assert failure is None, failure.describe()
+        assert failure is None, str(failure)
 
 
 class TestDeterminism:
@@ -71,4 +71,4 @@ class TestDeterminism:
         # One end-to-end case per supported view query family, directly.
         for seed in range(5):
             failure = check_view_case(seed)
-            assert failure is None, failure.describe()
+            assert failure is None, str(failure)
