@@ -1,4 +1,5 @@
-"""Benchmark harness: Figure 8, Table 1, and the client-side simulation."""
+"""The experiment harness: Figure 8, Table 1, the client-side simulation
+and the ablations, run by ``python -m repro.bench``."""
 
 from repro.bench.harness import (
     Measurement,

@@ -29,19 +29,24 @@ longer. We compare the simulated total against the native PGApply plan.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
 from repro.api import Database
-from repro.bench.harness import Measurement, bind, lower, measure_physical, optimize_with
+from repro.bench.harness import (
+    Measurement,
+    bind,
+    lower,
+    measure_physical,
+    optimize_with,
+    tpch_catalog,
+)
 from repro.execution.base import run_plan
 from repro.execution.context import ExecutionContext
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType, grouping_key
 from repro.workloads.queries import query_by_name
-from repro.workloads.tpch import TpchConfig, load_tpch
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,9 @@ def simulate_gapply(
         if per_group_plan_cache is None:
             logical = bind(catalog, per_group_sql)
             per_group_plan_cache = lower(catalog, logical)
+        # The only ``run_plan`` (row-iterator) call in any experiment: this
+        # step models a client re-issuing one small query per tiny group.
+        # Every other case times the compiled plan, as a request runs it.
         output_rows += len(run_plan(per_group_plan_cache, ExecutionContext()))
     execution_time = time.perf_counter() - start
 
@@ -177,8 +185,7 @@ def simulate_gapply(
 def run_q4_calibration(scale: float = 0.1) -> SimulationResult:
     """E8: simulate Q4's GApply from the client; compare with the native
     operator (the paper's only wholly-server-side data point)."""
-    db = Database()
-    load_tpch(db.catalog, TpchConfig(scale=scale))
+    db = Database(tpch_catalog(scale))
 
     outer_sql = (
         "select ps_suppkey, p_size, p_name, p_retailprice "
@@ -207,19 +214,27 @@ def run_q4_calibration(scale: float = 0.1) -> SimulationResult:
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    scale = float(argv[0]) if argv else 0.1
+def format_calibration(result: SimulationResult) -> str:
+    return (
+        "E8 - client-side simulation of GApply (Q4), Section 5.1\n"
+        f"  simulated {result.simulated_total * 1e3:.1f} ms vs native "
+        f"{result.native.elapsed * 1e3:.1f} ms -> overhead "
+        f"{result.overhead:.2f}x (paper: ~1.2x; both conservative)"
+    )
+
+
+def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
+    """E8: print the calibration and return the native plan plus each
+    simulated phase. The protocol runs once whatever ``repetitions`` says:
+    its phases are whole-protocol wall times, not single-plan executions,
+    so they carry no work counters — the native row does."""
     result = run_q4_calibration(scale)
-    print("E8 - client-side simulation of GApply (Q4), Section 5.1")
-    print(f"  outer query:        {result.outer_time * 1e3:8.1f} ms")
-    print(f"  Q_partition:        {result.partition_time * 1e3:8.1f} ms")
-    print(f"  Q_overestimate:    -{result.overestimate_time * 1e3:8.1f} ms")
-    print(f"  per-group queries:  {result.execution_time * 1e3:8.1f} ms")
-    print(f"  simulated total:    {result.simulated_total * 1e3:8.1f} ms")
-    print(f"  native GApply:      {result.native.elapsed * 1e3:8.1f} ms")
-    print(f"  overhead ratio:     {result.overhead:8.2f}x   (paper: ~1.2x)")
-
-
-if __name__ == "__main__":
-    main()
+    print(format_calibration(result), end="\n\n")
+    return [
+        ("q4/native", result.native),
+        ("q4/simulated_total", Measurement(result.simulated_total, 0, result.rows)),
+        ("q4/sim_outer", Measurement(result.outer_time, 0, 0)),
+        ("q4/sim_partition", Measurement(result.partition_time, 0, 0)),
+        ("q4/sim_overestimate", Measurement(result.overestimate_time, 0, 0)),
+        ("q4/sim_execution", Measurement(result.execution_time, 0, 0)),
+    ]

@@ -1,8 +1,6 @@
 """Figure 8: speedup of GApply plans over classical plans for Q1-Q4.
 
-Run as a module to print the figure's data series::
-
-    python -m repro.bench.fig8 [scale]
+Print the figure's data series with ``python -m repro.bench fig8_speedup``.
 
 For each paper query the harness measures the classical (sorted outer
 union / derived-table) formulation and the GApply formulation, with both
@@ -12,15 +10,13 @@ of the paper's partition strategies, and prints the ratio
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from repro.bench.harness import Measurement, measure_sql
+from repro.bench.harness import Measurement, measure_sql, tpch_catalog
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.optimizer.planner import PlannerOptions
 from repro.storage.catalog import Catalog
 from repro.workloads.queries import PAPER_QUERIES, PaperQuery
-from repro.workloads.tpch import TpchConfig, load_tpch
 
 #: The approximate ratios read off the paper's Figure 8 bars (SQL Server
 #: 2000, 5 GB TPC-H). Only the *shape* — GApply wins, roughly this much —
@@ -74,8 +70,7 @@ def run_query(
 def run_figure8(
     scale: float = DEFAULT_SCALE, repetitions: int = 3
 ) -> list[Fig8Row]:
-    catalog = Catalog()
-    load_tpch(catalog, TpchConfig(scale=scale))
+    catalog = tpch_catalog(scale)
     return [run_query(catalog, query, repetitions) for query in PAPER_QUERIES]
 
 
@@ -99,12 +94,15 @@ def format_rows(rows: list[Fig8Row]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    scale = float(argv[0]) if argv else DEFAULT_SCALE
-    rows = run_figure8(scale)
-    print(format_rows(rows))
-
-
-if __name__ == "__main__":
-    main()
+def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
+    """E1: print Figure 8 and return its measurements. Names are
+    ``query/formulation``, the keys of ``benchmarks/baselines.json``, whose
+    per-case ``work`` a tier-1 test asserts at smoke scale."""
+    rows = run_figure8(scale, repetitions)
+    print(format_rows(rows), end="\n\n")
+    named = []
+    for row in rows:
+        named.append((f"{row.query}/baseline", row.baseline))
+        named.append((f"{row.query}/gapply_hash", row.gapply_hash))
+        named.append((f"{row.query}/gapply_sort", row.gapply_sort))
+    return named

@@ -1,4 +1,4 @@
-"""Measurement utilities shared by all benchmarks.
+"""Measurement utilities shared by all experiments.
 
 The paper measures elapsed and CPU time on a cold buffer pool, averaging
 repeated runs. A Python interpreter has neither a buffer pool nor stable
@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.algebra.operators import LogicalOperator
 from repro.execution.base import PhysicalOperator
@@ -30,6 +30,7 @@ from repro.optimizer.rules import DEFAULT_RULES, Rule
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
+from repro.workloads.tpch import TpchConfig, load_tpch
 
 DEFAULT_REPETITIONS = 3
 
@@ -125,12 +126,33 @@ def measure_physical(
     )
 
 
+def measure_callable(
+    fn: Callable[[], int], repetitions: int, **fields: object
+) -> Measurement:
+    """Best-of-N timing for a whole-pipeline callable returning a size.
+
+    For pipelines that do more than execute one physical plan (e.g. the
+    XML publishing path: execute + tag); ``work`` is 0 unless passed in
+    via ``fields``.
+    """
+    best = float("inf")
+    size = 0
+    for _ in range(repetitions):
+        start = time.perf_counter()
+        size = fn()
+        elapsed = time.perf_counter() - start
+        best = min(best, elapsed)
+    defaults: dict = {"work": 0, "rows": size}
+    defaults.update(fields)
+    return Measurement(elapsed=best, **defaults)
+
+
 def measurements_to_json(
     named: "Sequence[tuple[str, Measurement]]", **meta: object
 ) -> dict:
     """The benchmark JSON document: ``meta`` + one record per measurement.
 
-    This is the interchange format every runnable benchmark emits (the
+    This is the interchange format every experiment emits (the
     ``--smoke`` CI artifacts use it), so regression tooling reads one
     shape everywhere.
     """
@@ -146,10 +168,20 @@ def measurements_to_json(
 def write_measurements_json(
     path: "str | Path", named: "Sequence[tuple[str, Measurement]]", **meta: object
 ) -> None:
-    """Serialize :func:`measurements_to_json` to ``path``."""
-    Path(path).write_text(
-        json.dumps(measurements_to_json(named, **meta), indent=2) + "\n"
-    )
+    """Serialize :func:`measurements_to_json` to ``path``.
+
+    Strict JSON: a non-finite number (an ``elapsed`` of ``inf`` from a
+    run that measured nothing) is a ``ValueError``, not an artifact.
+    """
+    document = measurements_to_json(named, **meta)
+    Path(path).write_text(json.dumps(document, indent=2, allow_nan=False) + "\n")
+
+
+def tpch_catalog(scale: float) -> Catalog:
+    """A fresh catalog holding the TPC-H tables at ``scale``."""
+    catalog = Catalog()
+    load_tpch(catalog, TpchConfig(scale=scale))
+    return catalog
 
 
 def bind(catalog: Catalog, sql: str) -> LogicalOperator:
@@ -238,6 +270,30 @@ def traditional_rules() -> list[Rule]:
     return [r for r in DEFAULT_RULES if r.name in TRADITIONAL_RULE_NAMES]
 
 
+def rule_plans(
+    catalog: Catalog, sql: str, rule: Rule
+) -> tuple[LogicalOperator, LogicalOperator, LogicalOperator | None]:
+    """The paper's Table-1 method: ``(normalized, without, with_rule)``.
+
+    1. *normalized* — the bound plan under only the traditional rules
+       (annotated join tree, column pruning): the paper's Section 4
+       starting shape.
+    2. *without* — the normalized plan optimized by every rule except the
+       one under test.
+    3. *with_rule* — the rule under test fired once on the normalized plan
+       (forced, whether or not the cost model would choose it — Table 1
+       shows rules can lose), then the same cleanup as step 2; ``None``
+       when the rule does not apply.
+    """
+    normalized = optimize_with(catalog, bind(catalog, sql), traditional_rules())
+    forced = apply_rule_once(normalized, rule, catalog)
+    cleanup = rules_without(rule.name)
+    without = optimize_with(catalog, normalized, cleanup)
+    if forced is None:
+        return normalized, without, None
+    return normalized, without, optimize_with(catalog, forced, cleanup)
+
+
 def measure_rule_effect(
     catalog: Catalog,
     sql: str,
@@ -246,23 +302,11 @@ def measure_rule_effect(
     options: PlannerOptions | None = None,
     repetitions: int = DEFAULT_REPETITIONS,
 ) -> RuleEffect:
-    """The paper's per-parameter methodology for Table 1.
-
-    1. Normalize the bound plan with only the traditional rules (annotated
-       join tree, column pruning) — the paper's Section 4 starting shape.
-    2. *without* — the normalized plan optimized by every rule except the
-       one under test.
-    3. *with* — the rule under test fired once on the normalized plan
-       (forced, whether or not the cost model would choose it — Table 1
-       shows rules can lose), then the same cleanup as step 2.
-    """
-    normalized = optimize_with(catalog, bind(catalog, sql), traditional_rules())
-    forced = apply_rule_once(normalized, rule, catalog)
-    base_logical = optimize_with(catalog, normalized, rules_without(rule.name))
+    """One Table-1 data point: both :func:`rule_plans` sides, measured."""
+    _, base_logical, treated_logical = rule_plans(catalog, sql, rule)
     without = measure_physical(lower(catalog, base_logical, options), repetitions)
-    if forced is None:
+    if treated_logical is None:
         return RuleEffect(parameter, without, without, fired=False)
-    treated_logical = optimize_with(catalog, forced, rules_without(rule.name))
     with_rule = measure_physical(
         lower(catalog, treated_logical, options), repetitions
     )

@@ -2,15 +2,12 @@
 concurrency, plus the cost of admission control itself.
 
 The :mod:`repro.serve` service puts admission control, snapshot pinning
-and per-query governors in front of every read. This suite measures what
-that buys and what it costs on the paper's Q1 workload:
+and per-query governors in front of every read. This experiment measures
+what that buys and what it costs on the paper's Q1 workload:
 
-* **service overhead** — one client, service path vs calling
-  ``Database.sql`` directly: the price of admission + snapshot per query;
 * **concurrency scaling** — N client threads hammering the service;
   throughput should hold (Python threads serialize CPU, so the point is
-  *no collapse* from lock contention, not speedup) and every result must
-  be correct;
+  *no collapse* from lock contention, not speedup);
 * **overload behavior** — more clients than slots with a tiny queue:
   shed queries fail in microseconds with ``ServiceOverloaded`` instead of
   queueing without bound; the shed rate and the p99 of *admitted* queries
@@ -20,8 +17,6 @@ that buys and what it costs on the paper's Q1 workload:
   workload: the same published views re-requested with new parameters),
   measured with the plan cache on vs off; the p50 gap is the per-query
   bind+optimize cost the cache deletes, reported with the hit rate.
-
-Run:  pytest benchmarks/bench_serve_throughput.py --benchmark-only
 """
 
 from __future__ import annotations
@@ -29,10 +24,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-
-import pytest
+from typing import Callable
 
 from repro.api import Database
+from repro.bench.harness import Measurement, tpch_catalog
 from repro.errors import ServiceOverloaded
 from repro.serve import Service, ServiceConfig
 from repro.workloads.queries import query_by_name
@@ -89,10 +84,6 @@ def _run_clients(
         "throughput": completed / elapsed if elapsed else 0.0,
     }
 
-
-# ----------------------------------------------------------------------
-# Skewed query-shape workload (plan-cache on vs off)
-# ----------------------------------------------------------------------
 
 #: Parameterized shapes for the skew workload: explicit ``$1`` markers
 #: with a value generator, so every arrival is a *different text-level
@@ -160,101 +151,53 @@ def _run_skewed(service: Service, seed: int, ops: int) -> dict[str, float]:
     }
 
 
-# ----------------------------------------------------------------------
-# pytest-benchmark suite
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def service(bench_catalog):
-    with Service(Database(bench_catalog)) as svc:
-        yield svc
-
-
-@pytest.fixture(scope="module")
-def expected_rows(bench_catalog):
-    return len(Database(bench_catalog).sql(query_by_name(QUERY).gapply_sql).rows)
-
-
-def test_direct_database_baseline(benchmark, bench_catalog, expected_rows):
-    db = Database(bench_catalog)
-    sql = query_by_name(QUERY).gapply_sql
-    rows = benchmark(lambda: len(db.sql(sql).rows))
-    assert rows == expected_rows
-
-
-def test_service_single_client(benchmark, service, expected_rows):
-    sql = query_by_name(QUERY).gapply_sql
-    rows = benchmark(lambda: len(service.sql(sql).rows))
-    assert rows == expected_rows
-
-
-@pytest.mark.parametrize("clients", CONCURRENCIES)
-def test_service_concurrent_clients(benchmark, service, clients):
-    sql = query_by_name(QUERY).gapply_sql
-    stats = benchmark.pedantic(
-        _run_clients,
-        args=(service, sql, clients, OPS_PER_CLIENT),
-        rounds=3,
-        iterations=1,
-    )
-    assert stats["completed"] == clients * OPS_PER_CLIENT
-    assert stats["shed"] == 0  # default queue depth absorbs this load
-
-
-@pytest.mark.parametrize("cache", ["on", "off"])
-def test_skewed_shapes(benchmark, bench_catalog, cache):
-    database = (
-        Database(bench_catalog)
-        if cache == "on"
-        else Database(bench_catalog, plan_cache=None)
-    )
-    with Service(database) as svc:
-        stats = benchmark.pedantic(
-            _run_skewed, args=(svc, 0, SKEW_OPS), rounds=3, iterations=1
+def _best_of(
+    repetitions: int, service: Service, run: Callable[[Service], dict[str, float]]
+) -> dict[str, float]:
+    """The fastest of ``repetitions`` runs against ``service``, which is
+    shut down afterwards."""
+    try:
+        return min(
+            (run(service) for _ in range(repetitions)), key=lambda s: s["elapsed"]
         )
-    assert stats["completed"] == SKEW_OPS
+    finally:
+        service.shutdown(drain_timeout=10.0)
 
 
-# ----------------------------------------------------------------------
-# Script mode (CI bench-smoke)
-# ----------------------------------------------------------------------
+def _measurement(best: dict[str, float], rows: int, metrics: dict) -> Measurement:
+    """``work`` is the number of queries that completed."""
+    return Measurement(
+        elapsed=best["elapsed"],
+        work=int(best["completed"]),
+        rows=rows,
+        metrics=metrics,
+    )
 
 
-def _script_cases(scale: float, repetitions: int):
-    from repro.bench.harness import Measurement
-    from repro.storage.catalog import Catalog
-    from repro.workloads.tpch import TpchConfig, load_tpch
+def _client_metrics(stats: dict[str, float]) -> dict:
+    return {
+        "throughput_qps": round(stats["throughput"], 2),
+        "p99_seconds": round(stats["p99"], 6),
+        "shed": int(stats["shed"]),
+    }
 
-    catalog = Catalog()
-    load_tpch(catalog, TpchConfig(scale=scale))
+
+def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
+    catalog = tpch_catalog(scale)
     sql = query_by_name(QUERY).gapply_sql
     rows = len(Database(catalog).sql(sql).rows)
 
-    cases = []
+    named = []
     for clients in CONCURRENCIES:
-        best: dict[str, float] | None = None
-        service = Service(Database(catalog))
-        try:
-            for _ in range(repetitions):
-                stats = _run_clients(service, sql, clients, OPS_PER_CLIENT)
-                if best is None or stats["elapsed"] < best["elapsed"]:
-                    best = stats
-        finally:
-            service.shutdown(drain_timeout=10.0)
-        cases.append(
+        best = _best_of(
+            repetitions,
+            Service(Database(catalog)),
+            lambda service: _run_clients(service, sql, clients, OPS_PER_CLIENT),
+        )
+        named.append(
             (
                 f"{QUERY}-service-c{clients}",
-                Measurement(
-                    elapsed=best["elapsed"],
-                    work=int(best["completed"]),
-                    rows=rows,
-                    metrics={
-                        "throughput_qps": round(best["throughput"], 2),
-                        "p99_seconds": round(best["p99"], 6),
-                        "shed": int(best["shed"]),
-                    },
-                ),
+                _measurement(best, rows, _client_metrics(best)),
             )
         )
 
@@ -265,30 +208,15 @@ def _script_cases(scale: float, repetitions: int):
         Database(catalog),
         config=ServiceConfig(max_concurrency=1, max_queue_depth=1),
     )
-    try:
-        best = None
-        for _ in range(repetitions):
-            stats = _run_clients(overload, sql, 8, OPS_PER_CLIENT)
-            if best is None or stats["elapsed"] < best["elapsed"]:
-                best = stats
-        shed_rate = best["shed"] / (8 * OPS_PER_CLIENT)
-    finally:
-        overload.shutdown(drain_timeout=10.0)
-    cases.append(
-        (
-            f"{QUERY}-service-overload-c8",
-            Measurement(
-                elapsed=best["elapsed"],
-                work=int(best["completed"]),
-                rows=rows,
-                metrics={
-                    "throughput_qps": round(best["throughput"], 2),
-                    "p99_seconds": round(best["p99"], 6),
-                    "shed": int(best["shed"]),
-                    "shed_rate": round(shed_rate, 3),
-                },
-            ),
-        )
+    best = _best_of(
+        repetitions,
+        overload,
+        lambda service: _run_clients(service, sql, 8, OPS_PER_CLIENT),
+    )
+    shed_rate = best["shed"] / (8 * OPS_PER_CLIENT)
+    metrics = {**_client_metrics(best), "shed_rate": round(shed_rate, 3)}
+    named.append(
+        (f"{QUERY}-service-overload-c8", _measurement(best, rows, metrics))
     )
 
     # Skewed-shape workload, plan cache on vs off: the same seeded stream
@@ -298,43 +226,28 @@ def _script_cases(scale: float, repetitions: int):
         database = Database(catalog) if cache_on else Database(
             catalog, plan_cache=None
         )
-        service = Service(database)
-        try:
-            best = None
-            for _ in range(repetitions):
-                stats = _run_skewed(service, seed=0, ops=SKEW_OPS)
-                if best is None or stats["elapsed"] < best["elapsed"]:
-                    best = stats
-            metrics = {
-                "p50_seconds": round(best["p50"], 6),
-                "p99_seconds": round(best["p99"], 6),
-                "shapes": len(SHAPE_WORKLOAD),
-            }
-            if cache_on:
-                cache_stats = database.plan_cache.stats()
-                lookups = cache_stats["hits"] + cache_stats["misses"]
-                metrics["cache_hit_rate"] = round(
-                    cache_stats["hits"] / lookups, 3
-                ) if lookups else 0.0
-                metrics["cache_replans"] = cache_stats["replans"]
-        finally:
-            service.shutdown(drain_timeout=10.0)
+        best = _best_of(
+            repetitions,
+            Service(database),
+            lambda service: _run_skewed(service, seed=0, ops=SKEW_OPS),
+        )
+        metrics = {
+            "p50_seconds": round(best["p50"], 6),
+            "p99_seconds": round(best["p99"], 6),
+            "shapes": len(SHAPE_WORKLOAD),
+        }
+        if cache_on:
+            cache_stats = database.plan_cache.stats()
+            lookups = cache_stats["hits"] + cache_stats["misses"]
+            metrics["cache_hit_rate"] = round(
+                cache_stats["hits"] / lookups, 3
+            ) if lookups else 0.0
+            metrics["cache_replans"] = cache_stats["replans"]
         label = "cache-on" if cache_on else "cache-off"
-        cases.append(
+        named.append(
             (
                 f"skewed-shapes-{label}",
-                Measurement(
-                    elapsed=best["elapsed"],
-                    work=int(best["completed"]),
-                    rows=int(best["completed"]),
-                    metrics=metrics,
-                ),
+                _measurement(best, int(best["completed"]), metrics),
             )
         )
-    return cases
-
-
-if __name__ == "__main__":
-    from smokebench import bench_main
-
-    bench_main("serve_throughput", _script_cases)
+    return named

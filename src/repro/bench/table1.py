@@ -1,8 +1,6 @@
 """Table 1: effect of the transformation rules.
 
-Run as a module to print the table::
-
-    python -m repro.bench.table1 [scale]
+Print the table with ``python -m repro.bench table1_rules``.
 
 For every rule the paper benchmarks, the harness sweeps the corresponding
 parameterized query (:mod:`repro.workloads.rule_queries`), measures each
@@ -12,13 +10,15 @@ three statistics: maximum benefit, average benefit, and average over wins.
 
 from __future__ import annotations
 
-import sys
-
-from repro.bench.harness import RuleSummary, measure_rule_effect
+from repro.bench.harness import (
+    Measurement,
+    RuleSummary,
+    measure_rule_effect,
+    tpch_catalog,
+)
 from repro.optimizer.rules import rule_by_name
 from repro.storage.catalog import Catalog
 from repro.workloads.rule_queries import TABLE1_SWEEPS, RuleSweep
-from repro.workloads.tpch import TpchConfig, load_tpch
 
 #: Table 1 as printed in the paper (max / avg / avg-over-wins).
 PAPER_TABLE1 = {
@@ -56,8 +56,7 @@ def run_sweep(
 def run_table1(
     scale: float = DEFAULT_SCALE, repetitions: int = 3
 ) -> list[RuleSummary]:
-    catalog = Catalog()
-    load_tpch(catalog, TpchConfig(scale=scale))
+    catalog = tpch_catalog(scale)
     return [run_sweep(catalog, sweep, repetitions) for sweep in TABLE1_SWEEPS]
 
 
@@ -88,11 +87,14 @@ def format_summaries(summaries: list[RuleSummary]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> None:
-    argv = sys.argv[1:] if argv is None else argv
-    scale = float(argv[0]) if argv else DEFAULT_SCALE
-    print(format_summaries(run_table1(scale)))
-
-
-if __name__ == "__main__":
-    main()
+def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
+    """E2-E7: run every sweep, print Table 1, and return each rule's most
+    selective instance (the first of its sweep) as a without/with pair."""
+    summaries = run_table1(scale, repetitions)
+    print(format_summaries(summaries), end="\n\n")
+    named = []
+    for summary in summaries:
+        effect = summary.effects[0]
+        named.append((f"{summary.rule_name}/without", effect.without_rule))
+        named.append((f"{summary.rule_name}/with", effect.with_rule))
+    return named

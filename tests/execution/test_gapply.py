@@ -17,8 +17,10 @@ from repro.execution.basic import PFilter, PProject
 from repro.execution.context import ExecutionContext
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION, PGApply
 from repro.execution.scans import PGroupScan
+from repro.optimizer.planner import PlannerOptions
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType, grouping_key
+from repro.workloads.queries import query_by_name
 
 SCHEMA = Schema(
     (
@@ -137,6 +139,18 @@ class TestSemantics:
         plan = PGApply(source(), ["g"], count_pgq(), "grp", SORT_PARTITION)
         keys = [row[0] for row in run_plan(plan)]
         assert keys == [None, 1, 2]  # NULLS FIRST, then ascending
+
+    def test_sort_partitioning_emits_clustered_keys(self, tpch_db):
+        """The same on a paper query through the compiled plan: Q1's output
+        arrives ordered by supplier key, so the tagger needs no partition
+        operator above GApply."""
+        result = tpch_db.sql(
+            query_by_name("Q1").gapply_sql,
+            planner_options=PlannerOptions(gapply_partitioning=SORT_PARTITION),
+        )
+        keys = [row[0] for row in result.rows]
+        assert len(set(keys)) > 1
+        assert keys == sorted(keys)
 
 
 class TestMechanics:

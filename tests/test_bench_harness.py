@@ -13,6 +13,7 @@ from repro.bench.harness import (
     measure_sql,
     rules_without,
     traditional_rules,
+    write_measurements_json,
 )
 from repro.optimizer.rules import DEFAULT_RULES, rule_by_name
 
@@ -38,6 +39,13 @@ class TestMeasurement:
         b = measure_physical(plan, repetitions=2)
         assert a.work == b.work
         assert a.rows == b.rows == 1
+
+    def test_non_finite_numbers_are_not_written(self, tmp_path):
+        """A run that measured nothing has ``elapsed == inf``; that is an
+        error, not an ``Infinity`` token in a file that claims to be JSON."""
+        unmeasured = Measurement(float("inf"), 0, 0)
+        with pytest.raises(ValueError):
+            write_measurements_json(tmp_path / "m.json", [("case", unmeasured)])
 
 
 class TestRuleSets:

@@ -1,8 +1,8 @@
 """Smoke tests for the benchmark runner modules at tiny scale.
 
-These execute the same code paths as ``python -m repro.bench.fig8`` /
-``table1`` / ``client_sim`` but on minimal data with single repetitions,
-verifying the harnesses end to end (not their absolute numbers).
+These execute the same code paths as ``python -m repro.bench fig8_speedup``
+/ ``table1_rules`` but on minimal data with single repetitions, verifying
+the harnesses end to end (not their absolute numbers).
 """
 
 import json
