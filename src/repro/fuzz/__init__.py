@@ -15,7 +15,10 @@ that holds the pair:
 * ``xmlpub`` (:mod:`repro.fuzz.xmlpub`) — streamed vs materialized XML;
 * ``chaos`` / ``serve-stress`` (:mod:`repro.fuzz.chaos`) and
   ``durability`` (:mod:`repro.fuzz.durability`) — fault plans, asserting
-  correct rows or a typed error, and exact prefix recovery.
+  correct rows or a typed error, and exact prefix recovery. The
+  durability contract lives there as one model (``StoreModel``,
+  ``step``, ``reopen_and_check``) that the ``durability`` sweep and the
+  tests' Hypothesis state machine both drive.
 
 :mod:`repro.fuzz.shrink` minimizes failures and :mod:`repro.fuzz.corpus`
 persists them as replayable JSON reproducers.

@@ -1,45 +1,31 @@
-"""The ``durability`` profile: seeded crash points against a durable
-database.
+"""The durability contract as one model, and the seeded ``durability``
+profile that drives it through crash points.
 
 The ``chaos`` profile (:mod:`repro.fuzz.chaos`) asserts "correct rows
-or a typed error" for queries under faults; this module asserts the
+or a typed error" for queries under faults; this module states the
 storage half of the robustness contract — **exact transactional prefix
-durability**. Each seed deterministically derives a workload of catalog
-events — autocommit mutations interleaved with multi-statement
-transaction blocks that commit or roll back — plus checkpoints, an
-fsync policy (including group commit), WAL tuning knobs, archive mode,
-and one crash point from
-:data:`repro.execution.faults.DURABILITY_POINTS`:
+durability** — once: :class:`StoreModel` is the acknowledged state,
+:func:`step` runs one action through the public
+:class:`~repro.api.Database` surface and advances the model by its
+outcome, and :func:`reopen_and_check` holds a recovered store to the
+model. Two drivers share them: the Hypothesis state machine in
+``tests/properties/test_durability_model.py``, one :func:`step` per
+rule, and the seeded profile below.
 
-* kill before the Nth WAL append,
-* a short (torn) write of the Nth WAL frame,
-* an fsync failure at the Nth WAL sync,
-* a kill immediately *after* a group-commit batch fsync (the batch is
-  durable, nothing was acknowledged — the "in doubt" window),
-* a crash during a checkpoint (mid temp write / before the atomic
-  rename / before the superseded-segment deletion),
-* or no fault at all (clean shutdown + reopen).
-
-The workload runs until it finishes or the armed point fires
-(:class:`~repro.execution.faults.SimulatedCrash`, whereupon the store is
-abandoned exactly as a dead process would leave it). Then
-``Database.open`` recovers, and the invariant is checked: the recovered
-catalog equals — tables, rows, schemas, primary keys, index column
-sets, foreign keys, and the version counter itself — a catalog built by
-replaying exactly the *acknowledged committed* events. A transaction
-contributes all of its operations or none; a crash mid-transaction
-contributes none. The one sanctioned ambiguity is the group-commit
-in-doubt window: a crash after the batch fsync but before the ack may
-recover the in-flight event as well — the recovered state must then
-equal acked-plus-exactly-that-event, never anything in between.
-
-On top of the prefix check, cases whose history is complete (archive
-mode, or no checkpoint ever truncated the log) verify **point-in-time
-recovery**: ``Database.open(recover_to=V)`` at a deterministically
-chosen committed boundary must reproduce exactly the committed prefix
-up to V, a version inside a transaction must be refused with the typed
-:class:`~repro.errors.PointInTimeUnavailable`, and so must a version
-beyond the newest committed state.
+Each seed fixes an fsync policy (including group commit), a segment
+size, archive mode, a number of commit points and checkpoints, and one
+crash point from :data:`repro.execution.faults.DURABILITY_POINTS`: a
+kill before the Nth WAL append, a short (torn) write of the Nth WAL
+frame, an fsync failure at the Nth WAL sync, a kill immediately *after*
+a group-commit batch fsync (the batch is durable, nothing was
+acknowledged — the "in doubt" window), a crash during a checkpoint (mid
+temp write / before the atomic rename / before the superseded-segment
+deletion), or no fault at all (clean shutdown + reopen). The workload,
+drawn action by action from the model's current state, runs until it
+finishes or the armed point fires (a
+:class:`~repro.execution.faults.SimulatedCrash`: the store is abandoned
+exactly as a dead process would leave it); then it is reopened and
+checked.
 """
 
 from __future__ import annotations
@@ -49,7 +35,7 @@ import random
 import shutil
 import tempfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Any
 
 from repro.api import Database
@@ -61,14 +47,252 @@ from repro.errors import (
 from repro.execution.faults import (
     FaultPlan,
     SimulatedCrash,
+    active_plan,
     fault_injection,
 )
-from repro.fuzz.chaos import scenario_check
 from repro.fuzz.driver import Failure, Profile
 from repro.storage import DataType
-from repro.storage.wal import FSYNC_GROUP, FSYNC_POLICIES
+from repro.storage.wal import FSYNC_GROUP, FSYNC_NEVER, FSYNC_POLICIES
 
-_COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
+#: The columns of every table the drivers create (no primary key).
+COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
+#: The column sets an index may cover.
+INDEX_COLUMNS = (("k",), ("v",), ("k", "v"))
+
+_NEW_TABLE = {
+    "columns": tuple((name, dtype.value) for name, dtype in COLUMNS),
+    "rows": (),
+    "primary_key": None,
+    "indexes": (),
+}
+
+#: How :func:`step` runs each action on a database.
+_ACTIONS = {
+    "create": lambda db, name: db.create_table(name, COLUMNS, []),
+    "insert": lambda db, name, rows: db.catalog.insert_rows(name, rows),
+    "create_index": lambda db, name, key: db.create_index(name, list(key)),
+    "add_foreign_key": lambda db, child, parent: db.add_foreign_key(
+        child, ["k"], parent, ["k"]
+    ),
+    "drop": lambda db, name: db.catalog.drop(name),
+    "begin": lambda db: db.catalog.begin_transaction(),
+    "commit": lambda db: db.catalog.commit_transaction(),
+    "rollback": lambda db: db.catalog.rollback_transaction(),
+    "checkpoint": lambda db, full: db.checkpoint(full=full),
+}
+
+
+def catalog_fingerprint(db: Database) -> dict[str, Any]:
+    """Everything the exact-prefix invariant compares, as plain data —
+    the shape :class:`StoreModel` keeps its states in."""
+    return {
+        "version": db.catalog.version,
+        "tables": {
+            table.name: {
+                "columns": tuple(
+                    (c.name, c.dtype.value) for c in table.schema
+                ),
+                "rows": tuple(table.rows),
+                "primary_key": table.primary_key,
+                "indexes": tuple(sorted(table.indexes)),
+            }
+            for table in db.catalog
+        },
+        # (child table, child columns, parent table, parent columns)
+        "foreign_keys": tuple(
+            sorted(astuple(fk) for fk in db.catalog.foreign_keys())
+        ),
+    }
+
+
+class StoreModel:
+    """The acknowledged state of one durable store, as plain data.
+
+    A transaction contributes all of its operations or none, and a crash
+    mid-transaction none — not even the versions it consumed. The one
+    sanctioned ambiguity is the group-commit in-doubt window: a crash
+    after the batch fsync but before the ack may recover the in-flight
+    action as well, and the store must then equal exactly that
+    alternative, never anything in between. A state has
+    :func:`catalog_fingerprint`'s shape and is never mutated once built
+    — an action builds the next one — so remembering a state is keeping
+    a reference to it.
+    """
+
+    def __init__(self, archive: bool = False) -> None:
+        #: Archive mode keeps superseded history, so a checkpoint does
+        #: not end what ``recover_to`` can reach.
+        self.archive = archive
+        #: What the open handle shows, an open transaction's work included.
+        self.state = {"version": 0, "tables": {}, "foreign_keys": ()}
+        #: The state the open transaction began from; None outside one.
+        self.fallback: dict[str, Any] | None = None
+        #: Committed states ``recover_to`` must reproduce, by version.
+        self.boundaries: dict[int, dict[str, Any]] = {0: self.state}
+        #: Begin versions of acknowledged transactions — strictly
+        #: inside a bracket, so ``recover_to`` must refuse them.
+        self.interior: list[int] = []
+        #: The in-doubt alternative to :meth:`acknowledged`, if any.
+        self.in_doubt: dict[str, Any] | None = None
+
+    @property
+    def tables(self) -> list[str]:
+        return sorted(self.state["tables"])
+
+    @property
+    def in_transaction(self) -> bool:
+        return self.fallback is not None
+
+    def acknowledged(self) -> dict[str, Any]:
+        """What recovery must return if the process died now."""
+        return self.state if self.fallback is None else self.fallback
+
+    def outcome(self, action: tuple) -> dict[str, Any]:
+        """The state the store shows once ``action`` has succeeded."""
+        kind, *args = action
+        if kind == "checkpoint":
+            return self.state
+        # The data goes back on rollback; the versions consumed do not.
+        base = self.fallback if kind == "rollback" else self.state
+        tables, fks = dict(base["tables"]), base["foreign_keys"]
+        table = tables.get(args[0]) if args else None
+        if kind == "create":
+            tables[args[0]] = _NEW_TABLE
+        elif kind == "insert":
+            tables[args[0]] = {**table, "rows": table["rows"] + tuple(args[1])}
+        elif kind == "create_index":
+            if tuple(args[1]) in table["indexes"]:
+                return self.state  # the existing index: no record
+            indexes = tuple(sorted((*table["indexes"], tuple(args[1]))))
+            tables[args[0]] = {**table, "indexes": indexes}
+        elif kind == "add_foreign_key":
+            fks = tuple(sorted((*fks, (args[0], ("k",), args[1], ("k",)))))
+        elif kind == "drop":
+            # A drop cascades over every FK that names the table.
+            del tables[args[0]]
+            fks = tuple(fk for fk in fks if args[0] not in (fk[0], fk[2]))
+        # Each journaled action, transaction markers included, takes a version.
+        version = self.state["version"] + 1
+        return {"version": version, "tables": tables, "foreign_keys": fks}
+
+    def reopened(self) -> None:
+        """The store was recovered to :meth:`acknowledged`."""
+        self.state, self.fallback = self.acknowledged(), None
+        self.in_doubt = None
+
+
+def step(db: Database, model: StoreModel, action: tuple) -> bool:
+    """Run ``action`` on ``db`` and advance ``model`` by its outcome.
+
+    ``action`` is a kind from :data:`_ACTIONS` and its arguments. Returns
+    True when the store acknowledged it and False when it refused it
+    with a typed :class:`~repro.errors.WalError` (the model then keeps
+    no trace of it). A :class:`SimulatedCrash` propagates to the caller,
+    which abandons the handle.
+    """
+    kind = action[0]
+    try:
+        _ACTIONS[kind](db, *action[1:])
+    except WalError:
+        if kind in ("commit", "rollback"):
+            # A failed terminator ends its transaction: the catalog rolls
+            # back, and so does recovery the unterminated bracket it left.
+            model.state, model.fallback = model.fallback, None
+        return False
+    except SimulatedCrash:
+        plan = active_plan()
+        if plan is not None and plan.group_fsync_kill_at is not None:
+            # Only a commit point waits on a group fsync, and this crash
+            # strikes after it succeeded: the action is durable but was
+            # never acknowledged.
+            model.in_doubt = model.outcome(action)
+        raise
+    after = model.outcome(action)
+    if kind == "begin":
+        model.fallback = model.state
+    elif kind in ("commit", "rollback"):
+        model.interior.append(model.fallback["version"] + 1)
+        model.fallback = None
+    elif kind == "checkpoint" and not model.archive:
+        # The segments below the checkpoint are deleted: only the
+        # checkpointed state itself is still promised.
+        model.boundaries = {}
+    model.state = after
+    if model.fallback is None:
+        model.boundaries[after["version"]] = after
+    return True
+
+
+def reopen_and_check(directory: str, model: StoreModel) -> str | None:
+    """Recover ``directory`` and hold it to ``model``; None when every
+    check held, else what broke.
+
+    The recovered fingerprint must equal the acknowledged state or its
+    in-doubt alternative, a second recovery must see what the first
+    did, neither may leave a ``.tmp`` file, every remembered boundary
+    must be reproduced by ``recover_to``, and the newest interior
+    version and the version beyond the recovered one must be refused
+    with the typed :class:`~repro.errors.PointInTimeUnavailable`.
+    """
+    recovered = []
+    for _ in range(2):
+        try:
+            db = Database.open(directory, archive=model.archive)
+        except WalCorruptionError as error:
+            return f"recovery refused a crash-consistent store: {error}"
+        recovered.append(catalog_fingerprint(db))
+        db.close()
+    leaked = [name for name in os.listdir(directory) if name.endswith(".tmp")]
+    got, again = recovered
+    if got not in (model.acknowledged(), model.in_doubt):
+        return f"recovered state {_diff(model.acknowledged(), got)}"
+    if again != got:
+        return "second recovery diverged from the first"
+    if leaked:
+        return f"leaked temp files after recovery: {leaked}"
+    for version, state in sorted(model.boundaries.items()):
+        try:
+            at = Database.open(directory, recover_to=version)
+        except WalError as error:
+            return f"recover_to={version} refused a boundary: {error}"
+        if catalog_fingerprint(at) != state:
+            detail = _diff(state, catalog_fingerprint(at))
+            return f"recover_to={version} {detail}"
+    for version in [got["version"] + 1, *model.interior[-1:]]:
+        try:
+            Database.open(directory, recover_to=version)
+        except PointInTimeUnavailable:
+            continue
+        return f"recover_to={version} (not a committed boundary) succeeded"
+    return None
+
+
+def _diff(want: dict[str, Any], got: dict[str, Any]) -> str:
+    """Where ``got`` differs from ``want``, for a failure's detail."""
+    parts = [k for k in ("version", "foreign_keys") if want[k] != got[k]]
+    for name in sorted({*want["tables"], *got["tables"]}):
+        mine = want["tables"].get(name, {})
+        theirs = got["tables"].get(name, {})
+        fields = [k for k in _NEW_TABLE if mine.get(k) != theirs.get(k)]
+        if fields:
+            parts.append(f"{name} {'/'.join(fields)}")
+    return "differs from the model in " + ", ".join(parts)
+
+
+def _armed(fault: FaultPlan) -> tuple[str, int]:
+    """The point ``fault`` arms and its index; ``("none", -1)`` if none."""
+    if fault.checkpoint_crash_at is not None:
+        phase = fault.checkpoint_crash_phase
+        return f"checkpoint-{phase}", fault.checkpoint_crash_at
+    for point, index in (
+        ("wal-kill", fault.wal_kill_at),
+        ("wal-short-write", fault.wal_short_write_at),
+        ("wal-fsync-fail", fault.wal_fsync_fail_at),
+        ("group-fsync-kill", fault.group_fsync_kill_at),
+    ):
+        if index is not None:
+            return point, index
+    return "none", -1
 
 
 @dataclass
@@ -78,37 +302,19 @@ class DurabilityCase:
     seed: int
     fsync: str
     fault: FaultPlan
-    op_count: int
-    checkpoint_every: int  # 0 = never checkpoint (counted in events)
+    #: Autocommit actions and transaction blocks to run.
+    commits: int
+    #: Checkpoints to take, spread over the commit points.
+    checkpoints: int
     segment_bytes: int
     archive: bool
 
     @property
     def scenario(self) -> str:
-        fault = self.fault
-        if fault.wal_kill_at is not None:
-            return "wal-kill"
-        if fault.wal_short_write_at is not None:
-            return "wal-short-write"
-        if fault.wal_fsync_fail_at is not None:
-            return "wal-fsync-fail"
-        if fault.group_fsync_kill_at is not None:
-            return "group-fsync-kill"
-        if fault.checkpoint_crash_at is not None:
-            return f"checkpoint-{fault.checkpoint_crash_phase}"
-        return "none"
+        return _armed(self.fault)[0]
 
     def describe(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "scenario": self.scenario,
-            "fsync": self.fsync,
-            "op_count": self.op_count,
-            "checkpoint_every": self.checkpoint_every,
-            "segment_bytes": self.segment_bytes,
-            "archive": self.archive,
-            "fault": self.fault.to_dict(),
-        }
+        return {**asdict(self), "scenario": self.scenario}
 
 
 def build_durability_case(seed: int) -> DurabilityCase:
@@ -118,449 +324,131 @@ def build_durability_case(seed: int) -> DurabilityCase:
     # only on the seed, never on another knob.
     fsync = rng.choice(FSYNC_POLICIES)
     fault = FaultPlan.for_durability(seed, appends=28, checkpoints=3)
-    op_count = rng.randrange(12, 30)
-    checkpoint_every = rng.choice((0, 5, 9))
+    commits = rng.randrange(12, 30)
+    checkpoints = rng.randrange(4)
+    # Tiny segments force rotation mid-workload; large ones keep
+    # everything in one file — both paths must recover.
     segment_bytes = rng.choice((256, 4096, 1 << 20))
     archive = rng.choice((False, True))
-    if fault.group_fsync_kill_at is not None:
-        # The group-fsync crash point only exists under the group
-        # policy; forcing it (after all draws) keeps the scenario from
-        # degenerating into a clean run two times out of three.
+    # Aim the armed point at work the case does: more checkpoints than
+    # a checkpoint index, more commit points than a WAL index (each one
+    # appends a record and, unless fsync is "never", waits on an fsync).
+    point, index = _armed(fault)
+    if point.startswith("checkpoint-"):
+        checkpoints = max(checkpoints, index + 1)
+    else:
+        commits = max(commits, index + 1)
+    if point == "group-fsync-kill":
+        # The group-fsync crash point only exists under the group policy.
         fsync = FSYNC_GROUP
+    if point == "wal-fsync-fail" and fsync == FSYNC_NEVER:
+        # "never" never fsyncs, so its fsync can never fail.
+        fsync = FSYNC_POLICIES[seed % 2]
     return DurabilityCase(
-        seed=seed,
-        fsync=fsync,
-        fault=fault,
-        op_count=op_count,
-        checkpoint_every=checkpoint_every,
-        # Tiny segments force rotation mid-workload; large ones keep
-        # everything in one file — both paths must recover.
-        segment_bytes=segment_bytes,
-        archive=archive,
+        seed, fsync, fault, commits, checkpoints, segment_bytes, archive
     )
 
 
-def _one_op(
-    rng: random.Random, live: list[str], next_id: int
-) -> tuple[tuple, int]:
-    """One mutation that is applicable given the current ``live`` tables
-    (mutates ``live`` in place); returns (op, next_id)."""
+def _draw(rng: random.Random, model: StoreModel, closing: bool) -> tuple:
+    """The next action, applicable in the model's current state;
+    ``closing`` ends an open transaction."""
+    if model.in_transaction and (closing or rng.random() < 0.3):
+        return ("commit",) if rng.random() < 0.7 else ("rollback",)
+    if not model.in_transaction and rng.random() < 0.15:
+        return ("begin",)
+    tables = model.tables
     choices = ["create"]
-    if live:
-        choices += ["insert"] * 6 + ["index", "fk"]
-        if len(live) > 2:
+    if tables:
+        choices += ["insert"] * 6 + ["create_index", "add_foreign_key"]
+        if len(tables) > 2:
             choices.append("drop")
     kind = rng.choice(choices)
     if kind == "create":
-        name = f"t{next_id}"
-        live.append(name)
-        return ("create_table", name), next_id + 1
-    if kind == "insert":
-        table = rng.choice(live)
-        rows = [
-            (rng.randrange(1000), f"v{rng.randrange(100)}")
-            for _ in range(rng.randrange(1, 5))
-        ]
-        return ("insert_rows", table, rows), next_id
-    if kind == "index":
-        table = rng.choice(live)
-        columns = rng.choice((["k"], ["v"], ["k", "v"]))
-        return ("create_index", table, columns), next_id
-    if kind == "fk":
-        child = rng.choice(live)
-        parent = rng.choice(live)
-        return ("add_foreign_key", child, ["k"], parent, ["k"]), next_id
-    table = live.pop(rng.randrange(len(live)))
-    return ("drop_table", table), next_id
+        # Versions never repeat, so neither do the names of new tables.
+        return ("create", f"t{model.state['version']}")
+    table = rng.choice(tables)
+    indexed = model.state["tables"][table]["indexes"]
+    # An existing index journals nothing, so only new ones are drawn.
+    new_indexes = [key for key in INDEX_COLUMNS if key not in indexed]
+    if kind == "create_index" and new_indexes:
+        return ("create_index", table, rng.choice(new_indexes))
+    if kind == "add_foreign_key":
+        return ("add_foreign_key", table, rng.choice(tables))
+    if kind == "drop":
+        return ("drop", table)
+    rows = [
+        (rng.randrange(1000), f"v{rng.randrange(100)}")
+        for _ in range(rng.randrange(1, 5))
+    ]
+    return ("insert", table, rows)
 
 
-def _generate_events(rng: random.Random, count: int) -> list[tuple]:
-    """A deterministic event sequence: ``("op", op)`` autocommit events
-    and ``("txn", [ops], "commit"|"rollback")`` transaction blocks.
-
-    Generation assumes planned outcomes: a rolled-back block restores
-    the live-table list (its effects never happened), a committed block
-    keeps them. Table ids never repeat, so a block that *fails* at run
-    time can only make later events reference missing tables — which the
-    runner skips via its dead-table set — never alias a different one.
-    """
-    events: list[tuple] = []
-    live: list[str] = []
-    next_id = 0
-    budget = count
-    while budget > 0:
-        if rng.random() < 0.35:
-            n_ops = min(budget, rng.randrange(1, 5))
-            outcome = "commit" if rng.random() < 0.7 else "rollback"
-            saved_live = list(live)
-            ops = []
-            for _ in range(n_ops):
-                op, next_id = _one_op(rng, live, next_id)
-                ops.append(op)
-            if outcome == "rollback":
-                live[:] = saved_live
-            events.append(("txn", ops, outcome))
-            budget -= n_ops
+def _drive(case: DurabilityCase, db: Database, model: StoreModel) -> bool:
+    """Run the case's commit points and checkpoints; returns whether a
+    step was refused (only an armed fsync failure refuses anything)."""
+    rng = random.Random(case.seed * 7919 + 17)
+    # Checkpoint k of n falls due after k/(n+1) of the commit points and
+    # waits for an open transaction to end.
+    due = [
+        case.commits * k // (case.checkpoints + 1)
+        for k in range(1, case.checkpoints + 1)
+    ]
+    commits = 0
+    refused = False
+    while commits < case.commits or model.in_transaction or due:
+        if due and commits >= due[0] and not model.in_transaction:
+            due.pop(0)
+            action = ("checkpoint", rng.random() < 0.3)
         else:
-            op, next_id = _one_op(rng, live, next_id)
-            events.append(("op", op))
-            budget -= 1
-    return events
+            action = _draw(rng, model, commits >= case.commits)
+        if not step(db, model, action):
+            refused = True
+            if case.fsync == FSYNC_GROUP:
+                # A failed group fsync strikes after the catalog applied
+                # the action and poisons the log: the handle has moved
+                # past the model and nothing later can be acknowledged.
+                break
+        # Outside a transaction, anything but a checkpoint committed.
+        commits += not (model.in_transaction or action[0] == "checkpoint")
+    return refused
 
 
-def _apply_op(db: Database, op: tuple) -> None:
-    kind = op[0]
-    if kind == "create_table":
-        db.create_table(op[1], _COLUMNS, [])
-    elif kind == "insert_rows":
-        db.catalog.insert_rows(op[1], op[2])
-    elif kind == "create_index":
-        db.catalog.create_index(op[1], op[2])
-    elif kind == "add_foreign_key":
-        db.catalog.add_foreign_key(op[1], op[2], op[3], op[4])
-    elif kind == "drop_table":
-        db.catalog.drop(op[1])
-    else:  # pragma: no cover - generator and applier move together
-        raise AssertionError(f"unknown op {kind!r}")
-
-
-def _op_tables(op: tuple) -> tuple[str, ...]:
-    if op[0] == "add_foreign_key":
-        return (op[1], op[3])
-    return (op[1],)
-
-
-def _references_dead_table(op: tuple, dead: set[str]) -> bool:
-    if not dead or op[0] == "create_table":
-        return False
-    return any(t in dead for t in _op_tables(op))
-
-
-def catalog_fingerprint(db: Database) -> dict[str, Any]:
-    """Everything the exact-prefix invariant compares, as plain data."""
-    return {
-        "version": db.catalog.version,
-        "tables": {
-            table.name: {
-                "columns": [(c.name, c.dtype.value) for c in table.schema],
-                "rows": list(table.rows),
-                "primary_key": table.primary_key,
-                "indexes": sorted(table.indexes),
-            }
-            for table in db.catalog
-        },
-        "foreign_keys": sorted(
-            (
-                fk.child_table,
-                fk.child_columns,
-                fk.parent_table,
-                fk.parent_columns,
-            )
-            for fk in db.catalog.foreign_keys()
-        ),
-    }
-
-
-def _expected_fingerprint(ops: list[tuple], version: int) -> dict[str, Any]:
-    """Fingerprint of replaying ``ops`` with the version pinned.
-
-    The replay database is non-durable (each op bumps the version by
-    exactly 1), but the durable store also consumes versions for
-    transaction begin/commit/abort markers — ``version`` carries the
-    marker-inclusive count the recovered store must report."""
-    expected = Database()
-    for op in ops:
-        _apply_op(expected, op)
-    fingerprint = catalog_fingerprint(expected)
-    fingerprint["version"] = version
-    return fingerprint
-
-
-def run_durability_case(case: DurabilityCase) -> str | None:
-    """Run one case; None when the invariant held, else a detail string."""
+def run_durability_case(case: DurabilityCase) -> tuple[bool, str | None]:
+    """Run one case: whether its armed point fired, and None when the
+    invariant held, else a detail string."""
     directory = tempfile.mkdtemp(prefix="repro-wal-chaos-")
+    model = StoreModel(archive=case.archive)
     try:
-        return _run_in_directory(case, directory)
+        with fault_injection(case.fault):
+            db = Database.open(
+                directory,
+                fsync=case.fsync,
+                segment_bytes=case.segment_bytes,
+                archive=case.archive,
+            )
+            try:
+                fired = _drive(case, db, model)
+            except SimulatedCrash:
+                db.wal.abandon()
+                fired = True
+            else:
+                db.close()
+        return fired, reopen_and_check(directory, model)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-class _Workload:
-    """Mutable run-state of one chaos case: the acked ledger and the
-    bookkeeping that predicts the recovered store."""
-
-    def __init__(self) -> None:
-        #: Operations covered by an acknowledged commit, in order.
-        self.committed: list[tuple] = []
-        #: The version the recovered store must report — committed ops
-        #: plus every acknowledged transaction marker.
-        self.version = 0
-        #: (version, committed-op count) after each acked event — the
-        #: committed-state boundaries PITR must reproduce.
-        self.boundaries: list[tuple[int, int]] = [(0, 0)]
-        #: Tables whose create never took effect; later events that
-        #: reference them are skipped (the generator assumed the create).
-        self.dead: set[str] = set()
-        #: The begin-record version of the first acknowledged
-        #: transaction — a version strictly inside a transaction, which
-        #: PITR must refuse.
-        self.interior_version: int | None = None
-        #: The event in flight when a crash fired *after* its records
-        #: may have become durable (group-commit in-doubt window).
-        self.in_doubt: tuple[list[tuple], int] | None = None
-
-    def ack_event(self, ops: list[tuple], version_delta: int) -> None:
-        self.committed.extend(ops)
-        self.version += version_delta
-        self.boundaries.append((self.version, len(self.committed)))
-
-
-def _run_events(
-    case: DurabilityCase, db: Database, events: list[tuple], w: _Workload
-) -> bool:
-    """Apply the workload; returns True if a SimulatedCrash fired."""
-    for event in events:
-        if event[0] == "op":
-            op = event[1]
-            if _references_dead_table(op, w.dead):
-                continue
-            before = db.catalog.version
-            try:
-                _apply_op(db, op)
-            except SimulatedCrash:
-                if case.fault.group_fsync_kill_at is not None:
-                    # The batch fsync succeeded before the kill: the op
-                    # is durable but was never acknowledged.
-                    w.in_doubt = ([op], 1)
-                return True
-            except WalError:
-                # Typed append/fsync failure: the op was NOT acknowledged
-                # and its frame was rolled back — it must not reappear.
-                if op[0] == "create_table":
-                    w.dead.add(op[1])
-                continue
-            # A duplicate create_index is a catalog no-op: it journals
-            # nothing and consumes no version (and 'succeeds' even on a
-            # poisoned WAL). Count what really happened — the in-memory
-            # before/after delta — not what the generator planned.
-            w.ack_event([op], db.catalog.version - before)
-        else:
-            _, ops, outcome = event
-            try:
-                txn = db.begin()
-            except SimulatedCrash:
-                return True
-            except WalError:
-                # Poisoned/failed WAL: the whole block never started.
-                for op in ops:
-                    if op[0] == "create_table":
-                        w.dead.add(op[1])
-                continue
-            applied: list[tuple] = []
-            consumed = 0  # versions the block's ops actually took
-            try:
-                for op in ops:
-                    if _references_dead_table(op, w.dead):
-                        continue
-                    before = db.catalog.version
-                    try:
-                        _apply_op(db, op)
-                    except WalError:
-                        if op[0] == "create_table":
-                            w.dead.add(op[1])
-                        continue
-                    applied.append(op)
-                    consumed += db.catalog.version - before
-                if outcome == "commit":
-                    txn.commit()
-                else:
-                    txn.rollback()
-            except SimulatedCrash:
-                if case.fault.group_fsync_kill_at is not None:
-                    # group-fsync-kill fires only after a successful
-                    # batch fsync, and inside a transaction only the
-                    # terminator waits on one — so the whole block (or
-                    # for a rollback, its version bumps) is durable but
-                    # unacknowledged.
-                    kept = applied if outcome == "commit" else []
-                    w.in_doubt = (kept, 2 + consumed)
-                return True
-            except WalError:
-                # The terminator failed to append: the catalog rolled
-                # back and the WAL is poisoned — the block contributes
-                # nothing durable, and neither will anything after it.
-                for op in ops:
-                    if op[0] == "create_table":
-                        w.dead.add(op[1])
-                continue
-            if w.interior_version is None:
-                w.interior_version = w.version + 1
-            if outcome == "commit":
-                w.ack_event(applied, 2 + consumed)
-            else:
-                w.ack_event([], 2 + consumed)
-                for op in applied:
-                    if op[0] == "create_table":
-                        w.dead.add(op[1])
-    return False
-
-
-def _run_in_directory(case: DurabilityCase, directory: str) -> str | None:
-    rng = random.Random(case.seed * 7919 + 17)
-    events = _generate_events(rng, case.op_count)
-    w = _Workload()
-    crashed = False
-    with fault_injection(case.fault):
-        db = Database.open(
-            directory,
-            fsync=case.fsync,
-            segment_bytes=case.segment_bytes,
-            archive=case.archive,
-        )
-        checkpoint_clock = 0
-        for start in range(0, len(events)):
-            crashed = _run_events(case, db, events[start:start + 1], w)
-            if crashed:
-                db.wal.abandon()
-                break
-            checkpoint_clock += 1
-            if (
-                case.checkpoint_every
-                and checkpoint_clock % case.checkpoint_every == 0
-            ):
-                try:
-                    db.checkpoint()
-                except SimulatedCrash:
-                    crashed = True
-                    db.wal.abandon()
-                    break
-                except WalError:
-                    pass  # checkpoint failed; the log is still the truth
-        if not crashed:
-            db.close()
-
-    want = _expected_fingerprint(w.committed, w.version)
-    try:
-        recovered = Database.open(directory, archive=case.archive)
-    except WalCorruptionError as error:
-        return f"recovery refused a crash-consistent store: {error}"
-    try:
-        got = catalog_fingerprint(recovered)
-        accepted = want
-        if got != want:
-            if w.in_doubt is not None:
-                ops, delta = w.in_doubt
-                alt = _expected_fingerprint(
-                    w.committed + ops, w.version + delta
-                )
-                if got != alt:
-                    return _diff_detail(
-                        alt, got, len(w.committed), crashed
-                    ) + " (in-doubt variant also mismatched)"
-                accepted = alt
-            else:
-                return _diff_detail(want, got, len(w.committed), crashed)
-        leaked = [
-            name for name in os.listdir(directory) if name.endswith(".tmp")
-        ]
-        if leaked:
-            return f"leaked temp files after recovery: {leaked}"
-    finally:
-        recovered.close()
-    # Recovery must be idempotent: a second open sees the same state.
-    again = Database.open(directory, archive=case.archive)
-    try:
-        if catalog_fingerprint(again) != accepted:
-            return "second recovery diverged from the first"
-    finally:
-        again.close()
-    return _check_pitr(case, directory, w, accepted)
-
-
-def _check_pitr(
-    case: DurabilityCase,
-    directory: str,
-    w: _Workload,
-    accepted: dict[str, Any],
-) -> str | None:
-    """Point-in-time checks against the recovered store.
-
-    Reproduction of an intermediate boundary needs the full history
-    (archive mode, or a log no checkpoint ever truncated); the typed
-    refusals hold for every store.
-    """
-    recovered_version = accepted["version"]
-    try:
-        Database.open(directory, recover_to=recovered_version + 1000)
-        return "recover_to beyond the newest committed version succeeded"
-    except PointInTimeUnavailable:
-        pass
-    if not (case.archive or case.checkpoint_every == 0):
-        return None
-    reachable = [
-        b for b in w.boundaries if b[0] <= recovered_version
-    ]
-    if reachable:
-        pick = random.Random(case.seed * 104729 + 5)
-        version, n_ops = reachable[pick.randrange(len(reachable))]
-        try:
-            at = Database.open(directory, recover_to=version)
-        except WalError as error:
-            return f"recover_to={version} refused a committed boundary: " \
-                f"{error}"
-        got = catalog_fingerprint(at)
-        want = _expected_fingerprint(w.committed[:n_ops], version)
-        if got != want:
-            return (
-                f"recover_to={version} diverged from the committed prefix: "
-                + _diff_detail(want, got, n_ops, crashed=False)
-            )
-    interior = w.interior_version
-    if interior is not None and interior <= recovered_version:
-        try:
-            Database.open(directory, recover_to=interior)
-            return (
-                f"recover_to={interior} (inside a transaction) succeeded"
-            )
-        except PointInTimeUnavailable:
-            pass
-    return None
-
-
-def _diff_detail(
-    want: dict, got: dict, acked: int, crashed: bool
-) -> str:
-    parts = [
-        f"recovered state != acknowledged prefix ({acked} acked ops, "
-        f"crashed={crashed})"
-    ]
-    if want["version"] != got["version"]:
-        parts.append(
-            f"version {got['version']} != expected {want['version']}"
-        )
-    missing = sorted(set(want["tables"]) - set(got["tables"]))
-    phantom = sorted(set(got["tables"]) - set(want["tables"]))
-    if missing:
-        parts.append(f"lost tables {missing}")
-    if phantom:
-        parts.append(f"phantom tables {phantom}")
-    for name in sorted(set(want["tables"]) & set(got["tables"])):
-        if want["tables"][name] != got["tables"][name]:
-            wrows = want["tables"][name]["rows"]
-            grows = got["tables"][name]["rows"]
-            parts.append(
-                f"table {name}: {len(grows)} rows != {len(wrows)} expected"
-            )
-    if want["foreign_keys"] != got["foreign_keys"]:
-        parts.append("foreign keys diverged")
-    return "; ".join(parts)
-
-
 def _check(case: DurabilityCase, tally: Counter) -> Failure | None:
-    # Both mixes land in the summary line, so a change in either draw
-    # shows up in the CI log.
+    # The scenario, fsync and fired mixes land in the summary line, so a
+    # changed draw, or a point that stops firing, shows in the CI log.
+    tally[case.scenario] += 1
     tally[f"fsync:{case.fsync}"] += 1
-    return scenario_check("durability", run_durability_case)(case, tally)
+    fired, detail = run_durability_case(case)
+    if fired:
+        tally[f"fired:{case.scenario}"] += 1
+    if detail is None:
+        return None
+    return Failure(case.seed, "durability", detail, case, config=case.scenario)
 
 
 PROFILE = Profile("durability", build_durability_case, _check)

@@ -22,10 +22,11 @@ tables themselves:
   executed against it can never observe a torn catalog or half-applied
   write, no matter what concurrent writers do;
 * writers use the copy-on-write helpers (:meth:`insert_rows`,
-  :meth:`replace_table`) which validate fully, clone the frozen version,
-  and swap the new version in atomically under the lock. Readers never
-  block on writers and writers never block on readers; writers serialize
-  only against each other.
+  :meth:`create_index`) which validate fully, clone the frozen version,
+  and swap the new version in atomically under the lock; a whole new
+  table version goes in through ``register(table, replace=True)``.
+  Readers never block on writers and writers never block on readers;
+  writers serialize only against each other.
 """
 
 from __future__ import annotations
@@ -410,30 +411,6 @@ class Catalog:
         self._wait_durable(token)
         return len(validated)
 
-    def replace_table(self, table: Table) -> Table:
-        """Swap in a new version of an existing table (schema-compatible
-        replacement built off :meth:`Table.clone`)."""
-        key = table.name.lower()
-        token = None
-        with self._txn_gate:
-            with self.mutation_lock:
-                if key not in self._tables:
-                    raise CatalogError(
-                        f"cannot replace unknown table {table.name!r}"
-                    )
-                if self._wal is not None:
-                    from repro.storage.wal import table_state
-
-                    token = self._log(
-                        "replace_table",
-                        lambda: {"table": table_state(table)},
-                    )
-                self._tables[key] = table
-                self._statistics.pop(key, None)
-                self._version += 1
-        self._wait_durable(token)
-        return table
-
     def create_index(self, table_name: str, columns: Sequence[str]):
         """Create (or return the existing) index on a table's columns.
 
@@ -629,9 +606,6 @@ class CatalogSnapshot(Catalog):
 
     def insert_rows(self, table_name: str, rows) -> int:
         raise self._read_only(f"insert into table {table_name!r}")
-
-    def replace_table(self, table: Table) -> Table:
-        raise self._read_only(f"replace table {table.name!r}")
 
     def create_index(self, table_name: str, columns):
         raise self._read_only(f"create an index on table {table_name!r}")

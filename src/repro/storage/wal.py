@@ -111,7 +111,8 @@ FSYNC_GROUP = "group"
 FSYNC_NEVER = "never"
 FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_GROUP, FSYNC_NEVER)
 
-#: Record kinds that mutate the catalog — one per mutation path.
+#: Record kinds that mutate the catalog — one per mutation path, plus
+#: ``replace_table``, which no path writes any more but older stores hold.
 MUTATION_KINDS = (
     "create_table",
     "drop_table",
@@ -291,7 +292,8 @@ def _apply_record(
             data["table"], [tuple(row) for row in data["rows"]]
         )
     elif kind == "replace_table":
-        catalog.replace_table(build_table(data["table"]))
+        # No longer written; stores that hold one still replay it.
+        catalog.register(build_table(data["table"]), replace=True)
     elif kind == "create_index":
         catalog.create_index(data["table"], data["columns"])
     elif kind == "add_foreign_key":

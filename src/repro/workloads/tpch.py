@@ -250,14 +250,15 @@ def load_tpch(
     # Index the key columns and the selective predicate columns the
     # paper-style workloads probe (the paper's server had clustered and
     # secondary indexes; without them the large Table-1 ratios cannot
-    # materialize on any substrate).
-    catalog.table("part").create_index(["p_partkey"])
-    catalog.table("part").create_index(["p_retailprice"])
-    catalog.table("part").create_index(["p_size"])
-    catalog.table("supplier").create_index(["s_suppkey"])
-    catalog.table("partsupp").create_index(["ps_partkey"])
-    catalog.table("partsupp").create_index(["ps_suppkey"])
-    catalog.table("nation").create_index(["n_nationkey"])
+    # materialize on any substrate). Through the catalog, so a durable
+    # store journals them like the tables and keys above.
+    catalog.create_index("part", ["p_partkey"])
+    catalog.create_index("part", ["p_retailprice"])
+    catalog.create_index("part", ["p_size"])
+    catalog.create_index("supplier", ["s_suppkey"])
+    catalog.create_index("partsupp", ["ps_partkey"])
+    catalog.create_index("partsupp", ["ps_suppkey"])
+    catalog.create_index("nation", ["n_nationkey"])
     if validate:
         catalog.validate_constraints()
     catalog.invalidate_statistics()

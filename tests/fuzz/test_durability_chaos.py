@@ -1,7 +1,8 @@
 """Durability chaos slice: seeded crash points must recover the exact
 acknowledged-commit prefix. The CI job runs a wider sweep through
 ``python -m repro.fuzz --profile durability``; this battery keeps a
-representative slice in tier-1 and pins the harness determinism."""
+representative slice in tier-1, pins the harness determinism, and checks
+that every armed crash point really fires."""
 
 from __future__ import annotations
 
@@ -21,6 +22,16 @@ def test_sweep_covers_every_crash_point():
     assert scenarios == set(DURABILITY_POINTS)
 
 
+def test_armed_points_fire():
+    # A case whose crash point is never reached only tests a clean run:
+    # each point must fire in at least 90 % of the cases that arm it.
+    report = sweep(PROFILES["durability"], seed=0, n=120)
+    assert report.ok, report.summary()
+    for point in DURABILITY_POINTS[1:]:
+        armed, fired = report.tally[point], report.tally[f"fired:{point}"]
+        assert armed and fired >= 0.9 * armed, (point, fired, armed)
+
+
 def test_case_building_is_deterministic():
     a, b = build_durability_case(17), build_durability_case(17)
     assert a == b
@@ -29,7 +40,7 @@ def test_case_building_is_deterministic():
 
 def test_failing_detail_replays_identically():
     # Not a failure — but the per-case runner itself must be replayable:
-    # the same case gives the same verdict twice.
+    # the same case fires the same way and gives the same verdict twice.
     for seed in (3, 11, 29):
         case = build_durability_case(seed)
         assert run_durability_case(case) == run_durability_case(case)
@@ -46,4 +57,3 @@ def test_for_durability_plans_are_process_stable():
         if p != FaultPlan(seed=p.seed)
     ]
     assert armed  # the menu really arms crash points over a small range
-

@@ -124,15 +124,15 @@ class TestCatalogSnapshot:
     def test_replace_table_swaps_a_version(self):
         catalog = ledger_catalog()
         version = catalog.version
+        snap = catalog.snapshot()
         replacement = catalog.table("ledger").clone()
         replacement.insert((3, 0))
-        catalog.replace_table(replacement)
+        catalog.register(replacement, replace=True)
         assert catalog.table("ledger") is replacement
         assert catalog.version == version + 1
-        with pytest.raises(CatalogError, match="unknown table"):
-            catalog.replace_table(
-                table_from_rows("ghost", [("a", DataType.INTEGER)], [])
-            )
+        assert len(snap.table("ledger").rows) == 2  # the pinned version
+        with pytest.raises(CatalogError, match="already exists"):
+            catalog.register(catalog.table("ledger").clone())
 
     def test_mutations_bump_version(self):
         catalog = ledger_catalog()

@@ -21,7 +21,9 @@ from repro.storage.wal import (
     FSYNC_POLICIES,
     WriteAheadLog,
     recover,
+    table_state,
 )
+from repro.workloads.tpch import TpchConfig, load_tpch
 
 COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
 
@@ -75,6 +77,37 @@ class TestRoundTrip:
         assert again.catalog.has_table("t")
         assert not again.catalog.has_table("gone")
         again.close()
+
+    def test_replace_table_records_still_replay(self, tmp_path):
+        # No path writes replace_table any more; a store that holds one
+        # recovers it as a whole-table swap.
+        db = durable_db(tmp_path)
+        db.create_table("t", COLUMNS, [(1, "a")])
+        swapped = db.table("t").clone()
+        swapped.insert((2, "b"))
+        db.wal.append(2, "replace_table", {"table": table_state(swapped)})
+        db.close()
+        again = durable_db(tmp_path)
+        assert again.table("t").rows == [(1, "a"), (2, "b")]
+        assert again.catalog.version == 2
+        again.close()
+
+    def test_reopened_tpch_store_keeps_its_indexes(self, tmp_path):
+        # Recovered from the log alone, the TPC-H store must plan the
+        # same index seeks the live one did.
+        query = "select p_name from part where p_partkey = 3"
+
+        def shape(db):
+            indexes = {t.name: sorted(t.indexes) for t in db.catalog}
+            plan = str(db.sql(query, explain=True))
+            return db.catalog.version, indexes, plan
+
+        db = durable_db(tmp_path, fsync=FSYNC_NEVER)
+        load_tpch(db.catalog, TpchConfig(scale=0.01))
+        live = shape(db)
+        db.close()
+        assert "IndexSeek(part.p_partkey" in live[2]
+        assert shape(durable_db(tmp_path)) == live
 
     def test_fresh_directory_is_created(self, tmp_path):
         target = tmp_path / "nested" / "store"
