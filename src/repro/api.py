@@ -196,9 +196,6 @@ class _Planned:
     report: OptimizationReport | None = None
     #: Plan-cache outcome (``QueryResult.plan_cache``); None on a bypass.
     cache_info: dict[str, Any] | None = None
-    #: The serving cache entry and its parameter vector, for drain feedback.
-    entry: CachedPlan | None = None
-    values: tuple[Any, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -633,7 +630,9 @@ class Database:
         source = "hit"
         if entry is None:
             source = "miss"
-            entry = cache.store(self._cache_entry(key, param_query, options))
+            # The optimizer estimates with the seeds of ``param_query``.
+            template, report = self._planned(param_query, options)
+            entry = cache.store(CachedPlan(key, template, report))
         logical = substitute_parameters(entry.template, values)
         info = {"source": source, "params": len(values), "key": key.digest[:12]}
         return _Planned(
@@ -643,15 +642,13 @@ class Database:
             # but ``best`` is the substituted plan, not the marker template.
             report=replace(entry.report, best=logical),
             cache_info=info,
-            entry=entry,
-            values=values,
         )
 
     def _planned(
         self, query: AstQuery, options: _RunOptions
     ) -> tuple[LogicalOperator, OptimizationReport | None]:
-        """The one bind for execution: cache misses, re-plans and
-        uncached runs all turn their AST into a plan here."""
+        """The one bind for execution: cache misses and uncached runs
+        both turn their AST into a plan here."""
         return self._optimized(Binder(self.catalog).bind(query), options)
 
     def _optimized(
@@ -664,26 +661,6 @@ class Database:
         report = self._optimizer(options.planner_options).optimize(logical)
         return report.best, report
 
-    def _cache_entry(
-        self, key: PlanKey, statement: AstQuery, options: _RunOptions
-    ) -> CachedPlan:
-        """Plan a parameterized statement (its seeds are the values the
-        optimizer estimates with) into the cache entry for ``key``."""
-        template, report = self._planned(statement, options)
-        return CachedPlan(
-            key=key,
-            statement=statement,
-            template=template,
-            report=report,
-            param_count=len(key.type_tags),
-            est_rows=report.best_estimate.rows,
-            # Seed from the shape's remembered backoff (if it ever
-            # re-planned), not the default: catalog mutations rebuild
-            # entries under a new version, and resetting the threshold
-            # would re-pay the re-plan probe after every write.
-            qerror_threshold=self.plan_cache.seed_threshold(key),
-        )
-
     def _rows(self, run: _Run) -> Iterator[list[tuple]]:
         """The governed root loop under every run: the result, one root
         batch of rows at a time.
@@ -693,12 +670,10 @@ class Database:
         handed on before the typed error — and makes sure every engine
         error leaves carrying its SQL. The finally clause closes the
         operator tree even when the consumer abandons the stream
-        mid-flight (GeneratorExit travels through ``yield``); only a run
-        that *drains* reaches :meth:`_drained`.
+        mid-flight (GeneratorExit travels through ``yield``).
         """
         governor = run.options.governor
         source = run.compiled.root.batches(run.context)
-        produced = 0
         try:
             for batch in source:
                 rows = batch.rows()
@@ -710,34 +685,11 @@ class Database:
                         if over < len(rows):
                             yield rows[: len(rows) - over]
                         raise
-                produced += len(rows)
                 yield rows
         except ReproError as error:
             raise error.add_context(sql=run.sql_text)
         finally:
             source.close()
-        self._drained(run, produced)
-
-    def _drained(self, run: _Run, produced: int) -> None:
-        """Report a drained run's root cardinality to the plan cache; a
-        drift past the entry's q-error threshold re-optimizes the entry
-        with this run's parameters as seeds."""
-        planned, cache = run.planned, self.plan_cache
-        entry = planned.entry
-        if entry is None or not cache.record_execution(entry, produced):
-            return
-        # Best-effort: the run that exposed the drift already produced
-        # correct rows, so a failing re-plan is counted and swallowed.
-        try:
-            fresh = self._cache_entry(
-                entry.key, seed_parameters(entry.statement, planned.values),
-                run.options,
-            )
-        except ReproError:
-            cache.counters.inc("replan_failures")
-            return
-        cache.replace(entry, fresh)
-        planned.cache_info["replanned"] = True
 
     def _materialize(self, run: _Run) -> QueryResult | Explanation:
         """The materializing tail: drain the run into a result object."""

@@ -242,7 +242,6 @@ def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
             metrics["cache_hit_rate"] = round(
                 cache_stats["hits"] / lookups, 3
             ) if lookups else 0.0
-            metrics["cache_replans"] = cache_stats["replans"]
         label = "cache-on" if cache_on else "cache-off"
         named.append(
             (

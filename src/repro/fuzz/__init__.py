@@ -10,8 +10,9 @@ that holds the pair:
   a SQLite mirror (:mod:`repro.fuzz.oracle`, also home of the row-iterator
   reference ``reference_rows``) and to every planner configuration of the
   profile (:mod:`repro.fuzz.planspace`);
-* ``plancache`` (:mod:`repro.fuzz.plancache`) — the same cases cold, hot
-  and re-parameterized through the plan cache;
+* ``plancache`` (:mod:`repro.fuzz.plancache`) — the plan-cache contract
+  as one model (``CacheModel``, ``step``), driven over the same cases by
+  this sweep and by the tests' Hypothesis state machine;
 * ``xmlpub`` (:mod:`repro.fuzz.xmlpub`) — streamed vs materialized XML;
 * ``chaos`` / ``serve-stress`` (:mod:`repro.fuzz.chaos`) and
   ``durability`` (:mod:`repro.fuzz.durability`) — fault plans, asserting

@@ -31,8 +31,8 @@ def main(argv: list[str] | None = None) -> int:
         help="what each seed generates and checks (default full): "
         "'quick'/'full' hold random queries to the SQLite oracle and every "
         "planner configuration; 'engine' to the compiled plan across batch "
-        "sizes, plan shapes and memory budgets; 'plancache' runs them cold, "
-        "hot and re-parameterized against an uncached twin; 'xmlpub' is the "
+        "sizes, plan shapes and memory budgets; 'plancache' drives the plan "
+        "cache's model over them against an uncached twin; 'xmlpub' is the "
         "streamed-vs-materialized publishing differential; 'chaos' injects "
         "spill faults and adversarial budgets (correct rows or a typed "
         "error); 'durability' crashes a WAL-backed store at seeded points "

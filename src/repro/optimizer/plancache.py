@@ -1,4 +1,4 @@
-"""Bounded, thread-safe plan cache with adaptive re-optimization.
+"""Bounded, thread-safe plan cache.
 
 The serve layer's workload is the paper's workload at production scale:
 the same parameterized publishing-query shapes (Fig-8 formulations,
@@ -16,8 +16,9 @@ Key design points:
   optimization. Two textually different queries with the same shape share
   an entry; a catalog mutation (DDL, inserts — anything that bumps
   ``Catalog.version``) makes every old key unreachable, so a stale plan
-  can never be looked up. Unreachable entries are swept out eagerly on
-  the next store.
+  can never be looked up. Entries older than the one being stored are
+  swept out eagerly; a store from an older snapshot leaves newer entries
+  alone.
 
 * **Cached artifact = optimized logical template.** Entries store the
   optimizer's chosen plan with :class:`~repro.algebra.expressions.\
@@ -31,15 +32,13 @@ Key design points:
   would get — cached and cold runs produce identical plans, rows,
   counters, and metrics.
 
-* **Runtime feedback.** Each entry keeps the optimizer's root-row
-  estimate (computed against the creation-time seed values) and compares
-  it with the actual root cardinality of every execution using the
-  q-error from the cardinality ratchet
-  (``tests/observe/test_cardinality_qerror.py``). When the q-error
-  drifts past the entry's threshold the owner re-optimizes the template
-  with the *current* parameters as seeds and swaps the entry in place.
-  The per-entry threshold doubles after each re-plan so an entry whose
-  estimates are simply poor cannot thrash the optimizer.
+* **No runtime re-planning.** An entry serves the plan its shape's first
+  arrival chose until the catalog version moves on or the LRU evicts it;
+  the paper's optimizer is a compile-time search, and nothing measured
+  showed re-optimizing on a drifting cardinality changing a plan
+  (DESIGN.md §13.3). The contract — a cached run is the uncached run,
+  and hits + misses = runs — is stated once as an executable model in
+  :mod:`repro.fuzz.plancache`.
 """
 
 from __future__ import annotations
@@ -66,24 +65,9 @@ from repro.observe.metrics import LockedCounters
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.engine import OptimizationReport
     from repro.optimizer.planner import PlannerOptions
-    from repro.sql.ast import AstQuery
 
-#: Re-plan when max(est/actual, actual/est) (smoothed +1) exceeds this.
-DEFAULT_QERROR_THRESHOLD = 4.0
 #: Default number of cached templates per Database.
 DEFAULT_CAPACITY = 256
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """Symmetric relative cardinality error, smoothed against zeros.
-
-    Same formula as the cardinality ratchet in
-    ``tests/observe/test_cardinality_qerror.py``: 1.0 is perfect, k means
-    off by a factor of k in either direction.
-    """
-    return max(
-        (estimated + 1.0) / (actual + 1.0), (actual + 1.0) / (estimated + 1.0)
-    )
 
 
 @dataclass(frozen=True)
@@ -118,92 +102,35 @@ def options_tag(options: "PlannerOptions | None") -> str:
 
 @dataclass
 class CachedPlan:
-    """One cache entry: the template plan plus runtime feedback state.
+    """One cache entry: the template plan and how often it was served.
 
-    Mutable feedback fields are only touched by :class:`PlanCache`
-    methods under the cache lock; readers take immutable references
-    (``template``, ``report``) and never see a half-written entry.
+    ``hits`` is only touched by :class:`PlanCache` under the cache lock;
+    readers take immutable references (``template``, ``report``) and
+    never see a half-written entry.
     """
 
     key: PlanKey
-    #: Parameterized statement AST (seeds = creation-time values); kept so
-    #: re-optimization can re-seed and re-bind without re-parsing.
-    statement: "AstQuery"
     #: Optimized logical plan containing BindParameter markers.
     template: LogicalOperator
     report: "OptimizationReport"
-    param_count: int
-    #: Optimizer's root row estimate under the creation-time seeds.
-    est_rows: float
-    #: Current re-plan threshold; doubles after each re-plan (backoff).
-    qerror_threshold: float
-    executions: int = 0
     hits: int = 0
-    replans: int = 0
-    max_q_error: float = 1.0
-    last_q_error: float = 1.0
-    last_actual_rows: int | None = None
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "key": self.key.digest[:12],
-            "params": self.param_count,
-            "catalog_version": self.key.catalog_version,
-            "est_rows": self.est_rows,
-            "executions": self.executions,
-            "hits": self.hits,
-            "replans": self.replans,
-            "max_q_error": self.max_q_error,
-            "last_q_error": self.last_q_error,
-            "last_actual_rows": self.last_actual_rows,
-            "qerror_threshold": self.qerror_threshold,
-        }
 
 
 class PlanCache:
     """Bounded LRU of :class:`CachedPlan`, safe for concurrent use.
 
-    One lock guards the LRU order, the entries, and per-entry feedback
-    state; counters live in a :class:`LockedCounters` so
-    ``Service.stats()`` can snapshot them without taking the cache lock.
+    One lock guards the LRU order, the entries, and their hit counts;
+    counters live in a :class:`LockedCounters` so ``Service.stats()`` can
+    snapshot them without taking the cache lock.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        qerror_threshold: float = DEFAULT_QERROR_THRESHOLD,
-    ):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise PlanError(f"plan cache capacity must be >= 1, got {capacity}")
-        if qerror_threshold < 1.0:
-            raise PlanError(
-                "q-error threshold must be >= 1.0 (1.0 is a perfect "
-                f"estimate), got {qerror_threshold}"
-            )
         self.capacity = capacity
-        self.qerror_threshold = qerror_threshold
         self.counters = LockedCounters()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[PlanKey, CachedPlan]" = OrderedDict()
-        #: Backed-off re-plan thresholds by *version-independent* plan
-        #: shape, surviving the version-keyed entry invalidation that
-        #: every catalog mutation causes. Without it a write-heavy
-        #: workload with chronically bad estimates re-pays the re-plan
-        #: probe (threshold reset to the default) after every mutation
-        #: (DESIGN.md §13.4). Bounded like the entry LRU.
-        self._shape_thresholds: "OrderedDict[tuple, float]" = OrderedDict()
-
-    @staticmethod
-    def _shape_key(key: PlanKey) -> tuple:
-        return (key.digest, key.type_tags, key.options_tag)
-
-    def seed_threshold(self, key: PlanKey) -> float:
-        """The q-error threshold a fresh entry for ``key`` should start
-        at: the shape's last backed-off threshold if this plan shape ever
-        re-planned (under any catalog version), else the default."""
-        with self._lock:
-            remembered = self._shape_thresholds.get(self._shape_key(key))
-        return self.qerror_threshold if remembered is None else remembered
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -225,7 +152,7 @@ class PlanCache:
 
         Two threads can race a cold miss on the same key — both optimize,
         the first to publish wins, and the loser adopts the winner's entry
-        so feedback accounting stays on one object.
+        so hit accounting stays on one object.
         """
         with self._lock:
             current = self._entries.get(entry.key)
@@ -248,27 +175,19 @@ class PlanCache:
     # Invalidation
     # ------------------------------------------------------------------
 
-    def _sweep_stale_locked(self, current_version: int) -> None:
+    def _sweep_stale_locked(self, storing_version: int) -> None:
+        """Drop the entries planned against a catalog version older than
+        the entry being stored. A miss on an old snapshot stores an entry
+        older than the current ones, and must not sweep them."""
         stale = [
             key
             for key in self._entries
-            if key.catalog_version != current_version
+            if key.catalog_version < storing_version
         ]
         for key in stale:
             del self._entries[key]
         if stale:
             self.counters.add_many(invalidations=len(stale))
-
-    def invalidate_stale(self, current_version: int) -> int:
-        """Drop entries planned against any other catalog version.
-
-        Version-keyed lookups already make them unreachable; this frees
-        the memory eagerly. Returns the number of entries dropped.
-        """
-        with self._lock:
-            before = len(self._entries)
-            self._sweep_stale_locked(current_version)
-            return before - len(self._entries)
 
     def clear(self) -> int:
         with self._lock:
@@ -276,51 +195,7 @@ class PlanCache:
             if dropped:
                 self.counters.add_many(invalidations=dropped)
             self._entries.clear()
-            self._shape_thresholds.clear()
             return dropped
-
-    # ------------------------------------------------------------------
-    # Runtime feedback
-    # ------------------------------------------------------------------
-
-    def record_execution(self, entry: CachedPlan, actual_rows: int) -> bool:
-        """Fold one execution's actual root cardinality into the entry.
-
-        Returns True when the q-error against the entry's planning-time
-        estimate has drifted past the entry's threshold — the caller
-        should re-optimize with the current parameters and call
-        :meth:`replace`.
-        """
-        error = q_error(entry.est_rows, actual_rows)
-        with self._lock:
-            entry.executions += 1
-            entry.last_actual_rows = actual_rows
-            entry.last_q_error = error
-            entry.max_q_error = max(entry.max_q_error, error)
-            return error > entry.qerror_threshold
-
-    def replace(self, old: CachedPlan, new: CachedPlan) -> CachedPlan:
-        """Swap a re-optimized entry in, preserving accounting history.
-
-        The replacement inherits the old entry's execution/hit counts and
-        doubles its q-error threshold so chronically bad estimates back
-        off instead of re-planning on every execution.
-        """
-        with self._lock:
-            new.executions = old.executions
-            new.hits = old.hits
-            new.replans = old.replans + 1
-            new.qerror_threshold = old.qerror_threshold * 2.0
-            shape = self._shape_key(old.key)
-            self._shape_thresholds[shape] = new.qerror_threshold
-            self._shape_thresholds.move_to_end(shape)
-            while len(self._shape_thresholds) > 4 * self.capacity:
-                self._shape_thresholds.popitem(last=False)
-            if self._entries.get(old.key) is old:
-                self._entries[old.key] = new
-                self._entries.move_to_end(old.key)
-            self.counters.inc("replans")
-            return new
 
     # ------------------------------------------------------------------
     # Introspection
@@ -336,6 +211,8 @@ class PlanCache:
 
     def stats(self) -> dict[str, Any]:
         data = self.counters.snapshot()
+        # Nothing re-plans any more, so ``replans`` always reads 0; it stays
+        # because the timing spine's workloads read it.
         for name in ("hits", "misses", "evictions", "invalidations",
                      "replans", "bypass"):
             data.setdefault(name, 0)

@@ -99,8 +99,9 @@ def seed_parameters(
 ) -> "A.AstQuery | A.AstExplain":
     """Re-seed every marker's planning value without removing the marker.
 
-    Used by adaptive re-optimization: the template is re-planned as if
-    the *current* parameter vector were the original literals.
+    Used for explicit ``$N`` markers: a cache miss plans the template as
+    if the bound parameter vector were the query's literals, so it gets
+    the plan the literal query would.
     """
 
     def visit(node: A.AstExpression) -> A.AstExpression:

@@ -8,11 +8,13 @@ Invariants:
   every result must be explainable by some committed table state, and a
   single client's successive reads must never go backwards in time.
 * **No torn publication** — N threads racing the same cold shape all get
-  correct rows, converge on one entry, and the entry's feedback
-  accounting covers every execution.
+  correct rows, converge on one entry, and the entry's hits plus the
+  misses cover every execution.
 * **Exact hit/miss accounting** — ``LockedCounters`` under the single
   cache lock mean hits + misses equals exactly the number of
   cache-eligible executions, even under races.
+
+Serial runs are the model's (:mod:`repro.fuzz.plancache`), threads are not.
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ class TestStormWithWriter:
         assert cache_stats["bypass"] == 0
         assert cache_stats["hits"] > 0
 
-        # After the dust settles, nothing planned against an old catalog
-        # version remains reachable.
-        cache = service.database.plan_cache
-        current = service.database.catalog.version
-        cache.invalidate_stale(current)
-        for entry in cache.entries():
-            assert entry.key.catalog_version == current
-
 
 class TestColdRace:
     """N threads race the very first arrival of one shape."""
@@ -184,32 +178,13 @@ class TestColdRace:
         assert all(rows == expected for rows in row_sets)
 
         # One winner, everyone adopted it: a single fully-built entry
-        # whose feedback saw every execution.
+        # that every execution either missed or hit.
         assert len(db.plan_cache) == 1
         entry = db.plan_cache.entries()[0]
         assert entry.template is not None
         assert entry.report is not None
-        assert entry.executions == threads_n
         stats = db.plan_cache.stats()
+        assert entry.hits + stats["misses"] == threads_n
         assert stats["hits"] + stats["misses"] == threads_n
         assert stats["misses"] >= 1
 
-
-class TestSerialAccounting:
-    """Deterministic baseline: exact counts with no concurrency."""
-
-    def test_hits_misses_size(self):
-        db = build_database()
-        shapes = [
-            "select count(*) from events",
-            "select id from events where v < 5.0",
-            "select grp, count(*) from events group by grp",
-        ]
-        repetitions = 4
-        for _ in range(repetitions):
-            for sql in shapes:
-                db.sql(sql)
-        stats = db.plan_cache.stats()
-        assert stats["misses"] == len(shapes)
-        assert stats["hits"] == len(shapes) * (repetitions - 1)
-        assert stats["size"] == len(shapes)

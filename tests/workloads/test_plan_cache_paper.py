@@ -15,26 +15,15 @@ import pytest
 from repro.api import Database
 from repro.execution.context import ExecutionContext
 from repro.fuzz.oracle import reference_rows
+from repro.observe.__main__ import formulations
 from repro.observe.metrics import MetricsRegistry
-from repro.workloads.queries import PAPER_QUERIES
 
 #: How the lowered plan is run: ``vector`` is ``Database.sql`` (the
 #: compiled batch nodes), ``volcano`` the row-iterator reference over the
 #: same lowering — the cache sits in front of both.
 PATHS = ("volcano", "vector")
 
-
-def formulations():
-    out = []
-    for query in PAPER_QUERIES:
-        out.append((f"{query.name}-gapply", query.gapply_sql))
-        out.append((f"{query.name}-baseline", query.baseline_sql))
-        if query.naive_sql is not None:
-            out.append((f"{query.name}-naive", query.naive_sql))
-    return out
-
-
-FORMULATIONS = formulations()
+FORMULATIONS = formulations(None)
 
 
 def run(db: Database, sql: str, path: str):
@@ -58,12 +47,9 @@ def test_cached_execution_is_invisible(tpch_catalog, label, sql, path):
     plain_db = Database(tpch_catalog, plan_cache=None)
 
     reference = run(plain_db, sql, path)
+    # That the first run misses and the second hits is the model's check.
     cold = run(cached_db, sql, path)
-    stats = cached_db.plan_cache.stats()
-    assert (stats["misses"], stats["hits"]) == (1, 0)
     hot = run(cached_db, sql, path)
-    stats = cached_db.plan_cache.stats()
-    assert (stats["misses"], stats["hits"]) == (1, 1)
 
     for kind, outcome in (("cold", cold), ("hot", hot)):
         for what, got, expected in zip(
