@@ -316,14 +316,13 @@ class Database:
         segment_bytes: int = walmod.DEFAULT_SEGMENT_BYTES,
         group_commit_delay: float = walmod.DEFAULT_GROUP_COMMIT_DELAY,
         archive: bool = False,
-        full_checkpoint_every: int = walmod.DEFAULT_FULL_CHECKPOINT_EVERY,
         recover_to: int | None = None,
         plan_cache: "PlanCache | None" = _DEFAULT_CACHE,
     ) -> "Database":
         """Open (or create) a durable database rooted at directory ``path``.
 
-        Recovery first: load the newest valid checkpoint chain, replay
-        the write-ahead log on top of it (truncating a torn tail on the
+        Recovery first: load the newest valid checkpoint, replay the
+        write-ahead log on top of it (truncating a torn tail on the
         newest segment and rolling back an unterminated tail
         transaction; raising :class:`~repro.errors.WalCorruptionError`
         on mid-log damage), then attach a writer so every subsequent
@@ -332,10 +331,8 @@ class Database:
         (:data:`repro.storage.wal.FSYNC_POLICIES`);
         ``group_commit_delay`` caps how long a group-commit leader waits
         for followers. ``archive=True`` moves superseded segments and
-        checkpoints into ``<path>/archive/`` instead of deleting them,
-        which is what makes point-in-time recovery reach past the last
-        checkpoint; ``full_checkpoint_every=N`` allows up to N-1
-        incremental checkpoint deltas between full images.
+        checkpoints into ``<path>/archive/`` instead of deleting them:
+        point-in-time recovery then reaches past the last checkpoint.
 
         ``recover_to=version`` is **point-in-time recovery**: return a
         read-only database pinned at exactly that committed version,
@@ -354,7 +351,6 @@ class Database:
             segment_bytes=segment_bytes,
             group_commit_delay=group_commit_delay,
             archive=archive,
-            full_checkpoint_every=full_checkpoint_every,
         )
         log.recoveries = 1
         log.replayed_records = replayed
@@ -376,11 +372,10 @@ class Database:
         self.catalog.begin_transaction()
         return Transaction(self)
 
-    def checkpoint(self, full: bool = False) -> None:
-        """Serialize the current catalog into a durable checkpoint and
-        truncate (or archive) the WAL segments it supersedes. Writes an
-        incremental delta when possible unless ``full=True``. No-op
-        without a WAL; refused inside an open transaction (the
+    def checkpoint(self) -> None:
+        """Write one durable full image of the current catalog and
+        retire (delete or archive) every older checkpoint and segment.
+        No-op without a WAL; refused inside an open transaction (the
         checkpoint would capture the pre-transaction snapshot while
         claiming the in-transaction version)."""
         if self.wal is None:
@@ -392,7 +387,7 @@ class Database:
                     "commit or roll back first"
                 )
             state = walmod.catalog_state(self.catalog.snapshot())
-            self.wal.write_checkpoint(state, full=full)
+            self.wal.write_checkpoint(state)
 
     def close(self) -> None:
         """Flush and close the WAL (if any). The database object stays

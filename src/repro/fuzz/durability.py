@@ -78,7 +78,7 @@ _ACTIONS = {
     "begin": lambda db: db.catalog.begin_transaction(),
     "commit": lambda db: db.catalog.commit_transaction(),
     "rollback": lambda db: db.catalog.rollback_transaction(),
-    "checkpoint": lambda db, full: db.checkpoint(full=full),
+    "checkpoint": lambda db: db.checkpoint(),
 }
 
 
@@ -398,7 +398,7 @@ def _drive(case: DurabilityCase, db: Database, model: StoreModel) -> bool:
     while commits < case.commits or model.in_transaction or due:
         if due and commits >= due[0] and not model.in_transaction:
             due.pop(0)
-            action = ("checkpoint", rng.random() < 0.3)
+            action = ("checkpoint",)
         else:
             action = _draw(rng, model, commits >= case.commits)
         if not step(db, model, action):

@@ -60,13 +60,17 @@ class Table:
     # ------------------------------------------------------------------
 
     def create_index(self, columns: Sequence[str]):
-        """Create (or return the existing) index on the given columns."""
+        """Create (or return the existing) index on the given columns.
+
+        A new index on a frozen table raises :class:`ConstraintError`
+        like any other in-place mutation."""
         from repro.storage.index import TableIndex
 
         key = tuple(self.schema.column(c).name for c in columns)
         existing = self.indexes.get(key)
         if existing is not None:
             return existing
+        self._check_writable()
         index = TableIndex(self, key)
         self.indexes[key] = index
         return index

@@ -17,15 +17,13 @@ discipline:
   catalog is always a strict prefix of acknowledged *transactions*,
   never a half-applied one;
 * **checkpoint** — :meth:`WriteAheadLog.write_checkpoint` serializes
-  either a full :func:`catalog_state` image or an *incremental delta*
-  (only the tables touched since the previous checkpoint, plus drops and
-  the FK list when it changed) into a temp file, fsyncs, atomically
-  renames it into place, and then deletes — or, with ``archive=True``,
-  moves into ``archive/`` — every segment the checkpoint supersedes.
-  Deltas chain back to the last full image; a full image is forced every
-  ``full_checkpoint_every`` checkpoints and on the first checkpoint
-  after open (recovery does not reconstruct the dirty set);
-* **recover** — :func:`recover` loads the newest checkpoint chain,
+  one full :func:`catalog_state` image into a temp file, fsyncs,
+  atomically renames it into place, and then deletes — or, with
+  ``archive=True``, moves into ``archive/`` — every older checkpoint and
+  every segment it supersedes. Stores written before checkpoints were
+  always full may still hold incremental *delta* chains; recovery
+  resolves them, and the next checkpoint retires them;
+* **recover** — :func:`recover` loads the newest checkpoint,
   replays every committed record above it, physically truncates a torn
   tail or an unterminated tail transaction, and raises the typed
   :class:`~repro.errors.WalCorruptionError` on mid-log damage;
@@ -137,9 +135,6 @@ ARCHIVE_DIR = "archive"
 #: Default segment rotation threshold. Small enough that the rotation
 #: path gets exercised by real workloads; segments are cheap.
 DEFAULT_SEGMENT_BYTES = 1 << 20
-
-#: Force a full checkpoint image after this many incremental deltas.
-DEFAULT_FULL_CHECKPOINT_EVERY = 4
 
 #: How long a group-commit leader waits for followers to pile on.
 DEFAULT_GROUP_COMMIT_DELAY = 0.002
@@ -428,7 +423,6 @@ class WriteAheadLog:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         group_commit_delay: float = DEFAULT_GROUP_COMMIT_DELAY,
         archive: bool = False,
-        full_checkpoint_every: int = DEFAULT_FULL_CHECKPOINT_EVERY,
     ):
         if fsync not in FSYNC_POLICIES:
             raise WalError(
@@ -441,16 +435,10 @@ class WriteAheadLog:
             raise WalError(
                 f"group_commit_delay must be >= 0, got {group_commit_delay}"
             )
-        if full_checkpoint_every < 1:
-            raise WalError(
-                "full_checkpoint_every must be >= 1, "
-                f"got {full_checkpoint_every}"
-            )
         self.directory = directory
         self.fsync_policy = fsync
         self.segment_bytes = segment_bytes
         self.archive = archive
-        self.full_checkpoint_every = full_checkpoint_every
         self._handle = None
         self._segment_path: str | None = None
         self._segment_size = 0
@@ -466,23 +454,11 @@ class WriteAheadLog:
             if fsync == FSYNC_GROUP
             else None
         )
-        # Incremental-checkpoint bookkeeping. The dirty sets only become
-        # trustworthy after the first checkpoint this writer performs
-        # (recovery replays records before the writer exists), so the
-        # first checkpoint after open — no anchor version yet — is
-        # always a full image.
-        self._dirty_tables: set[str] = set()
-        self._dirty_dropped: set[str] = set()
-        self._dirty_fks = False
-        self._last_checkpoint_version: int | None = None
-        self._chain_length = 0
         # Observability counters, surfaced through Service.stats().
         self.wal_appends = 0
         self.wal_bytes = 0
         self.fsyncs = 0
         self.checkpoints = 0
-        self.full_checkpoints = 0
-        self.incremental_checkpoints = 0
         #: Set by ``Database.open``, which recovers before it attaches.
         self.recoveries = 0
         self.replayed_records = 0
@@ -642,7 +618,6 @@ class WriteAheadLog:
             raise WalError(f"WAL append failed: {exc}") from exc
         self.wal_appends += 1
         self.wal_bytes += len(frame)
-        self._track_dirty(kind, data)
         if self._group is not None and commit_point:
             return self._write_seq
         return None
@@ -661,71 +636,28 @@ class WriteAheadLog:
             return
         self._group.sync(token)
 
-    def _track_dirty(self, kind: str, data: dict) -> None:
-        """Feed the incremental-checkpoint dirty set from the record
-        stream. Transactional records are tracked optimistically — an
-        aborted transaction may over-mark tables as dirty, which only
-        costs delta bytes, never correctness (deltas serialize the real
-        catalog state)."""
-        if kind in ("create_table", "replace_table"):
-            self._dirty_tables.add(data["table"]["name"].lower())
-        elif kind in ("insert_rows", "create_index"):
-            self._dirty_tables.add(data["table"].lower())
-        elif kind == "drop_table":
-            name = data["name"].lower()
-            self._dirty_dropped.add(name)
-            # Dropping cascades over declared FKs, so the FK list moved.
-            self._dirty_fks = True
-        elif kind == "add_foreign_key":
-            self._dirty_fks = True
-
     # -- checkpoints -----------------------------------------------------
 
-    def write_checkpoint(self, state: dict, full: bool = False) -> str:
-        """Write ``state`` (a :func:`catalog_state` dict) durably.
+    def write_checkpoint(self, state: dict) -> str:
+        """Write ``state`` (a :func:`catalog_state` dict) durably as one
+        full image.
 
-        Chooses an incremental delta (tables touched since the last
-        checkpoint + drops + the FK list when it changed) when a chain
-        anchor exists and the schedule allows, otherwise a full image;
-        ``full=True`` forces the latter. Temp-file + fsync + atomic
-        rename + directory fsync, then delete (or archive) every segment
-        whose records the checkpoint folds in and every checkpoint no
-        longer part of the live chain. Crash-safe at every step: an
-        interrupted temp write leaves only a ``.tmp`` orphan (removed by
-        recovery), a crash before the rename leaves the previous
-        checkpoint authoritative, and a crash before the segment
-        deletion leaves stale segments that replay idempotently.
+        Temp-file + fsync + atomic rename + directory fsync, then delete
+        (or archive) every segment whose records the checkpoint folds in
+        and every older checkpoint — a delta chain left by an older store
+        included. Crash-safe at every step: an interrupted temp write
+        leaves only a ``.tmp`` orphan (removed by recovery), a crash
+        before the rename leaves the previous checkpoint authoritative,
+        and a crash before the segment deletion leaves stale segments
+        that replay idempotently.
         """
         from repro.execution.faults import check_checkpoint
 
         self._check_writable()
         version = state["version"]
-        as_delta = (
-            not full
-            and self._last_checkpoint_version is not None
-            and version > self._last_checkpoint_version
-            and self._chain_length + 1 < self.full_checkpoint_every
-        )
-        if as_delta:
-            payload: dict[str, Any] = {
-                "format": "delta",
-                "version": version,
-                "base": self._last_checkpoint_version,
-                "tables": [
-                    t
-                    for t in state["tables"]
-                    if t["name"].lower() in self._dirty_tables
-                ],
-                "dropped": sorted(self._dirty_dropped),
-                "foreign_keys": (
-                    state["foreign_keys"] if self._dirty_fks else None
-                ),
-            }
-        else:
-            payload = {"format": "full", **state}
         final_path = os.path.join(self.directory, _checkpoint_name(version))
         tmp_path = final_path + _TMP_SUFFIX
-        frame = _encode(payload)
+        frame = _encode({"format": "full", **state})
         try:
             with open(tmp_path, "wb", buffering=0) as handle:
                 handle.write(frame[: len(frame) // 2])
@@ -739,23 +671,11 @@ class WriteAheadLog:
         except OSError as exc:
             raise WalError(f"checkpoint write failed: {exc}") from exc
         self.checkpoints += 1
-        if as_delta:
-            self.incremental_checkpoints += 1
-            self._chain_length += 1
-        else:
-            self.full_checkpoints += 1
-            self._chain_length = 0
-        self._last_checkpoint_version = version
-        self._dirty_tables.clear()
-        self._dirty_dropped.clear()
-        self._dirty_fks = False
-        # Everything at or below `version` is now reachable through the
-        # checkpoint chain: rotate so new appends land in a fresh
-        # segment, then retire the superseded segments and, after a full
-        # image, every older checkpoint (a delta still references them
-        # back to its full anchor). The checkpoint itself is already
-        # durable; a failure in this cleanup only leaves stale files
-        # that replay idempotently.
+        # Everything at or below `version` is now in the checkpoint:
+        # rotate so new appends land in a fresh segment, then retire the
+        # superseded segments and every older checkpoint. The checkpoint
+        # itself is already durable; a failure in this cleanup only
+        # leaves stale files that replay idempotently.
         try:
             self._rotate(version + 1)
             check_checkpoint("truncate")
@@ -763,10 +683,9 @@ class WriteAheadLog:
             for path in segments:
                 if path != self._segment_path:
                     self._retire(path)
-            if not as_delta:
-                for older, path in checkpoints.items():
-                    if older < version:
-                        self._retire(path)
+            for older, path in checkpoints.items():
+                if older < version:
+                    self._retire(path)
             _fsync_dir(self.directory)
         except OSError as exc:
             raise WalError(
@@ -822,8 +741,6 @@ class WriteAheadLog:
             "wal_bytes": self.wal_bytes,
             "fsyncs": self.fsyncs,
             "checkpoints": self.checkpoints,
-            "full_checkpoints": self.full_checkpoints,
-            "incremental_checkpoints": self.incremental_checkpoints,
             "recoveries": self.recoveries,
             "replayed_records": self.replayed_records,
             "group_commits": self.group_commits,
@@ -977,12 +894,15 @@ def _load_checkpoint(path: str) -> dict:
 def _resolve_checkpoint_chain(
     paths_by_version: dict[int, str], newest: int
 ) -> dict:
-    """Fold an incremental-checkpoint chain into one full state dict.
+    """The state dict of the checkpoint at ``newest``.
 
-    Walks ``base`` links from the newest checkpoint back to a full
-    image, then replays the deltas forward (drops, then table upserts,
-    then the FK list when present). A missing or unreadable link raises
-    :class:`WalCorruptionError` — half a chain is not a state.
+    Every checkpoint written now is a full image, which this returns as
+    is. Stores from before that may hold incremental *delta* chains:
+    walks ``base`` links back to a full image, then replays the deltas
+    forward (drops, then table upserts, then the FK list when present).
+    A missing or unreadable link raises :class:`WalCorruptionError` —
+    half a chain is not a state. Nothing writes a delta any more; the
+    first checkpoint after opening such a store retires its chain.
     """
     chain: list[dict] = []
     version = newest
@@ -1149,8 +1069,8 @@ def _rollback_tail_txn(
 def recover(directory: str, repair: bool = True) -> tuple[Catalog, int]:
     """Rebuild the catalog from ``directory``; returns (catalog, replayed).
 
-    Protocol: remove temp-file orphans, load the newest checkpoint chain
-    (its CRCs must pass — a corrupt newest chain is unrecoverable
+    Protocol: remove temp-file orphans, load the newest checkpoint (its
+    CRC must pass — a corrupt newest checkpoint is unrecoverable
     because the segments it superseded are gone), then replay every
     committed segment record with ``version > checkpoint.version`` in
     order. Duplicates (stale segments surviving a crash before
@@ -1184,7 +1104,7 @@ def recover(directory: str, repair: bool = True) -> tuple[Catalog, int]:
 def recover_point_in_time(directory: str, version: int) -> Catalog:
     """The catalog exactly as of committed version ``version``.
 
-    Reconstructs from the best checkpoint chain at or below the target
+    Reconstructs from the newest checkpoint at or below the target
     (searching the archive as well as the live directory) plus the
     archived and live segments, replaying committed transactions up to
     exactly ``version``. Never modifies the store. Raises
@@ -1242,10 +1162,8 @@ def recoverable_range(directory: str) -> tuple[int, int]:
 
     ``oldest`` is 0 when the full record history survives (archive mode,
     or no checkpoint has truncated the log yet), otherwise the oldest
-    checkpoint version still on disk (checkpoint versions between
-    ``oldest`` and the newest checkpoint are reachable individually;
-    versions that fell between checkpoints whose segments were deleted
-    are not). Raises :class:`WalCorruptionError` on unreadable history.
+    checkpoint version still on disk. Raises :class:`WalCorruptionError`
+    on unreadable history.
     """
     checkpoints, segment_paths, _ = _store_files(directory, archive=True)
     try:

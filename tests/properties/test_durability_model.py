@@ -121,11 +121,11 @@ class DurableStore(RuleBasedStateMachine):
     def commit_or_rollback(self, commit: bool) -> None:
         self._step("commit" if commit else "rollback")
 
-    @rule(full=st.booleans())
-    def checkpoint(self, full: bool) -> None:
+    @rule()
+    def checkpoint(self) -> None:
         # Refused with the typed error inside a transaction only.
         refused = self.model.in_transaction
-        assert step(self.db, self.model, ("checkpoint", full)) is not refused
+        assert step(self.db, self.model, ("checkpoint",)) is not refused
 
     # -- crash, restart, time travel -------------------------------------
 

@@ -36,6 +36,21 @@ class TestFrozenTables:
             table.clear()
         assert table.rows == [(1,)]
 
+    def test_create_index_on_a_frozen_table_raises(self):
+        # The frozen version is shared with the live catalog: an index
+        # added in place would show there unjournaled, at no new version.
+        catalog = ledger_catalog()
+        version = catalog.version
+        frozen = catalog.snapshot().table("ledger")
+        with pytest.raises(ConstraintError, match="frozen snapshot"):
+            frozen.create_index(["amount"])
+        assert catalog.table("ledger").indexes == {}
+        assert catalog.version == version
+        # The catalog path clones first, so it still works.
+        catalog.create_index("ledger", ["amount"])
+        index = catalog.snapshot().table("ledger").create_index(["amount"])
+        assert index is catalog.table("ledger").indexes[("amount",)]
+
     def test_clone_is_writable_and_independent(self):
         table = table_from_rows(
             "t",

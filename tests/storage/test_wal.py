@@ -13,14 +13,24 @@ import os
 import pytest
 
 from repro.api import Database
-from repro.errors import CatalogError, ServiceError, WalError
+from repro.errors import (
+    CatalogError,
+    ServiceError,
+    WalCorruptionError,
+    WalError,
+)
 from repro.storage import DataType
 from repro.storage.wal import (
     FSYNC_ALWAYS,
     FSYNC_NEVER,
     FSYNC_POLICIES,
     WriteAheadLog,
+    _checkpoint_name,
+    _encode,
+    _load_checkpoint,
+    catalog_state,
     recover,
+    recoverable_range,
     table_state,
 )
 from repro.workloads.tpch import TpchConfig, load_tpch
@@ -38,6 +48,21 @@ def seed_mutations(db: Database) -> None:
     db.create_index("t", ["v"])
     db.create_table("u", COLUMNS, [])
     db.add_foreign_key("u", ["k"], "t", ["k"])
+
+
+def checkpoint_files(path) -> list[str]:
+    return sorted(n for n in os.listdir(path) if n.startswith("checkpoint-"))
+
+
+def two_checkpoints(path, **kwargs) -> Database:
+    """A closed store: ``t`` checkpointed at one row, then at two."""
+    db = durable_db(path, fsync=FSYNC_NEVER, **kwargs)
+    db.create_table("t", COLUMNS, [(1, "a")])
+    db.checkpoint()
+    db.catalog.insert_rows("t", [(2, "b")])
+    db.checkpoint()
+    db.close()
+    return db
 
 
 class TestRoundTrip:
@@ -180,43 +205,13 @@ class TestSegmentsAndCheckpoints:
         assert again.wal.stats()["recoveries"] == 1
         again.close()
 
-    def test_second_checkpoint_chains_incrementally(self, tmp_path):
-        db = durable_db(tmp_path)
-        db.create_table("t", COLUMNS, [(1, "a")])
-        db.checkpoint()
-        db.catalog.insert_rows("t", [(2, "b")])
-        db.checkpoint()
-        checkpoints = [
-            n for n in os.listdir(tmp_path) if n.startswith("checkpoint-")
-        ]
-        # The second checkpoint is an incremental delta: its full base
-        # stays on disk because the chain still references it.
-        assert len(checkpoints) == 2
+    def test_second_checkpoint_leaves_one_checkpoint_file(self, tmp_path):
+        db = two_checkpoints(tmp_path)
+        (name,) = checkpoint_files(tmp_path)
+        assert _load_checkpoint(str(tmp_path / name))["format"] == "full"
         assert db.wal.checkpoints == 2
-        assert db.wal.full_checkpoints == 1
-        assert db.wal.incremental_checkpoints == 1
-        db.close()
         again = durable_db(tmp_path)
         assert again.catalog.table("t").rows == [(1, "a"), (2, "b")]
-        again.close()
-
-    def test_full_checkpoint_supersedes_the_chain(self, tmp_path):
-        db = durable_db(tmp_path)
-        db.create_table("t", COLUMNS, [(1, "a")])
-        db.checkpoint()
-        db.catalog.insert_rows("t", [(2, "b")])
-        db.checkpoint()
-        db.catalog.insert_rows("t", [(3, "c")])
-        db.checkpoint(full=True)
-        checkpoints = [
-            n for n in os.listdir(tmp_path) if n.startswith("checkpoint-")
-        ]
-        # A forced full image anchors a fresh chain; the superseded
-        # full+delta pair is deleted.
-        assert len(checkpoints) == 1
-        db.close()
-        again = durable_db(tmp_path)
-        assert again.catalog.table("t").rows == [(1, "a"), (2, "b"), (3, "c")]
         again.close()
 
     def test_checkpoint_of_empty_store(self, tmp_path):
@@ -237,6 +232,76 @@ class TestSegmentsAndCheckpoints:
         catalog, replayed = recover(str(tmp_path))
         assert replayed == 1  # everything else came from the checkpoint
         assert catalog.version == 6
+
+
+class TestRetirement:
+    def test_superseded_files_deleted_without_archive(self, tmp_path):
+        two_checkpoints(tmp_path)
+        assert len(checkpoint_files(tmp_path)) == 1
+        assert not (tmp_path / "archive").exists()
+
+    def test_archive_mode_moves_instead_of_deleting(self, tmp_path):
+        two_checkpoints(tmp_path, archive=True)
+        archived = os.listdir(tmp_path / "archive")
+        # The pre-checkpoint segments and the first checkpoint moved.
+        assert any(n.startswith("wal-") for n in archived)
+        assert any(n.startswith("checkpoint-") for n in archived)
+        assert len(checkpoint_files(tmp_path)) == 1
+        # And the archived history still supports full replay (PITR).
+        assert recoverable_range(str(tmp_path)) == (0, 2)
+
+
+class TestOldDeltaStores:
+    """Stores written before every checkpoint was a full image may hold
+    an incremental delta chained to one; they still open."""
+
+    def _delta_store(self, path) -> None:
+        # Full image @v2, then a hand-written delta @v4 (insert + drop)
+        # and no segments: only the chain holds v3 and v4.
+        db = durable_db(path, fsync=FSYNC_NEVER)
+        db.create_table("t", COLUMNS, [(1, "a")])
+        db.create_table("gone", COLUMNS, [])
+        db.checkpoint()
+        db.catalog.insert_rows("t", [(2, "b")])
+        db.catalog.drop("gone")
+        tables = catalog_state(db.catalog.snapshot())["tables"]
+        db.close()
+        delta = {"format": "delta", "version": 4, "base": 2,
+                 "tables": tables, "dropped": ["gone"], "foreign_keys": None}
+        (path / _checkpoint_name(4)).write_bytes(_encode(delta))
+        for name in os.listdir(path):
+            if name.startswith("wal-"):
+                os.unlink(path / name)
+
+    def test_reopens_then_next_checkpoint_retires_it(self, tmp_path):
+        self._delta_store(tmp_path)
+        db = durable_db(tmp_path, fsync=FSYNC_NEVER)
+        assert db.catalog.version == 4
+        assert db.catalog.table_names() == ["t"]
+        assert db.table("t").rows == [(1, "a"), (2, "b")]
+        db.catalog.insert_rows("t", [(3, "c")])
+        db.checkpoint()
+        db.close()
+        (name,) = checkpoint_files(tmp_path)
+        assert _load_checkpoint(str(tmp_path / name))["format"] == "full"
+        rows = durable_db(tmp_path).table("t").rows
+        assert rows == [(1, "a"), (2, "b"), (3, "c")]
+
+    def test_missing_base_raises(self, tmp_path):
+        self._delta_store(tmp_path)
+        os.unlink(tmp_path / _checkpoint_name(2))
+        with pytest.raises(WalCorruptionError, match="chain"):
+            recover(str(tmp_path))
+
+    def test_corrupt_base_raises(self, tmp_path):
+        self._delta_store(tmp_path)
+        with open(tmp_path / _checkpoint_name(2), "r+b") as handle:
+            handle.seek(12)
+            byte = handle.read(1)
+            handle.seek(12)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        with pytest.raises(WalCorruptionError):
+            recover(str(tmp_path))
 
 
 class TestDurableService:
@@ -338,7 +403,7 @@ class TestRemovedSurface:
         with pytest.raises(TypeError, match=field):
             ServiceConfig(**{field: value})
 
-    def test_option_counts(self):
+    def test_option_counts(self, tmp_path):
         from repro.serve import ServiceConfig
 
         def options(function, skip):
@@ -351,10 +416,11 @@ class TestRemovedSurface:
         assert len(dataclasses.fields(ServiceConfig)) == 8
         assert options(Database.open, {"path"}) == [
             "fsync", "segment_bytes", "group_commit_delay", "archive",
-            "full_checkpoint_every", "recover_to", "plan_cache",
+            "recover_to", "plan_cache",
         ]
+        assert options(Database.checkpoint, {"self"}) == []
         assert options(WriteAheadLog.__init__, {"self", "directory"}) == [
             "fsync", "segment_bytes", "group_commit_delay", "archive",
-            "full_checkpoint_every",
         ]
+        assert len(WriteAheadLog(str(tmp_path)).stats()) == 8
         assert len(FSYNC_POLICIES) == 3

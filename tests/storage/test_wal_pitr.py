@@ -110,17 +110,17 @@ class TestTypedRefusals:
                 recover_point_in_time(str(tmp_path), interior)
 
     def test_history_truncated_without_archive(self, tmp_path):
-        build_history(str(tmp_path), archive=False)
-        # Checkpoints deleted the early segments; only versions at or
-        # after the oldest surviving checkpoint basis can be rebuilt.
-        oldest, newest = recoverable_range(str(tmp_path))
-        assert newest == 10
-        assert oldest > 0
+        boundaries = build_history(str(tmp_path), archive=False)
+        # Each checkpoint deleted the segments and checkpoint before it:
+        # the range starts at the one surviving checkpoint (v9).
+        assert recoverable_range(str(tmp_path)) == (9, 10)
         with pytest.raises(PointInTimeUnavailable):
             recover_point_in_time(str(tmp_path), 1)
-        # The surviving range still works.
-        catalog = recover_point_in_time(str(tmp_path), newest)
-        assert catalog.version == newest
+        # Every committed boundary inside the range still reproduces.
+        for version in (9, 10):
+            catalog = recover_point_in_time(str(tmp_path), version)
+            assert catalog.version == version
+            assert catalog.table("t").rows == boundaries[version]
 
     def test_database_open_propagates_refusal(self, tmp_path):
         build_history(str(tmp_path))

@@ -56,6 +56,29 @@ class TestCommitAndRollback:
         assert not again.catalog.has_table("u")
         again.close()
 
+    @pytest.mark.parametrize(
+        "archive", [False, True], ids=["truncate", "archive"]
+    )
+    def test_rolled_back_drop_survives_the_next_checkpoint(
+        self, tmp_path, archive
+    ):
+        # A checkpoint holds the catalog as it is, not the records that
+        # led there: the rolled-back DROP must leave t0 in it.
+        path = str(tmp_path)
+        db = Database.open(path, fsync=FSYNC_NEVER, archive=archive)
+        db.create_table("t0", COLUMNS, [(1, "a"), (2, "b")])
+        db.checkpoint()
+        txn = db.begin()
+        db.catalog.drop("t0")
+        txn.rollback()
+        db.checkpoint()
+        version = db.catalog.version
+        db.close()
+        rows = [(1, "a"), (2, "b")]
+        assert Database.open(path, archive=archive).table("t0").rows == rows
+        at = Database.open(path, recover_to=version)
+        assert at.table("t0").rows == rows
+
     def test_context_manager_commits_on_clean_exit(self, tmp_path):
         db = seeded_db(tmp_path)
         with db.begin():
