@@ -74,7 +74,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n== optimized plan ==")
     print(
-        db.explain(
+        db.sql(
             """
             select gapply(
                 select p_name, p_retailprice from g
@@ -83,7 +83,8 @@ def main() -> None:
             from partsupp, part
             where ps_partkey = p_partkey
             group by ps_suppkey : g
-            """
+            """,
+            explain=True,
         )
     )
 

@@ -75,11 +75,11 @@ class QueryResult:
     counters: Counters
     logical_plan: LogicalOperator
     physical_plan: PhysicalOperator
-    optimization: OptimizationReport | None = None
+    optimization: OptimizationReport
     metrics: MetricsRegistry | None = None
     #: Plan-cache outcome for this run (``source`` is "hit"/"miss", plus
-    #: key digest and parameter count); None when the run bypassed the
-    #: cache.
+    #: key digest and parameter count); None when the database has no
+    #: plan cache.
     plan_cache: dict[str, Any] | None = None
 
     def __len__(self) -> int:
@@ -112,7 +112,6 @@ class _RunOptions:
     and ``governor`` is the prebuilt one or one built from the budget knobs.
     """
 
-    optimize: bool = True
     planner_options: PlannerOptions | None = None
     explain: bool | str | None = None
     collect_metrics: bool = False
@@ -120,7 +119,6 @@ class _RunOptions:
     memory_budget: int | None = None
     max_rows: int | None = None
     governor: Governor | None = None
-    use_plan_cache: bool | None = None
 
 
 @lru_cache(maxsize=None)
@@ -162,11 +160,6 @@ def _resolve_options(
             "explain must be True, 'plan' or 'analyze', "
             f"got {options.explain!r}"
         )
-    if options.use_plan_cache and not options.optimize:
-        raise PlanError(
-            "use_plan_cache=True demands the plan cache, which holds "
-            "optimized plans only; it cannot be combined with optimize=False"
-        )
     planner_options = options.planner_options or PlannerOptions()
     budget = Budget(
         timeout=options.timeout,
@@ -193,8 +186,8 @@ class _Planned:
     """A statement down to its logical plan, with where the plan came from."""
 
     logical: LogicalOperator
-    report: OptimizationReport | None = None
-    #: Plan-cache outcome (``QueryResult.plan_cache``); None on a bypass.
+    report: OptimizationReport
+    #: Plan-cache outcome (``QueryResult.plan_cache``); None without a cache.
     cache_info: dict[str, Any] | None = None
 
 
@@ -204,7 +197,7 @@ class _Run:
     hands to the materializing and streaming tails."""
 
     options: _RunOptions
-    sql_text: str | None
+    sql_text: str
     planned: _Planned
     #: The lowered plan compiled to batch nodes, with the compiler's notes
     #: on which subtrees stayed on the row iterators.
@@ -283,13 +276,16 @@ class Transaction:
 class Database:
     """An in-memory database with GApply support end to end.
 
-    Thread-safety contract: reads (``sql``/``execute``/``plan``) are safe
-    to issue from any number of threads — per-query state (contexts,
-    counters, metrics registries, tracers, governors) is built fresh per
-    call. Concurrent *writes* racing reads on the same catalog need
-    snapshot isolation: route them through :class:`repro.serve.Service`,
-    or take :meth:`snapshot` yourself before reading while another thread
-    mutates.
+    The ways to run a query are :meth:`sql`, :meth:`prepare` and
+    :meth:`publish`; :meth:`plan` only binds.
+
+    Thread-safety contract: reads (``sql``/``prepare``/``publish``/
+    ``plan``) are safe to issue from any number of threads — per-query
+    state (contexts, counters, metrics registries, tracers, governors) is
+    built fresh per call. Concurrent *writes* racing reads on the same
+    catalog need snapshot isolation: route them through
+    :class:`repro.serve.Service`, or take :meth:`snapshot` yourself before
+    reading while another thread mutates.
     """
 
     #: Sentinel: "build a fresh default PlanCache" (vs. None = disabled).
@@ -474,7 +470,6 @@ class Database:
     def sql(
         self,
         text: str,
-        optimize: bool = True,
         planner_options: PlannerOptions | None = None,
         explain: bool | str | None = None,
         collect_metrics: bool = False,
@@ -483,7 +478,6 @@ class Database:
         max_rows: int | None = None,
         governor: Governor | None = None,
         params: Sequence[Any] | None = None,
-        use_plan_cache: bool | None = None,
     ) -> QueryResult | Explanation:
         """Run SQL text end to end and materialize the result.
 
@@ -505,13 +499,12 @@ class Database:
         whose ``metrics`` field carries the per-operator registry.
 
         ``params`` binds the values for explicit ``$1``/``$2`` parameter
-        markers in the text (positional, ``$1`` first). Optimized runs
-        consult the per-database plan cache (see
-        :mod:`repro.optimizer.plancache`) keyed by normalized query
-        shape; ``use_plan_cache=False`` opts a single call out, and
-        ``use_plan_cache=True`` demands the cache (an error when this
-        database was built with ``plan_cache=None``, or when the call
-        also passes ``optimize=False`` — only optimized plans are cached).
+        markers in the text (positional, ``$1`` first). Every run
+        consults the per-database plan cache (see
+        :mod:`repro.optimizer.plancache`) keyed by normalized query shape
+        and disabled rules; a database built with ``plan_cache=None`` runs
+        uncached. ``planner_options.disabled_rules`` leaves rules out of
+        the optimizer — all of them for the bound plan as written.
         """
         options = _own_options(Database.sql, locals())
         return self._run_statement(text, params, options)
@@ -539,28 +532,23 @@ class Database:
 
     def _prepare(
         self,
-        source: AstQuery | LogicalOperator | None,
-        sql_text: str | None,
+        query: AstQuery | None,
+        sql_text: str,
         params: Sequence[Any] | None,
         options: _RunOptions,
     ) -> _Run:
         """Everything between resolved options and the first row.
 
         A query — parsed already, or ``None`` to parse ``sql_text`` here —
-        goes through parameter handling and the plan cache (lookup,
-        miss-build, or bypass) to a logical plan; an already-bound plan
-        (:meth:`execute`) joins at the optimizer. Either way the plan is
+        goes through parameter handling and, when the database has one,
+        the plan cache (lookup or miss-build) to a logical plan, which is
         then lowered and compiled. Every error leaves carrying the SQL it
         happened in (first writer wins, so deeper context is preserved).
         """
         try:
-            if isinstance(source, LogicalOperator):
-                planned = _Planned(*self._optimized(source, options))
-            else:
-                planned = self._plan_query(
-                    parse(sql_text) if source is None else source,
-                    params, options,
-                )
+            planned = self._plan_query(
+                parse(sql_text) if query is None else query, params, options
+            )
             planner_options = options.planner_options
             # Estimated cardinalities are the point of EXPLAIN output.
             physical = Planner(
@@ -599,17 +587,11 @@ class Database:
                 f"{len(values)} value(s) were bound; pass params=[...]"
             )
         cache = self.plan_cache
-        if options.use_plan_cache and cache is None:
-            raise PlanError(
-                "use_plan_cache=True but this Database was built with "
-                "plan_cache=None"
-            )
-        if cache is None or not options.optimize or options.use_plan_cache is False:
-            if cache is not None:
-                cache.record_bypass()
+        if cache is None:
             if marker_count:
                 query = bind_ast_parameters(query, values)
-            return _Planned(*self._planned(query, options))
+            report = self._planned(query, options)
+            return _Planned(report.best, report)
 
         if marker_count:
             param_query = seed_parameters(query, values)
@@ -626,8 +608,8 @@ class Database:
         if entry is None:
             source = "miss"
             # The optimizer estimates with the seeds of ``param_query``.
-            template, report = self._planned(param_query, options)
-            entry = cache.store(CachedPlan(key, template, report))
+            report = self._planned(param_query, options)
+            entry = cache.store(CachedPlan(key, report.best, report))
         logical = substitute_parameters(entry.template, values)
         info = {"source": source, "params": len(values), "key": key.digest[:12]}
         return _Planned(
@@ -639,22 +621,17 @@ class Database:
             cache_info=info,
         )
 
-    def _planned(
-        self, query: AstQuery, options: _RunOptions
-    ) -> tuple[LogicalOperator, OptimizationReport | None]:
-        """The one bind for execution: cache misses and uncached runs
-        both turn their AST into a plan here."""
-        return self._optimized(Binder(self.catalog).bind(query), options)
-
-    def _optimized(
-        self, logical: LogicalOperator, options: _RunOptions
-    ) -> tuple[LogicalOperator, OptimizationReport | None]:
-        """The one optimizer call, shared by everything :meth:`_planned`
-        serves plus :meth:`execute` and :meth:`explain`."""
-        if not options.optimize:
-            return logical, None
-        report = self._optimizer(options.planner_options).optimize(logical)
-        return report.best, report
+    def _planned(self, query: AstQuery, options: _RunOptions) -> OptimizationReport:
+        """The one bind and the one optimizer call for execution: cache
+        misses and uncached runs both turn their AST into a plan here
+        (``report.best``), with the rules ``disabled_rules`` leaves. An
+        unknown rule name raises :class:`PlanError` before any execution."""
+        logical = Binder(self.catalog).bind(query)
+        try:
+            rules = options.planner_options.active_rules()
+        except KeyError as error:
+            raise PlanError(str(error)) from error
+        return Optimizer(self.catalog, rules).optimize(logical)
 
     def _rows(self, run: _Run) -> Iterator[list[tuple]]:
         """The governed root loop under every run: the result, one root
@@ -720,33 +697,6 @@ class Database:
             plan_cache=planned.cache_info,
         )
 
-    def execute(
-        self,
-        logical: LogicalOperator,
-        optimize: bool = True,
-        planner_options: PlannerOptions | None = None,
-        explain: bool | str | None = None,
-        collect_metrics: bool = False,
-        sql_text: str | None = None,
-        timeout: float | None = None,
-        memory_budget: int | None = None,
-        max_rows: int | None = None,
-        governor: Governor | None = None,
-    ) -> QueryResult | Explanation:
-        """Optimize (optionally), lower, and run a logical plan.
-
-        ``explain``: falsy = run normally; ``True``/``"plan"`` = plan only,
-        return an :class:`Explanation`; ``"analyze"`` = run with metrics +
-        tracing and return an :class:`Explanation` carrying the results.
-
-        ``timeout``/``memory_budget``/``max_rows`` build a
-        :class:`Governor` for the run (see :meth:`sql`); alternatively
-        pass a prebuilt ``governor`` — e.g. to hold a cancellation handle
-        across threads — which the budget knobs must not accompany.
-        """
-        options = _own_options(Database.execute, locals())
-        return self._materialize(self._prepare(logical, sql_text, None, options))
-
     def publish(
         self,
         view: XmlView,
@@ -755,7 +705,6 @@ class Database:
         *,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         encoding: str = "utf-8",
-        optimize: bool = True,
         planner_options: PlannerOptions | None = None,
         timeout: float | None = None,
         memory_budget: int | None = None,
@@ -810,30 +759,6 @@ class Database:
             governor=options.governor,
             sql=sql_text,
         )
-
-    def _optimizer(self, planner_options: PlannerOptions) -> Optimizer:
-        """Build the optimizer without the ``disabled_rules`` on planner
-        options; unknown rule names raise :class:`PlanError` here, before
-        any partial execution happens."""
-        try:
-            rules = planner_options.active_rules()
-        except KeyError as error:
-            raise PlanError(str(error)) from error
-        return Optimizer(self.catalog, rules)
-
-    def explain(self, sql: str, optimize: bool = True) -> str:
-        """The logical plan (optimized by default) as indented text."""
-        logical, report = self._optimized(
-            self.plan(sql), _own_options(Database.explain, locals())
-        )
-        if report is None:
-            return logical.pretty()
-        header = (
-            f"-- cost: {report.best_estimate.cost:.0f} "
-            f"(unoptimized {report.original_estimate.cost:.0f}); "
-            f"rules: {', '.join(report.fired) or 'none'}\n"
-        )
-        return header + logical.pretty()
 
 
 class Prepared:

@@ -45,8 +45,8 @@ class Measurement:
     scan_rows: int = 0  # base-table rows read (redundant-join indicator)
     peak_rows: int = 0  # peak rows buffered by partitioning (memory proxy)
     cells: int = 0      # cells written to partition/sort/hash buffers
-    #: Per-operator metrics snapshot of the best run (path -> counters),
-    #: populated only when the measurement asked for metrics collection.
+    #: Experiment-specific figures beyond the fixed fields (the service
+    #: and XML-publishing experiments fill it); None elsewhere.
     metrics: dict | None = None
 
     def ratio_to(self, other: "Measurement") -> float:
@@ -78,7 +78,6 @@ class Measurement:
 def measure_physical(
     plan: PhysicalOperator,
     repetitions: int = DEFAULT_REPETITIONS,
-    collect_metrics: bool = False,
 ) -> Measurement:
     """Best-of-N execution of a physical plan, compiled as
     :meth:`Database.sql <repro.api.Database.sql>` compiles it.
@@ -86,26 +85,13 @@ def measure_physical(
     Compilation happens *outside* the timed region — like planning and
     lowering, it is a once-per-plan cost, and ``elapsed`` measures
     execution alone.
-
-    ``collect_metrics`` attaches a fresh per-operator metrics registry to
-    every repetition and stores the best run's snapshot (with timings) on
-    the measurement. Off by default: instrumentation costs a clock pair
-    per row, which would pollute ``elapsed`` for measurements that did
-    not ask for it.
     """
     compiled = compile_plan(plan)
     best = float("inf")
     counters = Counters()
     rows = 0
-    metrics_snapshot = None
     for _ in range(repetitions):
-        registry = None
-        if collect_metrics:
-            from repro.observe.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-            registry.register_plan(plan)
-        ctx = ExecutionContext(metrics=registry)
+        ctx = ExecutionContext()
         start = time.perf_counter()
         result = compiled.run(ctx)
         elapsed = time.perf_counter() - start
@@ -113,8 +99,6 @@ def measure_physical(
             best = elapsed
             counters = ctx.counters
             rows = len(result)
-            if registry is not None:
-                metrics_snapshot = registry.snapshot(include_time=True)
     return Measurement(
         best,
         counters.total_work,
@@ -122,7 +106,6 @@ def measure_physical(
         counters.table_scan_rows,
         counters.peak_partition_rows,
         counters.buffered_cells,
-        metrics_snapshot,
     )
 
 
@@ -207,18 +190,12 @@ def lower(
 def measure_sql(
     catalog: Catalog,
     sql: str,
-    optimize: bool = True,
     options: PlannerOptions | None = None,
     repetitions: int = DEFAULT_REPETITIONS,
-    collect_metrics: bool = False,
 ) -> Measurement:
-    """Bind, (optionally) optimize, lower and measure one SQL query."""
-    logical = bind(catalog, sql)
-    if optimize:
-        logical = optimize_with(catalog, logical)
-    return measure_physical(
-        lower(catalog, logical, options), repetitions, collect_metrics
-    )
+    """Bind, optimize, lower and measure one SQL query."""
+    logical = optimize_with(catalog, bind(catalog, sql))
+    return measure_physical(lower(catalog, logical, options), repetitions)
 
 
 def rules_without(excluded: str) -> list[Rule]:

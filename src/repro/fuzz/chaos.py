@@ -73,6 +73,8 @@ from repro.errors import (
 from repro.execution.faults import FaultPlan, fault_injection
 from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
+from repro.optimizer.planner import PlannerOptions
+from repro.optimizer.rules import DEFAULT_RULES
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import TpchConfig, load_tpch
 
@@ -84,6 +86,11 @@ SCENARIOS = (
     "row-budget",
     "clean-spill",
 )
+
+#: Every rule disabled, so a run executes the bound plan as written:
+#: GApply survives to execution for faults and spills to bite, where the
+#: optimizer might otherwise rewrite it into a plain aggregate.
+_BOUND_PLAN = PlannerOptions(disabled_rules=tuple(rule.name for rule in DEFAULT_RULES))
 
 
 @dataclass
@@ -192,9 +199,7 @@ def run_chaos_case(case: ChaosCase) -> str | None:
         "timeout": case.timeout,
         "memory_budget": case.memory_budget,
         "max_rows": case.max_rows,
-        # GApply must survive to execution for faults/spill to bite; the
-        # optimizer may otherwise rewrite it into a plain aggregate.
-        "optimize": False,
+        "planner_options": _BOUND_PLAN,
     }
     try:
         if case.fault is not None:
@@ -419,7 +424,7 @@ def _run_concurrent_case(case: ConcurrentChaosCase) -> str | None:
             # Under spill pressure, exercise the concurrent spill path;
             # keep GApply un-rewritten so the budget actually reaches the
             # partition phase.
-            kwargs["optimize"] = False
+            kwargs["planner_options"] = _BOUND_PLAN
             if case.gapply_memory_budget is not None:
                 kwargs["memory_budget"] = case.gapply_memory_budget
         if rng.random() < 0.3:

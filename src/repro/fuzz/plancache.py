@@ -35,8 +35,8 @@ from repro.storage import DataType
 #: Every action kind :func:`step` takes, and the model events a driver
 #: should reach: an LRU eviction, a sweep of older versions, and a miss
 #: on a snapshot older than the live catalog.
-KINDS = ("sql", "bypass", "prepare", "execute", "snapshot", "insert",
-         "create", "drop", "clear")
+KINDS = ("sql", "prepare", "execute", "snapshot", "insert", "create",
+         "drop", "clear")
 EVENTS = ("eviction", "sweep", "snapshot-miss")
 #: The cache size both drivers use: small, so the drawn keys evict.
 CAPACITY = 2
@@ -103,7 +103,7 @@ class CacheModel:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.entries: list[tuple] = []
-        self.counts = dict.fromkeys(("hits", "misses", "evictions", "invalidations", "bypass"), 0)
+        self.counts = dict.fromkeys(("hits", "misses", "evictions", "invalidations"), 0)
         #: The live catalog's version: the newest any handle shows.
         self.version = 0
         #: The action kinds and :data:`EVENTS` seen, for coverage.
@@ -150,7 +150,7 @@ def step(db: Database, twin: Database, model: CacheModel, action: tuple) -> Any:
     """Run ``action`` on ``db``, advance ``model``, and check the outcome.
 
     ``action`` is a kind from :data:`KINDS` and its arguments; a run is
-    ``("sql" | "bypass", text, rules)`` or ``("execute", text, rules,
+    ``("sql", text, rules)`` or ``("execute", text, rules,
     prepared)``, ``prepared`` a handle ``("prepare", text)`` returned. A
     run's ``plan_cache["source"]`` must be the model's, its rows those of
     the run on ``twin`` (``db``'s catalog, uncached), and so its counters
@@ -175,18 +175,12 @@ def step(db: Database, twin: Database, model: CacheModel, action: tuple) -> Any:
         text, rules, *prepared = args
         rules_off = PlannerOptions(disabled_rules=rules)
         options = {"collect_metrics": True, "planner_options": rules_off}
-        expected = None
-        if kind == "bypass":
-            model.counts["bypass"] += 1
-            cached = db.sql(text, use_plan_cache=False, **options)
+        expected = model.run(model_key(text, rules, db.catalog.version))
+        if prepared:
+            cached = prepared[0].execute(parameterize(parse(text))[1], **options)
         else:
-            expected = model.run(model_key(text, rules, db.catalog.version))
-            if prepared:
-                cached = prepared[0].execute(parameterize(parse(text))[1], **options)
-            else:
-                cached = db.sql(text, **options)
-        source = cached.plan_cache and cached.plan_cache["source"]
-        if source != expected:
+            cached = db.sql(text, **options)
+        if cached.plan_cache["source"] != expected:
             raise Divergence(f"{kind}: expected {expected}, got {cached.plan_cache}")
         problem = _diff(kind, cached, twin.sql(text, **options))
         if problem:
@@ -215,7 +209,7 @@ def _diff(kind: str, cached: QueryResult, reference: QueryResult) -> str | None:
 
 #: Actions per seeded case, and how often each kind is drawn.
 ACTIONS = 16
-_WEIGHTS = (8, 1, 1, 2, 2, 1, 1, 1, 1)
+_WEIGHTS = (8, 1, 2, 2, 1, 1, 1, 1)
 
 
 def _draw(
@@ -246,7 +240,7 @@ def _draw(
     index = rng.randrange(len(handles))
     if kind == "prepare":
         return index, ("prepare", text)
-    return index, ("bypass" if kind == "bypass" else "sql", text, rules)
+    return index, ("sql", text, rules)
 
 
 def check_case(case: FuzzCase, tally: Counter) -> Failure | None:

@@ -3,16 +3,16 @@
 The paper's claim is that every rewrite rule is semantics-preserving, so
 the strongest executable check is: run the same query under *every*
 planner configuration — each optimizer rule individually disabled, all
-rules off, no optimizer at all, both GApply partitioning strategies, a
-partition phase forced to spill, no hash joins, no index access paths —
-and demand identical normalized result multisets. Every configuration
-runs through ``Database.sql`` (the compiled plan); the baseline it is
-compared with is the same query on the row iterators
+rules off (the bound plan as written), both GApply partitioning
+strategies, a partition phase forced to spill, no hash joins, no index
+access paths — and demand identical normalized result multisets. Every
+configuration runs through ``Database.sql`` (the compiled plan); the
+baseline it is compared with is the same query on the row iterators
 (:func:`repro.fuzz.oracle.reference_rows`).
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
-fuzzer (6 fixed configurations and one per optimizer rule);
-``QUICK_PROFILE`` (6 + 5) keeps tier-1 test time bounded while still
+fuzzer (5 fixed configurations and one per optimizer rule);
+``QUICK_PROFILE`` (5 + 5) keeps tier-1 test time bounded while still
 covering the rule families with distinct failure modes. The engine
 profile runs 11 configurations that change which batch operators and
 fast paths a plan exercises, four of them spilling.
@@ -41,7 +41,6 @@ class PlanConfig:
 
     name: str
     options: PlannerOptions = field(default_factory=PlannerOptions)
-    optimize: bool = True
     #: Governor memory budget in cells (None = unbudgeted): ORDER BY and
     #: DISTINCT sort externally under one.
     memory_budget: int | None = None
@@ -56,7 +55,6 @@ def _rule_names() -> list[str]:
 def plan_configurations(full: bool) -> list[PlanConfig]:
     rules = _rule_names()
     configs = [
-        PlanConfig("unoptimized", optimize=False),
         PlanConfig("all-rules-off", PlannerOptions(disabled_rules=tuple(rules))),
         PlanConfig("sort-partitioning", PlannerOptions(gapply_partitioning="sort")),
         PlanConfig(
@@ -96,7 +94,10 @@ def engine_configurations() -> list[PlanConfig]:
         PlanConfig("vector"),
         PlanConfig("vector-batch-3", PlannerOptions(vector_batch_size=3)),
         PlanConfig("vector-batch-1", PlannerOptions(vector_batch_size=1)),
-        PlanConfig("vector-unoptimized", optimize=False),
+        PlanConfig(
+            "vector-all-rules-off",
+            PlannerOptions(disabled_rules=tuple(_rule_names())),
+        ),
         PlanConfig(
             "vector-sort-partitioning", PlannerOptions(gapply_partitioning="sort")
         ),

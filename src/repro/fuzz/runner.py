@@ -84,7 +84,6 @@ def run_case(
         try:
             rows = db.sql(
                 sql,
-                optimize=config.optimize,
                 planner_options=config.options,
                 memory_budget=config.memory_budget,
             ).rows

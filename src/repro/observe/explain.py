@@ -58,14 +58,14 @@ class Explanation:
     sql: str | None
     analyze: bool
     physical_plan: PhysicalOperator
-    report: "OptimizationReport | None" = None
+    report: "OptimizationReport"
     registry: MetricsRegistry | None = None
     tracer: "Tracer | None" = None
     rows: list | None = None
     schema: "Schema | None" = None
     counters: "Counters | None" = None
     #: Plan-cache outcome (source "hit"/"miss", key digest, param count)
-    #: when the run went through the plan cache; None when it bypassed.
+    #: when the run went through the plan cache; None without a cache.
     plan_cache: dict[str, Any] | None = None
     #: The compiler's notes (``label``, ``reason``) on the subtrees that
     #: run on the row iterators inside the compiled plan.
@@ -104,8 +104,6 @@ class Explanation:
                 + ", ".join(f"{n.label} ({n.reason})" for n in self.fallbacks)
             )
         report = self.report
-        if report is None:
-            return ["-- optimizer: off"] + tail_lines
         lines = [
             "-- cost: {:.0f} (unoptimized {:.0f}); explored {} plan{}{}".format(
                 report.best_estimate.cost,
@@ -169,23 +167,22 @@ class Explanation:
     # ------------------------------------------------------------------
 
     def to_json(self) -> dict:
+        report = self.report
         document: dict[str, Any] = {
             "sql": self.sql,
             "analyze": self.analyze,
             "plan": self._node_json(
                 self.physical_plan, "", self._metrics_by_path()
             ),
-        }
-        if self.report is not None:
-            report = self.report
-            document["optimizer"] = {
+            "optimizer": {
                 "cost": report.best_estimate.cost,
                 "unoptimized_cost": report.original_estimate.cost,
                 "explored": report.explored,
                 "truncated": report.truncated,
                 "fired": list(report.fired),
                 "rule_trace": [f.to_dict() for f in report.rule_trace],
-            }
+            },
+        }
         if self.plan_cache is not None:
             document["plan_cache"] = dict(self.plan_cache)
         document["row_iterator_subtrees"] = [

@@ -6,7 +6,7 @@ JSON-exportable, and reconstructable into a tree offline. Three kinds are
 emitted by the engine:
 
 * ``plan`` — one span around a whole plan execution (opened by
-  :meth:`repro.api.Database.execute` when tracing is requested);
+  :meth:`repro.api.Database.sql` under ``explain="analyze"``);
 * ``operator`` — one span per operator *execution* (a per-group plan's
   operators open one span per group), recorded by the metrics registry's
   instrumented driver;

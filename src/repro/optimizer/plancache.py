@@ -166,11 +166,6 @@ class PlanCache:
                 self.counters.inc("evictions")
             return entry
 
-    def record_bypass(self) -> None:
-        """Count a query that was eligible to consult the cache but ran
-        uncached (``optimize=False`` or an explicit opt-out)."""
-        self.counters.inc("bypass")
-
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
@@ -213,8 +208,7 @@ class PlanCache:
         data = self.counters.snapshot()
         # Nothing re-plans any more, so ``replans`` always reads 0; it stays
         # because the timing spine's workloads read it.
-        for name in ("hits", "misses", "evictions", "invalidations",
-                     "replans", "bypass"):
+        for name in ("hits", "misses", "evictions", "invalidations", "replans"):
             data.setdefault(name, 0)
         data["size"] = len(self)
         data["capacity"] = self.capacity

@@ -6,8 +6,16 @@ import pytest
 
 from repro.api import Database
 from repro.optimizer.engine import Optimizer
+from repro.optimizer.planner import PlannerOptions
+from repro.optimizer.rules import DEFAULT_RULES
 from repro.storage import Catalog, DataType
 from repro.workloads.tpch import TpchConfig, load_tpch
+
+#: Every optimizer rule disabled: ``Database.sql`` then runs the bound
+#: plan as written (the optimizer explores that one plan and keeps it).
+ALL_RULES_OFF = PlannerOptions(
+    disabled_rules=tuple(rule.name for rule in DEFAULT_RULES)
+)
 
 
 def pytest_addoption(parser):

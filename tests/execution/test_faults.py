@@ -21,6 +21,7 @@ from repro.execution.faults import (
     install_plan,
 )
 from repro.storage.types import DataType
+from tests.conftest import ALL_RULES_OFF
 
 GAPPLY_SQL = (
     "select gapply(select count(*) as n from g) from t group by g : g"
@@ -68,12 +69,12 @@ class TestSpillFaults:
     def test_failing_spill_write_raises_typed_error(self, db):
         with fault_injection(FaultPlan(seed=4, fail_spill_at=0)):
             with pytest.raises(SpillError, match="injected"):
-                db.sql(GAPPLY_SQL, optimize=False, memory_budget=64)
+                db.sql(GAPPLY_SQL, planner_options=ALL_RULES_OFF, memory_budget=64)
 
     def test_fault_past_the_last_write_is_harmless(self, db):
-        plain = db.sql(GAPPLY_SQL, optimize=False)
+        plain = db.sql(GAPPLY_SQL, planner_options=ALL_RULES_OFF)
         with fault_injection(FaultPlan(seed=5, fail_spill_at=10_000_000)):
-            result = db.sql(GAPPLY_SQL, optimize=False, memory_budget=64)
+            result = db.sql(GAPPLY_SQL, planner_options=ALL_RULES_OFF, memory_budget=64)
         assert result.rows == plain.rows
 
 
@@ -86,7 +87,7 @@ class TestChaosDeterminism:
         for _ in range(2):
             with fault_injection(FaultPlan.from_seed(seed)):
                 try:
-                    rows = db.sql(GAPPLY_SQL, optimize=False,
+                    rows = db.sql(GAPPLY_SQL, planner_options=ALL_RULES_OFF,
                                   memory_budget=128).rows
                     outcomes.append(("rows", rows))
                 except SpillError:

@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.execution.governor import CHECK_STRIDE, Budget, Governor
 from repro.storage.types import DataType
+from tests.conftest import ALL_RULES_OFF
 
 GAPPLY_SQL = (
     "select gapply(select count(*) as n from g) from t group by g : g"
@@ -155,8 +156,7 @@ class TestGovernorThroughApi:
         governor = Governor()
         governor.cancel("shed load")
         with pytest.raises(QueryCancelled):
-            db.execute(db.plan("select v from t order by v"),
-                       governor=governor)
+            db.sql("select v from t order by v", governor=governor)
 
     def test_prebuilt_governor_is_adopted_not_rewritten(self, db):
         # A governor held across calls must not keep one statement's text.
@@ -169,8 +169,7 @@ class TestGovernorThroughApi:
 
     def test_governor_and_knobs_are_mutually_exclusive(self, db):
         with pytest.raises(PlanError):
-            db.execute(db.plan("select v from t"),
-                       governor=Governor(), max_rows=5)
+            db.sql("select v from t", governor=Governor(), max_rows=5)
 
     def test_sort_under_memory_budget_spills(self, db):
         # PSort spills to sorted runs under a cell budget (DESIGN §10.2):
@@ -190,9 +189,9 @@ class TestGovernorThroughApi:
         assert info.value.sql == "select g, v from t order by v"
 
     def test_memory_budget_makes_gapply_spill_not_fail(self, db):
-        plain = db.sql(GAPPLY_SQL, optimize=False)
+        plain = db.sql(GAPPLY_SQL, planner_options=ALL_RULES_OFF)
         budgeted = db.sql(
-            GAPPLY_SQL, optimize=False, memory_budget=64,
+            GAPPLY_SQL, planner_options=ALL_RULES_OFF, memory_budget=64,
             collect_metrics=True,
         )
         assert budgeted.rows == plain.rows

@@ -175,8 +175,7 @@ class TestDifferential:
 class TestAccounting:
     def test_cells_released_after_spilled_sort(self, db):
         governor = Governor(Budget(memory_cells=BUDGET), sql="spilled sort")
-        plan = db.plan("select id, x from t order by x desc")
-        result = db.execute(plan, governor=governor)
+        result = db.sql("select id, x from t order by x desc", governor=governor)
         assert len(result.rows) == 400
         assert governor.cells_in_use == 0
         assert 0 < governor.peak_cells <= BUDGET

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pickle
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.execution.context import ExecutionContext
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.execution.faults import FaultPlan, fault_injection
 from repro.execution.governor import Budget, Governor
-from repro.optimizer.planner import PlannerOptions
 from repro.storage.spill import (
     RunWriter,
     SpillFile,
@@ -25,6 +25,7 @@ from repro.storage.spill import (
     merge_runs,
 )
 from repro.workloads.queries import PAPER_QUERIES
+from tests.conftest import ALL_RULES_OFF
 
 #: Small enough that every paper query's partition buffer overflows.
 SPILL_THRESHOLD = 64
@@ -111,16 +112,12 @@ class TestSpillEquivalence:
     def test_forced_spill_is_byte_identical(
         self, tpch_db, tmp_path, name, kind, sql, partitioning
     ):
-        base = PlannerOptions(gapply_partitioning=partitioning)
-        plain = tpch_db.sql(sql, optimize=False, planner_options=base)
+        base = replace(ALL_RULES_OFF, gapply_partitioning=partitioning)
+        plain = tpch_db.sql(sql, planner_options=base)
         spilled = tpch_db.sql(
             sql,
-            optimize=False,
             collect_metrics=True,
-            planner_options=PlannerOptions(
-                gapply_partitioning=partitioning,
-                gapply_spill_threshold=SPILL_THRESHOLD,
-            ),
+            planner_options=replace(base, gapply_spill_threshold=SPILL_THRESHOLD),
         )
         assert spilled.rows == plain.rows
         if kind == "gapply":
@@ -139,19 +136,20 @@ class TestSpillObservability:
         sql = PAPER_QUERIES[0].gapply_sql
         explanation = tpch_db.sql(
             sql,
-            optimize=False,
             explain="analyze",
-            planner_options=PlannerOptions(
-                gapply_spill_threshold=SPILL_THRESHOLD
+            planner_options=replace(
+                ALL_RULES_OFF, gapply_spill_threshold=SPILL_THRESHOLD
             ),
         )
         assert explanation.registry.total("spilled_rows") > 0
-        plain = tpch_db.sql(sql, optimize=False)
+        plain = tpch_db.sql(sql, planner_options=ALL_RULES_OFF)
         assert explanation.rows == plain.rows
 
     def test_no_spill_metrics_without_threshold(self, tpch_db):
         result = tpch_db.sql(
-            PAPER_QUERIES[0].gapply_sql, optimize=False, collect_metrics=True
+            PAPER_QUERIES[0].gapply_sql,
+            planner_options=ALL_RULES_OFF,
+            collect_metrics=True,
         )
         assert result.metrics.total("spilled_rows") == 0
         assert result.metrics.total("spill_runs") == 0
@@ -197,11 +195,11 @@ class TestSpillHygiene:
 
     def test_injected_spill_failure_leaks_nothing(self, tpch_db, tmp_path):
         before = live_spill_files()
-        options = PlannerOptions(gapply_spill_threshold=SPILL_THRESHOLD)
+        options = replace(ALL_RULES_OFF, gapply_spill_threshold=SPILL_THRESHOLD)
         sql = PAPER_QUERIES[0].gapply_sql
         with fault_injection(FaultPlan(seed=3, fail_spill_at=0)):
             with pytest.raises(SpillError):
-                tpch_db.sql(sql, optimize=False, planner_options=options)
+                tpch_db.sql(sql, planner_options=options)
         assert list(tmp_path.iterdir()) == []
         assert live_spill_files() == before
 
@@ -209,11 +207,10 @@ class TestSpillHygiene:
         before = live_spill_files()
         governor = Governor()
         governor.cancel("client disconnected")
-        options = PlannerOptions(gapply_spill_threshold=SPILL_THRESHOLD)
+        options = replace(ALL_RULES_OFF, gapply_spill_threshold=SPILL_THRESHOLD)
         with pytest.raises(QueryCancelled):
             tpch_db.sql(
                 PAPER_QUERIES[0].gapply_sql,
-                optimize=False,
                 governor=governor,
                 planner_options=options,
             )

@@ -171,9 +171,6 @@ class TestEngineKnob:
         sql = PAPER_QUERIES[0].baseline_sql
         entry_points = {
             "Database.sql": lambda: tpch_db.sql(sql, engine="volcano"),
-            "Database.execute": lambda: tpch_db.execute(
-                tpch_db.plan(sql), engine="volcano"
-            ),
             "Prepared.execute": lambda: tpch_db.prepare(sql).execute(
                 engine="vector"
             ),

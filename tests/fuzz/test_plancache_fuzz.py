@@ -3,7 +3,7 @@
 The full sweep (600 cases, disjoint seed range) runs in CI's fuzz job;
 this keeps a small always-on slice in tier-1 so a cache regression fails
 fast locally. Every case draws its actions — runs with fresh same-type
-literals, prepared executions, bypasses, writes, snapshots, clears —
+literals, prepared executions, writes, snapshots, clears —
 online from the model, and every outcome must be the model's.
 """
 

@@ -9,6 +9,7 @@ import threading
 from repro.api import Database
 from repro.observe import LockedCounters, MetricsRegistry, Tracer
 from repro.storage.types import DataType
+from tests.conftest import ALL_RULES_OFF
 
 
 def build_db() -> Database:
@@ -61,13 +62,13 @@ class TestSharedDatabaseMetrics:
             "select gapply(select sum(a) from g) as (total) "
             "from t group by b : g"
         )
-        expected = sorted(db.sql(sql, optimize=False).rows)
+        expected = sorted(db.sql(sql, planner_options=ALL_RULES_OFF).rows)
         errors: list[str] = []
 
         def query(tid: int):
             result = db.sql(
                 sql,
-                optimize=False,
+                planner_options=ALL_RULES_OFF,
                 collect_metrics=True,
             )
             if sorted(result.rows) != expected:

@@ -28,6 +28,7 @@ from repro.algebra.operators import (
     TableScan,
     UnionAll,
 )
+from repro.api import Database
 from repro.optimizer.cost import CostModel
 from repro.storage import Catalog, DataType, table_from_rows
 
@@ -206,6 +207,31 @@ class TestIndexAwareness:
         catalog.table("items").create_index(["grp"])
         after = CostModel(catalog).estimate(join).cost
         assert after < before
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Planner._try_index_join picks index vs hash with its own "
+        "formula; lowering the cost model's choice moves the Q2-naive golden "
+        "EXPLAIN (ROADMAP item 11)",
+    )
+    def test_lowered_join_is_the_one_priced(self):
+        db = Database()
+        db.create_table(
+            "l", [("a", DataType.INTEGER), ("k", DataType.INTEGER)],
+            [(i, i % 10) for i in range(16)],
+        )
+        db.create_table(
+            "r", [("b", DataType.INTEGER), ("k2", DataType.INTEGER)],
+            [(i, i % 10) for i in range(100)],
+        )
+        db.create_index("r", ["k2"])
+        sql = "select a, b from l, r where k = k2"
+        join = db.sql(sql).logical_plan.children()[0]
+        assert isinstance(join, Join)
+        # An index nested loop into r: 16 + 16 * (1 + 10) + 160 output
+        # rows; the hash join would be 16 + 100 + 16 + 100 + 160 = 392.
+        assert CostModel(db.catalog).estimate(join).cost == 352
+        assert "IndexNLJoin(r via k2)[k=k2]" in str(db.sql(sql, explain=True))
 
     def test_orderby_cost_superlinear(self, catalog):
         model = CostModel(catalog)

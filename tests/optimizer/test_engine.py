@@ -11,13 +11,16 @@ from repro.algebra.operators import (
     Select,
     TableScan,
 )
+from repro.api import Database
 from repro.execution.base import run_plan
+from repro.fuzz.generator import generate_case
 from repro.optimizer.engine import Optimizer, apply_rule_once, rewrite_everywhere
 from repro.optimizer.planner import plan_physical
 from repro.optimizer.rules import DEFAULT_RULES, RuleContext, rule_by_name
 from repro.storage import Catalog, DataType, table_from_rows
 from repro.workloads.queries import query_by_name
 from repro.workloads.rule_queries import TABLE1_SWEEPS
+from tests.conftest import ALL_RULES_OFF
 from tests.observe.test_plan_snapshots import FORMULATIONS
 
 
@@ -166,6 +169,29 @@ class TestOptimize:
         report = Optimizer(catalog, only_pushdown).optimize(plan)
         assert isinstance(report.best, GApply)
         assert isinstance(report.best.outer, Join)
+
+
+def assert_bound_plan_kept(catalog, sql):
+    """With every rule disabled, a run — cached or not — optimizes the
+    bound plan into itself: one plan explored, no rule fired."""
+    for db in (Database(catalog, plan_cache=None), Database(catalog)):
+        report = db.sql(sql, explain=True, planner_options=ALL_RULES_OFF).report
+        assert report.best == db.plan(sql), sql
+        assert (report.explored, report.fired) == (1, []), sql
+
+
+class TestEveryRuleOff:
+    """Disabling every rule is how a run asks for the plan as written."""
+
+    @pytest.mark.parametrize("label,sql", FORMULATIONS, ids=[c[0] for c in FORMULATIONS])
+    def test_paper_formulations(self, tpch_catalog, label, sql):
+        assert_bound_plan_kept(tpch_catalog, sql)
+
+    def test_tier1_fuzz_slice(self):
+        # The seeds the tier-1 ``quick`` sweep runs (tests/fuzz/test_differential.py).
+        for seed in range(200):
+            case = generate_case(seed)
+            assert_bound_plan_kept(case.db.build().catalog, case.sql)
 
 
 class TestApplyRuleOnce:

@@ -22,6 +22,7 @@ from repro.optimizer.plancache import (
 )
 from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
+from tests.conftest import ALL_RULES_OFF
 
 
 def make_entry(digest: str, version: int = 0) -> CachedPlan:
@@ -140,30 +141,15 @@ class TestKeyingThroughDatabase:
         assert hit.plan_cache["source"] == "hit"
         assert len(db.plan_cache) == 1
 
-    def test_unoptimized_runs_bypass(self):
+    def test_rule_free_runs_go_through_the_cache(self):
+        # The bound plan as written is one more key, not a way around
+        # the cache: only ``plan_cache=None`` runs uncached.
         db = small_db()
-        db.sql("select id from t", optimize=False)
-        db.sql("select id from t", use_plan_cache=False)
-        stats = db.plan_cache.stats()
-        assert stats["bypass"] == 2
-        assert stats["misses"] == 0
-
-    def test_use_plan_cache_demands_a_cache(self):
-        db = Database(plan_cache=None)
-        db.create_table("t", [("id", DataType.INTEGER)], [(1,)])
-        with pytest.raises(PlanError):
-            db.sql("select id from t", use_plan_cache=True)
-
-    def test_use_plan_cache_refuses_an_unoptimized_run(self):
-        # True *demands* the cache, which only holds optimized plans; the
-        # pair used to be recorded as a bypass and run uncached.
-        db = small_db()
-        with pytest.raises(PlanError, match="optimize=False"):
-            db.sql("select id from t", use_plan_cache=True, optimize=False)
-        prepared = db.prepare("select id from t where v < 5.0")
-        with pytest.raises(PlanError, match="optimize=False"):
-            prepared.execute(use_plan_cache=True, optimize=False)
-        assert db.plan_cache.stats()["bypass"] == 0
+        sources = [
+            db.sql("select id from t", planner_options=ALL_RULES_OFF).plan_cache
+            for _ in range(2)
+        ]
+        assert [info["source"] for info in sources] == ["miss", "hit"]
 
     def test_catalog_mutation_invalidates(self):
         db = small_db()

@@ -59,10 +59,10 @@ class CachedDatabase(RuleBasedStateMachine):
     def _step(self, handle, *action):
         return step(*handle, self.model, action)
 
-    @rule(pick=picks, query=queries, seed=picks, rules=rule_sets, bypass=st.booleans())
-    def sql(self, pick, query, seed, rules, bypass):
+    @rule(pick=picks, query=queries, seed=picks, rules=rule_sets)
+    def sql(self, pick, query, seed, rules):
         handle = self.handles[pick % len(self.handles)]
-        self._step(handle, "bypass" if bypass else "sql", fresh(query, seed), rules)
+        self._step(handle, "sql", fresh(query, seed), rules)
 
     @rule(pick=picks, query=queries)
     def prepare(self, pick, query):

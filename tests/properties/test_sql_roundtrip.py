@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.api import Database
 from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
+from tests.conftest import ALL_RULES_OFF
 
 
 @st.composite
@@ -58,16 +59,16 @@ class TestOptimizationInvariance:
     @settings(max_examples=40, deadline=None)
     def test_filter_query(self, db, threshold):
         sql = f"select id, val from t where val > {threshold}"
-        assert sorted_rows(db.sql(sql, optimize=False)) == sorted_rows(
-            db.sql(sql, optimize=True)
+        assert sorted_rows(db.sql(sql, planner_options=ALL_RULES_OFF)) == sorted_rows(
+            db.sql(sql)
         )
 
     @given(db=random_db())
     @settings(max_examples=40, deadline=None)
     def test_aggregate_query(self, db):
         sql = "select grp, count(*), avg(val), min(val) from t group by grp"
-        assert sorted_rows(db.sql(sql, optimize=False)) == sorted_rows(
-            db.sql(sql, optimize=True)
+        assert sorted_rows(db.sql(sql, planner_options=ALL_RULES_OFF)) == sorted_rows(
+            db.sql(sql)
         )
 
     @given(db=random_db(), threshold=thresholds)
@@ -80,8 +81,8 @@ class TestOptimizationInvariance:
             f"where val < {threshold}) as (above, below) "
             "from t group by grp : g"
         )
-        assert sorted_rows(db.sql(sql, optimize=False)) == sorted_rows(
-            db.sql(sql, optimize=True)
+        assert sorted_rows(db.sql(sql, planner_options=ALL_RULES_OFF)) == sorted_rows(
+            db.sql(sql)
         )
 
 

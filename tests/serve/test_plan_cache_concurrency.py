@@ -141,7 +141,6 @@ class TestStormWithWriter:
         # Every query consulted the cache exactly once; accounting under
         # LockedCounters is exact, not approximate.
         assert cache_stats["hits"] + cache_stats["misses"] == submitted
-        assert cache_stats["bypass"] == 0
         assert cache_stats["hits"] > 0
 
 

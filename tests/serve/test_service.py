@@ -31,6 +31,7 @@ from repro.serve import (
 from repro.storage.types import DataType
 from repro.xmlpub import tpch_supplier_view
 
+from tests.conftest import ALL_RULES_OFF
 from tests.xmlpub.queries import Q1
 
 
@@ -252,8 +253,14 @@ class TestServiceQueries:
             # Options of Database.sql that Database.publish does not take are
             # typos to submit_publish, however valid their values.
             ({"explain": "verbose"}, PlanError, "explain must be", TypeError),
-            ({"use_plan_cache": True, "optimize": False}, PlanError,
-             "use_plan_cache=True demands", TypeError),
+            # Uncached and rule-free runs are ``Database(plan_cache=None)``
+            # and ``disabled_rules``, not run options.
+            ({"use_plan_cache": True}, TypeError,
+             "Service.sql() got an unexpected keyword argument 'use_plan_cache'",
+             TypeError),
+            ({"optimize": False}, TypeError,
+             "Service.sql() got an unexpected keyword argument 'optimize'",
+             TypeError),
         ],
     )
     def test_bad_option_is_refused_before_admission(
@@ -437,7 +444,7 @@ class TestShutdown:
 
         def client():
             try:
-                service.sql(sql, optimize=False)
+                service.sql(sql, planner_options=ALL_RULES_OFF)
                 outcome.append("completed")
             except QueryCancelled as error:
                 outcome.append(error)

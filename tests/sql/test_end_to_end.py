@@ -7,6 +7,7 @@ part i has price 10*i, brand A iff i even, size i % 4).
 """
 
 from repro.storage import DataType
+from tests.conftest import ALL_RULES_OFF
 
 
 def rows_sorted(rows) -> list:
@@ -181,16 +182,17 @@ class TestGApplyEndToEnd:
             "from partsupp, part where ps_partkey = p_partkey "
             "group by ps_suppkey : g"
         )
-        a = rows_sorted(parts_db.sql(sql, optimize=False).rows)
-        b = rows_sorted(parts_db.sql(sql, optimize=True).rows)
+        a = rows_sorted(parts_db.sql(sql, planner_options=ALL_RULES_OFF).rows)
+        b = rows_sorted(parts_db.sql(sql).rows)
         assert a == b
 
     def test_explain_mentions_gapply(self, parts_db):
-        text = parts_db.explain(
+        text = parts_db.sql(
             "select gapply(select p_name from g where p_retailprice > "
             "(select avg(p_retailprice) from g)) "
-            "from part group by p_brand : g"
-        )
+            "from part group by p_brand : g",
+            explain=True,
+        ).render()
         assert "GApply" in text
 
     def test_result_helpers(self, parts_db):

@@ -11,6 +11,7 @@ from repro.errors import CatalogError, PlanError
 from repro.optimizer.plancache import options_tag
 from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
+from tests.conftest import ALL_RULES_OFF
 
 
 class TestDatabaseDdl:
@@ -34,9 +35,12 @@ class TestQueryExecution:
         assert result.rows == [(12,)]
         assert result.optimization is not None
 
-    def test_optimize_false_skips_report(self, parts_db):
-        result = parts_db.sql("select count(*) from part", optimize=False)
-        assert result.optimization is None
+    def test_rule_free_run_reports_one_plan(self, parts_db):
+        result = parts_db.sql(
+            "select count(*) from part", planner_options=ALL_RULES_OFF
+        )
+        assert result.optimization.explored == 1
+        assert result.optimization.fired == []
 
     def test_plan_returns_logical(self, parts_db):
         from repro.algebra.operators import LogicalOperator
@@ -44,9 +48,10 @@ class TestQueryExecution:
         plan = parts_db.plan("select p_name from part")
         assert isinstance(plan, LogicalOperator)
 
-    def test_execute_accepts_prebuilt_plan(self, parts_db):
-        plan = parts_db.plan("select p_name from part where p_partkey = 1")
-        result = parts_db.execute(plan)
+    def test_rule_free_run_executes_the_bound_plan(self, parts_db):
+        sql = "select p_name from part where p_partkey = 1"
+        result = parts_db.sql(sql, planner_options=ALL_RULES_OFF)
+        assert result.logical_plan == parts_db.plan(sql)
         assert result.rows == [("part1",)]
 
     def test_planner_options_forwarded(self, parts_db):
@@ -75,21 +80,31 @@ class TestQueryExecution:
 
 class TestExplain:
     def test_explain_includes_cost_header(self, parts_db):
-        text = parts_db.explain("select count(*) from part")
-        assert text.startswith("-- cost:")
+        text = str(parts_db.sql("select count(*) from part", explain=True))
+        assert text.splitlines()[1].startswith("-- cost:")
 
     def test_explain_unoptimized(self, parts_db):
-        text = parts_db.explain("select count(*) from part", optimize=False)
-        assert not text.startswith("-- cost:")
+        text = str(
+            parts_db.sql(
+                "select count(*) from part",
+                explain=True,
+                planner_options=ALL_RULES_OFF,
+            )
+        )
+        assert "; explored 1 plan\n-- rules fired: none\n" in text
         assert "TableScan" in text
 
     def test_explain_lists_fired_rules(self, parts_db):
-        text = parts_db.explain(
-            "select gapply(select count(*) from g) "
-            "from partsupp, part where ps_partkey = p_partkey "
-            "group by ps_suppkey : g"
+        text = str(
+            parts_db.sql(
+                "select gapply(select count(*) from g) "
+                "from partsupp, part where ps_partkey = p_partkey "
+                "group by ps_suppkey : g",
+                explain=True,
+            )
         )
-        assert "rules:" in text
+        fired = text.splitlines()[2]
+        assert fired.startswith("-- rules fired: ") and "none" not in fired
 
 
 class TestQueryResultHelpers:
@@ -115,7 +130,6 @@ class TestRunOptionsSpelledOnce:
     #: Per entry point, the parameters that are the request, not options.
     REQUEST = {
         Database.sql: {"self", "text", "params"},
-        Database.execute: {"self", "logical", "sql_text"},
         Database.publish: {
             "self", "view", "query", "formulation", "chunk_bytes", "encoding",
         },
@@ -124,7 +138,7 @@ class TestRunOptionsSpelledOnce:
 
     def test_entry_point_options_are_run_option_fields(self, parts_db):
         option_fields = set(_RunOptions.__dataclass_fields__)
-        assert len(option_fields) == 9
+        assert len(option_fields) == 7
         for method, request in self.REQUEST.items():
             parameters = inspect.signature(method).parameters.values()
             named = {
@@ -137,13 +151,18 @@ class TestRunOptionsSpelledOnce:
         for refused in (
             {"no_such_option": 1}, {"parallelism": 2}, {"backend": "thread"},
             {"engine": "volcano"}, {"trace": True},
+            # ``optimize=False`` is ``disabled_rules`` naming every rule;
+            # ``use_plan_cache=False`` is ``Database(plan_cache=None)``.
+            {"optimize": False}, {"use_plan_cache": True},
         ):
-            with pytest.raises(TypeError, match=r"Prepared\.execute\(\) got"):
+            name = min(refused)
+            with pytest.raises(TypeError, match=rf"Prepared\.execute\(\) got .*'{name}'"):
                 prepared.execute(**refused)
-            with pytest.raises(TypeError, match=r"Database\.sql\(\) got"):
+            with pytest.raises(TypeError, match=rf"Database\.sql\(\) got .*'{name}'"):
                 parts_db.sql("select count(*) from part", **refused)
-        with pytest.raises(TypeError, match=r"Database\.execute\(\) got"):
-            parts_db.execute(parts_db.plan("select count(*) from part"), trace=True)
+        # ``sql``/``prepare``/``publish`` run queries; ``plan`` only binds.
+        assert not hasattr(Database, "execute")
+        assert not hasattr(Database, "explain")
         assert not hasattr(repro, "_RunOptions")
         assert "_RunOptions" not in getattr(repro.api, "__all__", ())
 
