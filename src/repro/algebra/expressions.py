@@ -118,8 +118,27 @@ class Literal(Expression):
             return f"'{escaped}'"
         return format_value(self.value)
 
+    # Equal literals must be interchangeable, because the optimizer merges
+    # equal subtrees. Python's equality is too coarse for that: ``2``,
+    # ``2.0`` and ``True`` are one value to it but divide, add and print
+    # differently in SQL, and ``0.0 == -0.0`` although they print apart.
+    # So the value's type is part of the comparison, and a float compares
+    # by its exact spelling.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def _identity(self) -> tuple:
+        value = self.value
+        return (type(value), repr(value) if type(value) is float else value)
+
+
+# eq=False: BindParameter keeps Literal's type-strict __eq__ and __hash__.
+@dataclass(frozen=True, eq=False)
 class BindParameter(Literal):
     """A prepared-statement parameter slot carrying its seed value.
 
@@ -144,6 +163,9 @@ class BindParameter(Literal):
 
     def __str__(self) -> str:
         return f"${self.index + 1}"
+
+    def _identity(self) -> tuple:
+        return (*super()._identity(), self.index)
 
 
 @dataclass(frozen=True)

@@ -13,39 +13,167 @@ in the outer subtree ... none of which can be reversed by any of the other
 rules. Hence, successive firing of rules will terminate." The engine also
 deduplicates explored trees structurally, so even rule sets with inverse
 pairs terminate.
+
+Explored trees share most of their subtrees, so one search hash-conses
+them (:class:`SearchSpace`): structurally equal subtrees become one object
+for the length of the search, and each rule's rewrites of a subtree and
+each estimate of a subtree are computed once and reused by every tree that
+contains it. What the search finds, in what order, is unchanged.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 
 from repro.algebra.operators import LogicalOperator
 from repro.errors import OptimizerError
-from repro.optimizer.cost import CostModel, Estimate
+from repro.optimizer.cost import DEFAULT_GROUP_ROWS, CostModel, Estimate
 from repro.optimizer.rules import DEFAULT_RULES
 from repro.optimizer.rules.base import Rule, RuleContext
 from repro.storage.catalog import Catalog
 
 DEFAULT_MAX_ALTERNATIVES = 128
 
+_CHILD_FIELD_TYPES = (LogicalOperator, tuple[LogicalOperator, ...])
+
+
+@functools.cache
+def payload_fields(kind: type[LogicalOperator]) -> tuple[str, ...]:
+    """The dataclass fields of ``kind`` that are not children: every field
+    except those typed as an operator or a tuple of operators. Read off
+    ``dataclasses.fields``, so a new field is part of the interning key
+    without anyone listing it; the cache holds classes, never plans."""
+    hints = typing.get_type_hints(kind)
+    return tuple(
+        spec.name
+        for spec in dataclasses.fields(kind)
+        if hints[spec.name] not in _CHILD_FIELD_TYPES
+    )
+
+
+class SearchSpace:
+    """The interned subtrees of one search and each one's rewrites.
+
+    A subtree is *interned* under its operator type, its non-child fields
+    and the identities of its interned children, so two subtrees that are
+    equal (by the operators' dataclass equality, which is what the search
+    deduplicates by) are one object here and identity stands in for
+    structural equality. That is sound only because equal subtrees are
+    interchangeable: a tree may hold one subtree twice, and both places get
+    the same object (hence :class:`~repro.algebra.expressions.Literal`'s
+    type-strict equality). The rewrite list of each (interned subtree, rule)
+    pair is computed once. Every table holds the nodes it keys, and
+    nothing refers back to the space, so it is freed by refcount when the
+    search that made it returns.
+    """
+
+    def __init__(self, context: RuleContext, rules: list[Rule]):
+        self.context = context
+        self.rules = rules
+        self._by_key: dict[tuple, LogicalOperator] = {}
+        self._interned: dict[int, LogicalOperator] = {}
+        self._rewrites: list[dict[int, list[LogicalOperator]]] = [{} for _ in rules]
+
+    def intern(self, node: LogicalOperator) -> LogicalOperator:
+        """The interned node equal to ``node`` (``node`` itself if it is the
+        first of its kind and its children are already interned)."""
+        if self._interned.get(id(node)) is node:
+            return node
+        children = node.children()
+        interned = tuple([self.intern(child) for child in children])
+        key = self._key(node, interned)
+        found = self._by_key.get(key)
+        if found is None:
+            if any(new is not old for new, old in zip(interned, children)):
+                node = node.with_children(interned)
+            found = self._add(key, node)
+        return found
+
+    def rewrites(self, node: LogicalOperator, rule_index: int) -> list[LogicalOperator]:
+        """Every tree obtained by applying rule ``rule_index`` at exactly one
+        node of the interned ``node``, interned, in ``rewrite_everywhere``'s
+        order. The list is shared: callers must not mutate it."""
+        memo = self._rewrites[rule_index]
+        results = memo.get(id(node))
+        if results is not None:
+            return results
+        results = [
+            self.intern(alternative)
+            for alternative in self.rules[rule_index].apply(node, self.context)
+        ]
+        children = node.children()
+        for index, child in enumerate(children):
+            # Most children are already memoized: skip the call for them.
+            child_rewrites = memo.get(id(child))
+            if child_rewrites is None:
+                child_rewrites = self.rewrites(child, rule_index)
+            for new_child in child_rewrites:
+                rebuilt = self._rebuild(
+                    node, children[:index] + (new_child,) + children[index + 1 :]
+                )
+                if rebuilt is not None:
+                    results.append(rebuilt)
+        memo[id(node)] = results
+        return results
+
+    def _rebuild(
+        self, node: LogicalOperator, children: tuple[LogicalOperator, ...]
+    ) -> LogicalOperator | None:
+        """``node`` over interned ``children``, or None when the rebuilt node
+        fails schema validation."""
+        key = self._key(node, children)
+        found = self._by_key.get(key)
+        try:
+            rebuilt = node.with_children(children) if found is None else found
+            rebuilt.schema  # force validation
+        except Exception:
+            return None
+        return self._add(key, rebuilt) if found is None else found
+
+    def _key(
+        self, node: LogicalOperator, children: tuple[LogicalOperator, ...]
+    ) -> tuple:
+        kind = type(node)
+        return (
+            kind,
+            *[getattr(node, name) for name in payload_fields(kind)],
+            *map(id, children),
+        )
+
+    def _add(self, key: tuple, node: LogicalOperator) -> LogicalOperator:
+        self._by_key[key] = node
+        self._interned[id(node)] = node
+        return node
+
+
+class _InternedCostModel(CostModel):
+    """The cost model over one search's interned subtrees: each (subtree,
+    ``group_rows``) pair is estimated once. The memo keeps every node it
+    keys alive, so an id is never reused while its entry exists."""
+
+    def __init__(self, catalog: Catalog):
+        super().__init__(catalog)
+        self._estimates: dict[tuple[int, float], tuple[LogicalOperator, Estimate]] = {}
+
+    def estimate(
+        self, node: LogicalOperator, group_rows: float = DEFAULT_GROUP_ROWS
+    ) -> Estimate:
+        key = (id(node), group_rows)
+        entry = self._estimates.get(key)
+        if entry is None:
+            entry = self._estimates[key] = (node, super().estimate(node, group_rows))
+        return entry[1]
+
 
 def rewrite_everywhere(
     tree: LogicalOperator, rule: Rule, context: RuleContext
 ) -> list[LogicalOperator]:
     """All trees obtained by applying ``rule`` at exactly one node."""
-    results: list[LogicalOperator] = list(rule.apply(tree, context))
-    children = tree.children()
-    for index, child in enumerate(children):
-        for new_child in rewrite_everywhere(child, rule, context):
-            new_children = list(children)
-            new_children[index] = new_child
-            try:
-                rebuilt = tree.with_children(tuple(new_children))
-                rebuilt.schema  # force validation
-            except Exception:
-                continue
-            results.append(rebuilt)
-    return results
+    space = SearchSpace(context, [rule])
+    return space.rewrites(space.intern(tree), 0)
 
 
 @dataclass(frozen=True)
@@ -109,22 +237,24 @@ class Optimizer:
         """Breadth-first exploration: the alternatives in discovery order,
         each one's origin (index of the tree it was rewritten from, rule
         name; unused for the input), the per-rule proposed/kept ledger, and
-        whether the alternative cap truncated the search."""
-        context = RuleContext(self.catalog)
-        seen: set[LogicalOperator] = {plan}
+        whether the alternative cap truncated the search. Alternatives are
+        interned (the input too), so ``seen`` is a set of identities."""
+        space = SearchSpace(RuleContext(self.catalog), self.rules)
+        plan = space.intern(plan)
+        seen: set[int] = {id(plan)}
         ordered: list[LogicalOperator] = [plan]
         origins: list[tuple[int, str]] = [(0, "")]
         stats = {rule.name: [0, 0] for rule in self.rules}
         truncated = len(ordered) >= self.max_alternatives
         cursor = 0
         while cursor < len(ordered) and not truncated:
-            for rule in self.rules:
+            for rule_index, rule in enumerate(self.rules):
                 tally = stats[rule.name]
-                for alternative in rewrite_everywhere(ordered[cursor], rule, context):
+                for alternative in space.rewrites(ordered[cursor], rule_index):
                     tally[0] += 1
-                    if alternative in seen:
+                    if id(alternative) in seen:
                         continue
-                    seen.add(alternative)
+                    seen.add(id(alternative))
                     tally[1] += 1
                     ordered.append(alternative)
                     origins.append((cursor, rule.name))
@@ -139,9 +269,9 @@ class Optimizer:
 
     def optimize(self, plan: LogicalOperator) -> OptimizationReport:
         """Pick the cheapest alternative under the Section-4.4 cost model."""
-        model = CostModel(self.catalog)
-        original = model.estimate(plan)
         alternatives, origins, rule_trace, truncated = self._explore_traced(plan)
+        model = _InternedCostModel(self.catalog)
+        original = model.estimate(alternatives[0])
         best_index = 0
         best_estimate = original
         for index, alternative in enumerate(alternatives[1:], 1):
