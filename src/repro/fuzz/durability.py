@@ -25,7 +25,10 @@ drawn action by action from the model's current state, runs until it
 finishes or the armed point fires (a
 :class:`~repro.execution.faults.SimulatedCrash`: the store is abandoned
 exactly as a dead process would leave it); then it is reopened and
-checked.
+checked. A case that passes then suffers bit rot: one seeded bit flips
+in a non-empty live segment or in the newest checkpoint — the files
+recovery reads — and recovery must refuse with the typed
+:class:`~repro.errors.WalCorruptionError`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,12 @@ from repro.execution.faults import (
 )
 from repro.fuzz.driver import Failure, Profile
 from repro.storage import DataType
-from repro.storage.wal import FSYNC_GROUP, FSYNC_NEVER, FSYNC_POLICIES
+from repro.storage.wal import (
+    FSYNC_GROUP,
+    FSYNC_NEVER,
+    FSYNC_POLICIES,
+    recover,
+)
 
 #: The columns of every table the drivers create (no primary key).
 COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
@@ -413,9 +421,50 @@ def _drive(case: DurabilityCase, db: Database, model: StoreModel) -> bool:
     return refused
 
 
-def run_durability_case(case: DurabilityCase) -> tuple[bool, str | None]:
-    """Run one case: whether its armed point fired, and None when the
-    invariant held, else a detail string."""
+def _bit_rot(directory: str, seed: int) -> tuple[str | None, str | None]:
+    """Flip one seeded bit in a file recovery reads and expect the typed
+    refusal. Returns what was hit (``"segment"``, ``"checkpoint"``, or
+    None for a store with nothing to hit) and None when recovery
+    refused, else a detail string."""
+    # Its own generator: no draw of the case or of its workload moves.
+    rng = random.Random(seed * 104729 + 31)
+    names = sorted(os.listdir(directory))
+    checkpoints = [n for n in names if n.startswith("checkpoint-")]
+    # Older checkpoints are never read, so only the newest can rot.
+    targets = checkpoints[-1:] + [
+        n
+        for n in names
+        if n.startswith("wal-")
+        and os.path.getsize(os.path.join(directory, n)) > 0
+    ]
+    if not targets:
+        return None, None
+    name = rng.choice(targets)
+    path = os.path.join(directory, name)
+    offset = rng.randrange(os.path.getsize(path))
+    bit = rng.randrange(8)
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ (1 << bit)]))
+    hit = "checkpoint" if name.startswith("checkpoint-") else "segment"
+    try:
+        catalog, _ = recover(directory, repair=False)
+    except WalCorruptionError:
+        return hit, None
+    return hit, (
+        f"bit rot at {name} byte {offset} bit {bit} recovered silently "
+        f"to v{catalog.version}"
+    )
+
+
+def run_durability_case(
+    case: DurabilityCase,
+) -> tuple[bool, str | None, str | None]:
+    """Run one case: whether its armed point fired, what bit rot hit
+    (see :func:`_bit_rot`), and None when every check held, else a
+    detail string."""
     directory = tempfile.mkdtemp(prefix="repro-wal-chaos-")
     model = StoreModel(archive=case.archive)
     try:
@@ -433,19 +482,26 @@ def run_durability_case(case: DurabilityCase) -> tuple[bool, str | None]:
                 fired = True
             else:
                 db.close()
-        return fired, reopen_and_check(directory, model)
+        detail = reopen_and_check(directory, model)
+        if detail is not None:
+            return fired, None, detail
+        rotted, detail = _bit_rot(directory, case.seed)
+        return fired, rotted, detail
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
 
 def _check(case: DurabilityCase, tally: Counter) -> Failure | None:
-    # The scenario, fsync and fired mixes land in the summary line, so a
-    # changed draw, or a point that stops firing, shows in the CI log.
+    # The scenario, fsync, fired and bitrot mixes land in the summary
+    # line, so a changed draw, or a point that stops firing, shows in
+    # the CI log.
     tally[case.scenario] += 1
     tally[f"fsync:{case.fsync}"] += 1
-    fired, detail = run_durability_case(case)
+    fired, rotted, detail = run_durability_case(case)
     if fired:
         tally[f"fired:{case.scenario}"] += 1
+    if rotted is not None:
+        tally[f"bitrot:{rotted}"] += 1
     if detail is None:
         return None
     return Failure(case.seed, "durability", detail, case, config=case.scenario)

@@ -20,13 +20,11 @@ discipline:
   one full :func:`catalog_state` image into a temp file, fsyncs,
   atomically renames it into place, and then deletes — or, with
   ``archive=True``, moves into ``archive/`` — every older checkpoint and
-  every segment it supersedes. Stores written before checkpoints were
-  always full may still hold incremental *delta* chains; recovery
-  resolves them, and the next checkpoint retires them;
+  every segment it supersedes;
 * **recover** — :func:`recover` loads the newest checkpoint,
   replays every committed record above it, physically truncates a torn
   tail or an unterminated tail transaction, and raises the typed
-  :class:`~repro.errors.WalCorruptionError` on mid-log damage;
+  :class:`~repro.errors.WalCorruptionError` on any other damage;
 * **point-in-time recovery** — :func:`recover_point_in_time` rebuilds
   the catalog at *any* intermediate committed version from the archived
   segment chain plus the live log, or raises the typed
@@ -34,15 +32,17 @@ discipline:
   the oldest archive, exceeds the newest committed version, or falls
   inside a transaction.
 
-**Record format.** Segments reuse the spill codec's framing byte for
-byte (:mod:`repro.storage.spill`)::
+**Frame format.** Segments and checkpoints are sequences of frames::
 
-    record   := length checksum payload
-    length   := 4-byte big-endian unsigned int, len(payload)
-    checksum := 4-byte big-endian unsigned int, zlib.crc32(payload)
-    payload  := pickle.dumps({"version": int, "kind": str, "data": {...},
-                              ["txn": int]}, protocol=4)
+    frame      := length checksum header_crc payload
+    length     := 4-byte big-endian unsigned int, len(payload)
+    checksum   := 4-byte big-endian unsigned int, zlib.crc32(payload)
+    header_crc := 4-byte big-endian unsigned int, zlib.crc32(length checksum)
+    payload    := pickle.dumps(record, protocol=4)
+    record     := (version, kind, txn, data)    in a segment
+                | catalog_state(...)            in a checkpoint
 
+``txn`` is the owning transaction's id, or ``None`` outside one.
 ``version`` is the :attr:`Catalog.version` the record *produces* — the
 monotonic counter the snapshot machinery already maintains — which is
 what makes replay idempotent: a record whose version is at or below the
@@ -53,19 +53,16 @@ like mutations do (``begin`` and ``commit``/``abort`` each take one), so
 versions never rewind — a rolled-back transaction leaves the counter,
 but not the data, advanced.
 
-**Torn tail vs corruption.** Only an *incomplete* final frame of the
-final segment — the file ends before the frame does — can be a write
-torn by a crash, and recovery truncates it. A *complete* frame whose
-CRC fails is never a torn write (torn writes shorten, they do not
-rewrite), so it raises :class:`WalCorruptionError` even at the tail —
-bit rot must never silently truncate acknowledged commits. Incomplete
-tails are additionally cross-checked: if the bytes after the header
-checksum clean as a whole (a flipped length field masking an intact
-final frame), or contain an embedded valid frame (a flipped length
-swallowing real records), recovery refuses instead of truncating. The
-one remaining ambiguity, documented in DESIGN.md §15: a flip in the
-final frame's length field that *extends* it past EOF while the real
-payload was already short is indistinguishable from a torn write.
+**Torn tail vs corruption.** The header CRC vouches for the length
+before anything trusts it, so the rule is exact. A frame is *torn* when
+the file ends inside its header, or when its header checks and the file
+ends inside its payload; a torn final frame of the final segment is a
+write interrupted by a crash, and recovery truncates it. Every other
+failed check — a header or a payload that fails its CRC, or a torn frame
+anywhere else — raises :class:`WalCorruptionError`: torn writes shorten
+a file, they never rewrite it, so bit rot must never silently truncate
+acknowledged commits. A store written before this format fails the
+header check at offset 0 of its first file and is refused the same way.
 
 **Fsync policy.** ``"always"`` fsyncs at every commit point (one fsync
 per acknowledged commit; in-transaction records ride for free until the
@@ -87,6 +84,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import threading
 import time
 import zlib
@@ -98,7 +96,7 @@ from repro.errors import (
     WalError,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.spill import _HEADER, PICKLE_PROTOCOL
+from repro.storage.spill import PICKLE_PROTOCOL
 from repro.storage.table import Table
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
@@ -109,13 +107,11 @@ FSYNC_GROUP = "group"
 FSYNC_NEVER = "never"
 FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_GROUP, FSYNC_NEVER)
 
-#: Record kinds that mutate the catalog — one per mutation path, plus
-#: ``replace_table``, which no path writes any more but older stores hold.
+#: Record kinds that mutate the catalog — one per mutation path.
 MUTATION_KINDS = (
     "create_table",
     "drop_table",
     "insert_rows",
-    "replace_table",
     "create_index",
     "add_foreign_key",
 )
@@ -188,9 +184,19 @@ def _store_files(
     return checkpoints, [path for _, _, path in segments], orphans
 
 
-def _encode(record: dict) -> bytes:
+#: A frame header: payload length, payload CRC32, then the CRC32 of the
+#: first two fields (:data:`_VOUCHED`), so no length is trusted before a
+#: checksum vouches for it.
+_HEADER = struct.Struct(">III")
+_VOUCHED = struct.Struct(">II")
+
+
+def _encode(record: Any) -> bytes:
+    """One frame: a segment record tuple or a checkpoint state dict."""
     payload = pickle.dumps(record, protocol=PICKLE_PROTOCOL)
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    length, checksum = len(payload), zlib.crc32(payload)
+    header_crc = zlib.crc32(_VOUCHED.pack(length, checksum))
+    return _HEADER.pack(length, checksum, header_crc) + payload
 
 
 def _fsync_dir(directory: str) -> None:
@@ -286,9 +292,6 @@ def _apply_record(
         catalog.insert_rows(
             data["table"], [tuple(row) for row in data["rows"]]
         )
-    elif kind == "replace_table":
-        # No longer written; stores that hold one still replay it.
-        catalog.register(build_table(data["table"]), replace=True)
     elif kind == "create_index":
         catalog.create_index(data["table"], data["columns"])
     elif kind == "add_foreign_key":
@@ -582,11 +585,7 @@ class WriteAheadLog:
             # Rotation fsync/open failure: no frame was written yet, so
             # the append simply never happened.
             raise WalError(f"WAL segment rotation failed: {exc}") from exc
-        record: dict[str, Any] = {"version": version, "kind": kind,
-                                  "data": data}
-        if txn is not None:
-            record["txn"] = txn
-        frame = _encode(record)
+        frame = _encode((version, kind, txn, data))
         short_write = check_wal_append()  # may raise SimulatedCrash
         offset = self._segment_size
         if short_write is not None:
@@ -640,16 +639,15 @@ class WriteAheadLog:
 
     def write_checkpoint(self, state: dict) -> str:
         """Write ``state`` (a :func:`catalog_state` dict) durably as one
-        full image.
+        full image: a file holding one frame whose payload is ``state``.
 
         Temp-file + fsync + atomic rename + directory fsync, then delete
         (or archive) every segment whose records the checkpoint folds in
-        and every older checkpoint — a delta chain left by an older store
-        included. Crash-safe at every step: an interrupted temp write
-        leaves only a ``.tmp`` orphan (removed by recovery), a crash
-        before the rename leaves the previous checkpoint authoritative,
-        and a crash before the segment deletion leaves stale segments
-        that replay idempotently.
+        and every older checkpoint. Crash-safe at every step: an
+        interrupted temp write leaves only a ``.tmp`` orphan (removed by
+        recovery), a crash before the rename leaves the previous
+        checkpoint authoritative, and a crash before the segment deletion
+        leaves stale segments that replay idempotently.
         """
         from repro.execution.faults import check_checkpoint
 
@@ -657,7 +655,7 @@ class WriteAheadLog:
         version = state["version"]
         final_path = os.path.join(self.directory, _checkpoint_name(version))
         tmp_path = final_path + _TMP_SUFFIX
-        frame = _encode({"format": "full", **state})
+        frame = _encode(state)
         try:
             with open(tmp_path, "wb", buffering=0) as handle:
                 handle.write(frame[: len(frame) // 2])
@@ -753,53 +751,20 @@ class WriteAheadLog:
 # ---------------------------------------------------------------------------
 
 
-def _contains_valid_frame(data: memoryview) -> bool:
-    """Does any offset of ``data`` start a complete CRC-valid frame?
-
-    Used on the claimed-payload bytes of an incomplete final frame: a
-    hit means the length header was corrupted into swallowing real
-    records, so truncation would silently drop acknowledged history.
-    """
-    limit = len(data) - _HEADER.size
-    for position in range(limit + 1):
-        length, checksum = _HEADER.unpack_from(data, position)
-        if length == 0:
-            continue  # zlib.crc32(b"") == 0: zero-runs would false-hit
-        end = position + _HEADER.size + length
-        if end > len(data):
-            continue
-        if zlib.crc32(data[position + _HEADER.size:end]) == checksum:
-            return True
-    return False
-
-
 #: Verdicts of :func:`_frames`. Everything but ``_OK`` ends the walk.
 _OK = "ok"
-_BAD_CRC = "bad-crc"  # complete frame, checksum mismatch
-_TORN = "torn"  # the file ends inside the header or the payload
-#: Incomplete, yet not a torn write — the length field was flipped. The
-#: values finish the sentence "corrupt length field at <where>: ...".
-_LENGTH_MASKS = (
-    "the frame's payload is intact and checksums clean — refusing to "
-    "truncate an acknowledged record"
-)
-_LENGTH_SWALLOWS = (
-    "the claimed payload swallows a complete later frame — mid-log "
-    "damage, not a torn tail"
-)
+_BAD_HEADER = "bad-header"  # the header fails its CRC: its length is unknown
+_BAD_CRC = "bad-crc"  # the header checks, the payload fails its CRC
+_TORN = "torn"  # the file ends inside the header, or inside a vouched payload
 
 
 def _frames(path: str) -> Iterator[tuple[int, str, int | None, memoryview]]:
     """The one frame walker: classify each frame of a segment or
     checkpoint file as ``(offset, verdict, length, body)``.
 
-    ``length`` is the header's claimed payload length (``None`` when the
-    file ends inside the header) and ``body`` the payload bytes present.
-    An incomplete frame passes as ``_TORN`` only after two cross-checks:
-    bytes after the header that checksum clean as a whole mean a flipped
-    length over an intact final frame (``_LENGTH_MASKS``); an embedded
-    CRC-valid frame, one flipped into swallowing real records
-    (``_LENGTH_SWALLOWS``).
+    ``length`` is the payload length once the header CRC vouched for it
+    (``None`` for a torn or failed header) and ``body`` the payload
+    bytes present.
     """
     with open(path, "rb") as handle:
         data = memoryview(handle.read())  # bodies are views, not copies
@@ -810,16 +775,14 @@ def _frames(path: str) -> Iterator[tuple[int, str, int | None, memoryview]]:
         if start > size:
             yield offset, _TORN, None, data[offset:]
             return
-        length, checksum = _HEADER.unpack_from(data, offset)
+        length, checksum, header_crc = _HEADER.unpack_from(data, offset)
+        if zlib.crc32(data[offset:offset + _VOUCHED.size]) != header_crc:
+            yield offset, _BAD_HEADER, None, data[start:start]
+            return
         end = start + length
         body = data[start:end]
         if end > size:
-            verdict = _TORN
-            if body and zlib.crc32(body) == checksum:
-                verdict = _LENGTH_MASKS
-            elif body and _contains_valid_frame(body):
-                verdict = _LENGTH_SWALLOWS
-            yield offset, verdict, length, body
+            yield offset, _TORN, length, body
             return
         if zlib.crc32(body) != checksum:
             yield offset, _BAD_CRC, length, body
@@ -828,51 +791,53 @@ def _frames(path: str) -> Iterator[tuple[int, str, int | None, memoryview]]:
         offset = end
 
 
+def _damage(path: str, offset: int, verdict: str) -> WalCorruptionError:
+    """The typed refusal for a frame that is not ``_OK`` and not a torn
+    tail recovery may truncate."""
+    where = f"{path}:{offset}"
+    if verdict == _BAD_HEADER:
+        why = (
+            "the file is damaged or predates this format"
+            if offset == 0
+            else "bit rot, not a torn write"
+        )
+        return WalCorruptionError(
+            f"frame header fails its CRC at {where}: {why}"
+        )
+    if verdict == _BAD_CRC:
+        return WalCorruptionError(
+            f"payload fails its CRC at {where} on a complete frame — bit "
+            "rot, not a torn write; refusing to drop acknowledged history"
+        )
+    return WalCorruptionError(
+        f"truncated frame at {where} — only the final frame of the newest "
+        "segment may be torn; this is damage, not a torn write"
+    )
+
+
 def _read_segment(
     path: str, is_last: bool, repair: bool = True
-) -> Iterator[tuple[dict, int]]:
-    """Yield ``(record, offset)`` for every decodable frame in a segment.
+) -> Iterator[tuple[int, int, str, int | None, dict]]:
+    """Yield ``(offset, version, kind, txn, data)`` for every frame of a
+    segment.
 
-    Classification of a bad frame (DESIGN.md §15):
-
-    * **complete frame, CRC mismatch** — never a torn write (a torn
-      write shortens the file; it cannot rewrite bytes), so this raises
-      :class:`WalCorruptionError` even at the very tail;
-    * **incomplete frame** (the file ends inside the header or payload)
-      in the *final* segment — a torn tail, physically truncated back to
-      the last good frame when ``repair`` is true (read-only callers
-      pass ``repair=False`` and the iterator just stops), unless
-      :func:`_frames` unmasked it as a flipped length field, which is
-      corruption, not a torn write;
-    * **anything bad in a non-final segment** — mid-log damage, raises.
+    A torn final frame of the *final* segment is physically truncated
+    back to the last good frame when ``repair`` is true (read-only
+    callers pass ``repair=False`` and the iterator just stops); every
+    other bad frame raises :class:`WalCorruptionError` (DESIGN.md §15.4).
     """
-    for offset, verdict, length, body in _frames(path):
+    for offset, verdict, _, body in _frames(path):
         if verdict == _OK:
             try:
-                record = pickle.loads(body)
+                version, kind, txn, data = pickle.loads(body)
             except Exception as exc:
                 raise WalCorruptionError(
                     f"undecodable WAL record at {path}:{offset}: {exc}"
                 ) from exc
-            yield record, offset
-            continue
-        if verdict == _BAD_CRC:
-            raise WalCorruptionError(
-                f"record checksum mismatch at {path}:{offset} on a "
-                "complete frame — bit rot, not a torn write; "
-                "refusing to drop acknowledged history"
-            )
-        if not is_last:
-            part = "header" if length is None else "payload"
-            raise WalCorruptionError(
-                f"truncated record {part} at {path}:{offset} with later "
-                "log data following — mid-log damage, not a torn tail"
-            )
-        if verdict != _TORN:
-            raise WalCorruptionError(
-                f"corrupt length field at {path}:{offset}: {verdict}"
-            )
-        if repair:
+            yield offset, version, kind, txn, data
+        elif verdict != _TORN or not is_last:
+            raise _damage(path, offset, verdict)
+        elif repair:
             # Torn tail: physically truncate back to the last good frame
             # so the next writer appends after clean history.
             with open(path, "r+b") as trunc:
@@ -880,67 +845,12 @@ def _read_segment(
 
 
 def _load_checkpoint(path: str) -> dict:
-    _, verdict, length, body = next(_frames(path), (0, _TORN, None, b""))
+    """The state a checkpoint file holds; any damage raises, a torn
+    checkpoint included — the history it folded in is gone."""
+    offset, verdict, _, body = next(_frames(path), (0, _TORN, None, b""))
     if verdict != _OK:
-        raise WalCorruptionError(
-            f"truncated checkpoint header: {path}"
-            if length is None
-            else f"checkpoint failed its CRC: {path} — acknowledged "
-            "history is unreadable"
-        )
+        raise _damage(path, offset, verdict)
     return pickle.loads(body)
-
-
-def _resolve_checkpoint_chain(
-    paths_by_version: dict[int, str], newest: int
-) -> dict:
-    """The state dict of the checkpoint at ``newest``.
-
-    Every checkpoint written now is a full image, which this returns as
-    is. Stores from before that may hold incremental *delta* chains:
-    walks ``base`` links back to a full image, then replays the deltas
-    forward (drops, then table upserts, then the FK list when present).
-    A missing or unreadable link raises :class:`WalCorruptionError` —
-    half a chain is not a state. Nothing writes a delta any more; the
-    first checkpoint after opening such a store retires its chain.
-    """
-    chain: list[dict] = []
-    version = newest
-    seen: set[int] = set()
-    while True:
-        if version in seen:
-            raise WalCorruptionError(
-                f"incremental checkpoint chain loops at v{version}"
-            )
-        seen.add(version)
-        path = paths_by_version.get(version)
-        if path is None:
-            raise WalCorruptionError(
-                f"incremental checkpoint chain is broken: base checkpoint "
-                f"v{version} is missing"
-            )
-        state = _load_checkpoint(path)
-        chain.append(state)
-        if state.get("format", "full") != "delta":
-            break
-        version = state["base"]
-    full = chain[-1]
-    tables = {t["name"].lower(): t for t in full["tables"]}
-    foreign_keys = full["foreign_keys"]
-    resolved_version = full["version"]
-    for delta in reversed(chain[:-1]):
-        for name in delta["dropped"]:
-            tables.pop(name.lower(), None)
-        for tstate in delta["tables"]:
-            tables[tstate["name"].lower()] = tstate
-        if delta["foreign_keys"] is not None:
-            foreign_keys = delta["foreign_keys"]
-        resolved_version = delta["version"]
-    return {
-        "version": resolved_version,
-        "tables": list(tables.values()),
-        "foreign_keys": foreign_keys,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -990,8 +900,9 @@ def _replay(
     # scanning versions so refusals can name the reachable range.
     for index, path in enumerate(segment_paths):
         is_last = index == len(segment_paths) - 1
-        for record, offset in _read_segment(path, is_last, repair=repair):
-            version = record["version"]
+        for offset, version, kind, txn, data in _read_segment(
+            path, is_last, repair=repair
+        ):
             if version <= seen:
                 continue  # stale duplicate — already folded in
             if version != seen + 1:
@@ -1001,8 +912,6 @@ def _replay(
                     "is missing"
                 )
             seen = version
-            kind = record["kind"]
-            txn = record.get("txn")
             applying = stop_at is None or version <= stop_at
             if kind == "txn_begin":
                 if pending is not None:
@@ -1036,7 +945,7 @@ def _replay(
                             f"record for transaction {txn} at v{version} "
                             "outside its begin/terminator bracket"
                         )
-                    pending.ops.append((kind, record["data"], version))
+                    pending.ops.append((kind, data, version))
                 else:
                     if pending is not None:
                         raise WalCorruptionError(
@@ -1044,7 +953,7 @@ def _replay(
                             f"transaction {pending.txn_id}"
                         )
                     if applying:
-                        _apply_record(catalog, kind, record["data"], version)
+                        _apply_record(catalog, kind, data, version)
                         replayed += 1
                     boundaries.append(version)
     return replayed, pending, boundaries
@@ -1088,7 +997,7 @@ def recover(directory: str, repair: bool = True) -> tuple[Catalog, int]:
     catalog = Catalog()
     if checkpoints:
         catalog = restore_catalog(
-            _resolve_checkpoint_chain(checkpoints, max(checkpoints))
+            _load_checkpoint(checkpoints[max(checkpoints)])
         )
     replayed, pending, _ = _replay(catalog, segment_paths, repair=repair)
     if pending is not None and repair:
@@ -1120,9 +1029,7 @@ def recover_point_in_time(directory: str, version: int) -> Catalog:
     basis_version = max((v for v in checkpoints if v <= version), default=0)
     catalog = Catalog()
     if basis_version in checkpoints:
-        catalog = restore_catalog(
-            _resolve_checkpoint_chain(checkpoints, basis_version)
-        )
+        catalog = restore_catalog(_load_checkpoint(checkpoints[basis_version]))
     try:
         _, _, boundaries = _replay(
             catalog, segment_paths, repair=False, stop_at=version
@@ -1175,8 +1082,7 @@ def recoverable_range(directory: str) -> tuple[int, int]:
     except WalCorruptionError:
         if not checkpoints:
             raise
-    basis = _resolve_checkpoint_chain(checkpoints, max(checkpoints))
-    catalog = restore_catalog(basis)
+    catalog = restore_catalog(_load_checkpoint(checkpoints[max(checkpoints)]))
     _, _, boundaries = _replay(catalog, segment_paths, repair=False)
     return min(checkpoints), max(boundaries)
 
@@ -1189,21 +1095,22 @@ def recoverable_range(directory: str) -> tuple[int, int]:
 def _dump_segment(path: str, label: str) -> None:
     """Print one line per frame, tolerating damage (marked, not raised)."""
     for offset, verdict, length, body in _frames(path):
-        if length is None:
-            status = f"TORN (truncated header, {len(body)} bytes)"
+        if verdict == _BAD_HEADER:
+            status = "crc=BAD (header)"
         elif verdict == _BAD_CRC:
             status = f"crc=BAD (complete frame, {length} bytes)"
-        elif verdict != _OK:
+        elif length is None:
+            status = f"TORN (truncated header, {len(body)} bytes)"
+        elif verdict == _TORN:
             status = f"TORN (payload {len(body)}/{length} bytes)"
         else:
             try:
-                record = pickle.loads(body)
+                version, kind, txn, _ = pickle.loads(body)
             except Exception:
                 print(f"  {label} @{offset}: crc=ok but payload undecodable")
                 return
-            txn = record.get("txn")
             status = (
-                f"v{record['version']} {record['kind']} "
+                f"v{version} {kind} "
                 f"txn={txn if txn is not None else '-'} crc=ok"
             )
         print(f"  {label} @{offset}: {status}")
@@ -1251,10 +1158,8 @@ def main(argv: list[str] | None = None) -> int:
             except WalCorruptionError as exc:
                 print(f"checkpoint {rel}: UNREADABLE ({exc})")
                 continue
-            fmt = state.get("format", "full")
-            extra = f" base=v{state['base']}" if fmt == "delta" else ""
             print(
-                f"checkpoint {rel}: v{version} {fmt}{extra} "
+                f"checkpoint {rel}: v{version} "
                 f"({len(state['tables'])} table(s))"
             )
     try:

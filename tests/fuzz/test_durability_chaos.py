@@ -2,7 +2,7 @@
 acknowledged-commit prefix. The CI job runs a wider sweep through
 ``python -m repro.fuzz --profile durability``; this battery keeps a
 representative slice in tier-1, pins the harness determinism, and checks
-that every armed crash point really fires."""
+that every armed crash point really fires and that bit rot is refused."""
 
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ def test_sweep_slice_is_green():
     report = sweep(PROFILES["durability"], seed=0, n=40, stop_after=3)
     assert report.ok, report.summary()
     assert report.cases == 40
+    # Passing cases then suffer one flipped bit, in both kinds of file.
+    assert report.tally["bitrot:segment"] and report.tally["bitrot:checkpoint"]
 
 
 def test_sweep_covers_every_crash_point():

@@ -9,6 +9,11 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
+import pickle
+import struct
+import subprocess
+import sys
+import zlib
 
 import pytest
 
@@ -26,12 +31,10 @@ from repro.storage.wal import (
     FSYNC_POLICIES,
     WriteAheadLog,
     _checkpoint_name,
-    _encode,
     _load_checkpoint,
     catalog_state,
     recover,
     recoverable_range,
-    table_state,
 )
 from repro.workloads.tpch import TpchConfig, load_tpch
 
@@ -101,20 +104,6 @@ class TestRoundTrip:
         again = durable_db(tmp_path)
         assert again.catalog.has_table("t")
         assert not again.catalog.has_table("gone")
-        again.close()
-
-    def test_replace_table_records_still_replay(self, tmp_path):
-        # No path writes replace_table any more; a store that holds one
-        # recovers it as a whole-table swap.
-        db = durable_db(tmp_path)
-        db.create_table("t", COLUMNS, [(1, "a")])
-        swapped = db.table("t").clone()
-        swapped.insert((2, "b"))
-        db.wal.append(2, "replace_table", {"table": table_state(swapped)})
-        db.close()
-        again = durable_db(tmp_path)
-        assert again.table("t").rows == [(1, "a"), (2, "b")]
-        assert again.catalog.version == 2
         again.close()
 
     def test_reopened_tpch_store_keeps_its_indexes(self, tmp_path):
@@ -208,7 +197,7 @@ class TestSegmentsAndCheckpoints:
     def test_second_checkpoint_leaves_one_checkpoint_file(self, tmp_path):
         db = two_checkpoints(tmp_path)
         (name,) = checkpoint_files(tmp_path)
-        assert _load_checkpoint(str(tmp_path / name))["format"] == "full"
+        assert _load_checkpoint(str(tmp_path / name))["version"] == 2
         assert db.wal.checkpoints == 2
         again = durable_db(tmp_path)
         assert again.catalog.table("t").rows == [(1, "a"), (2, "b")]
@@ -251,56 +240,63 @@ class TestRetirement:
         assert recoverable_range(str(tmp_path)) == (0, 2)
 
 
-class TestOldDeltaStores:
-    """Stores written before every checkpoint was a full image may hold
-    an incremental delta chained to one; they still open."""
+class TestPreFormatStores:
+    """A store written before frame headers carried their own CRC is
+    refused with the typed error, not read."""
 
-    def _delta_store(self, path) -> None:
-        # Full image @v2, then a hand-written delta @v4 (insert + drop)
-        # and no segments: only the chain holds v3 and v4.
-        db = durable_db(path, fsync=FSYNC_NEVER)
-        db.create_table("t", COLUMNS, [(1, "a")])
-        db.create_table("gone", COLUMNS, [])
-        db.checkpoint()
-        db.catalog.insert_rows("t", [(2, "b")])
-        db.catalog.drop("gone")
-        tables = catalog_state(db.catalog.snapshot())["tables"]
-        db.close()
-        delta = {"format": "delta", "version": 4, "base": 2,
-                 "tables": tables, "dropped": ["gone"], "foreign_keys": None}
-        (path / _checkpoint_name(4)).write_bytes(_encode(delta))
-        for name in os.listdir(path):
-            if name.startswith("wal-"):
-                os.unlink(path / name)
+    def test_open_and_cli_refuse_it(self, tmp_path):
+        # The old format by hand: an 8-byte header (length, payload
+        # CRC32), a dict record, and a checkpoint with a "format" key.
+        old_header = struct.Struct(">II")
 
-    def test_reopens_then_next_checkpoint_retires_it(self, tmp_path):
-        self._delta_store(tmp_path)
-        db = durable_db(tmp_path, fsync=FSYNC_NEVER)
-        assert db.catalog.version == 4
-        assert db.catalog.table_names() == ["t"]
-        assert db.table("t").rows == [(1, "a"), (2, "b")]
-        db.catalog.insert_rows("t", [(3, "c")])
-        db.checkpoint()
-        db.close()
-        (name,) = checkpoint_files(tmp_path)
-        assert _load_checkpoint(str(tmp_path / name))["format"] == "full"
-        rows = durable_db(tmp_path).table("t").rows
-        assert rows == [(1, "a"), (2, "b"), (3, "c")]
+        def old_frame(record: dict) -> bytes:
+            payload = pickle.dumps(record, protocol=4)
+            return old_header.pack(len(payload), zlib.crc32(payload)) + payload
 
-    def test_missing_base_raises(self, tmp_path):
-        self._delta_store(tmp_path)
-        os.unlink(tmp_path / _checkpoint_name(2))
-        with pytest.raises(WalCorruptionError, match="chain"):
-            recover(str(tmp_path))
+        scratch = Database()
+        scratch.create_table("t", COLUMNS, [(1, "a")])
+        state = catalog_state(scratch.catalog.snapshot())
+        (tmp_path / _checkpoint_name(1)).write_bytes(
+            old_frame({"format": "full", **state})
+        )
+        (tmp_path / ("wal-" + "0" * 19 + "2.log")).write_bytes(
+            b"".join(
+                old_frame({"version": version, "kind": "insert_rows",
+                           "data": {"table": "t", "rows": [(version, "b")]}})
+                for version in (2, 3)
+            )
+        )
+        with pytest.raises(WalCorruptionError, match="predates this format"):
+            Database.open(str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.storage.wal", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH="src"),
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "verify: FAILED — WalCorruptionError" in proc.stdout
+        assert "predates this format" in proc.stdout
+        # Without the checkpoint the old segment is refused the same way.
+        os.unlink(tmp_path / _checkpoint_name(1))
+        with pytest.raises(WalCorruptionError, match="predates this format"):
+            Database.open(str(tmp_path))
 
-    def test_corrupt_base_raises(self, tmp_path):
-        self._delta_store(tmp_path)
-        with open(tmp_path / _checkpoint_name(2), "r+b") as handle:
-            handle.seek(12)
-            byte = handle.read(1)
-            handle.seek(12)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        with pytest.raises(WalCorruptionError):
+    def test_replace_table_segment_is_refused(self, tmp_path):
+        # An old segment whose first record is the deleted replace_table
+        # kind: refused at its header, never replayed as a table swap.
+        scratch = Database()
+        scratch.create_table("t", COLUMNS, [(1, "a"), (2, "b")])
+        table = catalog_state(scratch.catalog.snapshot())["tables"][0]
+        payload = pickle.dumps(
+            {"version": 1, "kind": "replace_table", "data": {"table": table}},
+            protocol=4,
+        )
+        (tmp_path / ("wal-" + "0" * 19 + "1.log")).write_bytes(
+            struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        )
+        with pytest.raises(WalCorruptionError, match="predates this format"):
             recover(str(tmp_path))
 
 

@@ -1,104 +1,68 @@
-"""Exhaustive single-bit-flip sweep over a committed-transaction WAL.
+"""Exhaustive single-bit-flip sweeps over a committed-transaction WAL
+and a checkpoint.
 
-Satellite contract (DESIGN.md §15): for *any* single flipped bit in the
-log, recovery must either reproduce an acknowledged boundary state (the
-store as of some durable commit point) or refuse with the typed
-:class:`~repro.errors.WalCorruptionError` — never silently serve a state
-that drops or mangles acknowledged work while claiming success.
-
-Two regimes, asserted separately:
-
-* Flips anywhere in the final frame's payload or CRC field → always the
-  typed error. A complete frame that fails its CRC is bit rot, not a
-  torn write (torn writes shorten the file; they do not rewrite bytes),
-  so truncating it would drop an acknowledged commit. This is the §15
-  gap this PR closed.
-* Flips in a *length* header can masquerade as a torn tail (the length
-  is read before the CRC can vouch for it), so the honest contract
-  there is boundary-state-or-error.
+Contract (DESIGN.md §15.4): *every* single flipped bit in what recovery
+reads makes it refuse with the typed
+:class:`~repro.errors.WalCorruptionError`. A flip only rewrites bytes,
+it never shortens the file, so it is never a torn write: a flipped
+length, payload checksum or header checksum fails the header CRC, and a
+flipped payload byte fails the payload CRC — CRC32 catches every
+single-bit error. There is no byte range where a weaker "some
+acknowledged state" outcome is allowed.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import struct
 
 import pytest
 
 from repro.api import Database
 from repro.errors import WalCorruptionError
 from repro.storage import DataType
-from repro.storage.wal import FSYNC_NEVER, recover
+from repro.storage.wal import FSYNC_NEVER, _frames, recover
 
-_HEADER = struct.Struct(">II")
 COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
 
 
-def build_reference(path: str) -> None:
-    """v1 create, v2..v5 committed txn (2 inserts), v6 autocommit."""
+def build_reference(path: str, *, checkpoint: bool = False) -> None:
+    """v1 create, v2..v5 committed txn (2 inserts), v6 autocommit;
+    ``checkpoint`` folds all of it into one checkpoint file."""
     db = Database.open(path, fsync=FSYNC_NEVER)
     db.create_table("t", COLUMNS, [(1, "a")])
     with db.begin():
         db.catalog.insert_rows("t", [(2, "b")])
         db.catalog.insert_rows("t", [(3, "c")])
     db.catalog.insert_rows("t", [(4, "d")])
+    if checkpoint:
+        db.checkpoint()
     db.close()
 
 
-#: Every state an acknowledged commit point produced, keyed by the
-#: catalog version recovery may report. Version 1 appears twice in
-#: spirit: as the plain v1 boundary and as the pre-transaction basis a
-#: tail-rollback restores.
-BOUNDARY_ROWS = {
-    0: None,  # empty store, table never created
-    1: [(1, "a")],
-    5: [(1, "a"), (2, "b"), (3, "c")],
-    6: [(1, "a"), (2, "b"), (3, "c"), (4, "d")],
-}
-
-
-def segment_path(path: str) -> str:
-    names = [n for n in os.listdir(path) if n.startswith("wal-")]
+def store_file(path: str, prefix: str) -> str:
+    names = [n for n in os.listdir(path) if n.startswith(prefix)]
     assert len(names) == 1
     return os.path.join(path, names[0])
 
 
-def frame_offsets(data: bytes) -> list[int]:
-    offsets = [0]
-    while offsets[-1] < len(data):
-        length, _ = _HEADER.unpack_from(data, offsets[-1])
-        offsets.append(offsets[-1] + _HEADER.size + length)
-    return offsets
-
-
-def flip_and_recover(ref: str, target: str, offset: int, bit: int):
-    """Copy the store, flip one bit, recover. Returns (catalog, None) or
-    (None, exc)."""
+def assert_flip_refused(ref, target, prefix: str, offset: int, bit: int):
+    """Copy the store, flip one bit of its ``prefix`` file, and expect
+    recovery to refuse with the typed error."""
     shutil.copytree(ref, target)
-    seg = segment_path(target)
-    with open(seg, "r+b") as handle:
+    with open(store_file(str(target), prefix), "r+b") as handle:
         handle.seek(offset)
         byte = handle.read(1)
         handle.seek(offset)
         handle.write(bytes([byte[0] ^ (1 << bit)]))
     try:
-        catalog, _ = recover(target)
-    except WalCorruptionError as exc:
-        return None, exc
-    return catalog, None
-
-
-def assert_boundary_state(catalog, offset: int, bit: int) -> None:
-    where = f"flip at byte {offset} bit {bit}"
-    assert catalog.version in BOUNDARY_ROWS, (
-        f"{where}: recovered interior version {catalog.version}"
+        catalog, _ = recover(str(target))
+    except WalCorruptionError:
+        return
+    pytest.fail(
+        f"flip of {prefix}* byte {offset} bit {bit} silently recovered "
+        f"to v{catalog.version}"
     )
-    expected = BOUNDARY_ROWS[catalog.version]
-    if expected is None:
-        assert not catalog.has_table("t"), where
-    else:
-        assert catalog.table("t").rows == expected, where
 
 
 class TestBitFlipSweep:
@@ -108,59 +72,60 @@ class TestBitFlipSweep:
         build_reference(str(ref))
         return ref
 
+    @pytest.fixture(scope="class")
+    def checkpointed(self, tmp_path_factory):
+        ref = tmp_path_factory.mktemp("bitflip") / "ckpt"
+        build_reference(str(ref), checkpoint=True)
+        return ref
+
     def test_every_byte_one_bit(self, reference, tmp_path):
-        """One flipped bit per byte over the whole segment (the bit
-        position cycles so all eight positions are exercised)."""
-        data = open(segment_path(str(reference)), "rb").read()
-        for offset in range(len(data)):
-            bit = (offset * 5) % 8
-            catalog, exc = flip_and_recover(
-                str(reference), str(tmp_path / f"b{offset}"), offset, bit
-            )
-            if exc is not None:
-                continue  # typed refusal is always acceptable
-            assert_boundary_state(catalog, offset, bit)
+        """Over the whole segment, two flips per byte: a cycling bit
+        position, so all eight are exercised, and bit 7."""
+        size = os.path.getsize(store_file(str(reference), "wal-"))
+        for offset in range(size):
+            for bit in sorted({(offset * 5) % 8, 7}):
+                assert_flip_refused(
+                    reference, tmp_path / f"b{offset}_{bit}", "wal-",
+                    offset, bit,
+                )
 
     def test_final_frame_every_bit_raises(self, reference, tmp_path):
-        """All eight bit positions for every payload/CRC byte of the
-        final frame: a complete last frame that fails its checksum is
-        never a torn tail."""
-        data = open(segment_path(str(reference)), "rb").read()
-        offsets = frame_offsets(data)
-        final = offsets[-2]
-        # Skip the 4-byte length field (a flipped length can legitimately
-        # read as truncation); CRC field and payload must hard-fail.
-        for offset in range(final + 4, len(data)):
+        """All eight bit positions of every byte of the final frame, its
+        length field included: a flipped length fails the header CRC
+        rather than reading as a torn tail."""
+        seg = store_file(str(reference), "wal-")
+        final = [offset for offset, *_ in _frames(seg)][-1]
+        for offset in range(final, os.path.getsize(seg)):
             for bit in range(8):
-                catalog, exc = flip_and_recover(
-                    str(reference),
-                    str(tmp_path / f"f{offset}_{bit}"),
-                    offset,
-                    bit,
-                )
-                assert exc is not None, (
-                    f"flip at byte {offset} bit {bit} in the final frame "
-                    f"silently recovered to v{catalog.version}"
+                assert_flip_refused(
+                    reference, tmp_path / f"f{offset}_{bit}", "wal-",
+                    offset, bit,
                 )
 
     def test_commit_record_flip_never_surfaces_partial_txn(
         self, reference, tmp_path
     ):
-        """Damage anywhere in the committed transaction's bracket
-        (begin/ops/commit frames) must never yield a state containing
-        only part of the transaction."""
-        data = open(segment_path(str(reference)), "rb").read()
-        offsets = frame_offsets(data)
+        """All eight bit positions of every byte of the transaction's
+        commit frame: a damaged commit refuses, rather than surfacing
+        part of the transaction or quietly rolling it back."""
+        seg = store_file(str(reference), "wal-")
         # Frames: 0=create, 1=begin, 2=insert, 3=insert, 4=commit, 5=tail.
-        txn_span = range(offsets[1], offsets[5])
-        partial = [[(1, "a"), (2, "b")]]
-        for offset in txn_span:
-            catalog, exc = flip_and_recover(
-                str(reference), str(tmp_path / f"t{offset}"), offset, 7
+        offsets = [offset for offset, *_ in _frames(seg)]
+        assert len(offsets) == 6
+        for offset in range(offsets[4], offsets[5]):
+            for bit in range(8):
+                assert_flip_refused(
+                    reference, tmp_path / f"t{offset}_{bit}", "wal-",
+                    offset, bit,
+                )
+
+    def test_checkpoint_every_byte_one_bit(self, checkpointed, tmp_path):
+        """The newest checkpoint is the only copy of the history it
+        folded in: any flip in it refuses."""
+        size = os.path.getsize(store_file(str(checkpointed), "checkpoint-"))
+        for offset in range(size):
+            bit = (offset * 5) % 8
+            assert_flip_refused(
+                checkpointed, tmp_path / f"c{offset}", "checkpoint-",
+                offset, bit,
             )
-            if exc is not None:
-                continue
-            assert catalog.table("t").rows not in partial, (
-                f"flip at byte {offset} surfaced a half-applied transaction"
-            )
-            assert_boundary_state(catalog, offset, 7)

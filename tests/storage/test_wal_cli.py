@@ -5,15 +5,13 @@ codes (0 = healthy, 1 = verification failed, 2 = bad invocation)."""
 from __future__ import annotations
 
 import os
-import struct
 
 import pytest
 
 from repro.api import Database
 from repro.storage import DataType
-from repro.storage.wal import FSYNC_NEVER, main
+from repro.storage.wal import _HEADER, FSYNC_NEVER, _frames, main
 
-_HEADER = struct.Struct(">II")
 COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
 
 
@@ -61,7 +59,7 @@ class TestHealthyStore:
         # checkpoint line carries the rest of history.
         assert any("v5 insert_rows txn=- crc=ok" in l for l in frames)
         assert any(
-            l.startswith("checkpoint ") and "v4 full (1 table(s))" in l
+            l.startswith("checkpoint ") and "v4 (1 table(s))" in l
             for l in lines
         )
 
@@ -110,6 +108,27 @@ class TestDamagedStore:
         code, out = run_cli(capsys, str(tmp_path), "--dump")
         assert code == 1  # dump succeeds, verify still fails
         assert "crc=BAD" in out
+
+    def test_dump_marks_flipped_length_as_bad_header(self, tmp_path, capsys):
+        # A flipped length field in the final frame fails the header
+        # CRC: the dump must mark it as damage, not as a torn payload.
+        db = Database.open(str(tmp_path), fsync=FSYNC_NEVER)
+        db.create_table("t", COLUMNS, [(1, "a")])
+        for k in (2, 3, 4):
+            db.catalog.insert_rows("t", [(k, "x")])
+        db.close()
+        seg = self._segment(str(tmp_path))
+        final = [offset for offset, *_ in _frames(seg)][-1]
+        with open(seg, "r+b") as handle:
+            handle.seek(final + 1)
+            byte = handle.read(1)
+            handle.seek(final + 1)
+            handle.write(bytes([byte[0] ^ 1]))
+        code, out = run_cli(capsys, str(tmp_path), "--dump")
+        assert code == 1
+        assert f"@{final}: crc=BAD (header)" in out
+        assert "TORN" not in out
+        assert "verify: FAILED — WalCorruptionError" in out
 
     def test_torn_tail_is_reported_not_repaired(self, tmp_path, capsys):
         # A torn tail is recoverable (verify reports the surviving

@@ -3,12 +3,10 @@
 The framing rule under test (DESIGN.md §15): damage that reaches the
 end of the newest segment is a **torn tail** — recovery physically
 truncates back to the last good frame and returns the acknowledged
-prefix — while damage *followed by more log data* is mid-log corruption
-and must raise the typed :class:`~repro.errors.WalCorruptionError`,
-never silently drop acknowledged records. Bit flips get the honest
-weaker contract the format can actually promise (a flipped length
-header can masquerade as a torn tail): recovery yields a strict prefix
-of acknowledged history or the typed error — never wrong data.
+prefix — while every other damage, a bit flip anywhere included, must
+raise the typed :class:`~repro.errors.WalCorruptionError`, never
+silently drop acknowledged records. The header CRC vouches for each
+frame's length, so no flip can masquerade as a torn tail.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from __future__ import annotations
 import os
 import random
 import shutil
-import struct
-import zlib
 
 import pytest
 
@@ -25,13 +21,15 @@ from repro.api import Database
 from repro.errors import WalCorruptionError, WalError
 from repro.storage import DataType
 from repro.storage.wal import (
+    _HEADER,
     FSYNC_NEVER,
     WriteAheadLog,
+    _encode,
+    _frames,
     recover,
     table_state,
 )
 
-_HEADER = struct.Struct(">II")
 COLUMNS = [("k", DataType.INTEGER), ("v", DataType.STRING)]
 
 #: Mutations in the reference store: 1 create + N_INSERTS inserts.
@@ -52,13 +50,9 @@ def segment_path(path: str) -> str:
     return os.path.join(path, names[0])
 
 
-def frame_offsets(data: bytes) -> list[int]:
+def frame_offsets(path: str) -> list[int]:
     """Start offset of every frame in a segment, plus the end offset."""
-    offsets = [0]
-    while offsets[-1] < len(data):
-        length, _ = _HEADER.unpack_from(data, offsets[-1])
-        offsets.append(offsets[-1] + _HEADER.size + length)
-    return offsets
+    return [offset for offset, *_ in _frames(path)] + [os.path.getsize(path)]
 
 
 def recovered_rows(path: str) -> list[tuple]:
@@ -70,8 +64,7 @@ class TestTornTails:
     def test_cut_mid_payload_truncates_to_prefix(self, tmp_path):
         build_store(str(tmp_path))
         seg = segment_path(str(tmp_path))
-        data = open(seg, "rb").read()
-        offsets = frame_offsets(data)
+        offsets = frame_offsets(seg)
         # Cut into the middle of the final frame's payload.
         cut = offsets[-2] + _HEADER.size + 3
         with open(seg, "r+b") as handle:
@@ -85,20 +78,20 @@ class TestTornTails:
     def test_cut_mid_header_truncates(self, tmp_path):
         build_store(str(tmp_path))
         seg = segment_path(str(tmp_path))
-        offsets = frame_offsets(open(seg, "rb").read())
+        offsets = frame_offsets(seg)
         with open(seg, "r+b") as handle:
-            handle.truncate(offsets[-2] + 5)  # 5 of 8 header bytes
+            handle.truncate(offsets[-2] + 5)  # 5 of 12 header bytes
         catalog, _ = recover(str(tmp_path))
         assert catalog.version == N_INSERTS
 
     def test_every_cut_point_recovers_exact_prefix(self, tmp_path):
         build_store(str(tmp_path / "ref"))
         seg = segment_path(str(tmp_path / "ref"))
-        data = open(seg, "rb").read()
-        offsets = frame_offsets(data)
+        offsets = frame_offsets(seg)
+        size = offsets[-1]
         rng = random.Random(0xC0DEC)
-        cuts = {offsets[1], len(data) - 1} | {
-            rng.randrange(1, len(data)) for _ in range(40)
+        cuts = {offsets[1], size - 1} | {
+            rng.randrange(1, size) for _ in range(40)
         }
         for cut in sorted(cuts):
             target = tmp_path / f"cut{cut}"
@@ -116,7 +109,7 @@ class TestTornTails:
     def test_appending_after_torn_tail_recovery_works(self, tmp_path):
         build_store(str(tmp_path))
         seg = segment_path(str(tmp_path))
-        offsets = frame_offsets(open(seg, "rb").read())
+        offsets = frame_offsets(seg)
         with open(seg, "r+b") as handle:
             handle.truncate(offsets[-2] + 2)
         db = Database.open(str(tmp_path))
@@ -131,7 +124,7 @@ class TestMidLogDamage:
     def test_payload_flip_in_interior_record_raises(self, tmp_path):
         build_store(str(tmp_path))
         seg = segment_path(str(tmp_path))
-        offsets = frame_offsets(open(seg, "rb").read())
+        offsets = frame_offsets(seg)
         flip_at = offsets[3] + _HEADER.size + 2  # payload of 4th record
         with open(seg, "r+b") as handle:
             handle.seek(flip_at)
@@ -148,7 +141,7 @@ class TestMidLogDamage:
         # acknowledged commit. Typed refusal instead.
         build_store(str(tmp_path))
         seg = segment_path(str(tmp_path))
-        offsets = frame_offsets(open(seg, "rb").read())
+        offsets = frame_offsets(seg)
         flip_at = offsets[-2] + _HEADER.size + 2
         with open(seg, "r+b") as handle:
             handle.seek(flip_at)
@@ -180,26 +173,22 @@ class TestMidLogDamage:
             recover(str(tmp_path))
 
     def test_random_flips_yield_prefix_or_typed_error(self, tmp_path):
+        # Every flip is caught by a CRC, so the typed error is the only
+        # outcome; no prefix of history is served instead.
         build_store(str(tmp_path / "ref"))
-        data = open(segment_path(str(tmp_path / "ref")), "rb").read()
-        full = [(i, f"v{i}") for i in range(N_INSERTS)]
+        size = os.path.getsize(segment_path(str(tmp_path / "ref")))
         rng = random.Random(0xF11B)
         for trial in range(40):
             target = tmp_path / f"flip{trial}"
             shutil.copytree(tmp_path / "ref", target)
-            flip_at = rng.randrange(len(data))
+            flip_at = rng.randrange(size)
             with open(segment_path(str(target)), "r+b") as handle:
                 handle.seek(flip_at)
                 byte = handle.read(1)
                 handle.seek(flip_at)
                 handle.write(bytes([byte[0] ^ (1 << rng.randrange(8))]))
-            try:
-                rows = recovered_rows(str(target))
-            except WalCorruptionError:
-                continue  # typed refusal is always acceptable
-            assert rows == full[: len(rows)], (
-                f"flip at byte {flip_at} produced non-prefix rows"
-            )
+            with pytest.raises(WalCorruptionError):
+                recovered_rows(str(target))
 
 
 class TestVersionDiscipline:
@@ -244,16 +233,10 @@ class TestVersionDiscipline:
         wal.close()
 
     def test_unknown_kind_on_disk_raises_at_replay(self, tmp_path):
-        # A frame with a valid CRC but an unrecognized kind: written by
+        # A frame with valid CRCs but an unrecognized kind: written by
         # some future version, or damage that survived the checksum.
-        import pickle
-
-        payload = pickle.dumps(
-            {"version": 1, "kind": "vacuum", "data": {}}, protocol=4
-        )
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         name = "wal-" + "0" * 19 + "1.log"
-        (tmp_path / name).write_bytes(frame)
+        (tmp_path / name).write_bytes(_encode((1, "vacuum", None, {})))
         with pytest.raises(WalCorruptionError, match="unknown"):
             recover(str(tmp_path))
 
