@@ -143,9 +143,10 @@ class Governor:
         """Record that queueing is over and execution starts now.
 
         Service queries construct their governor at *submission* so queue
-        wait counts against the deadline; this stamps the transition so a
-        later :class:`TimeoutExceeded` can report how much of the budget
-        each phase consumed.
+        wait counts against the deadline; the admission controller stamps
+        the transition when it grants the slot, so a later
+        :class:`TimeoutExceeded` can report how much of the budget each
+        phase consumed.
         """
         self.admitted_at = self.clock()
 

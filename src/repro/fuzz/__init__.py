@@ -14,19 +14,22 @@ that holds the pair:
   as one model (``CacheModel``, ``step``), driven over the same cases by
   this sweep and by the tests' Hypothesis state machine;
 * ``xmlpub`` (:mod:`repro.fuzz.xmlpub`) — streamed vs materialized XML;
-* ``chaos`` / ``serve-stress`` (:mod:`repro.fuzz.chaos`) and
-  ``durability`` (:mod:`repro.fuzz.durability`) — fault plans, asserting
-  correct rows or a typed error, and exact prefix recovery. The
-  durability contract lives there as one model (``StoreModel``,
-  ``step``, ``reopen_and_check``) that the ``durability`` sweep and the
-  tests' Hypothesis state machine both drive.
+* ``chaos`` (:mod:`repro.fuzz.chaos`) and ``durability``
+  (:mod:`repro.fuzz.durability`) — fault plans, asserting correct rows
+  or a typed error, and exact prefix recovery. The durability contract
+  lives there as one model (``StoreModel``, ``step``,
+  ``reopen_and_check``) that the ``durability`` sweep and the tests'
+  Hypothesis state machine both drive;
+* ``serve-stress`` (:mod:`repro.fuzz.service`) — the service contract as
+  one model (``ServiceModel``, ``step``, ``reconcile``), driven by this
+  sweep's concurrent clients and by the tests' Hypothesis state machine.
 
 :mod:`repro.fuzz.shrink` minimizes failures and :mod:`repro.fuzz.corpus`
 persists them as replayable JSON reproducers.
 ``python -m repro.fuzz --profile full --seed 0 --n 500`` drives all of it.
 """
 
-from repro.fuzz import chaos, durability, plancache, runner, xmlpub
+from repro.fuzz import chaos, durability, plancache, runner, service, xmlpub
 from repro.fuzz.driver import Failure, Profile, Report, sweep
 
 #: Every profile ``python -m repro.fuzz --profile`` accepts, by name.
@@ -38,7 +41,7 @@ PROFILES: dict[str, Profile] = {
         xmlpub.PROFILE,
         chaos.PROFILE,
         durability.PROFILE,
-        chaos.serve_stress_profile(),
+        service.serve_stress_profile(),
     )
 }
 

@@ -1,11 +1,9 @@
 """The concurrent query service: admission control, snapshot reads, load
 shedding, and graceful shutdown in front of a :class:`~repro.api.Database`.
 
-The engine below this module executes one query at a time correctly and —
-since the governor work — survives budget violations with typed errors.
-This module makes the *system* robust when many clients hit one database
-at once, following the admission-control discipline of production
-federated engines (BigDAWG's shedding queues, Myria's service layering):
+This module keeps the system robust when many clients hit one database
+at once, following the admission-control discipline of federated engines
+(BigDAWG's shedding queues, Myria's service layering):
 
 * **Sessions** (:class:`Session`) — a client handle carrying its query
   class, priority, and per-session accounting; all reads and writes flow
@@ -16,16 +14,12 @@ federated engines (BigDAWG's shedding queues, Myria's service layering):
   admitted sooner, FIFO within a priority); when the queue is full the
   service **sheds load** with the typed, retryable
   :class:`~repro.errors.ServiceOverloaded` carrying the queue depth and a
-  suggested backoff. Queue wait counts against the query's deadline: the
-  governor's clock starts at submission, so a query admitted late can
-  time out with a :class:`~repro.errors.TimeoutExceeded` whose context
-  says how long it queued vs. executed.
+  suggested backoff. Queue wait counts against the query's deadline: a
+  late :class:`~repro.errors.TimeoutExceeded` says how long it queued.
 * **Snapshot-isolated reads** — every admitted query pins an immutable
   :meth:`catalog snapshot <repro.storage.catalog.Catalog.snapshot>`
-  before executing. Concurrent INSERT/DDL land atomically via
-  copy-on-write table versions under the catalog's mutation lock;
-  readers never block on writers and can never observe a torn row list
-  or a half-applied batch.
+  before executing; concurrent INSERT/DDL land atomically (copy-on-write
+  table versions), so a read never sees half a batch.
 * **Graceful lifecycle** — :meth:`Service.shutdown` stops admission
   (queued queries are rejected with :class:`~repro.errors.
   ServiceStopped`), drains in-flight queries for ``drain_timeout``
@@ -33,11 +27,9 @@ federated engines (BigDAWG's shedding queues, Myria's service layering):
   events, and always returns a :class:`ShutdownReport`. Health and
   stats snapshots ride on :class:`~repro.observe.metrics.LockedCounters`.
 
-Writes (``insert``/``create_table``/``drop_table``) intentionally bypass
-the admission queue: they serialize on the catalog mutation lock, are
-short (copy-on-write swap), and must stay live even when readers saturate
-the slots — starving writers behind a full read queue would turn overload
-into livelock.
+Writes (``insert``/``create_table``/``drop_table``) bypass the admission
+queue: they serialize on the catalog mutation lock, are short, and must
+stay live when readers saturate the slots.
 
 Quickstart::
 
@@ -49,8 +41,9 @@ Quickstart::
         s.insert("part", [(99, "new part", "B", 1, 9.5)])
     report = service.shutdown(drain_timeout=5.0)
 
-``python -m repro.serve --stress`` runs the seeded multi-client chaos
-workload against a scratch service (see :mod:`repro.fuzz.chaos`).
+The service contract is stated once, as a model, in
+:mod:`repro.fuzz.service`; ``python -m repro.serve --stress`` runs its
+seeded multi-client sweep against a scratch service.
 """
 
 from __future__ import annotations
@@ -81,6 +74,9 @@ from repro.execution.governor import Budget, Governor
 from repro.observe.metrics import LockedCounters
 from repro.xmlpub.stream import DEFAULT_CHUNK_BYTES, XmlChunkStream
 from repro.xmlpub.view import XmlView
+
+#: The stats counter a refused admission counts under.
+_REFUSALS = {ServiceOverloaded: "shed", ServiceStopped: "rejected_stopped"}
 
 #: How long a queued waiter sleeps between checks of its own deadline and
 #: cancellation state. Admission handoffs set the waiter's event directly,
@@ -152,6 +148,10 @@ class ServiceConfig:
             raise ServiceError(
                 f"max_queue_depth must be >= 0, got {self.max_queue_depth}"
             )
+        if self.backoff_base < 0:
+            raise ServiceError(
+                f"backoff_base must be >= 0, got {self.backoff_base}"
+            )
         if self.default_class not in self.classes:
             raise ServiceError(
                 f"default_class {self.default_class!r} is not a configured "
@@ -170,25 +170,26 @@ class ServiceConfig:
 
 
 class _Waiter:
-    """One queued admission request; all fields mutate under the
+    """One queued admission request: ``admitted`` is set under the
     controller lock, and the event is the cross-thread wakeup."""
 
-    __slots__ = ("event", "admitted", "abandoned")
+    __slots__ = ("event", "admitted", "governor")
 
-    def __init__(self) -> None:
+    def __init__(self, governor: Governor) -> None:
         self.event = threading.Event()
         self.admitted = False
-        self.abandoned = False
+        self.governor = governor
 
 
 class AdmissionController:
     """Bounded concurrency slots with a bounded priority wait-queue.
 
-    The invariant: at all times ``slots_in_use + slots_free ==
-    max_concurrency``, and a slot freed by :meth:`release` is handed
-    *directly* to the best queued waiter (priority, then FIFO) under the
-    lock — there is no thundering herd and no window where a freed slot
-    is visible to a fresh arrival while earlier waiters starve.
+    A slot freed by :meth:`release` is handed *directly* to the best
+    queued waiter (priority, then FIFO) under the lock: no thundering
+    herd, and no fresh arrival takes a slot an earlier waiter is owed.
+    The queue holds live waiters only — one that lapses (deadline,
+    cancel) takes its own entry out, and :meth:`stop` empties it — and
+    every grant stamps the governor's ``mark_admitted`` under the lock.
     """
 
     def __init__(
@@ -201,6 +202,8 @@ class AdmissionController:
         self.slots = slots
         self.max_queue_depth = max_queue_depth
         self.backoff_base = backoff_base
+        #: The clock of every governor a :class:`Service` over this
+        #: controller builds, so queue wait and deadlines share one clock.
         self.clock = clock
         self._lock = threading.Lock()
         self._slots_free = slots
@@ -220,7 +223,7 @@ class AdmissionController:
 
     def queue_depth(self) -> int:
         with self._lock:
-            return sum(1 for _, _, w in self._queue if not w.abandoned)
+            return len(self._queue)
 
     def slots_free(self) -> int:
         with self._lock:
@@ -246,10 +249,11 @@ class AdmissionController:
                 raise ServiceStopped(
                     "service is shutting down; not accepting queries"
                 ).add_context(sql=sql)
-            if self._slots_free > 0 and not self._pending_locked():
+            if self._slots_free > 0 and not self._queue:
                 self._slots_free -= 1
+                governor.mark_admitted()
                 return
-            depth = self._pending_locked()
+            depth = len(self._queue)
             if depth >= self.max_queue_depth:
                 self.sheds += 1
                 backoff = self.backoff_base * (
@@ -262,51 +266,49 @@ class AdmissionController:
                     queue_depth=depth,
                     suggested_backoff=backoff,
                 ).add_context(sql=sql)
-            waiter = _Waiter()
-            heapq.heappush(self._queue, (priority, next(self._seq), waiter))
-            depth += 1
-            if depth > self.peak_queue_depth:
-                self.peak_queue_depth = depth
+            entry = (priority, next(self._seq), _Waiter(governor))
+            heapq.heappush(self._queue, entry)
+            self.peak_queue_depth = max(self.peak_queue_depth, depth + 1)
+        waiter = entry[2]
         while True:
             remaining = governor.remaining_seconds()
-            quantum = WAIT_QUANTUM
-            if remaining is not None:
-                quantum = min(quantum, max(0.0, remaining))
-            waiter.event.wait(quantum)
+            waiter.event.wait(
+                WAIT_QUANTUM if remaining is None else min(WAIT_QUANTUM, max(0.0, remaining))
+            )
+            remaining = governor.remaining_seconds()
+            expired = remaining is not None and remaining <= 0
             with self._lock:
                 if waiter.admitted:
-                    return  # the releaser handed us its slot
-                if self._stopping:
-                    waiter.abandoned = True
+                    if not expired:
+                        return  # the releaser handed us its slot
+                    # Handed a slot in the same instant the deadline
+                    # expired: pass it on, then report the timeout.
+                    governor.admitted_at = None  # it holds no slot after all
+                    self._release_locked()
+                elif self._stopping:
                     raise ServiceStopped(
                         "service began shutting down while this query was "
                         "queued for admission"
                     ).add_context(sql=sql)
-                if governor.cancelled:
-                    waiter.abandoned = True
+                elif governor.cancelled or expired:
+                    self._queue.remove(entry)
+                    heapq.heapify(self._queue)
+                else:
+                    continue
             if governor.cancelled:
                 governor.check()  # raises QueryCancelled with context
-            remaining = governor.remaining_seconds()
-            if remaining is not None and remaining <= 0:
-                with self._lock:
-                    if waiter.admitted:
-                        # Handed a slot in the same instant the deadline
-                        # expired: give it back, then report the timeout.
-                        self._release_locked()
-                    waiter.abandoned = True
-                raise governor.timeout_error(while_queued=True)
+            raise governor.timeout_error(while_queued=True)
 
     def release(self) -> None:
-        """Return a slot; hands it straight to the best live waiter."""
+        """Return a slot; hands it straight to the best waiter."""
         with self._lock:
             self._release_locked()
 
     def _release_locked(self) -> None:
-        while self._queue:
+        if self._queue:
             _, _, waiter = heapq.heappop(self._queue)
-            if waiter.abandoned:
-                continue
             waiter.admitted = True
+            waiter.governor.mark_admitted()
             waiter.event.set()
             return
         self._slots_free += 1
@@ -315,28 +317,29 @@ class AdmissionController:
                 "admission slot over-release: more releases than acquires"
             )
 
-    def _pending_locked(self) -> int:
-        return sum(1 for _, _, w in self._queue if not w.abandoned)
-
     def stop(self) -> None:
-        """Refuse new work and wake every queued waiter to reject it."""
+        """Refuse new work, and empty the queue, waking every waiter to
+        reject it: no slot is granted after this returns."""
         with self._lock:
             self._stopping = True
             for _, _, waiter in self._queue:
                 waiter.event.set()
+            self._queue.clear()
 
 
 @dataclass
 class ShutdownReport:
     """What :meth:`Service.shutdown` found and did."""
 
-    #: Queries still executing when shutdown began.
+    #: Reads holding a slot when shutdown stopped admission; always
+    #: ``drained + cancelled + leaked``.
     in_flight: int
-    #: How many drained to completion inside ``drain_timeout``.
+    #: How many finished inside ``drain_timeout``.
     drained: int
-    #: How many had to be cancelled through their governors.
+    #: How many were cancelled through their governors (or force-closed,
+    #: for publish streams) and then finished.
     cancelled: int
-    #: Queries that still had not released their slot when the
+    #: Cancelled reads that still had not released their slot when the
     #: post-cancel grace expired (0 in every healthy run).
     leaked: int
     #: Wall-clock seconds shutdown took end to end.
@@ -470,11 +473,10 @@ class Service:
         self.stats_counters = LockedCounters()
         self._state_lock = threading.Lock()
         self._drained = threading.Condition(self._state_lock)
-        self._active: dict[int, Governor] = {}
-        #: In-flight publish streams, keyed like :attr:`_active`; shutdown
-        #: force-closes these after the cancel grace, because a stream
-        #: whose client simply stopped iterating never runs governor code.
-        self._active_streams: dict[int, XmlChunkStream] = {}
+        #: Every read from before it asks for a slot until it gives the
+        #: slot back: query id → (governor, publish stream or None). The
+        #: governor's ``admitted_at`` says whether it holds a slot yet.
+        self._inflight: dict[int, tuple[Governor, XmlChunkStream | None]] = {}
         self._query_ids = itertools.count()
         self._stopping = False
         self._shutdown_report: ShutdownReport | None = None
@@ -510,61 +512,60 @@ class Service:
         raw_options: dict[str, Any],
     ) -> tuple[Database, int, _RunOptions]:
         """The prologue of every admitted read: class budget → governor →
-        run options → admission slot → pinned snapshot → registration.
+        run options → registration → admission slot → pinned snapshot.
 
         The run options (those ``Database`` method ``entry`` takes, no
         others) are resolved *before* a slot is asked for, so a bad one
         raises, naming ``caller``, without touching queue or counters.
-        Returns the snapshot reader, the query id to hand back to
-        :meth:`_release`, and the options.
+        Registration is checked against ``_stopping`` under the state
+        lock that :meth:`shutdown` stops admission under, so a read that
+        gets a slot is always one shutdown sees. Returns the snapshot
+        reader, the query id to hand back to :meth:`_release`, and the
+        options.
         """
         qclass = self.config.query_class(query_class)
+        default = qclass.budget
         budget = Budget(
-            timeout=timeout if timeout is not None else qclass.budget.timeout,
-            memory_cells=(
-                memory_budget
-                if memory_budget is not None
-                else qclass.budget.memory_cells
-            ),
-            max_rows=(
-                max_rows if max_rows is not None else qclass.budget.max_rows
-            ),
+            timeout=default.timeout if timeout is None else timeout,
+            memory_cells=default.memory_cells if memory_budget is None else memory_budget,
+            max_rows=default.max_rows if max_rows is None else max_rows,
         )
         # The governor's clock starts now: queue wait counts against it.
-        governor = Governor(budget, sql=text)
+        governor = Governor(budget, clock=self.admission.clock, sql=text)
         options = _resolve_options(caller, entry, governor=governor, **raw_options)
         self.stats_counters.inc(submitted)
+        query_id = next(self._query_ids)
         try:
+            with self._state_lock:
+                if self._stopping:
+                    raise ServiceStopped(
+                        "service is shutting down; not accepting queries"
+                    ).add_context(sql=text)
+                self._inflight[query_id] = (governor, None)
             self.admission.acquire(
                 priority if priority is not None else qclass.priority,
                 governor,
                 sql=text,
             )
-        except ServiceOverloaded:
-            self.stats_counters.inc("shed")
+        except ReproError as error:
+            self._release(query_id, slot=False)
+            # Anything else tripped the deadline or cancel while queued.
+            self.stats_counters.inc(
+                _REFUSALS.get(type(error), "expired_queued")
+            )
             raise
-        except ServiceStopped:
-            self.stats_counters.inc("rejected_stopped")
-            raise
-        except ReproError:  # deadline/cancel tripped while queued
-            self.stats_counters.inc("expired_queued")
-            raise
-        governor.mark_admitted()
         # The snapshot is pinned after admission: the query sees the
         # newest committed state at the moment it starts executing.
-        reader = self.database.snapshot()
-        query_id = next(self._query_ids)
-        with self._state_lock:
-            self._active[query_id] = governor
-        return reader, query_id, options
+        return self.database.snapshot(), query_id, options
 
-    def _release(self, query_id: int) -> None:
-        """Deregister an admitted read and give its slot back."""
+    def _release(self, query_id: int, slot: bool = True) -> None:
+        """Deregister a read and give its slot back (if it got one) in one
+        step, so a drained shutdown finds every slot free."""
         with self._drained:
-            self._active.pop(query_id, None)
-            self._active_streams.pop(query_id, None)
+            self._inflight.pop(query_id, None)
+            if slot:
+                self.admission.release()
             self._drained.notify_all()
-        self.admission.release()
 
     def sql(
         self,
@@ -620,22 +621,14 @@ class Service:
     ) -> XmlChunkStream:
         """Admit, snapshot, and start streaming one published XML document.
 
-        The streaming sibling of :meth:`sql`: same admission (query class,
-        priority, shedding) and the same snapshot isolation, but the
-        concurrency slot is held for the *lifetime of the returned
-        stream*, not just this call — a client slowly iterating a
-        multi-GB document occupies one slot the whole time, which is
-        exactly the backpressure admission control exists to provide.
-        The slot is returned when the stream is exhausted, closed, or
-        killed by shutdown; abandoning the stream object entirely still
-        releases on garbage collection, and :meth:`shutdown` force-closes
-        whatever remains in flight.
-
-        Budgets come from the query class unless overridden, and the
-        governor's clock starts now — queue wait counts against
-        ``timeout``, and mid-stream :meth:`Governor.cancel
-        <repro.execution.governor.Governor.cancel>` (or shutdown) stops
-        the stream within one chunk with :class:`~repro.errors.
+        The streaming sibling of :meth:`sql`: same admission, budgets and
+        snapshot isolation, but the concurrency slot is held for the
+        *lifetime of the returned stream* — a client slowly iterating a
+        large document occupies one slot the whole time, which is the
+        backpressure admission control exists to provide. The slot comes
+        back when the stream is exhausted, closed, or force-closed by
+        :meth:`shutdown`. A mid-stream ``Governor.cancel`` stops the
+        stream within one chunk with :class:`~repro.errors.
         QueryCancelled`. Extra keyword arguments are the options of
         :meth:`Database.publish <repro.api.Database.publish>`
         (``planner_options=``, ``chunk_bytes=``, ...); an unknown or invalid
@@ -656,7 +649,7 @@ class Service:
             self._release(query_id)
             raise
         with self._state_lock:
-            self._active_streams[query_id] = stream
+            self._inflight[query_id] = (options.governor, stream)
         stream.on_close(self._publish_closed(query_id))
         return stream
 
@@ -742,9 +735,11 @@ class Service:
 
     def stats(self) -> dict[str, Any]:
         """Point-in-time service counters plus derived gauges."""
-        with self._state_lock:
-            active = len(self._active)
-            active_streams = len(self._active_streams)
+        # Under both locks no grant or release is half done, so ``active``
+        # counts each slot in use once.
+        with self._state_lock, self.admission._lock:
+            active = sum(g.admitted_at is not None for g, _ in self._inflight.values())
+            active_streams = sum(s is not None for _, s in self._inflight.values())
         data = self.stats_counters.snapshot()
         data.update(
             active=active,
@@ -755,14 +750,10 @@ class Service:
             slots_free=self.admission.slots_free(),
             catalog_version=self.database.catalog.version,
         )
-        # The cache is shared between the live database and every pinned
-        # snapshot (entries are keyed by catalog version), so one stats
-        # block covers all reader snapshots.
+        # One cache serves the live database and every pinned snapshot.
         if self.database.plan_cache is not None:
             data["plan_cache"] = self.database.plan_cache.stats()
-        # Durable stores surface their WAL counters alongside the
-        # admission gauges: wal_appends, wal_bytes, fsyncs, checkpoints,
-        # recoveries.
+        # Durable stores add wal_appends, wal_bytes, fsyncs, checkpoints...
         if self.database.wal is not None:
             data.update(self.database.wal.stats())
         return data
@@ -797,50 +788,45 @@ class Service:
         :class:`ServiceStopped`). In-flight queries get ``drain_timeout``
         seconds to finish (``None`` = wait as long as they take); any
         stragglers are cancelled through their governors and given
-        ``cancel_grace`` seconds to observe it at the next stride check.
-        The report says how many drained, were cancelled, or — only if a
-        query ignored cancellation beyond the grace — leaked.
+        ``cancel_grace`` seconds, then open publish streams are
+        force-closed. The report counts drained, cancelled and (only past
+        the grace) leaked reads.
         """
-        with self._state_lock:
+        with self._drained:
             if self._shutdown_report is not None:
                 return self._shutdown_report
+            started = time.monotonic()
+            # Under the registration lock: once admission stops no slot
+            # is granted, so the reads holding one are exactly these.
             self._stopping = True
-            in_flight = len(self._active)
-        started = time.monotonic()
-        self.admission.stop()
-        with self._drained:
-            if drain_timeout is None:
-                while self._active:
-                    self._drained.wait()
-            else:
-                deadline = started + drain_timeout
-                while self._active:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._drained.wait(remaining):
-                        break
-            stragglers = list(self._active.values())
-        cancelled = len(stragglers)
+            self.admission.stop()
+            in_flight = [
+                query_id for query_id, (governor, _) in self._inflight.items()
+                if governor.admitted_at is not None
+            ]
+            self._wait_drained(
+                None if drain_timeout is None else started + drain_timeout
+            )
+            stragglers = [
+                self._inflight[query_id][0] for query_id in in_flight if query_id in self._inflight
+            ]
         for governor in stragglers:
             governor.cancel("service shutting down")
             self.stats_counters.inc("cancelled_by_shutdown")
         with self._drained:
-            grace_deadline = time.monotonic() + cancel_grace
-            while self._active:
-                remaining = grace_deadline - time.monotonic()
-                if remaining <= 0 or not self._drained.wait(remaining):
-                    break
+            self._wait_drained(time.monotonic() + cancel_grace)
             # Publish streams whose clients simply stopped iterating never
             # execute governor checks, so cancellation alone cannot drain
             # them; force-close outside the lock (close hooks reacquire it).
-            streams = list(self._active_streams.values())
+            streams = [s for _, s in self._inflight.values() if s is not None]
         for stream in streams:
             stream.close()
         with self._drained:
-            leaked = len(self._active)
+            leaked = sum(query_id in self._inflight for query_id in in_flight)
         report = ShutdownReport(
-            in_flight=in_flight,
-            drained=in_flight - cancelled,
-            cancelled=cancelled,
+            in_flight=len(in_flight),
+            drained=len(in_flight) - len(stragglers),
+            cancelled=len(stragglers) - leaked,
             leaked=leaked,
             elapsed=time.monotonic() - started,
         )
@@ -856,6 +842,15 @@ class Service:
         with self._state_lock:
             self._shutdown_report = report
         return report
+
+    def _wait_drained(self, deadline: float | None) -> None:
+        """Wait, holding ``_drained``, until no read is registered or the
+        ``time.monotonic()`` deadline (None: none) passes."""
+        while self._inflight:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                return
+            self._drained.wait(remaining)
 
     def __enter__(self) -> "Service":
         return self

@@ -1,12 +1,15 @@
 """CLI driver: ``python -m repro.serve --stress``.
 
-``--stress`` sweeps the seeded multi-client concurrent chaos profile
-(:func:`repro.fuzz.chaos.serve_stress_profile`): per seed, a fresh
-service over a ledger table is hammered by ``--threads`` client threads
-mixing snapshot reads, atomic write batches, DDL, fault plans, load
-shedding and mid-run shutdowns. Exit status 0 means every seed upheld
-the invariant (snapshot-consistent rows or a typed error — never a wrong
-answer, torn read, hang, or leaked spill file); 1 means at least one
+``--stress`` sweeps the seeded multi-client profile of the service
+contract (:func:`repro.fuzz.service.serve_stress_profile`): per seed, a
+fresh service over a ledger table is hammered by ``--threads`` client
+threads drawing snapshot reads, publishes and atomic write batches
+from the model's actions, under fault plans, load shedding, short
+deadlines and mid-run shutdowns, and the run must reconcile with the
+model (every submission ended once, as ``stats()`` counts it; no torn
+read, wrong document, hang or leaked spill file). The summary line
+tallies the scenario mix and the model events the clients saw. Exit
+status 0 means every seed upheld the contract; 1 means at least one
 failure (one JSON file each in ``--artifacts-dir`` when given, which is
 how CI surfaces them).
 
@@ -26,7 +29,7 @@ import sys
 
 
 def _stress_main(args: argparse.Namespace) -> int:
-    from repro.fuzz.chaos import serve_stress_profile
+    from repro.fuzz.service import serve_stress_profile
     from repro.fuzz.driver import cli_sweep
 
     # A hung run dumps all thread stacks and aborts rather than eating

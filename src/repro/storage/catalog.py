@@ -629,3 +629,6 @@ class CatalogSnapshot(Catalog):
 
     def create_index(self, table_name: str, columns):
         raise self._read_only(f"create an index on table {table_name!r}")
+
+    def begin_transaction(self) -> int:
+        raise self._read_only("begin a transaction")

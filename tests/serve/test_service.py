@@ -1,14 +1,24 @@
-"""The concurrent query service: admission control, priority and load
-shedding, snapshot-isolated reads, queued-time deadlines, and graceful
-shutdown that drains then cancels."""
+"""The concurrent query service.
+
+Admission, priority hand-off, shedding, queued deadlines and shutdown are
+held to one model (:mod:`repro.fuzz.service`), which the Hypothesis
+machine in ``tests/properties/test_service_model.py`` drives at random.
+The scripted cases here are runs of that model through ``play``: every
+ending, error, report and ``stats()`` along the way is the model's, so
+they assert only that the run reached the event they are named for. The
+rest — budgets and run options on the way in, the governed root loop,
+snapshot pinning, shutdown against a read between its grant and
+execution and against a long-running one, sessions and config
+validation — is beyond the model."""
 
 from __future__ import annotations
 
 import re
 import threading
-import time
 
 import pytest
+
+from collections import Counter
 
 from repro.api import Database
 from repro.errors import (
@@ -16,18 +26,12 @@ from repro.errors import (
     PlanError,
     QueryCancelled,
     ServiceError,
-    ServiceOverloaded,
     ServiceStopped,
-    TimeoutExceeded,
 )
 from repro.execution.governor import Budget, Governor
 from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
-from repro.serve import (
-    AdmissionController,
-    QueryClass,
-    Service,
-    ServiceConfig,
-)
+from repro.fuzz.service import CLASSES, build_stress_case, play, run_stress_case
+from repro.serve import QueryClass, Service, ServiceConfig
 from repro.storage.types import DataType
 from repro.xmlpub import tpch_supplier_view
 
@@ -45,144 +49,61 @@ def small_db() -> Database:
     return db
 
 
-def occupy_slot(controller: AdmissionController):
-    """Acquire one slot on a helper thread; returns a release callback."""
-    acquired = threading.Event()
-    release = threading.Event()
-
-    def hold():
-        controller.acquire(0, Governor())
-        acquired.set()
-        release.wait(30.0)
-        controller.release()
-
-    thread = threading.Thread(target=hold)
-    thread.start()
-    assert acquired.wait(5.0)
-
-    def done():
-        release.set()
-        thread.join(5.0)
-        assert not thread.is_alive()
-
-    return done
+#: Model actions: a stream that holds its slot, a read that completes on
+#: admission (or queues behind held slots), and one with a deadline.
+STREAM = ("publish", "batch", None, False)
+READ = ("sql", "count", "interactive", None, False)
+TIMED = ("sql", "sum", "interactive", 1.5, False)
+ONE_SLOT = ServiceConfig(max_concurrency=1, max_queue_depth=0, classes=CLASSES)
 
 
 class TestAdmissionController:
     def test_fast_path_takes_a_free_slot(self):
-        controller = AdmissionController(slots=2, max_queue_depth=4)
-        controller.acquire(0, Governor())
-        assert controller.slots_free() == 1
-        controller.release()
-        assert controller.slots_free() == 2
+        assert play([STREAM, READ]).seen["hand-off"] == 0
 
     def test_full_queue_sheds_with_depth_and_backoff(self):
-        controller = AdmissionController(
-            slots=1, max_queue_depth=0, backoff_base=0.1
-        )
-        done = occupy_slot(controller)
-        try:
-            with pytest.raises(ServiceOverloaded) as info:
-                controller.acquire(0, Governor(), sql="select 1")
-            assert info.value.retryable
-            assert info.value.queue_depth == 0
-            assert info.value.suggested_backoff == pytest.approx(0.1)
-            assert info.value.sql == "select 1"
-            assert controller.sheds == 1
-        finally:
-            done()
+        assert play([STREAM, STREAM, READ, READ, READ]).seen["shed"] == 1
 
     def test_released_slot_goes_to_best_priority_waiter(self):
-        controller = AdmissionController(slots=1, max_queue_depth=8)
-        done = occupy_slot(controller)
-        order: list[str] = []
-        started = threading.Barrier(3, timeout=10.0)
-
-        def wait_for_slot(name: str, priority: int):
-            governor = Governor()
-            started.wait()
-            # The low-priority waiter queues first, so FIFO alone would
-            # admit it first; priority must win instead.
-            if priority == 0:
-                time.sleep(0.1)
-            controller.acquire(priority, governor)
-            order.append(name)
-            controller.release()
-
-        batch = threading.Thread(target=wait_for_slot, args=("batch", 10))
-        interactive = threading.Thread(
-            target=wait_for_slot, args=("interactive", 0)
-        )
-        batch.start()
-        interactive.start()
-        started.wait()
-        time.sleep(0.3)  # both are now queued behind the held slot
-        done()
-        batch.join(10.0)
-        interactive.join(10.0)
-        assert order == ["interactive", "batch"]
-        assert controller.slots_free() == 1
-        assert controller.peak_queue_depth == 2
+        # The batch read queues first; the interactive one must get the slot.
+        waiting = [("sql", "count", "batch", None, True), ("sql", "sum", "interactive", None, True)]
+        assert play([STREAM, STREAM, *waiting, ("release", 0, "read")]).seen["hand-off"] == 1
 
     def test_queued_waiter_times_out_with_queued_context(self):
-        controller = AdmissionController(slots=1, max_queue_depth=8)
-        done = occupy_slot(controller)
-        try:
-            governor = Governor(Budget(timeout=0.1))
-            start = time.monotonic()
-            with pytest.raises(TimeoutExceeded) as info:
-                controller.acquire(0, governor)
-            assert time.monotonic() - start < 5.0
-            assert "admission queue" in str(info.value)
-            assert info.value.queued_seconds == pytest.approx(0.1, abs=0.2)
-            assert info.value.executing_seconds == 0.0
-        finally:
-            done()
+        assert play([STREAM, STREAM, TIMED, ("advance", 3.0)]).seen["queued-timeout"] == 1
 
     def test_stop_rejects_new_and_queued_acquires(self):
-        controller = AdmissionController(slots=1, max_queue_depth=8)
-        done = occupy_slot(controller)
-        errors: list[Exception] = []
-
-        def queued():
-            try:
-                controller.acquire(0, Governor())
-            except Exception as error:  # noqa: BLE001
-                errors.append(error)
-
-        waiter = threading.Thread(target=queued)
-        waiter.start()
-        time.sleep(0.1)
-        controller.stop()
-        waiter.join(5.0)
-        assert not waiter.is_alive()
-        assert len(errors) == 1 and isinstance(errors[0], ServiceStopped)
-        with pytest.raises(ServiceStopped):
-            controller.acquire(0, Governor())
-        done()
+        assert play([STREAM, STREAM, READ, ("shutdown", False), READ]).seen["stopped-queued"] == 1
 
     def test_cancelled_governor_escapes_the_queue(self):
-        controller = AdmissionController(slots=1, max_queue_depth=8)
-        done = occupy_slot(controller)
-        try:
-            governor = Governor()
-            governor.cancel("client gave up")
-            with pytest.raises(QueryCancelled, match="client gave up"):
-                controller.acquire(0, governor)
-        finally:
-            done()
+        assert play([STREAM, STREAM, READ, ("cancel", 0)]).seen["queued-cancel"] == 1
 
 
 class TestServiceQueries:
     def test_sql_round_trip_and_stats(self):
-        service = Service(small_db())
-        assert service.sql("select count(*) from t").rows == [(30,)]
-        assert service.sql("select sum(a) from t").rows == [(435,)]
-        stats = service.stats()
-        assert stats["submitted"] == 2
-        assert stats["completed"] == 2
-        assert stats["active"] == 0
-        assert stats["slots_free"] == stats["slots"]
+        play([READ, ("sql", "sum", "batch", None, False), ("sql", "gapply", "batch", None, False)])
+
+    def test_query_errors_keep_slots_healthy(self):
+        play([("sql", "missing", "interactive", None, False), READ])
+
+    def test_shed_when_slot_held_and_queue_full(self):
+        assert play([STREAM, READ], ONE_SLOT).seen["shed"] == 1
+
+    def test_queued_deadline_counts_against_timeout(self):
+        # 1s + 1s queued passes the 1.5s deadline before any slot frees.
+        script = [STREAM, STREAM, TIMED, ("advance", 1.0), ("advance", 1.0)]
+        assert play(script).seen["queued-timeout"] == 1
+
+    def test_executing_timeout_reports_queued_vs_executing_split(self):
+        fake_now = [100.0]
+        governor = Governor(Budget(timeout=1.0), clock=lambda: fake_now[0])
+        fake_now[0] = 100.3
+        governor.mark_admitted()
+        fake_now[0] = 101.2  # 0.3s queued + 0.9s executing > 1.0s budget
+        error = governor.timeout_error()
+        assert error.queued_seconds == pytest.approx(0.3)
+        assert error.executing_seconds == pytest.approx(0.9)
+        assert "queued 0.300s, executing 0.900s" in str(error)
 
     def test_root_loop_ticks_the_governor_per_batch(self, monkeypatch):
         # Every service query runs under a governor; its output tally must
@@ -226,15 +147,6 @@ class TestServiceQueries:
         assert len(service.sql("select a from t", max_rows=100).rows) == 30
         assert service.stats()["failed"] == 1
 
-    def test_query_errors_keep_slots_healthy(self):
-        service = Service(small_db())
-        with pytest.raises(CatalogError):
-            service.sql("select * from missing_table")
-        stats = service.stats()
-        assert stats["failed"] == 1
-        assert stats["slots_free"] == stats["slots"]
-        assert service.sql("select count(*) from t").rows == [(30,)]
-
     @pytest.mark.parametrize(
         "bad_option, error, naming, publish_error",
         [
@@ -273,20 +185,16 @@ class TestServiceQueries:
             small_db(),
             config=ServiceConfig(max_concurrency=1, max_queue_depth=0),
         )
-        done = occupy_slot(service.admission)
-        try:
-            with pytest.raises(error, match=re.escape(naming)):
-                service.sql("select a from t", **bad_option)
-            publish_naming = (
-                "Service.submit_publish() got an unexpected"
-                if publish_error is TypeError else naming
-            )
-            with pytest.raises(publish_error, match=re.escape(publish_naming)):
-                service.submit_publish(
-                    tpch_supplier_view(), Q1, **bad_option
-                )
-        finally:
-            done()
+        service.admission.acquire(0, Governor())
+        with pytest.raises(error, match=re.escape(naming)):
+            service.sql("select a from t", **bad_option)
+        publish_naming = (
+            "Service.submit_publish() got an unexpected"
+            if publish_error is TypeError else naming
+        )
+        with pytest.raises(publish_error, match=re.escape(publish_naming)):
+            service.submit_publish(tpch_supplier_view(), Q1, **bad_option)
+        service.admission.release()
         assert service.sql("select count(*) from t").rows == [(30,)]
         stats = service.stats()
         assert stats["slots_free"] == stats["slots"]
@@ -300,52 +208,13 @@ class TestServiceQueries:
             )
         )
 
-    def test_shed_when_slot_held_and_queue_full(self):
-        service = Service(
-            small_db(),
-            config=ServiceConfig(max_concurrency=1, max_queue_depth=0),
-        )
-        done = occupy_slot(service.admission)
-        try:
-            with pytest.raises(ServiceOverloaded) as info:
-                service.sql("select count(*) from t")
-            assert info.value.suggested_backoff > 0
-            assert service.stats()["shed"] == 1
-        finally:
-            done()
-        assert service.sql("select count(*) from t").rows == [(30,)]
-
-    def test_queued_deadline_counts_against_timeout(self):
-        # Satellite (c): a query admitted late must time out with context
-        # distinguishing queue wait from execution time.
-        service = Service(
-            small_db(),
-            config=ServiceConfig(max_concurrency=1, max_queue_depth=4),
-        )
-        done = occupy_slot(service.admission)
-        try:
-            with pytest.raises(TimeoutExceeded) as info:
-                service.sql("select count(*) from t", timeout=0.1)
-            assert info.value.queued_seconds > 0
-            assert info.value.executing_seconds == 0.0
-            assert "before executing at all" in str(info.value)
-            assert service.stats()["expired_queued"] == 1
-        finally:
-            done()
-
-    def test_executing_timeout_reports_queued_vs_executing_split(self):
-        fake_now = [100.0]
-        governor = Governor(Budget(timeout=1.0), clock=lambda: fake_now[0])
-        fake_now[0] = 100.3
-        governor.mark_admitted()
-        fake_now[0] = 101.2  # 0.3s queued + 0.9s executing > 1.0s budget
-        error = governor.timeout_error()
-        assert error.queued_seconds == pytest.approx(0.3)
-        assert error.executing_seconds == pytest.approx(0.9)
-        assert "queued 0.300s, executing 0.900s" in str(error)
-
 
 class TestSnapshotIsolation:
+    def test_concurrent_readers_never_see_torn_batches(self):
+        # The model's zero-sum read check, under concurrent ledger writers.
+        case = build_stress_case(0, threads=4, ops_per_thread=6)
+        assert (case.scenario, run_stress_case(case, Counter())) == ("steady", None)
+
     def test_reads_pin_a_version_while_writes_land(self):
         service = Service(small_db())
         snap = service.database.snapshot()
@@ -365,80 +234,76 @@ class TestSnapshotIsolation:
         with pytest.raises(CatalogError):
             service.sql("select count(*) from extra")
 
-    def test_concurrent_readers_never_see_torn_batches(self):
-        # A deterministic mini version of the chaos ledger invariant:
-        # every write is a zero-sum pair, so any torn snapshot would
-        # break sum == 0.
-        db = Database()
-        db.create_table(
-            "ledger", [("amount", DataType.INTEGER)], [(5,), (-5,)]
-        )
-        service = Service(db)
-        stop = threading.Event()
-        bad: list[tuple] = []
 
-        def reader():
-            while not stop.is_set():
-                rows = service.sql("select sum(amount) from ledger").rows
-                if rows[0][0] != 0:
-                    bad.append(rows[0])
-                    return
+def hold_snapshots(monkeypatch, service: Service) -> tuple[threading.Event, threading.Event]:
+    """Make every read stop between its slot grant and execution, in
+    ``Database.snapshot``; returns (a read is there, let reads go)."""
+    pinned, go = threading.Event(), threading.Event()
+    snapshot = service.database.snapshot
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for value in range(1, 40):
-            service.insert("ledger", [(value,), (-value,)])
-        stop.set()
-        for thread in threads:
-            thread.join(10.0)
-            assert not thread.is_alive()
-        assert bad == []
-        assert service.sql("select count(*) from ledger").rows == [(80,)]
+    def held():
+        pinned.set()
+        go.wait(30.0)
+        return snapshot()
+
+    monkeypatch.setattr(service.database, "snapshot", held)
+    return pinned, go
 
 
 class TestShutdown:
     def test_idle_shutdown_is_clean_and_idempotent(self):
-        service = Service(small_db())
-        report = service.shutdown(drain_timeout=1.0)
-        assert report.clean
-        assert report.in_flight == 0
-        assert service.shutdown() is report
-        assert service.health()["status"] == "stopped"
+        play([("shutdown", True), ("shutdown", False)])
+
+    def test_drains_in_flight_queries(self):
+        play([("sql", "count", "interactive", None, True), STREAM, ("shutdown", True)])
 
     def test_rejects_everything_after_shutdown(self):
+        play([("shutdown", True), READ, ("insert",)])
         service = Service(small_db())
         service.shutdown()
-        with pytest.raises(ServiceStopped):
-            service.sql("select count(*) from t")
-        with pytest.raises(ServiceStopped):
-            service.insert("t", [(1, 1)])
         with pytest.raises(ServiceStopped):
             service.create_table("u", [("x", DataType.INTEGER)])
         with pytest.raises(ServiceStopped):
             service.drop_table("t")
-        assert service.stats()["rejected_stopped"] == 1
 
-    def test_drains_in_flight_queries(self):
+    def test_counts_a_read_between_its_grant_and_execution(self, monkeypatch):
+        # The read holds a slot but has not begun executing when shutdown
+        # stops admission: the report must count it, and the read must
+        # end before shutdown returns.
         service = Service(small_db())
-        results: list[list] = []
+        pinned, go = hold_snapshots(monkeypatch, service)
+        stop, stopped = service.admission.stop, threading.Event()
+        monkeypatch.setattr(service.admission, "stop", lambda: (stop(), stopped.set()))
+        ended: list = []
+        client = threading.Thread(
+            target=lambda: ended.append(service.sql("select count(*) from t").rows)
+        )
+        client.start()
+        assert pinned.wait(10.0)
+        returned: list = []
+        stopper = threading.Thread(
+            target=lambda: returned.append((service.shutdown(drain_timeout=10.0), list(ended)))
+        )
+        stopper.start()
+        assert stopped.wait(10.0)
+        go.set()
+        stopper.join(30.0)
+        client.join(30.0)
+        report, ended_by_then = returned[0]
+        assert report.in_flight == 1 == report.drained + report.cancelled
+        assert ended_by_then == [[(30,)]]
+        stats = service.stats()
+        assert stats["submitted"] == stats["completed"] == 1
+        assert stats["active"] == 0 and stats["slots_free"] == stats["slots"]
 
-        def client():
-            results.append(service.sql("select count(*) from t").rows)
-
-        thread = threading.Thread(target=client)
-        thread.start()
-        thread.join(10.0)
-        report = service.shutdown(drain_timeout=5.0)
-        assert report.clean
-        assert results == [[(30,)]]
-
-    def test_cancels_stragglers_through_the_governor(self):
+    def test_cancels_stragglers_through_the_governor(self, monkeypatch):
         # A five-way cross product (24M rows, tens of seconds) keeps one
         # query in flight well past the drain window; shutdown must
         # cancel it (typed error on the client thread) and still report
         # a clean exit.
         service = Service(small_db())
+        pinned, go = hold_snapshots(monkeypatch, service)
+        go.set()
         outcome: list[object] = []
         sql = "select count(*) from t v, t w, t x, t y, t z"
 
@@ -451,10 +316,7 @@ class TestShutdown:
 
         thread = threading.Thread(target=client)
         thread.start()
-        deadline = time.monotonic() + 5.0
-        while service.stats()["active"] != 1:
-            assert time.monotonic() < deadline, "query never started"
-            time.sleep(0.01)
+        assert pinned.wait(10.0)
         report = service.shutdown(drain_timeout=0.1, cancel_grace=30.0)
         thread.join(30.0)
         assert not thread.is_alive()
@@ -499,3 +361,5 @@ class TestConfigValidation:
             ServiceConfig(max_queue_depth=-1)
         with pytest.raises(ServiceError):
             ServiceConfig(default_class="missing")
+        with pytest.raises(ServiceError, match="backoff_base"):
+            ServiceConfig(backoff_base=-1.0)

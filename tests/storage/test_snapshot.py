@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.api import Database
 from repro.errors import CatalogError, ConstraintError
 from repro.storage.catalog import Catalog, CatalogSnapshot
 from repro.storage.table import table_from_rows
@@ -90,9 +91,23 @@ class TestCatalogSnapshot:
             ("register", (table_from_rows("x", [("a", DataType.INTEGER)], []),)),
             ("drop", ("ledger",)),
             ("insert_rows", ("ledger", [(3, 0)])),
+            ("begin_transaction", ()),
         ]:
             with pytest.raises(CatalogError, match="read-only snapshot"):
                 getattr(snap, method)(*args)
+        assert snap.version == catalog.version
+
+    def test_a_snapshot_opens_no_transaction(self):
+        # A transaction on a snapshot would take a version number the
+        # live catalog later gives another state, and the plan cache keys
+        # entries by that number.
+        db = Database()
+        db.create_table("t", [("a", DataType.INTEGER)], [(1,)])
+        snapshot = db.snapshot()
+        with pytest.raises(CatalogError, match="read-only snapshot"):
+            snapshot.begin()
+        assert snapshot.catalog.version == db.catalog.version
+        assert not db.catalog.in_transaction
 
     def test_writes_after_snapshot_are_invisible_to_it(self):
         catalog = ledger_catalog()
