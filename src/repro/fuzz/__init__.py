@@ -23,14 +23,29 @@ that holds the pair:
 * ``serve-stress`` (:mod:`repro.fuzz.service`) — the service contract as
   one model (``ServiceModel``, ``step``, ``reconcile``), driven by this
   sweep's concurrent clients and by the tests' Hypothesis state machine.
+  It is imported when a sweep first runs it, so importing this package
+  loads no service.
 
 :mod:`repro.fuzz.shrink` minimizes failures and :mod:`repro.fuzz.corpus`
 persists them as replayable JSON reproducers.
 ``python -m repro.fuzz --profile full --seed 0 --n 500`` drives all of it.
 """
 
-from repro.fuzz import chaos, durability, plancache, runner, service, xmlpub
+from repro.fuzz import chaos, durability, plancache, runner, xmlpub
 from repro.fuzz.driver import Failure, Profile, Report, sweep
+
+
+def _serve_stress() -> Profile:
+    """``serve-stress``, importing :mod:`repro.fuzz.service` on first use."""
+
+    def profile() -> Profile:
+        from repro.fuzz.service import serve_stress_profile
+
+        return serve_stress_profile()
+
+    return Profile("serve-stress", lambda seed: profile().generate(seed),
+                   lambda case, tally: profile().check(case, tally))
+
 
 #: Every profile ``python -m repro.fuzz --profile`` accepts, by name.
 PROFILES: dict[str, Profile] = {
@@ -41,7 +56,7 @@ PROFILES: dict[str, Profile] = {
         xmlpub.PROFILE,
         chaos.PROFILE,
         durability.PROFILE,
-        service.serve_stress_profile(),
+        _serve_stress(),
     )
 }
 

@@ -17,6 +17,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Any
 
 from repro.api import Database
@@ -41,7 +42,7 @@ EVENTS = ("hand-off", "shed", "queued-timeout", "queued-cancel", "stopped-queued
 #: Rows per ledger write; each batch sums to zero, so a torn read shows.
 LEDGER_BATCH = 4
 #: The reads, tagged by ``n`` (every ``l_batch`` is >= 0, so the tag
-#: filters nothing) so a driver can find a read's governor by its SQL.
+#: filters nothing) so each read's SQL names it.
 READS = {
     "sum": "select sum(l_amount) from ledger where l_batch > -{n}",
     "count": "select count(*) from ledger where l_batch > -{n}",
@@ -49,7 +50,7 @@ READS = {
               "from ledger where l_batch > -{n} group by l_batch : g",
     "missing": "select count(*) from missing where x > -{n}",  # fails once admitted
 }
-VIEW = tpch_supplier_view()
+view = cache(tpch_supplier_view)  # built on first use
 PUBLISH_QUERY = (
     "for $s in /doc(tpch.xml)/suppliers/supplier return <ret> $s/s_suppkey, "
     "<parts> for $p in $s/part return <part> $p/p_name, $p/p_retailprice "
@@ -90,7 +91,7 @@ def ledger_database(seed: int) -> Database:
 def document(db: Database) -> bytes:
     """The document every publish of :data:`PUBLISH_QUERY` must return,
     from an uncached twin so ``db``'s plan cache stays untouched."""
-    return Database(db.catalog, plan_cache=None).publish(VIEW, PUBLISH_QUERY).read_all()
+    return Database(db.catalog, plan_cache=None).publish(view(), PUBLISH_QUERY).read_all()
 
 
 def read_problem(op: str, rows: list[tuple]) -> str | None:
@@ -130,7 +131,7 @@ def submit(service: Service, action: tuple) -> Outcome:
     try:
         if kind == "publish":
             outcome.stream = service.submit_publish(
-                VIEW, BAD_QUERY if args[2] else PUBLISH_QUERY,
+                view(), BAD_QUERY if args[2] else PUBLISH_QUERY,
                 query_class=args[0], timeout=args[1],
             )
             return outcome
@@ -171,9 +172,9 @@ def insert(service: Service, batch_id: int, seed: int) -> bool:
 class Expected:
     """One submission as the model sees it. A ``gated`` read holds its
     slot between grant and execution until released; a ``fails`` one (a
-    missing table, a bad publish) fails once admitted. ``state`` is
-    ``queued``, ``held`` or the ending; ``detail`` the depth a shed saw
-    or the seconds a lapse queued."""
+    missing table, a bad publish) fails once admitted. ``text`` is its
+    SQL or XQuery; ``state`` is ``queued``, ``held`` or the ending;
+    ``detail`` the depth a shed saw or the seconds a lapse queued."""
 
     kind: str
     priority: int
@@ -181,6 +182,7 @@ class Expected:
     gated: bool
     fails: bool
     submitted: float
+    text: str
     state: str = "new"
     detail: float | None = None
 
@@ -389,13 +391,8 @@ class Rig:
         )
         self.clients: list[_Client] = []
         self.report = None
-        #: Every governor the controller was handed, by its SQL.
-        self.governors: dict[str, Any] = {}
-        local, pin, acquire = threading.local(), db.snapshot, self.service.admission.acquire
-
-        def recording_acquire(priority: int, governor: Any, sql: str) -> None:
-            self.governors[sql] = governor
-            acquire(priority, governor, sql=sql)
+        self.spill_files = live_spill_files()
+        local, pin = threading.local(), db.snapshot
 
         def gated_snapshot() -> Database:
             client = getattr(local, "client", None)
@@ -408,7 +405,7 @@ class Rig:
             local.client = client
             client.outcome = submit(self.service, action)
 
-        db.snapshot, self.service.admission.acquire = gated_snapshot, recording_acquire
+        db.snapshot = gated_snapshot
         self._run = run
 
     def start(self, action: tuple, gated: bool) -> None:
@@ -455,12 +452,15 @@ def step(rig: Rig, model: ServiceModel, action: tuple) -> None:
     if kind == "sql":
         op, qclass, timeout, gated = args
         fails, submission = op == "missing", ("sql", op, len(model.calls), qclass, timeout, None)
+        text = READS[op].format(n=len(model.calls))
     elif kind == "publish":
         (qclass, timeout, fails), gated, submission = args, False, action
+        text = BAD_QUERY if fails else PUBLISH_QUERY
     if kind in ("sql", "publish"):
         rig.start(submission, gated)
         deadline = None if timeout is None else model.now + timeout
-        model.submit(Expected(kind, CLASSES[qclass].priority, deadline, gated, fails, model.now))
+        model.submit(Expected(kind, CLASSES[qclass].priority, deadline, gated, fails, model.now,
+                              text))
     elif kind == "insert":
         if insert(rig.service, 1000, model.counts["writes"]) == model.stopped:
             raise Divergence(f"insert landed: {not model.stopped}, stopped: {model.stopped}")
@@ -476,9 +476,10 @@ def step(rig: Rig, model: ServiceModel, action: tuple) -> None:
     elif kind == "cancel":
         waiting = [call for call in model.waiting() if call.kind == "sql"]
         call = waiting[args[0] % len(waiting)]
-        tag = f"> -{model.calls.index(call)} "
-        for sql, governor in rig.governors.items():
-            if tag in sql + " ":  # the read's governor, by its tag
+        with rig.service._state_lock:  # a queued read is in flight already
+            governors = [governor for governor, _ in rig.service._inflight.values()]
+        for governor in governors:
+            if governor.sql == call.text:
                 governor.cancel("client gave up")
         model.lapse(call, "cancelled", "queued-cancel")
     elif kind == "shutdown":
@@ -488,10 +489,13 @@ def step(rig: Rig, model: ServiceModel, action: tuple) -> None:
 
 def conclude(rig: Rig, model: ServiceModel) -> None:
     """Shut down — draining while a gated read holds a slot, since it
-    ignores cancellation — and :meth:`~ServiceModel.reconcile`."""
+    ignores cancellation — :meth:`~ServiceModel.reconcile`, and find no
+    spill file left by a stream however it ended."""
     step(rig, model, ("shutdown", any(call.gated for call in model.holders())))
     outcomes = [client.outcome for client in rig.clients]
-    problem = model.reconcile(rig.service.stats(), rig.report, outcomes)
+    leaked = live_spill_files() - rig.spill_files
+    problem = model.reconcile(rig.service.stats(), rig.report, outcomes) or (
+        leaked and f"leaked spill files: {sorted(leaked)[:3]}")
     if problem:
         raise Divergence(problem)
 
@@ -556,18 +560,22 @@ def _settle(rig: Rig, model: ServiceModel) -> None:
         if outcome.ending != want or outcome.problem:
             raise Divergence(f"call {index}: expected {want}, got {outcome}")
         if want == "shed" and not (error.retryable and error.queue_depth == call.detail
-                                   and error.suggested_backoff == backoff):
+                                   and error.suggested_backoff == backoff
+                                   and error.sql == call.text):
             raise Divergence(f"call {index}: shed with {error!r}")
+        queued = f"after {call.detail or 0:.3f}s in the admission queue, before executing at all"
         if call.detail is not None and want == "timed_out" and (
-                error.queued_seconds, error.executing_seconds) != (call.detail, 0.0):
-            raise Divergence(f"call {index}: lapsed after {error.queued_seconds}s in the queue")
+                (error.queued_seconds, error.executing_seconds) != (call.detail, 0.0)
+                or queued not in str(error)):
+            raise Divergence(f"call {index}: lapsed with {error}")
         if call.detail is not None and want == "cancelled" and "client gave up" not in str(error):
             raise Divergence(f"call {index}: cancelled with {error}")
     stats = rig.service.stats()
     wrong = {key: (stats.get(key, 0), value) for key, value in model.stats().items()
              if stats.get(key, 0) != value}
-    if wrong:
-        raise Divergence(f"stats (service, model): {wrong}")
+    if wrong or rig.service.admission.sheds != model.counts["shed"]:
+        raise Divergence(f"stats (service, model): {wrong}, controller sheds "
+                         f"{rig.service.admission.sheds}")
 
 
 SCENARIOS = ("steady", "overload", "spill-pressure", "faulted-spill", "shutdown-mid-run",

@@ -283,7 +283,6 @@ class AdmissionController:
                         return  # the releaser handed us its slot
                     # Handed a slot in the same instant the deadline
                     # expired: pass it on, then report the timeout.
-                    governor.admitted_at = None  # it holds no slot after all
                     self._release_locked()
                 elif self._stopping:
                     raise ServiceStopped(
@@ -475,7 +474,8 @@ class Service:
         self._drained = threading.Condition(self._state_lock)
         #: Every read from before it asks for a slot until it gives the
         #: slot back: query id → (governor, publish stream or None). The
-        #: governor's ``admitted_at`` says whether it holds a slot yet.
+        #: controller stamps ``admitted_at`` when it grants the slot, so
+        #: shutdown counts exactly the reads granted one.
         self._inflight: dict[int, tuple[Governor, XmlChunkStream | None]] = {}
         self._query_ids = itertools.count()
         self._stopping = False
@@ -735,19 +735,17 @@ class Service:
 
     def stats(self) -> dict[str, Any]:
         """Point-in-time service counters plus derived gauges."""
-        # Under both locks no grant or release is half done, so ``active``
-        # counts each slot in use once.
-        with self._state_lock, self.admission._lock:
-            active = sum(g.admitted_at is not None for g, _ in self._inflight.values())
+        with self._state_lock:
             active_streams = sum(s is not None for _, s in self._inflight.values())
+        slots_free = self.admission.slots_free()
         data = self.stats_counters.snapshot()
         data.update(
-            active=active,
+            active=self.admission.slots - slots_free,
             active_streams=active_streams,
             queue_depth=self.admission.queue_depth(),
             peak_queue_depth=self.admission.peak_queue_depth,
             slots=self.admission.slots,
-            slots_free=self.admission.slots_free(),
+            slots_free=slots_free,
             catalog_version=self.database.catalog.version,
         )
         # One cache serves the live database and every pinned snapshot.
@@ -797,7 +795,7 @@ class Service:
                 return self._shutdown_report
             started = time.monotonic()
             # Under the registration lock: once admission stops no slot
-            # is granted, so the reads holding one are exactly these.
+            # is granted, so the reads granted one are exactly these.
             self._stopping = True
             self.admission.stop()
             in_flight = [
