@@ -6,7 +6,10 @@ Two layers of seeded random cases, both with a materialized reference:
   (random key arity, scalar/rows branches with disjoint payload slices,
   optional containers) over a random clustered row stream drawn from a
   hostile value pool (control characters, ``]]>``, markup characters,
-  ``\\r``, unicode, NULL, dates, booleans, quarter-step floats). Checks:
+  ``\\r``, unicode, NULL, dates, booleans, quarter-step floats, ``nan``,
+  ``±inf``, ``-0.0``, ``1e16``, ``10**20``); about half the payload
+  columns draw from one exact type, so the tagger's per-column fast paths
+  run (the summary's ``single-type-cases``). Checks:
 
   1. *chunk invariance* — ``stream_document`` output re-joined is
      byte-identical to ``tag_to_string`` for chunk sizes from 1 byte to
@@ -86,6 +89,12 @@ NASTY_VALUES: tuple[Any, ...] = (
     -3.75,
     55.0,
     1e10,
+    1e16,
+    -0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    10**20,
     "",
     "plain",
     "a&b<c>d",
@@ -106,6 +115,14 @@ NASTY_VALUES: tuple[Any, ...] = (
 
 #: Hostile strings for the view-level cases (flow into p_name / s_name).
 NASTY_STRINGS = tuple(v for v in NASTY_VALUES if isinstance(v, str))
+
+#: ``NASTY_VALUES`` by exact type. A payload column drawn from one of these
+#: takes the tagger's single-type path (``format_column``); ``bool`` is
+#: here to check it does not take the ``int`` one.
+SINGLE_TYPE_POOLS = tuple(
+    tuple(v for v in NASTY_VALUES if type(v) is kind)
+    for kind in (str, float, int, bool)
+)
 
 _TAG_WORDS = ("g", "item", "val", "node", "k", "row", "grp", "f", "leaf")
 
@@ -171,6 +188,11 @@ def generate_xmlpub_case(seed: int) -> XmlPubCase:
         key_items=key_items,
         branches=tuple(branches),
     )
+    # About half the payload columns draw from one exact type.
+    pools = [
+        rng.choice(SINGLE_TYPE_POOLS) if rng.random() < 0.5 else NASTY_VALUES
+        for _ in range(payload_cursor)
+    ]
     rows: list[tuple] = []
     for group_index in range(rng.randint(0, 5)):
         # First key column is distinct by construction so the stream is
@@ -183,10 +205,11 @@ def generate_xmlpub_case(seed: int) -> XmlPubCase:
             for _ in range(count):
                 payload = [None] * payload_cursor
                 if isinstance(branch, ScalarBranch):
-                    payload[branch.payload_index] = rng.choice(NASTY_VALUES)
+                    index = branch.payload_index
+                    payload[index] = rng.choice(pools[index])
                 else:
                     for _, index in branch.fields:
-                        payload[index] = rng.choice(NASTY_VALUES)
+                        payload[index] = rng.choice(pools[index])
                 rows.append(key + (branch.branch,) + tuple(payload))
     return XmlPubCase(seed=seed, spec=spec, rows=rows)
 
@@ -568,7 +591,26 @@ def load_xmlpub_corpus(directory: Path | str) -> list[XmlPubCase]:
 VIEW_CASE_EVERY = 5
 
 
+def _has_single_type_column(case: XmlPubCase) -> bool:
+    """Whether a branch reads a payload column whose values, over two rows
+    or more, all share one exact type with a ``format_column`` fast path."""
+    base = case.spec.branch_column + 1
+    for branch in case.spec.branches:
+        rows = [r for r in case.rows if r[case.spec.branch_column] == branch.branch]
+        positions = (
+            [branch.payload_index]
+            if isinstance(branch, ScalarBranch)
+            else [index for _, index in branch.fields]
+        )
+        for index in positions if len(rows) > 1 else ():
+            if {type(row[base + index]) for row in rows} in ({str}, {float}, {int}):
+                return True
+    return False
+
+
 def _check(case: XmlPubCase, tally: Counter) -> Failure | None:
+    if _has_single_type_column(case):
+        tally["single-type-cases"] += 1
     failure = check_case(case)
     if failure is None and case.seed % VIEW_CASE_EVERY == 0:
         tally["view-cases"] += 1

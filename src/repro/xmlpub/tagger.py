@@ -21,7 +21,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -86,6 +86,24 @@ def escape_text(value: object) -> str:
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
     return text.translate(_CONTROL_TRANSLATION)
+
+
+def format_column(values: Sequence[object]) -> list[str]:
+    """``list(map(escape_text, values))``, at C speed when every value
+    has one exact type: ``str`` (one search over the tab-joined column —
+    tab can neither match nor hide a match), ``float`` or ``int``. Anything
+    else (NULLs, booleans, dates, subclasses, mixed types) goes value by
+    value through :func:`escape_text`."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        if _needs_escaping("\t".join(values)) is None:
+            return list(values)
+    elif kind is float:
+        return list(map(float.__format__, values, repeat(".6g")))
+    elif kind is int:
+        return list(map(int.__repr__, values))
+    return list(map(escape_text, values))
 
 
 def sanitize_parsed_text(value: object) -> str:
@@ -165,13 +183,6 @@ def _element(tag: str, content: str = "%s") -> str:
     return f"<{tag}>{content}</{tag}>"
 
 
-def _values_getter(positions: Sequence[int]):
-    """``row -> tuple`` of the values at ``positions``, at C speed."""
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
-
-
 class ConstantSpaceTagger:
     """Streaming tagger; O(depth) state, rows in, XML text chunks out."""
 
@@ -181,8 +192,8 @@ class ConstantSpaceTagger:
         self._key_templates = [
             (_element(item.tag), item.key_index) for item in spec.key_items
         ]
-        # branch id -> (container tag or None, row template, payload getter);
-        # a scalar branch is a one-field row outside any container.
+        # branch id -> (container tag or None, row template, payload row
+        # positions); a scalar branch is a one-field row outside any container.
         payload = spec.branch_column + 1
         self._branches = {}
         for branch in spec.branches:
@@ -190,7 +201,7 @@ class ConstantSpaceTagger:
                 compiled = (
                     None,
                     _element(branch.tag),
-                    _values_getter([payload + branch.payload_index]),
+                    (payload + branch.payload_index,),
                 )
             else:
                 compiled = (
@@ -199,7 +210,7 @@ class ConstantSpaceTagger:
                         branch.row_tag,
                         "".join(_element(tag) for tag, _ in branch.fields),
                     ),
-                    _values_getter([payload + index for _, index in branch.fields]),
+                    tuple(payload + index for _, index in branch.fields),
                 )
             self._branches[branch.branch] = compiled
 
@@ -210,16 +221,29 @@ class ConstantSpaceTagger:
         return chain.from_iterable(self.fragments(row_slices(rows)))
 
     def fragments(self, slices: Iterable[Sequence[Row]]) -> Iterator[list[str]]:
-        """The tagging loop, a slice of rows at a time: one list of text
-        fragments per slice (plus the root tags), in document order. A row
-        that cannot be tagged raises after the fragments before it."""
+        """The tagging loop: one list of text fragments per slice of rows
+        (plus the root tags), one per element, in document order. A slice is
+        tagged a run of one (key, branch) at a time, a payload column per
+        :func:`format_column` call. A row that cannot be tagged raises after
+        the fragments before it."""
         spec = self.spec
         key_count = spec.key_count
         key_templates = self._key_templates
         branches = self._branches
         group_open = f"<{spec.group_tag}>"
         group_close = f"</{spec.group_tag}>"
-        escape = escape_text
+        head_of = itemgetter(slice(0, key_count + 1))
+
+        def runs(rows: Sequence[Row]) -> Iterator[list[Row]]:
+            for head, run in groupby(rows, head_of):
+                key = head[:key_count]
+                if 0 in key or 1 in key:
+                    # True == 1: grouping_key splits a raw-equal run
+                    for _, part in groupby(run, lambda r: grouping_key(r[:key_count])):
+                        yield list(part)
+                else:
+                    yield list(run)
+
         last_values: tuple | None = None  # raw key columns of the open group
         current_key: tuple | None = None  # their grouping_key, when needed
         open_container: str | None = None
@@ -227,7 +251,8 @@ class ConstantSpaceTagger:
         for rows in slices:
             out: list[str] = []
             emit = out.append
-            for row in rows:
+            for run in runs(rows):
+                row = run[0]
                 key_values = row[:key_count]
                 # Unequal raw values are unequal keys; equal ones are the
                 # same key unless a bool met a number (True == 1), which
@@ -242,28 +267,33 @@ class ConstantSpaceTagger:
                             open_container = None
                         emit(group_close)
                     last_values = key_values
-                    current_key = (
-                        grouping_key(key_values)
-                        if any(value in (0, 1) for value in key_values)
-                        else None
-                    )
+                    mixed = 0 in key_values or 1 in key_values
+                    current_key = grouping_key(key_values) if mixed else None
                     emit(group_open)
                     for template, index in key_templates:
-                        emit(template % escape(key_values[index]))
+                        emit(template % escape_text(key_values[index]))
                 branch = branches.get(row[key_count])
                 if branch is None:
                     yield out
                     raise XmlPublishError(
                         f"row carries unknown branch id {row[key_count]!r}"
                     )
-                container, template, values_of = branch
+                container, template, positions = branch
                 if container != open_container:
                     if open_container is not None:
                         emit(f"</{open_container}>")
                     open_container = container
                     if container is not None:
                         emit(f"<{container}>")
-                emit(template % tuple(map(escape, values_of(row))))
+                if len(run) == 1:  # a lone row (a scalar per group): per row is cheaper
+                    emit(template % tuple([escape_text(row[p]) for p in positions]))
+                    continue
+                if not positions:  # zip(*[]) would drop the rows
+                    out.extend([template % ()] * len(run))
+                    continue
+                columns = list(zip(*run))
+                formatted = [format_column(columns[p]) for p in positions]
+                out.extend(map(template.__mod__, zip(*formatted)))
             yield out
         closing = []
         if last_values is not None:

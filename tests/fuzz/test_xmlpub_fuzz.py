@@ -18,11 +18,15 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import PROFILES, sweep
+from repro.fuzz.driver import Failure
 from repro.fuzz.xmlpub import check_case as check_xmlpub_case
 from repro.fuzz.xmlpub import (
+    NASTY_VALUES,
+    XmlPubCase,
     check_view_case,
     generate_xmlpub_case,
     load_xmlpub_corpus,
+    save_xmlpub_case,
 )
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus" / "xmlpub"
@@ -34,6 +38,9 @@ class TestSweep:
         assert report.ok, report.summary()
         assert report.cases == 40
         assert report.tally["view-cases"] == 8  # the seeds divisible by 5
+        # the tagger's per-column fast paths ran, and the summary says so
+        assert report.tally["single-type-cases"] > 0
+        assert "single-type-cases=" in report.summary()
 
     def test_single_case_oracle_is_clean(self):
         case = generate_xmlpub_case(7)
@@ -57,6 +64,21 @@ class TestCorpusReplay:
         (case,) = load_xmlpub_corpus(tmp_path)
         failure = check_xmlpub_case(case)
         assert failure is None, str(failure)
+
+
+class TestCorpusValues:
+    def test_every_nasty_value_round_trips_through_a_reproducer(self, tmp_path):
+        # nan, ±inf, -0.0 and 10**20 included: a reproducer must replay the
+        # value the tagger saw, not a neighbour of it.
+        spec = generate_xmlpub_case(0).spec
+        rows = [(0, 0) + (value,) for value in NASTY_VALUES]
+        case = XmlPubCase(seed=0, spec=spec, rows=rows)
+        save_xmlpub_case(Failure(0, "xmlpub", "detail", case), tmp_path)
+        (loaded,) = load_xmlpub_corpus(tmp_path)
+        assert len(loaded.rows) == len(rows)
+        for before, after in zip(rows, loaded.rows):
+            assert [type(v) for v in after] == [type(v) for v in before]
+            assert list(map(repr, after)) == list(map(repr, before))
 
 
 class TestDeterminism:

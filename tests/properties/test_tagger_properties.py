@@ -4,7 +4,10 @@ Invariants: well-formed (balanced) documents for arbitrary clustered row
 streams; group count equals distinct key count; text is always escaped;
 and, for random specs and hostile values, the slice-at-a-time tagger
 yields exactly the fragments of the row-at-a-time reference
-(:mod:`tests.xmlpub.reference_tagger`) however the rows are sliced.
+(:mod:`tests.xmlpub.reference_tagger`) however the rows are sliced —
+with payload columns often of one exact type and runs of one (key,
+branch) sometimes longer than a slice, so the tagger's per-column fast
+paths and their cut across slices are exercised.
 """
 
 import datetime
@@ -24,6 +27,7 @@ from repro.xmlpub.tagger import (
     ScalarBranch,
     TaggerSpec,
     escape_text,
+    format_column,
 )
 
 from tests.xmlpub.reference_tagger import reference_escape_text, reference_tag
@@ -119,15 +123,31 @@ hostile_text = st.text(
     alphabet=st.sampled_from("ab<>&]\"'\r\n\t\x00\x01\x0b\x1f\x7f\u00e9\u4e2d "),
     max_size=8,
 )
+
+
+class Text(str):
+    """A ``str`` subclass: never on a column's exact-type fast path."""
+
+
+#: One pool per exact type :func:`format_column` has a fast path for (and
+#: ``bool``, which must not take the ``int`` one), with the renderings
+#: that are easy to get wrong: ``nan``, ``±inf``, ``-0``, ``1e+16``, ``10**20``.
+typed_values = {
+    "str": st.one_of(hostile_text, st.just("]]>"), st.builds(Text, hostile_text)),
+    "float": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16]),
+    ),
+    "int": st.one_of(st.integers(min_value=-3, max_value=3), st.just(10**20)),
+    "bool": st.booleans(),
+}
 value = st.one_of(
     st.none(),
-    st.booleans(),
-    st.integers(min_value=-3, max_value=3),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.dates(datetime.date(1990, 1, 1), datetime.date(2030, 1, 1)),
-    hostile_text,
-    st.just("]]>"),
+    *typed_values.values(),
 )
+#: A payload column draws from the mixed pool or from one exact type.
+column_values = st.sampled_from([value, *typed_values.values()])
 #: Keys that must cluster (NULL) or must not (True vs 1 vs 1.0, 0 vs False).
 key_value = st.sampled_from([None, True, False, 0, 1, 1.0, 2, "k", "<k>"])
 tag_name = st.sampled_from(["a", "b", "row", "items", "x-y", "n.1"])
@@ -166,6 +186,7 @@ def spec_and_rows(draw):
         ),
         branches=tuple(branches),
     )
+    columns = [draw(column_values) for _ in range(payload_width)]
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         key = tuple(draw(key_value) for _ in range(key_count))
@@ -173,8 +194,14 @@ def spec_and_rows(draw):
             draw(st.lists(st.sampled_from(branches), max_size=4)),
             key=lambda b: b.branch,
         ):
-            payload = tuple(draw(value) for _ in range(payload_width))
-            rows.append(key + (branch.branch,) + payload)
+            # A run of one (key, branch), now and then longer than the
+            # largest slice, cycling through a few drawn payloads.
+            payloads = draw(st.lists(st.tuples(*columns), min_size=1, max_size=4))
+            length = draw(st.integers(min_value=1, max_value=6))
+            if draw(st.integers(min_value=0, max_value=15)) == 15:
+                length = 1030
+            for index in range(length):
+                rows.append(key + (branch.branch,) + payloads[index % len(payloads)])
     return spec, rows
 
 
@@ -227,3 +254,17 @@ class TestAgainstTheReference:
     @settings(max_examples=500, deadline=None)
     def test_escape_text_is_the_old_composition(self, value):
         assert escape_text(value) == reference_escape_text(value)
+
+    @given(
+        values=st.one_of(
+            *(st.lists(pool, max_size=8) for pool in typed_values.values()),
+            st.lists(value, max_size=8),
+            st.lists(st.one_of(typed_values["int"], typed_values["bool"]), max_size=8),
+            st.lists(st.one_of(typed_values["float"], typed_values["int"]), max_size=8),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_format_column_escapes_value_by_value(self, values):
+        expected = list(map(reference_escape_text, values))
+        assert format_column(values) == list(map(escape_text, values)) == expected
+        assert format_column(tuple(values)) == expected

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import XmlPublishError
+from repro.execution.vector.batch import row_slices
 from repro.xmlpub.tagger import (
     ConstantSpaceTagger,
     KeyItem,
@@ -102,6 +103,44 @@ class TestTagging:
         xml = ConstantSpaceTagger(q1_spec()).tag_to_string(rows)
         assert xml.count("<ret>") == 3  # 1, TRUE, and one NULL group
         assert xml == "".join(reference_tag(q1_spec(), rows))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1024])
+    def test_one_and_true_keys_split_inside_and_across_slices(self, size):
+        # (1,) and (True,) are raw-equal, so one run by raw compare: the
+        # key change must still open a new group wherever the slice ends.
+        rows = [(1, 1, None, None, 1.0), (1, 1, None, None, 2.0),
+                (True, 1, None, None, 3.0), (True, 1, None, None, 4.0),
+                (1.0, 1, None, None, 5.0), (False, 0, "a", 0, None),
+                (0, 0, "b", 0.0, None)]
+        tagger = ConstantSpaceTagger(q1_spec())
+        fragments = [
+            fragment
+            for fragments in tagger.fragments(row_slices(rows, size))
+            for fragment in fragments
+        ]
+        assert fragments == list(reference_tag(q1_spec(), rows))
+        assert "".join(fragments).count("<ret>") == 5
+
+    def test_zero_field_rows_branch_keeps_its_rows(self):
+        spec = TaggerSpec(
+            root_tag="r",
+            group_tag="g",
+            key_count=1,
+            key_items=(),
+            branches=(RowsBranch(0, "c", "e%", ()),),
+        )
+        rows = [(1, 0), (1, 0), (1, 0), (2, 0)]
+        for size in (1, 2, 1024):
+            tagged = "".join(
+                "".join(fragments)
+                for fragments in ConstantSpaceTagger(spec).fragments(
+                    row_slices(rows, size)
+                )
+            )
+            assert tagged == (
+                "<r><g><c><e%></e%><e%></e%><e%></e%></c></g>"
+                "<g><c><e%></e%></c></g></r>"
+            )
 
     def test_null_key_is_a_group(self):
         rows = [(None, 1, None, None, 1.0)]
