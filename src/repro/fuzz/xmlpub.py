@@ -8,8 +8,10 @@ Two layers of seeded random cases, both with a materialized reference:
   hostile value pool (control characters, ``]]>``, markup characters,
   ``\\r``, unicode, NULL, dates, booleans, quarter-step floats, ``nan``,
   ``±inf``, ``-0.0``, ``1e16``, ``10**20``); about half the payload
-  columns draw from one exact type, so the tagger's per-column fast paths
-  run (the summary's ``single-type-cases``). Checks:
+  columns draw from one exact type. The summary's ``single-type-cases``
+  counts the cases in which a run of two rows or more reaches
+  ``format_column`` with a column all ``str``, ``float`` or ``int`` — its
+  fast paths. Checks:
 
   1. *chunk invariance* — ``stream_document`` output re-joined is
      byte-identical to ``tag_to_string`` for chunk sizes from 1 byte to
@@ -48,6 +50,7 @@ import random
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -57,7 +60,7 @@ from repro.fuzz.corpus import read_reproducers, write_reproducer
 from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
 from repro.fuzz.shrink import xmlpub_candidates
-from repro.storage.types import DataType
+from repro.storage.types import DataType, grouping_key
 from repro.xmlpub.stream import PublishStats, stream_document
 from repro.xmlpub.tagger import (
     ConstantSpaceTagger,
@@ -591,25 +594,34 @@ def load_xmlpub_corpus(directory: Path | str) -> list[XmlPubCase]:
 VIEW_CASE_EVERY = 5
 
 
-def _has_single_type_column(case: XmlPubCase) -> bool:
-    """Whether a branch reads a payload column whose values, over two rows
-    or more, all share one exact type with a ``format_column`` fast path."""
-    base = case.spec.branch_column + 1
-    for branch in case.spec.branches:
-        rows = [r for r in case.rows if r[case.spec.branch_column] == branch.branch]
-        positions = (
+def _has_single_type_run(case: XmlPubCase) -> bool:
+    """Whether the tagger hands ``format_column`` a column of two values or
+    more that share one exact type with a fast path (``str``, ``float`` or
+    ``int``): some run of one (key, branch), cut by the tagger's key rule,
+    has two rows or more and a payload column its branch reads is all of
+    one such type."""
+    key_count = case.spec.key_count
+    base = key_count + 1
+    reads = {
+        branch.branch: (
             [branch.payload_index]
             if isinstance(branch, ScalarBranch)
             else [index for _, index in branch.fields]
         )
-        for index in positions if len(rows) > 1 else ():
-            if {type(row[base + index]) for row in rows} in ({str}, {float}, {int}):
+        for branch in case.spec.branches
+    }
+    for (head, _), run in groupby(
+        case.rows, lambda row: (row[:base], grouping_key(row[:key_count]))
+    ):
+        run = list(run)
+        for index in reads.get(head[key_count], ()) if len(run) > 1 else ():
+            if {type(row[base + index]) for row in run} in ({str}, {float}, {int}):
                 return True
     return False
 
 
 def _check(case: XmlPubCase, tally: Counter) -> Failure | None:
-    if _has_single_type_column(case):
+    if _has_single_type_run(case):
         tally["single-type-cases"] += 1
     failure = check_case(case)
     if failure is None and case.seed % VIEW_CASE_EVERY == 0:

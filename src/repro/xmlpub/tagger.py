@@ -285,9 +285,6 @@ class ConstantSpaceTagger:
                     open_container = container
                     if container is not None:
                         emit(f"<{container}>")
-                if len(run) == 1:  # a lone row (a scalar per group): per row is cheaper
-                    emit(template % tuple([escape_text(row[p]) for p in positions]))
-                    continue
                 if not positions:  # zip(*[]) would drop the rows
                     out.extend([template % ()] * len(run))
                     continue

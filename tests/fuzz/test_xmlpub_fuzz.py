@@ -19,6 +19,7 @@ import pytest
 
 from repro.fuzz import PROFILES, sweep
 from repro.fuzz.driver import Failure
+from repro.fuzz.xmlpub import _has_single_type_run
 from repro.fuzz.xmlpub import check_case as check_xmlpub_case
 from repro.fuzz.xmlpub import (
     NASTY_VALUES,
@@ -28,6 +29,7 @@ from repro.fuzz.xmlpub import (
     load_xmlpub_corpus,
     save_xmlpub_case,
 )
+from repro.xmlpub import tagger
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus" / "xmlpub"
 
@@ -41,6 +43,31 @@ class TestSweep:
         # the tagger's per-column fast paths ran, and the summary says so
         assert report.tally["single-type-cases"] > 0
         assert "single-type-cases=" in report.summary()
+
+    def test_single_type_tally_counts_the_fast_paths_taken(self, monkeypatch):
+        # A case counts toward single-type-cases exactly when the tagger
+        # hands format_column two values or more of one fast-path type.
+        columns = []
+        format_column = tagger.format_column
+
+        def recording(values):
+            columns.append(values)
+            return format_column(values)
+
+        monkeypatch.setattr(tagger, "format_column", recording)
+        counted = 0
+        for seed in range(40):
+            case = generate_xmlpub_case(seed)
+            columns.clear()
+            tagger.ConstantSpaceTagger(case.spec).tag_to_string(case.rows)
+            fast = any(
+                len(values) > 1
+                and {type(v) for v in values} in ({str}, {float}, {int})
+                for values in columns
+            )
+            assert fast == _has_single_type_run(case), seed
+            counted += fast
+        assert counted > 0
 
     def test_single_case_oracle_is_clean(self):
         case = generate_xmlpub_case(7)
