@@ -11,7 +11,7 @@
   is measured with the planner's index support on and off: the *rule* fires
   either way, but without indexes its benefit is capped by full-scan costs.
 * **spill** — the partition phase buffers the whole GApply input; under a
-  cell budget it spills resident groups to a run file and reads them back
+  cell budget it sorts resident rows into run files and merges them back
   (``repro.storage.spill``). Q4 — the paper's natively-GApply-planned
   query — in memory vs forced to spill, under both strategies. Spilling
   trades memory for pickling and disk traffic, so the number to watch is

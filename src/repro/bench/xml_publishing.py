@@ -33,7 +33,6 @@ from repro.bench.harness import (
 )
 from repro.execution.context import ExecutionContext
 from repro.execution.vector.compiler import compile_plan
-from repro.optimizer.planner import PlannerOptions
 from repro.storage.types import DataType
 from repro.xmlpub import (
     FORMULATIONS,
@@ -194,7 +193,6 @@ def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
                     "gapply",
                     memory_budget=20_000,
                     timeout=300,
-                    planner_options=PlannerOptions(gapply_partitioning="sort"),
                 )
             )
 

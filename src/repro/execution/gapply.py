@@ -28,29 +28,29 @@ simulation stored the outer result in a temp table); sharing references
 would erase that cost here and hide the benefit of the
 projection-before-GApply rule, so the copy keeps the cost model honest.
 
-Under a cell budget the partition phase **spills to disk**
-(:mod:`repro.storage.spill`) instead of buffering without bound:
+Under a cell budget the partition phase **spills to disk** instead of
+buffering without bound, through the one external merge sort ORDER BY
+and DISTINCT use (:class:`~repro.storage.spill.RunWriter`): sorted runs
+of at most the threshold, merged stably on re-read, then cut into groups
+like the in-memory sort's output. Only the order key differs:
 
-* *hash* partitioning keeps the key directory (first-appearance order and
-  per-key record offsets) in memory and flushes buffered row payloads to
-  an offset-addressed spill file whenever the resident buffer would cross
-  the threshold — the hybrid-hash shape, where the directory is
-  O(groups + rows) pointers but the O(rows x width) payload lives on
-  disk;
-* *sort* partitioning becomes a textbook external merge sort: sorted runs
-  of at most the threshold, merged stably on re-read — the same
-  :class:`~repro.storage.spill.RunWriter` ORDER BY and DISTINCT use.
+* *hash* partitioning sorts on each key's first-appearance rank, so the
+  only directory it keeps is ``key -> rank`` (O(groups)); the stable
+  merge returns groups in first-appearance order and rows in arrival
+  order, exactly the in-memory hash path's output;
+* *sort* partitioning sorts on the grouping key itself.
 
 The phase is :meth:`PGApply.partition`, a function of a row iterator:
 the Volcano operator passes ``outer.execute(ctx)``, the vector engine's
-``GApplyNode`` its batches flattened, so all four implementations (and
-their spill bookkeeping) exist once and serve both engines.
+``GApplyNode`` its batches flattened, so all three implementations
+(in-memory hash, in-memory sort, external sort) exist once and serve
+both engines.
 
-Both paths reproduce the in-memory output byte for byte (group order,
-within-group order, and values — pickle round-trips exactly), and count
-``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold comes from
-``PlannerOptions.gapply_spill_threshold`` (forced, for tests and the
-spill benchmark) or from the query governor's memory budget; the
+The spilled path reproduces the in-memory output byte for byte (group
+order, within-group order, and values — pickle round-trips exactly), and
+counts ``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold
+comes from ``PlannerOptions.gapply_spill_threshold`` (forced, for tests
+and the spill benchmark) or from the query governor's memory budget; the
 execution phase still binds one whole group at a time in memory — the
 GApply contract requires it — so the budget governs the *partition
 buffer*, exactly the quantity the paper's §4.2 rules compete to shrink.
@@ -61,10 +61,10 @@ from __future__ import annotations
 import operator
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.errors import MemoryBudgetExceeded, PlanError
+from repro.errors import PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
-from repro.storage.spill import RunWriter, SpillFile
+from repro.storage.spill import RunWriter
 from repro.storage.table import Row
 from repro.storage.types import grouping_key
 
@@ -132,7 +132,7 @@ class PGApply(PhysicalOperator):
     # ------------------------------------------------------------------
     # Partitioning phase: a function of a row iterator, so the Volcano
     # operator (``outer.execute``) and the vector breaker (its batches,
-    # flattened) share all four implementations.
+    # flattened) share all three implementations.
     # ------------------------------------------------------------------
 
     def _effective_spill_threshold(self, ctx: ExecutionContext) -> int | None:
@@ -163,10 +163,18 @@ class PGApply(PhysicalOperator):
             key_of = key_of or self._group_key
             if threshold is None:
                 return self._partition_hash(rows, ctx, key_of)
-            return self._partition_hash_spill(rows, ctx, key_of, threshold)
+            rank: dict[Hashable, int] = {}
+            # NaN keys match only by identity, which pickling loses: read
+            # back, they have no rank and sort first instead of failing.
+            return self._partition_spill(
+                self._rank_keys(rows, ctx, key_of, rank),
+                ctx,
+                lambda row: rank.get(key_of(row), -1),
+                threshold,
+            )
         if threshold is None:
             return self._partition_sort(rows, ctx)
-        return self._partition_sort_spill(rows, ctx, threshold)
+        return self._partition_spill(rows, ctx, self._group_key, threshold)
 
     def _count_partition(
         self, ctx: ExecutionContext, total: int, peak_rows: int
@@ -223,96 +231,20 @@ class PGApply(PhysicalOperator):
         if current_key is not None:
             yield current_values, bucket
 
-    def _partition_hash_spill(self, rows, ctx, key_of, threshold: int):
-        """Hybrid hash partitioning: in-memory directory, on-disk payload.
-
-        The directory maps each key to its first-appearance slot (dict
-        insertion order), the offsets of its already-spilled rows, and
-        its still-resident rows. Whenever admitting a row would push the
-        resident buffer past ``threshold`` cells, one *flush wave*
-        appends every resident row to the spill file (arrival order
-        within each key) and empties the buffer. Read-back per group is
-        spilled offsets first, resident tail last — the exact arrival
-        order — so output is byte-identical to the in-memory path.
-        """
+    @staticmethod
+    def _rank_keys(rows, ctx, key_of, rank: dict[Hashable, int]):
+        """Pass ``rows`` through, giving each new key the next rank."""
         counters = ctx.counters
-        key_getter = self._key_getter
-        governor = ctx.governor
-        record = None if ctx.metrics is None else ctx.metrics.record_for(self)
-        # key -> [key_values, spilled offsets, resident rows]
-        directory: dict[Hashable, list] = {}
-        resident_cells = 0
-        peak_resident_rows = resident_rows = 0
-        total = 0
-        spill_runs = 0
-        spill = SpillFile()
+        for row in rows:
+            counters.hash_inserts += 1
+            rank.setdefault(key_of(row), len(rank))
+            yield row
 
-        def flush_wave() -> None:
-            nonlocal resident_cells, resident_rows, spill_runs
-            for entry in directory.values():
-                offsets, resident = entry[1], entry[2]
-                for row in resident:
-                    offsets.append(spill.append(row))
-                resident.clear()
-            spill_runs += 1
-            if governor is not None:
-                governor.release_cells(resident_cells)
-            resident_cells = resident_rows = 0
-
-        try:
-            for row in rows:
-                counters.hash_inserts += 1
-                counters.buffered_cells += len(row)
-                total += 1
-                buffered = _buffer_row(row)
-                width = len(buffered)
-                if resident_cells and resident_cells + width > threshold:
-                    flush_wave()
-                if governor is not None:
-                    try:
-                        governor.charge_cells(width)
-                    except MemoryBudgetExceeded:
-                        # Same shared-budget retry as RunWriter.add: a
-                        # concurrent holder ate the headroom; free our
-                        # resident rows before declaring the cap too
-                        # small.
-                        if not resident_cells:
-                            raise
-                        flush_wave()
-                        governor.charge_cells(width)
-                key = key_of(row)
-                entry = directory.get(key)
-                if entry is None:
-                    entry = [key_getter(row), [], []]
-                    directory[key] = entry
-                entry[2].append(buffered)
-                resident_cells += width
-                resident_rows += 1
-                if resident_rows > peak_resident_rows:
-                    peak_resident_rows = resident_rows
-            self._count_partition(ctx, total, peak_resident_rows)
-            for counts in (counters, record):
-                if counts is not None:
-                    counts.spill_runs += spill_runs
-                    counts.spilled_rows += spill.records
-                    counts.spill_bytes += spill.bytes_written
-            for key_values, offsets, resident in directory.values():
-                if offsets:
-                    group = [spill.read_at(offset) for offset in offsets]
-                    group.extend(resident)
-                else:
-                    group = resident
-                yield key_values, group
-        finally:
-            spill.close()
-            if governor is not None and resident_cells:
-                governor.release_cells(resident_cells)
-
-    def _partition_sort_spill(self, rows, ctx, threshold: int):
+    def _partition_spill(self, rows, ctx, order_key, threshold: int):
         """External merge sort (:class:`~repro.storage.spill.RunWriter`)
-        on the grouping key, then the in-memory path's group split."""
+        on ``order_key``, then the in-memory sort's group split."""
         total = 0
-        with RunWriter(ctx, self, self._group_key, threshold) as writer:
+        with RunWriter(ctx, self, order_key, threshold) as writer:
             for row in rows:
                 buffered = _buffer_row(row)
                 writer.add(buffered, len(buffered))

@@ -31,6 +31,10 @@ Scenarios (one per case, chosen by the seed):
                     faults; must be byte-identical to the in-memory run
 ==================  ======================================================
 
+``spill-fail`` and ``clean-spill`` sometimes draw :data:`MERGE_BUDGET`,
+which spills more than ``FAN_IN`` runs: a merge pass runs and a failing
+write can land inside it (the summary's ``merged-cases=N``).
+
 The fixture is the tiny TPC-H instance the paper queries run on
 (SF=0.01), built once per process; expected rows come from the same SQL
 on the row iterators (:func:`repro.fuzz.oracle.reference_rows`).
@@ -42,10 +46,11 @@ The concurrent half — many clients against a live
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.api import Database
 from repro.errors import (
@@ -61,6 +66,7 @@ from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
 from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rules import DEFAULT_RULES
+from repro.storage.spill import FAN_IN
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import TpchConfig, load_tpch
 
@@ -77,6 +83,10 @@ SCENARIOS = (
 #: GApply survives to execution for faults and spills to bite, where the
 #: optimizer might otherwise rewrite it into a plain aggregate.
 _BOUND_PLAN = PlannerOptions(disabled_rules=tuple(rule.name for rule in DEFAULT_RULES))
+
+#: A cell budget just over one row of Q1's partition input (14 cells):
+#: every row but the last is a run of its own, more than ``FAN_IN``.
+MERGE_BUDGET = 16
 
 
 @dataclass
@@ -154,8 +164,11 @@ def build_case(seed: int) -> ChaosCase:
         case.allowed_errors = (TimeoutExceeded, QueryCancelled)
         case.must_succeed = False
     elif scenario == "spill-fail":
-        case.memory_budget = rng.choice((64, 128, 256))
-        case.fault = FaultPlan(seed=seed, fail_spill_at=rng.randrange(64))
+        case.memory_budget = rng.choice((MERGE_BUDGET, 64, 128, 256))
+        # Under MERGE_BUDGET writes 0..FAN_IN-1 are one-row runs and the
+        # next FAN_IN the first merge pass: either may fail.
+        writes = 2 * FAN_IN if case.memory_budget == MERGE_BUDGET else 64
+        case.fault = FaultPlan(seed=seed, fail_spill_at=rng.randrange(writes))
         case.allowed_errors = (SpillError,)
         case.must_succeed = False
     elif scenario == "memory-budget":
@@ -173,7 +186,7 @@ def build_case(seed: int) -> ChaosCase:
             case.allowed_errors = (RowBudgetExceeded,)
             case.must_succeed = False
     elif scenario == "clean-spill":
-        case.memory_budget = rng.choice((64, 128, 512))
+        case.memory_budget = rng.choice((MERGE_BUDGET, 64, 128, 512))
     return case
 
 
@@ -210,20 +223,26 @@ def run_chaos_case(case: ChaosCase) -> str | None:
     return None
 
 
-def scenario_check(
-    kind: str, run: Callable[[Any], str | None]
-) -> Callable[[Any, Counter], Failure | None]:
-    """A profile ``check`` from a ``run(case) -> detail | None`` invariant
-    runner; the tally is the scenario mix the summary prints."""
-
-    def check(case: Any, tally: Counter) -> Failure | None:
-        tally[case.scenario] += 1
-        detail = run(case)
-        if detail is None:
-            return None
-        return Failure(case.seed, kind, detail, case, config=case.scenario)
-
-    return check
+@functools.lru_cache(maxsize=None)
+def _clean_spill_runs(memory_budget: int) -> int:
+    """``spill_runs`` of the unfaulted GApply query under the budget."""
+    fixture = chaos_fixture()
+    result = fixture.db.sql(
+        fixture.gapply_sql, memory_budget=memory_budget, planner_options=_BOUND_PLAN
+    )
+    return result.counters.spill_runs
 
 
-PROFILE = Profile("chaos", build_case, scenario_check("chaos", run_chaos_case))
+def _check(case: ChaosCase, tally: Counter) -> Failure | None:
+    """Run one case; the tally is the scenario mix plus ``merged-cases``."""
+    tally[case.scenario] += 1
+    if case.scenario in ("spill-fail", "clean-spill"):
+        if _clean_spill_runs(case.memory_budget) > FAN_IN:
+            tally["merged-cases"] += 1
+    detail = run_chaos_case(case)
+    if detail is None:
+        return None
+    return Failure(case.seed, "chaos", detail, case, config=case.scenario)
+
+
+PROFILE = Profile("chaos", build_case, _check)

@@ -26,7 +26,7 @@ from repro.errors import PlanError
 from repro.optimizer.planner import PlannerOptions
 
 #: Cells resident before the forced-spill configurations flush: a few
-#: rows, so even the small fuzz tables write several runs/waves.
+#: rows, so even the small fuzz tables write several runs.
 FUZZ_SPILL_THRESHOLD = 8
 
 #: Governor budget of the budgeted configurations: every ORDER BY,

@@ -1,10 +1,11 @@
-"""Spill files: disk-backed row storage for memory-bounded partitioning.
+"""Spill files: the one external sort behind every memory-bounded operator.
 
 DESIGN.md §9 used to admit the engine "is entirely in-memory and never
-spills"; this module is the half that changes that. GApply's partition
-phase (:mod:`repro.execution.gapply`) writes buffered rows into spill
-files when a cell budget is in force, keeping only a bounded buffer (plus
-a per-key directory) in memory.
+spills"; this module is the half that changes that. Every operator that
+would otherwise buffer without bound under a cell budget — GApply's
+partition phase (both strategies), ORDER BY and DISTINCT — feeds the one
+external sort here, :class:`RunWriter`, keeping only a bounded buffer
+in memory.
 
 **Row codec.** A spill file is a flat sequence of framed records::
 
@@ -13,31 +14,29 @@ a per-key directory) in memory.
     checksum := 4-byte big-endian unsigned int, zlib.crc32(payload)
     payload  := pickle.dumps(obj, protocol=4)
 
-where ``obj`` is a plain row tuple (hash-partition spill) or a row tuple
-in a sorted run (sort-partition spill). Pickle round-trips every value
-type the engine stores (int/float/str/bytes/bool/None) exactly, which is
-what makes spilled execution *byte-identical* to in-memory execution —
+where ``obj`` is one item of a sorted run: a row tuple, or DISTINCT's
+``(arrival, row)`` pair. Pickle round-trips every value type the engine
+stores (int/float/str/bytes/bool/None) exactly, which is what makes
+spilled execution *byte-identical* to in-memory execution —
 the acceptance bar the spill tests enforce. The 4-byte frame caps one
 record at 4 GiB, far beyond any row this engine buffers. Every read-back
 verifies the CRC before unpickling, so a corrupted or overwritten temp
 file surfaces as a typed :class:`~repro.errors.SpillError` — never as
 silently wrong rows, and never as pickle interpreting garbage.
 
-Two access patterns, two classes:
+One access pattern, one file class: a :class:`SpillRun` is written
+whole, pre-sorted, and read back sequentially once; :func:`merge_runs`
+re-reads runs in key order with ``heapq.merge``, which is stable across
+inputs in argument order, so passing runs in creation order (and the
+in-memory tail last) reproduces Python's stable in-memory sort exactly.
 
-* :class:`SpillFile` — append records, read them back either
-  sequentially or by the offset returned at append time (the
-  hash-partition directory keeps ``key -> [offset, ...]`` in memory and
-  seeks per row on read-back);
-* :class:`SpillRun` + :func:`merge_runs` — sorted runs for the external
-  sort: each run is written pre-sorted and ``heapq.merge`` re-reads them
-  in key order. ``heapq.merge`` is stable across inputs in argument
-  order, so passing runs in creation order (and the in-memory tail last)
-  reproduces Python's stable in-memory sort exactly.
-
-:class:`RunWriter` is the one budgeted external sort built on those two:
-GApply's sort partition, ORDER BY and both phases of DISTINCT feed it
-items and read them back in key order; nothing else constructs a run.
+:class:`RunWriter` is the one budgeted external sort built on them:
+GApply's partition phase (hash partitioning sorts on each key's
+first-appearance rank, sort partitioning on the key itself), ORDER BY
+and both phases of DISTINCT feed it items and read them back in key
+order; nothing else constructs a run. It merges every :data:`FAN_IN`
+runs of one level into one run of the next, so the files it holds open
+grow with the logarithm of the input, not with it.
 
 Every write funnels through :func:`_write_record`, which consults the
 fault-injection registry (:mod:`repro.execution.faults`) so chaos tests
@@ -67,6 +66,13 @@ from repro.errors import MemoryBudgetExceeded, SpillError
 
 _HEADER = struct.Struct(">II")  # (payload length, crc32 of payload)
 PICKLE_PROTOCOL = 4
+
+#: Runs of one level a :class:`RunWriter` merges into one run of the
+#: next level. A writer with ``L`` levels holds at most
+#: ``(FAN_IN - 1) * L + 2`` files open (``FAN_IN - 1`` resting per
+#: level, plus one merge's ``FAN_IN`` inputs and its output), and
+#: ``L <= 1 + log_FAN_IN(runs flushed)``.
+FAN_IN = 64
 
 #: Paths of spill files created but not yet closed, for leak detection.
 #: Guarded by its own lock: spill files are created and closed from
@@ -116,114 +122,21 @@ def _write_record(handle, obj: Any) -> int:
     return _HEADER.size + len(payload)
 
 
-def _decode_payload(payload: bytes, checksum: int, where: str) -> Any:
-    if zlib.crc32(payload) != checksum:
-        raise SpillError(
-            f"spill record checksum mismatch {where}: the spill file was "
-            "corrupted or concurrently overwritten"
-        )
-    return pickle.loads(payload)
+class SpillRun:
+    """One sorted run of the external sort: written whole, read once.
 
-
-def _read_record_at(handle, offset: int) -> Any:
-    try:
-        handle.seek(offset)
-        header = handle.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise SpillError(
-                f"truncated spill record header at offset {offset}"
-            )
-        length, checksum = _HEADER.unpack(header)
-        payload = handle.read(length)
-        if len(payload) != length:
-            raise SpillError(
-                f"truncated spill record payload at offset {offset}"
-            )
-        return _decode_payload(payload, checksum, f"at offset {offset}")
-    except OSError as exc:
-        raise SpillError(f"spill read failed: {exc}") from exc
-
-
-def _iter_records(handle) -> Iterator[Any]:
-    handle.seek(0)
-    while True:
-        header = handle.read(_HEADER.size)
-        if not header:
-            return
-        if len(header) != _HEADER.size:
-            raise SpillError("truncated spill record header")
-        length, checksum = _HEADER.unpack(header)
-        payload = handle.read(length)
-        if len(payload) != length:
-            raise SpillError("truncated spill record payload")
-        yield _decode_payload(payload, checksum, "in sequential read")
-
-
-def _open_spill_handle():
-    try:
-        fd, path = tempfile.mkstemp(prefix="repro-spill-", suffix=".run")
-        handle = os.fdopen(fd, "w+b")
-    except OSError as exc:
-        raise SpillError(f"cannot create spill file: {exc}") from exc
-    _track(path)
-    return handle, path
-
-
-class SpillFile:
-    """An append-only record file with by-offset read-back.
-
-    Tracks ``records`` and ``bytes_written`` so callers can feed the
+    Tracks ``records`` and ``bytes_written`` so the writer can feed the
     ``spill_runs``/``spilled_rows``/``spill_bytes`` counters without
     re-deriving them.
     """
 
-    def __init__(self):
-        self._handle, self.path = _open_spill_handle()
-        self.records = 0
-        self.bytes_written = 0
-        self._closed = False
-
-    def append(self, obj: Any) -> int:
-        """Write one record; returns its offset for later :meth:`read_at`."""
-        handle = self._handle
-        handle.seek(0, os.SEEK_END)
-        offset = handle.tell()
-        self.bytes_written += _write_record(handle, obj)
-        self.records += 1
-        return offset
-
-    def read_at(self, offset: int) -> Any:
-        return _read_record_at(self._handle, offset)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def __init__(self, rows: Iterable[Any]):
         try:
-            self._handle.close()
-        finally:
-            _untrack(self.path)
-            try:
-                os.unlink(self.path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-
-    def __enter__(self) -> "SpillFile":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC backstop only
-        if not getattr(self, "_closed", True):
-            self.close()
-
-
-class SpillRun:
-    """One sorted run of the external sort: written whole, read once."""
-
-    def __init__(self, rows: Sequence[Any]):
-        self._handle, self.path = _open_spill_handle()
+            fd, self.path = tempfile.mkstemp(prefix="repro-spill-", suffix=".run")
+            self._handle = os.fdopen(fd, "w+b")
+        except OSError as exc:
+            raise SpillError(f"cannot create spill file: {exc}") from exc
+        _track(self.path)
         self.records = 0
         self.bytes_written = 0
         self._closed = False
@@ -237,7 +150,24 @@ class SpillRun:
             raise
 
     def __iter__(self) -> Iterator[Any]:
-        return _iter_records(self._handle)
+        handle = self._handle
+        handle.seek(0)
+        while True:
+            header = handle.read(_HEADER.size)
+            if not header:
+                return
+            if len(header) != _HEADER.size:
+                raise SpillError("truncated spill record header")
+            length, checksum = _HEADER.unpack(header)
+            payload = handle.read(length)
+            if len(payload) != length:
+                raise SpillError("truncated spill record payload")
+            if zlib.crc32(payload) != checksum:
+                raise SpillError(
+                    "spill record checksum mismatch: the spill file was "
+                    "corrupted or concurrently overwritten"
+                )
+            yield pickle.loads(payload)
 
     def close(self) -> None:
         if self._closed:
@@ -275,14 +205,18 @@ class RunWriter:
 
     :meth:`add` buffers items (each with its cell width) and, whenever
     admitting one would push the resident buffer past ``threshold``
-    cells, sorts the buffer into a :class:`SpillRun` and releases its
-    cells. The governor's budget is shared with other holders (the
-    publisher's chunk buffer, sibling operators), so a rejected charge
-    with something resident flushes and retries once; with nothing
-    resident the cap is genuinely too small for one item and the typed
-    :class:`~repro.errors.MemoryBudgetExceeded` propagates.
+    cells, sorts the buffer into a :class:`SpillRun`, counts it, and
+    releases its cells. The governor's budget is shared with other
+    holders (the publisher's chunk buffer, sibling operators), so a
+    rejected charge with something resident flushes and retries once;
+    with nothing resident the cap is genuinely too small for one item
+    and the typed :class:`~repro.errors.MemoryBudgetExceeded` propagates.
+    Once :data:`FAN_IN` runs of one level exist they are merged into one
+    run of the next level; they are consecutive in creation order, so
+    ties stay in arrival order, and each record is rewritten at most once
+    per level (merge passes are not counted as spill traffic).
     :meth:`merged` sorts the resident tail and returns the stable merge
-    (runs in creation order, tail last: arrival order on ties, exactly
+    (runs oldest first, tail last: arrival order on ties, exactly
     ``list.sort``). Work is counted on ``ctx.counters`` and on ``op``'s
     metrics record. Use as a context manager: leaving it releases every
     charged cell and unlinks every run, on every exit path.
@@ -296,7 +230,10 @@ class RunWriter:
         )
         self._key = key
         self._threshold = threshold
-        self._runs: list[SpillRun] = []
+        #: ``_levels[i]``: runs that merged ``FAN_IN ** i`` flushes each,
+        #: oldest first. Every run of a level is older than every run of
+        #: the levels below it.
+        self._levels: list[list[SpillRun]] = []
         self._buffer: list[Any] = []
         self._resident = 0
         #: Most items ever resident at once (``peak_partition_rows``).
@@ -310,9 +247,29 @@ class RunWriter:
         return buffer
 
     def _flush(self) -> None:
-        self._runs.append(SpillRun(self._sort_resident()))
+        run = SpillRun(self._sort_resident())
         self._release()
         self._buffer = []
+        for counts in (self._counters, self._record):
+            if counts is not None:
+                counts.spill_runs += 1
+                counts.spilled_rows += run.records
+                counts.spill_bytes += run.bytes_written
+        self._push(run, 0)
+
+    def _push(self, run: SpillRun, level: int) -> None:
+        levels = self._levels
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(run)
+        if len(levels[level]) == FAN_IN:
+            runs, levels[level] = levels[level], []
+            try:
+                merged = SpillRun(merge_runs(runs, key=self._key))
+            finally:
+                for spent in runs:
+                    spent.close()
+            self._push(merged, level + 1)
 
     def _release(self) -> None:
         if self._governor is not None and self._resident:
@@ -337,21 +294,15 @@ class RunWriter:
     def merged(self) -> Iterable[Any]:
         """Every item fed so far, in key order; call once, after the
         last :meth:`add`."""
-        runs = self._runs
-        spilled_rows = sum(run.records for run in runs)
-        spill_bytes = sum(run.bytes_written for run in runs)
-        for counts in (self._counters, self._record):
-            if counts is not None:
-                counts.spill_runs += len(runs)
-                counts.spilled_rows += spilled_rows
-                counts.spill_bytes += spill_bytes
+        runs = [run for level in reversed(self._levels) for run in level]
         tail = self._sort_resident()
         return merge_runs([*runs, tail], key=self._key) if runs else tail
 
     def close(self) -> None:
         self._release()
-        for run in self._runs:
-            run.close()
+        for level in self._levels:
+            for run in level:
+                run.close()
 
     def __enter__(self) -> "RunWriter":
         return self

@@ -9,17 +9,21 @@ from __future__ import annotations
 import pickle
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from repro.api import Database
 from repro.errors import MemoryBudgetExceeded, QueryCancelled, SpillError
 from repro.execution.context import ExecutionContext
 from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.execution.faults import FaultPlan, fault_injection
 from repro.execution.governor import Budget, Governor
+from repro.optimizer.planner import PlannerOptions
+from repro.storage import DataType, spill
 from repro.storage.spill import (
+    FAN_IN,
     RunWriter,
-    SpillFile,
     SpillRun,
     live_spill_files,
     merge_runs,
@@ -50,29 +54,46 @@ def spill_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.fixture
+def open_files(monkeypatch):
+    """``.peak``: the most spill files open at once during the test."""
+    tally = SimpleNamespace(peak=0)
+    track = spill._track
+
+    def tracking(path):
+        track(path)
+        tally.peak = max(tally.peak, len(live_spill_files()))
+
+    monkeypatch.setattr(spill, "_track", tracking)
+    return tally
+
+
+def open_file_bound(levels: int) -> int:
+    """The documented bound on one writer's open files (``FAN_IN``)."""
+    return (FAN_IN - 1) * levels + 2
+
+
 class TestCodec:
     """The documented record framing round-trips exactly."""
 
-    def test_append_read_at_roundtrip(self):
+    def test_run_roundtrip_counts_exact_frame_bytes(self):
         rows = [(1, "x", None), (2.5, b"\x00bytes", True), ((),)]
-        with SpillFile() as spill:
-            offsets = [spill.append(row) for row in rows]
-            assert spill.records == len(rows)
+        run = SpillRun(rows)
+        try:
+            assert run.records == len(rows)
             # frame = 4-byte length + 4-byte crc32 + pickled payload
-            assert spill.bytes_written == sum(
+            assert run.bytes_written == sum(
                 8 + len(pickle.dumps(r, protocol=4)) for r in rows
             )
-            # read-back in arbitrary order, repeatedly
-            for offset, row in reversed(list(zip(offsets, rows))):
-                assert spill.read_at(offset) == row
-                assert spill.read_at(offset) == row
+            assert list(run) == rows
+        finally:
+            run.close()
 
     def test_close_unlinks_file(self, tmp_path):
-        spill = SpillFile()
-        spill.append((1,))
+        run = SpillRun([(1,)])
         assert list(tmp_path.iterdir())
-        spill.close()
-        spill.close()  # idempotent
+        run.close()
+        run.close()  # idempotent
         assert list(tmp_path.iterdir()) == []
 
     def test_merge_runs_is_stable_in_argument_order(self, tmp_path):
@@ -90,12 +111,14 @@ class TestCodec:
         run_b.close()
         assert list(tmp_path.iterdir()) == []
 
-    def test_injected_write_failure_is_typed(self):
+    def test_injected_write_failure_is_typed(self, tmp_path):
+        # Write 0 succeeds, write 1 fails: the half-written run unlinks
+        # itself before the typed error leaves its constructor.
         with fault_injection(FaultPlan(seed=1, fail_spill_at=1)):
-            with SpillFile() as spill:
-                spill.append((0,))
-                with pytest.raises(SpillError, match="injected"):
-                    spill.append((1,))
+            with pytest.raises(SpillError, match="injected"):
+                SpillRun([(0,), (1,)])
+        assert list(tmp_path.iterdir()) == []
+        assert live_spill_files() == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -158,22 +181,6 @@ class TestSpillObservability:
 class TestSpillHygiene:
     """Checksummed records and leak-free error/cancel paths."""
 
-    def test_corrupted_payload_raises_typed_checksum_error(self):
-        spill = SpillFile()
-        try:
-            offset = spill.append(("intact", 1))
-            spill.append(("second", 2))
-            # Flip one payload byte on disk behind the codec's back.
-            with open(spill.path, "r+b") as handle:
-                handle.seek(offset + 8)  # past the length+crc32 header
-                byte = handle.read(1)
-                handle.seek(offset + 8)
-                handle.write(bytes([byte[0] ^ 0xFF]))
-            with pytest.raises(SpillError, match="checksum mismatch"):
-                spill.read_at(offset)
-        finally:
-            spill.close()
-
     def test_corrupted_run_iteration_is_typed(self):
         run = SpillRun([(i, i) for i in range(10)])
         try:
@@ -187,11 +194,30 @@ class TestSpillHygiene:
 
     def test_live_file_registry_tracks_open_and_close(self):
         before = live_spill_files()
-        spill = SpillFile()
-        spill.append((1,))
-        assert spill.path in live_spill_files() - before
-        spill.close()
-        assert spill.path not in live_spill_files()
+        run = SpillRun([(1,)])
+        assert run.path in live_spill_files() - before
+        run.close()
+        assert run.path not in live_spill_files()
+
+    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
+    def test_nan_grouping_keys_spill_without_failing(self, partitioning):
+        # NaN keys group by object identity in memory, and pickling does
+        # not keep identity: spilled, NaN groups may be cut differently,
+        # but every row comes back and nothing raises.
+        nan = float("nan")
+        db = Database()
+        db.create_table(
+            "t",
+            [("k", DataType.FLOAT), ("v", DataType.INTEGER)],
+            [(nan, 1), (1.0, 2), (float("nan"), 3), (nan, 4)] * 3,
+        )
+        sql = "select gapply(select v from g) as (v) from t group by k : g"
+        base = PlannerOptions(gapply_partitioning=partitioning)
+        plain = db.sql(sql, planner_options=base).rows
+        spilled = db.sql(
+            sql, planner_options=replace(base, gapply_spill_threshold=2)
+        ).rows
+        assert sorted(map(repr, spilled)) == sorted(map(repr, plain))
 
     def test_injected_spill_failure_leaks_nothing(self, tpch_db, tmp_path):
         before = live_spill_files()
@@ -336,6 +362,34 @@ class TestRunWriter:
         assert live_spill_files() == frozenset()
         assert list(spill_dir.iterdir()) == []
 
+    def test_open_runs_stay_logarithmic_past_fan_in_squared(
+        self, spill_dir, open_files
+    ):
+        # Width 1 over a 1-cell threshold: every item but the last is a
+        # run of its own, enough runs for three levels of merging.
+        items = [(i * 7 % 5, i) for i in range(2 * FAN_IN**2 + 3 * FAN_IN + 6)]
+        ctx = ExecutionContext()
+        with RunWriter(ctx, None, self.key, 1) as writer:
+            for item in items:
+                writer.add(item, 1)
+            assert list(writer.merged()) == sorted(items, key=self.key)
+        assert ctx.counters.spill_runs == len(items) - 1
+        assert ctx.counters.spilled_rows == len(items) - 1
+        assert open_files.peak <= open_file_bound(levels=3)
+        assert live_spill_files() == frozenset()
+        assert list(spill_dir.iterdir()) == []
+
+    def test_failed_merge_write_leaks_nothing(self, spill_dir):
+        # Writes 0..FAN_IN-1 are one-item runs; write FAN_IN is the first
+        # record of the first merge pass.
+        with fault_injection(FaultPlan(seed=0, fail_spill_at=FAN_IN)):
+            with pytest.raises(SpillError, match="injected"):
+                with RunWriter(ExecutionContext(), None, self.key, 1) as writer:
+                    for item in self.ITEMS * 4:
+                        writer.add(item, 1)
+        assert live_spill_files() == frozenset()
+        assert list(spill_dir.iterdir()) == []
+
     def test_failed_run_write_leaks_nothing(self, spill_dir):
         governor = Governor(Budget(memory_cells=6))
         ctx = ExecutionContext(governor=governor)
@@ -345,5 +399,40 @@ class TestRunWriter:
                 with self.writer(ctx, threshold=6) as writer:
                     self.feed(writer)
         assert governor.cells_in_use == 0
+        assert live_spill_files() == frozenset()
+        assert list(spill_dir.iterdir()) == []
+
+
+class TestFanIn:
+    """GApply over far more runs than ``FAN_IN``: both partitionings stay
+    byte-identical to in-memory with the open files bounded."""
+
+    N_ROWS = 20_000
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database()
+        db.create_table(
+            "t",
+            [("k", DataType.INTEGER), ("v", DataType.INTEGER)],
+            [(None if i % 101 == 0 else i * 7 % 37, i) for i in range(self.N_ROWS)],
+        )
+        return db
+
+    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
+    def test_one_row_runs_are_byte_identical(
+        self, db, spill_dir, open_files, partitioning
+    ):
+        sql = "select gapply(select v from g) as (v) from t group by k : g"
+        base = PlannerOptions(gapply_partitioning=partitioning)
+        plain = db.sql(sql, planner_options=base)
+        # Width-2 rows over a 2-cell threshold: one run per row but the
+        # last, 19,999 runs, three levels.
+        spilled = db.sql(
+            sql, planner_options=replace(base, gapply_spill_threshold=2)
+        )
+        assert spilled.rows == plain.rows
+        assert spilled.counters.spill_runs == self.N_ROWS - 1
+        assert open_files.peak <= open_file_bound(levels=3)
         assert live_spill_files() == frozenset()
         assert list(spill_dir.iterdir()) == []

@@ -34,3 +34,11 @@ class TestSweep:
     def test_summary_mentions_scenarios(self):
         report = sweep(PROFILES["chaos"], seed=100, n=5)
         assert "5 cases" in report.summary()
+
+    def test_merge_budget_cases_are_tallied(self):
+        # Some spill-fail/clean-spill cases flush more than FAN_IN runs,
+        # so the run writer's merge pass runs under the sweep too.
+        report = sweep(PROFILES["chaos"], seed=0, n=40)
+        assert report.ok, [f.describe() for f in report.failures]
+        assert report.tally["merged-cases"] > 0
+        assert "merged-cases=" in report.summary()

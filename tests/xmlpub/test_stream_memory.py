@@ -1,12 +1,13 @@
 """Peak-memory regression battery for streaming publishing.
 
 A ~100k-row Figure-8-style view (parent groups, correlated child rows,
-a per-group aggregate) is published under a tight cell budget with the
-external-merge-sort partition strategy. The claims under test:
+a per-group aggregate) is published under a tight cell budget, so the
+partition phase spills through the external merge sort. The claims
+under test:
 
 * **Flatness** — growing the document 10x leaves the traced allocation
-  peak essentially unchanged: memory is bounded by the *budget*, never
-  by the data. (Planner statistics are warmed outside the measurement —
+  peak essentially unchanged under either partitioning: memory is
+  bounded by the *budget*, never by the data. (Planner statistics are warmed outside the measurement —
   the catalog's one-time per-table scan is O(rows) by design and cached
   for the life of the database.)
 * **Bounded buffering** — the governor's ``peak_cells`` never exceeds
@@ -41,7 +42,6 @@ from repro.xmlpub.view import XmlChildEdge, XmlField, XmlView, XmlViewNode
 
 N_GROUPS = 250
 BUDGET_CELLS = 20_000
-SORT_SPILL = PlannerOptions(gapply_partitioning="sort")
 
 FIG8_QUERY = (
     "for $g in /doc(d)/groups/grp return <ret> $g/g_key, "
@@ -109,7 +109,6 @@ def fig8_db(n_rows: int) -> Database:
 def publish_stream(db: Database, **kwargs):
     kwargs.setdefault("memory_budget", BUDGET_CELLS)
     kwargs.setdefault("timeout", 300)
-    kwargs.setdefault("planner_options", SORT_SPILL)
     return db.publish(fig8_view(), FIG8_QUERY, "gapply", **kwargs)
 
 
@@ -125,20 +124,22 @@ def stream_from(db: Database, rows_from: str) -> XmlChunkStream:
     translated = translate_xquery(FIG8_QUERY, fig8_view(), db.catalog)
     sql = translated.sql_for("gapply")
     governor = Governor(Budget(timeout=300, memory_cells=BUDGET_CELLS))
-    rows = reference_rows(
-        db, sql, ExecutionContext(governor=governor),
-        planner_options=SORT_SPILL,
-    )
+    rows = reference_rows(db, sql, ExecutionContext(governor=governor))
     return XmlChunkStream(
         row_slices(rows), translated.spec, governor=governor, sql=sql
     )
 
 
-def traced_publish_peak(db: Database) -> tuple[int, int, int]:
+def traced_publish_peak(
+    db: Database, partitioning: str
+) -> tuple[int, int, int]:
     """(traced alloc peak, document bytes, governor peak cells)."""
     tracemalloc.start()
     try:
-        stream = publish_stream(db)
+        stream = publish_stream(
+            db,
+            planner_options=PlannerOptions(gapply_partitioning=partitioning),
+        )
         doc_bytes = sum(len(chunk) for chunk in stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -146,13 +147,18 @@ def traced_publish_peak(db: Database) -> tuple[int, int, int]:
     return peak, doc_bytes, stream.governor.peak_cells
 
 
-def test_peak_memory_flat_as_document_grows_10x():
+@pytest.mark.parametrize("partitioning", ["hash", "sort"])
+def test_peak_memory_flat_as_document_grows_10x(partitioning):
     # Absorb one-time allocations (module/bytecode caches, spill setup)
     # before either measured run.
-    traced_publish_peak(fig8_db(1_000))
+    traced_publish_peak(fig8_db(1_000), partitioning)
 
-    small_peak, small_doc, small_cells = traced_publish_peak(fig8_db(10_000))
-    big_peak, big_doc, big_cells = traced_publish_peak(fig8_db(100_000))
+    small_peak, small_doc, small_cells = traced_publish_peak(
+        fig8_db(10_000), partitioning
+    )
+    big_peak, big_doc, big_cells = traced_publish_peak(
+        fig8_db(100_000), partitioning
+    )
 
     assert big_doc > 8 * small_doc  # the document really grew ~10x
     assert small_cells <= BUDGET_CELLS and big_cells <= BUDGET_CELLS
@@ -209,7 +215,6 @@ def test_union_formulation_streams_under_budget():
         "union",
         memory_budget=BUDGET_CELLS,
         timeout=300,
-        planner_options=SORT_SPILL,
     )
     doc = stream.read_all()
     assert doc.startswith(b"<groups_result>")
