@@ -28,32 +28,28 @@ simulation stored the outer result in a temp table); sharing references
 would erase that cost here and hide the benefit of the
 projection-before-GApply rule, so the copy keeps the cost model honest.
 
-Under a cell budget the partition phase **spills to disk** instead of
-buffering without bound, through the one external merge sort ORDER BY
-and DISTINCT use (:class:`~repro.storage.spill.RunWriter`): sorted runs
-of at most the threshold, merged stably on re-read, then cut into groups
-like the in-memory sort's output. Only the order key differs:
-
-* *hash* partitioning sorts on each key's first-appearance rank, so the
-  only directory it keeps is ``key -> rank`` (O(groups)); the stable
-  merge returns groups in first-appearance order and rows in arrival
-  order, exactly the in-memory hash path's output;
-* *sort* partitioning sorts on the grouping key itself.
+Under a cell budget the partition phase **spills to disk** through the
+one external merge sort ORDER BY and DISTINCT use
+(:class:`~repro.storage.spill.RunWriter`), then cuts the merged stream
+into groups like the in-memory sort. Sort partitioning orders on the
+grouping key; hash partitioning on each key's first-appearance rank, so
+it keeps only a ``key -> rank`` dict (O(groups)) and the stable merge
+returns groups in first-appearance order and rows in arrival order.
+Either way the output is the in-memory one byte for byte (pickle
+round-trips values exactly), but for NaN keys under hash: NaN matches
+only by identity, which pickling loses, so such keys get no rank, sort
+first and may be cut differently. Spilling counts
+``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold comes
+from ``PlannerOptions.gapply_spill_threshold`` (forced, for tests and
+the spill benchmark) or from the query governor's memory budget; the
+execution phase still binds one whole group at a time in memory — the
+GApply contract requires it — so the budget governs the *partition
+buffer*, exactly the quantity the paper's §4.2 rules compete to shrink.
 
 The phase is :meth:`PGApply.partition`, a function of a row iterator:
 the Volcano operator passes ``outer.execute(ctx)``, the vector engine's
 ``GApplyNode`` its batches flattened, so all three implementations
-(in-memory hash, in-memory sort, external sort) exist once and serve
-both engines.
-
-The spilled path reproduces the in-memory output byte for byte (group
-order, within-group order, and values — pickle round-trips exactly), and
-counts ``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold
-comes from ``PlannerOptions.gapply_spill_threshold`` (forced, for tests
-and the spill benchmark) or from the query governor's memory budget; the
-execution phase still binds one whole group at a time in memory — the
-GApply contract requires it — so the budget governs the *partition
-buffer*, exactly the quantity the paper's §4.2 rules compete to shrink.
+(in-memory hash, in-memory sort, external sort) serve both engines.
 """
 
 from __future__ import annotations
@@ -164,8 +160,6 @@ class PGApply(PhysicalOperator):
             if threshold is None:
                 return self._partition_hash(rows, ctx, key_of)
             rank: dict[Hashable, int] = {}
-            # NaN keys match only by identity, which pickling loses: read
-            # back, they have no rank and sort first instead of failing.
             return self._partition_spill(
                 self._rank_keys(rows, ctx, key_of, rank),
                 ctx,
@@ -233,11 +227,15 @@ class PGApply(PhysicalOperator):
 
     @staticmethod
     def _rank_keys(rows, ctx, key_of, rank: dict[Hashable, int]):
-        """Pass ``rows`` through, giving each new key the next rank."""
+        """Pass ``rows`` through, giving each new key the next rank. A key
+        holding a NaN gets none, so it sorts at -1 both before its run is
+        flushed and after pickling (which loses NaN identity) reads it back."""
         counters = ctx.counters
         for row in rows:
             counters.hash_inserts += 1
-            rank.setdefault(key_of(row), len(rank))
+            key = key_of(row)
+            if key not in rank and all(value == value for value in key):
+                rank[key] = len(rank)
             yield row
 
     def _partition_spill(self, rows, ctx, order_key, threshold: int):

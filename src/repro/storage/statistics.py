@@ -145,6 +145,8 @@ def _build_histogram(
         return (HistogramBucket(low, high, len(values)),)
     counts = [0] * buckets
     for value in values:
+        if value != value:  # NaN lies in no bucket
+            continue
         index = int((value - low) / width)
         if index >= buckets:  # max value lands in the last (closed) bucket
             index = buckets - 1

@@ -61,6 +61,10 @@ class TestColumnStatistics:
         stats = compute_column_statistics(["x", "y"])
         assert stats.histogram == ()
 
+    def test_nan_lands_in_no_histogram_bucket(self):
+        stats = compute_column_statistics([1.0, float("nan"), 2.0, 3.0])
+        assert sum(b.count for b in stats.histogram) == 3
+
     def test_no_histogram_for_booleans(self):
         stats = compute_column_statistics([True, False, True])
         assert stats.histogram == ()
