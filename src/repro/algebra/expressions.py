@@ -26,7 +26,13 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ExecutionError, TypeCheckError
 from repro.storage.schema import Schema
-from repro.storage.types import DataType, compare_values, format_value, infer_type
+from repro.storage.types import (
+    DataType,
+    compare_values,
+    format_value,
+    infer_type,
+    value_key,
+)
 
 Evaluator = Callable[[tuple, Any], Any]
 
@@ -818,6 +824,10 @@ class AggregateCall:
         return body
 
 
+#: DISTINCT's key: an accumulator is fed values of any type.
+_DISTINCT_KEY = value_key(DataType.ANY)
+
+
 class AggregateAccumulator:
     """Streaming accumulator for one :class:`AggregateCall`.
 
@@ -844,9 +854,7 @@ class AggregateAccumulator:
         if value is None:
             return
         if self._distinct is not None:
-            from repro.storage.types import grouping_key
-
-            key = grouping_key((value,))
+            key = _DISTINCT_KEY(value)
             if key in self._distinct:
                 return
             self._distinct.add(key)

@@ -15,7 +15,7 @@ from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Row
-from repro.storage.types import grouping_key
+from repro.storage.types import key_function, raw_keys
 
 
 def _output_schema(
@@ -71,6 +71,9 @@ class PHashAggregate(PhysicalOperator):
         self.aggregates = tuple(aggregates)
         self.schema = _output_schema(child.schema, keys, aggregates)
         self._key_positions = child.schema.indices_of(keys)
+        key_types = child.schema.types(self._key_positions)
+        self._key = key_function(key_types)
+        self._raw = raw_keys(key_types)  # key values are their own keys
         self._compiled = _CompiledAggregates(child.schema, aggregates)
 
     def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
@@ -85,9 +88,11 @@ class PHashAggregate(PhysicalOperator):
             return
 
         groups: dict[tuple, tuple[Row, list[AggregateAccumulator]]] = {}
+        key_of = self._key
+        raw = self._raw
         for row in self.child.execute(ctx):
             key_values = tuple(row[i] for i in self._key_positions)
-            key = grouping_key(key_values)
+            key = key_values if raw else key_of(key_values)
             counters.hash_inserts += 1
             entry = groups.get(key)
             if entry is None:

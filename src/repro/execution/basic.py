@@ -17,16 +17,7 @@ from repro.execution.context import ExecutionContext
 from repro.storage.schema import Column, Schema
 from repro.storage.spill import RunWriter
 from repro.storage.table import Row
-from repro.storage.types import DataType, grouping_key
-
-#: Column types whose raw values order exactly like their singleton
-#: ``grouping_key`` tuples (no NULL sentinel, no bool tagging needed).
-_SORT_RAW_TYPES = (
-    DataType.INTEGER,
-    DataType.FLOAT,
-    DataType.STRING,
-    DataType.DATE,
-)
+from repro.storage.types import key_function, raw_keys, value_key
 
 
 class _Descending:
@@ -156,6 +147,9 @@ class PDistinct(PhysicalOperator):
     def __init__(self, child: PhysicalOperator):
         self.child = child
         self.schema = child.schema
+        dtypes = child.schema.types(range(len(child.schema)))
+        self._key = key_function(dtypes)
+        self._raw = raw_keys(dtypes)  # rows are their own keys
 
     def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
         counters = ctx.counters
@@ -168,9 +162,11 @@ class PDistinct(PhysicalOperator):
             return
         seen: set[tuple] = set()
         width = len(self.schema)
+        key_of = self._key
+        raw = self._raw
         try:
             for row in self.child.execute(ctx):
-                key = grouping_key(row)
+                key = row if raw else key_of(row)
                 counters.hash_inserts += 1
                 if key in seen:
                     continue
@@ -203,7 +199,8 @@ class PDistinct(PhysicalOperator):
         counters = ctx.counters
         width = max(1, len(self.schema))
         half = max(width, threshold // 2)
-        key_of = lambda item: grouping_key(item[1])  # noqa: E731
+        row_key = self._key
+        key_of = lambda item: row_key(item[1])  # noqa: E731
         seq_of = operator.itemgetter(0)
         with RunWriter(ctx, self, key_of, half) as by_key, RunWriter(
             ctx, self, seq_of, half
@@ -245,15 +242,19 @@ class PSort(PhysicalOperator):
         self.child = child
         self.items = tuple(items)
         self.schema = child.schema
-        self._positions = [
-            (child.schema.index_of(reference), ascending)
-            for reference, ascending in self.items
-        ]
+        #: (position, ascending, the column's key, raw-keyed)
+        self._positions = []
+        for reference, ascending in self.items:
+            position = child.schema.index_of(reference)
+            dtype = child.schema[position].dtype
+            self._positions.append(
+                (position, ascending, value_key(dtype), raw_keys([dtype]))
+            )
 
     def _composite_key(self, row: Row) -> tuple:
         parts = []
-        for position, ascending in self._positions:
-            part = grouping_key((row[position],))[0]
+        for position, ascending, key, _ in self._positions:
+            part = key(row[position])
             parts.append(part if ascending else _Descending(part))
         return tuple(parts)
 
@@ -283,16 +284,13 @@ class PSort(PhysicalOperator):
             if governor is not None:
                 governor.charge_cells(cells)
             # Stable multi-key sort: apply keys right-to-left.
-            for position, ascending in reversed(self._positions):
-                # A raw-orderable column with no NULLs sorts by its bare
-                # values exactly as by their singleton grouping_key tuples.
-                if self.schema[position].dtype in _SORT_RAW_TYPES and not any(
-                    row[position] is None for row in rows
-                ):
-                    key = operator.itemgetter(position)
+            for position, ascending, key, raw in reversed(self._positions):
+                # A raw-keyed column with no NULLs sorts by its bare values.
+                if raw and not any(row[position] is None for row in rows):
+                    order = operator.itemgetter(position)
                 else:
-                    key = lambda row: grouping_key((row[position],))  # noqa: E731
-                rows.sort(key=key, reverse=not ascending)
+                    order = lambda row: key(row[position])  # noqa: E731
+                rows.sort(key=order, reverse=not ascending)
             counters.comparisons += len(rows)
             for row in rows:
                 counters.rows += 1

@@ -35,10 +35,10 @@ into groups like the in-memory sort. Sort partitioning orders on the
 grouping key; hash partitioning on each key's first-appearance rank, so
 it keeps only a ``key -> rank`` dict (O(groups)) and the stable merge
 returns groups in first-appearance order and rows in arrival order.
-Either way the output is the in-memory one byte for byte (pickle
-round-trips values exactly), but for NaN keys under hash: NaN matches
-only by identity, which pickling loses, so such keys get no rank, sort
-first and may be cut differently. Spilling counts
+Either way the output is the in-memory one byte for byte: pickle
+round-trips values exactly, and keys hold ``NULL_KEY``/``NAN_KEY``
+singletons, so a key read back from a run is the key it was ranked
+under. Spilling counts
 ``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold comes
 from ``PlannerOptions.gapply_spill_threshold`` (forced, for tests and
 the spill benchmark) or from the query governor's memory budget; the
@@ -55,14 +55,14 @@ the Volcano operator passes ``outer.execute(ctx)``, the vector engine's
 from __future__ import annotations
 
 import operator
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
 from repro.storage.spill import RunWriter
 from repro.storage.table import Row
-from repro.storage.types import grouping_key
+from repro.storage.types import key_function, raw_keys
 
 HASH_PARTITION = "hash"
 SORT_PARTITION = "sort"
@@ -118,7 +118,11 @@ class PGApply(PhysicalOperator):
         else:
             self._key_getter = operator.itemgetter(*self._key_positions)
         key_getter = self._key_getter
-        self._group_key = lambda row: grouping_key(key_getter(row))
+        key_types = outer.schema.types(self._key_positions)
+        self._key = key = key_function(key_types)
+        self._raw = raw_keys(key_types)  # key values are their own keys
+        self._group_key = lambda row: key(key_getter(row))
+        self._hash_key = key_getter if self._raw else self._group_key
         from repro.algebra.operators import gapply_output_schema
 
         self.schema = gapply_output_schema(
@@ -142,28 +146,22 @@ class PGApply(PhysicalOperator):
         return None
 
     def partition(
-        self,
-        rows: Iterable[Row],
-        ctx: ExecutionContext,
-        key_of: Callable[[Row], Hashable] | None = None,
+        self, rows: Iterable[Row], ctx: ExecutionContext
     ) -> Iterator[tuple[tuple, list[Row]]]:
         """Group ``rows`` into ``(key_values, group_rows)`` pairs.
 
-        ``key_of`` maps a row to its hash-partition dict key; the default
-        is the NULL-safe ``grouping_key`` of the grouping columns (the
-        vector engine passes the raw key tuple where that is equivalent).
         The result is a generator; close it to reclaim spill state.
         """
         threshold = self._effective_spill_threshold(ctx)
         if self.partitioning == HASH_PARTITION:
-            key_of = key_of or self._group_key
+            key_of = self._hash_key
             if threshold is None:
                 return self._partition_hash(rows, ctx, key_of)
             rank: dict[Hashable, int] = {}
             return self._partition_spill(
                 self._rank_keys(rows, ctx, key_of, rank),
                 ctx,
-                lambda row: rank.get(key_of(row), -1),
+                lambda row: rank[key_of(row)],
                 threshold,
             )
         if threshold is None:
@@ -209,12 +207,14 @@ class PGApply(PhysicalOperator):
     ) -> Iterator[tuple[tuple, list[Row]]]:
         """Cut key-ordered rows into one ``(key_values, rows)`` per key."""
         key_getter = self._key_getter
+        key_of = self._key
+        raw = self._raw
         current_key: tuple | None = None
         current_values: tuple = ()
         bucket: list[Row] = []
         for row in ordered:
             key_values = key_getter(row)
-            key = grouping_key(key_values)
+            key = key_values if raw else key_of(key_values)
             if key != current_key:
                 if current_key is not None:
                     yield current_values, bucket
@@ -227,14 +227,12 @@ class PGApply(PhysicalOperator):
 
     @staticmethod
     def _rank_keys(rows, ctx, key_of, rank: dict[Hashable, int]):
-        """Pass ``rows`` through, giving each new key the next rank. A key
-        holding a NaN gets none, so it sorts at -1 both before its run is
-        flushed and after pickling (which loses NaN identity) reads it back."""
+        """Pass ``rows`` through, giving each new key the next rank."""
         counters = ctx.counters
         for row in rows:
             counters.hash_inserts += 1
             key = key_of(row)
-            if key not in rank and all(value == value for value in key):
+            if key not in rank:
                 rank[key] = len(rank)
             yield row
 

@@ -19,7 +19,7 @@ from repro.errors import PlanError
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
 from repro.storage.table import Row
-from repro.storage.types import grouping_key
+from repro.storage.types import key_function
 
 
 class PNestedLoopJoin(PhysicalOperator):
@@ -114,6 +114,9 @@ class PHashJoin(PhysicalOperator):
         self.schema = left.schema if kind in (JoinKind.SEMI, JoinKind.ANTI) else combined
         self._left_positions = left.schema.indices_of(left_keys)
         self._right_positions = right.schema.indices_of(right_keys)
+        # Each side keys by its own types: equal values share a key.
+        self._left_key = key_function(left.schema.types(self._left_positions))
+        self._right_key = key_function(right.schema.types(self._right_positions))
         self._evaluate_residual = (
             None if residual is None else residual.compile(combined)
         )
@@ -131,7 +134,7 @@ class PHashJoin(PhysicalOperator):
                 continue
             counters.hash_inserts += 1
             counters.buffered_cells += build_width
-            buckets.setdefault(grouping_key(values), []).append(row)
+            buckets.setdefault(self._right_key(values), []).append(row)
 
         residual = self._evaluate_residual
         semi = self.kind == JoinKind.SEMI
@@ -144,7 +147,7 @@ class PHashJoin(PhysicalOperator):
                     yield left_row
                 continue
             counters.join_probes += 1
-            matches = buckets.get(grouping_key(values), ())
+            matches = buckets.get(self._left_key(values), ())
             matched = False
             for right_row in matches:
                 combined = left_row + right_row
@@ -173,14 +176,14 @@ class PHashJoin(PhysicalOperator):
                 continue
             counters.hash_inserts += 1
             counters.buffered_cells += build_width
-            buckets.setdefault(grouping_key(values), []).append(row)
+            buckets.setdefault(self._left_key(values), []).append(row)
         residual = self._evaluate_residual
         for right_row in self.right.execute(ctx):
             values = tuple(right_row[i] for i in self._right_positions)
             if any(v is None for v in values):
                 continue
             counters.join_probes += 1
-            for left_row in buckets.get(grouping_key(values), ()):
+            for left_row in buckets.get(self._right_key(values), ()):
                 combined = left_row + right_row
                 if residual is None or residual(combined, ctx) is True:
                     counters.rows += 1

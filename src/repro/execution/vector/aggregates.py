@@ -11,9 +11,11 @@ updates where the argument's static type proves them exact:
 * ``SUM``/``AVG`` over FLOAT — a sequential loop in the row engine's
   exact addition order; IEEE addition is *not* associative, and the
   equivalence contract promises bit-identical results.
-* ``MIN``/``MAX`` over any non-ANY type — native ``min``/``max``, which
-  agree with ``compare_values`` ordering once cross-type mixes are ruled
-  out (values in a typed column are homogeneous by ``check_value``).
+* ``MIN``/``MAX`` over any non-ANY type — native ``min``/``max`` on the
+  argument type's key (:func:`~repro.storage.types.value_key`; none for
+  INTEGER, STRING and DATE), which orders like ``compare_values`` (NaN
+  above +inf) once cross-type mixes are ruled out (values in a typed
+  column are homogeneous by ``check_value``).
 
 ``DISTINCT`` aggregates and ``ANY``-typed arguments wrap the row
 accumulator unchanged — correctness is never traded for the fast path.
@@ -28,7 +30,7 @@ from repro.algebra.expressions import (
     AggregateCall,
     AggregateFunction,
 )
-from repro.storage.types import DataType
+from repro.storage.types import DataType, raw_keys, value_key
 
 
 class GenericState:
@@ -109,38 +111,43 @@ class SumState:
         return self._sum
 
 
-class MinState:
-    __slots__ = ("_min",)
+def _nan_free(values: Sequence) -> bool:
+    """True when no value is NaN: a NaN makes the sum NaN. (So does
+    ``inf - inf``, and an int beyond float range gives no sum: both only
+    cost the keyed path.)"""
+    try:
+        total = sum(values)
+    except OverflowError:
+        return False
+    return total == total
 
-    def __init__(self):
-        self._min: Any = None
+
+class ExtremeState:
+    """MIN (``pick`` = ``min``) or MAX (``max``) under ``key``, the
+    argument type's order key (None: the values order themselves). Ties
+    keep the earliest value, as the row accumulator's strict test does."""
+
+    __slots__ = ("value", "pick", "key")
+
+    def __init__(self, pick, key):
+        self.value: Any = None
+        self.pick = pick
+        self.key = key
 
     def update(self, values: Sequence) -> None:
         non_null = [v for v in values if v is not None]
         if non_null:
-            candidate = min(non_null)
-            if self._min is None or candidate < self._min:
-                self._min = candidate
+            pick = self.pick
+            key = self.key
+            if key is not None and _nan_free(non_null):
+                key = None  # no NaN: the values order themselves
+            candidate = pick(non_null, key=key)
+            if self.value is not None:
+                candidate = pick(self.value, candidate, key=self.key)
+            self.value = candidate
 
     def result(self) -> Any:
-        return self._min
-
-
-class MaxState:
-    __slots__ = ("_max",)
-
-    def __init__(self):
-        self._max: Any = None
-
-    def update(self, values: Sequence) -> None:
-        non_null = [v for v in values if v is not None]
-        if non_null:
-            candidate = max(non_null)
-            if self._max is None or candidate > self._max:
-                self._max = candidate
-
-    def result(self) -> Any:
-        return self._max
+        return self.value
 
 
 def make_state(call: AggregateCall, argument_dtype: DataType):
@@ -160,8 +167,8 @@ def make_state(call: AggregateCall, argument_dtype: DataType):
         if argument_dtype is DataType.FLOAT:
             return SumState(avg=function is AggregateFunction.AVG, exact=False)
         return GenericState(call)
-    if function is AggregateFunction.MIN:
-        return MinState()
-    if function is AggregateFunction.MAX:
-        return MaxState()
+    if function in (AggregateFunction.MIN, AggregateFunction.MAX):
+        key = None if raw_keys([argument_dtype]) else value_key(argument_dtype)
+        pick = min if function is AggregateFunction.MIN else max
+        return ExtremeState(pick, key)
     return GenericState(call)

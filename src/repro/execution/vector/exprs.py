@@ -22,7 +22,8 @@ and ``+``/``-``/``*`` between columns whose static types rule out type
 errors run as plain comprehensions over C-level operators, skipping the
 per-value ``compare_values``/``isinstance`` ceremony of the generic
 path. The static gate uses :meth:`Expression.infer`; ``ANY`` always
-takes the generic kernel.
+takes the generic kernel, and a NaN on a FLOAT side is compared by the
+generic rule.
 """
 
 from __future__ import annotations
@@ -128,16 +129,28 @@ def _compile_comparison(expr: Comparison, schema: Schema) -> BatchEvaluator:
     fast = (lt in _NUMERIC and rt in _NUMERIC) or (
         lt is rt and lt in (DataType.STRING, DataType.DATE)
     )
+    test = _COMPARISON_TESTS[expr.op]
     if fast:
         cmp_op = _CMP_OPERATORS[expr.op.value]
-        def evaluate(batch: ColumnBatch, ctx: Any) -> list:
-            return [
-                None if lv is None or rv is None else cmp_op(lv, rv)
-                for lv, rv in zip(left(batch, ctx), right(batch, ctx))
-            ]
+        if DataType.FLOAT not in (lt, rt):
+            def evaluate(batch: ColumnBatch, ctx: Any) -> list:
+                return [
+                    None if lv is None or rv is None else cmp_op(lv, rv)
+                    for lv, rv in zip(left(batch, ctx), right(batch, ctx))
+                ]
+        else:
+            # A NaN side is compared by compare_values' NaN rule.
+            def evaluate(batch: ColumnBatch, ctx: Any) -> list:
+                return [
+                    None
+                    if lv is None or rv is None
+                    else cmp_op(lv, rv)
+                    if lv == lv and rv == rv
+                    else test(compare_values(lv, rv))
+                    for lv, rv in zip(left(batch, ctx), right(batch, ctx))
+                ]
         return evaluate
 
-    test = _COMPARISON_TESTS[expr.op]
     def evaluate(batch: ColumnBatch, ctx: Any) -> list:
         out = []
         append = out.append

@@ -31,7 +31,7 @@ from typing import Iterator
 
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
-from repro.storage.types import DataType, grouping_key
+from repro.storage.types import DataType
 
 from repro.execution.vector.aggregates import make_state
 from repro.execution.vector.batch import ColumnBatch, row_slices
@@ -50,16 +50,6 @@ def rows_batch(rows: list, width: int) -> ColumnBatch:
     if width == 0:
         return ColumnBatch(columns=[], length=len(rows))
     return ColumnBatch(rows=rows, length=len(rows))
-
-
-def raw_group_keys_ok(schema, positions) -> bool:
-    """True when raw value tuples can replace ``grouping_key`` as dict
-    keys for same-column grouping (GROUP BY / GApply partition / whole-row
-    DISTINCT): only ``ANY``-typed columns can mix bools with numbers in
-    one position and hit the ``True == 1`` collision the tagged key
-    guards against. ``None`` needs no sentinel for hashing — it is equal
-    only to itself, exactly the NULLs-group-together behaviour."""
-    return all(schema[p].dtype is not DataType.ANY for p in positions)
 
 
 def rebatch(rows, width: int, size: int) -> Iterator[ColumnBatch]:
@@ -257,7 +247,6 @@ class DistinctNode(VectorNode):
         self.op = op
         self.child = child
         self.batch_size = batch_size
-        self._raw = raw_group_keys_ok(op.schema, range(len(op.schema)))
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         op = self.op
@@ -271,7 +260,8 @@ class DistinctNode(VectorNode):
             )
             yield from rebatch(rows, width, self.batch_size)
             return
-        raw = self._raw
+        raw = op._raw
+        key_of = op._key
         seen: set = set()
         try:
             for batch in self.child.batches(ctx):
@@ -279,9 +269,7 @@ class DistinctNode(VectorNode):
                 counters.hash_inserts += n
                 rows = batch.rows()
                 keep = []
-                for i, key in enumerate(
-                    rows if raw else [grouping_key(row) for row in rows]
-                ):
+                for i, key in enumerate(rows if raw else map(key_of, rows)):
                     if key not in seen:
                         seen.add(key)
                         keep.append(i)
@@ -350,7 +338,6 @@ class HashAggregateNode(VectorNode):
             DataType.ANY if call.argument is None else call.argument.infer(child_schema)
             for call in op.aggregates
         ]
-        self._raw_keys = raw_group_keys_ok(child_schema, op._key_positions)
 
     def _new_states(self) -> list:
         return [
@@ -379,21 +366,18 @@ class HashAggregateNode(VectorNode):
 
         key_positions = op._key_positions
         single_key = len(key_positions) == 1
-        raw = self._raw_keys
+        raw = op._raw
+        key_of = op._key
         groups: dict = {}  # key -> (key_values, states)
         for batch in self.child.batches(ctx):
             n = batch.length
             counters.hash_inserts += n
             key_columns = [batch.column(p) for p in key_positions]
-            if single_key:
-                keys = (
-                    key_columns[0]
-                    if raw
-                    else [grouping_key((v,)) for v in key_columns[0]]
-                )
+            if raw and single_key:
+                keys = key_columns[0]
             else:
                 zipped = list(zip(*key_columns))
-                keys = zipped if raw else [grouping_key(kv) for kv in zipped]
+                keys = zipped if raw else list(map(key_of, zipped))
             # Bucket row indices per key (first-appearance order).
             buckets: dict = {}
             for i, key in enumerate(keys):
@@ -448,22 +432,13 @@ class GApplyNode(VectorNode):
         self.outer = outer
         self.per_group = per_group
         self.batch_size = batch_size
-        #: Hash-partition dict key: the raw key tuple where it is
-        #: equivalent to ``grouping_key`` (one call per row, not three).
-        self._key_of = (
-            op._key_getter
-            if raw_group_keys_ok(op.outer.schema, op._key_positions)
-            else None
-        )
 
     # -- execution phase -------------------------------------------------
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         op = self.op
         counters = ctx.counters
-        partitions = op.partition(
-            _flat_rows(self.outer, ctx), ctx, self._key_of
-        )
+        partitions = op.partition(_flat_rows(self.outer, ctx), ctx)
         variable = op.group_variable
         record = None if ctx.metrics is None else ctx.metrics.record_for(op)
         tracer = ctx.tracer

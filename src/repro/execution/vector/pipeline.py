@@ -33,28 +33,11 @@ import operator
 from typing import Iterator
 
 from repro.execution.context import ExecutionContext
-from repro.storage.types import DataType, grouping_key
+from repro.storage.types import key_function, raw_keys
 
 from repro.execution.vector.batch import ColumnBatch
 from repro.execution.vector.exprs import compile_batch
 from repro.execution.vector.nodes import VectorNode, rows_batch
-
-#: Join-key types where raw values hash/compare exactly like
-#: ``grouping_key`` output *across* columns: BOOLEAN is excluded because
-#: ``True == 1`` would cross-match an INTEGER column, ANY because it can
-#: hold anything.
-_RAW_JOIN_TYPES = (
-    DataType.INTEGER,
-    DataType.FLOAT,
-    DataType.STRING,
-    DataType.DATE,
-)
-
-
-def _raw_join_keys_ok(left_schema, left_positions, right_schema, right_positions):
-    return all(
-        left_schema[p].dtype in _RAW_JOIN_TYPES for p in left_positions
-    ) and all(right_schema[p].dtype in _RAW_JOIN_TYPES for p in right_positions)
 
 
 class Stage:
@@ -283,11 +266,13 @@ class HashJoinStage(Stage):
         return _BoundHashJoin(self.op, self.build_node, self.residual_batch, ctx)
 
 
-def _key_of(positions: tuple, raw: bool):
-    """A per-row key extractor returning None for NULL-containing keys.
+def _key_of(schema, positions: tuple, raw: bool):
+    """A per-row key extractor returning None for NULL-containing keys:
+    the value tuple when both sides are raw-keyed, else the key function
+    of this side's column types (keys of equal values agree across types).
 
     ``raw`` single-key extraction is inlined at the call sites (it is just
-    ``row[p]``); this covers the multi-key and tagged cases.
+    ``row[p]``); this covers the multi-key and keyed cases.
     """
     if raw:
         getter = operator.itemgetter(*positions)
@@ -296,11 +281,13 @@ def _key_of(positions: tuple, raw: bool):
             values = getter(row)
             return None if None in values else values
     else:
+        key = key_function(schema.types(positions))
+
         def key_of(row):
             values = tuple(row[i] for i in positions)
             if any(v is None for v in values):
                 return None
-            return grouping_key(values)
+            return key(values)
     return key_of
 
 
@@ -323,23 +310,21 @@ class _BoundHashJoin:
         self.residual_batch = residual_batch
         self.width = len(op.schema)
         if op.build_left:
-            build_positions = op._left_positions
-            build_width = len(op.left.schema)
-            probe_positions = op._right_positions
+            build, build_positions = op.left, op._left_positions
+            probe, probe_positions = op.right, op._right_positions
         else:
-            build_positions = op._right_positions
-            build_width = len(op.right.schema)
-            probe_positions = op._left_positions
-        raw = _raw_join_keys_ok(
-            op.left.schema, op._left_positions,
-            op.right.schema, op._right_positions,
+            build, build_positions = op.right, op._right_positions
+            probe, probe_positions = op.left, op._left_positions
+        build_width = len(build.schema)
+        raw = raw_keys(
+            build.schema.types(build_positions) + probe.schema.types(probe_positions)
         )
-        # The dominant case — one raw-hashable key column — probes with a
-        # bare row slot, no tuple building at all.
+        # The dominant case — one raw-keyed column — probes with a bare
+        # row slot, no tuple building at all.
         single = raw and len(build_positions) == 1
         self.single_position = probe_positions[0] if single else None
         self.probe_key_of = (
-            None if single else _key_of(probe_positions, raw)
+            None if single else _key_of(probe.schema, probe_positions, raw)
         )
         counters = ctx.counters
         buckets: dict = {}
@@ -359,7 +344,7 @@ class _BoundHashJoin:
                     else:
                         entry.append(row)
         else:
-            build_key_of = _key_of(build_positions, raw)
+            build_key_of = _key_of(build.schema, build_positions, raw)
             for batch in build_node.batches(ctx):
                 for row in batch.rows():
                     key = build_key_of(row)
@@ -474,32 +459,29 @@ class _BoundHashJoin:
 
 
 class IndexNLJoinStage(Stage):
-    __slots__ = ("_values_of", "_raw_position", "residual_batch")
+    __slots__ = ("_key_of", "_raw_position", "residual_batch")
 
     def __init__(self, op):
         self.op = op
         positions = op._outer_positions
-        if len(positions) == 1:
-            position = positions[0]
-            self._values_of = lambda row: (row[position],)
-        else:
-            getter = operator.itemgetter(*positions)
-            self._values_of = lambda row: getter(row)
-        # Single raw-typed key on both sides: the index buckets are keyed
-        # by ``grouping_key`` output, which for such columns is just the
-        # bare singleton tuple — probe the bucket dict directly and skip
-        # the per-row lookup() machinery. NULL probes find no bucket
-        # (NULL keys are never inserted), matching lookup()'s empty list.
+        # Single raw-keyed column on both sides: the index buckets are
+        # keyed by the bare singleton tuple, so probe the bucket dict with
+        # one. Otherwise the outer side's key function builds the key.
+        # NULL probes find no bucket (NULL keys are never inserted),
+        # matching lookup()'s empty list.
         index = op.index
+        raw = raw_keys(
+            op.outer.schema.types(positions) + index.table.schema.types(index._positions)
+        )
         self._raw_position = (
             positions[0]
-            if len(positions) == 1
-            and index.is_single_column
-            and _raw_join_keys_ok(
-                op.outer.schema, positions,
-                index.table.schema, index._positions,
-            )
+            if raw and len(positions) == 1 and index.is_single_column
             else None
+        )
+        self._key_of = (
+            None
+            if self._raw_position is not None
+            else _key_of(op.outer.schema, positions, raw)
         )
         # The Volcano operator evaluates the residual for every candidate
         # (no first-match break), so batching the evaluation keeps both
@@ -533,11 +515,11 @@ class IndexNLJoinStage(Stage):
                         for inner_row in matches:
                             emit(inner_row + outer_row)
         else:
-            lookup = op.index.lookup
-            values_of = self._values_of
+            buckets_get = op.index._ensure_built().buckets.get
+            key_of = self._key_of
             for outer_row in rows:
-                values = values_of(outer_row)
-                for inner_row in lookup(values):
+                key = key_of(outer_row)
+                for inner_row in () if key is None else buckets_get(key, ()):
                     emit(
                         outer_row + inner_row
                         if outer_is_left

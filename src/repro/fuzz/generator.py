@@ -9,7 +9,11 @@ SQLite oracle, steering around the documented gaps (see
 * type-directed generation — the engine raises on cross-type comparisons
   where SQLite's universal type ordering would happily answer;
 * floats are multiples of 0.25 with bounded magnitude, so sums are exact
-  in binary and aggregation order cannot change results;
+  in binary and aggregation order cannot change results. A *nonfinite*
+  case (``generate_case(seed, nonfinite=True)`` draws about one in five)
+  also draws NaN (a fresh object each time), ±inf and -0.0 into its FLOAT
+  columns, and may group on a FLOAT column; SQLite stores NaN as NULL, so
+  such a case is held to the plan space and the row iterators only;
 * no division or modulo (engine raises on zero, SQLite returns NULL);
 * no LIMIT (nondeterministic multiset) and no ORDER BY (irrelevant under
   multiset comparison);
@@ -25,6 +29,7 @@ under and over GApply.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -96,11 +101,34 @@ def _grid_float(rng: random.Random) -> float:
     return rng.randrange(-400, 1600) * 0.25
 
 
+#: What a nonfinite case draws into FLOAT columns besides grid floats.
+NONFINITE_FLOATS = (math.nan, math.inf, -math.inf, -0.0)
+
+
+def _fresh_nan(value):
+    """``value``, but a NaN is a fresh object: NaNs must group by value,
+    not by identity."""
+    return float("nan") if value != value else value
+
+
 def _group_pool(rng: random.Random, dtype: DataType) -> list:
     size = rng.choice([1, 2, 2, 3, 3, 4])
     if dtype is DataType.INTEGER:
         return rng.sample(range(0, 10), size)
+    if dtype is DataType.FLOAT:
+        return rng.sample(NONFINITE_FLOATS + (0.0, 0.5, 1.0, 2.5), size)
     return rng.sample(STRING_VOCAB, size)
+
+
+def is_nonfinite(db: FuzzDatabase) -> bool:
+    """Whether any FLOAT value in ``db`` is NaN, ±inf or -0.0."""
+    return any(
+        isinstance(value, float)
+        and (not math.isfinite(value) or (value == 0 and math.copysign(1.0, value) < 0))
+        for table in db.tables
+        for row in table.rows
+        for value in row
+    )
 
 
 def _skewed_pick(rng: random.Random, pool: list):
@@ -111,7 +139,11 @@ def _skewed_pick(rng: random.Random, pool: list):
     return rng.choice(pool[1:])
 
 
-def generate_database(rng: random.Random) -> FuzzDatabase:
+def generate_database(
+    rng: random.Random, nonfinite: random.Random | None = None
+) -> FuzzDatabase:
+    """A random schema and data; ``nonfinite`` (an rng of its own, so the
+    other draws stay those of a finite case) makes a nonfinite one."""
     n_tables = rng.choice([1, 2, 2, 3])
     tables: list[FuzzTable] = []
     fks: list[tuple[str, str, str, str]] = []
@@ -120,6 +152,8 @@ def generate_database(rng: random.Random) -> FuzzDatabase:
         columns = [FuzzColumn(f"{prefix}id", DataType.INTEGER, "pk")]
         for g in range(rng.choice([1, 1, 2])):
             dtype = rng.choice([DataType.INTEGER, DataType.STRING])
+            if nonfinite is not None and nonfinite.random() < 0.5:
+                dtype = DataType.FLOAT
             columns.append(FuzzColumn(f"{prefix}g{g}", dtype, "group"))
         for v in range(rng.choice([1, 2, 2])):
             dtype = rng.choice([DataType.INTEGER, DataType.FLOAT])
@@ -147,7 +181,7 @@ def generate_database(rng: random.Random) -> FuzzDatabase:
                     if rng.random() < null_rate:
                         row.append(None)
                     else:
-                        row.append(_skewed_pick(rng, pools[column.name]))
+                        row.append(_fresh_nan(_skewed_pick(rng, pools[column.name])))
                 elif column.role == "fk":
                     if parent_keys and rng.random() > null_rate:
                         row.append(rng.choice(parent_keys))
@@ -158,7 +192,10 @@ def generate_database(rng: random.Random) -> FuzzDatabase:
                 elif column.dtype is DataType.INTEGER:
                     row.append(rng.randint(-50, 200))
                 elif column.dtype is DataType.FLOAT:
-                    row.append(_grid_float(rng))
+                    if nonfinite is not None and nonfinite.random() < 0.3:
+                        row.append(_fresh_nan(nonfinite.choice(NONFINITE_FLOATS)))
+                    else:
+                        row.append(_grid_float(rng))
                 else:
                     row.append(rng.choice(STRING_VOCAB))
             rows.append(tuple(row))
@@ -746,12 +783,16 @@ class FuzzCase:
         return print_query(self.query)
 
 
-def generate_case(seed: int) -> FuzzCase:
+def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
+    """The case of ``seed``; with ``nonfinite``, about one in five is a
+    nonfinite case (the rest are the cases ``nonfinite=False`` draws)."""
     rng = random.Random(seed)
-    db = generate_database(rng)
+    extra = random.Random(f"nonfinite:{seed}")
+    floats = extra if nonfinite and extra.random() < 0.2 else None
+    db = generate_database(rng, floats)
     while all(not t.rows for t in db.tables) and len(db.tables) < 4:
         # An all-empty database exercises nothing; re-roll data sizes.
-        db = generate_database(rng)
+        db = generate_database(rng, floats)
     gen = _QueryGenerator(rng, db)
     if rng.random() < 0.55:
         query = gen.gapply_query()

@@ -17,6 +17,7 @@ Normalization rules (`normalize_value`):
 * ``date`` -> ISO string (SQLite has no date type; the mirror stores text);
 * integral ``float`` -> ``int`` (SQLite's ``sum`` over INTEGER yields int
   where the engine may carry float, and vice versa for ``avg``);
+* every NaN -> one token, so the multisets compare it (NaN != NaN);
 * other floats are rounded through ``repr`` at 12 significant digits so
   the two engines' different summation orders cannot manufacture a
   last-ulp mismatch (the generator additionally emits only values exactly
@@ -119,6 +120,10 @@ def run_oracle(
 # ----------------------------------------------------------------------
 
 
+#: What every NaN normalizes to.
+NAN_TOKEN = "<NaN>"
+
+
 def normalize_value(value):
     if value is None:
         return None
@@ -127,6 +132,8 @@ def normalize_value(value):
     if isinstance(value, _dt.date):
         return value.isoformat()
     if isinstance(value, float):
+        if value != value:
+            return NAN_TOKEN
         if value.is_integer():
             return int(value)
         return float(f"{value:.12g}")

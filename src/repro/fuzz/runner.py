@@ -5,12 +5,16 @@ For each seeded case :func:`run_case` runs three checks:
 1. **engine sanity** — the query must execute at all, on the row
    iterators (a crash on generator-valid input is a bug, not a skip);
 2. **oracle agreement** — those baseline rows must equal SQLite's for the
-   lowered query, as NULL-aware normalized multisets;
+   lowered query, as NULL-aware normalized multisets (skipped for a
+   nonfinite case: SQLite stores NaN as NULL; the summary's
+   ``nonfinite-cases`` counts them);
 3. **plan-space equivalence** — every planner configuration from the
    profile must reproduce the baseline rows exactly.
 
-``quick``, ``full`` and ``engine`` differ only in the configurations of
-step 3; :func:`repro.fuzz.driver.sweep` does the rest (seed loop, crash
+``quick``, ``full`` and ``engine`` differ in the configurations of
+step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
+the tier-1 slice, keeps every case on the oracle);
+:func:`repro.fuzz.driver.sweep` does the rest (seed loop, crash
 handling, shrinking with :func:`~repro.fuzz.shrink.sql_candidates`,
 corpus files, report).
 """
@@ -23,7 +27,7 @@ from collections import Counter
 from repro.errors import MemoryBudgetExceeded, ReproError
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
-from repro.fuzz.generator import FuzzCase, generate_case
+from repro.fuzz.generator import FuzzCase, generate_case, is_nonfinite
 from repro.fuzz.oracle import (
     compare_multisets,
     reference_rows,
@@ -64,16 +68,20 @@ def run_case(
     except ReproError as error:
         return failed("engine-error", f"  {type(error).__name__}: {error}")
 
-    connection = sqlite_mirror(db.catalog)
-    try:
-        oracle_rows = run_oracle(case.query, connection)
-    except OracleUnsupportedError:
+    if is_nonfinite(case.db):
         oracle_rows = None
-        tally["oracle-skipped"] += 1
-    except sqlite3.Error as error:
-        return failed("oracle-error", f"  sqlite3: {error}")
-    finally:
-        connection.close()
+        tally["nonfinite-cases"] += 1
+    else:
+        connection = sqlite_mirror(db.catalog)
+        try:
+            oracle_rows = run_oracle(case.query, connection)
+        except OracleUnsupportedError:
+            oracle_rows = None
+            tally["oracle-skipped"] += 1
+        except sqlite3.Error as error:
+            return failed("oracle-error", f"  sqlite3: {error}")
+        finally:
+            connection.close()
     if oracle_rows is not None:
         tally["oracle-checked"] += 1
         mismatch = compare_multisets(baseline, oracle_rows)
@@ -113,9 +121,10 @@ def run_case(
 
 def _sql_profile(name: str) -> Profile:
     configs = profile_configurations(name)
+    nonfinite = name != QUICK_PROFILE
     return Profile(
         name,
-        generate_case,
+        lambda seed: generate_case(seed, nonfinite),
         lambda case, tally: run_case(case, configs, tally),
         candidates=sql_candidates,
         save=save_case,

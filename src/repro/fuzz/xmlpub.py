@@ -60,7 +60,7 @@ from repro.fuzz.corpus import read_reproducers, write_reproducer
 from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
 from repro.fuzz.shrink import xmlpub_candidates
-from repro.storage.types import DataType, grouping_key
+from repro.storage.types import DataType, key_function
 from repro.xmlpub.stream import PublishStats, stream_document
 from repro.xmlpub.tagger import (
     ConstantSpaceTagger,
@@ -610,8 +610,9 @@ def _has_single_type_run(case: XmlPubCase) -> bool:
         )
         for branch in case.spec.branches
     }
+    key_of = key_function(case.spec.key_types)
     for (head, _), run in groupby(
-        case.rows, lambda row: (row[:base], grouping_key(row[:key_count]))
+        case.rows, lambda row: (row[:base], key_of(row[:key_count]))
     ):
         run = list(run)
         for index in reads.get(head[key_count], ()) if len(run) > 1 else ():

@@ -39,7 +39,7 @@ from typing import Any, Iterable, Sequence
 from repro.errors import CatalogError, ConstraintError, WalError
 from repro.storage.statistics import TableStatistics, compute_table_statistics
 from repro.storage.table import Table
-from repro.storage.types import grouping_key
+from repro.storage.types import key_function
 
 
 @dataclass(frozen=True)
@@ -529,15 +529,17 @@ class Catalog:
         child = self.table(fk.child_table)
         parent_positions = parent.schema.indices_of(fk.parent_columns)
         child_positions = child.schema.indices_of(fk.child_columns)
+        parent_key = key_function(parent.schema.types(parent_positions))
+        child_key = key_function(child.schema.types(child_positions))
         parent_keys = {
-            grouping_key(tuple(row[i] for i in parent_positions))
+            parent_key(tuple(row[i] for i in parent_positions))
             for row in parent.rows
         }
         for row in child.rows:
             values = tuple(row[i] for i in child_positions)
             if any(v is None for v in values):
                 continue  # SQL FK semantics: NULLs are exempt
-            if grouping_key(values) not in parent_keys:
+            if child_key(values) not in parent_keys:
                 raise ConstraintError(
                     f"foreign key violation: {fk.child_table}{values!r} has no "
                     f"parent in {fk.parent_table}({', '.join(fk.parent_columns)})"

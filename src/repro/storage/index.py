@@ -25,7 +25,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import SchemaError
 from repro.storage.table import Row, Table
-from repro.storage.types import grouping_key
+from repro.storage.types import grouping_key, key_function, value_key
 
 
 class _IndexState(NamedTuple):
@@ -46,6 +46,11 @@ class TableIndex:
         self.table = table
         self.columns = tuple(columns)
         self._positions = table.schema.indices_of(columns)
+        dtypes = table.schema.types(self._positions)
+        #: The bucket key of a values tuple, and (single column) the sort
+        #: key of a value: the indexed columns' key functions.
+        self._key = key_function(dtypes)
+        self._value_key = value_key(dtypes[0])
         self._state: _IndexState | None = None
 
     # ------------------------------------------------------------------
@@ -72,18 +77,20 @@ class TableIndex:
         if state is not None and state.row_count == len(rows):
             return state
         buckets: dict[tuple, list[Row]] = {}
+        key_of = self._key
         for row in rows:
             values = tuple(row[i] for i in self._positions)
             if any(v is None for v in values):
                 continue  # NULL keys are never matched by = or ranges
-            buckets.setdefault(grouping_key(values), []).append(row)
+            buckets.setdefault(key_of(values), []).append(row)
         sorted_keys: list | None = None
         sorted_rows: list[Row] | None = None
         if self.is_single_column:
             position = self._positions[0]
+            value_key_of = self._value_key
             pairs = sorted(
                 (
-                    (grouping_key((row[position],))[0], row)
+                    (value_key_of(row[position]), row)
                     for row in rows
                     if row[position] is not None
                 ),
@@ -101,7 +108,8 @@ class TableIndex:
 
     def lookup(self, values: Sequence[Any]) -> list[Row]:
         """Rows whose indexed columns equal ``values`` (SQL = semantics:
-        NULL matches nothing)."""
+        NULL matches nothing). The values may be of any type, so they are
+        keyed as ANY, which agrees with every column type's key."""
         if any(v is None for v in values):
             return []
         state = self._ensure_built()
@@ -124,6 +132,7 @@ class TableIndex:
         keys = state.sorted_keys
         start = 0
         if low is not None:
+            low = grouping_key((low,))[0]
             start = (
                 bisect.bisect_left(keys, low)
                 if low_inclusive
@@ -131,6 +140,7 @@ class TableIndex:
             )
         end = len(keys)
         if high is not None:
+            high = grouping_key((high,))[0]
             end = (
                 bisect.bisect_right(keys, high)
                 if high_inclusive

@@ -179,6 +179,10 @@ class Schema:
     def indices_of(self, references: Iterable[str]) -> list[int]:
         return [self.index_of(ref) for ref in references]
 
+    def types(self, positions: Iterable[int]) -> list[DataType]:
+        """The column types at ``positions`` (what keys are chosen by)."""
+        return [self.columns[p].dtype for p in positions]
+
     # ------------------------------------------------------------------
     # Dunder plumbing
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.storage.table import Row, Table
-from repro.storage.types import grouping_key
+from repro.storage.types import DataType, grouping_key, raw_keys, value_key
 
 DEFAULT_HISTOGRAM_BUCKETS = 32
 
@@ -102,13 +102,18 @@ class ColumnStatistics:
 
 
 def compute_column_statistics(
-    values: Sequence[Any], buckets: int = DEFAULT_HISTOGRAM_BUCKETS
+    values: Sequence[Any],
+    buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
+    dtype: DataType = DataType.ANY,
 ) -> ColumnStatistics:
-    """Scan one column and produce its :class:`ColumnStatistics`."""
+    """Scan one column of type ``dtype`` and produce its
+    :class:`ColumnStatistics`."""
     row_count = len(values)
     non_null = [v for v in values if v is not None]
     null_count = row_count - len(non_null)
-    distinct = len({grouping_key((v,))[0] for v in non_null})
+    distinct = len(
+        set(non_null if raw_keys([dtype]) else map(value_key(dtype), non_null))
+    )
     min_value = max_value = None
     histogram: tuple[HistogramBucket, ...] = ()
     if non_null:
@@ -181,7 +186,7 @@ def compute_table_statistics(
     columns: dict[str, ColumnStatistics] = {}
     for position, column in enumerate(table.schema):
         values = [row[position] for row in table.rows]
-        stats = compute_column_statistics(values, buckets)
+        stats = compute_column_statistics(values, buckets, column.dtype)
         columns[column.name] = stats
         columns[column.qualified_name] = stats
     return TableStatistics(row_count=len(table.rows), columns=columns)

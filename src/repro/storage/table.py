@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConstraintError, SchemaError
 from repro.storage.schema import Column, Schema
-from repro.storage.types import DataType, check_value, grouping_key
+from repro.storage.types import DataType, check_value, key_function
 
 Row = tuple[Any, ...]
 
@@ -175,6 +175,7 @@ class Table:
         if not self.primary_key:
             return
         positions = self.schema.indices_of(self.primary_key)
+        key_of = key_function(self.schema.types(positions))
         seen: set[tuple[Any, ...]] = set()
         for row in self.rows:
             key_values = tuple(row[i] for i in positions)
@@ -182,7 +183,7 @@ class Table:
                 raise ConstraintError(
                     f"NULL in primary key {self.primary_key} of {self.name!r}"
                 )
-            key = grouping_key(key_values)
+            key = key_of(key_values)
             if key in seen:
                 raise ConstraintError(
                     f"duplicate primary key {key_values!r} in {self.name!r}"
@@ -210,9 +211,9 @@ class Table:
     def sorted_rows(self, by: Sequence[str]) -> list[Row]:
         """Rows sorted by the given columns, NULLS FIRST, stable."""
         positions = self.schema.indices_of(by)
+        key_of = key_function(self.schema.types(positions))
         return sorted(
-            self.rows,
-            key=lambda row: grouping_key(tuple(row[i] for i in positions)),
+            self.rows, key=lambda row: key_of(tuple(row[i] for i in positions))
         )
 
     def filter(self, predicate: Callable[[Row], bool]) -> "Table":

@@ -12,16 +12,22 @@ this module (:func:`compare_values`, :func:`sql_eq`, ...) are the single place
 where NULL-aware value comparison is defined; everything above (expressions,
 joins, grouping) delegates here.
 
-Grouping is the one context where SQL treats NULLs as equal to each other
-(``GROUP BY`` puts all NULLs in one group); :func:`grouping_key` provides that
-behaviour.
+Keys are the other half of the domain. Every hash, group and order key
+(DISTINCT, GROUP BY, GApply's partition, hash and index joins, ORDER BY,
+indexes, constraint checks, NDV, the tagger's group cut) is built by the
+one key function of its columns' types, :func:`key_function`: NULL maps to
+:data:`NULL_KEY` (one group, sorted first), NaN to :data:`NAN_KEY` (one
+group, sorted above +inf, PostgreSQL's rule, which :func:`compare_values`
+follows too), and a BOOLEAN is tagged so ``True`` never meets ``1``.
+INTEGER, STRING and DATE values are their own keys; :func:`raw_keys` tells
+a caller it may hash such values as they are.
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.errors import TypeCheckError
 
@@ -168,7 +174,8 @@ UNKNOWN = TruthValue.UNKNOWN
 def compare_values(left: Any, right: Any) -> int | None:
     """SQL comparison: return -1/0/+1, or ``None`` when either side is NULL.
 
-    Mixed int/float comparison is allowed; any other cross-type comparison is
+    NaN equals NaN and sorts above every other number. Mixed int/float
+    comparison is allowed; any other cross-type comparison is
     a type error (SQL would fail to coerce).
     """
     if left is None or right is None:
@@ -182,7 +189,10 @@ def compare_values(left: Any, right: Any) -> int | None:
         return -1
     if left > right:
         return 1
-    return 0
+    if left == right:
+        return 0
+    # Unordered: a NaN is on one side, and NaN equals NaN, above all numbers.
+    return (left != left) - (right != right)
 
 
 def sql_eq(left: Any, right: Any) -> TruthValue:
@@ -248,27 +258,99 @@ class _NullKey:
 NULL_KEY = _NullKey()
 
 
+class _NanKey:
+    """Sentinel that stands in for NaN inside keys: equal only to itself,
+    above every number including +inf. All NaNs share it, so they form one
+    group and sort together; unpickling returns the same singleton."""
+
+    _instance: "_NanKey | None" = None
+
+    def __new__(cls) -> "_NanKey":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "NAN_KEY"
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+    def __gt__(self, other: Any) -> bool:
+        return other is not self
+
+    def __le__(self, other: Any) -> bool:
+        return other is self
+
+    def __ge__(self, other: Any) -> bool:
+        return True
+
+
+NAN_KEY = _NanKey()
+
+
+def _raw_key(value: Any) -> Any:
+    return NULL_KEY if value is None else value
+
+
+def _float_key(value: Any) -> Any:
+    if value is None:
+        return NULL_KEY
+    return NAN_KEY if value != value else value
+
+
+def _boolean_key(value: Any) -> Any:
+    return NULL_KEY if value is None else ("bool", value)
+
+
+def _any_key(value: Any) -> Any:
+    if value is None:
+        return NULL_KEY
+    if value.__class__ is bool:
+        return ("bool", value)
+    return NAN_KEY if value != value else value
+
+
+_VALUE_KEYS: dict[DataType, Callable[[Any], Any]] = {
+    DataType.INTEGER: _raw_key,
+    DataType.STRING: _raw_key,
+    DataType.DATE: _raw_key,
+    DataType.FLOAT: _float_key,
+    DataType.BOOLEAN: _boolean_key,
+    DataType.ANY: _any_key,
+}
+
+
+def value_key(dtype: DataType) -> Callable[[Any], Any]:
+    """The key of one value of a ``dtype`` column: hashable, equal exactly
+    when GROUP BY puts two values in one group, and ordered as ORDER BY
+    orders them (NULLS FIRST, NaN above +inf)."""
+    return _VALUE_KEYS[dtype]
+
+
+def key_function(dtypes: Sequence[DataType]) -> Callable[[tuple], tuple]:
+    """The key of a tuple of values typed ``dtypes``: one
+    :func:`value_key` per position."""
+    keys = tuple(value_key(dtype) for dtype in dtypes)
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda values: (key(values[0]),)
+    return lambda values: tuple([key(value) for key, value in zip(keys, values)])
+
+
+def raw_keys(dtypes: Sequence[DataType]) -> bool:
+    """True when values of these types are their own hash keys: every
+    type is INTEGER, STRING or DATE. NULL needs no sentinel to hash (None
+    equals only itself); it does to sort, so ordering still needs
+    :func:`key_function`."""
+    return all(_VALUE_KEYS[dtype] is _raw_key for dtype in dtypes)
+
+
 def grouping_key(values: tuple[Any, ...]) -> tuple[Any, ...]:
-    """Build a hashable, orderable grouping key from a tuple of SQL values.
-
-    Unlike WHERE-clause equality, GROUP BY / DISTINCT treat NULLs as
-    equal to each other, so NULL maps to the dedicated :data:`NULL_KEY`
-    sentinel. Booleans are tagged so ``True`` does not collide with ``1``.
-    """
-    key = []
-    for value in values:
-        if value is None:
-            key.append(NULL_KEY)
-        elif isinstance(value, bool):
-            key.append(("bool", value))
-        else:
-            key.append(value)
-    return tuple(key)
-
-
-def sort_key(values: tuple[Any, ...]) -> tuple[Any, ...]:
-    """Key usable with ``sorted``; NULLs sort first (NULLS FIRST semantics)."""
-    return grouping_key(values)
+    """The key of values of unknown type: :func:`key_function` of ANY
+    columns, for callers with no schema (tests, reference oracles, probes
+    of an index by arbitrary values)."""
+    return tuple([_any_key(value) for value in values])
 
 
 def format_value(value: Any) -> str:

@@ -13,7 +13,11 @@ Row layout (produced by :mod:`repro.xmlpub.translate`):
 
 Rows must arrive clustered by key; within a group, clustered by branch in
 ascending order (the translator assigns branch ids in return-item order and
-adds the matching ORDER BY / union order).
+adds the matching ORDER BY / union order). Two rows are in one group when
+their keys are equal under the key columns' key function
+(:func:`~repro.storage.types.key_function` of ``TaggerSpec.key_types``), as
+GApply and GROUP BY decide it: NULLs and NaNs group together, ``True`` and
+``1`` do not.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.errors import XmlPublishError
 from repro.execution.vector.batch import row_slices
 from repro.storage.table import Row
-from repro.storage.types import format_value, grouping_key
+from repro.storage.types import DataType, format_value, key_function, raw_keys
 
 
 # Control characters in the XML 1.0 text domain. Carriage return is legal
@@ -153,18 +157,28 @@ Branch = ScalarBranch | RowsBranch
 
 @dataclass(frozen=True)
 class TaggerSpec:
-    """Everything the tagger needs to interpret the row stream."""
+    """Everything the tagger needs to interpret the row stream.
+
+    ``key_types`` are the key columns' types (ANY for each when not
+    given); they choose the key function that cuts the stream into groups."""
 
     root_tag: str
     group_tag: str
     key_count: int
     key_items: tuple[KeyItem, ...]
     branches: tuple[Branch, ...]
+    key_types: tuple[DataType, ...] | None = None
 
     def __post_init__(self) -> None:
         ids = [b.branch for b in self.branches]
         if len(set(ids)) != len(ids):
             raise XmlPublishError(f"duplicate branch ids: {ids}")
+        if self.key_types is None:
+            object.__setattr__(self, "key_types", (DataType.ANY,) * self.key_count)
+        elif len(self.key_types) != self.key_count:
+            raise XmlPublishError(
+                f"{len(self.key_types)} key types for {self.key_count} key columns"
+            )
 
     @property
     def branch_column(self) -> int:
@@ -232,43 +246,34 @@ class ConstantSpaceTagger:
         branches = self._branches
         group_open = f"<{spec.group_tag}>"
         group_close = f"</{spec.group_tag}>"
-        head_of = itemgetter(slice(0, key_count + 1))
+        # A run's head is its key, then its branch id; raw-keyed columns
+        # are their own key, so the head is a slice of the row.
+        if raw_keys(spec.key_types):
+            head_of = itemgetter(slice(0, key_count + 1))
+        else:
+            key_of = key_function(spec.key_types)
 
-        def runs(rows: Sequence[Row]) -> Iterator[list[Row]]:
-            for head, run in groupby(rows, head_of):
-                key = head[:key_count]
-                if 0 in key or 1 in key:
-                    # True == 1: grouping_key splits a raw-equal run
-                    for _, part in groupby(run, lambda r: grouping_key(r[:key_count])):
-                        yield list(part)
-                else:
-                    yield list(run)
+            def head_of(row: Row) -> tuple:
+                return key_of(row[:key_count]) + (row[key_count],)
 
-        last_values: tuple | None = None  # raw key columns of the open group
-        current_key: tuple | None = None  # their grouping_key, when needed
+        last_key: tuple | None = None  # the open group's key
         open_container: str | None = None
         yield [f"<{spec.root_tag}>"]
         for rows in slices:
             out: list[str] = []
             emit = out.append
-            for run in runs(rows):
+            for head, run in groupby(rows, head_of):
+                run = list(run)
                 row = run[0]
-                key_values = row[:key_count]
-                # Unequal raw values are unequal keys; equal ones are the
-                # same key unless a bool met a number (True == 1), which
-                # only a key holding 0 or 1 can — grouping_key decides.
-                if key_values != last_values or (
-                    current_key is not None
-                    and grouping_key(key_values) != current_key
-                ):
-                    if last_values is not None:
+                key = head[:key_count]
+                if key != last_key:
+                    if last_key is not None:
                         if open_container is not None:
                             emit(f"</{open_container}>")
                             open_container = None
                         emit(group_close)
-                    last_values = key_values
-                    mixed = 0 in key_values or 1 in key_values
-                    current_key = grouping_key(key_values) if mixed else None
+                    last_key = key
+                    key_values = row[:key_count]
                     emit(group_open)
                     for template, index in key_templates:
                         emit(template % escape_text(key_values[index]))
@@ -293,7 +298,7 @@ class ConstantSpaceTagger:
                 out.extend(map(template.__mod__, zip(*formatted)))
             yield out
         closing = []
-        if last_values is not None:
+        if last_key is not None:
             if open_container is not None:
                 closing.append(f"</{open_container}>")
             closing.append(group_close)

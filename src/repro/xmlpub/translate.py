@@ -40,6 +40,7 @@ from repro.errors import XmlPublishError
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
 from repro.storage.catalog import Catalog
+from repro.storage.schema import Schema
 from repro.xmlpub.tagger import (
     Branch,
     KeyItem,
@@ -107,10 +108,13 @@ class Translator:
     # View-node plumbing
     # ------------------------------------------------------------------
 
+    def node_schema(self, node: XmlViewNode) -> Schema:
+        """Output schema of a view node's SQL query."""
+        return self._binder.bind(parse(node.query)).schema
+
     def node_columns(self, node: XmlViewNode) -> list[str]:
         """Output column names of a view node's SQL query."""
-        plan = self._binder.bind(parse(node.query))
-        return [column.name for column in plan.schema]
+        return [column.name for column in self.node_schema(node)]
 
     def _resolve_child(self, path: XqPath, flwr: XqFlwr) -> XmlChildEdge:
         if path.variable != flwr.variable:
@@ -322,7 +326,8 @@ class Translator:
         branches: list[Branch] = []
         gapply_branches: list[str] = []
         union_branches: list[str] = []
-        child_columns = ", ".join(self.node_columns(child))
+        child_schema = self.node_schema(child)
+        child_columns = ", ".join(column.name for column in child_schema)
 
         def pad(values: list[str], offset: int) -> str:
             padded = (
@@ -427,6 +432,7 @@ class Translator:
             key_count=1,
             key_items=tuple(key_items),
             branches=tuple(branches),
+            key_types=(child_schema.column(child_key).dtype,),
         )
 
         per_group = " union all ".join(gapply_branches)
@@ -502,7 +508,8 @@ class Translator:
         edge = top.children[0]
         child = edge.node
         child_key = edge.child_columns[0]
-        child_column_names = self.node_columns(child)
+        child_schema = self.node_schema(child)
+        child_column_names = [column.name for column in child_schema]
         child_columns = ", ".join(child_column_names)
         payload_columns = [
             column for column in child_column_names if column != child_key
@@ -567,6 +574,7 @@ class Translator:
             key_count=1,
             key_items=(KeyItem(top.key[0], 0),),
             branches=(RowsBranch(0, None, child.tag, fields),),
+            key_types=(child_schema.column(child_key).dtype,),
         )
         payload = ", ".join(payload_columns)
         gapply_sql = (

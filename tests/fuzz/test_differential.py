@@ -15,7 +15,8 @@ import pytest
 from repro.errors import PlanError
 from repro.fuzz import PROFILES, sweep
 from repro.fuzz.corpus import load_corpus
-from repro.fuzz.generator import generate_case
+from repro.fuzz.generator import generate_case, is_nonfinite
+from repro.fuzz.oracle import compare_multisets
 from repro.fuzz.planspace import plan_configurations, profile_configurations
 from repro.fuzz.runner import run_case
 
@@ -40,6 +41,26 @@ class TestSeededSweep:
     def test_distinct_seeds_vary(self):
         queries = {generate_case(seed).sql for seed in range(20)}
         assert len(queries) > 15
+
+    def test_nonfinite_draws_leave_other_cases_alone(self):
+        nonfinite = 0
+        for seed in range(60):
+            case = generate_case(seed, nonfinite=True)
+            if is_nonfinite(case.db):
+                nonfinite += 1
+                continue
+            plain = generate_case(seed)
+            assert case.sql == plain.sql
+            assert [t.rows for t in case.db.tables] == [
+                t.rows for t in plain.db.tables
+            ]
+        assert 0 < nonfinite < 30
+        assert not any(is_nonfinite(generate_case(seed).db) for seed in range(60))
+
+    def test_every_nan_normalizes_to_one_token(self):
+        nan, other = float("nan"), float("inf") - float("inf")
+        assert compare_multisets([(nan, 1)], [(other, 1)]) is None
+        assert compare_multisets([(nan,)], [(float("inf"),)]) is not None
 
 
 class TestCorpusReplay:

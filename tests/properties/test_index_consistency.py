@@ -6,11 +6,13 @@ and plans lowered with and without index support must produce identical
 results.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import col, eq, lit
 from repro.algebra.operators import Join, Select, TableScan
+from repro.api import Database
 from repro.execution.base import run_plan
 from repro.optimizer.planner import PlannerOptions, plan_physical
 from repro.storage import Catalog, DataType, table_from_rows
@@ -108,3 +110,58 @@ class TestIndexAgainstScan:
         table.insert((0, 99))
         expected = [row for row in table.rows if grouping_key((row[0],)) == grouping_key((0,))]
         assert sorted(index.lookup((0,)), key=repr) == sorted(expected, key=repr)
+
+
+NAN = float("nan")
+OTHER_NAN = float("inf") - float("inf")  # a second NaN object
+FLOATS = st.sampled_from(
+    [NAN, OTHER_NAN, float("inf"), -float("inf"), -0.0, 0.0, 0.5, 1.0, 2.0, None]
+)
+PROBES = ["-1.0", "-0.0", "0.0", "0.5", "1.0", "1.5", "2.0"]
+PREDICATES = [
+    "k = {a}",
+    "k < {a}",
+    "k <= {a}",
+    "k > {a}",
+    "k >= {a}",
+    "k between {a} and {b}",
+    "k >= {a} and k <= {b}",
+]
+
+
+class TestFloatIndexAgainstScan:
+    """NaN (two objects), ±inf, -0.0 and NULL in an indexed FLOAT column:
+    every comparison returns the rows a scan returns, NaN above +inf."""
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    @given(
+        keys=st.lists(FLOATS, max_size=30),
+        a=st.sampled_from(PROBES),
+        b=st.sampled_from(PROBES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_comparison_with_index_equals_scan(self, predicate, keys, a, b):
+        rows = [(k, v) for v, k in enumerate(keys)]
+        scan = Database()
+        scan.create_table("t", [("k", DataType.FLOAT), ("v", DataType.INTEGER)], rows)
+        indexed = Database()
+        indexed.create_table(
+            "t", [("k", DataType.FLOAT), ("v", DataType.INTEGER)], rows
+        )
+        indexed.create_index("t", ["k"])
+        sql = f"select v from t where {predicate.format(a=a, b=b)}"
+        assert sorted(indexed.sql(sql).rows) == sorted(scan.sql(sql).rows)
+
+    def test_ranges_reach_the_index(self):
+        rows = [(k, v) for v, k in enumerate([1.0, NAN, 2.0, OTHER_NAN, 0.5])]
+        db = Database()
+        db.create_table("t", [("k", DataType.FLOAT), ("v", DataType.INTEGER)], rows)
+        db.create_index("t", ["k"])
+        plan = db.sql("select v from t where k > 1.5", explain="plan")
+        assert "IndexSeek" in str(plan)
+        assert sorted(db.sql("select v from t where k > 1.5").rows) == [
+            (1,), (2,), (3,)
+        ]
+        assert sorted(
+            db.sql("select v from t where k >= 1.0 and k <= 2.0").rows
+        ) == [(0,), (2,)]

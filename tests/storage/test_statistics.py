@@ -65,6 +65,14 @@ class TestColumnStatistics:
         stats = compute_column_statistics([1.0, float("nan"), 2.0, 3.0])
         assert sum(b.count for b in stats.histogram) == 3
 
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.ANY])
+    def test_every_nan_counts_as_one_distinct_value(self, dtype):
+        nan, other_nan = float("nan"), float("inf") - float("inf")
+        stats = compute_column_statistics(
+            [nan, 1.0, other_nan, -0.0, 0.0, None], dtype=dtype
+        )
+        assert stats.distinct_count == 3  # NaN, 1.0 and ±0.0
+
     def test_no_histogram_for_booleans(self):
         stats = compute_column_statistics([True, False, True])
         assert stats.histogram == ()

@@ -1,12 +1,14 @@
 """Unit tests for the SQL value domain and three-valued logic."""
 
 import datetime
+import pickle
 
 import pytest
 
 from repro.errors import TypeCheckError
 from repro.storage.types import (
     FALSE,
+    NAN_KEY,
     NULL_KEY,
     TRUE,
     UNKNOWN,
@@ -18,13 +20,15 @@ from repro.storage.types import (
     format_value,
     grouping_key,
     infer_type,
-    sort_key,
+    key_function,
+    raw_keys,
     sql_eq,
     sql_ge,
     sql_gt,
     sql_le,
     sql_lt,
     sql_ne,
+    value_key,
 )
 
 
@@ -179,28 +183,96 @@ class TestSqlComparisons:
 
 
 class TestGroupingKey:
+    """The one key domain: ``key_function`` per column type, and
+    ``grouping_key`` (the ANY key) for values of unknown type."""
+
     def test_nulls_group_together(self):
-        assert grouping_key((None,)) == grouping_key((None,))
+        for dtype in DataType:
+            key = key_function([dtype])
+            assert key((None,)) == key((None,))
 
     def test_null_key_singleton(self):
+        assert key_function([DataType.INTEGER])((None,))[0] is NULL_KEY
         assert grouping_key((None,))[0] is NULL_KEY
 
     def test_boolean_tagged_apart_from_integers(self):
-        assert grouping_key((True,)) != grouping_key((1,))
-        assert grouping_key((False,)) != grouping_key((0,))
+        for key in (key_function([DataType.BOOLEAN]), grouping_key):
+            assert key((True,)) != grouping_key((1,))
+            assert key((False,)) != grouping_key((0,))
+        assert key_function([DataType.BOOLEAN])((True,)) == grouping_key((True,))
 
     def test_hashable(self):
-        {grouping_key((None, 1, "x", True))}
+        {grouping_key((None, 1, "x", True, float("nan")))}
+        {key_function([DataType.FLOAT, DataType.BOOLEAN])((float("nan"), True))}
 
     def test_null_sorts_first(self):
-        keys = [sort_key((v,)) for v in (3, None, 1)]
-        assert sorted(keys) == [sort_key((None,)), sort_key((1,)), sort_key((3,))]
+        key = key_function([DataType.INTEGER])
+        keys = [key((v,)) for v in (3, None, 1)]
+        assert sorted(keys) == [key((None,)), key((1,)), key((3,))]
 
     def test_null_key_comparisons(self):
         assert NULL_KEY < 5
         assert not (NULL_KEY > 5)
         assert NULL_KEY <= NULL_KEY
         assert NULL_KEY >= NULL_KEY
+
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.ANY])
+    def test_every_nan_is_one_key(self, dtype):
+        key = key_function([dtype])
+        nan, other_nan = float("nan"), float("inf") - float("inf")
+        assert nan is not other_nan
+        assert key((nan,)) == key((other_nan,))
+        assert len({key((nan,)), key((other_nan,))}) == 1
+        assert key((nan,))[0] is NAN_KEY
+
+    def test_nan_key_sorts_above_infinity(self):
+        key = value_key(DataType.FLOAT)
+        values = [float("nan"), float("inf"), None, -float("inf"), 0.0, float("nan")]
+        assert sorted(map(key, values)) == [
+            NULL_KEY, -float("inf"), 0.0, float("inf"), NAN_KEY, NAN_KEY
+        ]
+        assert NAN_KEY > float("inf") and not (NAN_KEY < float("inf"))
+        assert NAN_KEY <= NAN_KEY and NAN_KEY >= NAN_KEY
+        assert NULL_KEY < NAN_KEY
+
+    def test_keys_survive_a_pickle_round_trip(self):
+        key = key_function([DataType.FLOAT, DataType.INTEGER])((float("nan"), None))
+        assert pickle.loads(pickle.dumps(key)) == key
+        assert pickle.loads(pickle.dumps(NAN_KEY)) is NAN_KEY
+
+    def test_negative_zero_is_zero(self):
+        key = key_function([DataType.FLOAT])
+        assert key((-0.0,)) == key((0.0,))
+        assert hash(key((-0.0,))) == hash(key((0.0,)))
+
+    def test_equal_values_share_a_key_across_types(self):
+        # Hash and index joins key each side by its own column types.
+        assert key_function([DataType.FLOAT])((1.0,)) == key_function(
+            [DataType.INTEGER]
+        )((1,))
+        assert key_function([DataType.FLOAT])((float("nan"),)) == grouping_key(
+            (float("nan"),)
+        )
+
+    def test_raw_key_types(self):
+        assert raw_keys([DataType.INTEGER, DataType.STRING, DataType.DATE])
+        for dtype in (DataType.FLOAT, DataType.BOOLEAN, DataType.ANY):
+            assert not raw_keys([DataType.INTEGER, dtype])
+
+
+class TestNanRule:
+    def test_nan_equals_nan(self):
+        assert compare_values(float("nan"), float("nan")) == 0
+        assert sql_eq(float("nan"), float("nan")) is TRUE
+        assert sql_ne(float("nan"), float("nan")) is FALSE
+
+    def test_nan_above_every_number(self):
+        nan = float("nan")
+        assert compare_values(nan, float("inf")) == 1
+        assert compare_values(-float("inf"), nan) == -1
+        assert sql_gt(nan, 10**20) is TRUE
+        assert sql_lt(nan, 1.0) is FALSE
+        assert sql_ge(nan, nan) is TRUE
 
 
 class TestFormatValue:

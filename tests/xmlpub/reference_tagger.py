@@ -5,8 +5,8 @@ before the tagger started working a slice of rows at a time: every row
 through ``grouping_key`` and a linear branch scan, every value through
 ``format_value`` → ``replace`` ×3 → ``translate``. The production tagger
 instead cuts each slice into runs of rows sharing one (key, branch),
-compares raw key tuples (``grouping_key`` only for keys holding 0 or 1),
-and formats each run a payload column at a time with ``format_column``,
+keyed by the spec's key types (raw slices when they are all INTEGER,
+STRING or DATE), and formats each run a payload column at a time with ``format_column``,
 whose fast paths skip the per-value dispatch for columns of one exact
 type (``str``, ``float``, ``int``). Slow and obviously right; the property
 tests demand that the production tagger yields the same fragments for

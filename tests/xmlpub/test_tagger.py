@@ -1,9 +1,12 @@
 """Unit tests for the constant-space tagger."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import XmlPublishError
 from repro.execution.vector.batch import row_slices
+from repro.storage import DataType
 from repro.xmlpub.tagger import (
     ConstantSpaceTagger,
     KeyItem,
@@ -141,6 +144,34 @@ class TestTagging:
                 "<r><g><c><e%></e%><e%></e%><e%></e%></c></g>"
                 "<g><c><e%></e%></c></g></r>"
             )
+
+    @pytest.mark.parametrize("key_type", [DataType.FLOAT, DataType.ANY])
+    @pytest.mark.parametrize("size", [1, 2, 1024])
+    def test_every_nan_key_is_one_group(self, key_type, size):
+        # Two NaN objects are one key, as in GApply and GROUP BY.
+        spec = replace(q1_spec(), key_types=(key_type,))
+        rows = [(float("nan"), 0, "a", 1.0, None),
+                (float("inf") - float("inf"), 0, "b", 2.0, None),
+                (float("nan"), 1, None, None, 3.0), (0.0, 1, None, None, 4.0),
+                (-0.0, 1, None, None, 5.0)]
+        tagged = "".join(
+            "".join(fragments)
+            for fragments in ConstantSpaceTagger(spec).fragments(
+                row_slices(rows, size)
+            )
+        )
+        assert tagged.count("<ret>") == 2  # NaN, and 0.0 = -0.0
+        assert tagged.count("<part>") == 2
+
+    def test_typed_raw_keys_tag_like_any(self):
+        spec = replace(q1_spec(), key_types=(DataType.INTEGER,))
+        assert ConstantSpaceTagger(spec).tag_to_string(Q1_ROWS) == "".join(
+            reference_tag(q1_spec(), Q1_ROWS)
+        )
+
+    def test_key_types_must_match_key_count(self):
+        with pytest.raises(XmlPublishError, match="key types"):
+            replace(q1_spec(), key_types=(DataType.INTEGER, DataType.STRING))
 
     def test_null_key_is_a_group(self):
         rows = [(None, 1, None, None, 1.0)]
