@@ -387,8 +387,8 @@ class Distinct(LogicalOperator):
 class OrderBy(LogicalOperator):
     """Sort; ``items`` are (column reference, ascending) pairs.
 
-    Under the paper's unordered XML model this mainly provides the
-    *clustering* that the constant-space tagger needs.
+    For publishing it provides the key order of the document (DESIGN.md
+    §7) and the *clustering* that the constant-space tagger needs.
     """
 
     child: LogicalOperator

@@ -9,15 +9,19 @@ query PGQ is evaluated on each group ... by treating each group as a
 temporary relation, binding a relation-valued parameter $group to each group
 in succession."
 
-Both partitioning strategies are implemented:
+Both partitioning strategies are implemented, and both emit their groups
+in **key order** (``key_function``'s order: NULLS FIRST, NaN above +inf),
+the order ORDER BY and the sorted outer union use, so the two SQL
+formulations of a published view yield one document:
 
-* ``hash`` — one pass building ``dict[key] -> rows``; group output order is
-  first-appearance order (deterministic for reproducible tests, like a
-  hash-partition that preserves bucket discovery order);
+* ``hash`` — one pass building ``dict[key] -> rows``, then one sort of
+  the O(groups) key directory at the end of the partition phase;
 * ``sort`` — sort the materialized input on the grouping key and split runs;
   output groups are clustered in key order, which makes the downstream
   clustering the tagger needs free of charge (the Section 3.1 point that an
   explicit partition operator above GApply becomes redundant).
+
+Either way a group's rows keep their arrival order.
 
 Rows with NULL grouping values form a single NULL group, matching GROUP BY.
 
@@ -31,14 +35,12 @@ projection-before-GApply rule, so the copy keeps the cost model honest.
 Under a cell budget the partition phase **spills to disk** through the
 one external merge sort ORDER BY and DISTINCT use
 (:class:`~repro.storage.spill.RunWriter`), then cuts the merged stream
-into groups like the in-memory sort. Sort partitioning orders on the
-grouping key; hash partitioning on each key's first-appearance rank, so
-it keeps only a ``key -> rank`` dict (O(groups)) and the stable merge
-returns groups in first-appearance order and rows in arrival order.
-Either way the output is the in-memory one byte for byte: pickle
-round-trips values exactly, and keys hold ``NULL_KEY``/``NAN_KEY``
-singletons, so a key read back from a run is the key it was ranked
-under. Spilling counts
+into groups like the in-memory sort. Both partitionings order the spill
+on the grouping key, so it holds no per-group state in memory, and the
+stable merge returns groups in key order and rows in arrival order: the
+in-memory output byte for byte. Pickle round-trips values exactly, and
+keys hold ``NULL_KEY``/``NAN_KEY`` singletons, so a key read back from a
+run is the key it was sorted under. Spilling counts
 ``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold comes
 from ``PlannerOptions.gapply_spill_threshold`` (forced, for tests and
 the spill benchmark) or from the query governor's memory budget; the
@@ -148,25 +150,17 @@ class PGApply(PhysicalOperator):
     def partition(
         self, rows: Iterable[Row], ctx: ExecutionContext
     ) -> Iterator[tuple[tuple, list[Row]]]:
-        """Group ``rows`` into ``(key_values, group_rows)`` pairs.
+        """Group ``rows`` into ``(key_values, group_rows)`` pairs, in key
+        order.
 
         The result is a generator; close it to reclaim spill state.
         """
         threshold = self._effective_spill_threshold(ctx)
+        if threshold is not None:
+            return self._partition_spill(rows, ctx, self._group_key, threshold)
         if self.partitioning == HASH_PARTITION:
-            key_of = self._hash_key
-            if threshold is None:
-                return self._partition_hash(rows, ctx, key_of)
-            rank: dict[Hashable, int] = {}
-            return self._partition_spill(
-                self._rank_keys(rows, ctx, key_of, rank),
-                ctx,
-                lambda row: rank[key_of(row)],
-                threshold,
-            )
-        if threshold is None:
-            return self._partition_sort(rows, ctx)
-        return self._partition_spill(rows, ctx, self._group_key, threshold)
+            return self._partition_hash(rows, ctx)
+        return self._partition_sort(rows, ctx)
 
     def _count_partition(
         self, ctx: ExecutionContext, total: int, peak_rows: int
@@ -176,7 +170,8 @@ class PGApply(PhysicalOperator):
         if ctx.metrics is not None:
             ctx.metrics.record_for(self).partition_rows += total
 
-    def _partition_hash(self, rows, ctx, key_of):
+    def _partition_hash(self, rows, ctx):
+        key_of = self._hash_key
         key_getter = self._key_getter
         buckets: dict[Hashable, tuple[tuple, list[Row]]] = {}
         for row in rows:
@@ -192,7 +187,8 @@ class PGApply(PhysicalOperator):
         ctx.counters.hash_inserts += total
         ctx.counters.buffered_cells += total * len(self.outer.schema)
         self._count_partition(ctx, total, total)
-        yield from buckets.values()
+        key = self._key
+        yield from sorted(buckets.values(), key=lambda entry: key(entry[0]))
 
     def _partition_sort(self, rows, ctx):
         buffered = [_buffer_row(row) for row in rows]
@@ -224,17 +220,6 @@ class PGApply(PhysicalOperator):
             bucket.append(row)
         if current_key is not None:
             yield current_values, bucket
-
-    @staticmethod
-    def _rank_keys(rows, ctx, key_of, rank: dict[Hashable, int]):
-        """Pass ``rows`` through, giving each new key the next rank."""
-        counters = ctx.counters
-        for row in rows:
-            counters.hash_inserts += 1
-            key = key_of(row)
-            if key not in rank:
-                rank[key] = len(rank)
-            yield row
 
     def _partition_spill(self, rows, ctx, order_key, threshold: int):
         """External merge sort (:class:`~repro.storage.spill.RunWriter`)

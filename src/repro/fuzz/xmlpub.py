@@ -30,10 +30,12 @@ Two layers of seeded random cases, both with a materialized reference:
 
 * **View-level** (sampled) — the standard supplier view over randomized
   hostile table data, published end-to-end through
-  :meth:`Database.publish <repro.api.Database.publish>`: streamed bytes
-  must equal running the same SQL formulation on the row iterators
-  (:func:`repro.fuzz.oracle.reference_rows`) and tagging the result, for
-  both formulations.
+  :meth:`Database.publish <repro.api.Database.publish>`. The document
+  order is key order (DESIGN.md §7), so there is one reference per case:
+  the sorted outer union's SQL run on the row iterators
+  (:func:`repro.fuzz.oracle.reference_rows`) and tagged. Every variant —
+  both formulations × hash and sort partitioning × in memory and spilled
+  — must stream it byte for byte (``view-variants`` in the summary).
 
 The ``xmlpub`` profile of the one driver (:mod:`repro.fuzz.driver`): a
 failure has kind ``xmlpub`` and its stage (``chunking`` / ``parse`` /
@@ -56,10 +58,12 @@ from typing import Any, Iterable
 
 from repro.api import Database
 from repro.errors import ReproError
+from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.fuzz.corpus import read_reproducers, write_reproducer
 from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
 from repro.fuzz.shrink import xmlpub_candidates
+from repro.optimizer.planner import PlannerOptions
 from repro.storage.types import DataType, key_function
 from repro.xmlpub.stream import PublishStats, stream_document
 from repro.xmlpub.tagger import (
@@ -395,6 +399,25 @@ VIEW_XQUERIES = (
         "for $s in /doc(tpch.xml)/suppliers/supplier where "
         "avg($s/part/p_retailprice) > 30 return $s",
     ),
+    (
+        "parent",
+        "for $s in /doc(tpch.xml)/suppliers/supplier return <ret> "
+        "$s/s_suppkey, $s/s_name, <parts> for $p in $s/part return <part> "
+        "$p/p_name </part> </parts>, avg($s/part/p_retailprice) </ret>",
+    ),
+)
+
+#: Cells GApply's partition buffer holds before a spilled variant flushes
+#: a run: two rows of the four-column outer query.
+VIEW_SPILL_THRESHOLD = 8
+
+#: Every way a view case is published: (formulation, partitioning, forced
+#: spill threshold or None).
+VIEW_VARIANTS = tuple(
+    (formulation, partitioning, threshold)
+    for formulation in FORMULATIONS
+    for partitioning in (HASH_PARTITION, SORT_PARTITION)
+    for threshold in (None, VIEW_SPILL_THRESHOLD)
 )
 
 
@@ -437,37 +460,49 @@ def build_view_database(rng: random.Random) -> Database:
     return db
 
 
-def check_view_case(seed: int) -> Failure | None:
-    """Streamed == materialized, end to end through ``Database.publish``,
-    for both formulations."""
+def check_view_case(seed: int, tally: Counter | None = None) -> Failure | None:
+    """Every :data:`VIEW_VARIANTS` publish streams the one reference
+    document: the union SQL's rows on the row iterators, tagged."""
 
     def failed(detail: str) -> Failure:
         return Failure(seed, XMLPUB, detail, config="view")
 
     rng = random.Random(seed ^ 0xD0C)
     db = build_view_database(rng)
-    name, query = VIEW_XQUERIES[seed % len(VIEW_XQUERIES)]
+    name, query = VIEW_XQUERIES[(seed // VIEW_CASE_EVERY) % len(VIEW_XQUERIES)]
     view = tpch_supplier_view()
     translated = translate_xquery(query, view, db.catalog)
-    for formulation in FORMULATIONS:
-        sql = translated.sql_for(formulation)
-        reference = (
-            ConstantSpaceTagger(translated.spec)
-            .tag_to_string(reference_rows(db, sql))
-            .encode()
+    reference = (
+        ConstantSpaceTagger(translated.spec)
+        .tag_to_string(reference_rows(db, translated.outer_union_sql))
+        .encode()
+    )
+    for formulation, partitioning, threshold in VIEW_VARIANTS:
+        options = PlannerOptions(
+            gapply_partitioning=partitioning, gapply_spill_threshold=threshold
         )
-        config = f"{name}/{formulation}"
+        config = (
+            f"{name}/{formulation}/{partitioning}/"
+            f"{'memory' if threshold is None else 'spilled'}"
+        )
         try:
             streamed = db.publish(
-                view, query, formulation, chunk_bytes=rng.choice(CHUNK_SIZES)
+                view,
+                query,
+                formulation,
+                chunk_bytes=rng.choice(CHUNK_SIZES),
+                planner_options=options,
             ).read_all()
         except ReproError as error:
             return failed(f"{config}: {type(error).__name__}: {error}")
         if streamed != reference:
             return failed(
-                f"{config}: streamed {len(streamed)}B != "
-                f"materialized {len(reference)}B"
+                f"{config}: streamed {len(streamed)}B != the union "
+                f"reference's {len(reference)}B\n"
+                f"streamed:  {streamed!r}\nreference: {reference!r}"
             )
+        if tally is not None:
+            tally["view-variants"] += 1
     return None
 
 
@@ -590,7 +625,8 @@ def load_xmlpub_corpus(directory: Path | str) -> list[XmlPubCase]:
 # The profile
 # ----------------------------------------------------------------------
 
-#: One seed in this many also runs an end-to-end view case.
+#: One seed in this many also runs an end-to-end view case; successive
+#: view cases take successive :data:`VIEW_XQUERIES`.
 VIEW_CASE_EVERY = 5
 
 
@@ -627,7 +663,7 @@ def _check(case: XmlPubCase, tally: Counter) -> Failure | None:
     failure = check_case(case)
     if failure is None and case.seed % VIEW_CASE_EVERY == 0:
         tally["view-cases"] += 1
-        failure = check_view_case(case.seed)
+        failure = check_view_case(case.seed, tally)
     return failure
 
 

@@ -31,9 +31,8 @@ inputs in argument order, so passing runs in creation order (and the
 in-memory tail last) reproduces Python's stable in-memory sort exactly.
 
 :class:`RunWriter` is the one budgeted external sort built on them:
-GApply's partition phase (hash partitioning sorts on each key's
-first-appearance rank, sort partitioning on the key itself), ORDER BY
-and both phases of DISTINCT feed it items and read them back in key
+GApply's partition phase (both partitionings sort on the grouping key),
+ORDER BY and both phases of DISTINCT feed it items and read them back in key
 order; nothing else constructs a run. It merges every :data:`FAN_IN`
 runs of one level into one run of the next, so the files it holds open
 grow with the logarithm of the input, not with it.

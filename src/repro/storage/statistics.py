@@ -111,15 +111,17 @@ def compute_column_statistics(
     row_count = len(values)
     non_null = [v for v in values if v is not None]
     null_count = row_count - len(non_null)
-    distinct = len(
-        set(non_null if raw_keys([dtype]) else map(value_key(dtype), non_null))
-    )
+    raw = raw_keys([dtype])
+    distinct = len(set(non_null if raw else map(value_key(dtype), non_null)))
+    # NaN compares False with everything, so min/max would return whichever
+    # NaN came first: the range is over the other values.
+    comparable = non_null if raw else [v for v in non_null if v == v]
     min_value = max_value = None
     histogram: tuple[HistogramBucket, ...] = ()
-    if non_null:
+    if comparable:
         try:
-            min_value = min(non_null)
-            max_value = max(non_null)
+            min_value = min(comparable)
+            max_value = max(comparable)
         except TypeError:
             min_value = max_value = None
         if (

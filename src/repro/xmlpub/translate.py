@@ -14,11 +14,11 @@ produces:
   the element's rows *once*, ``group by key : g``, and a per-group query
   that unions the return items computed over the group variable.
 
-Both produce the identical row layout ``[key, branch, payload...]`` and the
-same :class:`~repro.xmlpub.tagger.TaggerSpec`, so the published documents
-are byte-identical (up to group order, which the unordered XML model of
-Section 2 leaves unspecified; the GApply output is clustered, the outer
-union additionally sorted).
+Both produce the identical row layout ``[key, branch, payload...]``, in
+key order (DESIGN.md §7: the outer union sorts on ``gkey, branch``,
+GApply emits its groups in key order), and the same
+:class:`~repro.xmlpub.tagger.TaggerSpec`, so the published documents are
+byte-identical. Both emit a group exactly for each key with a child row.
 
 Supported query class (everything in the paper):
 
@@ -348,11 +348,17 @@ class Translator:
                     f"select distinct {branch_id} as branch, "
                     f"{pad([column], offset)} from g"
                 )
+                # a group exists iff its key has a child row: the gapply
+                # outer query joins parent to child, so read only parents
+                # with a child here too
                 parent_columns = ", ".join(self.node_columns(top))
                 union_branches.append(
                     f"select {top.key[0]} as gkey, {branch_id} as branch, "
                     f"{pad([column], offset)} from ({top.query}) as "
-                    f"{alias}({parent_columns})"
+                    f"{alias}({parent_columns}) where exists (select "
+                    f"{alias}c.{child_key} from ({child.query}) as "
+                    f"{alias}c({child_columns}) where {alias}c.{child_key} = "
+                    f"{alias}.{edge.parent_columns[0]})"
                 )
             elif spec["kind"] == "aggregate":
                 aggregate: XqAggregate = spec["agg"]
@@ -379,13 +385,29 @@ class Translator:
                     f"select {branch_id} as branch, {pad([agg_expr], offset)} "
                     f"from g{predicate_sql_g}"
                 )
-                union_branches.append(
-                    f"select {alias}.{child_key} as gkey, "
-                    f"{branch_id} as branch, {pad([agg_expr], offset)} "
-                    f"from ({child.query}) as {alias}({child_columns}) "
-                    f"where 1 = 1{predicate_sql_u} "
-                    f"group by {alias}.{child_key}"
-                )
+                if aggregate.predicate is None:
+                    union_branches.append(
+                        f"select {alias}.{child_key} as gkey, "
+                        f"{branch_id} as branch, {pad([agg_expr], offset)} "
+                        f"from ({child.query}) as {alias}({child_columns}) "
+                        f"group by {alias}.{child_key}"
+                    )
+                else:
+                    # Grouping the filtered rows would drop a group none of
+                    # whose rows pass (the COUNT bug): aggregate each key
+                    # that has a child row over its rows that pass, as the
+                    # per-group query does (count(()) = 0).
+                    per_key = (
+                        f"(select {agg_expr} from ({child.query}) as "
+                        f"{alias}({child_columns}) where {alias}.{child_key} "
+                        f"= {alias}k.gkey{predicate_sql_u})"
+                    )
+                    union_branches.append(
+                        f"select {alias}k.gkey as gkey, {branch_id} as branch, "
+                        f"{pad([per_key], offset)} from (select distinct "
+                        f"{child_key} from ({child.query}) as "
+                        f"{alias}d({child_columns})) as {alias}k(gkey)"
+                    )
             else:  # nested
                 nested: XqFlwr = spec["flwr"]
                 fields = spec["fields"]

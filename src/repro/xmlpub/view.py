@@ -34,8 +34,9 @@ The child's correlation to the parent binding variable ``$s`` is expressed
 declaratively: ``child_columns`` of the child query equal
 ``parent_columns`` of the parent element's row.
 
-The paper assumes an **unordered** XML model (Section 2); views therefore
-carry no sibling-order annotations beyond key-based clustering.
+The paper assumes an unordered XML model (Section 2), but XML is ordered:
+a published view's top-level elements appear in **key order** (DESIGN.md
+§7), so views carry no sibling-order annotations beyond their keys.
 """
 
 from __future__ import annotations

@@ -102,7 +102,6 @@ def run(request, db):
         assert live_spill_files() == frozenset()
         return rows
 
-    execute.partitioning = partitioning
     return execute
 
 
@@ -174,8 +173,5 @@ class TestOneAnswerPerStrategy:
         )
         assert len(rows) == len(EXPECTED_GROUPS)
         assert {rank(k): (n, s) for k, n, s in rows} == EXPECTED_GROUPS
-        order = [rank(k) for k, _, _ in rows]
-        if run.partitioning == SORT_PARTITION:
-            assert order == sorted(EXPECTED_GROUPS)
-        else:
-            assert order == list(EXPECTED_GROUPS)  # first appearance
+        # Key order under every partitioning, in memory and spilled.
+        assert [rank(k) for k, _, _ in rows] == sorted(EXPECTED_GROUPS)

@@ -13,6 +13,7 @@ Three layers, mirroring the SQL fuzzer's tier-1 tests:
   every reproducer in the corpus loses its meaning.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,9 @@ from repro.fuzz.xmlpub import _has_single_type_run
 from repro.fuzz.xmlpub import check_case as check_xmlpub_case
 from repro.fuzz.xmlpub import (
     NASTY_VALUES,
+    VIEW_CASE_EVERY,
+    VIEW_VARIANTS,
+    VIEW_XQUERIES,
     XmlPubCase,
     check_view_case,
     generate_xmlpub_case,
@@ -40,6 +44,7 @@ class TestSweep:
         assert report.ok, report.summary()
         assert report.cases == 40
         assert report.tally["view-cases"] == 8  # the seeds divisible by 5
+        assert report.tally["view-variants"] == 8 * len(VIEW_VARIANTS)
         # the tagger's per-column fast paths ran, and the summary says so
         assert report.tally["single-type-cases"] > 0
         assert "single-type-cases=" in report.summary()
@@ -117,7 +122,10 @@ class TestDeterminism:
             assert first.rows == second.rows
 
     def test_view_case_differential(self):
-        # One end-to-end case per supported view query family, directly.
-        for seed in range(5):
-            failure = check_view_case(seed)
+        # One end-to-end case per supported view query family, directly:
+        # every variant publishes the union reference's bytes.
+        tally = Counter()
+        for seed in range(0, VIEW_CASE_EVERY * len(VIEW_XQUERIES), VIEW_CASE_EVERY):
+            failure = check_view_case(seed, tally)
             assert failure is None, str(failure)
+        assert tally["view-variants"] == len(VIEW_XQUERIES) * len(VIEW_VARIANTS)

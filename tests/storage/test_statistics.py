@@ -73,6 +73,23 @@ class TestColumnStatistics:
         )
         assert stats.distinct_count == 3  # NaN, 1.0 and ±0.0
 
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.ANY])
+    def test_nan_position_does_not_change_the_range(self, dtype):
+        nan = float("nan")
+        first = compute_column_statistics([nan, 1.0, 2.0, 3.0, 4.0], dtype=dtype)
+        last = compute_column_statistics([1.0, 2.0, 3.0, 4.0, nan], dtype=dtype)
+        assert first == last
+        assert (first.min_value, first.max_value) == (1.0, 4.0)
+        assert first.histogram
+        assert first.selectivity_range(None, 2.5) == last.selectivity_range(
+            None, 2.5
+        )
+
+    def test_all_nan_column_has_no_range(self):
+        stats = compute_column_statistics([float("nan")] * 3, dtype=DataType.FLOAT)
+        assert (stats.min_value, stats.max_value) == (None, None)
+        assert stats.histogram == ()
+
     def test_no_histogram_for_booleans(self):
         stats = compute_column_statistics([True, False, True])
         assert stats.histogram == ()

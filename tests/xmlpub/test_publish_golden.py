@@ -1,28 +1,31 @@
 """Golden-document conformance: byte-for-byte XML for every paper query.
 
 Each of the five supported XQueries is published under both SQL
-formulations (sorted outer union and GApply), through the *streaming*
-path (:meth:`Database.publish`, the compiled plan) and again from the
-rows the row-iterator reference yields for the same SQL, and compared
+formulations (sorted outer union and GApply) and both GApply
+partitionings (hash and sort), through the *streaming* path
+(:meth:`Database.publish`, the compiled plan) and again from the rows
+the row-iterator reference yields for the same SQL, and compared
 byte-for-byte against
 
-* a checked-in golden snapshot under ``tests/snapshots/xml`` — so any
-  change to translation, execution order, escaping, or tagging shows up
-  as a reviewable XML diff (regenerate with
-  ``pytest --update-snapshots``); and
+* one checked-in golden snapshot per query under
+  ``tests/snapshots/xml`` — so any change to translation, execution
+  order, escaping, or tagging shows up as a reviewable XML diff
+  (regenerate with ``pytest --update-snapshots``); and
 * the materialized reference (``db.sql`` + ``tag_to_string``) — so
   streaming is provably a pure re-framing of the same document.
 
-One snapshot per (query, formulation): the compiled plan and the row
-iterators must agree on the exact bytes, which is itself part of the
-conformance claim.
+One snapshot per query: the document order is key order (DESIGN.md §7),
+so every formulation, partitioning and row source must publish the same
+bytes, which is itself part of the conformance claim.
 """
 
 from pathlib import Path
 
 import pytest
 
+from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.fuzz.oracle import reference_rows
+from repro.optimizer.planner import PlannerOptions
 from repro.xmlpub import (
     FORMULATIONS,
     ConstantSpaceTagger,
@@ -42,8 +45,8 @@ CASES = [
 ]
 
 
-def _snapshot_path(name: str, formulation: str) -> Path:
-    return SNAPSHOT_DIR / f"{name}-{formulation}.xml"
+def _snapshot_path(name: str) -> Path:
+    return SNAPSHOT_DIR / f"{name}.xml"
 
 
 #: Where the document's rows come from: ``vector`` is ``Database.publish``
@@ -63,33 +66,37 @@ def test_streamed_document_matches_golden(
     view = tpch_supplier_view()
     translated = translate_xquery(query, view, xml_db.catalog)
     sql = translated.sql_for(formulation)
-    if rows_from == "vector":
-        with xml_db.publish(view, query, formulation) as stream:
-            streamed = stream.read_all()
-        assert stream.exhausted and stream.error is None
-        rows = xml_db.sql(sql).rows
-    else:
-        rows = list(reference_rows(xml_db, sql))
-        streamed = b"".join(stream_document(rows, translated.spec))
+    path = _snapshot_path(name)
+    for partitioning in (HASH_PARTITION, SORT_PARTITION):
+        options = PlannerOptions(gapply_partitioning=partitioning)
+        if rows_from == "vector":
+            with xml_db.publish(
+                view, query, formulation, planner_options=options
+            ) as stream:
+                streamed = stream.read_all()
+            assert stream.exhausted and stream.error is None
+            rows = xml_db.sql(sql, planner_options=options).rows
+        else:
+            rows = list(reference_rows(xml_db, sql, planner_options=options))
+            streamed = b"".join(stream_document(rows, translated.spec))
 
-    # Streaming must be a pure re-framing of the materialized document.
-    materialized = ConstantSpaceTagger(translated.spec).tag_to_string(rows)
-    assert streamed == materialized.encode("utf-8")
+        # Streaming must be a pure re-framing of the materialized document.
+        materialized = ConstantSpaceTagger(translated.spec).tag_to_string(rows)
+        assert streamed == materialized.encode("utf-8")
 
-    path = _snapshot_path(name, formulation)
-    if update_snapshots:
-        SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
-        path.write_text(streamed.decode("utf-8"))
-        return
-    assert path.exists(), (
-        f"missing golden document {path.name}; run "
-        "pytest --update-snapshots to (re)generate it"
-    )
-    assert streamed.decode("utf-8") == path.read_text(), (
-        f"published XML diverged from {path.name} "
-        f"(rows from {rows_from}); if the change is intentional, regenerate "
-        "with pytest --update-snapshots"
-    )
+        if update_snapshots:
+            SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
+            path.write_text(streamed.decode("utf-8"))
+            continue
+        assert path.exists(), (
+            f"missing golden document {path.name}; run "
+            "pytest --update-snapshots to (re)generate it"
+        )
+        assert streamed.decode("utf-8") == path.read_text(), (
+            f"published XML diverged from {path.name} ({formulation}, "
+            f"{partitioning} partitioning, rows from {rows_from}); if the "
+            "change is intentional, regenerate with pytest --update-snapshots"
+        )
 
 
 @pytest.mark.parametrize(
@@ -113,8 +120,6 @@ def test_chunk_size_never_changes_the_document(
 def test_snapshots_have_no_strays(update_snapshots):
     if update_snapshots:
         pytest.skip("snapshot set is being rewritten")
-    known = {
-        f"{name}-{formulation}.xml" for name, _q, formulation in CASES
-    }
+    known = {f"{name}.xml" for name, _q, _tag in PAPER_QUERIES}
     present = {path.name for path in SNAPSHOT_DIR.glob("*.xml")}
     assert present == known

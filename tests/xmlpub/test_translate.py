@@ -1,17 +1,16 @@
 """Integration tests for the XQuery -> SQL translator.
 
 The central claim: for every supported query, the sorted-outer-union
-formulation and the gapply formulation produce equivalent XML documents
-(identical group fragments; group order is unspecified under the paper's
-unordered model).
+formulation and the gapply formulation publish the same document, byte
+for byte: group elements in key order (DESIGN.md §7), and a group element
+exactly for each key with a child row.
 """
-
-import re
 
 import pytest
 
 from repro.api import Database
 from repro.errors import XmlPublishError
+from repro.storage import DataType
 from repro.xmlpub import (
     ConstantSpaceTagger,
     Translator,
@@ -22,11 +21,7 @@ from repro.xmlpub import (
 from tests.xmlpub.queries import AGS, GS, Q1, Q2, Q3
 
 
-def group_fragments(xml: str, tag: str) -> list[str]:
-    return sorted(re.findall(rf"<{tag}>.*?</{tag}>", xml))
-
-
-def roundtrip(db: Database, query: str, tag: str):
+def roundtrip(db: Database, query: str):
     translated = translate_xquery(query, tpch_supplier_view(), db.catalog)
     union_rows = db.sql(translated.outer_union_sql).rows
     gapply_rows = db.sql(translated.gapply_sql).rows
@@ -40,19 +35,19 @@ def roundtrip(db: Database, query: str, tag: str):
 
 class TestEquivalence:
     @pytest.mark.parametrize(
-        "query, tag",
-        [(Q1, "ret"), (Q2, "ret"), (Q3, "ret"), (GS, "supplier"), (AGS, "supplier")],
+        "query",
+        [Q1, Q2, Q3, GS, AGS],
         ids=["q1", "q2", "q3", "group-selection", "aggregate-selection"],
     )
-    def test_both_formulations_publish_same_document(self, xml_db, query, tag):
-        union_xml, gapply_xml, _ = roundtrip(xml_db, query, tag)
-        assert group_fragments(union_xml, tag) == group_fragments(gapply_xml, tag)
-        assert group_fragments(union_xml, tag)  # non-empty result
+    def test_both_formulations_publish_same_document(self, xml_db, query):
+        union_xml, gapply_xml, _ = roundtrip(xml_db, query)
+        assert union_xml == gapply_xml
+        assert "<s_suppkey>" in union_xml  # non-empty result
 
 
 class TestQ1Details:
     def test_document_content(self, xml_db):
-        union_xml, _, _ = roundtrip(xml_db, Q1, "ret")
+        union_xml, _, _ = roundtrip(xml_db, Q1)
         # supplier 101 supplies parts 1,4,7,10 -> avg 55
         assert "<avg_p_retailprice>55</avg_p_retailprice>" in union_xml
         assert "<part><p_name>part1</p_name>" in union_xml
@@ -74,20 +69,16 @@ class TestQ1Details:
 
 class TestGroupSelectionDetails:
     def test_only_qualifying_suppliers_published(self, xml_db):
-        union_xml, gapply_xml, _ = roundtrip(xml_db, GS, "supplier")
+        union_xml, _, _ = roundtrip(xml_db, GS)
         # parts with price > 90: 10, 11, 12 -> suppliers 101, 102, 100
         assert union_xml.count("<supplier>") == 3
-        union_xml, gapply_xml, _ = roundtrip(
-            xml_db,
-            GS.replace("> 90", "> 110"),
-            "supplier",
-        )
+        union_xml, _, _ = roundtrip(xml_db, GS.replace("> 90", "> 110"))
         # only part 12 (price 120) -> supplier 100
         assert union_xml.count("<supplier>") == 1
         assert "<s_suppkey>100</s_suppkey>" in union_xml
 
     def test_aggregate_selection_threshold(self, xml_db):
-        union_xml, _, _ = roundtrip(xml_db, AGS, "supplier")
+        union_xml, _, _ = roundtrip(xml_db, AGS)
         # averages: 100 -> 75, 101 -> 55, 102 -> 65 ; > 60 keeps 100 and 102
         assert union_xml.count("<supplier>") == 2
 
@@ -151,11 +142,58 @@ class TestParentFields:
         assert "from supplier" in translated.gapply_sql
 
     def test_parent_field_roundtrip(self, xml_db):
-        union_xml, gapply_xml, _ = roundtrip(xml_db, PARENT_FIELDS, "ret")
-        assert group_fragments(union_xml, "ret") == group_fragments(
-            gapply_xml, "ret"
-        )
+        union_xml, gapply_xml, _ = roundtrip(xml_db, PARENT_FIELDS)
+        assert union_xml == gapply_xml
 
     def test_parent_field_rendered_once_per_group(self, xml_db):
-        _, gapply_xml, _ = roundtrip(xml_db, PARENT_FIELDS, "ret")
+        _, gapply_xml, _ = roundtrip(xml_db, PARENT_FIELDS)
         assert gapply_xml.count("<s_name>supp1</s_name>") == 1
+
+
+@pytest.fixture
+def sparse_db() -> Database:
+    """Supplier 101's one part equals its average, so none is below it;
+    supplier 102 has no parts."""
+    db = Database()
+    db.create_table(
+        "part",
+        [
+            ("p_partkey", DataType.INTEGER),
+            ("p_name", DataType.STRING),
+            ("p_retailprice", DataType.FLOAT),
+        ],
+        [(1, "part1", 10.0), (2, "part2", 20.0), (3, "part3", 30.0)],
+        primary_key=["p_partkey"],
+    )
+    db.create_table(
+        "partsupp",
+        [("ps_suppkey", DataType.INTEGER), ("ps_partkey", DataType.INTEGER)],
+        [(100, 1), (100, 2), (101, 3)],
+    )
+    db.create_table(
+        "supplier",
+        [("s_suppkey", DataType.INTEGER), ("s_name", DataType.STRING)],
+        [(100, "supp0"), (101, "supp1"), (102, "supp2")],
+        primary_key=["s_suppkey"],
+    )
+    return db
+
+
+class TestOneGroupPerKeyWithChildRows:
+    """A group element exists iff its key has a child row, and carries
+    every return item, under both formulations."""
+
+    def test_count_of_no_passing_rows_is_zero(self, sparse_db):
+        union_xml, gapply_xml, _ = roundtrip(sparse_db, Q2)
+        # count(()) = 0: grouping the filtered join would drop the element
+        assert (
+            "<ret><s_suppkey>101</s_suppkey><count_above>1</count_above>"
+            "<count_below>0</count_below></ret>"
+        ) in union_xml
+        assert union_xml == gapply_xml
+
+    def test_parent_without_child_rows_has_no_group(self, sparse_db):
+        union_xml, gapply_xml, _ = roundtrip(sparse_db, PARENT_FIELDS)
+        assert "<s_suppkey>101</s_suppkey><s_name>supp1</s_name>" in union_xml
+        assert "<s_suppkey>102</s_suppkey>" not in union_xml
+        assert union_xml == gapply_xml
