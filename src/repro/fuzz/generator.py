@@ -24,7 +24,11 @@ SQLite oracle, steering around the documented gaps (see
 Data targets the paper's stress axes: skewed group sizes (a few big
 groups, a long tail), NULL-heavy grouping and value columns, groups that
 a per-group WHERE empties out, and FK chains between tables for joins
-under and over GApply.
+under and over GApply. A *join-region* case (``generate_case(seed,
+regions=True)`` draws about one in five, by an rng of its own, so every
+other case is the one ``regions=False`` draws) builds 3-4 tables linked
+as an FK chain or star and joins all of them, FROM items and join
+conditions shuffled, so the optimizer has a join order to choose.
 """
 
 from __future__ import annotations
@@ -139,12 +143,27 @@ def _skewed_pick(rng: random.Random, pool: list):
     return rng.choice(pool[1:])
 
 
+#: Share of cases that join a 3-4 table FK chain or star.
+JOIN_REGION_SHARE = 0.2
+
+
+def _region_parents(rng: random.Random) -> list[int]:
+    """Each table's FK parent (index) in a 3-4 table chain or star."""
+    n_tables = rng.choice([3, 4])
+    if rng.random() < 0.5:
+        return [index - 1 for index in range(n_tables)]
+    return [0 if index else -1 for index in range(n_tables)]
+
+
 def generate_database(
-    rng: random.Random, nonfinite: random.Random | None = None
+    rng: random.Random,
+    nonfinite: random.Random | None = None,
+    parents: list[int] | None = None,
 ) -> FuzzDatabase:
     """A random schema and data; ``nonfinite`` (an rng of its own, so the
-    other draws stay those of a finite case) makes a nonfinite one."""
-    n_tables = rng.choice([1, 2, 2, 3])
+    other draws stay those of a finite case) makes a nonfinite one, and
+    ``parents`` fixes the tables and their FK parents (-1 for none)."""
+    n_tables = len(parents) if parents else rng.choice([1, 2, 2, 3])
     tables: list[FuzzTable] = []
     fks: list[tuple[str, str, str, str]] = []
     for index in range(n_tables):
@@ -161,8 +180,11 @@ def generate_database(
         if rng.random() < 0.6:
             columns.append(FuzzColumn(f"{prefix}s0", DataType.STRING, "value"))
         parent: FuzzTable | None = None
-        if index > 0 and rng.random() < 0.7:
+        if parents:
+            parent = tables[parents[index]] if parents[index] >= 0 else None
+        elif index > 0 and rng.random() < 0.7:
             parent = rng.choice(tables)
+        if parent is not None:
             columns.append(FuzzColumn(f"{prefix}fk", DataType.INTEGER, "fk"))
 
         n_rows = rng.choice([0, 3, 6, 10, 16, 25, 40])
@@ -222,9 +244,13 @@ def _col(column: FuzzColumn) -> A.AstColumn:
 
 
 class _QueryGenerator:
-    def __init__(self, rng: random.Random, db: FuzzDatabase):
+    def __init__(
+        self, rng: random.Random, db: FuzzDatabase, region: random.Random | None = None
+    ):
         self.rng = rng
         self.db = db
+        #: A join-region case's own rng: every FROM clause joins all tables.
+        self.region = region
 
     # -- literals ------------------------------------------------------
 
@@ -540,6 +566,8 @@ class _QueryGenerator:
         self, want_join: bool
     ) -> tuple[tuple[A.AstNode, ...], A.AstExpression | None, list[FuzzColumn]]:
         """FROM items + join predicate + the columns they bring in scope."""
+        if self.region is not None:
+            return self.region_from()
         rng = self.rng
         tables = self.db.tables
         first = rng.choice(tables)
@@ -576,6 +604,24 @@ class _QueryGenerator:
             return items, None, columns
         items = (A.AstTableRef(left.name), A.AstTableRef(right.name))
         return items, condition, columns
+
+    def region_from(
+        self,
+    ) -> tuple[tuple[A.AstNode, ...], A.AstExpression, list[FuzzColumn]]:
+        """Every table, in shuffled order, joined by its FK conditions (also
+        shuffled) as one comma join."""
+        tables = list(self.db.tables)
+        self.region.shuffle(tables)
+        conditions = [
+            A.AstBinary("=", A.AstColumn(child_col), A.AstColumn(parent_col))
+            for _, child_col, _, parent_col in self.db.foreign_keys
+        ]
+        self.region.shuffle(conditions)
+        where = conditions[0]
+        for condition in conditions[1:]:
+            where = A.AstBinary("and", where, condition)
+        items = tuple(A.AstTableRef(table.name) for table in tables)
+        return items, where, [c for table in tables for c in table.columns]
 
     def other_tables(self, in_scope: list[FuzzColumn]) -> list[FuzzTable]:
         scoped = {c.name for c in in_scope}
@@ -783,17 +829,21 @@ class FuzzCase:
         return print_query(self.query)
 
 
-def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
+def generate_case(seed: int, nonfinite: bool = False, regions: bool = False) -> FuzzCase:
     """The case of ``seed``; with ``nonfinite``, about one in five is a
-    nonfinite case (the rest are the cases ``nonfinite=False`` draws)."""
+    nonfinite case, and with ``regions`` about one in five a join-region
+    case (the rest are the cases drawn without them)."""
     rng = random.Random(seed)
     extra = random.Random(f"nonfinite:{seed}")
     floats = extra if nonfinite and extra.random() < 0.2 else None
-    db = generate_database(rng, floats)
+    joins = random.Random(f"joins:{seed}")
+    region = joins if regions and joins.random() < JOIN_REGION_SHARE else None
+    parents = _region_parents(region) if region is not None else None
+    db = generate_database(rng, floats, parents)
     while all(not t.rows for t in db.tables) and len(db.tables) < 4:
         # An all-empty database exercises nothing; re-roll data sizes.
-        db = generate_database(rng, floats)
-    gen = _QueryGenerator(rng, db)
+        db = generate_database(rng, floats, parents)
+    gen = _QueryGenerator(rng, db, region)
     if rng.random() < 0.55:
         query = gen.gapply_query()
     else:

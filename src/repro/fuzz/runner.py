@@ -11,9 +11,14 @@ For each seeded case :func:`run_case` runs three checks:
 3. **plan-space equivalence** — every planner configuration from the
    profile must reproduce the baseline rows exactly.
 
+The summary's ``join-reordered`` counts the cases whose join order the
+optimizer changed (:func:`join_reordered`): the cases where the
+configurations with and without ``join_order`` run different joins.
+
 ``quick``, ``full`` and ``engine`` differ in the configurations of
 step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
-the tier-1 slice, keeps every case on the oracle);
+the tier-1 slice, keeps every case on the oracle); all three draw
+join-region cases;
 :func:`repro.fuzz.driver.sweep` does the rest (seed loop, crash
 handling, shrinking with :func:`~repro.fuzz.shrink.sql_candidates`,
 corpus files, report).
@@ -24,6 +29,7 @@ from __future__ import annotations
 import sqlite3
 from collections import Counter
 
+from repro.api import Database
 from repro.errors import MemoryBudgetExceeded, ReproError
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
@@ -42,7 +48,17 @@ from repro.fuzz.planspace import (
     profile_configurations,
 )
 from repro.fuzz.shrink import sql_candidates
+from repro.optimizer.cost import CostModel
+from repro.optimizer.rules.join_order import JoinOrder, join_tree
 from repro.sql.sqlite import OracleUnsupportedError
+
+
+def join_reordered(db: Database, sql: str) -> bool:
+    """Whether the join-order pass changes the join tree of ``sql``'s
+    bound plan (the plan the rule search then starts from)."""
+    bound = db.plan(sql)
+    ordered = JoinOrder().order(bound, CostModel(db.catalog))
+    return join_tree(ordered) != join_tree(bound)
 
 
 def run_case(
@@ -68,6 +84,8 @@ def run_case(
     except ReproError as error:
         return failed("engine-error", f"  {type(error).__name__}: {error}")
 
+    if join_reordered(db, sql):
+        tally["join-reordered"] += 1
     if is_nonfinite(case.db):
         oracle_rows = None
         tally["nonfinite-cases"] += 1
@@ -124,7 +142,7 @@ def _sql_profile(name: str) -> Profile:
     nonfinite = name != QUICK_PROFILE
     return Profile(
         name,
-        lambda seed: generate_case(seed, nonfinite),
+        lambda seed: generate_case(seed, nonfinite, regions=True),
         lambda case, tally: run_case(case, configs, tally),
         candidates=sql_candidates,
         save=save_case,

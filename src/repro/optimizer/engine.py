@@ -14,6 +14,12 @@ rules. Hence, successive firing of rules will terminate." The engine also
 deduplicates explored trees structurally, so even rule sets with inverse
 pairs terminate.
 
+Before the search, :class:`~repro.optimizer.rules.join_order.JoinOrder`
+orders every inner-join region of the bound plan by cost, once (when it
+is among the rules): no rule of the search commutes or reassociates a
+join, so the search starts from the ordered regions and never enumerates
+join orders itself.
+
 Explored trees share most of their subtrees, so one search hash-conses
 them (:class:`SearchSpace`): structurally equal subtrees become one object
 for the length of the search, and each rule's rewrites of a subtree and
@@ -33,6 +39,7 @@ from repro.errors import OptimizerError
 from repro.optimizer.cost import CostModel, Estimate
 from repro.optimizer.rules import DEFAULT_RULES
 from repro.optimizer.rules.base import Rule, RuleContext
+from repro.optimizer.rules.join_order import JoinOrder
 from repro.storage.catalog import Catalog
 
 DEFAULT_MAX_ALTERNATIVES = 128
@@ -209,27 +216,48 @@ class Optimizer:
         self.max_alternatives = max_alternatives
 
     def explore(self, plan: LogicalOperator) -> list[LogicalOperator]:
-        """Every distinct plan reachable by rule application (incl. input)."""
-        return self._explore_traced(plan)[0]
+        """Every distinct plan reachable by rule application from the
+        join-ordered ``plan`` (that one first)."""
+        start, prologue = self._order_joins(plan, CostModel(self.catalog))
+        return self._explore_traced(start, prologue)[0]
+
+    def _order_joins(
+        self, plan: LogicalOperator, model: CostModel
+    ) -> tuple[LogicalOperator, list[str]]:
+        """``plan`` with its join regions ordered by the ``JoinOrder`` rules
+        among ``self.rules``, and the names of those that changed it."""
+        fired = []
+        for rule in self.rules:
+            if isinstance(rule, JoinOrder):
+                ordered = rule.order(plan, model)
+                if ordered != plan:
+                    plan = ordered
+                    fired.append(rule.name)
+        return plan, fired
 
     def _explore_traced(
-        self, plan: LogicalOperator
+        self, plan: LogicalOperator, prologue: list[str]
     ) -> tuple[list[LogicalOperator], list[tuple[int, str]], list[RuleFiring], bool]:
         """Breadth-first exploration: the alternatives in discovery order,
         each one's origin (index of the tree it was rewritten from, rule
-        name; unused for the input), the per-rule proposed/kept ledger, and
-        whether the alternative cap truncated the search. Alternatives are
-        interned (the input too), so ``seen`` is a set of identities."""
-        space = SearchSpace(RuleContext(self.catalog), self.rules)
+        name; unused for the input), the per-rule proposed/kept ledger (the
+        ``prologue`` rules, which rewrote the input before the search, count
+        one each), and whether the alternative cap truncated the search.
+        Alternatives are interned (the input too), so ``seen`` is a set of
+        identities."""
+        rules = [rule for rule in self.rules if not isinstance(rule, JoinOrder)]
+        space = SearchSpace(RuleContext(self.catalog), rules)
         plan = space.intern(plan)
         seen: set[int] = {id(plan)}
         ordered: list[LogicalOperator] = [plan]
         origins: list[tuple[int, str]] = [(0, "")]
         stats = {rule.name: [0, 0] for rule in self.rules}
+        for name in prologue:
+            stats[name] = [1, 1]
         truncated = len(ordered) >= self.max_alternatives
         cursor = 0
         while cursor < len(ordered) and not truncated:
-            for rule_index, rule in enumerate(self.rules):
+            for rule_index, rule in enumerate(rules):
                 tally = stats[rule.name]
                 for alternative in space.rewrites(ordered[cursor], rule_index):
                     tally[0] += 1
@@ -249,14 +277,19 @@ class Optimizer:
         return ordered, origins, trace, truncated
 
     def optimize(self, plan: LogicalOperator) -> OptimizationReport:
-        """Pick the cheapest alternative under the Section-4.4 cost model."""
-        alternatives, origins, rule_trace, truncated = self._explore_traced(plan)
+        """Order the join regions, then pick the cheapest alternative the
+        search reaches from there under the Section-4.4 cost model. The
+        ``original_estimate`` stays the bound plan's."""
         # The model estimates each (interned subtree, group size) pair once.
         model = CostModel(self.catalog)
-        original = model.estimate(alternatives[0])
+        start, prologue = self._order_joins(plan, model)
+        alternatives, origins, rule_trace, truncated = self._explore_traced(
+            start, prologue
+        )
+        original = model.estimate(plan)
         best_index = 0
-        best_estimate = original
-        for index, alternative in enumerate(alternatives[1:], 1):
+        best_estimate = model.estimate(alternatives[0])
+        for index, alternative in enumerate(alternatives):
             if alternative.schema != plan.schema:
                 raise OptimizerError(
                     "rule produced a plan with a different output schema:\n"
@@ -272,6 +305,7 @@ class Optimizer:
         while index:
             index, rule_name = origins[index]
             fired.append(rule_name)
+        fired.extend(reversed(prologue))
         fired.reverse()
         return OptimizationReport(
             best=alternatives[best_index],

@@ -11,6 +11,7 @@ from repro.optimizer.rules.group_selection import (
     ExistsGroupSelection,
 )
 from repro.optimizer.rules.invariant_grouping import PushGApplyBelowJoin
+from repro.optimizer.rules.join_order import JoinOrder
 from repro.optimizer.rules.projection import ProjectionBeforeGApply
 from repro.optimizer.rules.pull_gapply import PullGApplyAboveJoin
 from repro.optimizer.rules.pushdown import SelectPushdown
@@ -18,8 +19,10 @@ from repro.optimizer.rules.selection import SelectionBeforeGApply
 from repro.optimizer.rules.to_groupby import GApplyToGroupBy
 
 #: The full rule set, in the order the engine tries them. Order only
-#: affects exploration order, not the reachable set.
+#: affects exploration order, not the reachable set. ``JoinOrder`` is not
+#: explored: the engine applies it once, to the bound plan.
 DEFAULT_RULES: list[Rule] = [
+    JoinOrder(),
     PushSelectIntoPerGroup(),
     PushProjectIntoPerGroup(),
     SelectionBeforeGApply(),
@@ -51,6 +54,7 @@ __all__ = [
     "DEFAULT_RULES",
     "ExistsGroupSelection",
     "GApplyToGroupBy",
+    "JoinOrder",
     "NarrowPrune",
     "ProjectionBeforeGApply",
     "PullGApplyAboveJoin",

@@ -17,6 +17,11 @@ ALL_RULES_OFF = PlannerOptions(
     disabled_rules=tuple(rule.name for rule in DEFAULT_RULES)
 )
 
+#: Every rule but ``join_order``: join regions stay in their written order,
+#: so the search explores from the plan as bound.
+WRITTEN_ORDER = PlannerOptions(disabled_rules=("join_order",))
+SEARCH_RULES = WRITTEN_ORDER.active_rules()
+
 
 def pytest_addoption(parser):
     parser.addoption(

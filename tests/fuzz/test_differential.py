@@ -8,6 +8,7 @@ reproducer in ``tests/fuzz_corpus/`` must stay clean forever.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro.errors import PlanError
 from repro.fuzz import PROFILES, sweep
 from repro.fuzz.corpus import load_corpus
-from repro.fuzz.generator import generate_case, is_nonfinite
+from repro.fuzz.generator import JOIN_REGION_SHARE, generate_case, is_nonfinite
 from repro.fuzz.oracle import compare_multisets
 from repro.fuzz.planspace import plan_configurations, profile_configurations
 from repro.fuzz.runner import run_case
@@ -31,6 +32,8 @@ class TestSeededSweep:
         # The oracle must actually engage: skips should be the exception.
         assert report.tally["oracle-checked"] >= 190
         assert report.tally["plan-space-runs"] > 0
+        # Join-region cases reach the join-order pass and it reorders some.
+        assert report.tally["join-reordered"] > 0
 
     def test_generation_is_deterministic(self):
         first = generate_case(1234)
@@ -56,6 +59,23 @@ class TestSeededSweep:
             ]
         assert 0 < nonfinite < 30
         assert not any(is_nonfinite(generate_case(seed).db) for seed in range(60))
+
+    def test_join_region_draws_leave_other_cases_alone(self):
+        regions = 0
+        for seed in range(60):
+            case = generate_case(seed, regions=True)
+            if random.Random(f"joins:{seed}").random() < JOIN_REGION_SHARE:
+                regions += 1
+                assert len(case.db.tables) in (3, 4)
+                assert len(case.db.foreign_keys) == len(case.db.tables) - 1
+                assert all(table.name in case.sql for table in case.db.tables)
+                continue
+            plain = generate_case(seed)
+            assert case.sql == plain.sql
+            assert [t.rows for t in case.db.tables] == [
+                t.rows for t in plain.db.tables
+            ]
+        assert 0 < regions < 30
 
     def test_every_nan_normalizes_to_one_token(self):
         nan, other = float("nan"), float("inf") - float("inf")

@@ -1,9 +1,11 @@
 """Golden plan snapshots: EXPLAIN text for all 10 paper formulations.
 
 The default planner's chosen plan for every paper-query formulation is
-checked in verbatim under ``tests/snapshots/``. Any rule or cost-model
-change that alters a chosen plan fails here and must update the snapshot
-in the same diff — making plan regressions reviewable as text diffs.
+checked in verbatim under ``tests/snapshots/``, and the plan chosen with
+the ``join_order`` rule off (every join region in its written order)
+under ``tests/snapshots/written-order/``. Any rule or cost-model change
+that alters a chosen plan fails here and must update the snapshot in the
+same diff — making plan regressions reviewable as text diffs.
 
 Regenerate with::
 
@@ -18,9 +20,16 @@ from pathlib import Path
 import pytest
 
 from repro.api import Database
+from repro.optimizer.planner import PlannerOptions
 from repro.workloads.queries import PAPER_QUERIES
 
 SNAPSHOT_DIR = Path(__file__).resolve().parent.parent / "snapshots"
+
+#: Snapshot directory -> the planner options its plans are chosen under.
+SNAPSHOT_SETS = {
+    SNAPSHOT_DIR: None,
+    SNAPSHOT_DIR / "written-order": PlannerOptions(disabled_rules=("join_order",)),
+}
 
 
 def formulations() -> list[tuple[str, str]]:
@@ -41,17 +50,28 @@ def test_all_ten_formulations_are_covered():
 
 
 @pytest.mark.parametrize(
-    "label,sql", FORMULATIONS, ids=[label for label, _ in FORMULATIONS]
+    "directory,label,sql",
+    [
+        pytest.param(
+            directory,
+            label,
+            sql,
+            id=label if directory == SNAPSHOT_DIR else f"{directory.name}-{label}",
+        )
+        for directory in SNAPSHOT_SETS
+        for label, sql in FORMULATIONS
+    ],
 )
-def test_explain_snapshot(tpch_catalog, label, sql, update_snapshots):
+def test_explain_snapshot(tpch_catalog, directory, label, sql, update_snapshots):
     # Fresh Database (own empty plan cache) over the shared catalog: the
     # rendered "plan cache: miss" annotation stays deterministic no
     # matter which other tests warmed the session-scoped tpch_db.
     db = Database(tpch_catalog)
-    rendered = db.sql(sql, explain=True).render() + "\n"
-    path = SNAPSHOT_DIR / f"{label}.txt"
+    options = SNAPSHOT_SETS[directory]
+    rendered = db.sql(sql, explain=True, planner_options=options).render() + "\n"
+    path = directory / f"{label}.txt"
     if update_snapshots:
-        SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
         path.write_text(rendered)
         return
     assert path.exists(), (
@@ -68,5 +88,6 @@ def test_explain_snapshot(tpch_catalog, label, sql, update_snapshots):
 def test_snapshots_have_no_strays():
     """Every checked-in snapshot corresponds to a live formulation."""
     known = {f"{label}.txt" for label, _ in FORMULATIONS}
-    present = {path.name for path in SNAPSHOT_DIR.glob("*.txt")}
-    assert present <= known, f"stray snapshots: {sorted(present - known)}"
+    for directory in SNAPSHOT_SETS:
+        present = {path.name for path in directory.glob("*.txt")}
+        assert present <= known, f"stray snapshots: {sorted(present - known)}"

@@ -20,7 +20,7 @@ from repro.optimizer.rules import DEFAULT_RULES, RuleContext, rule_by_name
 from repro.storage import Catalog, DataType, table_from_rows
 from repro.workloads.queries import query_by_name
 from repro.workloads.rule_queries import TABLE1_SWEEPS
-from tests.conftest import ALL_RULES_OFF
+from tests.conftest import ALL_RULES_OFF, SEARCH_RULES
 from tests.observe.test_plan_snapshots import FORMULATIONS
 
 
@@ -76,7 +76,8 @@ REPLAY_CASES = FORMULATIONS + [
 
 class TestExploration:
     def test_explore_includes_original(self, catalog):
-        optimizer = Optimizer(catalog)
+        # Without join_order the search starts from the plan as bound.
+        optimizer = Optimizer(catalog, SEARCH_RULES)
         plan = sample_plan(catalog)
         alternatives = optimizer.explore(plan)
         assert alternatives[0] == plan
@@ -93,10 +94,11 @@ class TestExploration:
         for cap in (1, 3, 128):
             optimizer = Optimizer(catalog, max_alternatives=cap)
             assert len(optimizer.explore(sample_plan(catalog))) <= cap
-            # A search wide enough to hit every cap, not only the small ones.
-            report = Optimizer(tpch_db.catalog, max_alternatives=cap).optimize(
-                q2_baseline
-            )
+            # A search wide enough to hit every cap, not only the small ones:
+            # Q2's baseline with its join regions left as written.
+            report = Optimizer(
+                tpch_db.catalog, SEARCH_RULES, max_alternatives=cap
+            ).optimize(q2_baseline)
             assert report.explored == cap
             assert report.truncated
 
@@ -139,13 +141,16 @@ class TestOptimize:
 
     def test_fired_covers_a_long_derivation(self, catalog, tpch_db):
         """The best plan sits 8 firings from the input: one selection
-        pushed below 8 cross joins."""
+        pushed below 8 cross joins (join_order off: it would place the
+        selection before the search starts)."""
         nine_way = (
             "select r0.r_name from "
             + ", ".join(f"region r{i}" for i in range(9))
             + " where r0.r_regionkey = 1"
         )
-        report = Optimizer(tpch_db.catalog).optimize(tpch_db.plan(nine_way))
+        report = Optimizer(tpch_db.catalog, SEARCH_RULES).optimize(
+            tpch_db.plan(nine_way)
+        )
         assert report.fired == ["select_pushdown"] * 8
 
         part = catalog.table("part")
@@ -153,7 +158,7 @@ class TestOptimize:
         for i in range(1, 9):
             joined = Join(joined, TableScan.of(part, f"p{i}"), None)
         plan = Select(joined, eq(col("p0.p_brand"), lit("A")))
-        report = Optimizer(catalog).optimize(plan)
+        report = Optimizer(catalog, SEARCH_RULES).optimize(plan)
         assert report.fired == ["select_pushdown"] * 8
         assert isinstance(report.best, Join)
 

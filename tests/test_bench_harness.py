@@ -175,9 +175,10 @@ class TestHarnessModules:
             Measurement(2.0, 200, 10),
             Measurement(1.0, 100, 10),
             Measurement(1.5, 150, 10),
+            Measurement(4.0, 400, 10),
         )
         text = format_rows([row])
-        assert "Q1" in text and "2.00x" in text
+        assert "Q1" in text and "2.00x" in text and "4.00x" in text
 
     def test_table1_formatting(self):
         from repro.bench.table1 import format_summaries
