@@ -24,11 +24,11 @@ SQLite oracle, steering around the documented gaps (see
 Data targets the paper's stress axes: skewed group sizes (a few big
 groups, a long tail), NULL-heavy grouping and value columns, groups that
 a per-group WHERE empties out, and FK chains between tables for joins
-under and over GApply. A *join-region* case (``generate_case(seed,
-regions=True)`` draws about one in five, by an rng of its own, so every
-other case is the one ``regions=False`` draws) builds 3-4 tables linked
-as an FK chain or star and joins all of them, FROM items and join
-conditions shuffled, so the optimizer has a join order to choose.
+under and over GApply. A *join-region* case (about one in five, drawn by
+an rng of its own, so every other case is the one drawn without it)
+builds 3-4 tables linked as an FK chain or star and joins all of them,
+FROM items and join conditions shuffled, so the optimizer has a join
+order to choose.
 """
 
 from __future__ import annotations
@@ -829,15 +829,15 @@ class FuzzCase:
         return print_query(self.query)
 
 
-def generate_case(seed: int, nonfinite: bool = False, regions: bool = False) -> FuzzCase:
-    """The case of ``seed``; with ``nonfinite``, about one in five is a
-    nonfinite case, and with ``regions`` about one in five a join-region
-    case (the rest are the cases drawn without them)."""
+def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
+    """The case of ``seed``: about one in five is a join-region case, and
+    with ``nonfinite`` about one in five a nonfinite case (the rest are the
+    cases drawn without them)."""
     rng = random.Random(seed)
     extra = random.Random(f"nonfinite:{seed}")
     floats = extra if nonfinite and extra.random() < 0.2 else None
     joins = random.Random(f"joins:{seed}")
-    region = joins if regions and joins.random() < JOIN_REGION_SHARE else None
+    region = joins if joins.random() < JOIN_REGION_SHARE else None
     parents = _region_parents(region) if region is not None else None
     db = generate_database(rng, floats, parents)
     while all(not t.rows for t in db.tables) and len(db.tables) < 4:

@@ -11,14 +11,13 @@ For each seeded case :func:`run_case` runs three checks:
 3. **plan-space equivalence** — every planner configuration from the
    profile must reproduce the baseline rows exactly.
 
-The summary's ``join-reordered`` counts the cases whose join order the
-optimizer changed (:func:`join_reordered`): the cases where the
-configurations with and without ``join_order`` run different joins.
+The summary's ``join-reordered`` counts the cases where some
+configuration's chosen plan went through the ``join_order`` pass and has
+a join tree other than the written one.
 
 ``quick``, ``full`` and ``engine`` differ in the configurations of
 step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
-the tier-1 slice, keeps every case on the oracle); all three draw
-join-region cases;
+the tier-1 slice, keeps every case on the oracle);
 :func:`repro.fuzz.driver.sweep` does the rest (seed loop, crash
 handling, shrinking with :func:`~repro.fuzz.shrink.sql_candidates`,
 corpus files, report).
@@ -29,7 +28,6 @@ from __future__ import annotations
 import sqlite3
 from collections import Counter
 
-from repro.api import Database
 from repro.errors import MemoryBudgetExceeded, ReproError
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
@@ -48,17 +46,8 @@ from repro.fuzz.planspace import (
     profile_configurations,
 )
 from repro.fuzz.shrink import sql_candidates
-from repro.optimizer.cost import CostModel
-from repro.optimizer.rules.join_order import JoinOrder, join_tree
+from repro.optimizer.rules.join_order import join_tree
 from repro.sql.sqlite import OracleUnsupportedError
-
-
-def join_reordered(db: Database, sql: str) -> bool:
-    """Whether the join-order pass changes the join tree of ``sql``'s
-    bound plan (the plan the rule search then starts from)."""
-    bound = db.plan(sql)
-    ordered = JoinOrder().order(bound, CostModel(db.catalog))
-    return join_tree(ordered) != join_tree(bound)
 
 
 def run_case(
@@ -84,8 +73,6 @@ def run_case(
     except ReproError as error:
         return failed("engine-error", f"  {type(error).__name__}: {error}")
 
-    if join_reordered(db, sql):
-        tally["join-reordered"] += 1
     if is_nonfinite(case.db):
         oracle_rows = None
         tally["nonfinite-cases"] += 1
@@ -106,13 +93,14 @@ def run_case(
         if mismatch is not None:
             return failed("oracle", mismatch.describe())
 
+    reordered = False
     for config in configs:
         try:
-            rows = db.sql(
+            result = db.sql(
                 sql,
                 planner_options=config.options,
                 memory_budget=config.memory_budget,
-            ).rows
+            )
         except ReproError as error:
             if config.memory_budget is not None and isinstance(
                 error, MemoryBudgetExceeded
@@ -127,13 +115,18 @@ def run_case(
                 config.name,
             )
         tally["plan-space-runs"] += 1
-        mismatch = compare_multisets(baseline, rows)
+        mismatch = compare_multisets(baseline, result.rows)
         if mismatch is not None:
             return failed(
                 "planspace",
                 mismatch.describe("baseline", config.name),
                 config.name,
             )
+        report = result.optimization
+        if not reordered and "join_order" in report.fired:
+            reordered = join_tree(report.best) != join_tree(db.plan(sql))
+    if reordered:
+        tally["join-reordered"] += 1
     return None
 
 
@@ -142,7 +135,7 @@ def _sql_profile(name: str) -> Profile:
     nonfinite = name != QUICK_PROFILE
     return Profile(
         name,
-        lambda seed: generate_case(seed, nonfinite, regions=True),
+        lambda seed: generate_case(seed, nonfinite),
         lambda case, tally: run_case(case, configs, tally),
         candidates=sql_candidates,
         save=save_case,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.algebra.expressions import (
     And,
+    CaseWhen,
     ColumnRef,
     Comparison,
     ComparisonOp,
@@ -105,6 +106,18 @@ class JoinMethod:
     lookup: JoinSide | None = None
 
 
+def _references(names) -> list[Expression]:
+    return [ColumnRef(name) for name in names]
+
+
+def _distinct_count(stats: ColumnStatistics | None, rows: float) -> float:
+    """A column's distinct values by its statistics, or over ``rows`` rows
+    of a column without them."""
+    if stats is None or stats.distinct_count == 0:
+        return max(1.0, math.sqrt(max(rows, 1.0)))
+    return float(stats.distinct_count)
+
+
 class CostModel:
     """Cardinality/cost estimation over logical plans.
 
@@ -139,10 +152,34 @@ class CostModel:
         return None
 
     def _distinct(self, reference: str, fallback_rows: float) -> float:
-        stats = self._column_stats(reference)
-        if stats is None or stats.distinct_count == 0:
-            return max(1.0, math.sqrt(max(fallback_rows, 1.0)))
-        return float(stats.distinct_count)
+        return _distinct_count(self._column_stats(reference), fallback_rows)
+
+    def _equality_selectivity(
+        self, left: str, right: str, left_rows: float, right_rows: float
+    ) -> float:
+        """Selectivity of ``left = right`` between two columns: the share of
+        both that is not NULL (NULL equals nothing), matched under the
+        larger distinct count."""
+        share, distinct = 1.0, 1.0
+        for reference, rows in ((left, left_rows), (right, right_rows)):
+            stats = self._column_stats(reference)
+            distinct = max(distinct, _distinct_count(stats, rows))
+            if stats is not None:
+                share *= 1.0 - stats.null_fraction
+        return share / distinct
+
+    def _expression_distinct(self, expression: Expression, rows: float) -> float:
+        """Distinct values of ``expression`` over ``rows`` rows: one for a
+        constant, a column's own count, at most the sum over a CASE's
+        distinct results, and an unknown column's default otherwise."""
+        if isinstance(expression, Literal):
+            return 1.0
+        if isinstance(expression, CaseWhen):
+            results = {value for _, value in expression.whens} | {expression.default}
+            return sum(self._expression_distinct(value, rows) for value in results)
+        if isinstance(expression, ColumnRef):
+            return self._distinct(expression.name, rows)
+        return _distinct_count(None, rows)
 
     # ------------------------------------------------------------------
     # Selectivity
@@ -185,9 +222,7 @@ class CostModel:
             predicate = Comparison(predicate.op.flip(), left, right)
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             if predicate.op is ComparisonOp.EQ:
-                d1 = self._distinct(left.name, 1000.0)
-                d2 = self._distinct(right.name, 1000.0)
-                return 1.0 / max(d1, d2, 1.0)
+                return self._equality_selectivity(left.name, right.name, 1000.0, 1000.0)
             return DEFAULT_RANGE_SELECTIVITY
         if isinstance(left, ColumnRef):
             stats = self._column_stats(left.name)
@@ -260,7 +295,11 @@ class CostModel:
             return Estimate(min(child.rows, float(node.count)), child.cost)
         if isinstance(node, Distinct):
             child = self.estimate(node.child, group_rows)
-            distinct = self._distinct_rows(node.schema.qualified_names(), child.rows)
+            if isinstance(node.child, Project):
+                outputs = [expression for expression, _ in node.child.items]
+            else:
+                outputs = _references(node.schema.qualified_names())
+            distinct = self._distinct_rows(outputs, child.rows)
             hash_cost = child.rows * (1.0 + WIDTH_FACTOR * _width(node))
             return Estimate(distinct, child.cost + hash_cost)
         if isinstance(node, OrderBy):
@@ -280,7 +319,7 @@ class CostModel:
                 cost += estimate.cost
             if isinstance(node, Union):
                 cost += rows
-                rows = self._distinct_rows(node.schema.qualified_names(), rows)
+                rows = self._distinct_rows(_references(node.schema.qualified_names()), rows)
             return Estimate(rows, cost)
         if isinstance(node, Exists):
             child = self.estimate(node.child, group_rows)
@@ -304,10 +343,10 @@ class CostModel:
             return self._estimate_gapply(node, group_rows)
         raise OptimizerError(f"no cost estimate for {type(node).__name__}")
 
-    def _distinct_rows(self, references: list[str], input_rows: float) -> float:
+    def _distinct_rows(self, outputs: list[Expression], input_rows: float) -> float:
         product = 1.0
-        for reference in references:
-            product *= self._distinct(reference, input_rows)
+        for output in outputs:
+            product *= self._expression_distinct(output, input_rows)
             if product >= input_rows:
                 return max(1.0, input_rows)
         return max(1.0, min(product, input_rows))
@@ -316,7 +355,7 @@ class CostModel:
         child = self.estimate(node.child, group_rows)
         if node.is_scalar_aggregate:
             return Estimate(1.0, child.cost + child.rows)
-        groups = self._distinct_rows(list(node.keys), child.rows)
+        groups = self._distinct_rows(_references(node.keys), child.rows)
         return Estimate(groups, child.cost + child.rows)
 
     def _estimate_join(self, node: Join, group_rows: float) -> Estimate:
@@ -353,9 +392,7 @@ class CostModel:
         """
         sel = 1.0
         for left_ref, right_ref in pairs:
-            d1 = self._distinct(left_ref, left.rows)
-            d2 = self._distinct(right_ref, right.rows)
-            sel /= max(d1, d2, 1.0)
+            sel *= self._equality_selectivity(left_ref, right_ref, left.rows, right.rows)
         rows = left.rows * right.rows * sel
         cost = left.cost + right.cost + left.rows + right.rows + rows
         if node.kind in (JoinKind.SEMI, JoinKind.ANTI):
@@ -384,7 +421,7 @@ class CostModel:
         average group size, the ``group_rows`` its per-group plan is
         estimated (and its joins are chosen) at."""
         outer = self.estimate(node.outer, group_rows)
-        groups = self._distinct_rows(list(node.grouping_columns), outer.rows)
+        groups = self._distinct_rows(_references(node.grouping_columns), outer.rows)
         groups = min(groups, max(outer.rows, 1.0))
         return groups, max(outer.rows / max(groups, 1.0), 1.0)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Database
+from repro.bench.fig8 import WRITTEN_ORDER
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rules import DEFAULT_RULES
@@ -17,9 +18,8 @@ ALL_RULES_OFF = PlannerOptions(
     disabled_rules=tuple(rule.name for rule in DEFAULT_RULES)
 )
 
-#: Every rule but ``join_order``: join regions stay in their written order,
-#: so the search explores from the plan as bound.
-WRITTEN_ORDER = PlannerOptions(disabled_rules=("join_order",))
+#: The rules of a search from the plan as bound (every rule but
+#: ``join_order``, so join regions stay in their written order).
 SEARCH_RULES = WRITTEN_ORDER.active_rules()
 
 

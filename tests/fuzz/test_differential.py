@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.fuzz import PROFILES, sweep
+from repro.fuzz import generator
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import JOIN_REGION_SHARE, generate_case, is_nonfinite
 from repro.fuzz.oracle import compare_multisets
@@ -60,10 +61,12 @@ class TestSeededSweep:
         assert 0 < nonfinite < 30
         assert not any(is_nonfinite(generate_case(seed).db) for seed in range(60))
 
-    def test_join_region_draws_leave_other_cases_alone(self):
+    def test_join_region_draws_leave_other_cases_alone(self, monkeypatch):
+        cases = [generate_case(seed) for seed in range(60)]
+        # With no join-region share, every seed draws its other case.
+        monkeypatch.setattr(generator, "JOIN_REGION_SHARE", 0.0)
         regions = 0
-        for seed in range(60):
-            case = generate_case(seed, regions=True)
+        for seed, case in enumerate(cases):
             if random.Random(f"joins:{seed}").random() < JOIN_REGION_SHARE:
                 regions += 1
                 assert len(case.db.tables) in (3, 4)

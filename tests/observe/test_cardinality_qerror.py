@@ -6,8 +6,10 @@ the actual per-execution row counts via the q-error
 ``max((est+1)/(actual+1), (actual+1)/(est+1))`` (the +1 smoothing keeps
 empty results finite).
 
-The bounds below are a *ratchet*: they sit just above today's measured
-distribution (root median 1.67, p90 4.0, max 27.2; per-node max 41.0).
+The seeds include the generator's join-region cases (3-4 table chains and
+stars). The bounds below are a *ratchet*: they sit just above today's
+measured distribution (root median 1.65, p90 4.0, max 26.3; per-node max
+41.0).
 An estimator regression pushes a quantile past its bound and fails CI; an
 estimator improvement is the cue to tighten the bound in the same diff.
 """

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Database
-from repro.optimizer.planner import PlannerOptions
+from repro.bench.fig8 import WRITTEN_ORDER
 from repro.workloads.queries import PAPER_QUERIES
 
 SNAPSHOT_DIR = Path(__file__).resolve().parent.parent / "snapshots"
@@ -28,7 +28,7 @@ SNAPSHOT_DIR = Path(__file__).resolve().parent.parent / "snapshots"
 #: Snapshot directory -> the planner options its plans are chosen under.
 SNAPSHOT_SETS = {
     SNAPSHOT_DIR: None,
-    SNAPSHOT_DIR / "written-order": PlannerOptions(disabled_rules=("join_order",)),
+    SNAPSHOT_DIR / "written-order": WRITTEN_ORDER,
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algebra.expressions import (
     And,
+    CaseWhen,
     IsNull,
     Not,
     Or,
@@ -24,6 +25,7 @@ from repro.algebra.operators import (
     Join,
     JoinKind,
     OrderBy,
+    Project,
     Prune,
     Select,
     TableScan,
@@ -140,6 +142,32 @@ class TestCardinalities:
     def test_distinct_bounded_by_input(self, model, catalog):
         node = Distinct(Prune(scan(catalog), ("items.grp",)))
         assert model.estimate(node).rows <= 100.0
+
+    def test_distinct_counts_through_a_projection(self, model, catalog):
+        """A constant has one value; a CASE at most its results' sum."""
+        case = CaseWhen(((le(col("price"), lit(50.0)), col("grp")),), lit(0))
+        node = Distinct(Project(scan(catalog), ((lit(1), "one"), (case, "c"))))
+        assert model.estimate(node).rows == pytest.approx(1.0 * (10.0 + 1.0))
+
+    def test_equality_passes_only_non_null_rows(self):
+        catalog = Catalog()
+        catalog.register(
+            table_from_rows(
+                "t",
+                [("id", DataType.INTEGER), ("v", DataType.INTEGER)],
+                [(i, i if i % 4 == 0 else None) for i in range(1, 101)],
+                primary_key=["id"],
+            )
+        )
+        model = CostModel(catalog)
+        # v is NULL in three rows of four and has 25 values; id has 100.
+        assert model.selectivity(eq(col("id"), col("v"))) == pytest.approx(0.25 / 100)
+        join = Join(
+            TableScan.of(catalog.table("t")),
+            TableScan.of(catalog.table("t"), "u"),
+            eq(col("t.v"), col("u.v")),
+        )
+        assert model.estimate(join).rows == pytest.approx(100 * 100 * 0.25 * 0.25 / 25)
 
 
 class TestGApplyCost:
