@@ -142,9 +142,9 @@ class Planner:
 
     One planner's cost model estimates each logical node once; the join
     methods and the ``est_rows`` stamps both come from those estimates.
-    Inside a GApply's per-group plan a join is chosen at the average group
-    size, as the optimizer priced it; the stamps there stay at the default
-    group size EXPLAIN has always shown.
+    Inside a GApply's per-group plan both the join method and the
+    ``est_rows`` stamps come from the average group size the optimizer
+    priced that plan at (``CostModel.groups``), not the default 16.
     """
 
     def __init__(self, catalog: Catalog, options: PlannerOptions | None = None):
@@ -159,7 +159,7 @@ class Planner:
         if method is None:
             raise PlanError(f"no physical lowering for {type(node).__name__}")
         physical = method(node)
-        physical.est_rows = self._cost_model.estimate(node).rows
+        physical.est_rows = self._cost_model.estimate(node, self._group_rows).rows
         return physical
 
     # ------------------------------------------------------------------
