@@ -663,12 +663,14 @@ class Database:
     def _materialize(self, run: _Run) -> QueryResult | Explanation:
         """The materializing tail: drain the run into a result object."""
         options, planned = run.options, run.planned
-        physical, fallbacks = run.compiled.physical, run.compiled.fallbacks
+        compiled = run.compiled
+        physical, fallbacks = compiled.physical, compiled.fallbacks
+        loops = compiled.per_group_loops
         if options.explain == "plan":
             return Explanation(
                 sql=run.sql_text, analyze=False, physical_plan=physical,
                 report=planned.report, plan_cache=planned.cache_info,
-                fallbacks=fallbacks,
+                fallbacks=fallbacks, per_group_loops=loops,
             )
         context = run.context
         tracer = context.tracer
@@ -682,6 +684,7 @@ class Database:
                 report=planned.report, registry=context.metrics, tracer=tracer,
                 rows=rows, schema=physical.schema, counters=context.counters,
                 plan_cache=planned.cache_info, fallbacks=fallbacks,
+                per_group_loops=loops,
             )
         return QueryResult(
             schema=physical.schema,

@@ -24,6 +24,7 @@ from repro.storage.table import Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.governor import Governor
+    from repro.execution.vector.segmented import Wave
     from repro.observe.metrics import MetricsRegistry
     from repro.observe.trace import Tracer
 
@@ -106,6 +107,10 @@ class ExecutionContext:
     #: The query's resource governor (:mod:`repro.execution.governor`);
     #: None means ungoverned execution with zero per-row overhead.
     governor: "Governor | None" = None
+    #: The GApply groups a segmented per-group plan runs over, and which
+    #: of them this execution runs (:mod:`repro.execution.vector.
+    #: segmented`); None everywhere else.
+    wave: "Wave | None" = None
 
     def scalar(self, name: str) -> Any:
         try:

@@ -52,6 +52,12 @@ The phase is :meth:`PGApply.partition`, a function of a row iterator:
 the Volcano operator passes ``outer.execute(ctx)``, the vector engine's
 ``GApplyNode`` its batches flattened, so all three implementations
 (in-memory hash, in-memory sort, external sort) serve both engines.
+
+:meth:`PGApply._execute` runs the execution phase as the paper states
+it, one per-group plan run per group, and is the reference the compiled
+plan is held to. The compiled plan (:mod:`repro.execution.vector.
+segmented`) runs a per-group plan once per *wave* of whole groups, each
+row tagged with its group, and counts what this loop counts.
 """
 
 from __future__ import annotations
@@ -174,9 +180,10 @@ class PGApply(PhysicalOperator):
         key_of = self._hash_key
         key_getter = self._key_getter
         buckets: dict[Hashable, tuple[tuple, list[Row]]] = {}
+        get = buckets.get
         for row in rows:
             key = key_of(row)
-            entry = buckets.get(key)
+            entry = get(key)
             if entry is None:
                 buckets[key] = (key_getter(row), [_buffer_row(row)])
             else:
@@ -187,8 +194,19 @@ class PGApply(PhysicalOperator):
         ctx.counters.hash_inserts += total
         ctx.counters.buffered_cells += total * len(self.outer.schema)
         self._count_partition(ctx, total, total)
+        entries = list(buckets.values())
         key = self._key
-        yield from sorted(buckets.values(), key=lambda entry: key(entry[0]))
+        if self._raw:
+            # Raw values order as their keys unless a NULL meets a value,
+            # which raises; keys are distinct, so the order reached is
+            # the key order either way.
+            try:
+                entries.sort(key=operator.itemgetter(0))
+            except TypeError:
+                entries.sort(key=lambda entry: key(entry[0]))
+        else:
+            entries.sort(key=lambda entry: key(entry[0]))
+        yield from entries
 
     def _partition_sort(self, rows, ctx):
         buffered = [_buffer_row(row) for row in rows]

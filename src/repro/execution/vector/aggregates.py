@@ -23,7 +23,8 @@ accumulator unchanged — correctness is never traded for the fast path.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from repro.algebra.expressions import (
     AggregateAccumulator,
@@ -150,25 +151,66 @@ class ExtremeState:
         return self.value
 
 
-def make_state(call: AggregateCall, argument_dtype: DataType):
-    """Pick the fastest state whose specialization is statically safe."""
+def state_factory(call: AggregateCall, argument_dtype: DataType) -> Callable[[], Any]:
+    """A constructor of the fastest state whose specialization is
+    statically safe (decided once, so a fresh state costs one call)."""
     function = call.function
     if function is AggregateFunction.COUNT_STAR:
-        return CountStarState()
+        return CountStarState
     if call.distinct:
-        return GenericState(call)
+        return partial(GenericState, call)
     if function is AggregateFunction.COUNT:
-        return CountState()
+        return CountState
     if argument_dtype is DataType.ANY:
-        return GenericState(call)
+        return partial(GenericState, call)
     if function in (AggregateFunction.SUM, AggregateFunction.AVG):
+        avg = function is AggregateFunction.AVG
         if argument_dtype is DataType.INTEGER:
-            return SumState(avg=function is AggregateFunction.AVG, exact=True)
+            return partial(SumState, avg, True)
         if argument_dtype is DataType.FLOAT:
-            return SumState(avg=function is AggregateFunction.AVG, exact=False)
-        return GenericState(call)
+            return partial(SumState, avg, False)
+        return partial(GenericState, call)
     if function in (AggregateFunction.MIN, AggregateFunction.MAX):
         key = None if raw_keys([argument_dtype]) else value_key(argument_dtype)
         pick = min if function is AggregateFunction.MIN else max
-        return ExtremeState(pick, key)
-    return GenericState(call)
+        return partial(ExtremeState, pick, key)
+    return partial(GenericState, call)
+
+
+def run_results(factory: Callable[[], Any], column, runs) -> list:
+    """One result per ``(start, end)`` run of ``column``: what a fresh
+    ``factory()`` state fed that slice returns. ``column`` is None for
+    ``COUNT(*)``. The common states' loops are inlined, since a segmented
+    GApply reduces one run per group and groups may hold a row or two."""
+    if factory is CountStarState:
+        return [end - start for start, end in runs]
+    if factory is CountState:
+        return [
+            end - start - column[start:end].count(None) for start, end in runs
+        ]
+    if isinstance(factory, partial) and factory.func is SumState:
+        avg, exact = factory.args
+        results = []
+        for start, end in runs:
+            if exact:
+                values = [v for v in column[start:end] if v is not None]
+                count = len(values)
+                total = sum(values) if values else None
+            else:
+                # Float addition: the row engine's left-to-right order.
+                total = None
+                count = 0
+                for value in column[start:end]:
+                    if value is not None:
+                        count += 1
+                        total = value if total is None else total + value
+            results.append(
+                (None if count == 0 else total / count) if avg else total
+            )
+        return results
+    results = []
+    for start, end in runs:
+        state = factory()
+        state.update(column[start:end])
+        results.append(state.result())
+    return results

@@ -23,6 +23,11 @@ Batches are immutable from the consumer's point of view: every
 transforming method returns a new batch, sharing unmodified column
 storage with its parent. (Compaction rebinds ``_columns`` to fresh
 lists; it never mutates a shared list in place.)
+
+Inside a segmented GApply per-group plan (:mod:`repro.execution.vector.
+segmented`) each batch also carries ``segs``: the segment (group id) of
+every row, ascending. Transformations never carry it over; the operator
+that selects rows selects their segment ids too.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class ColumnBatch:
     return ``None`` instead of an empty batch.
     """
 
-    __slots__ = ("_columns", "_rows", "_sel", "_masks", "length")
+    __slots__ = ("_columns", "_rows", "_sel", "_masks", "length", "segs")
 
     def __init__(
         self,
@@ -74,6 +79,7 @@ class ColumnBatch:
         self._sel = sel
         self._masks = None
         self.length = length
+        self.segs: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Representation management

@@ -25,9 +25,14 @@ fallback is decided here, at compile time:
 Nothing changes engines at run time. Three breakers hand their child's
 rows to a row-iterator *phase* the physical operator owns — ``PSort.sort``,
 ``PDistinct.external_distinct`` (only under a memory budget) and
-``PGApply.partition`` — while the subtrees below them stay compiled; and a
-GApply group under ``VECTOR_GROUP_MIN_ROWS`` rows runs its per-group plan
-on the iterators (none of these is a fallback note).
+``PGApply.partition`` — while the subtrees below them stay compiled (none
+of these is a fallback note).
+
+A GApply's per-group plan compiles to its segmented form
+(:mod:`repro.execution.vector.segmented`), run once per wave of groups,
+whenever every operator in it has one; otherwise it compiles like any
+plan and runs once per group, and the compiler records a
+:class:`FallbackNote` in ``per_group_loops``, which EXPLAIN lists too.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
 from repro.execution.vector.nodes import (
     DistinctNode,
     EmptyNode,
-    GApplyNode,
     GroupScanSource,
     HashAggregateNode,
     IndexSeekSource,
@@ -83,11 +87,13 @@ from repro.execution.vector.pipeline import (
     PruneStage,
     Stage,
 )
+from repro.execution.vector.segmented import GApplyNode, NotSegmentable, segment
 
 
 @dataclass(frozen=True)
 class FallbackNote:
-    """One subtree the compiler routed through the Volcano iterators."""
+    """One subtree the compiler routed through the Volcano iterators, or
+    one GApply whose per-group plan runs once per group."""
 
     label: str
     reason: str
@@ -101,6 +107,9 @@ class VectorPlan:
     physical: PhysicalOperator
     fallbacks: tuple[FallbackNote, ...]
     batch_size: int = DEFAULT_BATCH_SIZE
+    #: GApplys whose per-group plan has no segmented form, so it runs
+    #: once per group (on vector nodes), with the reason.
+    per_group_loops: tuple[FallbackNote, ...] = ()
 
     @property
     def fully_vectorized(self) -> bool:
@@ -121,13 +130,17 @@ def compile_plan(
     unsupported subtrees run under Volcano)."""
     compiler = _Compiler(batch_size)
     root = compiler.compile(physical)
-    return VectorPlan(root, physical, tuple(compiler.fallbacks), batch_size)
+    return VectorPlan(
+        root, physical, tuple(compiler.fallbacks), batch_size,
+        tuple(compiler.per_group_loops),
+    )
 
 
 class _Compiler:
     def __init__(self, batch_size: int):
         self.batch_size = batch_size
         self.fallbacks: list[FallbackNote] = []
+        self.per_group_loops: list[FallbackNote] = []
 
     def fallback(self, op: PhysicalOperator, reason: str) -> VolcanoSource:
         self.fallbacks.append(FallbackNote(op.label(), reason))
@@ -190,9 +203,15 @@ class _Compiler:
         if isinstance(op, PHashAggregate):
             return HashAggregateNode(op, self.compile(op.child), size)
         if isinstance(op, PGApply):
-            return GApplyNode(
-                op, self.compile(op.outer), self.compile(op.per_group), size
-            )
+            outer = self.compile(op.outer)
+            try:
+                per_group = segment(op.per_group, op.group_variable, size)
+            except NotSegmentable as reason:
+                self.per_group_loops.append(FallbackNote(op.label(), str(reason)))
+                return GApplyNode(
+                    op, outer, self.compile(op.per_group), size, segmented=False
+                )
+            return GApplyNode(op, outer, per_group, size, segmented=True)
         # -- Volcano-only operators ------------------------------------
         if isinstance(op, PExists):
             return self.fallback(op, "exists probe")

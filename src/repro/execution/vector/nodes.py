@@ -33,16 +33,9 @@ from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
 from repro.storage.types import DataType
 
-from repro.execution.vector.aggregates import make_state
+from repro.execution.vector.aggregates import state_factory
 from repro.execution.vector.batch import ColumnBatch, row_slices
 from repro.execution.vector.exprs import compile_batch
-
-
-#: Below this many rows, a GApply group runs its per-group plan on the
-#: Volcano iterators instead of the batch nodes: the engines are
-#: counter-identical by construction, and the batch machinery's fixed
-#: per-execution cost only pays for itself on groups with real volume.
-VECTOR_GROUP_MIN_ROWS = 16
 
 
 def rows_batch(rows: list, width: int) -> ColumnBatch:
@@ -78,7 +71,7 @@ class VectorNode:
                     yield batch
             return
         record = metrics.record_for(self.op)
-        record.executions += 1
+        record.executions += self._executions(ctx)
         tracer = ctx.tracer
         span = (
             None
@@ -107,6 +100,10 @@ class VectorNode:
             record.elapsed_ns += elapsed
             if span is not None:
                 tracer.end(span, rows_out=rows)
+
+    def _executions(self, ctx: ExecutionContext) -> int:
+        """How many executions of the operator one ``batches`` call is."""
+        return 1
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         raise NotImplementedError
@@ -334,16 +331,17 @@ class HashAggregateNode(VectorNode):
             else compile_batch(call.argument, child_schema)
             for call in op.aggregates
         ]
-        self._arg_dtypes = [
-            DataType.ANY if call.argument is None else call.argument.infer(child_schema)
+        self._factories = [
+            state_factory(
+                call,
+                DataType.ANY if call.argument is None
+                else call.argument.infer(child_schema),
+            )
             for call in op.aggregates
         ]
 
     def _new_states(self) -> list:
-        return [
-            make_state(call, dtype)
-            for call, dtype in zip(self.op.aggregates, self._arg_dtypes)
-        ]
+        return [factory() for factory in self._factories]
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         op = self.op
@@ -364,135 +362,79 @@ class HashAggregateNode(VectorNode):
             yield rows_batch([tuple(state.result() for state in states)], width)
             return
 
-        key_positions = op._key_positions
-        single_key = len(key_positions) == 1
-        raw = op._raw
-        key_of = op._key
         groups: dict = {}  # key -> (key_values, states)
         for batch in self.child.batches(ctx):
-            n = batch.length
-            counters.hash_inserts += n
-            key_columns = [batch.column(p) for p in key_positions]
-            if raw and single_key:
-                keys = key_columns[0]
-            else:
-                zipped = list(zip(*key_columns))
-                keys = zipped if raw else list(map(key_of, zipped))
-            # Bucket row indices per key (first-appearance order).
-            buckets: dict = {}
-            for i, key in enumerate(keys):
-                found = buckets.get(key)
-                if found is None:
-                    buckets[key] = [i]
-                else:
-                    found.append(i)
-            arg_columns = [
-                None if evaluate is None else evaluate(batch, ctx)
-                for evaluate in evaluators
-            ]
-            for key, indices in buckets.items():
-                entry = groups.get(key)
-                if entry is None:
-                    first = indices[0]
-                    entry = (
-                        tuple(column[first] for column in key_columns),
-                        self._new_states(),
-                    )
-                    groups[key] = entry
-                states = entry[1]
-                whole = len(indices) == n
-                count = len(indices)
-                for state, column in zip(states, arg_columns):
-                    if column is None:
-                        state.update_n(count)
-                    else:
-                        state.update(
-                            column if whole else [column[i] for i in indices]
-                        )
+            self._feed_keyed(groups, batch, ctx, None)
+        yield from self._emit_keyed(groups, ctx)
 
-        out: list = []
-        size = self.batch_size
-        for key_values, states in groups.values():
-            counters.rows += 1
-            out.append(key_values + tuple(state.result() for state in states))
-            if len(out) >= size:
-                yield rows_batch(out, width)
-                out = []
-        if out:
-            yield rows_batch(out, width)
+    def _feed_keyed(self, groups: dict, batch: ColumnBatch, ctx, segs) -> None:
+        """Bucket one batch's rows by key and feed every bucket's states.
 
-
-class GApplyNode(VectorNode):
-    """GApply breaker: ``PGApply.partition`` over the outer batches'
-    rows (in memory or spilling, chosen there at run time), vector
-    per-group plans, counter-for-counter faithful to ``PGApply``."""
-
-    def __init__(self, op, outer: VectorNode, per_group: VectorNode, batch_size: int):
-        self.op = op
-        self.outer = outer
-        self.per_group = per_group
-        self.batch_size = batch_size
-
-    # -- execution phase -------------------------------------------------
-
-    def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        ``segs`` (a segmented plan's segment ids) prefixes each key, so a
+        key's group is per segment; ``groups`` keeps first-appearance
+        order, the row engine's output order.
+        """
         op = self.op
-        counters = ctx.counters
-        partitions = op.partition(_flat_rows(self.outer, ctx), ctx)
-        variable = op.group_variable
-        record = None if ctx.metrics is None else ctx.metrics.record_for(op)
-        tracer = ctx.tracer
-        width = len(op.schema)
-        per_group = self.per_group
-        relations = dict(ctx.relations)
-        group_ctx = ExecutionContext(
-            ctx.counters, ctx.scalars, relations, ctx.metrics, ctx.tracer,
-            ctx.governor,
-        )
-        size = self.batch_size
-        volcano_per_group = op.per_group
-        pending: list = []
-        try:
-            for key_values, group_rows in partitions:
-                counters.groups_partitioned += 1
-                counters.group_executions += 1
-                relations[variable] = group_rows
-                span = (
-                    None
-                    if tracer is None
-                    else tracer.begin(
-                        "group", f"${variable}={key_values!r}",
-                        group_rows=len(group_rows),
-                    )
+        n = batch.length
+        ctx.counters.hash_inserts += n
+        key_columns = [batch.column(p) for p in op._key_positions]
+        if op._raw and len(key_columns) == 1:
+            keys = key_columns[0]
+        else:
+            zipped = list(zip(*key_columns))
+            keys = zipped if op._raw else list(map(op._key, zipped))
+        if segs is not None:
+            keys = list(zip(segs, keys))
+        # Bucket row indices per key (first-appearance order).
+        buckets: dict = {}
+        for i, key in enumerate(keys):
+            found = buckets.get(key)
+            if found is None:
+                buckets[key] = [i]
+            else:
+                found.append(i)
+        arg_columns = [
+            None if evaluate is None else evaluate(batch, ctx)
+            for evaluate in self._arg_evaluators
+        ]
+        for key, indices in buckets.items():
+            entry = groups.get(key)
+            if entry is None:
+                first = indices[0]
+                entry = (
+                    tuple(column[first] for column in key_columns),
+                    self._new_states(),
                 )
-                emitted = 0
-                if len(group_rows) < VECTOR_GROUP_MIN_ROWS:
-                    # Tiny group: the batch machinery's fixed per-execution
-                    # cost exceeds its savings, and both engines count work
-                    # identically by construction — run the row iterators.
-                    for pgq_row in volcano_per_group.execute(group_ctx):
-                        emitted += 1
-                        counters.rows += 1
-                        pending.append(key_values + pgq_row)
+                groups[key] = entry
+            whole = len(indices) == n
+            count = len(indices)
+            for state, column in zip(entry[1], arg_columns):
+                if column is None:
+                    state.update_n(count)
                 else:
-                    for batch in per_group.batches(group_ctx):
-                        pgq_rows = batch.rows()
-                        emitted += len(pgq_rows)
-                        counters.rows += len(pgq_rows)
-                        pending.extend(key_values + row for row in pgq_rows)
-                if record is not None:
-                    record.groups_formed += 1
-                    if not emitted:
-                        record.empty_groups_skipped += 1
-                if span is not None:
-                    tracer.end(span, rows_out=emitted)
-                if len(pending) >= size:
-                    yield rows_batch(pending, width)
-                    pending = []
-            if pending:
-                yield rows_batch(pending, width)
-        finally:
-            # Same reason as ``PGApply._execute``: an error from a
-            # per-group plan pins the suspended partition generator, so
-            # its spill state must be reclaimed explicitly.
-            partitions.close()
+                    state.update(
+                        column if whole else [column[i] for i in indices]
+                    )
+
+    def _emit_keyed(
+        self, groups: dict, ctx, segs: bool = False
+    ) -> Iterator[ColumnBatch]:
+        """One row per group, in batches; with ``segs`` each batch carries
+        its rows' segments (the first element of each key)."""
+        counters = ctx.counters
+        width = len(self.op.schema)
+        size = self.batch_size
+        entries = list(groups.items())
+        for start in range(0, len(entries), size):
+            chunk = entries[start : start + size]
+            counters.rows += len(chunk)
+            batch = rows_batch(
+                [
+                    key_values + tuple(state.result() for state in states)
+                    for _, (key_values, states) in chunk
+                ],
+                width,
+            )
+            if segs:
+                batch.segs = [key[0] for key, _ in chunk]
+            yield batch

@@ -122,7 +122,8 @@ class FilterStage(Stage):
         self.op = op
         self._predicate = compile_batch(op.predicate, op.child.schema)
 
-    def apply(self, batch, ctx):
+    def kept(self, batch, ctx) -> list[int]:
+        """The positions of the batch rows the predicate keeps."""
         counters = ctx.counters
         n = batch.length
         counters.comparisons += n
@@ -130,11 +131,14 @@ class FilterStage(Stage):
             ctx.metrics.record_for(self.op).comparisons += n
         values = self._predicate(batch, ctx)
         keep = [i for i, v in enumerate(values) if v is True]
-        kept = len(keep)
-        counters.rows += kept
-        if kept == 0:
+        counters.rows += len(keep)
+        return keep
+
+    def apply(self, batch, ctx):
+        keep = self.kept(batch, ctx)
+        if not keep:
             return None
-        if kept == n:
+        if len(keep) == batch.length:
             return batch
         return batch.select(keep)
 

@@ -13,7 +13,10 @@ For each seeded case :func:`run_case` runs three checks:
 
 The summary's ``join-reordered`` counts the cases where some
 configuration's chosen plan went through the ``join_order`` pass and has
-a join tree other than the written one.
+a join tree other than the written one, and ``segmented-gapply`` the
+cases where some configuration's plan holds a GApply whose per-group
+plan runs once per wave of groups (:mod:`repro.execution.vector.
+segmented`), not once per group.
 
 ``quick``, ``full`` and ``engine`` differ in the configurations of
 step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
@@ -29,6 +32,9 @@ import sqlite3
 from collections import Counter
 
 from repro.errors import MemoryBudgetExceeded, ReproError
+from repro.execution.base import PhysicalOperator
+from repro.execution.gapply import PGApply
+from repro.execution.vector.compiler import compile_plan
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.generator import FuzzCase, generate_case, is_nonfinite
@@ -93,7 +99,7 @@ def run_case(
         if mismatch is not None:
             return failed("oracle", mismatch.describe())
 
-    reordered = False
+    reordered = segmented = False
     for config in configs:
         try:
             result = db.sql(
@@ -125,9 +131,23 @@ def run_case(
         report = result.optimization
         if not reordered and "join_order" in report.fired:
             reordered = join_tree(report.best) != join_tree(db.plan(sql))
+        if not segmented:
+            segmented = _runs_segmented(result.physical_plan)
     if reordered:
         tally["join-reordered"] += 1
+    if segmented:
+        tally["segmented-gapply"] += 1
     return None
+
+
+def _runs_segmented(physical: PhysicalOperator) -> bool:
+    """Some GApply of the plan runs its per-group plan once per wave."""
+
+    def gapplys(op: PhysicalOperator) -> int:
+        own = 1 if isinstance(op, PGApply) else 0
+        return own + sum(gapplys(child) for child in op.children())
+
+    return gapplys(physical) > len(compile_plan(physical).per_group_loops)
 
 
 def _sql_profile(name: str) -> Profile:

@@ -70,6 +70,9 @@ class Explanation:
     #: The compiler's notes (``label``, ``reason``) on the subtrees that
     #: run on the row iterators inside the compiled plan.
     fallbacks: "tuple[FallbackNote, ...]" = ()
+    #: Its notes on the GApplys whose per-group plan runs once per group,
+    #: not once per wave of groups (no segmented form).
+    per_group_loops: "tuple[FallbackNote, ...]" = ()
 
     # ------------------------------------------------------------------
     # Text rendering
@@ -98,11 +101,15 @@ class Explanation:
                     "" if count == 1 else "s",
                 )
             )
-        if self.fallbacks:
-            tail_lines.append(
-                "-- row-iterator subtrees: "
-                + ", ".join(f"{n.label} ({n.reason})" for n in self.fallbacks)
-            )
+        for title, notes in (
+            ("row-iterator subtrees", self.fallbacks),
+            ("per-group loops", self.per_group_loops),
+        ):
+            if notes:
+                tail_lines.append(
+                    f"-- {title}: "
+                    + ", ".join(f"{n.label} ({n.reason})" for n in notes)
+                )
         report = self.report
         lines = [
             "-- cost: {:.0f} (unoptimized {:.0f}); explored {} plan{}{}".format(
@@ -187,6 +194,10 @@ class Explanation:
             document["plan_cache"] = dict(self.plan_cache)
         document["row_iterator_subtrees"] = [
             {"op": note.label, "reason": note.reason} for note in self.fallbacks
+        ]
+        document["per_group_loops"] = [
+            {"op": note.label, "reason": note.reason}
+            for note in self.per_group_loops
         ]
         if self.counters is not None:
             document["work"] = self.counters.snapshot()

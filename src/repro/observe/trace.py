@@ -8,10 +8,13 @@ emitted by the engine:
 * ``plan`` — one span around a whole plan execution (opened by
   :meth:`repro.api.Database.sql` under ``explain="analyze"``);
 * ``operator`` — one span per operator *execution* (a per-group plan's
-  operators open one span per group), recorded by the metrics registry's
-  instrumented driver;
+  operators open one span per group, or per wave of groups where the
+  plan is segmented), recorded by the metrics registry's instrumented
+  driver and the vector nodes;
 * ``group`` — one span per GApply group in the execution phase,
-  attributed with the grouping-key values and the rows emitted.
+  attributed with the grouping-key values and the rows emitted; a
+  segmented GApply opens one per wave instead, attributed with its
+  ``groups`` and ``group_rows``.
 
 Tracing shares the registry's injectable clock discipline
 (:mod:`repro.observe.metrics`). A ``max_spans`` cap bounds memory on
