@@ -304,28 +304,31 @@ class SegApply(SegmentedNode):
             ctx if len(present) == len(wave.active)
             else replace(ctx, wave=Wave(wave.groups, present))
         )
-        matches: dict = {}
+        inner_rows: list = []
+        inner_segs: list = []
         for batch in self.inner.batches(inner_ctx):
-            for seg, row in zip(batch.segs, batch.rows()):
+            inner_rows.extend(batch.rows())
+            inner_segs.extend(batch.segs)
+        # The common case, a scalar subquery: one inner row per segment,
+        # broadcast column by column.
+        single = not self.zero_width and inner_segs == present
+        if single:
+            row_of = dict(zip(inner_segs, inner_rows))
+        else:
+            matches: dict = {}
+            for seg, row in zip(inner_segs, inner_rows):
                 found = matches.get(seg)
                 if found is None:
                     matches[seg] = [row]
                 else:
                     found.append(row)
-        # The common case, a scalar subquery: one inner row per segment,
-        # broadcast column by column.
-        single = (
-            not self.zero_width
-            and len(matches) == len(present)
-            and all(len(found) == 1 for found in matches.values())
-        )
         for batch in outer_batches:
             segs = batch.segs
             if single:
-                inner_rows = [matches[seg][0] for seg in segs]
+                broadcast = [row_of[seg] for seg in segs]
                 columns = [batch.column(p) for p in range(self.outer_width)]
                 columns.extend(
-                    [row[j] for row in inner_rows] for j in range(self.inner_width)
+                    [row[j] for row in broadcast] for j in range(self.inner_width)
                 )
                 out = _with_segs(ColumnBatch(columns=columns, length=len(segs)), segs)
             else:
@@ -344,8 +347,9 @@ class SegApply(SegmentedNode):
 
 
 class SegUnionAll(SegmentedNode):
-    """UNION ALL over segments: each branch's rows for the wave, then
-    per segment every branch's run of it, in branch order."""
+    """UNION ALL over segments: every branch's output for the wave, then
+    per segment each branch's run of it, in branch order. Columnar, so a
+    projection above reads its columns without a row round trip."""
 
     def __init__(self, op, children: list[VectorNode], batch_size: int):
         self.op = op
@@ -353,35 +357,40 @@ class SegUnionAll(SegmentedNode):
         self.batch_size = batch_size
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        outputs = []
-        for child in self.child_nodes:
-            rows: list = []
-            segs: list = []
-            for batch in child.batches(ctx):
-                rows.extend(batch.rows())
-                segs.extend(batch.segs)
-            if rows:
-                outputs.append((rows, segs))
-        if len(outputs) == 1:
-            rows, segs = outputs[0]
-        else:
-            active = ctx.wave.active
-            branches = [
-                (rows, segment_spans(segs, active)) for rows, segs in outputs
-            ]
-            rows, segs = [], []
-            for i, seg in enumerate(active):
-                for branch_rows, spans in branches:
-                    start, end = spans[i]
-                    if end > start:
-                        rows.extend(branch_rows[start:end])
-                        segs.extend([seg] * (end - start))
         width = len(self.op.schema)
+        active = ctx.wave.active
+        # The branches' outputs, one after another: column j of all of
+        # them, their segments, and where each branch starts.
+        columns: list = [[] for _ in range(width)]
+        segs: list = []
+        branches = []
+        for child in self.child_nodes:
+            start = len(segs)
+            for batch in child.batches(ctx):
+                segs.extend(batch.segs)
+                for j, column in enumerate(columns):
+                    column.extend(batch.column(j))
+            if len(segs) > start:
+                branches.append((start, segment_spans(segs[start:], active)))
+        if len(branches) > 1:
+            order: list = []
+            for i in range(len(active)):
+                for offset, spans in branches:
+                    start, end = spans[i]
+                    order.extend(range(offset + start, offset + end))
+            columns = [list(map(column.__getitem__, order)) for column in columns]
+            segs = list(map(segs.__getitem__, order))
         size = self.batch_size
-        for start in range(0, len(rows), size):
-            chunk = rows[start : start + size]
+        for start in range(0, len(segs), size):
+            chunk = segs[start : start + size]
             ctx.counters.rows += len(chunk)
-            yield _with_segs(rows_batch(chunk, width), segs[start : start + size])
+            yield _with_segs(
+                ColumnBatch(
+                    columns=[column[start : start + size] for column in columns],
+                    length=len(chunk),
+                ),
+                chunk,
+            )
 
 
 def waves(partitions) -> Iterator[tuple[list, list]]:
