@@ -26,8 +26,8 @@ lists; it never mutates a shared list in place.)
 
 Inside a segmented GApply per-group plan (:mod:`repro.execution.vector.
 segmented`) each batch also carries ``segs``: the segment (group id) of
-every row, ascending. Transformations never carry it over; the operator
-that selects rows selects their segment ids too.
+every row, ascending. ``select``, ``head`` and ``project_columns`` carry
+it over; an operator that builds a batch of its own rows sets it.
 """
 
 from __future__ import annotations
@@ -145,26 +145,36 @@ class ColumnBatch:
 
     def select(self, indices: list[int]) -> "ColumnBatch":
         """Keep the rows at the given logical positions, in order."""
+        segs = self.segs
         if self._rows is not None and self._columns is None:
             rows = self._rows
             picked = [rows[i] for i in indices]
-            return ColumnBatch(rows=picked, length=len(picked))
-        sel = self._sel
-        if sel is not None:
-            indices = [sel[i] for i in indices]
-        return ColumnBatch(columns=self._columns, length=len(indices), sel=indices)
+            out = ColumnBatch(rows=picked, length=len(picked))
+        else:
+            sel = self._sel
+            positions = indices if sel is None else [sel[i] for i in indices]
+            out = ColumnBatch(
+                columns=self._columns, length=len(indices), sel=positions
+            )
+        if segs is not None:
+            out.segs = [segs[i] for i in indices]
+        return out
 
     def head(self, count: int) -> "ColumnBatch":
         """The first ``count`` rows."""
         if self._rows is not None and self._columns is None:
-            return ColumnBatch(rows=self._rows[:count], length=count)
-        if self._sel is not None:
-            return ColumnBatch(
+            out = ColumnBatch(rows=self._rows[:count], length=count)
+        elif self._sel is not None:
+            out = ColumnBatch(
                 columns=self._columns, length=count, sel=self._sel[:count]
             )
-        return ColumnBatch(
-            columns=[col[:count] for col in self._columns], length=count
-        )
+        else:
+            out = ColumnBatch(
+                columns=[col[:count] for col in self._columns], length=count
+            )
+        if self.segs is not None:
+            out.segs = self.segs[:count]
+        return out
 
     def project_columns(self, positions: Sequence[int]) -> "ColumnBatch":
         """A batch with only the given columns, in the given order.
@@ -175,9 +185,11 @@ class ColumnBatch:
         if self._columns is None:
             self._materialize_columns()
         cols = self._columns
-        return ColumnBatch(
+        out = ColumnBatch(
             columns=[cols[p] for p in positions], length=self.length, sel=self._sel
         )
+        out.segs = self.segs
+        return out
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -67,7 +67,7 @@ class Pipeline(VectorNode):
         self.op = stages[-1].op if stages else source.op
 
     def extend(self, stage: Stage) -> "Pipeline":
-        return Pipeline(self.source, self.stages + [stage])
+        return type(self)(self.source, self.stages + [stage])
 
     def batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         governor = ctx.governor
@@ -77,9 +77,10 @@ class Pipeline(VectorNode):
         records = None
         if metrics is not None:
             records = []
+            executions = self._executions(ctx)
             for spec in self.stages:
                 record = metrics.record_for(spec.op)
-                record.executions += 1
+                record.executions += executions
                 records.append(record)
         clock = None if metrics is None else metrics.clock
         bound = [spec.bind(ctx) for spec in self.stages]
@@ -122,8 +123,7 @@ class FilterStage(Stage):
         self.op = op
         self._predicate = compile_batch(op.predicate, op.child.schema)
 
-    def kept(self, batch, ctx) -> list[int]:
-        """The positions of the batch rows the predicate keeps."""
+    def apply(self, batch, ctx):
         counters = ctx.counters
         n = batch.length
         counters.comparisons += n
@@ -131,14 +131,11 @@ class FilterStage(Stage):
             ctx.metrics.record_for(self.op).comparisons += n
         values = self._predicate(batch, ctx)
         keep = [i for i, v in enumerate(values) if v is True]
-        counters.rows += len(keep)
-        return keep
-
-    def apply(self, batch, ctx):
-        keep = self.kept(batch, ctx)
-        if not keep:
+        kept = len(keep)
+        counters.rows += kept
+        if kept == 0:
             return None
-        if len(keep) == batch.length:
+        if kept == n:
             return batch
         return batch.select(keep)
 
@@ -157,7 +154,9 @@ class ProjectStage(Stage):
         n = batch.length
         ctx.counters.rows += n
         columns = [evaluate(batch, ctx) for evaluate in self._evaluators]
-        return ColumnBatch(columns=columns, length=n)
+        out = ColumnBatch(columns=columns, length=n)
+        out.segs = batch.segs
+        return out
 
 
 class PruneStage(Stage):
@@ -179,9 +178,12 @@ class PruneStage(Stage):
         positions = self._positions
         if len(positions) == 1:
             position = positions[0]
-            return ColumnBatch(columns=[[row[position] for row in rows]], length=n)
-        getter = self._getter
-        return ColumnBatch(rows=[getter(row) for row in rows], length=n)
+            out = ColumnBatch(columns=[[row[position] for row in rows]], length=n)
+        else:
+            getter = self._getter
+            out = ColumnBatch(rows=[getter(row) for row in rows], length=n)
+        out.segs = batch.segs
+        return out
 
 
 class AliasStage(Stage):

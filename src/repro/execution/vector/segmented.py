@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, repeat
+from operator import add, itemgetter
 from typing import Iterator
 
 from repro.execution.aggregates import PHashAggregate
@@ -76,9 +77,9 @@ from repro.execution.vector.nodes import (
 from repro.execution.vector.pipeline import (
     AliasStage,
     FilterStage,
+    Pipeline,
     ProjectStage,
     PruneStage,
-    Stage,
 )
 
 #: A wave closes at the first group boundary at or past this many rows.
@@ -135,15 +136,17 @@ def segment(op, variable: str, batch_size: int) -> VectorNode:
         if op.variable != variable:
             raise NotSegmentable(f"scan of ${op.variable}")
         return SegGroupScan(op, batch_size)
-    if isinstance(op, PFilter):
-        return SegFilter(FilterStage(op), segment(op.child, variable, batch_size))
-    if isinstance(op, (PProject, PPrune, PRemap, PAlias)):
+    if isinstance(op, (PFilter, PProject, PPrune, PRemap, PAlias)):
         stage = (
-            ProjectStage(op) if isinstance(op, PProject)
+            FilterStage(op) if isinstance(op, PFilter)
+            else ProjectStage(op) if isinstance(op, PProject)
             else AliasStage(op) if isinstance(op, PAlias)
             else PruneStage(op)
         )
-        return SegMap(stage, segment(op.child, variable, batch_size))
+        child = segment(op.child, variable, batch_size)
+        if isinstance(child, SegPipeline):
+            return child.extend(stage)
+        return SegPipeline(child, [stage])
     if isinstance(op, PHashAggregate):
         return SegAggregate(op, segment(op.child, variable, batch_size), batch_size)
     if isinstance(op, PApply) and not op.bindings:
@@ -203,39 +206,9 @@ class SegGroupScan(SegmentedNode):
             yield _with_segs(rows_batch(chunk, width), segs[start : start + size])
 
 
-class SegFilter(SegmentedNode):
-    def __init__(self, stage: FilterStage, child: VectorNode):
-        self.op = stage.op
-        self.stage = stage
-        self.child = child
-
-    def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        kept = self.stage.kept
-        for batch in self.child.batches(ctx):
-            keep = kept(batch, ctx)
-            if len(keep) == batch.length:
-                yield batch
-            elif keep:
-                segs = batch.segs
-                yield _with_segs(batch.select(keep), [segs[i] for i in keep])
-
-
-class SegMap(SegmentedNode):
-    """A row-for-row stage (project, prune/remap, alias): the output row
-    at each position keeps its input row's segment."""
-
-    def __init__(self, stage: Stage, child: VectorNode):
-        self.op = stage.op
-        self.stage = stage
-        self.child = child
-
-    def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        apply = self.stage.apply
-        for batch in self.child.batches(ctx):
-            out = apply(batch, ctx)
-            if out is not batch:
-                out.segs = batch.segs
-            yield out
+class SegPipeline(SegmentedNode, Pipeline):
+    """Filter, project, prune/remap and alias fused over a segmented
+    source: the pipeline stages carry each row's segment through."""
 
 
 class SegAggregate(SegmentedNode, HashAggregateNode):
@@ -357,29 +330,29 @@ class SegUnionAll(SegmentedNode):
         self.batch_size = batch_size
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        width = len(self.op.schema)
         active = ctx.wave.active
-        # The branches' outputs, one after another: column j of all of
-        # them, their segments, and where each branch starts.
-        columns: list = [[] for _ in range(width)]
+        # The branches' outputs one after another (column j of them all,
+        # their segments), and where each branch starts.
+        columns: list = [[] for _ in range(len(self.op.schema))]
         segs: list = []
         branches = []
         for child in self.child_nodes:
-            start = len(segs)
+            offset = len(segs)
             for batch in child.batches(ctx):
                 segs.extend(batch.segs)
                 for j, column in enumerate(columns):
                     column.extend(batch.column(j))
-            if len(segs) > start:
-                branches.append((start, segment_spans(segs[start:], active)))
+            if len(segs) > offset:
+                branches.append((offset, segment_spans(segs[offset:], active)))
         if len(branches) > 1:
             order: list = []
             for i in range(len(active)):
                 for offset, spans in branches:
                     start, end = spans[i]
                     order.extend(range(offset + start, offset + end))
-            columns = [list(map(column.__getitem__, order)) for column in columns]
-            segs = list(map(segs.__getitem__, order))
+            take = itemgetter(*order)  # two rows at least: a tuple
+            columns = [take(column) for column in columns]
+            segs = list(take(segs))
         size = self.batch_size
         for start in range(0, len(segs), size):
             chunk = segs[start : start + size]
@@ -469,7 +442,7 @@ class GApplyNode(VectorNode):
                 segs = batch.segs
                 emitted += len(rows)
                 counters.rows += len(rows)
-                pending.extend([keys[seg] + row for seg, row in zip(segs, rows)])
+                pending.extend(map(add, map(keys.__getitem__, segs), rows))
                 empty -= len(dict.fromkeys(segs)) - (segs[0] == last)
                 last = segs[-1]
                 if len(pending) >= size:
