@@ -205,7 +205,9 @@ class _Compiler:
         if isinstance(op, PGApply):
             outer = self.compile(op.outer)
             try:
-                per_group = segment(op.per_group, op.group_variable, size)
+                per_group = segment(
+                    op.per_group, op.group_variable, size, root=True
+                )
             except NotSegmentable as reason:
                 self.per_group_loops.append(FallbackNote(op.label(), str(reason)))
                 return GApplyNode(

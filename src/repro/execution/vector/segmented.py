@@ -126,8 +126,11 @@ _LOOP_REASONS = {
 }
 
 
-def segment(op, variable: str, batch_size: int) -> VectorNode:
-    """The segmented form of per-group plan ``op`` over ``$variable``.
+def segment(
+    op, variable: str, batch_size: int, root: bool = False
+) -> VectorNode:
+    """The segmented form of per-group plan ``op`` over ``$variable``
+    (``root``: ``op`` is the whole per-group plan, whose rows GApply reads).
 
     Raises :class:`NotSegmentable`, naming the first operator without a
     segmented form, when there is none.
@@ -157,7 +160,8 @@ def segment(op, variable: str, batch_size: int) -> VectorNode:
         )
     if isinstance(op, PUnionAll):
         return SegUnionAll(
-            op, [segment(c, variable, batch_size) for c in op.inputs], batch_size
+            op, [segment(c, variable, batch_size) for c in op.inputs],
+            batch_size, rows=root,
         )
     raise NotSegmentable(_LOOP_REASONS.get(type(op), type(op).__name__))
 
@@ -321,27 +325,35 @@ class SegApply(SegmentedNode):
 
 class SegUnionAll(SegmentedNode):
     """UNION ALL over segments: every branch's output for the wave, then
-    per segment each branch's run of it, in branch order. Columnar, so a
-    projection above reads its columns without a row round trip."""
+    per segment each branch's run of it, in branch order. It reorders
+    rows when it is the per-group plan's root (GApply reads rows next),
+    else columns (an operator above reads them without a round trip)."""
 
-    def __init__(self, op, children: list[VectorNode], batch_size: int):
+    def __init__(
+        self, op, children: list[VectorNode], batch_size: int, rows: bool
+    ):
         self.op = op
         self.child_nodes = children
         self.batch_size = batch_size
+        self.rows = rows
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         active = ctx.wave.active
-        # The branches' outputs one after another (column j of them all,
-        # their segments), and where each branch starts.
-        columns: list = [[] for _ in range(len(self.op.schema))]
+        width = len(self.op.schema)
+        # The branches' outputs one after another (their rows, or column
+        # j of them all; their segments), and where each branch starts.
+        parts: list = [[]] if self.rows else [[] for _ in range(width)]
         segs: list = []
         branches = []
         for child in self.child_nodes:
             offset = len(segs)
             for batch in child.batches(ctx):
                 segs.extend(batch.segs)
-                for j, column in enumerate(columns):
-                    column.extend(batch.column(j))
+                if self.rows:
+                    parts[0].extend(batch.rows())
+                else:
+                    for j, part in enumerate(parts):
+                        part.extend(batch.column(j))
             if len(segs) > offset:
                 branches.append((offset, segment_spans(segs[offset:], active)))
         if len(branches) > 1:
@@ -351,19 +363,20 @@ class SegUnionAll(SegmentedNode):
                     start, end = spans[i]
                     order.extend(range(offset + start, offset + end))
             take = itemgetter(*order)  # two rows at least: a tuple
-            columns = [take(column) for column in columns]
+            parts = [take(part) for part in parts]
             segs = list(take(segs))
         size = self.batch_size
         for start in range(0, len(segs), size):
             chunk = segs[start : start + size]
             ctx.counters.rows += len(chunk)
-            yield _with_segs(
-                ColumnBatch(
-                    columns=[column[start : start + size] for column in columns],
+            if self.rows:
+                batch = rows_batch(list(parts[0][start : start + size]), width)
+            else:
+                batch = ColumnBatch(
+                    columns=[part[start : start + size] for part in parts],
                     length=len(chunk),
-                ),
-                chunk,
-            )
+                )
+            yield _with_segs(batch, chunk)
 
 
 def waves(partitions) -> Iterator[tuple[list, list]]:

@@ -204,9 +204,14 @@ class TestWhatRunsSegmented:
             for xquery in (Q1_XQUERY, Q2_XQUERY)
         ]
         for sql in texts:
-            compiled = compile_plan(_lower(tpch_db, sql))
+            plan = _lower(tpch_db, sql)
+            compiled = compile_plan(plan)
             assert compiled.fully_vectorized
             assert compiled.per_group_loops == (), sql
+            # the publish plans' UNION ALL is the per-group plan's root
+            for batch_size in (3, 128):
+                volcano, vector = run_both(plan, batch_size)
+                assert vector == volcano, sql
             assert "per-group loops" not in tpch_db.sql(sql, explain=True).render()
 
     def test_exists_keeps_the_per_group_loop_and_explain_says_so(self, tpch_db):
