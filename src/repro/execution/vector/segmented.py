@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Iterator
 
 from repro.execution.aggregates import PHashAggregate
@@ -357,26 +357,35 @@ class SegUnionAll(SegmentedNode):
             if len(segs) > offset:
                 branches.append((offset, segment_spans(segs[offset:], active)))
         if len(branches) > 1:
-            order: list = []
-            for i in range(len(active)):
-                for offset, spans in branches:
-                    start, end = spans[i]
-                    order.extend(range(offset + start, offset + end))
-            take = itemgetter(*order)  # two rows at least: a tuple
-            parts = [take(part) for part in parts]
-            segs = list(take(segs))
+            # Each segment's run of each branch, in output order.
+            blocks = [
+                (offset + spans[i][0], offset + spans[i][1])
+                for i in range(len(active))
+                for offset, spans in branches
+                if spans[i][1] > spans[i][0]
+            ]
+            parts = [_gather(part, blocks) for part in parts]
+            segs = _gather(segs, blocks)
         size = self.batch_size
         for start in range(0, len(segs), size):
             chunk = segs[start : start + size]
             ctx.counters.rows += len(chunk)
             if self.rows:
-                batch = rows_batch(list(parts[0][start : start + size]), width)
+                batch = rows_batch(parts[0][start : start + size], width)
             else:
                 batch = ColumnBatch(
                     columns=[part[start : start + size] for part in parts],
                     length=len(chunk),
                 )
             yield _with_segs(batch, chunk)
+
+
+def _gather(values: list, blocks: list) -> list:
+    """The ``(start, end)`` slices of ``values``, concatenated."""
+    out: list = []
+    for start, end in blocks:
+        out.extend(values[start:end])
+    return out
 
 
 def waves(partitions) -> Iterator[tuple[list, list]]:
