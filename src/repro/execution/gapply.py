@@ -308,4 +308,4 @@ class PGApply(PhysicalOperator):
 
     def label(self) -> str:
         keys = ", ".join(self.grouping_columns)
-        return f"GApply:{self.partitioning}[{keys}; ${self.group_variable}]"
+        return f"GApply[{keys}; ${self.group_variable}]"
