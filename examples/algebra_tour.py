@@ -3,8 +3,8 @@
 Everything the SQL front end does is available programmatically — this is
 the level at which an XQuery translator (the paper's intended client)
 would drive the engine. The tour builds Figure 2's Q1 plan by hand,
-optimizes it, executes it under both partition strategies, and inspects
-the optimizer's property analyses directly.
+optimizes it, executes it, and inspects the optimizer's property
+analyses directly.
 
 Run:  python examples/algebra_tour.py
 """
@@ -25,7 +25,7 @@ from repro.algebra import (
     lit,
 )
 from repro.execution import ExecutionContext, run_plan
-from repro.optimizer import Optimizer, Planner, PlannerOptions
+from repro.optimizer import Optimizer, Planner
 from repro.optimizer.properties import (
     covering_range,
     empty_on_empty,
@@ -104,19 +104,16 @@ def main() -> None:
         f"{report.best_estimate.cost:.0f}"
     )
 
-    for partitioning in ("hash", "sort"):
-        physical = Planner(
-            catalog, PlannerOptions(gapply_partitioning=partitioning)
-        ).plan(report.best)
-        ctx = ExecutionContext()
-        rows = run_plan(physical, ctx)
-        print(
-            f"\n== execution ({partitioning} partitioning) == "
-            f"{len(rows)} rows, {ctx.counters.total_work} work units, "
-            f"{ctx.counters.groups_partitioned} groups"
-        )
-        for row in rows[:4]:
-            print("  ", row)
+    physical = Planner(catalog).plan(report.best)
+    ctx = ExecutionContext()
+    rows = run_plan(physical, ctx)
+    print(
+        f"\n== execution == {len(rows)} rows, "
+        f"{ctx.counters.total_work} work units, "
+        f"{ctx.counters.groups_partitioned} groups"
+    )
+    for row in rows[:4]:
+        print("  ", row)
 
 
 if __name__ == "__main__":

@@ -198,9 +198,6 @@ class Project(LogicalOperator):
         (child,) = children
         return Project(child, self.items)
 
-    def output_names(self) -> list[str]:
-        return [name for _, name in self.items]
-
     def label(self) -> str:
         inner = ", ".join(
             f"{expr} AS {name}" if str(expr) != name else name

@@ -49,7 +49,6 @@ EXPERIMENTS: dict[str, Callable[[float, int], list[tuple[str, Measurement]]]] = 
     "fig8_speedup": fig8.cases,
     "table1_rules": table1.cases,
     "client_simulation": client_sim.cases,
-    "partitioning": ablations.partitioning_cases,
     "index_ablation": ablations.index_ablation_cases,
     "spill": ablations.spill_cases,
     "xml_publishing": xml_publishing.cases,

@@ -1,10 +1,5 @@
 """Ablations around GApply's partition phase and the rules' access paths.
 
-* **A1 partitioning** — the paper implements partitioning "either through
-  sorting or through hashing" and reports that "the impact of GApply is
-  comparable whether we perform partitioning through sorting or through
-  hashing" (Section 5.2). Q1 and Q2 under both strategies check that claim
-  on our substrate.
 * **A2 index ablation** — the paper's server had indexes; the huge Table-1
   benefits (selection's 732x) come from selective predicates turning into
   cheap index seeks after a rule fires. The selection-before-GApply rewrite
@@ -13,7 +8,7 @@
 * **spill** — the partition phase buffers the whole GApply input; under a
   cell budget it sorts resident rows into run files and merges them back
   (``repro.storage.spill``). Q4 — the paper's natively-GApply-planned
-  query — in memory vs forced to spill, under both strategies. Spilling
+  query — in memory (hashed) vs forced to spill (sorted). Spilling
   trades memory for pickling and disk traffic, so the number to watch is
   the *ratio*, which bounds what a ``memory_budget=`` query pays when its
   partition buffer overflows. (Spilled rows equal in-memory rows for all
@@ -27,43 +22,22 @@ from repro.bench.harness import (
     bind,
     lower,
     measure_physical,
-    measure_sql,
     optimize_with,
     rule_plans,
     tpch_catalog,
 )
 from repro.execution.base import PhysicalOperator
 from repro.execution.context import ExecutionContext
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.execution.vector.compiler import compile_plan
 from repro.optimizer.planner import PlannerOptions
 from repro.optimizer.rules import rule_by_name
 from repro.workloads.queries import query_by_name
 from repro.workloads.rule_queries import SELECTION_SWEEP
 
-PARTITIONINGS = (HASH_PARTITION, SORT_PARTITION)
-
 #: Cells the partition buffer may hold resident. Small enough that Q4's
 #: input overflows even at smoke scale (checked on every run), large enough
 #: to produce several runs rather than one row per run.
 SPILL_THRESHOLD = 256
-
-
-def partitioning_cases(
-    scale: float, repetitions: int
-) -> list[tuple[str, Measurement]]:
-    catalog = tpch_catalog(scale)
-    named = []
-    for name in ("Q1", "Q2"):
-        for strategy in PARTITIONINGS:
-            measurement = measure_sql(
-                catalog,
-                query_by_name(name).gapply_sql,
-                options=PlannerOptions(gapply_partitioning=strategy),
-                repetitions=repetitions,
-            )
-            named.append((f"{name}/{strategy}", measurement))
-    return named
 
 
 def index_ablation_cases(
@@ -102,14 +76,12 @@ def spill_cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]
     catalog = tpch_catalog(scale)
     logical = optimize_with(catalog, bind(catalog, query_by_name("Q4").gapply_sql))
     named = []
-    for partitioning in PARTITIONINGS:
-        for label, threshold in (("memory", None), ("spill", SPILL_THRESHOLD)):
-            options = PlannerOptions(
-                gapply_partitioning=partitioning, gapply_spill_threshold=threshold
-            )
-            plan = lower(catalog, logical, options)
-            name = f"Q4-{partitioning}-{label}"
-            if threshold is not None:
-                _require_spill(plan, name)
-            named.append((name, measure_physical(plan, repetitions)))
+    for label, threshold in (("memory", None), ("spill", SPILL_THRESHOLD)):
+        plan = lower(
+            catalog, logical, PlannerOptions(gapply_spill_threshold=threshold)
+        )
+        name = f"Q4-{label}"
+        if threshold is not None:
+            _require_spill(plan, name)
+        named.append((name, measure_physical(plan, repetitions)))
     return named

@@ -3,9 +3,9 @@
 Print the figure's data series with ``python -m repro.bench fig8_speedup``.
 
 For each paper query the harness measures the classical (sorted outer
-union / derived-table) formulation and the GApply formulation, with both
-of the paper's partition strategies, and prints the ratio
-``time(without GApply) / time(with GApply)`` — the Y axis of Figure 8.
+union / derived-table) formulation and the GApply formulation, and
+prints the ratio ``time(without GApply) / time(with GApply)`` — the Y
+axis of Figure 8.
 The classical formulation runs with its joins ordered by cost, as the
 paper's SQL Server ordered them, and once more as written (the
 ``join_order`` rule off), the baseline this engine measured before it
@@ -25,7 +25,6 @@ from repro.bench.harness import (
     optimize_with,
     tpch_catalog,
 )
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.optimizer.planner import PlannerOptions
 from repro.storage.catalog import Catalog
 from repro.workloads.queries import PAPER_QUERIES, PaperQuery
@@ -46,17 +45,12 @@ class Fig8Row:
     query: str
     baseline: Measurement
     gapply_hash: Measurement
-    gapply_sort: Measurement
     #: The classical formulation with its joins in FROM order.
     baseline_written: Measurement
 
     @property
     def speedup_hash(self) -> float:
         return self.baseline.ratio_to(self.gapply_hash)
-
-    @property
-    def speedup_sort(self) -> float:
-        return self.baseline.ratio_to(self.gapply_sort)
 
     @property
     def work_speedup(self) -> float:
@@ -69,24 +63,13 @@ def run_query(
     baseline = measure_sql(
         catalog, query.baseline_sql, repetitions=repetitions
     )
-    gapply_hash = measure_sql(
-        catalog,
-        query.gapply_sql,
-        options=PlannerOptions(gapply_partitioning=HASH_PARTITION),
-        repetitions=repetitions,
-    )
-    gapply_sort = measure_sql(
-        catalog,
-        query.gapply_sql,
-        options=PlannerOptions(gapply_partitioning=SORT_PARTITION),
-        repetitions=repetitions,
-    )
+    gapply_hash = measure_sql(catalog, query.gapply_sql, repetitions=repetitions)
     written = WRITTEN_ORDER.active_rules()
     baseline_written = measure_physical(
         lower(catalog, optimize_with(catalog, bind(catalog, query.baseline_sql), written)),
         repetitions,
     )
-    return Fig8Row(query.name, baseline, gapply_hash, gapply_sort, baseline_written)
+    return Fig8Row(query.name, baseline, gapply_hash, baseline_written)
 
 
 def run_figure8(
@@ -103,19 +86,18 @@ def format_rows(rows: list[Fig8Row]) -> str:
         "execution only)",
         "",
         f"{'query':<6} {'baseline':>10} {'gapply':>10} {'speedup':>9} "
-        f"{'(sort)':>8} {'work x':>8} {'as written':>11} {'speedup':>9} "
-        f"{'(sort)':>8} {'work x':>8} {'paper ~':>8}",
+        f"{'work x':>8} {'as written':>11} {'speedup':>9} "
+        f"{'work x':>8} {'paper ~':>8}",
     ]
     for row in rows:
         written = row.baseline_written
         lines.append(
             f"{row.query:<6} {row.baseline.elapsed * 1e3:>8.1f}ms "
             f"{row.gapply_hash.elapsed * 1e3:>8.1f}ms "
-            f"{row.speedup_hash:>8.2f}x {row.speedup_sort:>7.2f}x "
+            f"{row.speedup_hash:>8.2f}x "
             f"{row.work_speedup:>7.2f}x "
             f"{written.elapsed * 1e3:>9.1f}ms "
             f"{written.ratio_to(row.gapply_hash):>8.2f}x "
-            f"{written.ratio_to(row.gapply_sort):>7.2f}x "
             f"{written.work_ratio_to(row.gapply_hash):>7.2f}x "
             f"{PAPER_FIGURE8_RATIOS[row.query]:>7.1f}x"
         )
@@ -132,5 +114,4 @@ def cases(scale: float, repetitions: int) -> list[tuple[str, Measurement]]:
     for row in rows:
         named.append((f"{row.query}/baseline", row.baseline))
         named.append((f"{row.query}/gapply_hash", row.gapply_hash))
-        named.append((f"{row.query}/gapply_sort", row.gapply_sort))
     return named

@@ -20,14 +20,13 @@ from repro.execution.basic import (
     PUnionAll,
 )
 from repro.execution.context import Counters, ExecutionContext
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION, PGApply
+from repro.execution.gapply import PGApply
 from repro.execution.joins import PHashJoin, PNestedLoopJoin
 from repro.execution.scans import PGroupScan, PTableScan
 
 __all__ = [
     "Counters",
     "ExecutionContext",
-    "HASH_PARTITION",
     "PAlias",
     "PApply",
     "PDistinct",
@@ -47,7 +46,6 @@ __all__ = [
     "PTableScan",
     "PUnionAll",
     "PhysicalOperator",
-    "SORT_PARTITION",
     "run_plan",
     "run_plan_to_table",
 ]

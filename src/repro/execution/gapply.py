@@ -9,19 +9,14 @@ query PGQ is evaluated on each group ... by treating each group as a
 temporary relation, binding a relation-valued parameter $group to each group
 in succession."
 
-Both partitioning strategies are implemented, and both emit their groups
-in **key order** (``key_function``'s order: NULLS FIRST, NaN above +inf),
+The paper's two strategies map onto a memory threshold. In memory the
+partition phase **hashes**: one pass building ``dict[key] -> rows``, then
+one sort of the O(groups) key directory at the end of the phase. Under a
+threshold it **sorts** externally (below). Either way groups come out in
+**key order** (``key_function``'s order: NULLS FIRST, NaN above +inf),
 the order ORDER BY and the sorted outer union use, so the two SQL
-formulations of a published view yield one document:
-
-* ``hash`` — one pass building ``dict[key] -> rows``, then one sort of
-  the O(groups) key directory at the end of the partition phase;
-* ``sort`` — sort the materialized input on the grouping key and split runs;
-  output groups are clustered in key order, which makes the downstream
-  clustering the tagger needs free of charge (the Section 3.1 point that an
-  explicit partition operator above GApply becomes redundant).
-
-Either way a group's rows keep their arrival order.
+formulations of a published view yield one document, and a group's rows
+keep their arrival order.
 
 Rows with NULL grouping values form a single NULL group, matching GROUP BY.
 
@@ -35,8 +30,8 @@ projection-before-GApply rule, so the copy keeps the cost model honest.
 Under a cell budget the partition phase **spills to disk** through the
 one external merge sort ORDER BY and DISTINCT use
 (:class:`~repro.storage.spill.RunWriter`), then cuts the merged stream
-into groups like the in-memory sort. Both partitionings order the spill
-on the grouping key, so it holds no per-group state in memory, and the
+into groups. The spill is ordered on the grouping key, so it holds no
+per-group state in memory, and the
 stable merge returns groups in key order and rows in arrival order: the
 in-memory output byte for byte. Pickle round-trips values exactly, and
 keys hold ``NULL_KEY``/``NAN_KEY`` singletons, so a key read back from a
@@ -50,8 +45,8 @@ buffer*, exactly the quantity the paper's §4.2 rules compete to shrink.
 
 The phase is :meth:`PGApply.partition`, a function of a row iterator:
 the Volcano operator passes ``outer.execute(ctx)``, the vector engine's
-``GApplyNode`` its batches flattened, so all three implementations
-(in-memory hash, in-memory sort, external sort) serve both engines.
+``GApplyNode`` its batches flattened, so both implementations
+(in-memory hash, external sort) serve both engines.
 
 :meth:`PGApply._execute` runs the execution phase as the paper states
 it, one per-group plan run per group, and is the reference the compiled
@@ -71,9 +66,6 @@ from repro.execution.context import ExecutionContext
 from repro.storage.spill import RunWriter
 from repro.storage.table import Row
 from repro.storage.types import key_function, raw_keys
-
-HASH_PARTITION = "hash"
-SORT_PARTITION = "sort"
 
 
 def _buffer_row(row: Row) -> Row:
@@ -101,14 +93,8 @@ class PGApply(PhysicalOperator):
         grouping_columns: Sequence[str],
         per_group: PhysicalOperator,
         group_variable: str = "group",
-        partitioning: str = HASH_PARTITION,
         spill_threshold: int | None = None,
     ):
-        if partitioning not in (HASH_PARTITION, SORT_PARTITION):
-            raise PlanError(
-                f"unknown GApply partitioning {partitioning!r}; "
-                f"use {HASH_PARTITION!r} or {SORT_PARTITION!r}"
-            )
         if spill_threshold is not None and spill_threshold < 1:
             raise PlanError(
                 f"GApply spill_threshold must be >= 1, got {spill_threshold}"
@@ -118,7 +104,6 @@ class PGApply(PhysicalOperator):
         self.grouping_columns = tuple(grouping_columns)
         self.per_group = per_group
         self.group_variable = group_variable
-        self.partitioning = partitioning
         self._key_positions = outer.schema.indices_of(grouping_columns)
         if len(self._key_positions) == 1:
             position = self._key_positions[0]
@@ -140,7 +125,7 @@ class PGApply(PhysicalOperator):
     # ------------------------------------------------------------------
     # Partitioning phase: a function of a row iterator, so the Volcano
     # operator (``outer.execute``) and the vector breaker (its batches,
-    # flattened) share all three implementations.
+    # flattened) share both implementations.
     # ------------------------------------------------------------------
 
     def _effective_spill_threshold(self, ctx: ExecutionContext) -> int | None:
@@ -163,10 +148,8 @@ class PGApply(PhysicalOperator):
         """
         threshold = self._effective_spill_threshold(ctx)
         if threshold is not None:
-            return self._partition_spill(rows, ctx, self._group_key, threshold)
-        if self.partitioning == HASH_PARTITION:
-            return self._partition_hash(rows, ctx)
-        return self._partition_sort(rows, ctx)
+            return self._partition_spill(rows, ctx, threshold)
+        return self._partition_hash(rows, ctx)
 
     def _count_partition(
         self, ctx: ExecutionContext, total: int, peak_rows: int
@@ -208,14 +191,6 @@ class PGApply(PhysicalOperator):
             entries.sort(key=lambda entry: key(entry[0]))
         yield from entries
 
-    def _partition_sort(self, rows, ctx):
-        buffered = [_buffer_row(row) for row in rows]
-        ctx.counters.buffered_cells += len(buffered) * len(self.outer.schema)
-        self._count_partition(ctx, len(buffered), len(buffered))
-        buffered.sort(key=self._group_key)
-        ctx.counters.comparisons += len(buffered)
-        yield from self._split_groups(buffered)
-
     def _split_groups(
         self, ordered: Iterable[Row]
     ) -> Iterator[tuple[tuple, list[Row]]]:
@@ -239,11 +214,11 @@ class PGApply(PhysicalOperator):
         if current_key is not None:
             yield current_values, bucket
 
-    def _partition_spill(self, rows, ctx, order_key, threshold: int):
+    def _partition_spill(self, rows, ctx, threshold: int):
         """External merge sort (:class:`~repro.storage.spill.RunWriter`)
-        on ``order_key``, then the in-memory sort's group split."""
+        on the grouping key, then one split into groups."""
         total = 0
-        with RunWriter(ctx, self, order_key, threshold) as writer:
+        with RunWriter(ctx, self, self._group_key, threshold) as writer:
             for row in rows:
                 buffered = _buffer_row(row)
                 writer.add(buffered, len(buffered))

@@ -59,10 +59,6 @@ from repro.execution.vector.batch import ColumnBatch
 BatchEvaluator = Callable[[ColumnBatch, Any], List[Any]]
 
 _NUMERIC = (DataType.INTEGER, DataType.FLOAT)
-#: Same-type comparisons that native ``<``/``==`` decide exactly like
-#: ``compare_values`` (no cross-type, no NULL-vs-value subtleties beyond
-#: the explicit ``is None`` checks in the kernels).
-_ORDERED = (DataType.INTEGER, DataType.FLOAT, DataType.STRING, DataType.DATE)
 
 _CMP_OPERATORS = {
     "=": operator.eq,

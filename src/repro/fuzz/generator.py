@@ -45,8 +45,6 @@ from repro.storage.types import DataType
 STRING_VOCAB = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 GROUP_VARIABLE = "g"
 
-AGG_FUNCTIONS = ("count", "sum", "avg", "min", "max")
-
 
 # ----------------------------------------------------------------------
 # Schema + data
@@ -66,9 +64,6 @@ class FuzzTable:
     columns: list[FuzzColumn]
     rows: list[tuple]
     primary_key: list[str]
-
-    def columns_of(self, *dtypes: DataType) -> list[FuzzColumn]:
-        return [c for c in self.columns if c.dtype in dtypes]
 
 
 @dataclass

@@ -3,19 +3,19 @@
 The paper's claim is that every rewrite rule is semantics-preserving, so
 the strongest executable check is: run the same query under *every*
 planner configuration — each optimizer rule individually disabled, all
-rules off (the bound plan as written), both GApply partitioning
-strategies, a partition phase forced to spill, no hash joins, no index
-access paths — and demand identical normalized result multisets. Every
+rules off (the bound plan as written), a GApply partition phase forced
+to spill (the external sort), no hash joins, no index access paths —
+and demand identical normalized result multisets. Every
 configuration runs through ``Database.sql`` (the compiled plan); the
 baseline it is compared with is the same query on the row iterators
 (:func:`repro.fuzz.oracle.reference_rows`).
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
-fuzzer (5 fixed configurations and one per optimizer rule);
-``QUICK_PROFILE`` (5 + 5) keeps tier-1 test time bounded while still
+fuzzer (4 fixed configurations and one per optimizer rule);
+``QUICK_PROFILE`` (4 + 5) keeps tier-1 test time bounded while still
 covering the rule families with distinct failure modes. The engine
-profile runs 11 configurations that change which batch operators and
-fast paths a plan exercises, four of them spilling.
+profile runs 9 configurations that change which batch operators and
+fast paths a plan exercises, three of them spilling.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
     rules = _rule_names()
     configs = [
         PlanConfig("all-rules-off", PlannerOptions(disabled_rules=tuple(rules))),
-        PlanConfig("sort-partitioning", PlannerOptions(gapply_partitioning="sort")),
         PlanConfig(
             "forced-spill",
             PlannerOptions(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
@@ -87,8 +86,8 @@ def engine_configurations() -> list[PlanConfig]:
     operators and fast paths it exercises. Batch sizes 3 and 1 force
     cross-batch state (limit countdowns, distinct sets, hash-join builds
     spanning batches) that the default 128 hides on small fuzz data; the
-    forced-spill pair runs the shared partition phase's disk paths, the
-    budgeted pair the shared external sort and dedupe, all under
+    forced spill runs the partition phase's external sort, the budgeted
+    pair the shared external sort and dedupe, all under
     vectorized inputs."""
     return [
         PlanConfig("vector"),
@@ -99,18 +98,8 @@ def engine_configurations() -> list[PlanConfig]:
             PlannerOptions(disabled_rules=tuple(_rule_names())),
         ),
         PlanConfig(
-            "vector-sort-partitioning", PlannerOptions(gapply_partitioning="sort")
-        ),
-        PlanConfig(
-            "vector-spill-hash",
+            "vector-spill",
             PlannerOptions(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
-        ),
-        PlanConfig(
-            "vector-spill-sort",
-            PlannerOptions(
-                gapply_partitioning="sort",
-                gapply_spill_threshold=FUZZ_SPILL_THRESHOLD,
-            ),
         ),
         PlanConfig("vector-budget", memory_budget=FUZZ_MEMORY_BUDGET),
         PlanConfig(

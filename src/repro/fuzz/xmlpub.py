@@ -34,8 +34,8 @@ Two layers of seeded random cases, both with a materialized reference:
   order is key order (DESIGN.md §7), so there is one reference per case:
   the sorted outer union's SQL run on the row iterators
   (:func:`repro.fuzz.oracle.reference_rows`) and tagged. Every variant —
-  both formulations × hash and sort partitioning × in memory and spilled
-  — must stream it byte for byte (``view-variants`` in the summary).
+  both formulations × in memory and spilled — must stream it byte for
+  byte (``view-variants`` in the summary).
 
 The ``xmlpub`` profile of the one driver (:mod:`repro.fuzz.driver`): a
 failure has kind ``xmlpub`` and its stage (``chunking`` / ``parse`` /
@@ -58,7 +58,6 @@ from typing import Any, Iterable
 
 from repro.api import Database
 from repro.errors import ReproError
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.fuzz.corpus import read_reproducers, write_reproducer
 from repro.fuzz.driver import Failure, Profile
 from repro.fuzz.oracle import reference_rows
@@ -411,12 +410,11 @@ VIEW_XQUERIES = (
 #: a run: two rows of the four-column outer query.
 VIEW_SPILL_THRESHOLD = 8
 
-#: Every way a view case is published: (formulation, partitioning, forced
-#: spill threshold or None).
+#: Every way a view case is published: (formulation, forced spill
+#: threshold or None).
 VIEW_VARIANTS = tuple(
-    (formulation, partitioning, threshold)
+    (formulation, threshold)
     for formulation in FORMULATIONS
-    for partitioning in (HASH_PARTITION, SORT_PARTITION)
     for threshold in (None, VIEW_SPILL_THRESHOLD)
 )
 
@@ -477,14 +475,10 @@ def check_view_case(seed: int, tally: Counter | None = None) -> Failure | None:
         .tag_to_string(reference_rows(db, translated.outer_union_sql))
         .encode()
     )
-    for formulation, partitioning, threshold in VIEW_VARIANTS:
-        options = PlannerOptions(
-            gapply_partitioning=partitioning, gapply_spill_threshold=threshold
-        )
-        config = (
-            f"{name}/{formulation}/{partitioning}/"
-            f"{'memory' if threshold is None else 'spilled'}"
-        )
+    for formulation, threshold in VIEW_VARIANTS:
+        options = PlannerOptions(gapply_spill_threshold=threshold)
+        spill = "memory" if threshold is None else "spilled"
+        config = f"{name}/{formulation}/{spill}"
         try:
             streamed = db.publish(
                 view,

@@ -17,8 +17,9 @@ makes is the one the cost model priced when it ranked the logical plans:
   prices too);
 * other joins become nested-loop joins;
 * GROUP BY becomes a hash aggregate;
-* GApply's partitioning strategy (hash or sort) is a planner option,
-  mirroring the paper's two partition-phase implementations.
+* GApply partitions by hashing in memory and by an external sort under a
+  spill threshold (``gapply_spill_threshold`` or the governor's budget),
+  the paper's two partition-phase implementations.
 
 Every lowered node carries the cost model's row estimate for its logical
 source (``est_rows``), which EXPLAIN renders.
@@ -71,7 +72,7 @@ from repro.execution.basic import (
     PSort,
     PUnionAll,
 )
-from repro.execution.gapply import HASH_PARTITION, PGApply
+from repro.execution.gapply import PGApply
 from repro.execution.indexscan import PIndexNestedLoopJoin, PIndexSeek
 from repro.execution.joins import PHashJoin, PNestedLoopJoin
 from repro.execution.scans import PGroupScan, PTableScan
@@ -85,8 +86,6 @@ from repro.storage.catalog import Catalog
 class PlannerOptions:
     """Physical planning knobs.
 
-    ``gapply_partitioning`` selects the paper's partition-phase strategy
-    (``"hash"`` or ``"sort"``); benchmarks sweep it as an ablation.
     ``prefer_hash_join`` can be disabled to force nested-loop joins, and
     ``use_indexes`` to force hash joins and filtered scans, which tests use
     to check plan-independence of results.
@@ -104,7 +103,6 @@ class PlannerOptions:
     ``vector_batch_size`` (>= 1) sets the rows-per-batch granularity.
     """
 
-    gapply_partitioning: str = HASH_PARTITION
     prefer_hash_join: bool = True
     use_indexes: bool = True
     #: Force the GApply partition phase to spill to disk once this many
@@ -310,7 +308,6 @@ class Planner:
             node.grouping_columns,
             per_group,
             node.group_variable,
-            self.options.gapply_partitioning,
             spill_threshold=self.options.gapply_spill_threshold,
         )
 

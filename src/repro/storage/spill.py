@@ -31,11 +31,11 @@ inputs in argument order, so passing runs in creation order (and the
 in-memory tail last) reproduces Python's stable in-memory sort exactly.
 
 :class:`RunWriter` is the one budgeted external sort built on them:
-GApply's partition phase (both partitionings sort on the grouping key),
-ORDER BY and both phases of DISTINCT feed it items and read them back in key
-order; nothing else constructs a run. It merges every :data:`FAN_IN`
-runs of one level into one run of the next, so the files it holds open
-grow with the logarithm of the input, not with it.
+GApply's partition phase (sorting on the grouping key), ORDER BY and
+both phases of DISTINCT feed it items and read them back in key order;
+nothing else constructs a run. It merges every :data:`FAN_IN` runs of
+one level into one run of the next, so the files it holds open grow
+with the logarithm of the input, not with it.
 
 Every write funnels through :func:`_write_record`, which consults the
 fault-injection registry (:mod:`repro.execution.faults`) so chaos tests
@@ -194,7 +194,7 @@ def merge_runs(
     With runs passed in creation order and the in-memory tail last, ties
     on ``key`` come out in arrival order — exactly the order Python's
     stable in-memory ``list.sort`` would have produced, which keeps
-    spilled sort partitioning byte-identical to the in-memory path.
+    a spilled partition phase byte-identical to the in-memory path.
     """
     return heapq.merge(*runs, key=key)
 

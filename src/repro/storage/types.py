@@ -54,10 +54,6 @@ class DataType(enum.Enum):
     def is_numeric(self) -> bool:
         return self in (DataType.INTEGER, DataType.FLOAT, DataType.ANY)
 
-    @property
-    def is_comparable(self) -> bool:
-        return self is not DataType.BOOLEAN
-
 
 _PYTHON_TYPE_MAP: dict[DataType, tuple[type, ...]] = {
     DataType.INTEGER: (int,),

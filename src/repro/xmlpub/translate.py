@@ -48,7 +48,7 @@ from repro.xmlpub.tagger import (
     ScalarBranch,
     TaggerSpec,
 )
-from repro.xmlpub.view import XmlChildEdge, XmlView, XmlViewNode
+from repro.xmlpub.view import XmlView, XmlViewNode
 from repro.xmlpub.xquery import (
     XqAggregate,
     XqArith,
@@ -115,16 +115,6 @@ class Translator:
     def node_columns(self, node: XmlViewNode) -> list[str]:
         """Output column names of a view node's SQL query."""
         return [column.name for column in self.node_schema(node)]
-
-    def _resolve_child(self, path: XqPath, flwr: XqFlwr) -> XmlChildEdge:
-        if path.variable != flwr.variable:
-            raise XmlPublishError(
-                f"path ${path.variable} does not reference the bound "
-                f"variable ${flwr.variable}"
-            )
-        if len(path.steps) < 1:
-            raise XmlPublishError(f"path {path} does not name a child")
-        return self.view.node.child(path.steps[0])
 
     # ------------------------------------------------------------------
     # Entry point

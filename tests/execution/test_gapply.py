@@ -10,14 +10,12 @@ import random
 import pytest
 
 from repro.algebra.expressions import avg, col, count_star, gt, lit
-from repro.errors import PlanError
 from repro.execution.aggregates import PHashAggregate
 from repro.execution.base import PMaterialized, run_plan
 from repro.execution.basic import PFilter, PProject
 from repro.execution.context import ExecutionContext
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION, PGApply
+from repro.execution.gapply import PGApply
 from repro.execution.scans import PGroupScan
-from repro.optimizer.planner import PlannerOptions
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType, grouping_key
 from repro.workloads.queries import query_by_name
@@ -54,6 +52,13 @@ def random_rows(seed: int, count: int = 120) -> list[tuple]:
     return rows
 
 
+#: The partition phase's two implementations, by spill threshold: the
+#: in-memory hash, and the external sort a one-cell threshold forces.
+PARTITIONS = pytest.mark.parametrize(
+    "spill_threshold", [None, 1], ids=["hash", "sort"]
+)
+
+
 def source(rows=None):
     return PMaterialized(SCHEMA, ROWS if rows is None else rows)
 
@@ -83,7 +88,7 @@ def formal_definition(rows, key_positions, pgq_fn):
 
 
 class TestSemantics:
-    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
+    @PARTITIONS
     @pytest.mark.parametrize(
         "rows, keys",
         [
@@ -95,9 +100,11 @@ class TestSemantics:
         ids=["handcrafted", "random-1", "random-2-multikey", "random-3-multikey"],
     )
     def test_count_per_group_matches_formal_definition(
-        self, partitioning, rows, keys
+        self, spill_threshold, rows, keys
     ):
-        plan = PGApply(source(rows), keys, count_pgq(), "grp", partitioning)
+        plan = PGApply(
+            source(rows), keys, count_pgq(), "grp", spill_threshold=spill_threshold
+        )
         expected = formal_definition(
             rows, list(range(len(keys))), lambda grp: [(len(grp),)]
         )
@@ -135,29 +142,22 @@ class TestSemantics:
         assert out[grouping_key((1,))] == 2
         assert out[grouping_key((2,))] == 0  # aggregate over empty subset
 
-    def test_sort_partitioning_clusters_keys_in_order(self):
-        plan = PGApply(source(), ["g"], count_pgq(), "grp", SORT_PARTITION)
+    def test_partition_emits_keys_in_order(self):
+        plan = PGApply(source(), ["g"], count_pgq(), "grp")
         keys = [row[0] for row in run_plan(plan)]
         assert keys == [None, 1, 2]  # NULLS FIRST, then ascending
 
-    def test_sort_partitioning_emits_clustered_keys(self, tpch_db):
+    def test_paper_query_emits_clustered_keys(self, tpch_db):
         """The same on a paper query through the compiled plan: Q1's output
         arrives ordered by supplier key, so the tagger needs no partition
         operator above GApply."""
-        result = tpch_db.sql(
-            query_by_name("Q1").gapply_sql,
-            planner_options=PlannerOptions(gapply_partitioning=SORT_PARTITION),
-        )
+        result = tpch_db.sql(query_by_name("Q1").gapply_sql)
         keys = [row[0] for row in result.rows]
         assert len(set(keys)) > 1
         assert keys == sorted(keys)
 
 
 class TestMechanics:
-    def test_unknown_partitioning_rejected(self):
-        with pytest.raises(PlanError):
-            PGApply(source(), ["g"], count_pgq(), "grp", "quantum")
-
     def test_counters(self):
         ctx = ExecutionContext()
         run_plan(PGApply(source(), ["g"], count_pgq(), "grp"), ctx)
@@ -166,14 +166,14 @@ class TestMechanics:
         assert ctx.counters.peak_partition_rows == 5
         assert ctx.counters.buffered_cells == 5 * 3
 
-    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
-    def test_empty_groups_are_counted(self, partitioning):
+    @PARTITIONS
+    def test_empty_groups_are_counted(self, spill_threshold):
         """A group whose per-group plan emits nothing still forms (and is
         executed); the metrics record says how many came up empty."""
         from repro.observe.metrics import MetricsRegistry
 
         pgq = PFilter(PGroupScan("grp", SCHEMA), gt(col("v"), lit(7.0)))
-        plan = PGApply(source(), ["g"], pgq, "grp", partitioning)
+        plan = PGApply(source(), ["g"], pgq, "grp", spill_threshold=spill_threshold)
         registry = MetricsRegistry()
         registry.register_plan(plan)
         ctx = ExecutionContext(metrics=registry)

@@ -3,9 +3,10 @@
 PostgreSQL's rule (DESIGN.md §3): all NaNs are equal and NaN sorts above
 +inf. A FLOAT column holding two distinct NaN objects, ±inf, -0.0 and
 NULL must give the same answer to ORDER BY, DISTINCT, GROUP BY,
-COUNT(DISTINCT), MIN/MAX, ``k = k``, a hash join and GApply, whatever
-the partitioning (hash or sort), whether it spills, and on both engines
-(``Database.sql`` compiled, ``reference_rows`` the row iterators).
+COUNT(DISTINCT), MIN/MAX, ``k = k``, a hash join and GApply, whether
+it runs in memory (GApply hashes) or spills (GApply sorts externally),
+and on both engines (``Database.sql`` compiled, ``reference_rows`` the
+row iterators).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 
 from repro.api import Database
 from repro.execution.context import ExecutionContext
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.execution.governor import Budget, Governor
 from repro.fuzz.oracle import reference_rows
 from repro.storage import DataType
@@ -72,11 +72,8 @@ def db() -> Database:
 
 
 CONFIGS = [
-    pytest.param(
-        (partitioning, spill, engine), id=f"{partitioning}-{spill}-{engine}"
-    )
-    for partitioning in (HASH_PARTITION, SORT_PARTITION)
-    for spill in ("memory", "spilled")
+    pytest.param((spill, engine), id=f"{partition}-{spill}-{engine}")
+    for partition, spill in (("hash", "memory"), ("sort", "spilled"))
     for engine in ("compiled", "row-iterators")
 ]
 
@@ -84,8 +81,8 @@ CONFIGS = [
 @pytest.fixture(params=CONFIGS)
 def run(request, db):
     """``sql`` -> rows under one configuration."""
-    partitioning, spill, engine = request.param
-    options = replace(ALL_RULES_OFF, gapply_partitioning=partitioning)
+    spill, engine = request.param
+    options = ALL_RULES_OFF
     budget = None
     if spill == "spilled":
         options = replace(options, gapply_spill_threshold=SPILL)
@@ -173,5 +170,5 @@ class TestOneAnswerPerStrategy:
         )
         assert len(rows) == len(EXPECTED_GROUPS)
         assert {rank(k): (n, s) for k, n, s in rows} == EXPECTED_GROUPS
-        # Key order under every partitioning, in memory and spilled.
+        # Key order in memory and spilled.
         assert [rank(k) for k, _, _ in rows] == sorted(EXPECTED_GROUPS)

@@ -1,6 +1,6 @@
-"""Spill-to-disk partitioning: forced-spill GApply must be byte-identical
-to in-memory execution for every paper-query formulation, under both
-partitioning strategies, with real spill metrics and no files left
+"""Spill-to-disk partitioning: forced-spill GApply (the external sort)
+must be byte-identical to in-memory execution (the hash partition) for
+every paper-query formulation, with real spill metrics and no files left
 behind. Also the shared run-writer itself, and where ORDER BY and
 DISTINCT put their runs."""
 
@@ -16,7 +16,6 @@ import pytest
 from repro.api import Database
 from repro.errors import MemoryBudgetExceeded, QueryCancelled, SpillError
 from repro.execution.context import ExecutionContext
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.execution.faults import FaultPlan, fault_injection
 from repro.execution.governor import Budget, Governor
 from repro.fuzz.oracle import reference_rows
@@ -99,7 +98,7 @@ class TestCodec:
 
     def test_merge_runs_is_stable_in_argument_order(self, tmp_path):
         # Ties on the key must come out in run-argument order — the
-        # property that makes spilled sort partitioning byte-identical.
+        # property that makes a spilled partition phase byte-identical.
         run_a = SpillRun([(1, "a1"), (2, "a2")])
         run_b = SpillRun([(1, "b1"), (3, "b3")])
         tail = [(1, "tail"), (2, "tail2")]
@@ -123,25 +122,23 @@ class TestCodec:
 
 
 @pytest.mark.parametrize(
-    "partitioning", [HASH_PARTITION, SORT_PARTITION]
-)
-@pytest.mark.parametrize(
     "name,kind,sql",
     FORMULATIONS,
     ids=[f"{name}-{kind}" for name, kind, _ in FORMULATIONS],
 )
 class TestSpillEquivalence:
-    """All 10 paper formulations, both partitionings: spilled == in-memory."""
+    """All 10 paper formulations: spilled == in-memory."""
 
     def test_forced_spill_is_byte_identical(
-        self, tpch_db, tmp_path, name, kind, sql, partitioning
+        self, tpch_db, tmp_path, name, kind, sql
     ):
-        base = replace(ALL_RULES_OFF, gapply_partitioning=partitioning)
-        plain = tpch_db.sql(sql, planner_options=base)
+        plain = tpch_db.sql(sql, planner_options=ALL_RULES_OFF)
         spilled = tpch_db.sql(
             sql,
             collect_metrics=True,
-            planner_options=replace(base, gapply_spill_threshold=SPILL_THRESHOLD),
+            planner_options=replace(
+                ALL_RULES_OFF, gapply_spill_threshold=SPILL_THRESHOLD
+            ),
         )
         assert spilled.rows == plain.rows
         if kind == "gapply":
@@ -200,8 +197,7 @@ class TestSpillHygiene:
         run.close()
         assert run.path not in live_spill_files()
 
-    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
-    def test_nan_grouping_keys_spill_without_failing(self, partitioning):
+    def test_nan_grouping_keys_spill_without_failing(self):
         # Three-row runs mixing NaN objects and other keys, per-group
         # aggregates to expose a group cut in two. Every NaN is one key
         # (NAN_KEY, which survives pickling), so the spilled groups, their
@@ -218,10 +214,9 @@ class TestSpillHygiene:
             "select gapply(select count(*), sum(v) from g) as (n, s) "
             "from t group by k : g"
         )
-        base = replace(ALL_RULES_OFF, gapply_partitioning=partitioning)
-        spilling = replace(base, gapply_spill_threshold=6)
+        spilling = replace(ALL_RULES_OFF, gapply_spill_threshold=6)
 
-        plain = db.sql(sql, planner_options=base).rows
+        plain = db.sql(sql, planner_options=ALL_RULES_OFF).rows
         assert len(plain) == 4  # 1.0, NaN, 2.0, 3.0
         assert sum(row[1] for row in plain) == len(keys)
         for spilled in (
@@ -294,7 +289,7 @@ class TestSpillLocation:
 
 
 class TestRunWriter:
-    """The one external sort behind GApply's sort partition, ORDER BY
+    """The one external sort behind GApply's spilled partition, ORDER BY
     and DISTINCT, driven directly."""
 
     #: (key, arrival) pairs: few distinct keys, so every run has ties.
@@ -418,8 +413,8 @@ class TestRunWriter:
 
 
 class TestFanIn:
-    """GApply over far more runs than ``FAN_IN``: both partitionings stay
-    byte-identical to in-memory with the open files bounded."""
+    """GApply over far more runs than ``FAN_IN``: the spilled partition
+    stays byte-identical to in-memory with the open files bounded."""
 
     N_ROWS = 20_000
 
@@ -433,17 +428,13 @@ class TestFanIn:
         )
         return db
 
-    @pytest.mark.parametrize("partitioning", [HASH_PARTITION, SORT_PARTITION])
-    def test_one_row_runs_are_byte_identical(
-        self, db, spill_dir, open_files, partitioning
-    ):
+    def test_one_row_runs_are_byte_identical(self, db, spill_dir, open_files):
         sql = "select gapply(select v from g) as (v) from t group by k : g"
-        base = PlannerOptions(gapply_partitioning=partitioning)
-        plain = db.sql(sql, planner_options=base)
+        plain = db.sql(sql)
         # Width-2 rows over a 2-cell threshold: one run per row but the
         # last, 19,999 runs, three levels.
         spilled = db.sql(
-            sql, planner_options=replace(base, gapply_spill_threshold=2)
+            sql, planner_options=PlannerOptions(gapply_spill_threshold=2)
         )
         assert spilled.rows == plain.rows
         assert spilled.counters.spill_runs == self.N_ROWS - 1

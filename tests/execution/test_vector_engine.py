@@ -103,14 +103,11 @@ class TestPaperFormulations:
                 plan = compile_plan(_lower(tpch_db, sql))
                 assert plan.fully_vectorized, (query.name, plan.fallbacks)
 
-    @pytest.mark.parametrize("partitioning", ["hash", "sort"])
-    def test_spilling_gapply_vectorizes_and_agrees(self, tpch_db, partitioning):
+    def test_spilling_gapply_vectorizes_and_agrees(self, tpch_db):
         # A spill threshold no longer routes GApply to Volcano: the outer
         # and per-group plans compile to batch nodes and the partition
         # phase (and its spill bookkeeping) is the one both engines share.
-        options = PlannerOptions(
-            gapply_partitioning=partitioning, gapply_spill_threshold=64
-        )
+        options = PlannerOptions(gapply_spill_threshold=64)
         for query in PAPER_QUERIES:
             plan = _lower(tpch_db, query.gapply_sql, options)
             assert compile_plan(plan).fully_vectorized, query.name
@@ -183,7 +180,7 @@ class TestEngineKnob:
     def test_planner_options_engine(self):
         with pytest.raises(TypeError):
             PlannerOptions(engine="volcano")
-        assert len(PlannerOptions.__dataclass_fields__) == 6
+        assert len(PlannerOptions.__dataclass_fields__) == 5
 
     def test_unknown_engine_rejected(self, tpch_db):
         # Rejected like any misspelled option, before any work.

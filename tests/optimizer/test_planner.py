@@ -179,21 +179,27 @@ class TestGApplyLowering:
         return GApply(outer, ("k",), pgq, "g")
 
     def test_partitioning_option(self, catalog):
+        # The spill threshold picks the partition phase: none hashes in
+        # memory, a threshold sorts externally.
         node = self.make(catalog)
         hash_plan = plan_physical(node, catalog)
         assert isinstance(hash_plan, PGApply)
-        assert hash_plan.partitioning == "hash"
+        assert hash_plan.spill_threshold is None
         sort_plan = plan_physical(
-            node, catalog, PlannerOptions(gapply_partitioning="sort")
+            node, catalog, PlannerOptions(gapply_spill_threshold=4)
         )
-        assert sort_plan.partitioning == "sort"
+        assert sort_plan.spill_threshold == 4
 
     def test_same_results_either_partitioning(self, catalog):
         from repro.execution.base import run_plan
+        from repro.execution.context import ExecutionContext
 
         node = self.make(catalog)
         a = run_plan(plan_physical(node, catalog))
+        ctx = ExecutionContext()
         b = run_plan(
-            plan_physical(node, catalog, PlannerOptions(gapply_partitioning="sort"))
+            plan_physical(node, catalog, PlannerOptions(gapply_spill_threshold=4)),
+            ctx,
         )
-        assert sorted(a, key=repr) == sorted(b, key=repr)
+        assert ctx.counters.spill_runs > 0
+        assert a == b

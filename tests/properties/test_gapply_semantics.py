@@ -4,7 +4,8 @@
 
 for random input relations, random grouping columns, and a family of
 per-group queries (count, avg, filter+project, whole group), under both
-partitioning strategies.
+partition-phase implementations: the in-memory hash and the external sort
+a spill threshold forces.
 """
 
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from repro.algebra.expressions import avg, col, count_star, gt, lit
 from repro.execution.aggregates import PHashAggregate
 from repro.execution.base import PMaterialized, run_plan
 from repro.execution.basic import PFilter, PProject
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION, PGApply
+from repro.execution.gapply import PGApply
 from repro.execution.scans import PGroupScan
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType, grouping_key
@@ -54,10 +55,18 @@ def naive_gapply(data, key_columns, pgq_fn):
     return sorted(out, key=repr)
 
 
-def run_gapply(data, key_columns, pgq_plan, partitioning):
-    plan = PGApply(
-        PMaterialized(SCHEMA, data), key_columns, pgq_plan, "g", partitioning
+def gapply_plan(data, key_columns, pgq_plan, spill_threshold=None):
+    return PGApply(
+        PMaterialized(SCHEMA, data),
+        key_columns,
+        pgq_plan,
+        "g",
+        spill_threshold=spill_threshold,
     )
+
+
+def run_gapply(data, key_columns, pgq_plan, spill_threshold=None):
+    plan = gapply_plan(data, key_columns, pgq_plan, spill_threshold)
     return sorted(run_plan(plan), key=repr)
 
 
@@ -67,8 +76,8 @@ class TestFormalDefinition:
     def test_count_star(self, data, key_columns):
         pgq = PHashAggregate(PGroupScan("g", SCHEMA), (), (count_star("n"),))
         expected = naive_gapply(data, key_columns, lambda grp: [(len(grp),)])
-        assert run_gapply(data, key_columns, pgq, HASH_PARTITION) == expected
-        assert run_gapply(data, key_columns, pgq, SORT_PARTITION) == expected
+        assert run_gapply(data, key_columns, pgq) == expected
+        assert run_gapply(data, key_columns, pgq, spill_threshold=1) == expected
 
     @given(data=rows, key_columns=keys)
     @settings(max_examples=60, deadline=None)
@@ -82,7 +91,7 @@ class TestFormalDefinition:
             return [(sum(non_null) / len(non_null),)]
 
         expected = naive_gapply(data, key_columns, naive_pgq)
-        actual = run_gapply(data, key_columns, pgq, HASH_PARTITION)
+        actual = run_gapply(data, key_columns, pgq)
         assert len(actual) == len(expected)
         for got, want in zip(actual, expected):
             assert got[:-1] == want[:-1]
@@ -103,21 +112,23 @@ class TestFormalDefinition:
             return [(row[2],) for row in group if row[2] is not None and row[2] > 0.0]
 
         expected = naive_gapply(data, key_columns, naive_pgq)
-        assert run_gapply(data, key_columns, pgq, HASH_PARTITION) == expected
+        assert run_gapply(data, key_columns, pgq) == expected
 
     @given(data=rows, key_columns=keys)
     @settings(max_examples=60, deadline=None)
     def test_whole_group_passthrough(self, data, key_columns):
         pgq = PGroupScan("g", SCHEMA)
         expected = naive_gapply(data, key_columns, lambda grp: list(grp))
-        assert run_gapply(data, key_columns, pgq, HASH_PARTITION) == expected
+        assert run_gapply(data, key_columns, pgq) == expected
 
-    @given(data=rows, key_columns=keys)
+    @given(data=rows, key_columns=keys, threshold=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
-    def test_hash_and_sort_partitioning_agree(self, data, key_columns):
+    def test_hash_and_sort_partitioning_agree(self, data, key_columns, threshold):
+        # Both emit groups in key order and rows in arrival order, so the
+        # outputs agree row for row, not only as multisets.
         pgq = PHashAggregate(
             PGroupScan("g", SCHEMA), ("b",), (count_star("n"),)
         )
-        assert run_gapply(data, key_columns, pgq, HASH_PARTITION) == run_gapply(
-            data, key_columns, pgq, SORT_PARTITION
+        assert run_plan(gapply_plan(data, key_columns, pgq)) == run_plan(
+            gapply_plan(data, key_columns, pgq, threshold)
         )

@@ -5,7 +5,7 @@ Invariants checked end-to-end (parse -> bind -> optimize -> execute):
 * optimization never changes results, for generated filter/aggregate/gapply
   queries over random tables;
 * gapply aggregation always agrees with plain GROUP BY;
-* both GApply partitioning strategies agree.
+* both GApply partition phases (in-memory hash, external sort) agree.
 """
 
 from hypothesis import given, settings
@@ -104,9 +104,11 @@ class TestGApplyAgainstGroupBy:
             "select gapply(select count(*) from g where val is not null) "
             "from t group by grp : g"
         )
-        hash_result = db.sql(sql, planner_options=PlannerOptions(gapply_partitioning="hash"))
-        sort_result = db.sql(sql, planner_options=PlannerOptions(gapply_partitioning="sort"))
-        assert sorted_rows(hash_result) == sorted_rows(sort_result)
+        hash_result = db.sql(sql)
+        sort_result = db.sql(
+            sql, planner_options=PlannerOptions(gapply_spill_threshold=1)
+        )
+        assert hash_result.rows == sort_result.rows
 
     @given(db=random_db(), threshold=thresholds)
     @settings(max_examples=30, deadline=None)

@@ -59,13 +59,15 @@ class TestQueryExecution:
             "select gapply(select count(*) from g) from part "
             "group by p_brand : g"
         )
-        hash_result = parts_db.sql(
-            sql, planner_options=PlannerOptions(gapply_partitioning="hash")
+        # Kept a GApply (not rewritten to a GROUP BY), so a threshold spills.
+        as_gapply = PlannerOptions(disabled_rules=("gapply_to_groupby",))
+        plain = parts_db.sql(sql, planner_options=as_gapply)
+        spilled = parts_db.sql(
+            sql, planner_options=replace(as_gapply, gapply_spill_threshold=1)
         )
-        sort_result = parts_db.sql(
-            sql, planner_options=PlannerOptions(gapply_partitioning="sort")
-        )
-        assert sorted(hash_result.rows) == sorted(sort_result.rows)
+        assert plain.counters.spill_runs == 0
+        assert spilled.counters.spill_runs > 0
+        assert spilled.rows == plain.rows
 
     def test_counters_populated(self, parts_db):
         result = parts_db.sql("select count(*) from partsupp, part "
@@ -167,7 +169,7 @@ class TestRunOptionsSpelledOnce:
         assert "_RunOptions" not in getattr(repro.api, "__all__", ())
 
     def test_planner_options_hold_no_optimizer_or_explain_switch(self, parts_db):
-        assert len(fields(PlannerOptions)) == 6
+        assert len(fields(PlannerOptions)) == 5
         with pytest.raises(TypeError):
             PlannerOptions(optimizer_max_alternatives=8)
         with pytest.raises(TypeError):
@@ -175,7 +177,7 @@ class TestRunOptionsSpelledOnce:
         # Only the rule set steers logical optimization, so only it keys plans.
         assert options_tag(PlannerOptions()) == ""
         assert options_tag(
-            PlannerOptions(gapply_partitioning="sort", vector_batch_size=3)
+            PlannerOptions(gapply_spill_threshold=8, vector_batch_size=3)
         ) == ""
         assert options_tag(PlannerOptions(disabled_rules=("select_pushdown",)))
 

@@ -174,7 +174,6 @@ class TestHarnessModules:
             "Q1",
             Measurement(2.0, 200, 10),
             Measurement(1.0, 100, 10),
-            Measurement(1.5, 150, 10),
             Measurement(4.0, 400, 10),
         )
         text = format_rows([row])

@@ -41,10 +41,10 @@ REQUIRED_RECORD_KEYS = {
 #: The case names each experiment emits, in order.
 CASE_NAMES = {
     "fig8_speedup": [
-        "Q1/baseline", "Q1/gapply_hash", "Q1/gapply_sort",
-        "Q2/baseline", "Q2/gapply_hash", "Q2/gapply_sort",
-        "Q3/baseline", "Q3/gapply_hash", "Q3/gapply_sort",
-        "Q4/baseline", "Q4/gapply_hash", "Q4/gapply_sort",
+        "Q1/baseline", "Q1/gapply_hash",
+        "Q2/baseline", "Q2/gapply_hash",
+        "Q3/baseline", "Q3/gapply_hash",
+        "Q4/baseline", "Q4/gapply_hash",
     ],
     "table1_rules": [
         "selection_before_gapply/without", "selection_before_gapply/with",
@@ -58,13 +58,10 @@ CASE_NAMES = {
         "q4/native", "q4/simulated_total", "q4/sim_outer",
         "q4/sim_partition", "q4/sim_overestimate", "q4/sim_execution",
     ],
-    "partitioning": ["Q1/hash", "Q1/sort", "Q2/hash", "Q2/sort"],
     "index_ablation": [
         "rule/indexes", "rule/no_indexes", "no_rule/indexes", "no_rule/no_indexes",
     ],
-    "spill": [
-        "Q4-hash-memory", "Q4-hash-spill", "Q4-sort-memory", "Q4-sort-spill",
-    ],
+    "spill": ["Q4-memory", "Q4-spill"],
     "xml_publishing": [
         "Q1/union", "Q1/gapply", "Q2/union", "Q2/gapply",
         "Q1/union/stream", "Q1/gapply/stream",
@@ -88,7 +85,7 @@ CASE_NAMES = {
 
 def check_carried_assertions(name: str, records: list[dict]) -> None:
     """The non-timing assertions of the deleted timing suites under ``benchmarks/``."""
-    if name in ("fig8_speedup", "partitioning", "xml_publishing"):
+    if name in ("fig8_speedup", "xml_publishing"):
         assert all(record["rows"] > 0 for record in records)
     elif name == "client_simulation":
         assert records[1]["rows"] > 0  # the simulated protocol produced output
@@ -174,7 +171,7 @@ def test_help_documents_smoke_flag(name, help_text):
 def test_out_of_range_values_are_usage_errors(flag, value, tmp_path, capsys):
     """``--repetitions 0`` used to exit 0 and write ``"elapsed": Infinity``."""
     with pytest.raises(SystemExit) as exit_info:
-        main(["partitioning", "--smoke", flag, value, "--out", str(tmp_path)])
+        main(["index_ablation", "--smoke", flag, value, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,8 @@
 """Golden-document conformance: byte-for-byte XML for every paper query.
 
 Each of the five supported XQueries is published under both SQL
-formulations (sorted outer union and GApply) and both GApply
-partitionings (hash and sort), through the *streaming* path
+formulations (sorted outer union and GApply), with GApply's partition
+phase in memory and spilled, through the *streaming* path
 (:meth:`Database.publish`, the compiled plan) and again from the rows
 the row-iterator reference yields for the same SQL, and compared
 byte-for-byte against
@@ -15,15 +15,14 @@ byte-for-byte against
   streaming is provably a pure re-framing of the same document.
 
 One snapshot per query: the document order is key order (DESIGN.md §7),
-so every formulation, partitioning and row source must publish the same
-bytes, which is itself part of the conformance claim.
+so every formulation, partition phase and row source must publish the
+same bytes, which is itself part of the conformance claim.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.execution.gapply import HASH_PARTITION, SORT_PARTITION
 from repro.fuzz.oracle import reference_rows
 from repro.optimizer.planner import PlannerOptions
 from repro.xmlpub import (
@@ -43,6 +42,11 @@ CASES = [
     for name, query, _tag in PAPER_QUERIES
     for formulation in FORMULATIONS
 ]
+
+
+#: Cells GApply's partition buffer holds before the spilled pass flushes a
+#: run: two rows of a four-column outer query, so every case spills.
+GOLDEN_SPILL_THRESHOLD = 8
 
 
 def _snapshot_path(name: str) -> Path:
@@ -67,15 +71,20 @@ def test_streamed_document_matches_golden(
     translated = translate_xquery(query, view, xml_db.catalog)
     sql = translated.sql_for(formulation)
     path = _snapshot_path(name)
-    for partitioning in (HASH_PARTITION, SORT_PARTITION):
-        options = PlannerOptions(gapply_partitioning=partitioning)
+    # GApply's partition phase hashes in memory and sorts externally
+    # under a spill threshold: both must publish the golden bytes.
+    for threshold in (None, GOLDEN_SPILL_THRESHOLD):
+        options = PlannerOptions(gapply_spill_threshold=threshold)
         if rows_from == "vector":
             with xml_db.publish(
                 view, query, formulation, planner_options=options
             ) as stream:
                 streamed = stream.read_all()
             assert stream.exhausted and stream.error is None
-            rows = xml_db.sql(sql, planner_options=options).rows
+            result = xml_db.sql(sql, planner_options=options)
+            rows = result.rows
+            if threshold is not None and formulation == "gapply":
+                assert result.counters.spill_runs > 0
         else:
             rows = list(reference_rows(xml_db, sql, planner_options=options))
             streamed = b"".join(stream_document(rows, translated.spec))
@@ -94,7 +103,7 @@ def test_streamed_document_matches_golden(
         )
         assert streamed.decode("utf-8") == path.read_text(), (
             f"published XML diverged from {path.name} ({formulation}, "
-            f"{partitioning} partitioning, rows from {rows_from}); if the "
+            f"spill threshold {threshold}, rows from {rows_from}); if the "
             "change is intentional, regenerate with pytest --update-snapshots"
         )
 

@@ -6,8 +6,8 @@ partition phase spills through the external merge sort. The claims
 under test:
 
 * **Flatness** — growing the document 10x leaves the traced allocation
-  peak essentially unchanged under either partitioning: memory is
-  bounded by the *budget*, never by the data. (Planner statistics are warmed outside the measurement —
+  peak essentially unchanged: memory is bounded by the *budget*, never
+  by the data. (Planner statistics are warmed outside the measurement —
   the catalog's one-time per-table scan is O(rows) by design and cached
   for the life of the database.)
 * **Bounded buffering** — the governor's ``peak_cells`` never exceeds
@@ -34,7 +34,6 @@ from repro.execution.context import ExecutionContext
 from repro.execution.governor import Budget, Governor
 from repro.execution.vector.batch import row_slices
 from repro.fuzz.oracle import reference_rows
-from repro.optimizer.planner import PlannerOptions
 from repro.storage import DataType
 from repro.storage.spill import live_spill_files
 from repro.xmlpub import XmlChunkStream, translate_xquery
@@ -130,16 +129,11 @@ def stream_from(db: Database, rows_from: str) -> XmlChunkStream:
     )
 
 
-def traced_publish_peak(
-    db: Database, partitioning: str
-) -> tuple[int, int, int]:
+def traced_publish_peak(db: Database) -> tuple[int, int, int]:
     """(traced alloc peak, document bytes, governor peak cells)."""
     tracemalloc.start()
     try:
-        stream = publish_stream(
-            db,
-            planner_options=PlannerOptions(gapply_partitioning=partitioning),
-        )
+        stream = publish_stream(db)
         doc_bytes = sum(len(chunk) for chunk in stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -147,18 +141,13 @@ def traced_publish_peak(
     return peak, doc_bytes, stream.governor.peak_cells
 
 
-@pytest.mark.parametrize("partitioning", ["hash", "sort"])
-def test_peak_memory_flat_as_document_grows_10x(partitioning):
+def test_peak_memory_flat_as_document_grows_10x():
     # Absorb one-time allocations (module/bytecode caches, spill setup)
     # before either measured run.
-    traced_publish_peak(fig8_db(1_000), partitioning)
+    traced_publish_peak(fig8_db(1_000))
 
-    small_peak, small_doc, small_cells = traced_publish_peak(
-        fig8_db(10_000), partitioning
-    )
-    big_peak, big_doc, big_cells = traced_publish_peak(
-        fig8_db(100_000), partitioning
-    )
+    small_peak, small_doc, small_cells = traced_publish_peak(fig8_db(10_000))
+    big_peak, big_doc, big_cells = traced_publish_peak(fig8_db(100_000))
 
     assert big_doc > 8 * small_doc  # the document really grew ~10x
     assert small_cells <= BUDGET_CELLS and big_cells <= BUDGET_CELLS
@@ -224,15 +213,14 @@ def test_union_formulation_streams_under_budget():
     assert live_spill_files() == frozenset()
 
 
-@pytest.mark.parametrize("partitioning", ["sort", "hash"])
-def test_shared_budget_spills_instead_of_failing(partitioning):
+def test_shared_budget_spills_instead_of_failing():
     # The partition phase's spill threshold is the *full* budget, but the
     # budget is shared: the publisher's chunk buffer holds a cell at the
     # same time. With a row width that divides the budget exactly, the
     # partition buffer used to fill to precisely the cap and that one
     # concurrent cell tipped the next charge over — a typed failure on a
-    # budget that was not genuinely too small. The partition paths must
-    # spill what they hold and retry instead of giving up.
+    # budget that was not genuinely too small. The partition phase must
+    # spill what it holds and retry instead of giving up.
     db = Database()
     db.create_table(
         "grp",
@@ -286,7 +274,6 @@ def test_shared_budget_spills_instead_of_failing(partitioning):
         "gapply",
         memory_budget=BUDGET_CELLS,
         timeout=300,
-        planner_options=PlannerOptions(gapply_partitioning=partitioning),
     )
     doc = stream.read_all()
     assert doc.startswith(b"<groups_result>")
