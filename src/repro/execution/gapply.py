@@ -31,11 +31,11 @@ Under a cell budget the partition phase **spills to disk** through the
 one external merge sort ORDER BY and DISTINCT use
 (:class:`~repro.storage.spill.RunWriter`), then cuts the merged stream
 into groups. The spill is ordered on the grouping key, so it holds no
-per-group state in memory, and the
-stable merge returns groups in key order and rows in arrival order: the
-in-memory output byte for byte. Pickle round-trips values exactly, and
-keys hold ``NULL_KEY``/``NAN_KEY`` singletons, so a key read back from a
-run is the key it was sorted under. Spilling counts
+per-group state in memory, and the stable merge returns groups in key
+order and rows in arrival order: the in-memory output byte for byte.
+Pickle round-trips values exactly, and keys hold
+``NULL_KEY``/``NAN_KEY`` singletons, so a key read back from a run is
+the key it was sorted under. Spilling counts
 ``spill_runs``/``spilled_rows``/``spill_bytes``. The threshold comes
 from ``PlannerOptions.gapply_spill_threshold`` (forced, for tests and
 the spill benchmark) or from the query governor's memory budget; the
