@@ -79,6 +79,21 @@ def _buffer_row(row: Row) -> Row:
     return row[:-1] + (row[-1],)
 
 
+class _SpilledGroups:
+    """A spilled partition's groups (iterable once), holding the run writer
+    (spill files, resident cells) until :meth:`close`, not until the groups
+    run out: the compiled plan reads a wave of groups ahead, and its last
+    wave must run with the partition held, as the row iterators' last
+    group does."""
+
+    def __init__(self, groups: Iterator[tuple[tuple, list[Row]]], writer):
+        self._groups = groups
+        self.close = writer.close
+
+    def __iter__(self) -> Iterator[tuple[tuple, list[Row]]]:
+        return self._groups
+
+
 class PGApply(PhysicalOperator):
     """Partition the outer stream; run the per-group plan per group.
 
@@ -144,7 +159,7 @@ class PGApply(PhysicalOperator):
         """Group ``rows`` into ``(key_values, group_rows)`` pairs, in key
         order.
 
-        The result is a generator; close it to reclaim spill state.
+        The result is iterable once; close it to reclaim spill state.
         """
         threshold = self._effective_spill_threshold(ctx)
         if threshold is not None:
@@ -214,18 +229,22 @@ class PGApply(PhysicalOperator):
         if current_key is not None:
             yield current_values, bucket
 
-    def _partition_spill(self, rows, ctx, threshold: int):
+    def _partition_spill(self, rows, ctx, threshold: int) -> "_SpilledGroups":
         """External merge sort (:class:`~repro.storage.spill.RunWriter`)
         on the grouping key, then one split into groups."""
         total = 0
-        with RunWriter(ctx, self, self._group_key, threshold) as writer:
+        writer = RunWriter(ctx, self, self._group_key, threshold)
+        try:
             for row in rows:
                 buffered = _buffer_row(row)
                 writer.add(buffered, len(buffered))
                 total += 1
             ordered = writer.merged()
-            self._count_partition(ctx, total, writer.peak_rows)
-            yield from self._split_groups(ordered)
+        except BaseException:
+            writer.close()
+            raise
+        self._count_partition(ctx, total, writer.peak_rows)
+        return _SpilledGroups(self._split_groups(ordered), writer)
 
     # ------------------------------------------------------------------
     # Execution phase
@@ -271,11 +290,9 @@ class PGApply(PhysicalOperator):
                 if span is not None:
                     tracer.end(span, rows_out=emitted)
         finally:
-            # A mid-stream error (cancellation, budget) raised from a
-            # per-group plan leaves the suspended partition generator
-            # pinned alive by the exception traceback, so its finally
-            # (spill-file close, cell release) would never run. Close it
-            # explicitly on every exit path.
+            # A spilled partition holds its files and cells until closed,
+            # on every exit path: after the last group, or on a mid-stream
+            # error (cancellation, budget) raised from a per-group plan.
             partitions.close()
 
     def children(self) -> tuple[PhysicalOperator, ...]:

@@ -29,10 +29,11 @@ rows to a row-iterator *phase* the physical operator owns — ``PSort.sort``,
 of these is a fallback note).
 
 A GApply's per-group plan compiles to its segmented form
-(:mod:`repro.execution.vector.segmented`), run once per wave of groups,
-whenever every operator in it has one; otherwise it compiles like any
-plan and runs once per group, and the compiler records a
-:class:`FallbackNote` in ``per_group_loops``, which EXPLAIN lists too.
+(:mod:`repro.execution.vector.segmented`), run once per wave of groups.
+A subtree of it without a segmented form compiles like any plan and runs
+once per segment where it sits; the compiler records one
+:class:`FallbackNote` in ``per_group_loops`` per GApply that loops,
+naming every looped subtree's reason, and EXPLAIN lists it too.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ from repro.execution.vector.pipeline import (
     PruneStage,
     Stage,
 )
-from repro.execution.vector.segmented import GApplyNode, NotSegmentable, segment
+from repro.execution.vector.segmented import GApplyNode, segment
 
 
 @dataclass(frozen=True)
 class FallbackNote:
     """One subtree the compiler routed through the Volcano iterators, or
-    one GApply whose per-group plan runs once per group."""
+    one GApply whose per-group plan loops per segment somewhere."""
 
     label: str
     reason: str
@@ -107,8 +108,8 @@ class VectorPlan:
     physical: PhysicalOperator
     fallbacks: tuple[FallbackNote, ...]
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: GApplys whose per-group plan has no segmented form, so it runs
-    #: once per group (on vector nodes), with the reason.
+    #: GApplys whose per-group plan holds subtrees without a segmented
+    #: form, each run once per segment (on vector nodes), with the reasons.
     per_group_loops: tuple[FallbackNote, ...] = ()
 
     @property
@@ -204,16 +205,16 @@ class _Compiler:
             return HashAggregateNode(op, self.compile(op.child), size)
         if isinstance(op, PGApply):
             outer = self.compile(op.outer)
-            try:
-                per_group = segment(
-                    op.per_group, op.group_variable, size, root=True
-                )
-            except NotSegmentable as reason:
-                self.per_group_loops.append(FallbackNote(op.label(), str(reason)))
-                return GApplyNode(
-                    op, outer, self.compile(op.per_group), size, segmented=False
-                )
-            return GApplyNode(op, outer, per_group, size, segmented=True)
+            reasons: list[str] = []
+
+            def loop(subtree: PhysicalOperator, reason: str) -> VectorNode:
+                reasons.append(reason)
+                return self.compile(subtree)
+
+            per_group = segment(op.per_group, op.group_variable, size, loop, root=True)
+            if reasons:
+                self.per_group_loops.append(FallbackNote(op.label(), ", ".join(reasons)))
+            return GApplyNode(op, outer, per_group, size)
         # -- Volcano-only operators ------------------------------------
         if isinstance(op, PExists):
             return self.fallback(op, "exists probe")

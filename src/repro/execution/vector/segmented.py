@@ -33,10 +33,11 @@ segments it ran, ``inner_executions``/``group_executions``/
 segments, and row counters keep the row loop's totals. Tracing records
 one ``group`` span per wave, with its group count.
 
-A PGQ holding any other operator (a join, sort, distinct, limit, exists
-probe, nested GApply, correlated apply, a scan of anything but this
-GApply's group) keeps the per-group loop on ordinary vector nodes; the
-compiler notes it and EXPLAIN lists it as a per-group loop.
+Any other operator (a join, sort, distinct, limit, exists probe, nested
+GApply, correlated apply, a scan of anything but this GApply's group)
+loops where it sits: :class:`SegLoop` runs its subtree, compiled as
+usual, once per segment with the group bound, and the operators around
+it stay segmented. EXPLAIN lists such a GApply as a per-group loop.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import chain, repeat
 from operator import add
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.execution.aggregates import PHashAggregate
 from repro.execution.apply import PApply, PExists
@@ -109,10 +110,6 @@ class Wave:
         return self._flat
 
 
-class NotSegmentable(Exception):
-    """A per-group plan holds an operator without a segmented form."""
-
-
 _LOOP_REASONS = {
     PApply: "correlated apply",
     PExists: "exists probe",
@@ -127,17 +124,17 @@ _LOOP_REASONS = {
 
 
 def segment(
-    op, variable: str, batch_size: int, root: bool = False
+    op, variable: str, batch_size: int,
+    loop: Callable[[object, str], VectorNode], root: bool = False,
 ) -> VectorNode:
     """The segmented form of per-group plan ``op`` over ``$variable``
     (``root``: ``op`` is the whole per-group plan, whose rows GApply reads).
 
-    Raises :class:`NotSegmentable`, naming the first operator without a
-    segmented form, when there is none.
+    A subtree without a segmented form runs in a :class:`SegLoop` over
+    ``loop(subtree, reason)``, its ordinary compiled node. Subtrees are
+    visited in the compiler's order (an apply's inner before its outer).
     """
-    if isinstance(op, PGroupScan):
-        if op.variable != variable:
-            raise NotSegmentable(f"scan of ${op.variable}")
+    if isinstance(op, PGroupScan) and op.variable == variable:
         return SegGroupScan(op, batch_size)
     if isinstance(op, (PFilter, PProject, PPrune, PRemap, PAlias)):
         stage = (
@@ -146,24 +143,25 @@ def segment(
             else AliasStage(op) if isinstance(op, PAlias)
             else PruneStage(op)
         )
-        child = segment(op.child, variable, batch_size)
+        child = segment(op.child, variable, batch_size, loop)
         if isinstance(child, SegPipeline):
             return child.extend(stage)
         return SegPipeline(child, [stage])
     if isinstance(op, PHashAggregate):
-        return SegAggregate(op, segment(op.child, variable, batch_size), batch_size)
+        return SegAggregate(op, segment(op.child, variable, batch_size, loop), batch_size)
     if isinstance(op, PApply) and not op.bindings:
-        return SegApply(
-            op,
-            segment(op.outer, variable, batch_size),
-            segment(op.inner, variable, batch_size),
-        )
+        inner = segment(op.inner, variable, batch_size, loop)
+        return SegApply(op, segment(op.outer, variable, batch_size, loop), inner)
     if isinstance(op, PUnionAll):
         return SegUnionAll(
-            op, [segment(c, variable, batch_size) for c in op.inputs],
+            op, [segment(c, variable, batch_size, loop) for c in op.inputs],
             batch_size, rows=root,
         )
-    raise NotSegmentable(_LOOP_REASONS.get(type(op), type(op).__name__))
+    reason = (
+        f"scan of ${op.variable}" if isinstance(op, PGroupScan)
+        else _LOOP_REASONS.get(type(op), type(op).__name__)
+    )
+    return SegLoop(loop(op, reason), variable)
 
 
 def segment_spans(segs: list, active: list) -> list[tuple[int, int]]:
@@ -208,6 +206,30 @@ class SegGroupScan(SegmentedNode):
             counters.rows += len(chunk)
             counters.group_scan_rows += len(chunk)
             yield _with_segs(rows_batch(chunk, width), segs[start : start + size])
+
+
+class SegLoop(VectorNode):
+    """A subtree without a segmented form, compiled as usual and run once
+    per segment with ``$variable`` bound to its group; each batch is
+    tagged with the segment. Overrides ``batches`` entirely, like
+    ``VolcanoSource``: the subtree counts, meters and governs each run."""
+
+    def __init__(self, node: VectorNode, variable: str):
+        self.op = node.op
+        self.node = node
+        self.variable = variable
+
+    def batches(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        wave = ctx.wave
+        # One context rebound per segment, as ``PGApply._execute`` does;
+        # outside the wave, so a GApply nested in the subtree cuts its own.
+        relations = dict(ctx.relations)
+        loop_ctx = replace(ctx, relations=relations, wave=None)
+        for seg in wave.active:
+            relations[self.variable] = wave.groups[seg]
+            for batch in self.node.batches(loop_ctx):
+                if batch.length:
+                    yield _with_segs(batch, [seg] * batch.length)
 
 
 class SegPipeline(SegmentedNode, Pipeline):
@@ -262,7 +284,6 @@ class SegApply(SegmentedNode):
         self.op = op
         self.outer = outer
         self.inner = inner
-        self.zero_width = len(op.inner.schema) == 0
         self.outer_width = len(op.outer.schema)
         self.inner_width = len(op.inner.schema)
         self.width = len(op.schema)
@@ -286,12 +307,12 @@ class SegApply(SegmentedNode):
         for batch in self.inner.batches(inner_ctx):
             inner_rows.extend(batch.rows())
             inner_segs.extend(batch.segs)
-        # The common case, a scalar subquery: one inner row per segment,
-        # broadcast column by column.
-        single = not self.zero_width and inner_segs == present
-        if single:
-            row_of = dict(zip(inner_segs, inner_rows))
-        else:
+        # The common cases, a scalar subquery or an exists: at most one
+        # inner row per segment, broadcast column by column over the
+        # outer rows of the segments that have one.
+        row_of = dict(zip(inner_segs, inner_rows))
+        single = len(row_of) == len(inner_segs)
+        if not single:
             matches: dict = {}
             for seg, row in zip(inner_segs, inner_rows):
                 found = matches.get(seg)
@@ -302,6 +323,12 @@ class SegApply(SegmentedNode):
         for batch in outer_batches:
             segs = batch.segs
             if single:
+                if len(row_of) < len(present):
+                    keep = [i for i, seg in enumerate(segs) if seg in row_of]
+                    if not keep:
+                        continue
+                    batch = batch.select(keep)
+                    segs = batch.segs
                 broadcast = [row_of[seg] for seg in segs]
                 columns = [batch.column(p) for p in range(self.outer_width)]
                 columns.extend(
@@ -311,10 +338,9 @@ class SegApply(SegmentedNode):
             else:
                 rows: list = []
                 out_segs: list = []
-                zero_width = self.zero_width
                 for seg, row in zip(segs, batch.rows()):
                     for inner_row in matches.get(seg, ()):
-                        rows.append(row if zero_width else row + inner_row)
+                        rows.append(row + inner_row)
                         out_segs.append(seg)
                 if not rows:
                     continue
@@ -408,114 +434,63 @@ def waves(partitions) -> Iterator[tuple[list, list]]:
 
 class GApplyNode(VectorNode):
     """GApply breaker: ``PGApply.partition`` over the outer batches' rows
-    (in memory or spilling, chosen there at run time), then the per-group
-    plan once per wave when ``segmented``, else once per group;
-    counter for counter what ``PGApply`` counts either way."""
+    (in memory or spilling, chosen there at run time), then the segmented
+    per-group plan once per wave; counter for counter what ``PGApply``
+    counts."""
 
     def __init__(
-        self, op, outer: VectorNode, per_group: VectorNode, batch_size: int,
-        segmented: bool,
+        self, op, outer: VectorNode, per_group: VectorNode, batch_size: int
     ):
         self.op = op
         self.outer = outer
         self.per_group = per_group
         self.batch_size = batch_size
-        self.segmented = segmented
 
     def _run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        partitions = self.op.partition(_flat_rows(self.outer, ctx), ctx)
+        op = self.op
+        counters = ctx.counters
+        record = None if ctx.metrics is None else ctx.metrics.record_for(op)
+        tracer = ctx.tracer
+        width = len(op.schema)
+        size = self.batch_size
+        pending: list = []
+        partitions = op.partition(_flat_rows(self.outer, ctx), ctx)
         try:
-            if self.segmented:
-                yield from self._run_waves(partitions, ctx)
-            else:
-                yield from self._run_groups(partitions, ctx)
+            for keys, groups in waves(partitions):
+                count = len(groups)
+                counters.groups_partitioned += count
+                counters.group_executions += count
+                span = (
+                    None
+                    if tracer is None
+                    else tracer.begin(
+                        "group", f"${op.group_variable} x{count}", groups=count,
+                        group_rows=sum(map(len, groups)),
+                    )
+                )
+                wave_ctx = replace(ctx, wave=Wave(groups, list(range(count))))
+                emitted = 0
+                empty = count
+                last = -1
+                for batch in self.per_group.batches(wave_ctx):
+                    rows = batch.rows()
+                    segs = batch.segs
+                    emitted += len(rows)
+                    counters.rows += len(rows)
+                    pending.extend(map(add, map(keys.__getitem__, segs), rows))
+                    empty -= len(dict.fromkeys(segs)) - (segs[0] == last)
+                    last = segs[-1]
+                    if len(pending) >= size:
+                        yield rows_batch(pending, width)
+                        pending = []
+                if record is not None:
+                    record.groups_formed += count
+                    record.empty_groups_skipped += empty
+                if span is not None:
+                    tracer.end(span, rows_out=emitted)
         finally:
-            # Same reason as ``PGApply._execute``: an error from a
-            # per-group plan pins the suspended partition generator, so
-            # its spill state must be reclaimed explicitly.
+            # As in ``PGApply._execute``: the partition holds its spill
+            # state until closed.
             partitions.close()
-
-    def _run_waves(self, partitions, ctx: ExecutionContext):
-        op = self.op
-        counters = ctx.counters
-        record = None if ctx.metrics is None else ctx.metrics.record_for(op)
-        tracer = ctx.tracer
-        width = len(op.schema)
-        size = self.batch_size
-        pending: list = []
-        for keys, groups in waves(partitions):
-            count = len(groups)
-            counters.groups_partitioned += count
-            counters.group_executions += count
-            span = (
-                None
-                if tracer is None
-                else tracer.begin(
-                    "group", f"${op.group_variable} x{count}", groups=count,
-                    group_rows=sum(map(len, groups)),
-                )
-            )
-            wave_ctx = replace(ctx, wave=Wave(groups, list(range(count))))
-            emitted = 0
-            empty = count
-            last = -1
-            for batch in self.per_group.batches(wave_ctx):
-                rows = batch.rows()
-                segs = batch.segs
-                emitted += len(rows)
-                counters.rows += len(rows)
-                pending.extend(map(add, map(keys.__getitem__, segs), rows))
-                empty -= len(dict.fromkeys(segs)) - (segs[0] == last)
-                last = segs[-1]
-                if len(pending) >= size:
-                    yield rows_batch(pending, width)
-                    pending = []
-            if record is not None:
-                record.groups_formed += count
-                record.empty_groups_skipped += empty
-            if span is not None:
-                tracer.end(span, rows_out=emitted)
-        if pending:
-            yield rows_batch(pending, width)
-
-    def _run_groups(self, partitions, ctx: ExecutionContext):
-        op = self.op
-        counters = ctx.counters
-        variable = op.group_variable
-        record = None if ctx.metrics is None else ctx.metrics.record_for(op)
-        tracer = ctx.tracer
-        width = len(op.schema)
-        per_group = self.per_group
-        relations = dict(ctx.relations)
-        group_ctx = replace(ctx, relations=relations)
-        size = self.batch_size
-        pending: list = []
-        for key_values, group_rows in partitions:
-            counters.groups_partitioned += 1
-            counters.group_executions += 1
-            relations[variable] = group_rows
-            span = (
-                None
-                if tracer is None
-                else tracer.begin(
-                    "group", f"${variable}={key_values!r}",
-                    group_rows=len(group_rows),
-                )
-            )
-            emitted = 0
-            for batch in per_group.batches(group_ctx):
-                pgq_rows = batch.rows()
-                emitted += len(pgq_rows)
-                counters.rows += len(pgq_rows)
-                pending.extend(key_values + row for row in pgq_rows)
-            if record is not None:
-                record.groups_formed += 1
-                if not emitted:
-                    record.empty_groups_skipped += 1
-            if span is not None:
-                tracer.end(span, rows_out=emitted)
-            if len(pending) >= size:
-                yield rows_batch(pending, width)
-                pending = []
         if pending:
             yield rows_batch(pending, width)

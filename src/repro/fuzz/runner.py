@@ -16,7 +16,7 @@ configuration's chosen plan went through the ``join_order`` pass and has
 a join tree other than the written one, and ``segmented-gapply`` the
 cases where some configuration's plan holds a GApply whose per-group
 plan runs once per wave of groups (:mod:`repro.execution.vector.
-segmented`), not once per group.
+segmented`) with no subtree looping per group.
 
 ``quick``, ``full`` and ``engine`` differ in the configurations of
 step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
@@ -141,7 +141,8 @@ def run_case(
 
 
 def _runs_segmented(physical: PhysicalOperator) -> bool:
-    """Some GApply of the plan runs its per-group plan once per wave."""
+    """Some GApply of the plan runs its per-group plan once per wave with
+    no looped subtree (the compiler notes each GApply that loops once)."""
 
     def gapplys(op: PhysicalOperator) -> int:
         own = 1 if isinstance(op, PGApply) else 0

@@ -70,8 +70,8 @@ class Explanation:
     #: The compiler's notes (``label``, ``reason``) on the subtrees that
     #: run on the row iterators inside the compiled plan.
     fallbacks: "tuple[FallbackNote, ...]" = ()
-    #: Its notes on the GApplys whose per-group plan runs once per group,
-    #: not once per wave of groups (no segmented form).
+    #: Its notes on the GApplys whose per-group plan holds subtrees that
+    #: run once per group inside the wave (no segmented form).
     per_group_loops: "tuple[FallbackNote, ...]" = ()
 
     # ------------------------------------------------------------------

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import PlanError, ReproError
+from repro.execution.context import Counters, ExecutionContext
+from repro.execution.vector.compiler import compile_plan
 from repro.fuzz import PROFILES, sweep
 from repro.fuzz import generator
 from repro.fuzz.corpus import load_corpus
@@ -21,6 +23,7 @@ from repro.fuzz.generator import JOIN_REGION_SHARE, generate_case, is_nonfinite
 from repro.fuzz.oracle import compare_multisets
 from repro.fuzz.planspace import plan_configurations, profile_configurations
 from repro.fuzz.runner import run_case
+from repro.observe.metrics import MetricsRegistry
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus"
 
@@ -84,6 +87,39 @@ class TestSeededSweep:
         nan, other = float("nan"), float("inf") - float("inf")
         assert compare_multisets([(nan, 1)], [(other, 1)]) is None
         assert compare_multisets([(nan,)], [(float("inf"),)]) is not None
+
+
+def _outcome(plan, batch_size: int | None):
+    """``plan`` on the row iterators (``batch_size`` None) or compiled:
+    its rows by ``repr`` (NaN == NaN only so) or its typed error, its
+    counters and its metrics snapshot."""
+    counters = Counters()
+    metrics = MetricsRegistry()
+    metrics.register_plan(plan)
+    ctx = ExecutionContext(counters=counters, metrics=metrics)
+    try:
+        if batch_size is None:
+            rows = repr(list(plan.execute(ctx)))
+        else:
+            rows = repr(compile_plan(plan, batch_size=batch_size).run(ctx))
+    except ReproError as error:
+        rows = (type(error), str(error))
+    return rows, vars(counters), metrics.snapshot()
+
+
+class TestCounterIdentity:
+    """DESIGN §12.3's counter identity over generated plans: the engine
+    profile compares rows only."""
+
+    @pytest.mark.parametrize("batch_size", [128, 3])
+    def test_compiled_counts_what_the_row_iterators_count(self, batch_size):
+        for seed in range(20000, 20300):
+            case = generate_case(seed, True)
+            db = case.db.build()
+            plan = db.sql(case.sql, explain="plan").physical_plan
+            assert _outcome(plan, batch_size) == _outcome(plan, None), (
+                seed, case.sql
+            )
 
 
 class TestCorpusReplay:
