@@ -142,7 +142,7 @@ def run_case(
 
 def _runs_segmented(physical: PhysicalOperator) -> bool:
     """Some GApply of the plan runs its per-group plan once per wave with
-    no looped subtree (the compiler notes each GApply that loops once)."""
+    no looped subtree (the compiler notes each looping GApply once)."""
 
     def gapplys(op: PhysicalOperator) -> int:
         own = 1 if isinstance(op, PGApply) else 0
