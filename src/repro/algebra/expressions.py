@@ -16,14 +16,24 @@ Expressions are immutable trees evaluated over single rows. The contract:
 Aggregate *functions* are not general expressions — SQL only allows them in
 aggregation operators — so they live in :class:`AggregateCall`, consumed by
 the GroupBy/Aggregate logical operators.
+
+The tree structure is written once, in :mod:`repro.algebra.tree`: an
+expression's children are its expression-typed fields (``CaseWhen``'s
+pairs flattened), and ``children``, ``columns``, ``parameters`` and
+``substitute`` are derived on :class:`Expression`; only
+:class:`ColumnRef` adds to them.
+The per-value semantics of comparisons, arithmetic and IN
+(:func:`comparison_function`, :func:`arithmetic_function`,
+:func:`in_list`) are shared with the vector kernels.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.algebra.tree import layouts, lazy_children, rewrite, walk
 from repro.errors import ExecutionError, TypeCheckError
 from repro.storage.schema import Schema
 from repro.storage.types import (
@@ -46,21 +56,33 @@ class Expression:
 
     def columns(self) -> frozenset[str]:
         """Column references (as written, possibly qualified) in this tree."""
-        raise NotImplementedError
+        result: frozenset[str] = frozenset()
+        for child in self.children():
+            result |= child.columns()
+        return result
 
     def parameters(self) -> frozenset[str]:
         """Names of correlated parameters referenced in this tree."""
-        result: set[str] = set()
-        for child in self.children():
-            result |= child.parameters()
-        return frozenset(result)
+        nodes = walk(self, EXPRESSION)
+        return frozenset(node.name for node in nodes if type(node) is Parameter)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "children" not in cls.__dict__:
+            cls.children = lazy_children(cls, _LAYOUTS)
 
     def children(self) -> tuple["Expression", ...]:
-        return ()
+        """The expression-typed fields, in field order (see
+        :mod:`repro.algebra.tree`)."""
+        return _LAYOUTS[type(self)].children(self)
 
     def substitute(self, mapping: Mapping[str, "Expression"]) -> "Expression":
         """Replace column references per ``mapping`` (used by rewrites)."""
-        raise NotImplementedError
+
+        def visit(node: Expression) -> Expression:
+            return node.substitute(mapping) if type(node) is ColumnRef else node
+
+        return rewrite(self, EXPRESSION, visit)
 
     def infer(self, schema: Schema) -> DataType:
         """Static result type against ``schema`` (ANY when unknown)."""
@@ -68,6 +90,11 @@ class Expression:
 
     def __str__(self) -> str:  # pragma: no cover - subclasses override
         return repr(self)
+
+
+#: The kinds of a traversal of one expression tree.
+EXPRESSION = (Expression,)
+_LAYOUTS = layouts(EXPRESSION)
 
 
 @dataclass(frozen=True)
@@ -108,12 +135,6 @@ class Literal(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         value = self.value
         return lambda row, ctx: value
-
-    def columns(self) -> frozenset[str]:
-        return frozenset()
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return self
 
     def infer(self, schema: Schema) -> DataType:
         return infer_type(self.value)
@@ -194,15 +215,6 @@ class Parameter(Expression):
             return ctx.scalar(name)
         return evaluate
 
-    def columns(self) -> frozenset[str]:
-        return frozenset()
-
-    def parameters(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return self
-
     def __str__(self) -> str:
         return f"${self.name}"
 
@@ -247,6 +259,17 @@ _COMPARISON_TESTS: dict[ComparisonOp, Callable[[int], bool]] = {
 }
 
 
+def comparison_function(op: ComparisonOp) -> Callable[[Any, Any], Any]:
+    """``op`` on two values by :func:`compare_values` (NULL if either is)."""
+    test = _COMPARISON_TESTS[op]
+
+    def compare(left: Any, right: Any) -> Any:
+        cmp = compare_values(left, right)
+        return None if cmp is None else test(cmp)
+
+    return compare
+
+
 @dataclass(frozen=True)
 class Comparison(Expression):
     """``left op right`` under SQL comparison semantics (NULL -> NULL)."""
@@ -258,22 +281,8 @@ class Comparison(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         left = self.left.compile(schema)
         right = self.right.compile(schema)
-        test = _COMPARISON_TESTS[self.op]
-        def evaluate(row: tuple, ctx: Any) -> Any:
-            cmp = compare_values(left(row, ctx), right(row, ctx))
-            return None if cmp is None else test(cmp)
-        return evaluate
-
-    def columns(self) -> frozenset[str]:
-        return self.left.columns() | self.right.columns()
-
-    def children(self) -> tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return Comparison(
-            self.op, self.left.substitute(mapping), self.right.substitute(mapping)
-        )
+        compare = comparison_function(self.op)
+        return lambda row, ctx: compare(left(row, ctx), right(row, ctx))
 
     def infer(self, schema: Schema) -> DataType:
         return DataType.BOOLEAN
@@ -310,18 +319,6 @@ class And(Expression):
             return None if saw_null else True
         return evaluate
 
-    def columns(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for op in self.operands:
-            result |= op.columns()
-        return result
-
-    def children(self) -> tuple[Expression, ...]:
-        return self.operands
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return And(*(op.substitute(mapping) for op in self.operands))
-
     def infer(self, schema: Schema) -> DataType:
         return DataType.BOOLEAN
 
@@ -357,18 +354,6 @@ class Or(Expression):
             return None if saw_null else False
         return evaluate
 
-    def columns(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for op in self.operands:
-            result |= op.columns()
-        return result
-
-    def children(self) -> tuple[Expression, ...]:
-        return self.operands
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return Or(*(op.substitute(mapping) for op in self.operands))
-
     def infer(self, schema: Schema) -> DataType:
         return DataType.BOOLEAN
 
@@ -386,15 +371,6 @@ class Not(Expression):
             value = inner(row, ctx)
             return None if value is None else not value
         return evaluate
-
-    def columns(self) -> frozenset[str]:
-        return self.operand.columns()
-
-    def children(self) -> tuple[Expression, ...]:
-        return (self.operand,)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return Not(self.operand.substitute(mapping))
 
     def infer(self, schema: Schema) -> DataType:
         return DataType.BOOLEAN
@@ -418,15 +394,6 @@ class IsNull(Expression):
             return not is_null if negated else is_null
         return evaluate
 
-    def columns(self) -> frozenset[str]:
-        return self.operand.columns()
-
-    def children(self) -> tuple[Expression, ...]:
-        return (self.operand,)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return IsNull(self.operand.substitute(mapping), self.negated)
-
     def infer(self, schema: Schema) -> DataType:
         return DataType.BOOLEAN
 
@@ -443,6 +410,36 @@ class ArithmeticOp(enum.Enum):
     MOD = "%"
 
 
+def arithmetic_function(op: ArithmeticOp) -> Callable[[Any, Any], Any]:
+    """``op`` on two values: NULL propagates, a non-number (a bool too)
+    raises TypeCheckError, a zero divisor raises, and integer division
+    truncates toward zero."""
+
+    def apply(lv: Any, rv: Any) -> Any:
+        if lv is None or rv is None:
+            return None
+        if not isinstance(lv, (int, float)) or isinstance(lv, bool):
+            raise TypeCheckError(f"non-numeric operand {lv!r} for {op.value}")
+        if not isinstance(rv, (int, float)) or isinstance(rv, bool):
+            raise TypeCheckError(f"non-numeric operand {rv!r} for {op.value}")
+        if op is ArithmeticOp.ADD:
+            return lv + rv
+        if op is ArithmeticOp.SUB:
+            return lv - rv
+        if op is ArithmeticOp.MUL:
+            return lv * rv
+        if rv == 0:
+            raise ExecutionError(f"division by zero: {lv} {op.value} {rv}")
+        if op is ArithmeticOp.DIV:
+            if isinstance(lv, int) and isinstance(rv, int):
+                quotient = abs(lv) // abs(rv)
+                return quotient if (lv >= 0) == (rv >= 0) else -quotient
+            return lv / rv
+        return lv % rv
+
+    return apply
+
+
 @dataclass(frozen=True)
 class Arithmetic(Expression):
     """Numeric arithmetic with NULL propagation; division by zero raises."""
@@ -454,43 +451,8 @@ class Arithmetic(Expression):
     def compile(self, schema: Schema) -> Evaluator:
         left = self.left.compile(schema)
         right = self.right.compile(schema)
-        op = self.op
-        def evaluate(row: tuple, ctx: Any) -> Any:
-            lv = left(row, ctx)
-            rv = right(row, ctx)
-            if lv is None or rv is None:
-                return None
-            if not isinstance(lv, (int, float)) or isinstance(lv, bool):
-                raise TypeCheckError(f"non-numeric operand {lv!r} for {op.value}")
-            if not isinstance(rv, (int, float)) or isinstance(rv, bool):
-                raise TypeCheckError(f"non-numeric operand {rv!r} for {op.value}")
-            if op is ArithmeticOp.ADD:
-                return lv + rv
-            if op is ArithmeticOp.SUB:
-                return lv - rv
-            if op is ArithmeticOp.MUL:
-                return lv * rv
-            if rv == 0:
-                raise ExecutionError(f"division by zero: {lv} {op.value} {rv}")
-            if op is ArithmeticOp.DIV:
-                if isinstance(lv, int) and isinstance(rv, int):
-                    # SQL integer division truncates toward zero.
-                    quotient = abs(lv) // abs(rv)
-                    return quotient if (lv >= 0) == (rv >= 0) else -quotient
-                return lv / rv
-            return lv % rv
-        return evaluate
-
-    def columns(self) -> frozenset[str]:
-        return self.left.columns() | self.right.columns()
-
-    def children(self) -> tuple[Expression, ...]:
-        return (self.left, self.right)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return Arithmetic(
-            self.op, self.left.substitute(mapping), self.right.substitute(mapping)
-        )
+        apply = arithmetic_function(self.op)
+        return lambda row, ctx: apply(left(row, ctx), right(row, ctx))
 
     def infer(self, schema: Schema) -> DataType:
         lt = self.left.infer(schema)
@@ -516,20 +478,26 @@ class Negate(Expression):
             return None if value is None else -value
         return evaluate
 
-    def columns(self) -> frozenset[str]:
-        return self.operand.columns()
-
-    def children(self) -> tuple[Expression, ...]:
-        return (self.operand,)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return Negate(self.operand.substitute(mapping))
-
     def infer(self, schema: Schema) -> DataType:
         return self.operand.infer(schema)
 
     def __str__(self) -> str:
         return f"(-{self.operand})"
+
+
+def in_list(value: Any, candidates: Iterable[Any], negated: bool) -> Any:
+    """``value [NOT] IN candidates``: NULL for a NULL value, or when nothing
+    matched and a candidate was NULL. Consumes ``candidates`` only up to
+    the first match."""
+    if value is None:
+        return None
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif compare_values(value, candidate) == 0:
+            return not negated
+    return None if saw_null else negated
 
 
 @dataclass(frozen=True)
@@ -544,38 +512,13 @@ class InList(Expression):
         inner = self.operand.compile(schema)
         compiled_items = [item.compile(schema) for item in self.items]
         negated = self.negated
+
         def evaluate(row: tuple, ctx: Any) -> Any:
-            value = inner(row, ctx)
-            if value is None:
-                return None
-            saw_null = False
-            for fn in compiled_items:
-                candidate = fn(row, ctx)
-                if candidate is None:
-                    saw_null = True
-                    continue
-                if compare_values(value, candidate) == 0:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+            # A generator: items after the first match are not evaluated.
+            candidates = (fn(row, ctx) for fn in compiled_items)
+            return in_list(inner(row, ctx), candidates, negated)
+
         return evaluate
-
-    def columns(self) -> frozenset[str]:
-        result = self.operand.columns()
-        for item in self.items:
-            result |= item.columns()
-        return result
-
-    def children(self) -> tuple[Expression, ...]:
-        return (self.operand, *self.items)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return InList(
-            self.operand.substitute(mapping),
-            tuple(item.substitute(mapping) for item in self.items),
-            self.negated,
-        )
 
     def infer(self, schema: Schema) -> DataType:
         return DataType.BOOLEAN
@@ -605,28 +548,6 @@ class CaseWhen(Expression):
                     return value(row, ctx)
             return default(row, ctx)
         return evaluate
-
-    def columns(self) -> frozenset[str]:
-        result = self.default.columns()
-        for cond, value in self.whens:
-            result |= cond.columns() | value.columns()
-        return result
-
-    def children(self) -> tuple[Expression, ...]:
-        flat: list[Expression] = []
-        for cond, value in self.whens:
-            flat += [cond, value]
-        flat.append(self.default)
-        return tuple(flat)
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return CaseWhen(
-            tuple(
-                (cond.substitute(mapping), value.substitute(mapping))
-                for cond, value in self.whens
-            ),
-            self.default.substitute(mapping),
-        )
 
     def __str__(self) -> str:
         parts = [f"WHEN {cond} THEN {value}" for cond, value in self.whens]
@@ -720,20 +641,6 @@ class FunctionCall(Expression):
         def evaluate(row: tuple, ctx: Any) -> Any:
             return fn(*(c(row, ctx) for c in compiled))
         return evaluate
-
-    def columns(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for arg in self.args:
-            result |= arg.columns()
-        return result
-
-    def children(self) -> tuple[Expression, ...]:
-        return self.args
-
-    def substitute(self, mapping: Mapping[str, Expression]) -> Expression:
-        return FunctionCall(
-            self.name, tuple(arg.substitute(mapping) for arg in self.args)
-        )
 
     def __str__(self) -> str:
         inner = ", ".join(str(arg) for arg in self.args)

@@ -9,6 +9,11 @@ Design notes:
 
 * Nodes are frozen dataclasses; rewrites build new trees. Structural
   equality is therefore free, which the optimizer's rule tests rely on.
+* A node's children are its operator-typed fields, in field order: no
+  class lists them. ``children``, ``with_children``, ``walk`` and
+  ``transform_up`` come from the one field classification in
+  :mod:`repro.algebra.tree`, as does the optimizer's interning key (the
+  other fields).
 * Every node derives and caches its output :class:`Schema` at construction,
   so rewritten trees are schema-checked immediately and no catalog is needed
   after the initial TableScan leaves are built.
@@ -32,6 +37,7 @@ from repro.algebra.expressions import (
     AggregateCall,
     Expression,
 )
+from repro.algebra.tree import layouts, lazy_children, rewrite, walk
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from repro.storage.types import common_type
@@ -45,16 +51,21 @@ class LogicalOperator:
     def schema(self) -> Schema:
         raise NotImplementedError
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "children" not in cls.__dict__:
+            cls.children = lazy_children(cls, _LAYOUTS)
+
     def children(self) -> tuple["LogicalOperator", ...]:
-        return ()
+        """The operator-typed fields, in field order (see
+        :mod:`repro.algebra.tree`)."""
+        return _LAYOUTS[type(self)].children(self)
 
     def with_children(
         self, children: Sequence["LogicalOperator"]
     ) -> "LogicalOperator":
         """Rebuild this node over new children (same arity)."""
-        if children:
-            raise PlanError(f"{type(self).__name__} takes no children")
-        return self
+        return _LAYOUTS[type(self)].rebuild(self, children)
 
     # ------------------------------------------------------------------
     # Tree utilities
@@ -62,9 +73,7 @@ class LogicalOperator:
 
     def walk(self) -> Iterator["LogicalOperator"]:
         """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        return walk(self, OPERATOR)
 
     def contains(self, kind: type) -> bool:
         return any(isinstance(node, kind) for node in self.walk())
@@ -72,17 +81,9 @@ class LogicalOperator:
     def transform_up(
         self, fn: Callable[["LogicalOperator"], "LogicalOperator"]
     ) -> "LogicalOperator":
-        """Bottom-up rewrite: children first, then ``fn`` on the rebuilt node."""
-        children = self.children()
-        if children:
-            new_children = tuple(child.transform_up(fn) for child in children)
-            if new_children != children:
-                node = self.with_children(new_children)
-            else:
-                node = self
-        else:
-            node = self
-        return fn(node)
+        """Bottom-up rewrite: children first, then ``fn`` on the rebuilt node
+        (a node is rebuilt only when a child changed)."""
+        return rewrite(self, OPERATOR, fn)
 
     def pretty(self, indent: int = 0) -> str:
         """Indented multi-line rendering of the plan tree."""
@@ -97,6 +98,11 @@ class LogicalOperator:
 
     def node_count(self) -> int:
         return sum(1 for _ in self.walk())
+
+
+#: The kinds of a traversal of one plan: operator-typed fields are children.
+OPERATOR = (LogicalOperator,)
+_LAYOUTS = layouts(OPERATOR)
 
 
 @dataclass(frozen=True)
@@ -160,13 +166,6 @@ class Select(LogicalOperator):
             self.child.schema.index_of(reference)
         return self.child.schema
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Select":
-        (child,) = children
-        return Select(child, self.predicate)
-
     def label(self) -> str:
         return f"Select[{self.predicate}]"
 
@@ -190,13 +189,6 @@ class Project(LogicalOperator):
                 child_schema.index_of(reference)
             columns.append(Column(name, expression.infer(child_schema)))
         return Schema(columns)
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Project":
-        (child,) = children
-        return Project(child, self.items)
 
     def label(self) -> str:
         inner = ", ".join(
@@ -237,13 +229,6 @@ class Prune(LogicalOperator):
     def schema(self) -> Schema:
         return self.child.schema.project(self.references)
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Prune":
-        (child,) = children
-        return Prune(child, self.references)
-
     def label(self) -> str:
         return f"Prune[{', '.join(self.references)}]"
 
@@ -276,13 +261,6 @@ class Join(LogicalOperator):
         if self.kind in (JoinKind.SEMI, JoinKind.ANTI):
             return self.left.schema
         return combined
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Join":
-        left, right = children
-        return Join(left, right, self.predicate, self.kind)
 
     def equijoin_pairs(self) -> list[tuple[str, str]]:
         """Column pairs (left_ref, right_ref) from top-level equality
@@ -343,13 +321,6 @@ class GroupBy(LogicalOperator):
             )
         return Schema(columns)
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "GroupBy":
-        (child,) = children
-        return GroupBy(child, self.keys, self.aggregates)
-
     @property
     def is_scalar_aggregate(self) -> bool:
         return not self.keys
@@ -372,13 +343,6 @@ class Distinct(LogicalOperator):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Distinct":
-        (child,) = children
-        return Distinct(child)
-
 
 @dataclass(frozen=True)
 class OrderBy(LogicalOperator):
@@ -396,13 +360,6 @@ class OrderBy(LogicalOperator):
         for reference, _ in self.items:
             self.child.schema.index_of(reference)
         return self.child.schema
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "OrderBy":
-        (child,) = children
-        return OrderBy(child, self.items)
 
     def label(self) -> str:
         inner = ", ".join(
@@ -437,12 +394,6 @@ class UnionAll(LogicalOperator):
     def schema(self) -> Schema:
         return _union_schema(self.inputs)
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return self.inputs
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "UnionAll":
-        return UnionAll(tuple(children))
-
 
 @dataclass(frozen=True)
 class Union(LogicalOperator):
@@ -453,12 +404,6 @@ class Union(LogicalOperator):
     @cached_property
     def schema(self) -> Schema:
         return _union_schema(self.inputs)
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return self.inputs
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Union":
-        return Union(tuple(children))
 
 
 @dataclass(frozen=True)
@@ -475,13 +420,6 @@ class Exists(LogicalOperator):
     @cached_property
     def schema(self) -> Schema:
         return Schema(())
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Exists":
-        (child,) = children
-        return Exists(child, self.negated)
 
     def label(self) -> str:
         return "NotExists" if self.negated else "Exists"
@@ -511,13 +449,6 @@ class Apply(LogicalOperator):
         # fresh output names, so collisions indicate a malformed plan and
         # surface as a SchemaError here.
         return self.outer.schema.concat(inner_schema)
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.outer, self.inner)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Apply":
-        outer, inner = children
-        return Apply(outer, inner, self.bindings)
 
     def label(self) -> str:
         if not self.bindings:
@@ -593,13 +524,6 @@ class GApply(LogicalOperator):
             self.group_variable,
         )
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.outer, self.per_group)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "GApply":
-        outer, per_group = children
-        return GApply(outer, self.grouping_columns, per_group, self.group_variable)
-
     def label(self) -> str:
         keys = ", ".join(self.grouping_columns)
         return f"GApply[{keys}; ${self.group_variable}]"
@@ -620,13 +544,6 @@ class Limit(LogicalOperator):
     @cached_property
     def schema(self) -> Schema:
         return self.child.schema
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Limit":
-        (child,) = children
-        return Limit(child, self.count)
 
     def label(self) -> str:
         return f"Limit[{self.count}]"
@@ -664,13 +581,6 @@ class Remap(LogicalOperator):
             )
         return Schema(columns)
 
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Remap":
-        (child,) = children
-        return Remap(child, self.items)
-
     def label(self) -> str:
         inner = ", ".join(
             f"{ref}->{column.qualified_name}" for ref, column in self.items
@@ -694,13 +604,6 @@ class Alias(LogicalOperator):
     @cached_property
     def schema(self) -> Schema:
         return self.child.schema.qualify(self.name)
-
-    def children(self) -> tuple[LogicalOperator, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalOperator]) -> "Alias":
-        (child,) = children
-        return Alias(child, self.name)
 
     def label(self) -> str:
         return f"Alias({self.name})"

@@ -23,7 +23,10 @@ errors run as plain comprehensions over C-level operators, skipping the
 per-value ``compare_values``/``isinstance`` ceremony of the generic
 path. The static gate uses :meth:`Expression.infer`; ``ANY`` always
 takes the generic kernel, and a NaN on a FLOAT side is compared by the
-generic rule.
+generic rule. The generic kernels of comparisons, arithmetic and IN lists
+map the row evaluators' own per-value functions (``comparison_function``,
+``arithmetic_function``, ``in_list``) over the zipped columns, so each
+rule is written once.
 """
 
 from __future__ import annotations
@@ -48,8 +51,11 @@ from repro.algebra.expressions import (
     Not,
     Or,
     Parameter,
+    arithmetic_function,
+    comparison_function,
+    in_list,
 )
-from repro.errors import ExecutionError, TypeCheckError
+from repro.errors import ExecutionError
 from repro.storage.schema import Schema
 from repro.storage.types import DataType, compare_values
 
@@ -147,13 +153,9 @@ def _compile_comparison(expr: Comparison, schema: Schema) -> BatchEvaluator:
                 ]
         return evaluate
 
+    compare = comparison_function(expr.op)
     def evaluate(batch: ColumnBatch, ctx: Any) -> list:
-        out = []
-        append = out.append
-        for lv, rv in zip(left(batch, ctx), right(batch, ctx)):
-            cmp = compare_values(lv, rv)
-            append(None if cmp is None else test(cmp))
-        return out
+        return [compare(lv, rv) for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
     return evaluate
 
 
@@ -244,35 +246,9 @@ def _compile_arithmetic(expr: Arithmetic, schema: Schema) -> BatchEvaluator:
             ]
         return evaluate
 
+    apply = arithmetic_function(op)
     def evaluate(batch: ColumnBatch, ctx: Any) -> list:
-        out = []
-        append = out.append
-        for lv, rv in zip(left(batch, ctx), right(batch, ctx)):
-            if lv is None or rv is None:
-                append(None)
-                continue
-            if not isinstance(lv, (int, float)) or isinstance(lv, bool):
-                raise TypeCheckError(f"non-numeric operand {lv!r} for {op.value}")
-            if not isinstance(rv, (int, float)) or isinstance(rv, bool):
-                raise TypeCheckError(f"non-numeric operand {rv!r} for {op.value}")
-            if op is ArithmeticOp.ADD:
-                append(lv + rv)
-            elif op is ArithmeticOp.SUB:
-                append(lv - rv)
-            elif op is ArithmeticOp.MUL:
-                append(lv * rv)
-            else:
-                if rv == 0:
-                    raise ExecutionError(f"division by zero: {lv} {op.value} {rv}")
-                if op is ArithmeticOp.DIV:
-                    if isinstance(lv, int) and isinstance(rv, int):
-                        quotient = abs(lv) // abs(rv)
-                        append(quotient if (lv >= 0) == (rv >= 0) else -quotient)
-                    else:
-                        append(lv / rv)
-                else:
-                    append(lv % rv)
-        return out
+        return [apply(lv, rv) for lv, rv in zip(left(batch, ctx), right(batch, ctx))]
     return evaluate
 
 
@@ -297,28 +273,7 @@ def _compile_inlist(expr: InList, schema: Schema) -> BatchEvaluator:
     negated = expr.negated
 
     def evaluate(batch: ColumnBatch, ctx: Any) -> list:
-        out = []
-        append = out.append
-        for value in inner(batch, ctx):
-            if value is None:
-                append(None)
-                continue
-            saw_null = False
-            matched = False
-            for candidate in candidates:
-                if candidate is None:
-                    saw_null = True
-                    continue
-                if compare_values(value, candidate) == 0:
-                    matched = True
-                    break
-            if matched:
-                append(not negated)
-            elif saw_null:
-                append(None)
-            else:
-                append(negated)
-        return out
+        return [in_list(value, candidates, negated) for value in inner(batch, ctx)]
     return evaluate
 
 

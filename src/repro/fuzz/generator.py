@@ -28,7 +28,9 @@ under and over GApply. A *join-region* case (about one in five, drawn by
 an rng of its own, so every other case is the one drawn without it)
 builds 3-4 tables linked as an FK chain or star and joins all of them,
 FROM items and join conditions shuffled, so the optimizer has a join
-order to choose.
+order to choose. An *expression-aggregate* case (about one in five, by
+another rng of its own) may aggregate ``int_col + k`` or
+``float_col * 2`` and test ``count(*)`` against an IN list in HAVING.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro.algebra.tree import walk
 from repro.api import Database
 from repro.sql import ast as A
+from repro.sql.parser import AGGREGATE_NAMES
 from repro.sql.printer import print_query
 from repro.storage.types import DataType
 
@@ -140,6 +144,9 @@ def _skewed_pick(rng: random.Random, pool: list):
 
 #: Share of cases that join a 3-4 table FK chain or star.
 JOIN_REGION_SHARE = 0.2
+#: Share of cases that may aggregate an expression and test ``count(*)``
+#: against an IN list.
+EXPRESSION_AGGREGATE_SHARE = 0.2
 
 
 def _region_parents(rng: random.Random) -> list[int]:
@@ -240,12 +247,19 @@ def _col(column: FuzzColumn) -> A.AstColumn:
 
 class _QueryGenerator:
     def __init__(
-        self, rng: random.Random, db: FuzzDatabase, region: random.Random | None = None
+        self,
+        rng: random.Random,
+        db: FuzzDatabase,
+        region: random.Random | None = None,
+        expressions: random.Random | None = None,
     ):
         self.rng = rng
         self.db = db
         #: A join-region case's own rng: every FROM clause joins all tables.
         self.region = region
+        #: An expression-aggregate case's own rng (see :meth:`aggregate_item`
+        #: and :meth:`having`).
+        self.expressions = expressions
 
     # -- literals ------------------------------------------------------
 
@@ -516,7 +530,46 @@ class _QueryGenerator:
     # -- aggregates ----------------------------------------------------
 
     def aggregate_item(self, columns: list[FuzzColumn], dtype: DataType):
-        """An aggregate expression whose result has the given type."""
+        """An aggregate expression whose result has the given type. In an
+        expression-aggregate case, half the aggregates over one numeric
+        column take ``int_col + k`` or ``float_col * 2`` instead: exact in
+        the generator's domains, and the literal becomes a plan-cache
+        marker inside the aggregate call."""
+        aggregate = self._aggregate_item(columns, dtype)
+        widen = self.expressions
+        if (
+            widen is None
+            or aggregate is None
+            or len(aggregate.args) != 1
+            or widen.random() < 0.5
+        ):
+            return aggregate
+        (argument,) = aggregate.args
+        dtype = next(c.dtype for c in columns if c.name == argument.name)
+        if dtype is DataType.INTEGER:
+            argument = A.AstBinary("+", argument, _lit(widen.randint(1, 9)))
+        elif dtype is DataType.FLOAT:
+            argument = A.AstBinary("*", argument, _lit(2))
+        else:
+            return aggregate
+        return A.AstFunction(
+            aggregate.name, (argument,), aggregate.star, aggregate.distinct
+        )
+
+    def having(self, bound: int, ops: list[str]) -> A.AstExpression:
+        """``count(*) <op> k``; in an expression-aggregate case, half the
+        time ``count(*) in (k1, k2)`` (drawn after, so the main rng's draws
+        are the same either way)."""
+        rng = self.rng
+        count_star = A.AstFunction("count", (), star=True)
+        having = A.AstBinary(rng.choice(ops), count_star, _lit(rng.randint(0, bound)))
+        widen = self.expressions
+        if widen is not None and widen.random() < 0.5:
+            items = (_lit(widen.randint(0, bound)), _lit(widen.randint(0, bound)))
+            having = A.AstInList(count_star, items)
+        return having
+
+    def _aggregate_item(self, columns: list[FuzzColumn], dtype: DataType):
         rng = self.rng
         numeric = [c for c in columns if c.dtype in _NUMERIC]
         if dtype is DataType.INTEGER:
@@ -677,11 +730,7 @@ class _QueryGenerator:
             where = A.AstBinary("and", where, extra) if where else extra
         having = None
         if rng.random() < 0.3:
-            having = A.AstBinary(
-                rng.choice(["<", "<=", ">", ">=", "="]),
-                A.AstFunction("count", (), star=True),
-                _lit(rng.randint(0, 4)),
-            )
+            having = self.having(4, ["<", "<=", ">", ">=", "="])
         return A.AstSelect(
             items=tuple(items),
             from_items=from_items,
@@ -792,11 +841,7 @@ class _QueryGenerator:
             items.append(A.AstSelectItem(agg))
         having = None
         if rng.random() < 0.4:
-            having = A.AstBinary(
-                rng.choice(["<", "<=", ">", ">="]),
-                A.AstFunction("count", (), star=True),
-                _lit(rng.randint(0, 3)),
-            )
+            having = self.having(3, ["<", "<=", ">", ">="])
         return A.AstSelect(
             items=tuple(items),
             from_items=(A.AstTableRef(GROUP_VARIABLE),),
@@ -809,6 +854,20 @@ class _QueryGenerator:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
+
+
+def expression_aggregates(query: A.AstQuery) -> bool:
+    """Whether ``query`` aggregates an expression, or tests an aggregate
+    against an IN list: the shapes an expression-aggregate case draws."""
+    for node in walk(query, A.AST):
+        if isinstance(node, A.AstInList):
+            node = node.operand
+            if isinstance(node, A.AstFunction) and node.name in AGGREGATE_NAMES:
+                return True
+        elif isinstance(node, A.AstFunction) and node.name in AGGREGATE_NAMES:
+            if any(not isinstance(arg, A.AstColumn) for arg in node.args):
+                return True
+    return False
 
 
 @dataclass
@@ -825,9 +884,9 @@ class FuzzCase:
 
 
 def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
-    """The case of ``seed``: about one in five is a join-region case, and
-    with ``nonfinite`` about one in five a nonfinite case (the rest are the
-    cases drawn without them)."""
+    """The case of ``seed``: about one in five is a join-region case, one in
+    five an expression-aggregate case, and with ``nonfinite`` about one in
+    five a nonfinite case (the rest are the cases drawn without them)."""
     rng = random.Random(seed)
     extra = random.Random(f"nonfinite:{seed}")
     floats = extra if nonfinite and extra.random() < 0.2 else None
@@ -838,7 +897,9 @@ def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
     while all(not t.rows for t in db.tables) and len(db.tables) < 4:
         # An all-empty database exercises nothing; re-roll data sizes.
         db = generate_database(rng, floats, parents)
-    gen = _QueryGenerator(rng, db, region)
+    exprs = random.Random(f"exprs:{seed}")
+    expressions = exprs if exprs.random() < EXPRESSION_AGGREGATE_SHARE else None
+    gen = _QueryGenerator(rng, db, region, expressions)
     if rng.random() < 0.55:
         query = gen.gapply_query()
     else:

@@ -19,15 +19,21 @@ import random
 from collections import Counter
 from typing import Any
 
+from repro.algebra.tree import rewrite
 from repro.api import Database, Prepared, QueryResult
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
-from repro.fuzz.generator import STRING_VOCAB, FuzzCase, generate_case
+from repro.fuzz.generator import (
+    STRING_VOCAB,
+    FuzzCase,
+    expression_aggregates,
+    generate_case,
+)
 from repro.fuzz.shrink import sql_candidates
 from repro.optimizer.plancache import PlanCache, text_digest
 from repro.optimizer.planner import PlannerOptions
 from repro.sql import ast as A
-from repro.sql.normalize import _rewrite_statement, parameterize, type_signature
+from repro.sql.normalize import parameterize, type_signature
 from repro.sql.parser import parse
 from repro.sql.printer import print_query, print_statement
 from repro.storage import DataType
@@ -64,7 +70,7 @@ def fresh_literals(query: A.AstQuery, rng: random.Random) -> A.AstQuery:
     the generator steers around stay closed.
     """
 
-    def visit(node: A.AstExpression) -> A.AstExpression:
+    def visit(node: A.AstNode) -> A.AstNode:
         if not isinstance(node, A.AstLiteral):
             return node
         value = node.value
@@ -83,7 +89,7 @@ def fresh_literals(query: A.AstQuery, rng: random.Random) -> A.AstQuery:
             return A.AstLiteral(rng.choice(STRING_VOCAB))
         return node
 
-    return _rewrite_statement(query, visit)
+    return rewrite(query, A.AST, visit)
 
 
 class Divergence(AssertionError):
@@ -265,6 +271,8 @@ def check_case(case: FuzzCase, tally: Counter) -> Failure | None:
             prepared.append((index, result))
     tally.update(model.seen)
     tally["checked"] += 1
+    if expression_aggregates(case.query):
+        tally["expression-aggregates"] += 1
     return None
 
 

@@ -11,12 +11,15 @@ For each seeded case :func:`run_case` runs three checks:
 3. **plan-space equivalence** — every planner configuration from the
    profile must reproduce the baseline rows exactly.
 
-The summary's ``join-reordered`` counts the cases where some
-configuration's chosen plan went through the ``join_order`` pass and has
-a join tree other than the written one, and ``segmented-gapply`` the
-cases where some configuration's plan holds a GApply whose per-group
-plan runs once per wave of groups (:mod:`repro.execution.vector.
-segmented`) with no subtree looping per group.
+The summary's ``expression-aggregates`` counts the cases whose query
+aggregates an expression or tests an aggregate against an IN list (see
+:func:`~repro.fuzz.generator.expression_aggregates`), ``join-reordered``
+the cases where some configuration's chosen plan went through the
+``join_order`` pass and has a join tree other than the written one, and
+``segmented-gapply`` the cases where some configuration's plan holds a
+GApply whose per-group plan runs once per wave of groups
+(:mod:`repro.execution.vector.segmented`) with no subtree looping per
+group.
 
 ``quick``, ``full`` and ``engine`` differ in the configurations of
 step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
@@ -37,7 +40,12 @@ from repro.execution.gapply import PGApply
 from repro.execution.vector.compiler import compile_plan
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
-from repro.fuzz.generator import FuzzCase, generate_case, is_nonfinite
+from repro.fuzz.generator import (
+    FuzzCase,
+    expression_aggregates,
+    generate_case,
+    is_nonfinite,
+)
 from repro.fuzz.oracle import (
     compare_multisets,
     reference_rows,
@@ -70,6 +78,8 @@ def run_case(
             case.seed, kind, f"{detail}\n  query: {case.sql}", case, config
         )
 
+    if expression_aggregates(case.query):
+        tally["expression-aggregates"] += 1
     db = case.db.build()
     sql = case.sql
     try:

@@ -29,12 +29,10 @@ contains it. What the search finds, in what order, is unchanged.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import typing
 from dataclasses import dataclass, field
 
-from repro.algebra.operators import LogicalOperator
+from repro.algebra.operators import OPERATOR, LogicalOperator
+from repro.algebra.tree import layouts
 from repro.errors import OptimizerError
 from repro.optimizer.cost import CostModel, Estimate
 from repro.optimizer.rules import DEFAULT_RULES
@@ -44,21 +42,16 @@ from repro.storage.catalog import Catalog
 
 DEFAULT_MAX_ALTERNATIVES = 128
 
-_CHILD_FIELD_TYPES = (LogicalOperator, tuple[LogicalOperator, ...])
+#: Every operator class's field layout (see :mod:`repro.algebra.tree`).
+_LAYOUTS = layouts(OPERATOR)
 
 
-@functools.cache
 def payload_fields(kind: type[LogicalOperator]) -> tuple[str, ...]:
-    """The dataclass fields of ``kind`` that are not children: every field
-    except those typed as an operator or a tuple of operators. Read off
-    ``dataclasses.fields``, so a new field is part of the interning key
-    without anyone listing it; the cache holds classes, never plans."""
-    hints = typing.get_type_hints(kind)
-    return tuple(
-        spec.name
-        for spec in dataclasses.fields(kind)
-        if hints[spec.name] not in _CHILD_FIELD_TYPES
-    )
+    """The dataclass fields of ``kind`` that are not children: the
+    non-structural half of the one field classification the operators'
+    ``children``/``with_children`` derive from, so a new field is part of
+    the interning key without anyone listing it."""
+    return _LAYOUTS[kind].payload
 
 
 class SearchSpace:
@@ -144,11 +137,7 @@ class SearchSpace:
         self, node: LogicalOperator, children: tuple[LogicalOperator, ...]
     ) -> tuple:
         kind = type(node)
-        return (
-            kind,
-            *[getattr(node, name) for name in payload_fields(kind)],
-            *map(id, children),
-        )
+        return (kind, *_LAYOUTS[kind].payload_of(node), *map(id, children))
 
     def _add(self, key: tuple, node: LogicalOperator) -> LogicalOperator:
         self._by_key[key] = node

@@ -23,11 +23,12 @@ Key design points:
 * **Cached artifact = optimized logical template.** Entries store the
   optimizer's chosen plan with :class:`~repro.algebra.expressions.\
   BindParameter` markers in literal positions. Execution substitutes the
-  current parameter vector (markers become plain ``Literal`` nodes — a
-  pure tree rewrite) and lowers the result with the per-call
-  :class:`~repro.optimizer.planner.Planner`, so physical knobs (batch
-  sizes, partitioning, index usage) stay per-execution and are *not*
-  part of the key. Because ``BindParameter`` subclasses ``Literal``, the
+  current parameter vector (markers become plain ``Literal`` nodes — the
+  shared bottom-up rewrite of :mod:`repro.algebra.tree`, which keeps
+  every other field of a rebuilt node) and lowers the result with the
+  per-call :class:`~repro.optimizer.planner.Planner`, so physical knobs
+  (batch sizes, partitioning, index usage) stay per-execution and are
+  *not* part of the key. Because ``BindParameter`` subclasses ``Literal``, the
   template optimization is bit-for-bit the optimization the literal query
   would get — cached and cold runs produce identical plans, rows,
   counters, and metrics.
@@ -43,22 +44,20 @@ Key design points:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.algebra.expressions import (
     AggregateCall,
-    And,
     BindParameter,
     Expression,
     Literal,
-    Or,
 )
 from repro.algebra.operators import LogicalOperator
+from repro.algebra.tree import rewrite
 from repro.errors import PlanError
 from repro.observe.metrics import LockedCounters
 
@@ -220,114 +219,43 @@ class PlanCache:
 # ----------------------------------------------------------------------
 
 
+#: What a template substitution enters: the operators, the expressions in
+#: their fields and the aggregate calls' arguments.
+_PLAN = (LogicalOperator, Expression, AggregateCall)
+
+
 def substitute_parameters(
     plan: LogicalOperator, values: tuple[Any, ...]
 ) -> LogicalOperator:
     """Replace every ``BindParameter`` marker with the bound value.
 
-    Pure structural rewrite: untouched subtrees are shared with the
-    template (they are immutable), rebuilt nodes recompute their cached
-    schemas against the new literal types.
+    Pure structural rewrite (:func:`repro.algebra.tree.rewrite`): untouched
+    subtrees are shared with the template (they are immutable), rebuilt
+    nodes keep every other field and recompute their cached schemas
+    against the new literal types.
     """
 
-    def visit(expr: Expression) -> Expression:
-        if isinstance(expr, BindParameter):
-            if expr.index >= len(values):
+    def visit(node: Any) -> Any:
+        if isinstance(node, BindParameter):
+            if node.index >= len(values):
                 raise PlanError(
-                    f"plan template references parameter ${expr.index + 1} "
+                    f"plan template references parameter ${node.index + 1} "
                     f"but only {len(values)} values were bound"
                 )
-            return Literal(values[expr.index])
-        return expr
+            return Literal(values[node.index])
+        return node
 
-    return _rewrite_plan(plan, visit)
+    return rewrite(plan, _PLAN, visit)
 
 
 def collect_parameters(plan: LogicalOperator) -> list[BindParameter]:
     """Every ``BindParameter`` in the plan, in deterministic tree order."""
     found: list[BindParameter] = []
 
-    def visit(expr: Expression) -> Expression:
-        if isinstance(expr, BindParameter):
-            found.append(expr)
-        return expr
-
-    _rewrite_plan(plan, visit)
-    return found
-
-
-_ExprVisitor = Callable[[Expression], Expression]
-
-
-def _rewrite_plan(node: LogicalOperator, visit: _ExprVisitor) -> LogicalOperator:
-    """Generic bottom-up rewrite of every expression embedded in a plan.
-
-    Walks the operator dataclass fields: child operators recurse,
-    expressions (including those inside ``(expr, name)`` projection pairs
-    and ``AggregateCall`` arguments) go through ``visit``, everything
-    else (names, flags, counts) passes through untouched.
-    """
-    changes: dict[str, Any] = {}
-    for spec in dataclasses.fields(node):
-        value = getattr(node, spec.name)
-        rewritten = _rewrite_value(value, visit)
-        if rewritten is not value:
-            changes[spec.name] = rewritten
-    if not changes:
+    def visit(node: Any) -> Any:
+        if isinstance(node, BindParameter):
+            found.append(node)
         return node
-    return dataclasses.replace(node, **changes)
 
-
-def _rewrite_value(value: Any, visit: _ExprVisitor) -> Any:
-    if isinstance(value, LogicalOperator):
-        return _rewrite_plan(value, visit)
-    if isinstance(value, Expression):
-        return _rewrite_expression(value, visit)
-    if isinstance(value, AggregateCall):
-        if value.argument is None:
-            return value
-        argument = _rewrite_expression(value.argument, visit)
-        if argument is value.argument:
-            return value
-        return AggregateCall(value.function, argument, value.distinct)
-    if isinstance(value, tuple):
-        rewritten = tuple(_rewrite_value(item, visit) for item in value)
-        if all(a is b for a, b in zip(rewritten, value)):
-            return value
-        return rewritten
-    return value
-
-
-def _rewrite_expression(expr: Expression, visit: _ExprVisitor) -> Expression:
-    # And/Or take *operands in __init__, so dataclasses.replace would
-    # mis-call them — rebuild explicitly. Everything else is a plain
-    # frozen dataclass whose expression-valued fields recurse.
-    if isinstance(expr, (And, Or)):
-        operands = tuple(
-            _rewrite_expression(op, visit) for op in expr.operands
-        )
-        if all(a is b for a, b in zip(operands, expr.operands)):
-            return visit(expr)
-        return visit(type(expr)(*operands))
-    if not dataclasses.is_dataclass(expr):
-        return visit(expr)
-    changes: dict[str, Any] = {}
-    for spec in dataclasses.fields(expr):
-        value = getattr(expr, spec.name)
-        rewritten = _rewrite_expr_value(value, visit)
-        if rewritten is not value:
-            changes[spec.name] = rewritten
-    if not changes:
-        return visit(expr)
-    return visit(dataclasses.replace(expr, **changes))
-
-
-def _rewrite_expr_value(value: Any, visit: _ExprVisitor) -> Any:
-    if isinstance(value, Expression):
-        return _rewrite_expression(value, visit)
-    if isinstance(value, tuple):
-        rewritten = tuple(_rewrite_expr_value(item, visit) for item in value)
-        if all(a is b for a, b in zip(rewritten, value)):
-            return value
-        return rewritten
-    return value
+    rewrite(plan, _PLAN, visit)
+    return found

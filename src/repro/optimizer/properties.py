@@ -170,7 +170,7 @@ def covering_range(node: LogicalOperator) -> Expression | None:
 def _references_only_group_columns(select: Select) -> bool:
     """A select whose predicate mentions columns that are not in the group
     schema (e.g. appended Apply outputs) cannot contribute to the range."""
-    if _contains_parameter(select.predicate):
+    if select.predicate.parameters():
         # A correlated Parameter is bound per outer row by an enclosing
         # Apply; lifting it into the covering range would move it outside
         # the Apply that binds it (unbound at execution, and unsound).
@@ -183,14 +183,6 @@ def _references_only_group_columns(select: Select) -> bool:
     if group_schema is None:
         return False
     return all(group_schema.has(ref) for ref in select.predicate.columns())
-
-
-def _contains_parameter(expression: Expression) -> bool:
-    from repro.algebra.expressions import Parameter
-
-    if isinstance(expression, Parameter):
-        return True
-    return any(_contains_parameter(child) for child in expression.children())
 
 
 def _disjoin_ranges(ranges: list[Expression | None]) -> Expression | None:

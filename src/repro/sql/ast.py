@@ -229,3 +229,10 @@ class AstExplain(AstNode):
 
     query: AstQuery
     analyze: bool = False
+
+
+#: The kinds of a traversal (:mod:`repro.algebra.tree`) of a whole
+#: statement, and of one scalar expression: fields typed ``AstQuery``
+#: (subqueries, their own scope) are not entered by the second.
+AST = (AstNode,)
+EXPRESSIONS = (AstExpression,)

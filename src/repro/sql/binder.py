@@ -61,11 +61,26 @@ from repro.algebra.operators import (
     Union,
     UnionAll,
 )
+from repro.algebra.tree import rewrite, walk
 from repro.errors import BindError
 from repro.sql import ast as A
 from repro.sql.parser import AGGREGATE_NAMES, parse
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
+
+_SUBQUERIES = (A.AstScalarSubquery, A.AstExists, A.AstInSubquery)
+
+
+def _aggregate_key(node: A.AstFunction) -> object:
+    """What equal aggregates share, to be computed once: the node itself,
+    unless it holds a literal or a marker. A cached template has one
+    marker per literal, so merging equal literals would give the literal
+    query a plan its template cannot have; such an aggregate is its own."""
+    for inner in walk(node, A.EXPRESSIONS):
+        if isinstance(inner, (A.AstLiteral, A.AstParameter)):
+            return id(node)
+    return node
+
 
 _AGG_MAP = {
     "count": AggregateFunction.COUNT,
@@ -373,37 +388,10 @@ class Binder:
             scope = Scope(plan.schema, scope.parent, scope.correlations)
         return plan, scope
 
-    @classmethod
-    def _has_subquery(cls, node: A.AstExpression) -> bool:
+    @staticmethod
+    def _has_subquery(node: A.AstExpression) -> bool:
         """Whether an AST expression contains any kind of subquery."""
-        if isinstance(node, (A.AstScalarSubquery, A.AstExists, A.AstInSubquery)):
-            return True
-        if isinstance(node, A.AstBinary):
-            return cls._has_subquery(node.left) or cls._has_subquery(node.right)
-        if isinstance(node, A.AstUnary):
-            return cls._has_subquery(node.operand)
-        if isinstance(node, A.AstIsNull):
-            return cls._has_subquery(node.operand)
-        if isinstance(node, A.AstBetween):
-            return (
-                cls._has_subquery(node.operand)
-                or cls._has_subquery(node.low)
-                or cls._has_subquery(node.high)
-            )
-        if isinstance(node, A.AstInList):
-            return cls._has_subquery(node.operand) or any(
-                cls._has_subquery(i) for i in node.items
-            )
-        if isinstance(node, A.AstFunction):
-            return any(cls._has_subquery(a) for a in node.args)
-        if isinstance(node, A.AstCase):
-            if node.default is not None and cls._has_subquery(node.default):
-                return True
-            return any(
-                cls._has_subquery(c) or cls._has_subquery(v)
-                for c, v in node.whens
-            )
-        return False
+        return any(isinstance(n, _SUBQUERIES) for n in walk(node, A.EXPRESSIONS))
 
     @staticmethod
     def _ast_conjuncts(expression: A.AstExpression) -> list[A.AstExpression]:
@@ -563,40 +551,9 @@ class Binder:
                 name = self._fresh("sq")
                 collected.append((name, node.subquery))
                 return A.AstColumn(name)
-            if isinstance(node, A.AstBinary):
-                return A.AstBinary(node.op, replace(node.left), replace(node.right))
-            if isinstance(node, A.AstUnary):
-                return A.AstUnary(node.op, replace(node.operand))
-            if isinstance(node, A.AstIsNull):
-                return A.AstIsNull(replace(node.operand), node.negated)
-            if isinstance(node, A.AstBetween):
-                return A.AstBetween(
-                    replace(node.operand),
-                    replace(node.low),
-                    replace(node.high),
-                    node.negated,
-                )
-            if isinstance(node, A.AstInList):
-                return A.AstInList(
-                    replace(node.operand),
-                    tuple(replace(i) for i in node.items),
-                    node.negated,
-                )
-            if isinstance(node, A.AstFunction):
-                return A.AstFunction(
-                    node.name,
-                    tuple(replace(a) for a in node.args),
-                    node.star,
-                    node.distinct,
-                )
-            if isinstance(node, A.AstCase):
-                return A.AstCase(
-                    tuple((replace(c), replace(v)) for c, v in node.whens),
-                    None if node.default is None else replace(node.default),
-                )
             return node
 
-        rewritten = replace(expression)
+        rewritten = rewrite(expression, A.EXPRESSIONS, replace)
         appended = False
         current_scope = scope
         for name, subquery in collected:
@@ -723,44 +680,19 @@ class Binder:
         items: list[A.AstSelectItem],
         having: A.AstExpression | None,
     ) -> list[A.AstFunction]:
-        found: list[A.AstFunction] = []
+        found: dict[object, A.AstFunction] = {}
 
-        def walk(node: A.AstExpression) -> None:
-            if isinstance(node, A.AstFunction):
-                if node.name in AGGREGATE_NAMES:
-                    if node not in found:
-                        found.append(node)
-                    return  # aggregates cannot nest
-                for arg in node.args:
-                    walk(arg)
-            elif isinstance(node, A.AstBinary):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, A.AstUnary):
-                walk(node.operand)
-            elif isinstance(node, A.AstIsNull):
-                walk(node.operand)
-            elif isinstance(node, A.AstBetween):
-                walk(node.operand)
-                walk(node.low)
-                walk(node.high)
-            elif isinstance(node, A.AstInList):
-                walk(node.operand)
-                for item in node.items:
-                    walk(item)
-            elif isinstance(node, A.AstCase):
-                for condition, value in node.whens:
-                    walk(condition)
-                    walk(value)
-                if node.default is not None:
-                    walk(node.default)
-            # Subqueries are separate scopes; do not descend.
+        def visit(node: A.AstExpression) -> A.AstExpression:
+            if isinstance(node, A.AstFunction) and node.name in AGGREGATE_NAMES:
+                found.setdefault(_aggregate_key(node), node)
+            return node
 
+        # Subqueries are separate scopes: A.EXPRESSIONS does not enter them.
         for item in items:
-            walk(item.expression)
+            rewrite(item.expression, A.EXPRESSIONS, visit)
         if having is not None:
-            walk(having)
-        return found
+            rewrite(having, A.EXPRESSIONS, visit)
+        return list(found.values())
 
     def _bind_aggregation(
         self,
@@ -772,11 +704,11 @@ class Binder:
         relations: dict[str, Schema],
     ) -> LogicalOperator:
         # 1. Build AggregateCalls with internal aliases.
-        agg_aliases: dict[A.AstFunction, str] = {}
+        agg_aliases: dict[object, str] = {}
         calls: list[AggregateCall] = []
         for aggregate in aggregates:
             alias = self._fresh("agg")
-            agg_aliases[aggregate] = alias
+            agg_aliases[_aggregate_key(aggregate)] = alias
             if aggregate.star:
                 calls.append(
                     AggregateCall(AggregateFunction.COUNT_STAR, None, alias=alias)
@@ -825,52 +757,16 @@ class Binder:
     def _replace_aggregates(
         self,
         node: A.AstExpression,
-        agg_aliases: dict[A.AstFunction, str],
+        agg_aliases: dict[object, str],
     ) -> A.AstExpression:
-        if isinstance(node, A.AstFunction):
-            if node in agg_aliases:
-                return A.AstColumn(agg_aliases[node])
-            return A.AstFunction(
-                node.name,
-                tuple(self._replace_aggregates(a, agg_aliases) for a in node.args),
-                node.star,
-                node.distinct,
-            )
-        if isinstance(node, A.AstBinary):
-            return A.AstBinary(
-                node.op,
-                self._replace_aggregates(node.left, agg_aliases),
-                self._replace_aggregates(node.right, agg_aliases),
-            )
-        if isinstance(node, A.AstUnary):
-            return A.AstUnary(
-                node.op, self._replace_aggregates(node.operand, agg_aliases)
-            )
-        if isinstance(node, A.AstIsNull):
-            return A.AstIsNull(
-                self._replace_aggregates(node.operand, agg_aliases), node.negated
-            )
-        if isinstance(node, A.AstBetween):
-            return A.AstBetween(
-                self._replace_aggregates(node.operand, agg_aliases),
-                self._replace_aggregates(node.low, agg_aliases),
-                self._replace_aggregates(node.high, agg_aliases),
-                node.negated,
-            )
-        if isinstance(node, A.AstCase):
-            return A.AstCase(
-                tuple(
-                    (
-                        self._replace_aggregates(c, agg_aliases),
-                        self._replace_aggregates(v, agg_aliases),
-                    )
-                    for c, v in node.whens
-                ),
-                None
-                if node.default is None
-                else self._replace_aggregates(node.default, agg_aliases),
-            )
-        return node
+        def visit(expression: A.AstExpression) -> A.AstExpression:
+            if isinstance(expression, A.AstFunction):
+                alias = agg_aliases.get(_aggregate_key(expression))
+                if alias is not None:
+                    return A.AstColumn(alias)
+            return expression
+
+        return rewrite(node, A.EXPRESSIONS, visit)
 
     def _bind_plain_projection(
         self,

@@ -50,6 +50,7 @@ values).
 
 from __future__ import annotations
 
+from repro.algebra.tree import walk
 from repro.errors import ReproError
 from repro.sql import ast as A
 
@@ -71,60 +72,21 @@ class OracleUnsupportedError(ReproError):
 
 
 def contains_aggregate(node: A.AstExpression) -> bool:
-    """True when the expression calls an aggregate outside any subquery."""
-    if isinstance(node, A.AstFunction):
-        if node.name.lower() in AGGREGATE_NAMES:
-            return True
-        return any(contains_aggregate(arg) for arg in node.args)
-    if isinstance(node, A.AstUnary):
-        return contains_aggregate(node.operand)
-    if isinstance(node, A.AstBinary):
-        return contains_aggregate(node.left) or contains_aggregate(node.right)
-    if isinstance(node, A.AstIsNull):
-        return contains_aggregate(node.operand)
-    if isinstance(node, A.AstBetween):
-        return any(
-            contains_aggregate(part) for part in (node.operand, node.low, node.high)
-        )
-    if isinstance(node, A.AstInList):
-        return contains_aggregate(node.operand) or any(
-            contains_aggregate(item) for item in node.items
-        )
-    if isinstance(node, A.AstCase):
-        parts = [part for when in node.whens for part in when]
-        if node.default is not None:
-            parts.append(node.default)
-        return any(contains_aggregate(part) for part in parts)
-    # Subqueries (scalar / exists / in) form their own aggregation scope.
-    return False
+    """True when the expression calls an aggregate outside any subquery
+    (subqueries form their own aggregation scope)."""
+    return any(
+        isinstance(inner, A.AstFunction) and inner.name.lower() in AGGREGATE_NAMES
+        for inner in walk(node, A.EXPRESSIONS)
+    )
 
 
 def _references_columns(node: A.AstExpression) -> bool:
     """True when the expression reads any column (outside subqueries)."""
-    if isinstance(node, (A.AstColumn, A.AstStar)):
-        return True
-    if isinstance(node, A.AstUnary):
-        return _references_columns(node.operand)
-    if isinstance(node, A.AstBinary):
-        return _references_columns(node.left) or _references_columns(node.right)
-    if isinstance(node, A.AstIsNull):
-        return _references_columns(node.operand)
-    if isinstance(node, A.AstBetween):
-        return any(
-            _references_columns(part) for part in (node.operand, node.low, node.high)
-        )
-    if isinstance(node, A.AstInList):
-        return _references_columns(node.operand) or any(
-            _references_columns(item) for item in node.items
-        )
-    if isinstance(node, A.AstFunction):
-        return node.star or any(_references_columns(arg) for arg in node.args)
-    if isinstance(node, A.AstCase):
-        parts = [part for when in node.whens for part in when]
-        if node.default is not None:
-            parts.append(node.default)
-        return any(_references_columns(part) for part in parts)
-    return False
+    return any(
+        isinstance(inner, (A.AstColumn, A.AstStar))
+        or (isinstance(inner, A.AstFunction) and inner.star)
+        for inner in walk(node, A.EXPRESSIONS)
+    )
 
 
 def _bare(name: str) -> str:

@@ -19,7 +19,13 @@ from repro.execution.vector.compiler import compile_plan
 from repro.fuzz import PROFILES, sweep
 from repro.fuzz import generator
 from repro.fuzz.corpus import load_corpus
-from repro.fuzz.generator import JOIN_REGION_SHARE, generate_case, is_nonfinite
+from repro.fuzz.generator import (
+    EXPRESSION_AGGREGATE_SHARE,
+    JOIN_REGION_SHARE,
+    expression_aggregates,
+    generate_case,
+    is_nonfinite,
+)
 from repro.fuzz.oracle import compare_multisets
 from repro.fuzz.planspace import plan_configurations, profile_configurations
 from repro.fuzz.runner import run_case
@@ -38,6 +44,7 @@ class TestSeededSweep:
         assert report.tally["plan-space-runs"] > 0
         # Join-region cases reach the join-order pass and it reorders some.
         assert report.tally["join-reordered"] > 0
+        assert report.tally["expression-aggregates"] > 0
 
     def test_generation_is_deterministic(self):
         first = generate_case(1234)
@@ -82,6 +89,23 @@ class TestSeededSweep:
                 t.rows for t in plain.db.tables
             ]
         assert 0 < regions < 30
+
+    def test_expression_aggregate_draws_leave_other_cases_alone(self, monkeypatch):
+        cases = [generate_case(seed) for seed in range(60)]
+        # With no expression-aggregate share, every seed draws its other case.
+        monkeypatch.setattr(generator, "EXPRESSION_AGGREGATE_SHARE", 0.0)
+        drawn = 0
+        for seed, case in enumerate(cases):
+            plain = generate_case(seed)
+            assert not expression_aggregates(plain.query)
+            if random.Random(f"exprs:{seed}").random() < EXPRESSION_AGGREGATE_SHARE:
+                drawn += expression_aggregates(case.query)
+                continue
+            assert case.sql == plain.sql
+            assert [t.rows for t in case.db.tables] == [
+                t.rows for t in plain.db.tables
+            ]
+        assert 0 < drawn < 30
 
     def test_every_nan_normalizes_to_one_token(self):
         nan, other = float("nan"), float("inf") - float("inf")

@@ -18,10 +18,23 @@ import gc
 
 import pytest
 
+from repro.algebra import tree
 from repro.algebra.expressions import (
+    AggregateCall,
+    AggregateFunction,
+    And,
+    Arithmetic,
+    ArithmeticOp,
     BindParameter,
+    CaseWhen,
     Expression,
+    FunctionCall,
+    InList,
+    IsNull,
+    Negate,
     Not,
+    Or,
+    Parameter,
     col,
     count_star,
     eq,
@@ -49,6 +62,7 @@ from repro.algebra.operators import (
     UnionAll,
 )
 from repro.api import Database
+from repro.errors import PlanError
 from repro.fuzz.generator import generate_case
 from repro.optimizer.engine import (
     Optimizer,
@@ -58,6 +72,7 @@ from repro.optimizer.engine import (
 )
 from repro.optimizer.planner import Planner
 from repro.optimizer.rules import DEFAULT_RULES, Rule, RuleContext
+from repro.sql import ast as A
 from repro.sql.binder import Binder
 from repro.sql.normalize import parameterize
 from repro.sql.parser import parse
@@ -359,6 +374,133 @@ class TestInterning:
         assert BindParameter(2, 0) != BindParameter(2.0, 0)
         assert BindParameter(2, 0) != BindParameter(2, 1)
         assert BindParameter(2, 0) != lit(2)
+
+
+def expression_samples() -> list:
+    """One instance of every expression dataclass (and the aggregate call,
+    which holds one), every field non-empty."""
+    a, one = col("t.a"), lit(1)
+    return [
+        a,
+        one,
+        BindParameter(2, 0),
+        Parameter("p"),
+        eq(a, one),
+        And(eq(a, one), Not(a)),
+        Or(eq(a, one), Not(a)),
+        Not(a),
+        IsNull(a, True),
+        Arithmetic(ArithmeticOp.ADD, a, one),
+        Negate(a),
+        InList(a, (one, lit(2)), True),
+        CaseWhen(((eq(a, one), lit("x")), (Not(a), lit("y"))), lit("z")),
+        FunctionCall("abs", (a,)),
+        AggregateCall(AggregateFunction.SUM, a, True, "s"),
+    ]
+
+
+def ast_samples() -> list:
+    """One instance of every AST dataclass, every field non-empty."""
+    column, literal = A.AstColumn("a"), A.AstLiteral(1)
+    query = A.AstQuery(
+        (A.AstSelect((A.AstSelectItem(column),), (A.AstTableRef("t"),)),),
+        False,
+        (("a", True),),
+        5,
+    )
+    select = A.AstSelect(
+        (A.AstSelectItem(column, "x"),),
+        (A.AstTableRef("t", "u"),),
+        A.AstBinary("=", column, literal),
+        ("a",),
+        "g",
+        A.AstBinary(">", A.AstFunction("count", (), star=True), literal),
+        True,
+        A.AstGApplyItem(query, ("c",)),
+    )
+    return [
+        column,
+        literal,
+        A.AstParameter(0, seed=1),
+        A.AstStar("t"),
+        A.AstUnary("-", column),
+        A.AstBinary("+", column, literal),
+        A.AstIsNull(column, True),
+        A.AstBetween(column, literal, A.AstLiteral(2), True),
+        A.AstInList(column, (literal, A.AstLiteral(2)), True),
+        A.AstInSubquery(column, query, True),
+        A.AstExists(query, True),
+        A.AstScalarSubquery(query),
+        A.AstFunction("count", (column,), False, True),
+        A.AstCase(((A.AstBinary("=", column, literal), literal),), column),
+        A.AstSelectItem(column, "x"),
+        A.AstTableRef("t", "u"),
+        A.AstDerivedTable(query, "d", ("c",)),
+        A.AstJoin(A.AstTableRef("t"), A.AstTableRef("u"), A.AstBinary("=", column, literal)),
+        A.AstGApplyItem(query, ("c",)),
+        select,
+        query,
+        A.AstExplain(query, True),
+    ]
+
+
+#: Every sample with the kinds of its tree.
+TREES = (
+    [(node, (LogicalOperator,)) for node in samples()]
+    + [(node, (Expression,)) for node in expression_samples()]
+    + [(node, (A.AstNode,)) for node in ast_samples()]
+)
+
+
+def dataclass_subclasses(base: type) -> set[type]:
+    return {kind for kind in operator_classes(base) if dataclasses.is_dataclass(kind)}
+
+
+def holds_node(value, kinds) -> bool:
+    if isinstance(value, kinds):
+        return True
+    return isinstance(value, tuple) and any(holds_node(item, kinds) for item in value)
+
+
+class TestOneFieldClassification:
+    """Operators, expressions and the AST get their children, rebuilds and
+    rewrites from one classification of their dataclass fields
+    (:mod:`repro.algebra.tree`); the interning key is its payload half."""
+
+    def test_every_class_is_sampled(self):
+        assert {type(node) for node in expression_samples()} == (
+            dataclass_subclasses(Expression) | {AggregateCall}
+        )
+        assert {type(node) for node in ast_samples()} == dataclass_subclasses(A.AstNode)
+
+    @pytest.mark.parametrize(
+        "node,kinds", TREES, ids=[type(node).__name__ for node, _ in TREES]
+    )
+    def test_children_rebuild_rewrite_and_payload(self, node, kinds):
+        layout = tree.layouts(kinds)[type(node)]
+        children = layout.children(node)
+        assert layout.rebuild(node, children) == node
+        assert tree.rewrite(node, kinds, lambda visited: visited) is node
+        for wrong in (children + (children or (node,))[:1], children[:-1]):
+            if wrong != children:
+                with pytest.raises(PlanError):
+                    layout.rebuild(node, wrong)
+        assert layout.payload == tuple(
+            spec.name
+            for spec in dataclasses.fields(node)
+            if not holds_node(getattr(node, spec.name), kinds)
+        )
+        if isinstance(node, (LogicalOperator, Expression)):
+            assert node.children() == children
+
+    def test_rewrite_rebuilds_only_the_changed_path(self):
+        left, right = samples()[0], GroupScan("g", SCHEMA)
+        join = Join(left, Select(right, eq(col("t.a"), lit(1))), None)
+        renamed = TableScan("t", SCHEMA, "v")
+        rewritten = tree.rewrite(
+            join, (LogicalOperator,), lambda node: renamed if node is left else node
+        )
+        assert rewritten.left is renamed and rewritten.right is join.right
 
 
 class TestMixedLiteralRows:

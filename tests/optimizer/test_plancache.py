@@ -243,3 +243,40 @@ class TestSubstitution:
         with pytest.raises(PlanError):
             substitute_parameters(entry.template, (9.0,))
 
+
+
+def aggregate_db(**options) -> Database:
+    db = Database(**options)
+    db.create_table(
+        "t",
+        [("a", DataType.INTEGER), ("b", DataType.INTEGER)],
+        [(1, 1), (3, 2), (3, 1)],
+    )
+    return db
+
+
+class TestAggregateArgumentsWithLiterals:
+    """An aggregate whose argument holds a literal: the literal becomes a
+    template marker, so substituting it rebuilds the aggregate call, which
+    must keep the alias the projection above reads."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select sum(a * 2) as total from t",
+            "select b, sum(a + 1) as s from t group by b",
+            "select b, count(*) from t group by b having sum(a * 2) > 1",
+            # Equal literals are two markers in the template, so the
+            # literal query must not merge the two aggregates either.
+            "select sum(a * 2) as x, sum(a * 2) as y from t",
+        ],
+    )
+    def test_cached_run_is_the_uncached_run(self, sql):
+        cached, uncached = aggregate_db(), aggregate_db(plan_cache=None)
+        expected = uncached.sql(sql)
+        for _ in range(2):  # a miss, then a hit
+            result = cached.sql(sql)
+            assert sorted(result.rows) == sorted(expected.rows)
+            assert result.schema.names() == expected.schema.names()
+            assert result.logical_plan == expected.logical_plan
+        assert cached.plan_cache.stats()["hits"] == 1

@@ -319,3 +319,44 @@ class TestGApplyBinding:
         assert applies
         # the plain conjunct sits on the Apply's outer side
         assert isinstance(applies[0].outer, Select)
+
+
+class TestAggregatesInsideExpressions:
+    """Aggregates are found, and replaced by the grouped columns, wherever
+    an expression holds them: an IN list's operand too."""
+
+    @staticmethod
+    def database():
+        from repro.api import Database
+        from repro.storage import DataType
+
+        db = Database()
+        db.create_table(
+            "t",
+            [("a", DataType.INTEGER), ("b", DataType.INTEGER)],
+            [(1, 1), (3, 2), (3, 1), (6, 3)],
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select b from t group by b having sum(a) in (6, 3)",
+            "select b, sum(a) in (6, 3) from t group by b",
+        ],
+    )
+    def test_in_list_over_an_aggregate_matches_sqlite(self, sql):
+        from repro.fuzz.oracle import compare_multisets, run_oracle, sqlite_mirror
+
+        db = self.database()
+        rows = db.sql(sql).rows
+        connection = sqlite_mirror(db.catalog)
+        try:
+            mismatch = compare_multisets(rows, run_oracle(sql, connection))
+        finally:
+            connection.close()
+        assert mismatch is None, mismatch.describe("engine", "sqlite")
+
+    def test_nested_aggregate_is_rejected(self):
+        with pytest.raises(BindError, match=r"aggregate max\(\) is not allowed"):
+            bind_sql("select sum(max(a)) from t", self.database().catalog)
