@@ -51,14 +51,18 @@ from repro.workloads.queries import query_by_name
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Timings of the simulated phases vs the native operator."""
+    """Timings of the simulated phases vs the native operator, and the
+    deterministic work (``Counters.total_work``) of the two phase queries
+    the paper's accounting subtracts one from the other."""
 
     outer_time: float
     partition_time: float
     overestimate_time: float
     execution_time: float
-    native: Measurement
     rows: int
+    partition_work: int
+    overestimate_work: int
+    native: Measurement
 
     @property
     def simulated_total(self) -> float:
@@ -100,8 +104,9 @@ def simulate_gapply(
     grouping_columns: list[str],
     per_group_sql: str,
     group_variable: str = "tmpgroup",
-) -> tuple[float, float, float, float, int]:
-    """Run the Section-5.1 protocol; returns phase timings and row count.
+) -> tuple[float, float, float, float, int, int, int]:
+    """Run the Section-5.1 protocol; returns the four phase timings, the
+    row count and the work of Q_partition and of Q_overestimate.
 
     ``per_group_sql`` references ``group_variable`` as its only table; it
     is re-bound and re-run once per group against a registered temp table,
@@ -145,7 +150,7 @@ def simulate_gapply(
 
     # ---- Q_overestimate --------------------------------------------------
     start = time.perf_counter()
-    db.sql("select count(distinct misccols) from tmptable")
+    overestimate_result = db.sql("select count(distinct misccols) from tmptable")
     overestimate_time = time.perf_counter() - start
 
     # ---- execution phase: per-group extraction + per-group query ---------
@@ -179,7 +184,10 @@ def simulate_gapply(
 
     catalog.drop("tmptable")
     catalog.drop(group_variable)
-    return outer_time, partition_time, overestimate_time, execution_time, output_rows
+    return (
+        outer_time, partition_time, overestimate_time, execution_time, output_rows,
+        partition_result.counters.total_work, overestimate_result.counters.total_work,
+    )
 
 
 def run_q4_calibration(scale: float = 0.1) -> SimulationResult:
@@ -195,23 +203,12 @@ def run_q4_calibration(scale: float = 0.1) -> SimulationResult:
         "select p_name, p_retailprice from tmpgroup "
         "where p_retailprice > (select avg(p_retailprice) from tmpgroup)"
     )
-    phases = simulate_gapply(
-        db, outer_sql, ["ps_suppkey", "p_size"], per_group_sql
-    )
-    outer_time, partition_time, overestimate_time, execution_time, rows = phases
-
+    phases = simulate_gapply(db, outer_sql, ["ps_suppkey", "p_size"], per_group_sql)
     native_logical = optimize_with(
         db.catalog, bind(db.catalog, query_by_name("Q4").gapply_sql)
     )
     native = measure_physical(lower(db.catalog, native_logical))
-    return SimulationResult(
-        outer_time,
-        partition_time,
-        overestimate_time,
-        execution_time,
-        native,
-        rows,
-    )
+    return SimulationResult(*phases, native)
 
 
 def format_calibration(result: SimulationResult) -> str:

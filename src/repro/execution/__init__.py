@@ -21,7 +21,7 @@ from repro.execution.basic import (
 )
 from repro.execution.context import Counters, ExecutionContext
 from repro.execution.gapply import PGApply
-from repro.execution.joins import PHashJoin, PNestedLoopJoin
+from repro.execution.joins import PHashJoin
 from repro.execution.scans import PGroupScan, PTableScan
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "PHashJoin",
     "PLimit",
     "PMaterialized",
-    "PNestedLoopJoin",
     "PProject",
     "PPrune",
     "PRemap",

@@ -1,11 +1,14 @@
-"""Join physical operators: hash equijoin and nested-loop join.
+"""The hash join, the one in-memory join algorithm.
 
-The planner prefers :class:`PHashJoin` whenever the join predicate contains
-at least one equality conjunct between the two sides; residual (non-equi)
-conjuncts are evaluated against the combined row. :class:`PNestedLoopJoin`
-handles cross joins and pure theta joins.
+The planner lowers every join that does not look up an index to
+:class:`PHashJoin`, keyed on the equality conjuncts between the two sides;
+the other conjuncts are a residual evaluated against the combined row. A
+cross or theta join has no equality conjunct and hashes on the empty key:
+one bucket holds the whole build side, every probe row is matched against
+it, and the residual (if any) filters the candidates — a block
+nested-loop join.
 
-Both are inner joins unless ``kind`` says otherwise; SEMI/ANTI support the
+Joins are inner unless ``kind`` says otherwise; SEMI/ANTI support the
 binder's EXISTS/IN decorrelation and the optimizer's group-selection rule.
 """
 
@@ -22,66 +25,14 @@ from repro.storage.table import Row
 from repro.storage.types import key_function
 
 
-class PNestedLoopJoin(PhysicalOperator):
-    """Materialize the right side; loop left x right with a predicate."""
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        predicate: Expression | None = None,
-        kind: str = JoinKind.INNER,
-    ):
-        if kind not in (JoinKind.INNER, JoinKind.CROSS, JoinKind.SEMI, JoinKind.ANTI):
-            raise PlanError(f"PNestedLoopJoin does not support kind {kind!r}")
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.kind = kind
-        combined = left.schema.concat(right.schema)
-        self.schema = left.schema if kind in (JoinKind.SEMI, JoinKind.ANTI) else combined
-        self._evaluate = (
-            None if predicate is None else predicate.compile(combined)
-        )
-
-    def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        counters = ctx.counters
-        right_rows = list(self.right.execute(ctx))
-        evaluate = self._evaluate
-        semi = self.kind == JoinKind.SEMI
-        anti = self.kind == JoinKind.ANTI
-        for left_row in self.left.execute(ctx):
-            matched = False
-            for right_row in right_rows:
-                counters.join_probes += 1
-                combined = left_row + right_row
-                if evaluate is None or evaluate(combined, ctx) is True:
-                    matched = True
-                    if semi or anti:
-                        break
-                    counters.rows += 1
-                    yield combined
-            if semi and matched:
-                counters.rows += 1
-                yield left_row
-            elif anti and not matched:
-                counters.rows += 1
-                yield left_row
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        predicate = "" if self.predicate is None else f"[{self.predicate}]"
-        return f"NestedLoopJoin:{self.kind}{predicate}"
-
-
 class PHashJoin(PhysicalOperator):
     """Build a hash table on the right side keys; probe with left rows.
 
     ``left_keys``/``right_keys`` are column references into the respective
-    child schemas. ``residual`` is an optional extra predicate evaluated on
-    the combined row (it covers non-equi conjuncts of the join condition).
+    child schemas; both empty is a cross or theta join (every row shares
+    the empty key). ``residual`` is an optional extra predicate evaluated
+    on the combined row (it covers non-equi conjuncts of the join
+    condition).
 
     NULL join keys never match (SQL equality semantics), so rows with a NULL
     key are skipped on both sides.
@@ -97,8 +48,8 @@ class PHashJoin(PhysicalOperator):
         kind: str = JoinKind.INNER,
         build_left: bool = False,
     ):
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise PlanError("hash join requires matching, non-empty key lists")
+        if len(left_keys) != len(right_keys):
+            raise PlanError("hash join requires key lists of equal length")
         if kind not in (JoinKind.INNER, JoinKind.SEMI, JoinKind.ANTI):
             raise PlanError(f"PHashJoin does not support kind {kind!r}")
         if build_left and kind != JoinKind.INNER:
@@ -196,5 +147,6 @@ class PHashJoin(PhysicalOperator):
         keys = ", ".join(
             f"{lk}={rk}" for lk, rk in zip(self.left_keys, self.right_keys)
         )
-        residual = "" if self.residual is None else f" AND {self.residual}"
-        return f"HashJoin:{self.kind}[{keys}{residual}]"
+        residual = "" if self.residual is None else str(self.residual)
+        condition = " AND ".join(part for part in (keys, residual) if part)
+        return f"HashJoin:{self.kind}[{condition}]"

@@ -3,8 +3,8 @@
 A plan compiler walks the *physical* plan the planner produced,
 identifies straight-line operator chains between pipeline breakers, and
 fuses each chain into a single per-:class:`ColumnBatch` loop. Operators
-with no batched implementation (correlated Apply, Exists, nested-loop
-join) stay on their row-at-a-time iterators in :mod:`repro.execution` —
+with no batched implementation (correlated Apply, Exists) stay on
+their row-at-a-time iterators in :mod:`repro.execution` —
 chunked into batches at the boundary — so every plan compiles, and those
 iterators remain the reference the compiled plan is tested against
 (``PhysicalOperator.execute`` on the same plan; the fuzz driver's

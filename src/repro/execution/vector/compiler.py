@@ -17,8 +17,6 @@ fallback is decided here, at compile time:
 
 * correlated ``PApply`` (per-row rebinding of scalar parameters) and
   ``PExists`` (early-termination semantics are pull-based);
-* ``PNestedLoopJoin`` (a row-ordered operator the planner only picks
-  for small inputs or when hash joins are disabled);
 * anything this compiler has never heard of — new operators are
   correct-by-default, fast once someone adds a batched form.
 
@@ -58,7 +56,7 @@ from repro.execution.basic import (
 from repro.execution.context import ExecutionContext
 from repro.execution.gapply import PGApply
 from repro.execution.indexscan import PIndexNestedLoopJoin, PIndexSeek
-from repro.execution.joins import PHashJoin, PNestedLoopJoin
+from repro.execution.joins import PHashJoin
 from repro.execution.scans import PGroupScan, PTableScan
 from repro.storage.table import Row
 
@@ -218,6 +216,4 @@ class _Compiler:
         # -- Volcano-only operators ------------------------------------
         if isinstance(op, PExists):
             return self.fallback(op, "exists probe")
-        if isinstance(op, PNestedLoopJoin):
-            return self.fallback(op, "nested-loop join")
         return self.fallback(op, f"no batched implementation: {type(op).__name__}")

@@ -278,9 +278,13 @@ def _key_of(schema, positions: tuple, raw: bool):
     of this side's column types (keys of equal values agree across types).
 
     ``raw`` single-key extraction is inlined at the call sites (it is just
-    ``row[p]``); this covers the multi-key and keyed cases.
+    ``row[p]``); this covers the multi-key, keyed and keyless cases.
     """
-    if raw:
+    if not positions:
+        # A cross or theta join: every row shares the empty key.
+        def key_of(row):
+            return ()
+    elif raw:
         getter = operator.itemgetter(*positions)
 
         def key_of(row):

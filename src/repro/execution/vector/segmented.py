@@ -64,7 +64,7 @@ from repro.execution.basic import (
 from repro.execution.context import ExecutionContext
 from repro.execution.gapply import PGApply
 from repro.execution.indexscan import PIndexNestedLoopJoin
-from repro.execution.joins import PHashJoin, PNestedLoopJoin
+from repro.execution.joins import PHashJoin
 from repro.execution.scans import PGroupScan
 
 from repro.execution.vector.aggregates import run_results
@@ -115,7 +115,6 @@ _LOOP_REASONS = {
     PExists: "exists probe",
     PHashJoin: "join",
     PIndexNestedLoopJoin: "join",
-    PNestedLoopJoin: "join",
     PSort: "sort",
     PDistinct: "distinct",
     PLimit: "limit",

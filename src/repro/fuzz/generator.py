@@ -252,6 +252,7 @@ class _QueryGenerator:
         db: FuzzDatabase,
         region: random.Random | None = None,
         expressions: random.Random | None = None,
+        keyless: random.Random | None = None,
     ):
         self.rng = rng
         self.db = db
@@ -260,6 +261,8 @@ class _QueryGenerator:
         #: An expression-aggregate case's own rng (see :meth:`aggregate_item`
         #: and :meth:`having`).
         self.expressions = expressions
+        #: A keyless-join case's own rng (see :meth:`join_condition`).
+        self.keyless = keyless
 
     # -- literals ------------------------------------------------------
 
@@ -642,8 +645,9 @@ class _QueryGenerator:
             a, b = rng.choice(pairs)
             left, right = first, second
             condition = A.AstBinary("=", _col(a), _col(b))
+        condition = self.join_condition(condition)
         columns = list(left.columns) + list(right.columns)
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 and condition is not None:
             items = (
                 A.AstJoin(
                     A.AstTableRef(left.name), A.AstTableRef(right.name), condition
@@ -652,6 +656,17 @@ class _QueryGenerator:
             return items, None, columns
         items = (A.AstTableRef(left.name), A.AstTableRef(right.name))
         return items, condition, columns
+
+    def join_condition(self, equality: A.AstBinary) -> A.AstBinary | None:
+        """The two-table join's condition: ``equality`` itself, or in a
+        keyless-join case ``<``, ``<>`` or ``>=`` between the same columns,
+        and one time in four no condition at all (a comma join)."""
+        if self.keyless is None:
+            return equality
+        if self.keyless.random() < 0.25:
+            return None
+        op = self.keyless.choice(["<", "<>", ">="])
+        return A.AstBinary(op, equality.left, equality.right)
 
     def region_from(
         self,
@@ -885,8 +900,9 @@ class FuzzCase:
 
 def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
     """The case of ``seed``: about one in five is a join-region case, one in
-    five an expression-aggregate case, and with ``nonfinite`` about one in
-    five a nonfinite case (the rest are the cases drawn without them)."""
+    five an expression-aggregate case, one in five a keyless-join case, and
+    with ``nonfinite`` about one in five a nonfinite case (the rest are the
+    cases drawn without them)."""
     rng = random.Random(seed)
     extra = random.Random(f"nonfinite:{seed}")
     floats = extra if nonfinite and extra.random() < 0.2 else None
@@ -899,7 +915,9 @@ def generate_case(seed: int, nonfinite: bool = False) -> FuzzCase:
         db = generate_database(rng, floats, parents)
     exprs = random.Random(f"exprs:{seed}")
     expressions = exprs if exprs.random() < EXPRESSION_AGGREGATE_SHARE else None
-    gen = _QueryGenerator(rng, db, region, expressions)
+    draw = random.Random(f"keyless:{seed}")
+    keyless = draw if draw.random() < 0.2 else None
+    gen = _QueryGenerator(rng, db, region, expressions, keyless)
     if rng.random() < 0.55:
         query = gen.gapply_query()
     else:

@@ -4,17 +4,17 @@ The paper's claim is that every rewrite rule is semantics-preserving, so
 the strongest executable check is: run the same query under *every*
 planner configuration — each optimizer rule individually disabled, all
 rules off (the bound plan as written), a GApply partition phase forced
-to spill (the external sort), no hash joins, no index access paths —
-and demand identical normalized result multisets. Every
-configuration runs through ``Database.sql`` (the compiled plan); the
-baseline it is compared with is the same query on the row iterators
+to spill (the external sort), no index access paths — and demand
+identical normalized result multisets. Every configuration runs through
+``Database.sql`` (the compiled plan); the baseline it is compared with
+is the same query on the row iterators
 (:func:`repro.fuzz.oracle.reference_rows`).
 
 Two profiles: ``FULL_PROFILE`` is the whole cross-product arm of the CLI
-fuzzer (4 fixed configurations and one per optimizer rule);
-``QUICK_PROFILE`` (4 + 5) keeps tier-1 test time bounded while still
+fuzzer (3 fixed configurations and one per optimizer rule);
+``QUICK_PROFILE`` (3 + 5) keeps tier-1 test time bounded while still
 covering the rule families with distinct failure modes. The engine
-profile runs 9 configurations that change which batch operators and
+profile runs 8 configurations that change which batch operators and
 fast paths a plan exercises, three of them spilling.
 """
 
@@ -60,7 +60,6 @@ def plan_configurations(full: bool) -> list[PlanConfig]:
             "forced-spill",
             PlannerOptions(gapply_spill_threshold=FUZZ_SPILL_THRESHOLD),
         ),
-        PlanConfig("nested-loop-joins", PlannerOptions(prefer_hash_join=False)),
         PlanConfig("no-indexes", PlannerOptions(use_indexes=False)),
     ]
     if full:
@@ -106,9 +105,6 @@ def engine_configurations() -> list[PlanConfig]:
             "vector-budget-batch-3",
             PlannerOptions(vector_batch_size=3),
             memory_budget=FUZZ_MEMORY_BUDGET,
-        ),
-        PlanConfig(
-            "vector-nested-loop-joins", PlannerOptions(prefer_hash_join=False)
         ),
         PlanConfig("vector-no-indexes", PlannerOptions(use_indexes=False)),
     ]

@@ -19,7 +19,8 @@ the cases where some configuration's chosen plan went through the
 ``segmented-gapply`` the cases where some configuration's plan holds a
 GApply whose per-group plan runs once per wave of groups
 (:mod:`repro.execution.vector.segmented`) with no subtree looping per
-group.
+group, and ``keyless-joins`` the cases where some configuration's plan
+holds a hash join on the empty key (a cross or theta join).
 
 ``quick``, ``full`` and ``engine`` differ in the configurations of
 step 3, and ``full`` and ``engine`` also draw nonfinite cases (``quick``,
@@ -37,6 +38,7 @@ from collections import Counter
 from repro.errors import MemoryBudgetExceeded, ReproError
 from repro.execution.base import PhysicalOperator
 from repro.execution.gapply import PGApply
+from repro.execution.joins import PHashJoin
 from repro.execution.vector.compiler import compile_plan
 from repro.fuzz.corpus import save_case
 from repro.fuzz.driver import Failure, Profile
@@ -109,7 +111,7 @@ def run_case(
         if mismatch is not None:
             return failed("oracle", mismatch.describe())
 
-    reordered = segmented = False
+    reordered = segmented = keyless = False
     for config in configs:
         try:
             result = db.sql(
@@ -143,10 +145,14 @@ def run_case(
             reordered = join_tree(report.best) != join_tree(db.plan(sql))
         if not segmented:
             segmented = _runs_segmented(result.physical_plan)
+        if not keyless:
+            keyless = _has_keyless_join(result.physical_plan)
     if reordered:
         tally["join-reordered"] += 1
     if segmented:
         tally["segmented-gapply"] += 1
+    if keyless:
+        tally["keyless-joins"] += 1
     return None
 
 
@@ -159,6 +165,12 @@ def _runs_segmented(physical: PhysicalOperator) -> bool:
         return own + sum(gapplys(child) for child in op.children())
 
     return gapplys(physical) > len(compile_plan(physical).per_group_loops)
+
+
+def _has_keyless_join(op: PhysicalOperator) -> bool:
+    if isinstance(op, PHashJoin) and not op.left_keys:
+        return True
+    return any(_has_keyless_join(child) for child in op.children())
 
 
 def _sql_profile(name: str) -> Profile:

@@ -203,12 +203,17 @@ class CostModel:
         if isinstance(predicate, Comparison):
             return self._comparison_selectivity(predicate)
         if isinstance(predicate, InList):
-            base = self.selectivity(
-                Comparison(
-                    ComparisonOp.EQ, predicate.operand, Literal(None)
-                )
+            # Each item is one equality: an item the column's statistics
+            # rule out adds nothing.
+            estimate = min(
+                1.0,
+                sum(
+                    self.selectivity(
+                        Comparison(ComparisonOp.EQ, predicate.operand, item)
+                    )
+                    for item in predicate.items
+                ),
             )
-            estimate = min(1.0, base * max(1, len(predicate.items)))
             return 1.0 - estimate if predicate.negated else estimate
         if isinstance(predicate, IsNull):
             return 0.05 if not predicate.negated else 0.95

@@ -6,16 +6,17 @@ makes is the one the cost model priced when it ranked the logical plans:
 
 * a join with at least one equality conjunct runs the way
   :meth:`~repro.optimizer.cost.CostModel.join_method` chose: a hash join
-  (built on the estimated-smaller input of an inner join) or, for an inner
-  join with an indexed base-table input, an index nested-loop join driven
-  by the other input; conjuncts the keys do not cover are kept as a
-  residual filter on the combined row. Inside a GApply's per-group plan
-  the choice is made at the average group size, as the optimizer priced
-  it;
+  or, for an inner join with an indexed base-table input, an index
+  nested-loop join driven by the other input; conjuncts the keys do not
+  cover are kept as a residual filter on the combined row. Inside a
+  GApply's per-group plan the choice is made at the average group size,
+  as the optimizer priced it;
+* a cross or theta join is a hash join on the empty key, its whole
+  condition the residual; every hash join of an inner (or cross) join
+  builds on the estimated-smaller input;
 * a selection on an indexed base table becomes an index seek
   (:func:`~repro.optimizer.access_paths.choose_seek`, which the cost model
   prices too);
-* other joins become nested-loop joins;
 * GROUP BY becomes a hash aggregate;
 * GApply partitions by hashing in memory and by an external sort under a
   spill threshold (``gapply_spill_threshold`` or the governor's budget),
@@ -74,7 +75,7 @@ from repro.execution.basic import (
 )
 from repro.execution.gapply import PGApply
 from repro.execution.indexscan import PIndexNestedLoopJoin, PIndexSeek
-from repro.execution.joins import PHashJoin, PNestedLoopJoin
+from repro.execution.joins import PHashJoin
 from repro.execution.scans import PGroupScan, PTableScan
 from repro.execution.vector.batch import DEFAULT_BATCH_SIZE
 from repro.optimizer.access_paths import choose_seek
@@ -86,9 +87,8 @@ from repro.storage.catalog import Catalog
 class PlannerOptions:
     """Physical planning knobs.
 
-    ``prefer_hash_join`` can be disabled to force nested-loop joins, and
-    ``use_indexes`` to force hash joins and filtered scans, which tests use
-    to check plan-independence of results.
+    ``use_indexes`` can be disabled to force hash joins and filtered
+    scans, which tests use to check plan-independence of results.
 
     ``disabled_rules`` names optimizer rules (by their ``Rule.name``) that
     :class:`~repro.api.Database` must leave out of the transformation
@@ -103,7 +103,6 @@ class PlannerOptions:
     ``vector_batch_size`` (>= 1) sets the rows-per-batch granularity.
     """
 
-    prefer_hash_join: bool = True
     use_indexes: bool = True
     #: Force the GApply partition phase to spill to disk once this many
     #: cells are resident (None = spill only under a governor's memory
@@ -230,24 +229,18 @@ class Planner:
         return PDistinct(PUnionAll([self.plan(child) for child in node.inputs]))
 
     def _plan_join(self, node: Join) -> PhysicalOperator:
-        if node.kind == JoinKind.CROSS or node.predicate is None:
-            return PNestedLoopJoin(
-                self.plan(node.left), self.plan(node.right), node.predicate, JoinKind.INNER
-            )
-        pairs = node.equijoin_pairs() if self.options.prefer_hash_join else []
-        if not pairs:
-            return PNestedLoopJoin(
-                self.plan(node.left), self.plan(node.right), node.predicate, node.kind
-            )
+        pairs = node.equijoin_pairs()
         left = self._cost_model.estimate(node.left, self._group_rows)
         right = self._cost_model.estimate(node.right, self._group_rows)
-        chosen = self._cost_model.join_method(
-            node, pairs, left, right, self.options.use_indexes
-        )
         left_keys = [pair[0] for pair in pairs]
         right_keys = [pair[1] for pair in pairs]
         residual = self._residual_predicate(node, pairs)
-        lookup = chosen.lookup
+        lookup = None
+        if pairs:
+            chosen = self._cost_model.join_method(
+                node, pairs, left, right, self.options.use_indexes
+            )
+            lookup = chosen.lookup
         if lookup is not None:
             # Only the driving input is lowered; the other is the index.
             drive_left = chosen.method == INDEX_INTO_RIGHT
@@ -260,15 +253,17 @@ class Planner:
                 conjoin([residual, lookup.filter_predicate]),
                 outer_is_left=drive_left,
             )
-        # Build the hash table on the estimated-smaller input.
-        build_left = node.kind == JoinKind.INNER and left.rows < right.rows
+        # A cross join is an inner join with no condition. Build the hash
+        # table on the estimated-smaller input.
+        kind = JoinKind.INNER if node.kind == JoinKind.CROSS else node.kind
+        build_left = kind == JoinKind.INNER and left.rows < right.rows
         return PHashJoin(
             self.plan(node.left),
             self.plan(node.right),
             left_keys,
             right_keys,
             residual,
-            node.kind,
+            kind,
             build_left,
         )
 

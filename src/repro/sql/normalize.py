@@ -66,20 +66,25 @@ def parameterize(
     Returns the parameterized statement and the extracted values in slot
     order. Statements already containing explicit markers are returned
     unchanged with an empty value vector — mixing handwritten markers
-    with extraction would renumber the user's slots.
+    with extraction would renumber the user's slots. One walk does both:
+    it notes any marker while it extracts.
     """
-    if count_parameters(statement) > 0:
-        return statement, ()
     values: list[Any] = []
+    markers: list[A.AstParameter] = []
 
     def visit(node: A.AstNode) -> A.AstNode:
         if isinstance(node, A.AstLiteral):
             index = len(values)
             values.append(node.value)
             return A.AstParameter(index, seed=node.value)
+        if isinstance(node, A.AstParameter):
+            markers.append(node)
         return node
 
-    return rewrite(statement, A.AST, visit), tuple(values)
+    parameterized = rewrite(statement, A.AST, visit)
+    if markers:
+        return statement, ()
+    return parameterized, tuple(values)
 
 
 def bind_ast_parameters(

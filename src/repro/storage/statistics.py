@@ -55,10 +55,18 @@ class ColumnStatistics:
         return self.null_count / self.row_count
 
     def selectivity_eq(self, value: Any) -> float:
-        """Estimated fraction of rows with column = value (uniformity)."""
+        """Estimated fraction of rows with column = value (uniformity); none
+        for a number outside the column's [min, max]."""
         if self.row_count == 0 or value is None:
             return 0.0
         if self.distinct_count == 0:
+            return 0.0
+        if (
+            isinstance(value, (int, float))
+            and isinstance(self.min_value, (int, float))
+            and isinstance(self.max_value, (int, float))
+            and (value < self.min_value or value > self.max_value)
+        ):
             return 0.0
         return (1.0 - self.null_fraction) / self.distinct_count
 

@@ -24,12 +24,14 @@ GAPPLY_SQL = (
 )
 
 #: A plan per kind of root: ``vector`` compiles completely; ``volcano``
-#: is rooted in a nested-loop join, which the compiler leaves on the row
-#: iterators, so the root loop is fed by ``PhysicalOperator.execute``.
+#: is rooted in a correlated apply (a scalar subquery on the outer row),
+#: which the compiler leaves on the row iterators, so the root loop is fed
+#: by ``PhysicalOperator.execute``.
 ROOT_SQL = {
     "vector": GAPPLY_SQL,
     "volcano": (
-        "select * from t a, t b where a.v < b.v and a.g = 0 and b.g = 0"
+        "select a.g, a.v, (select count(*) from t b where b.v < a.v) as n "
+        "from t a where a.g = 0"
     ),
 }
 
@@ -126,7 +128,7 @@ class TestBudgetsAcrossEngines:
     def test_roots_are_what_they_claim(self, db, root):
         notes = db.sql(ROOT_SQL[root], explain="plan").fallbacks
         assert [note.reason for note in notes] == (
-            ["nested-loop join"] if root == "volcano" else []
+            ["correlated apply"] if root == "volcano" else []
         )
 
     def test_max_rows_raises_row_budget(self, db, root):

@@ -1,13 +1,16 @@
-"""Unit tests for join operators: hash, nested-loop, semi/anti, build side."""
+"""Unit tests for the hash join: keyed and keyless (cross and theta),
+semi/anti, build side."""
 
 import pytest
 
 from repro.algebra.expressions import And, col, eq, gt, lit
 from repro.algebra.operators import JoinKind
+from repro.api import Database
 from repro.errors import PlanError
 from repro.execution.base import PMaterialized, run_plan
 from repro.execution.context import ExecutionContext
-from repro.execution.joins import PHashJoin, PNestedLoopJoin
+from repro.execution.joins import PHashJoin
+from repro.execution.vector.compiler import compile_plan
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
 
@@ -28,6 +31,22 @@ def right():
 
 def hash_join(**kwargs):
     return PHashJoin(left(), right(), ["lk"], ["rk"], **kwargs)
+
+
+def keyless(residual=None, **kwargs):
+    return PHashJoin(left(), right(), [], [], residual, **kwargs)
+
+
+def _everywhere(plan) -> list:
+    """``plan``'s rows on the row iterators, after checking that the
+    compiled plan returns the same rows and counters at every batch size."""
+    ctx = ExecutionContext()
+    rows = run_plan(plan, ctx)
+    for batch_size in (1, 3, 128):
+        compiled = ExecutionContext()
+        assert compile_plan(plan, batch_size).run(compiled) == rows, batch_size
+        assert compiled.counters.snapshot() == ctx.counters.snapshot(), batch_size
+    return rows
 
 
 class TestHashJoin:
@@ -67,9 +86,9 @@ class TestHashJoin:
         with pytest.raises(PlanError):
             hash_join(kind=JoinKind.SEMI, build_left=True)
 
-    def test_empty_key_list_rejected(self):
+    def test_unequal_key_lists_rejected(self):
         with pytest.raises(PlanError):
-            PHashJoin(left(), right(), [], [])
+            PHashJoin(left(), right(), ["lk"], [])
 
     def test_schema_concat(self):
         assert hash_join().schema.qualified_names() == [
@@ -81,36 +100,74 @@ class TestHashJoin:
 
 
 class TestNestedLoopJoin:
+    """The block nested-loop join: a hash join on the empty key, whose one
+    bucket is the whole build side and whose condition is the residual.
+    Each case runs on the row iterators and compiled at batch sizes 1, 3
+    and 128, with the same rows and counters everywhere."""
+
     def test_cross_join(self):
-        plan = PNestedLoopJoin(left(), right(), None)
-        assert len(run_plan(plan)) == len(LEFT_ROWS) * len(RIGHT_ROWS)
+        rows = _everywhere(keyless())
+        assert len(rows) == len(LEFT_ROWS) * len(RIGHT_ROWS)
 
     def test_theta_join(self):
-        plan = PNestedLoopJoin(left(), right(), gt(col("lk"), col("rk")))
-        rows = run_plan(plan)
-        assert all(row[0] > row[2] for row in rows)
+        rows = _everywhere(keyless(gt(col("lk"), col("rk"))))
+        assert sorted(rows) == [
+            (2, "B", 1, "x"),
+            (2, "b", 1, "x"),
+            (4, "d", 1, "x"),
+            (4, "d", 2, "y"),
+            (4, "d", 3, "z"),
+        ]
 
     def test_equi_matches_hash_join(self):
-        nl = PNestedLoopJoin(left(), right(), eq(col("lk"), col("rk")))
-        assert sorted(run_plan(nl)) == sorted(run_plan(hash_join()))
+        rows = _everywhere(keyless(eq(col("lk"), col("rk"))))
+        assert sorted(rows) == sorted(run_plan(hash_join()))
 
     def test_semi(self):
-        plan = PNestedLoopJoin(
-            left(), right(), eq(col("lk"), col("rk")), JoinKind.SEMI
-        )
-        assert sorted(run_plan(plan)) == [(1, "a"), (2, "B"), (2, "b")]
+        # The NULL ``lk`` (and the NULL ``rk``) make the residual unknown,
+        # never true.
+        plan = keyless(gt(col("lk"), col("rk")), kind=JoinKind.SEMI)
+        assert sorted(_everywhere(plan)) == [(2, "B"), (2, "b"), (4, "d")]
 
     def test_anti(self):
-        plan = PNestedLoopJoin(
-            left(), right(), eq(col("lk"), col("rk")), JoinKind.ANTI
-        )
-        assert sorted(run_plan(plan), key=repr) == [(4, "d"), (None, "n")]
+        plan = keyless(gt(col("lk"), col("rk")), kind=JoinKind.ANTI)
+        assert sorted(_everywhere(plan), key=repr) == [(1, "a"), (None, "n")]
 
     def test_compound_predicate(self):
         predicate = And(eq(col("lk"), col("rk")), eq(col("rv"), lit("y")))
-        plan = PNestedLoopJoin(left(), right(), predicate)
-        assert sorted(run_plan(plan)) == [(2, "B", 2, "y"), (2, "b", 2, "y")]
+        rows = _everywhere(keyless(predicate))
+        assert sorted(rows) == [(2, "B", 2, "y"), (2, "b", 2, "y")]
+
+    def test_build_left(self):
+        theta = gt(col("lk"), col("rk"))
+        swapped = _everywhere(keyless(theta, build_left=True))
+        assert sorted(swapped) == sorted(_everywhere(keyless(theta)))
+        ctx = ExecutionContext()
+        run_plan(keyless(theta, build_left=True), ctx)
+        assert ctx.counters.hash_inserts == len(LEFT_ROWS)
+
+    def test_label_has_no_dangling_conjunction(self):
+        assert keyless().label() == "HashJoin:inner[]"
+        assert keyless(gt(col("lk"), col("rk"))).label() == (
+            "HashJoin:inner[(lk > rk)]"
+        )
 
     def test_unsupported_kind(self):
         with pytest.raises(PlanError):
-            PNestedLoopJoin(left(), right(), None, JoinKind.LEFT_OUTER)
+            keyless(kind=JoinKind.LEFT_OUTER)
+        with pytest.raises(PlanError):
+            keyless(kind=JoinKind.CROSS)
+
+    def test_counts_its_build_side(self):
+        db = Database()
+        db.create_table("a", [("x", DataType.INTEGER)], [(i,) for i in range(20)])
+        db.create_table(
+            "b", [("y", DataType.INTEGER), ("z", DataType.INTEGER)],
+            [(i, i) for i in range(30)],
+        )
+        result = db.sql("select a.x, b.y from a, b where a.x < b.y")
+        assert len(result.rows) == sum(30 - x - 1 for x in range(20))
+        # The smaller input, 20 rows of one column, is the build side.
+        assert result.counters.hash_inserts == 20
+        assert result.counters.buffered_cells == 20
+

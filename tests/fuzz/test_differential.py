@@ -45,6 +45,7 @@ class TestSeededSweep:
         # Join-region cases reach the join-order pass and it reorders some.
         assert report.tally["join-reordered"] > 0
         assert report.tally["expression-aggregates"] > 0
+        assert report.tally["keyless-joins"] > 0
 
     def test_generation_is_deterministic(self):
         first = generate_case(1234)
@@ -106,6 +107,26 @@ class TestSeededSweep:
                 t.rows for t in plain.db.tables
             ]
         assert 0 < drawn < 30
+
+    def test_keyless_join_draws_leave_other_cases_alone(self, monkeypatch):
+        cases = [generate_case(seed) for seed in range(100)]
+        # Keeping every two-table join's equality, every seed draws its
+        # other case.
+        monkeypatch.setattr(
+            generator._QueryGenerator, "join_condition", lambda self, equality: equality
+        )
+        keyless = 0
+        for seed, case in enumerate(cases):
+            plain = generate_case(seed)
+            assert [t.rows for t in case.db.tables] == [
+                t.rows for t in plain.db.tables
+            ]
+            # The keyless rng picks one case in five.
+            if random.Random(f"keyless:{seed}").random() < 0.2:
+                keyless += case.sql != plain.sql
+                continue
+            assert case.sql == plain.sql
+        assert 0 < keyless < 20
 
     def test_every_nan_normalizes_to_one_token(self):
         nan, other = float("nan"), float("inf") - float("inf")

@@ -137,4 +137,6 @@ class TestClientSimulation:
         assert result.outer_time > 0
         assert result.partition_time > 0
         assert result.execution_time > 0
-        assert result.overestimate_time <= result.partition_time
+        # Q_overestimate does a subset of Q_partition's work; compared on
+        # deterministic counters, not on wall clocks a busy host can invert.
+        assert 0 < result.overestimate_work <= result.partition_work

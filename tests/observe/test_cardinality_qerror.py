@@ -7,9 +7,9 @@ the actual per-execution row counts via the q-error
 empty results finite).
 
 The seeds include the generator's join-region cases (3-4 table chains and
-stars). The bounds below are a *ratchet*: they sit just above today's
-measured distribution (root median 1.65, p90 4.0, max 26.3; per-node max
-41.0).
+stars) and its keyless-join cases (theta and comma joins). The bounds
+below are a *ratchet*: they sit just above today's measured distribution
+(root median 1.50, p90 4.0, max 26.3; per-node max 41.0).
 An estimator regression pushes a quantile past its bound and fails CI; an
 estimator improvement is the cue to tighten the bound in the same diff.
 """

@@ -163,10 +163,11 @@ def test_sql_explain_statement_text_routes(parts_db):
 
 @pytest.mark.parametrize("mode", ["plan", "analyze"])
 def test_explain_names_the_row_iterator_subtrees(parts_db, mode):
-    # A theta join has no batched form: its subtree stays on the row
-    # iterators, and EXPLAIN is where a caller can see that.
+    # A correlated apply has no batched form: its subtree stays on the
+    # row iterators, and EXPLAIN is where a caller can see that.
     nested = parts_db.sql(
-        "select p_name from part, partsupp where p_partkey < ps_partkey",
+        "select p_name, (select count(*) from partsupp "
+        "where ps_partkey < p_partkey) as n from part",
         explain=mode,
     )
     header = [
@@ -174,9 +175,9 @@ def test_explain_names_the_row_iterator_subtrees(parts_db, mode):
         if line.startswith("-- row-iterator subtrees: ")
     ]
     assert len(header) == 1
-    assert header[0].endswith("(nested-loop join)")
+    assert header[0].endswith("(correlated apply)")
     assert nested.to_json()["row_iterator_subtrees"] == [
-        {"op": note.label, "reason": "nested-loop join"}
+        {"op": note.label, "reason": "correlated apply"}
         for note in nested.fallbacks
     ]
     json.dumps(nested.to_json())

@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.expressions import (
     And,
     CaseWhen,
+    InList,
     IsNull,
     Not,
     Or,
@@ -98,6 +99,15 @@ class TestSelectivity:
         assert model.selectivity(Not(a)) == pytest.approx(
             1.0 - model.selectivity(a)
         )
+
+    def test_in_list_sums_its_items(self, model):
+        one = model.selectivity(eq(col("grp"), lit(3)))
+        two = InList(col("grp"), (lit(3), lit(4)))
+        assert model.selectivity(two) == pytest.approx(2 * one)
+        # grp is 0..9: items outside the range select nothing.
+        assert model.selectivity(InList(col("grp"), (lit(44), lit(137)))) == 0.0
+        negated = InList(col("grp"), (lit(44),), negated=True)
+        assert model.selectivity(negated) == 1.0
 
     def test_column_column_equality(self, model):
         sel = model.selectivity(eq(col("grp"), col("id")))

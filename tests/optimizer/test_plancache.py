@@ -135,7 +135,7 @@ class TestKeyingThroughDatabase:
         hit = db.sql(
             "select id, v from t where v < 5.0",
             planner_options=PlannerOptions(
-                vector_batch_size=3, use_indexes=False, prefer_hash_join=False
+                vector_batch_size=3, use_indexes=False
             ),
         )
         assert hit.plan_cache["source"] == "hit"

@@ -24,7 +24,7 @@ from repro.execution.apply import PExists
 from repro.execution.basic import PDistinct, PFilter, PLimit, PSort, PUnionAll
 from repro.execution.gapply import PGApply
 from repro.execution.indexscan import PIndexNestedLoopJoin, PIndexSeek
-from repro.execution.joins import PHashJoin, PNestedLoopJoin
+from repro.execution.joins import PHashJoin
 from repro.execution.scans import PTableScan
 from repro.optimizer.planner import Planner, PlannerOptions, plan_physical
 from repro.storage import Catalog, DataType, table_from_rows
@@ -113,12 +113,24 @@ class TestJoinLowering:
         assert lowered.build_left is True
 
     def test_cross_join_nested_loop(self, catalog):
+        # The nested loop is a hash join on the empty key, built on the
+        # smaller input; a cross join is an inner join with no condition.
         node = Join(big(catalog), small(catalog), None, JoinKind.CROSS)
-        assert isinstance(plan_physical(node, catalog), PNestedLoopJoin)
+        lowered = plan_physical(node, catalog)
+        assert isinstance(lowered, PHashJoin)
+        assert lowered.left_keys == lowered.right_keys == ()
+        assert lowered.residual is None
+        assert lowered.kind == JoinKind.INNER
+        assert lowered.build_left is False
 
     def test_theta_join_nested_loop(self, catalog):
-        node = Join(big(catalog), small(catalog), gt(col("k"), col("sk")))
-        assert isinstance(plan_physical(node, catalog), PNestedLoopJoin)
+        theta = gt(col("k"), col("sk"))
+        node = Join(small(catalog), big(catalog), theta)
+        lowered = plan_physical(node, catalog)
+        assert isinstance(lowered, PHashJoin)
+        assert lowered.left_keys == lowered.right_keys == ()
+        assert lowered.residual == theta
+        assert lowered.build_left is True
 
     def test_residual_conjunct_kept(self, catalog):
         predicate = And(eq(col("k"), col("sk")), gt(col("v"), lit(5.0)))
@@ -126,13 +138,6 @@ class TestJoinLowering:
         lowered = plan_physical(node, catalog, PlannerOptions(use_indexes=False))
         assert isinstance(lowered, PHashJoin)
         assert lowered.residual is not None
-
-    def test_prefer_hash_join_disabled(self, catalog):
-        node = Join(big(catalog), small(catalog), eq(col("k"), col("sk")))
-        lowered = plan_physical(
-            node, catalog, PlannerOptions(prefer_hash_join=False)
-        )
-        assert isinstance(lowered, PNestedLoopJoin)
 
 
 class TestIndexLowering:

@@ -82,6 +82,13 @@ class TestExtractionSoundness:
         roundtripped = db.sql(print_statement(rebound))
         assert sorted_rows(roundtripped) == sorted_rows(original)
 
+    def test_explicit_markers_are_left_alone(self):
+        # Extracting beside a handwritten marker would renumber its slot.
+        statement = parse("select a from t where a < $1 and b = 2")
+        parameterized, values = parameterize(statement)
+        assert parameterized is statement
+        assert values == ()
+
     @pytest.mark.parametrize("seed", CORPUS_SEEDS[:10])
     def test_seeding_preserves_shape(self, seed):
         case = generate_case(seed)

@@ -34,6 +34,12 @@ class TestColumnStatistics:
         stats = compute_column_statistics(list(range(10)))
         assert stats.selectivity_eq(3) == pytest.approx(0.1)
 
+    def test_selectivity_eq_outside_the_range_is_zero(self):
+        stats = compute_column_statistics([1, 2, 9, None])
+        assert stats.selectivity_eq(44) == 0.0
+        assert stats.selectivity_eq(0.5) == 0.0
+        assert stats.selectivity_eq(5) == pytest.approx(0.75 / 3)
+
     def test_selectivity_eq_null_is_zero(self):
         stats = compute_column_statistics([1, 2, 3])
         assert stats.selectivity_eq(None) == 0.0

@@ -169,7 +169,7 @@ class TestRunOptionsSpelledOnce:
         assert "_RunOptions" not in getattr(repro.api, "__all__", ())
 
     def test_planner_options_hold_no_optimizer_or_explain_switch(self, parts_db):
-        assert len(fields(PlannerOptions)) == 5
+        assert len(fields(PlannerOptions)) == 4
         with pytest.raises(TypeError):
             PlannerOptions(optimizer_max_alternatives=8)
         with pytest.raises(TypeError):

@@ -10,6 +10,7 @@ parse-round-trip property over adversarial values; and
 client (repeat publishes are hits, documents match an uncached twin).
 """
 
+import dataclasses
 import random
 import xml.etree.ElementTree as ET
 
@@ -288,36 +289,55 @@ class TestEscapeText:
         assert escape_text(55.0) == "55"  # integral floats print as ints
 
 
+def _correlated_view():
+    """The supplier view whose part query keeps each part through a
+    scalar subquery correlated on the outer row: the same document from a
+    plan with a correlated apply, which the compiler leaves on the row
+    iterators."""
+    view = tpch_supplier_view()
+    edge = view.node.children[0]
+    part = dataclasses.replace(
+        edge.node,
+        query=(
+            "select ps_suppkey, p_partkey, p_name, p_retailprice "
+            "from partsupp, part o where ps_partkey = o.p_partkey "
+            "and o.p_retailprice = (select max(q.p_retailprice) from part q "
+            "where q.p_partkey = o.p_partkey)"
+        ),
+    )
+    edge = dataclasses.replace(edge, node=part)
+    node = dataclasses.replace(view.node, children=(edge,))
+    return dataclasses.replace(view, node=node)
+
+
 #: What feeds the root loop: ``vector`` compiles the whole plan;
-#: ``volcano`` plans nested-loop joins, which the compiler leaves on the
+#: ``volcano`` plans a correlated apply, which the compiler leaves on the
 #: row iterators, so the rows under the root arrive through
 #: ``PhysicalOperator.execute``. Neither the loop nor the tagger may care.
-PREFER_HASH_JOIN = {"volcano": False, "vector": True}
+VIEWS = {"volcano": _correlated_view, "vector": tpch_supplier_view}
 
 
 class TestRowBudgetAtTheRoot:
     """``max_rows`` through the per-batch root loop: exactly the first
     ``max_rows`` rows reach the tagger before the typed error."""
 
-    def test_nested_loop_joins_run_on_the_row_iterators(self, xml_db):
-        view = tpch_supplier_view()
+    def test_correlated_apply_runs_on_the_row_iterators(self, xml_db):
         for formulation in FORMULATIONS:
-            sql = translate_xquery(Q1, view, xml_db.catalog).sql_for(formulation)
-            for joins, prefer in PREFER_HASH_JOIN.items():
-                notes = xml_db.sql(
-                    sql, explain="plan",
-                    planner_options=PlannerOptions(prefer_hash_join=prefer),
-                ).fallbacks
-                assert bool(notes) == (joins == "volcano"), (formulation, joins)
+            documents = set()
+            for root, make_view in VIEWS.items():
+                view = make_view()
+                sql = translate_xquery(Q1, view, xml_db.catalog).sql_for(formulation)
+                notes = xml_db.sql(sql, explain="plan").fallbacks
+                assert bool(notes) == (root == "volcano"), (formulation, root)
+                documents.add(xml_db.publish(view, Q1, formulation).read_all())
+            assert len(documents) == 1, formulation
 
-    @pytest.mark.parametrize("joins", PREFER_HASH_JOIN)
+    @pytest.mark.parametrize("root", VIEWS)
     @pytest.mark.parametrize("max_rows", [0, 1, 4, 5, 11])
-    def test_exactly_max_rows_reach_the_tagger(self, xml_db, joins, max_rows):
-        view = tpch_supplier_view()
+    def test_exactly_max_rows_reach_the_tagger(self, xml_db, root, max_rows):
+        view = VIEWS[root]()
         # Batches of 4, so budgets fall before, on and between boundaries.
-        small = PlannerOptions(
-            vector_batch_size=4, prefer_hash_join=PREFER_HASH_JOIN[joins]
-        )
+        small = PlannerOptions(vector_batch_size=4)
         whole = xml_db.publish(view, Q1, "union", planner_options=small)
         whole.read_all()
         assert whole.stats.rows_in > 11
@@ -335,16 +355,12 @@ class TestRowBudgetAtTheRoot:
         # One tick per root batch, the last of them the one that crossed.
         assert ticks == [4] * (max_rows // 4 + 1)
 
-    @pytest.mark.parametrize("joins", PREFER_HASH_JOIN)
-    def test_budget_equal_to_the_result_is_not_an_error(self, xml_db, joins):
-        view = tpch_supplier_view()
-        options = PlannerOptions(prefer_hash_join=PREFER_HASH_JOIN[joins])
-        whole = xml_db.publish(view, Q1, "gapply", planner_options=options)
+    @pytest.mark.parametrize("root", VIEWS)
+    def test_budget_equal_to_the_result_is_not_an_error(self, xml_db, root):
+        view = VIEWS[root]()
+        whole = xml_db.publish(view, Q1, "gapply")
         document = whole.read_all()
-        exact = xml_db.publish(
-            view, Q1, "gapply",
-            planner_options=options, max_rows=whole.stats.rows_in,
-        )
+        exact = xml_db.publish(view, Q1, "gapply", max_rows=whole.stats.rows_in)
         assert exact.read_all() == document
         assert exact.governor.output_rows == whole.stats.rows_in
 
