@@ -26,7 +26,8 @@ from repro.storage.types import key_function
 
 
 class PHashJoin(PhysicalOperator):
-    """Build a hash table on the right side keys; probe with left rows.
+    """Build a hash table on the right side's keys (the left's with
+    ``build_left``, inner joins only); probe with the other side's rows.
 
     ``left_keys``/``right_keys`` are column references into the respective
     child schemas; both empty is a cross or theta join (every row shares
@@ -73,35 +74,44 @@ class PHashJoin(PhysicalOperator):
         )
 
     def _execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+        # ``build_left`` (inner joins only) swaps the sides' roles, not the
+        # output's column order (left ++ right).
+        sides = [
+            (self.right, self._right_positions, self._right_key),
+            (self.left, self._left_positions, self._left_key),
+        ]
         if self.build_left:
-            yield from self._execute_build_left(ctx)
-            return
+            sides.reverse()
+        (build, build_positions, build_key), (probe, probe_positions, probe_key) = sides
         counters = ctx.counters
         buckets: dict[tuple, list[Row]] = {}
-        build_width = len(self.right.schema)
-        for row in self.right.execute(ctx):
-            values = tuple(row[i] for i in self._right_positions)
+        build_width = len(build.schema)
+        for row in build.execute(ctx):
+            values = tuple(row[i] for i in build_positions)
             if any(v is None for v in values):
                 continue
             counters.hash_inserts += 1
             counters.buffered_cells += build_width
-            buckets.setdefault(self._right_key(values), []).append(row)
+            buckets.setdefault(build_key(values), []).append(row)
 
         residual = self._evaluate_residual
+        build_left = self.build_left
         semi = self.kind == JoinKind.SEMI
         anti = self.kind == JoinKind.ANTI
-        for left_row in self.left.execute(ctx):
-            values = tuple(left_row[i] for i in self._left_positions)
+        for probe_row in probe.execute(ctx):
+            values = tuple(probe_row[i] for i in probe_positions)
             if any(v is None for v in values):
                 if anti:
                     counters.rows += 1
-                    yield left_row
+                    yield probe_row
                 continue
             counters.join_probes += 1
-            matches = buckets.get(self._left_key(values), ())
             matched = False
-            for right_row in matches:
-                combined = left_row + right_row
+            for build_row in buckets.get(probe_key(values), ()):
+                if build_left:
+                    combined = build_row + probe_row
+                else:
+                    combined = probe_row + build_row
                 if residual is None or residual(combined, ctx) is True:
                     matched = True
                     if semi or anti:
@@ -110,35 +120,10 @@ class PHashJoin(PhysicalOperator):
                     yield combined
             if semi and matched:
                 counters.rows += 1
-                yield left_row
+                yield probe_row
             elif anti and not matched:
                 counters.rows += 1
-                yield left_row
-
-    def _execute_build_left(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Inner join building the hash table on the (smaller) left input;
-        output column order is unchanged (left ++ right)."""
-        counters = ctx.counters
-        buckets: dict[tuple, list[Row]] = {}
-        build_width = len(self.left.schema)
-        for row in self.left.execute(ctx):
-            values = tuple(row[i] for i in self._left_positions)
-            if any(v is None for v in values):
-                continue
-            counters.hash_inserts += 1
-            counters.buffered_cells += build_width
-            buckets.setdefault(self._left_key(values), []).append(row)
-        residual = self._evaluate_residual
-        for right_row in self.right.execute(ctx):
-            values = tuple(right_row[i] for i in self._right_positions)
-            if any(v is None for v in values):
-                continue
-            counters.join_probes += 1
-            for left_row in buckets.get(self._right_key(values), ()):
-                combined = left_row + right_row
-                if residual is None or residual(combined, ctx) is True:
-                    counters.rows += 1
-                    yield combined
+                yield probe_row
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
